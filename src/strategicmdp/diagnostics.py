@@ -73,20 +73,53 @@ def occupancy(
     the true transitions consistently with the same population.
     """
     dist = env.source_type_dist if type_dist is None else np.asarray(type_dist, dtype=float)
-    fb = feedback_by_type(env)  # (H, S, A, T, E)
-    H, S = env.horizon, env.num_states
-    if policy.action_probs.shape != (H, S, env.num_actions):
+    H = env.horizon
+    if policy.action_probs.shape != (H, env.num_states, env.num_actions):
         raise ValidationError("policy shape does not match the environment")
     flags: tuple[str, ...] = ()
     if env.transition_mode is TransitionMode.DYNAMICAL:
         assert env.trans_confound is not None
         if env.trans_noise_scale > 0 or np.any(env.trans_confound != 0.0):
             flags = ("grid-resolution-approximation",)
-    d = np.zeros(S)
+    joints = _forward_joints(
+        env, policy.action_probs, dist, feedback_by_type(env), _step_kernels(env, H - 1)
+    )
+    return OccupancyTable(joints=joints, type_dist=dist, flags=flags)
+
+
+def _step_kernels(env: StrategicModel, steps: int) -> list[np.ndarray]:
+    """Next-state laws of steps 0..steps-1; they depend on neither policy nor population.
+
+    General mode: the (S, A, E, S) transition tables. Dynamical mode: the
+    (T, S, A, E, C) cell masses of every type's shifted mean.
+    """
+    if env.transition_mode is TransitionMode.GENERAL:
+        assert env.transition_kernel is not None
+        return [env.transition_kernel[h] for h in range(steps)]
+    assert env.mean_map is not None and env.trans_confound is not None
+    assert env.grid is not None
+    kernels = []
+    for h in range(steps):
+        means = (
+            env.mean_map[h][None, ...] + env.trans_confound[h][:, None, None, None, :]
+        )  # (T, S, A, E, d)
+        kernels.append(discretize_gaussian(means, env.grid, env.trans_noise_scale))
+    return kernels
+
+
+def _forward_joints(
+    env: StrategicModel,
+    action_probs: np.ndarray,
+    dist: np.ndarray,
+    fb: np.ndarray,
+    kernels: list[np.ndarray],
+) -> list[np.ndarray]:
+    """(S, A, E) joints of steps 0..len(kernels), moved forward by the kernels."""
+    d = np.zeros(env.num_states)
     d[env.initial_state] = 1.0
     joints: list[np.ndarray] = []
-    for h in range(H):
-        sa = d[:, None] * policy.action_probs[h]  # (S, A)
+    for h in range(len(kernels) + 1):
+        sa = d[:, None] * action_probs[h]  # (S, A)
         per_type = (
             sa[:, :, None, None] * dist[h][None, None, :, None] * fb[h]
         )  # (S, A, T, E)
@@ -95,19 +128,12 @@ def occupancy(
         total = joint.sum()
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"occupancy at step {h} sums to {total}")
-        if env.transition_mode is TransitionMode.GENERAL:
-            assert env.transition_kernel is not None
-            d = np.einsum("sae,saex->x", joint, env.transition_kernel[h])
-        else:
-            assert env.mean_map is not None and env.trans_confound is not None
-            assert env.grid is not None
-            means = (
-                env.mean_map[h][None, ...]
-                + env.trans_confound[h][:, None, None, None, :]
-            )  # (T, S, A, E, d)
-            kernel = discretize_gaussian(means, env.grid, env.trans_noise_scale)
-            d = np.einsum("sate,tsaec->c", per_type, kernel)
-    return OccupancyTable(joints=joints, type_dist=dist, flags=flags)
+        if h < len(kernels):
+            if env.transition_mode is TransitionMode.GENERAL:
+                d = np.einsum("sae,saex->x", joint, kernels[h])
+            else:
+                d = np.einsum("sate,tsaec->c", per_type, kernels[h])
+    return joints
 
 
 def occupancy_mse(occ: OccupancyTable, h: int, nu: np.ndarray) -> float:
@@ -144,13 +170,6 @@ def deterministic_policy_tables(
         rng.integers(num_actions, size=(steps, num_states)) for _ in range(budget)
     ]
     return tables, True
-
-
-def _extend_to_policy(table: np.ndarray, horizon: int, num_actions: int) -> Policy:
-    steps, S = table.shape
-    full = np.zeros((horizon, S), dtype=int)
-    full[:steps] = table
-    return Policy.deterministic(full, num_actions)
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +231,15 @@ def _collect_residuals(
 
 
 def _state_action_occupancy(
-    env: StrategicModel, table: np.ndarray, h: int, dist: np.ndarray
+    env: StrategicModel,
+    table: np.ndarray,
+    dist: np.ndarray,
+    fb: np.ndarray,
+    kernels: list[np.ndarray],
 ) -> np.ndarray:
-    """Occupancy (S, A) at step h for a deterministic action table over steps 0..h."""
-    policy = _extend_to_policy(table, env.horizon, env.num_actions)
-    occ = occupancy(env, policy, dist)
-    return occ.state_action(h)
+    """Flattened (S * A) occupancy at the last step of a deterministic (steps, S) table."""
+    action_probs = np.eye(env.num_actions)[table]
+    return _forward_joints(env, action_probs, dist, fb, kernels)[-1].sum(axis=-1).reshape(-1)
 
 
 def ill_posedness(
@@ -248,10 +270,12 @@ def ill_posedness(
     n = nus.shape[0]
     sq_flat = sq.reshape(n, -1)
     proj_flat = proj_sq.reshape(n, -1)
+    fb = feedback_by_type(env)
+    kernels = _step_kernels(env, h)
     best = -np.inf
     best_witness: DiagnosticWitness | None = None
     for table in tables:
-        d = _state_action_occupancy(env, table, h, env.source_type_dist).reshape(-1)
+        d = _state_action_occupancy(env, table, env.source_type_dist, fb, kernels)
         mse = sq_flat @ d
         pmse = proj_flat @ d
         if np.any(pmse > mse + JENSEN_TOL):
@@ -297,11 +321,12 @@ def transfer_term(
     n = nus.shape[0]
     src_flat = np.einsum("sae,nsae->nsa", kappa_src, nus * nus).reshape(n, -1)
     tgt_flat = np.einsum("sae,nsae->nsa", kappa_tgt, nus * nus).reshape(n, -1)
+    kernels = _step_kernels(env, h)
     best = -np.inf
     best_witness: DiagnosticWitness | None = None
     for table in tables:
-        d_src = _state_action_occupancy(env, table, h, env.source_type_dist).reshape(-1)
-        d_tgt = _state_action_occupancy(env, table, h, env.target_type_dist).reshape(-1)
+        d_src = _state_action_occupancy(env, table, env.source_type_dist, fb, kernels)
+        d_tgt = _state_action_occupancy(env, table, env.target_type_dist, fb, kernels)
         mse_src = src_flat @ d_src
         mse_tgt = tgt_flat @ d_tgt
         zero_s = mse_src == 0.0

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InvalidIndexError, ValidationError
+from .errors import ConfigError, ValidationError
 from .hypotheses import ClassSizes, HypothesisClasses
-from .model import Grid, Trajectory, TransitionMode
+from .model import Grid, Trajectory, TransitionMode, _check_index
 
 
 # ---------------------------------------------------------------------------
@@ -99,14 +99,20 @@ class StepDataset:
         )
 
     def append(self, h: int, s: int, a: int, e: int, r: float, s_next) -> None:
-        if not (0 <= h < self.horizon):
-            raise InvalidIndexError(f"step {h} out of range")
+        """Record one sample; every index is range-checked before anything is written."""
+        _check_index(h, self.horizon, "step")
+        _check_index(s, self.num_states, "state")
+        _check_index(a, self.num_actions, "action")
+        _check_index(e, self.num_feedbacks, "feedback")
+        if self.mode is TransitionMode.GENERAL:
+            s_next = int(s_next)
+            _check_index(s_next, self.num_states, "next state")
         d = self.steps[h]
         d.counts[s, a, e] += 1.0
         d.reward_sums[s, a, e] += r
         if self.mode is TransitionMode.GENERAL:
             assert d.next_counts is not None
-            d.next_counts[s, a, int(s_next)] += 1.0
+            d.next_counts[s, a, s_next] += 1.0
         else:
             assert d.next_sums is not None
             d.next_sums[s, a, e] += np.asarray(s_next, dtype=float)

@@ -25,6 +25,71 @@ from .errors import InvalidIndexError, ValidationError
 
 SIMPLEX_TOL = 1e-9
 
+# Cephes erf/erfc rational approximations (as in the xsf special-function
+# library), highest degree first. Rows: the erf numerator T and denominator U
+# (in x^2), then the erfc pairs P/Q (1 <= |x| < 8) and R/S (|x| >= 8). The
+# monic denominators are written with their leading 1 and every row is padded
+# with leading zeros to degree 8; on finite arguments neither changes a single
+# rounding of Horner's rule.
+_CDF_COEF = np.array([
+    [0, 0, 0, 0, 9.60497373987051638749e0, 9.00260197203842689217e1,
+     2.23200534594684319226e3, 7.00332514112805075473e3, 5.55923013010394962768e4],
+    [0, 0, 0, 1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+     4.59432382970980127987e3, 2.26290000613890934246e4, 4.92673942608635921086e4],
+    [2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+     4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+     9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2],
+    [1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+     9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+     1.65666309194161350182e3, 5.57535340817727675546e2],
+    [0, 0, 0, 5.64189583547755073984e-1, 1.27536670759978104416e0,
+     5.01905042251180477414e0, 6.16021097993053585195e0, 7.40974269950448939160e0,
+     2.97886665372100240670e0],
+    [0, 0, 1.0, 2.26052863220117276590e0, 9.39603524938001434673e0,
+     1.20489539808096656605e1, 1.70814450747565897222e1, 9.60896809063285878198e0,
+     3.36907645100081516050e0],
+]).T.reshape(9, 3, 2, 1)
+# Horner steps, each (3 argument rows, 2 polynomials, 1): rows are x^2, |x|, |x|.
+_CDF_STEPS = tuple(_CDF_COEF)
+_MAXLOG = 7.09782712893383996843e2
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def normal_cdf(a: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, bit for bit the xsf ``ndtr`` (cephes erf/erfc).
+
+    Follows the xsf branch test: with x = a / sqrt(2), 0.5 + 0.5 erf(x) when
+    |x| < 1, else 0.5 erfc(|x|), reflected to 1 - y for x > 0, and erfc = 0
+    once x^2 exceeds MAXLOG. All six polynomials run on every element, with
+    one rounding per multiply and per add as in the C code, and each element
+    keeps its own branch. The exponential goes through libm (``math.exp``),
+    as numpy's vectorized exp rounds differently.
+    """
+    a = np.asarray(a, dtype=float)
+    with np.errstate(all="ignore"):
+        x = a.reshape(-1) * _SQRT1_2
+        z = np.abs(x)
+        zz = z * z
+        args = np.empty((3, 1, z.size))
+        args[0, 0] = zz
+        args[1:, 0] = z
+        acc = _CDF_STEPS[0] * args + _CDF_STEPS[1]
+        for c in _CDF_STEPS[2:]:
+            acc *= args
+            acc += c
+        (erf_p, erf_q), mid, far = acc
+        inner = z < 1.0
+        under = zz > _MAXLOG
+        tail = ~inner & ~under  # nan lands here and propagates
+        expo = np.zeros_like(z)
+        expo[tail] = np.fromiter(map(math.exp, (-zz[tail]).tolist()), float)
+        p, q = np.where(z < 8.0, mid, far)
+        half = 0.5 * np.where(under, 0.0, (expo * p) / q)
+        out = np.where(
+            inner, 0.5 + 0.5 * ((x * erf_p) / erf_q), np.where(x > 0, 1.0 - half, half)
+        )
+    return out.reshape(a.shape)
+
 
 def make_rng(seed: int) -> np.random.Generator:
     """Return a counter-based generator for the given 64-bit seed."""
@@ -124,26 +189,25 @@ class Grid:
     def edges(self, dim: int) -> np.ndarray:
         return np.linspace(self.lows[dim], self.highs[dim], self.cells_per_dim[dim] + 1)
 
-    def gaussian_mass_1d(self, mean: float, scale: float, dim: int) -> np.ndarray:
-        """Per-bin mass of N(mean, scale^2) along one dimension.
+    def gaussian_mass_1d(self, mean: float | np.ndarray, scale: float, dim: int) -> np.ndarray:
+        """Per-bin masses (..., n) of N(mean, scale^2) along one dimension.
 
-        Tail mass below/above the box is folded into the first/last bin. A zero
-        scale degenerates to a point mass in the bin containing the mean.
+        mean is a scalar or an array of any shape. Tail mass below/above the
+        box is folded into the first/last bin. A zero scale degenerates to a
+        point mass in the bin containing the mean.
         """
+        means = np.asarray(mean, dtype=float)
         n = self.cells_per_dim[dim]
         if scale == 0.0:
-            width = self.widths()[dim]
-            j = int(np.clip(math.floor((mean - self.lows[dim]) / width), 0, n - 1))
-            out = np.zeros(n)
-            out[j] = 1.0
-            return out
-        from scipy.special import ndtr
-
-        edges = self.edges(dim)
-        cdf = ndtr((edges - mean) / scale)
-        cdf[0] = 0.0
-        cdf[-1] = 1.0
-        return np.diff(cdf)
+            rel = np.floor((means - self.lows[dim]) / self.widths()[dim])
+            j = np.clip(rel, 0, n - 1).astype(int)
+            mass = np.zeros(means.shape + (n,))
+            np.put_along_axis(mass, j[..., None], 1.0, axis=-1)
+            return mass
+        cdf = np.zeros(means.shape + (n + 1,))
+        cdf[..., 1:-1] = normal_cdf((self.edges(dim)[1:-1] - means[..., None]) / scale)
+        cdf[..., -1] = 1.0
+        return np.diff(cdf, axis=-1)
 
 
 # ---------------------------------------------------------------------------

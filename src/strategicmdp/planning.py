@@ -175,26 +175,7 @@ def discretize_gaussian(means: np.ndarray, grid: Grid, scale: float) -> np.ndarr
     """
     if grid.dim > 2:
         raise ConfigError("grid planning supports at most two state dimensions")
-    per_dim = []
-    for k in range(grid.dim):
-        m = means[..., k]
-        n = grid.cells_per_dim[k]
-        if scale == 0.0:
-            width = grid.widths()[k]
-            j = np.clip(
-                np.floor((m - grid.lows[k]) / width).astype(int), 0, n - 1
-            )
-            mass = np.zeros(m.shape + (n,))
-            np.put_along_axis(mass, j[..., None], 1.0, axis=-1)
-        else:
-            from scipy.special import ndtr
-
-            edges = grid.edges(k)
-            cdf = ndtr((edges - m[..., None]) / scale)
-            cdf[..., 0] = 0.0
-            cdf[..., -1] = 1.0
-            mass = np.diff(cdf, axis=-1)
-        per_dim.append(mass)
+    per_dim = [grid.gaussian_mass_1d(means[..., k], scale, k) for k in range(grid.dim)]
     if grid.dim == 1:
         return per_dim[0]
     joint = per_dim[0][..., :, None] * per_dim[1][..., None, :]
@@ -276,31 +257,17 @@ class CandidateAggregates:
         grid = knowledge.grid
         if grid.dim > 2:
             raise ConfigError("grid planning supports at most two state dimensions")
-        mean_masses: list[list[np.ndarray]] = []
-        for h in range(H):
-            per_coord = []
-            for i in range(grid.dim):
-                cand = classes.mean_map_tables[h][i]  # (n, S, A, E)
-                means = np.einsum("sae,nsae->nsa", w[h], cand)
-                n_cells = grid.cells_per_dim[i]
-                scale = knowledge.trans_noise_scale
-                if scale == 0.0:
-                    width = grid.widths()[i]
-                    j = np.clip(
-                        np.floor((means - grid.lows[i]) / width).astype(int), 0, n_cells - 1
-                    )
-                    mass = np.zeros(means.shape + (n_cells,))
-                    np.put_along_axis(mass, j[..., None], 1.0, axis=-1)
-                else:
-                    from scipy.special import ndtr
-
-                    edges = grid.edges(i)
-                    cdf = ndtr((edges - means[..., None]) / scale)
-                    cdf[..., 0] = 0.0
-                    cdf[..., -1] = 1.0
-                    mass = np.diff(cdf, axis=-1)
-                per_coord.append(mass)
-            mean_masses.append(per_coord)
+        # One cell-mass evaluation per coordinate, over all steps' candidates.
+        per_coord = []
+        for i in range(grid.dim):
+            tables = [classes.mean_map_tables[h][i] for h in range(H)]  # (n_h, S, A, E)
+            means = np.concatenate(
+                [np.einsum("sae,nsae->nsa", w[h], tables[h]) for h in range(H)]
+            )
+            masses = grid.gaussian_mass_1d(means, knowledge.trans_noise_scale, i)
+            bounds = np.cumsum([len(t) for t in tables])[:-1]
+            per_coord.append(np.split(masses, bounds))
+        mean_masses = [list(step) for step in zip(*per_coord)]
         return cls(classes.mode, rewards, mean_masses=mean_masses, grid=grid)
 
 

@@ -2,15 +2,32 @@
 
 Everything here is deliberately slow and literal: plain loops and recursion,
 no shared code with the package internals beyond the public constructors.
+The scipy-based references at the end keep the package's earlier Gaussian
+discretizers and ratio oracles verbatim (scipy's ``ndtr``, a kernel rebuilt
+at every step of every policy); they reuse only its public residual and
+policy enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
+import pytest
 
-from strategicmdp import Grid, Policy, StrategicModel, TransitionMode
+from strategicmdp import (
+    DiagnosticWitness,
+    Grid,
+    Policy,
+    RatioResult,
+    StrategicModel,
+    TransitionMode,
+    deterministic_policy_tables,
+    feedback_by_type,
+    iter_residuals,
+    source_feedback_mix,
+)
 
 
 def tiny_general(
@@ -145,3 +162,142 @@ def brute_force_optimum(rewards, transitions, initial_state):
 
 def uniform_policy_for(model: StrategicModel) -> Policy:
     return Policy.uniform(model.horizon, model.num_states, model.num_actions)
+
+
+# ---------------------------------------------------------------------------
+# scipy-based references
+# ---------------------------------------------------------------------------
+
+
+def _ndtr():
+    return pytest.importorskip("scipy.special").ndtr
+
+
+def ref_gaussian_mass_1d(grid: Grid, mean: float, scale: float, dim: int) -> np.ndarray:
+    n = grid.cells_per_dim[dim]
+    if scale == 0.0:
+        width = grid.widths()[dim]
+        j = int(np.clip(math.floor((mean - grid.lows[dim]) / width), 0, n - 1))
+        out = np.zeros(n)
+        out[j] = 1.0
+        return out
+    edges = grid.edges(dim)
+    cdf = _ndtr()((edges - mean) / scale)
+    cdf[0] = 0.0
+    cdf[-1] = 1.0
+    return np.diff(cdf)
+
+
+def _ref_axis_masses(grid: Grid, m: np.ndarray, scale: float, k: int) -> np.ndarray:
+    n = grid.cells_per_dim[k]
+    if scale == 0.0:
+        width = grid.widths()[k]
+        j = np.clip(np.floor((m - grid.lows[k]) / width).astype(int), 0, n - 1)
+        mass = np.zeros(m.shape + (n,))
+        np.put_along_axis(mass, j[..., None], 1.0, axis=-1)
+        return mass
+    cdf = _ndtr()((grid.edges(k) - m[..., None]) / scale)
+    cdf[..., 0] = 0.0
+    cdf[..., -1] = 1.0
+    return np.diff(cdf, axis=-1)
+
+
+def ref_discretize_gaussian(means: np.ndarray, grid: Grid, scale: float) -> np.ndarray:
+    per_dim = [_ref_axis_masses(grid, means[..., k], scale, k) for k in range(grid.dim)]
+    if grid.dim == 1:
+        return per_dim[0]
+    joint = per_dim[0][..., :, None] * per_dim[1][..., None, :]
+    return joint.reshape(means.shape[:-1] + (grid.num_cells,))
+
+
+def ref_mean_masses(classes, knowledge) -> list[list[np.ndarray]]:
+    """Per-step, per-coordinate candidate cell masses, one step at a time."""
+    w = knowledge.feedback_mix()
+    grid = knowledge.grid
+    out = []
+    for h in range(knowledge.horizon):
+        per_coord = []
+        for i in range(grid.dim):
+            means = np.einsum("sae,nsae->nsa", w[h], classes.mean_map_tables[h][i])
+            per_coord.append(_ref_axis_masses(grid, means, knowledge.trans_noise_scale, i))
+        out.append(per_coord)
+    return out
+
+
+def ref_occupancy_joints(env: StrategicModel, policy: Policy, dist: np.ndarray):
+    """Forward DP over the full horizon, rebuilding the kernel at every step."""
+    fb = feedback_by_type(env)
+    d = np.zeros(env.num_states)
+    d[env.initial_state] = 1.0
+    joints = []
+    for h in range(env.horizon):
+        sa = d[:, None] * policy.action_probs[h]
+        per_type = sa[:, :, None, None] * dist[h][None, None, :, None] * fb[h]
+        joint = per_type.sum(axis=2)
+        joints.append(joint)
+        assert abs(joint.sum() - 1.0) <= 1e-9
+        if env.transition_mode is TransitionMode.GENERAL:
+            d = np.einsum("sae,saex->x", joint, env.transition_kernel[h])
+        else:
+            means = env.mean_map[h][None, ...] + env.trans_confound[h][:, None, None, None, :]
+            kernel = ref_discretize_gaussian(means, env.grid, env.trans_noise_scale)
+            d = np.einsum("sate,tsaec->c", per_type, kernel)
+    return joints
+
+
+def ref_worst_ratio(env, classes, h: int, policy_budget: int, transfer: bool) -> RatioResult:
+    """ill_posedness (transfer=False) or transfer_term, one full DP per policy."""
+    labels, nus = [], []
+    for label, nu in iter_residuals(env, classes, h):
+        if np.any(nu != 0.0):
+            labels.append(label)
+            nus.append(nu)
+    tables, sampled = deterministic_policy_tables(
+        env.num_states, env.num_actions, h + 1, policy_budget, 0
+    )
+    if not nus:
+        return RatioResult(1.0, False, True, sampled, None, len(tables), 0)
+    nus = np.stack(nus)
+    n = nus.shape[0]
+    src, tgt = env.source_type_dist, env.target_type_dist
+    if transfer:
+        fb = feedback_by_type(env)
+        kappa_src = np.einsum("t,sate->sae", src[h], fb[h])
+        kappa_tgt = np.einsum("t,sate->sae", tgt[h], fb[h])
+        den_w = np.einsum("sae,nsae->nsa", kappa_src, nus * nus).reshape(n, -1)
+        num_w = np.einsum("sae,nsae->nsa", kappa_tgt, nus * nus).reshape(n, -1)
+    else:
+        kappa = source_feedback_mix(env)[h]
+        num_w = np.einsum("sae,nsae->nsa", kappa, nus * nus).reshape(n, -1)
+        proj = np.einsum("sae,nsae->nsa", kappa, nus)
+        den_w = (proj * proj).reshape(n, -1)
+    best, witness = -np.inf, None
+    for table in tables:
+        full = np.zeros((env.horizon, env.num_states), dtype=int)
+        full[: h + 1] = table
+        policy = Policy.deterministic(full, env.num_actions)
+        d_src = ref_occupancy_joints(env, policy, src)[h].sum(axis=-1).reshape(-1)
+        den = den_w @ d_src
+        if transfer:
+            num = num_w @ ref_occupancy_joints(env, policy, tgt)[h].sum(axis=-1).reshape(-1)
+        else:
+            num = num_w @ d_src
+            assert not np.any(den > num + 1e-9)
+        actions = tuple(tuple(int(a) for a in row) for row in table)
+        zero = den == 0.0
+        infinite = zero & (num > 0.0)
+        if np.any(infinite):
+            j = int(np.flatnonzero(infinite)[0])
+            return RatioResult(
+                None, True, False, sampled, DiagnosticWitness(labels[j], actions), len(tables), n
+            )
+        valid = ~zero
+        if np.any(valid):
+            ratios = num[valid] / den[valid]
+            j = int(np.argmax(ratios))
+            if ratios[j] > best:
+                best = float(ratios[j])
+                witness = DiagnosticWitness(labels[int(np.flatnonzero(valid)[j])], actions)
+    if best == -np.inf:
+        return RatioResult(1.0, False, True, sampled, None, len(tables), n)
+    return RatioResult(best, False, False, sampled, witness, len(tables), n)

@@ -235,14 +235,19 @@ def run_console_script(name, args, cwd):
         f"from {module} import {attr}\n"
         f"sys.exit({attr}())\n"
     )
+    return subprocess.run(
+        [sys.executable, "-c", wrapper, *args],
+        capture_output=True, text=True, cwd=cwd, env=src_env(),
+    )
+
+
+def src_env():
+    """The current environment with this checkout's ``src`` first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
     )
-    return subprocess.run(
-        [sys.executable, "-c", wrapper, *args],
-        capture_output=True, text=True, cwd=cwd, env=env,
-    )
+    return env
 
 
 def test_console_script_entry_point(config_path, tmp_path):
@@ -256,6 +261,57 @@ def test_console_script_entry_point(config_path, tmp_path):
     )
     assert missing.returncode == 2
     assert "cannot read" in missing.stderr
+
+
+def test_python_m_entry_point(config_path, tmp_path):
+    def run_module(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "strategicmdp", *args],
+            capture_output=True, text=True, cwd=tmp_path, env=src_env(),
+        )
+
+    proc = run_module("validate", str(config_path()))
+    assert proc.returncode == 0
+    assert "valid" in proc.stdout
+    missing = run_module("validate", str(tmp_path / "absent.yaml"))
+    assert missing.returncode == 2
+    assert "cannot read" in missing.stderr
+
+
+DYN_YAML = """\
+environment:
+  generator: dyn-1d
+run:
+  episodes: 5
+  seeds: [0]
+diagnostics:
+  ill_posedness: true
+  transfer: true
+  policy_budget: 16
+output:
+  root: {root}
+"""
+
+
+def test_dynamical_path_does_not_import_scipy(tmp_path):
+    # The Gaussian discretizers use the package's own normal CDF; scipy is only
+    # a test oracle. A fresh interpreter shows what the command line imports.
+    cfg = tmp_path / "dyn.yaml"
+    cfg.write_text(DYN_YAML.format(root=tmp_path / "runs"))
+    script = (
+        "import sys\n"
+        "from strategicmdp.cli import main\n"
+        f"assert main(['diagnose', {str(cfg)!r}]) == 0\n"
+        f"assert main(['run', {str(cfg)!r}]) == 0\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=src_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "runs" / "dyn-1d" / "diagnostics.json").is_file()
 
 
 @pytest.mark.skipif(

@@ -32,7 +32,13 @@ from strategicmdp import (
 )
 from strategicmdp.hypotheses import iter_residuals
 
-from helpers import all_action_tables, tiny_dynamical, tiny_general
+from helpers import (
+    all_action_tables,
+    ref_occupancy_joints,
+    ref_worst_ratio,
+    tiny_dynamical,
+    tiny_general,
+)
 from test_hypotheses import singleton_classes
 
 
@@ -314,6 +320,32 @@ def test_ill_posedness_budget_sampling_is_lower_bound():
     assert sampled.lower_bound_estimate
     assert not exact.lower_bound_estimate
     assert sampled.value <= exact.value + 1e-12
+
+
+@pytest.mark.parametrize("noiseless", [False, True])
+@pytest.mark.parametrize("oracle", [ill_posedness, transfer_term])
+def test_ratio_oracles_equal_per_policy_kernel_reference(noiseless, oracle):
+    # Budget 512: step 0 enumerates all 2**9 tables, steps 1 and 2 are sampled.
+    scenario = build_scenario("dyn-1d", params={"noiseless": noiseless})
+    for h in range(scenario.model.horizon):
+        got = oracle(scenario.model, scenario.classes, h, policy_budget=512)
+        want = ref_worst_ratio(
+            scenario.model, scenario.classes, h, 512, transfer=oracle is transfer_term
+        )
+        assert got == want
+        assert got.as_dict() == want.as_dict()
+
+
+@pytest.mark.parametrize("model", [tiny_general(), tiny_dynamical(), tiny_dynamical(0.0)])
+def test_occupancy_equals_per_step_kernel_reference(model):
+    rng = np.random.default_rng(5)
+    probs = rng.dirichlet(np.ones(model.num_actions), size=(model.horizon, model.num_states))
+    policy = Policy(probs)
+    for dist in (model.source_type_dist, model.target_type_dist):
+        got = occupancy(model, policy, dist).joints
+        want = ref_occupancy_joints(model, policy, dist)
+        for g, w in zip(got, want, strict=True):
+            np.testing.assert_array_equal(g, w)
 
 
 # ---------------------------------------------------------------------------

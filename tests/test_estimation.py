@@ -11,6 +11,7 @@ from strategicmdp import (
     BetaLevels,
     ClassSizes,
     ConfigError,
+    InvalidIndexError,
     LearnerKnowledge,
     LossEvaluator,
     Policy,
@@ -167,6 +168,31 @@ def test_append_trajectory_matches_manual_append():
         np.testing.assert_array_equal(rebuilt.steps[h].counts, data.steps[h].counts)
         np.testing.assert_array_equal(rebuilt.steps[h].next_counts, data.steps[h].next_counts)
     assert rebuilt.num_episodes == 20
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [(f, v) for f in ("h", "s", "a", "e", "s_next") for v in (-1, 2)],
+)
+def test_append_rejects_out_of_range_general(field, bad):
+    data = StepDataset(TransitionMode.GENERAL, 2, 2, 2, 2)
+    args = {"h": 0, "s": 1, "a": 1, "e": 1, "r": 0.5, "s_next": 1}
+    args[field] = bad
+    with pytest.raises(InvalidIndexError):
+        data.append(**args)
+    assert data.steps[0].num_samples == 0
+    assert not data.steps[0].counts.any()
+
+
+@pytest.mark.parametrize("field, bad", [("s", -1), ("s", 4), ("a", -1), ("e", 2)])
+def test_append_rejects_out_of_range_dynamical(field, bad):
+    model = tiny_dynamical()
+    data = StepDataset(TransitionMode.DYNAMICAL, 2, 4, 2, 2, state_dim=1, grid=model.grid)
+    args = {"h": 1, "s": 3, "a": 1, "e": 1, "r": 0.5, "s_next": np.array([0.2])}
+    args[field] = bad
+    with pytest.raises(InvalidIndexError):
+        data.append(**args)
+    assert not data.steps[1].next_sums.any()
 
 
 def test_losses_invariant_under_sample_permutation():
