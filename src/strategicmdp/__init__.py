@@ -86,7 +86,6 @@ from .planning import (
     SelectionMode,
     SelectionResult,
     aggregate,
-    aggregate_mean_map,
     discretize_gaussian,
     evaluate_policy,
     optimistic_select,

@@ -242,6 +242,63 @@ def _state_action_occupancy(
     return _forward_joints(env, action_probs, dist, fb, kernels)[-1].sum(axis=-1).reshape(-1)
 
 
+def _worst_ratio(
+    env: StrategicModel,
+    h: int,
+    labels: list[str],
+    tables: list[np.ndarray],
+    sampled: bool,
+    num: np.ndarray,
+    den: np.ndarray,
+    num_dist: np.ndarray,
+    den_dist: np.ndarray,
+    jensen: bool,
+) -> RatioResult:
+    """Largest ratio num / den over residuals and policy tables, with its witness.
+
+    num and den are (n, S, A) per-residual weights, integrated against the
+    step-h (state, action) occupancy of each table under num_dist and den_dist
+    respectively. A zero denominator under a positive numerator is an infinite
+    result at the first such table and residual. With jensen set, every pair is
+    checked for the denominator never exceeding the numerator.
+    """
+    n = num.shape[0]
+    num_flat = num.reshape(n, -1)
+    den_flat = den.reshape(n, -1)
+    fb = feedback_by_type(env)
+    kernels = _step_kernels(env, h)
+    best = -np.inf
+    best_witness: DiagnosticWitness | None = None
+    for table in tables:
+        d_den = _state_action_occupancy(env, table, den_dist, fb, kernels)
+        d_num = d_den if num_dist is den_dist else _state_action_occupancy(
+            env, table, num_dist, fb, kernels
+        )
+        top = num_flat @ d_num
+        bottom = den_flat @ d_den
+        if jensen and np.any(bottom > top + JENSEN_TOL):
+            raise ValidationError("projected MSE exceeded MSE; occupancy inconsistency")
+        zero = bottom == 0.0
+        infinite = zero & (top > 0.0)
+        if np.any(infinite):
+            j = int(np.flatnonzero(infinite)[0])
+            witness = DiagnosticWitness(labels[j], tuple(tuple(int(a) for a in row) for row in table))
+            return RatioResult(None, True, False, sampled, witness, len(tables), n)
+        valid = ~zero
+        if np.any(valid):
+            ratios = top[valid] / bottom[valid]
+            j_local = int(np.argmax(ratios))
+            if ratios[j_local] > best:
+                best = float(ratios[j_local])
+                j = int(np.flatnonzero(valid)[j_local])
+                best_witness = DiagnosticWitness(
+                    labels[j], tuple(tuple(int(a) for a in row) for row in table)
+                )
+    if best == -np.inf:
+        return RatioResult(1.0, False, True, sampled, None, len(tables), n)
+    return RatioResult(best, False, False, sampled, best_witness, len(tables), n)
+
+
 def ill_posedness(
     env: StrategicModel,
     classes: HypothesisClasses,
@@ -266,39 +323,8 @@ def ill_posedness(
     kappa = source_feedback_mix(env)[h]  # (S, A, E)
     sq = np.einsum("sae,nsae->nsa", kappa, nus * nus)  # conditional second moments
     proj = np.einsum("sae,nsae->nsa", kappa, nus)
-    proj_sq = proj * proj
-    n = nus.shape[0]
-    sq_flat = sq.reshape(n, -1)
-    proj_flat = proj_sq.reshape(n, -1)
-    fb = feedback_by_type(env)
-    kernels = _step_kernels(env, h)
-    best = -np.inf
-    best_witness: DiagnosticWitness | None = None
-    for table in tables:
-        d = _state_action_occupancy(env, table, env.source_type_dist, fb, kernels)
-        mse = sq_flat @ d
-        pmse = proj_flat @ d
-        if np.any(pmse > mse + JENSEN_TOL):
-            raise ValidationError("projected MSE exceeded MSE; occupancy inconsistency")
-        zero_p = pmse == 0.0
-        infinite = zero_p & (mse > 0.0)
-        if np.any(infinite):
-            j = int(np.flatnonzero(infinite)[0])
-            witness = DiagnosticWitness(labels[j], tuple(tuple(int(a) for a in row) for row in table))
-            return RatioResult(None, True, False, sampled, witness, len(tables), n)
-        valid = ~zero_p
-        if np.any(valid):
-            ratios = mse[valid] / pmse[valid]
-            j_local = int(np.argmax(ratios))
-            if ratios[j_local] > best:
-                best = float(ratios[j_local])
-                j = int(np.flatnonzero(valid)[j_local])
-                best_witness = DiagnosticWitness(
-                    labels[j], tuple(tuple(int(a) for a in row) for row in table)
-                )
-    if best == -np.inf:
-        return RatioResult(1.0, False, True, sampled, None, len(tables), n)
-    return RatioResult(best, False, False, sampled, best_witness, len(tables), n)
+    src = env.source_type_dist
+    return _worst_ratio(env, h, labels, tables, sampled, sq, proj * proj, src, src, jensen=True)
 
 
 def transfer_term(
@@ -318,36 +344,12 @@ def transfer_term(
     fb = feedback_by_type(env)
     kappa_src = np.einsum("t,sate->sae", env.source_type_dist[h], fb[h])
     kappa_tgt = np.einsum("t,sate->sae", env.target_type_dist[h], fb[h])
-    n = nus.shape[0]
-    src_flat = np.einsum("sae,nsae->nsa", kappa_src, nus * nus).reshape(n, -1)
-    tgt_flat = np.einsum("sae,nsae->nsa", kappa_tgt, nus * nus).reshape(n, -1)
-    kernels = _step_kernels(env, h)
-    best = -np.inf
-    best_witness: DiagnosticWitness | None = None
-    for table in tables:
-        d_src = _state_action_occupancy(env, table, env.source_type_dist, fb, kernels)
-        d_tgt = _state_action_occupancy(env, table, env.target_type_dist, fb, kernels)
-        mse_src = src_flat @ d_src
-        mse_tgt = tgt_flat @ d_tgt
-        zero_s = mse_src == 0.0
-        infinite = zero_s & (mse_tgt > 0.0)
-        if np.any(infinite):
-            j = int(np.flatnonzero(infinite)[0])
-            witness = DiagnosticWitness(labels[j], tuple(tuple(int(a) for a in row) for row in table))
-            return RatioResult(None, True, False, sampled, witness, len(tables), n)
-        valid = ~zero_s
-        if np.any(valid):
-            ratios = mse_tgt[valid] / mse_src[valid]
-            j_local = int(np.argmax(ratios))
-            if ratios[j_local] > best:
-                best = float(ratios[j_local])
-                j = int(np.flatnonzero(valid)[j_local])
-                best_witness = DiagnosticWitness(
-                    labels[j], tuple(tuple(int(a) for a in row) for row in table)
-                )
-    if best == -np.inf:
-        return RatioResult(1.0, False, True, sampled, None, len(tables), n)
-    return RatioResult(best, False, False, sampled, best_witness, len(tables), n)
+    src_sq = np.einsum("sae,nsae->nsa", kappa_src, nus * nus)
+    tgt_sq = np.einsum("sae,nsae->nsa", kappa_tgt, nus * nus)
+    return _worst_ratio(
+        env, h, labels, tables, sampled, tgt_sq, src_sq,
+        env.target_type_dist, env.source_type_dist, jensen=False,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ an empty set falls back to the loss minimizer and raises a flag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class StepData:
     counts[s, a, e] is the number of samples, reward_sums their reward total.
     General mode tracks next_counts[s, a, s']; dynamical mode tracks
     next_sums[s, a, e, i], the per-coordinate totals of next-state vectors.
-    Raw per-sample arrays are kept for reference recomputation in tests.
     """
 
     counts: np.ndarray
@@ -51,11 +50,6 @@ class StepData:
     next_counts: np.ndarray | None
     next_sums: np.ndarray | None
     num_samples: int = 0
-    raw_states: list[int] = field(default_factory=list)
-    raw_actions: list[int] = field(default_factory=list)
-    raw_feedbacks: list[int] = field(default_factory=list)
-    raw_rewards: list[float] = field(default_factory=list)
-    raw_next: list = field(default_factory=list)
 
 
 class StepDataset:
@@ -117,11 +111,6 @@ class StepDataset:
             assert d.next_sums is not None
             d.next_sums[s, a, e] += np.asarray(s_next, dtype=float)
         d.num_samples += 1
-        d.raw_states.append(s)
-        d.raw_actions.append(a)
-        d.raw_feedbacks.append(e)
-        d.raw_rewards.append(float(r))
-        d.raw_next.append(s_next)
 
     def append_trajectory(self, traj: Trajectory) -> None:
         """Record one episode using observable fields only."""

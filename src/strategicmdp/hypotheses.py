@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 from .model import LearnerKnowledge, StrategicModel, TransitionMode, feedback_by_type
-from .planning import CandidateAggregates
+from .planning import CandidateAggregates, joint_backup
 
 DEFAULT_PER_STEP_CAP = 8
 DEFAULT_JOINT_CAP = 1_000_000
@@ -278,43 +278,16 @@ def enumerate_suffix_values(
     under the target. The joint cap guards the enumeration size.
     """
     agg = CandidateAggregates.from_classes(classes, knowledge)
-    H = classes.horizon
     joint = 1
-    for h in range(H):
-        nR = classes.reward_tables[h].shape[0]
-        if classes.mode is TransitionMode.GENERAL:
-            assert classes.transition_tables is not None
-            nP = classes.transition_tables[h].shape[0]
-        else:
-            assert classes.mean_map_tables is not None
-            nP = int(np.prod([g.shape[0] for g in classes.mean_map_tables[h]]))
-        joint *= nR * nP
+    for R, P in zip(agg.rewards, agg.transitions):
+        joint *= R.shape[0] * P.shape[0]
     if joint > classes.caps.joint:
         raise CapacityError(f"value closure would enumerate {joint} joint models, cap is {classes.caps.joint}")
     S = classes.reward_tables[0].shape[1]
     values = np.zeros((1, S))
-    out: list[np.ndarray] = [np.zeros((0, S))] * H
-    for h in range(H - 1, -1, -1):
-        R = agg.rewards[h]
-        if classes.mode is TransitionMode.GENERAL:
-            assert agg.transitions is not None
-            expected = np.einsum("psax,vx->pvsa", agg.transitions[h], values)
-            q = R[:, None, None, :, :] + expected[None]
-            flat = q.max(axis=-1).reshape(-1, S)
-        else:
-            assert agg.mean_masses is not None and agg.grid is not None
-            if agg.grid.dim == 1:
-                expected = np.einsum("msac,vc->mvsa", agg.mean_masses[h][0], values)
-                q = R[:, None, None, :, :] + expected[None]
-                flat = q.max(axis=-1).reshape(-1, S)
-            else:
-                dims = agg.grid.cells_per_dim
-                v3 = values.reshape(values.shape[0], dims[0], dims[1])
-                part = np.einsum("nsac,vbc->nvsab", agg.mean_masses[h][1], v3)
-                expected = np.einsum("msab,nvsab->mnvsa", agg.mean_masses[h][0], part)
-                q = R[:, None, None, None, :, :] + expected[None]
-                flat = q.max(axis=-1).reshape(-1, S)
-        values = _unique_rows(flat)
+    out: list[np.ndarray] = [np.zeros((0, S))] * classes.horizon
+    for h in range(classes.horizon - 1, -1, -1):
+        values = _unique_rows(joint_backup(agg.rewards[h], agg.transitions[h], values))
         out[h] = values
     return out
 

@@ -7,9 +7,12 @@ product of per-step candidate sets for the model with the largest optimal
 value, either by exact joint enumeration or by a per-(state, action) pointwise
 relaxation whose value dominates the exact one.
 
-In dynamical mode the aggregated object is a mean map on grid cells; its
-Gaussian kernel is discretized to cell masses by coordinate-wise CDF
-differences, with out-of-box mass folded into boundary cells.
+Both transition modes plan over one next-state kernel per step candidate. In
+dynamical mode the aggregated object is a mean map on grid cells, with
+candidates cut per coordinate; each coordinate's Gaussian is discretized to
+cell masses by CDF differences, with out-of-box mass folded into boundary
+cells, and every choice of one candidate per coordinate becomes one joint
+cell kernel, the outer product of its per-axis masses.
 """
 
 from __future__ import annotations
@@ -119,13 +122,6 @@ def policy_value(mdp: AggregatedMDP, policy: Policy) -> float:
 # ---------------------------------------------------------------------------
 
 
-def feedback_weights(
-    knowledge: LearnerKnowledge, type_dist: np.ndarray | None = None
-) -> np.ndarray:
-    """Per-(h, s, a) feedback distribution under a type distribution (default target)."""
-    return knowledge.feedback_mix(type_dist)
-
-
 def aggregate(
     reward_table: np.ndarray,
     transition_table: np.ndarray,
@@ -137,49 +133,36 @@ def aggregate(
 
     reward_table is (H, S, A, E) and transition_table is (H, S, A, E, S).
     """
-    w = feedback_weights(knowledge, type_dist)
+    w = knowledge.feedback_mix(type_dist)
     rewards = np.einsum("hsae,hsae->hsa", w, reward_table)
     transitions = np.einsum("hsae,hsaex->hsax", w, transition_table)
     return AggregatedMDP(rewards, transitions, initial_state)
 
 
-def aggregate_mean_map(
-    reward_table: np.ndarray,
-    mean_map: np.ndarray,
-    knowledge: LearnerKnowledge,
-    initial_state: int,
-    type_dist: np.ndarray | None = None,
-    noise_scale: float | None = None,
-) -> AggregatedMDP:
-    """Average feedback out of dynamical-mode tables and discretize the kernel.
+def _joint_cell_masses(per_axis: Sequence[np.ndarray]) -> np.ndarray:
+    """Joint cell masses (..., C) from per-axis masses (..., C_k).
 
-    mean_map is (H, S, A, E, d) on grid cells; the aggregated next-state mean
-    gets a Gaussian kernel with the given scale, discretized to cell masses.
+    Coordinates are independent, so the joint mass is the outer product of the
+    per-axis masses, flattened in the grid's cell order; leading axes
+    broadcast. A single axis is returned as it is.
     """
-    if knowledge.grid is None:
-        raise ConfigError("dynamical aggregation requires a grid on the knowledge object")
-    w = feedback_weights(knowledge, type_dist)
-    rewards = np.einsum("hsae,hsae->hsa", w, reward_table)
-    means = np.einsum("hsae,hsaed->hsad", w, mean_map)
-    scale = knowledge.trans_noise_scale if noise_scale is None else noise_scale
-    transitions = discretize_gaussian(means, knowledge.grid, scale)
-    return AggregatedMDP(rewards, transitions, initial_state)
+    if len(per_axis) > 2:
+        raise ConfigError("grid planning supports at most two state dimensions")
+    if len(per_axis) == 1:
+        return per_axis[0]
+    joint = per_axis[0][..., :, None] * per_axis[1][..., None, :]
+    return joint.reshape(joint.shape[:-2] + (joint.shape[-2] * joint.shape[-1],))
 
 
 def discretize_gaussian(means: np.ndarray, grid: Grid, scale: float) -> np.ndarray:
     """Cell-mass kernel (..., C) for Gaussians centered at means (..., d).
 
-    Coordinates are independent, so the joint mass is the product of per-axis
-    CDF differences; tail mass joins the boundary cells. Zero scale gives a
-    point mass in the cell containing the mean.
+    Tail mass joins the boundary cells. Zero scale gives a point mass in the
+    cell containing the mean.
     """
-    if grid.dim > 2:
-        raise ConfigError("grid planning supports at most two state dimensions")
-    per_dim = [grid.gaussian_mass_1d(means[..., k], scale, k) for k in range(grid.dim)]
-    if grid.dim == 1:
-        return per_dim[0]
-    joint = per_dim[0][..., :, None] * per_dim[1][..., None, :]
-    return joint.reshape(means.shape[:-1] + (grid.num_cells,))
+    return _joint_cell_masses(
+        [grid.gaussian_mass_1d(means[..., k], scale, k) for k in range(grid.dim)]
+    )
 
 
 def true_aggregated_model(
@@ -225,23 +208,26 @@ class SelectionMode(Enum):
 class CandidateAggregates:
     """Per-step candidate tables with feedback averaged out under the target.
 
-    General mode: rewards[h] is (nR_h, S, A) and transitions[h] is
-    (nP_h, S, A, S). Dynamical mode: transitions[h] is replaced by per-
-    coordinate cell-mass tables mean_masses[h][i] of shape (n_i, S, A, C_i)
-    together with aggregated means.
+    rewards[h] is (nR_h, S, A) and transitions[h] is (nP_h, S, A, S), one
+    next-state kernel per transition candidate, in both modes. In dynamical
+    mode the candidates are cut per coordinate of the mean map, and
+    transitions[h] holds one joint cell kernel for every choice of one
+    candidate per coordinate: radices[h] gives the candidate count of each
+    coordinate, and the kernel of index tuple (i_0, i_1) sits at the
+    mixed-radix index i_0 * n_1 + i_1, so joint indices keep the tuples'
+    lexicographic order. radices is None in general mode, where a candidate
+    index is its kernel index.
     """
 
-    mode: TransitionMode
     rewards: list[np.ndarray]
-    transitions: list[np.ndarray] | None = None
-    mean_masses: list[list[np.ndarray]] | None = None
-    grid: Grid | None = None
+    transitions: list[np.ndarray]
+    radices: list[tuple[int, ...]] | None = None
 
     @classmethod
     def from_classes(
         cls, classes: "HypothesisClasses", knowledge: LearnerKnowledge
     ) -> "CandidateAggregates":
-        w = feedback_weights(knowledge)  # (H, S, A, E)
+        w = knowledge.feedback_mix()  # (H, S, A, E)
         H = knowledge.horizon
         rewards = [
             np.einsum("sae,rsae->rsa", w[h], classes.reward_tables[h]) for h in range(H)
@@ -251,12 +237,10 @@ class CandidateAggregates:
                 np.einsum("sae,psaex->psax", w[h], classes.transition_tables[h])
                 for h in range(H)
             ]
-            return cls(classes.mode, rewards, transitions=transitions)
+            return cls(rewards, transitions)
         if knowledge.grid is None:
             raise ConfigError("dynamical selection requires a grid on the knowledge object")
         grid = knowledge.grid
-        if grid.dim > 2:
-            raise ConfigError("grid planning supports at most two state dimensions")
         # One cell-mass evaluation per coordinate, over all steps' candidates.
         per_coord = []
         for i in range(grid.dim):
@@ -267,8 +251,39 @@ class CandidateAggregates:
             masses = grid.gaussian_mass_1d(means, knowledge.trans_noise_scale, i)
             bounds = np.cumsum([len(t) for t in tables])[:-1]
             per_coord.append(np.split(masses, bounds))
-        mean_masses = [list(step) for step in zip(*per_coord)]
-        return cls(classes.mode, rewards, mean_masses=mean_masses, grid=grid)
+        transitions, radices = [], []
+        for axes in zip(*per_coord):  # one step: (n_i, S, A, C_i) per coordinate i
+            radices.append(tuple(len(m) for m in axes))
+            if len(axes) == 2:  # coordinate 0's candidates vary slowest: mixed-radix order
+                axes = (axes[0][:, None], axes[1][None, :])
+            joint = _joint_cell_masses(axes)
+            transitions.append(joint.reshape((-1,) + joint.shape[len(axes) :]))
+        return cls(rewards, transitions, radices)
+
+    def kernel_indices(self, h: int, transition_set) -> np.ndarray:
+        """Kernel indices of a step's surviving transition candidates.
+
+        General mode: the set itself. Dynamical mode: the set holds one index
+        list per coordinate, and the product of the lists is listed in
+        lexicographic order.
+        """
+        if self.radices is None:
+            return np.asarray(transition_set, dtype=int)
+        grids = np.meshgrid(*[np.asarray(c, dtype=int) for c in transition_set], indexing="ij")
+        return np.ravel_multi_index(grids, self.radices[h]).reshape(-1)
+
+    def candidate_index(self, h: int, kernel):
+        """Inverse of kernel_indices for one kernel index or an array of them.
+
+        General mode: the index itself. Dynamical mode: a tuple of
+        per-coordinate indices, or for an array a trailing coordinate axis.
+        """
+        if self.radices is None:
+            return kernel
+        coords = np.unravel_index(kernel, self.radices[h])
+        if np.ndim(kernel) == 0:
+            return tuple(int(c) for c in coords)
+        return np.stack(coords, axis=-1)
 
 
 @dataclass
@@ -276,9 +291,11 @@ class SelectionResult:
     """Chosen model and its optimal policy.
 
     For exact selection reward_idx and transition_idx give one candidate index
-    per step (dynamical: a tuple per step, one index per coordinate). For the
-    pointwise relaxation they are None and the per-(state, action) argmax
-    tables are reported instead, with relaxed set.
+    per step; in dynamical mode a transition index is a tuple with one
+    candidate index per coordinate, decoded from the chosen joint kernel. For
+    the pointwise relaxation they are None and the per-(state, action) argmax
+    tables are reported instead, with relaxed set; in dynamical mode the
+    transition table has a trailing coordinate axis.
     """
 
     value: float
@@ -289,6 +306,19 @@ class SelectionResult:
     chosen_mdp: AggregatedMDP | None = None
     pointwise_reward_idx: np.ndarray | None = None
     pointwise_transition_idx: np.ndarray | None = None
+
+
+def joint_backup(rewards: np.ndarray, kernels: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """One backward-induction step for every (reward, kernel, suffix value) triple.
+
+    rewards is (nR, S, A), kernels is (nP, S, A, S) and values is (nV, S).
+    Returns the (nR * nP * nV, S) action-maxed values of R + P V, with rows in
+    lexicographic (r, p, v) order. Shared by the exact selector and the value
+    closure.
+    """
+    expected = np.einsum("psax,vx->pvsa", kernels, values)
+    q = rewards[:, None, None, :, :] + expected[None]
+    return q.max(axis=-1).reshape(-1, rewards.shape[1])
 
 
 def optimistic_select(
@@ -312,184 +342,72 @@ def optimistic_select(
     for h, rs in enumerate(reward_sets):
         if len(rs) == 0:
             raise ValidationError(f"empty reward candidate set at step {h}")
+    kernel_sets = [aggregates.kernel_indices(h, ts) for h, ts in enumerate(transition_sets)]
+    for h, ks in enumerate(kernel_sets):
+        if ks.size == 0:
+            raise ValidationError(f"empty transition candidate set at step {h}")
     if mode is SelectionMode.EXACT:
-        if aggregates.mode is TransitionMode.GENERAL:
-            return _select_exact_general(
-                aggregates, reward_sets, transition_sets, initial_state, cap
-            )
-        return _select_exact_dynamical(
-            aggregates, reward_sets, transition_sets, initial_state, cap
-        )
-    if aggregates.mode is TransitionMode.GENERAL:
-        return _select_pointwise_general(
-            aggregates, reward_sets, transition_sets, initial_state
-        )
-    return _select_pointwise_dynamical(
-        aggregates, reward_sets, transition_sets, initial_state
-    )
+        return _select_exact(aggregates, reward_sets, kernel_sets, initial_state, cap)
+    return _select_pointwise(aggregates, reward_sets, kernel_sets, initial_state)
 
 
-def _select_exact_general(
+def _select_exact(
     agg: CandidateAggregates,
     reward_sets: Sequence[Sequence[int]],
-    transition_sets: Sequence[Sequence[int]],
+    kernel_sets: list[np.ndarray],
     initial_state: int,
     cap: int,
 ) -> SelectionResult:
-    assert agg.transitions is not None
     H = len(agg.rewards)
     S = agg.rewards[0].shape[1]
     values = np.zeros((1, S))
-    step_sizes: list[tuple[int, int]] = [(0, 0)] * H
-    suffix_counts = [1] * (H + 1)
     for h in range(H - 1, -1, -1):
-        if len(transition_sets[h]) == 0:
-            raise ValidationError(f"empty transition candidate set at step {h}")
+        total = len(reward_sets[h]) * len(kernel_sets[h]) * values.shape[0]
+        if total > cap:
+            raise CapacityError(f"joint enumeration needs {total} models at step {h}, cap is {cap}")
         R = agg.rewards[h][np.asarray(reward_sets[h], dtype=int)]
-        P = agg.transitions[h][np.asarray(transition_sets[h], dtype=int)]
-        nr, npp, nv = R.shape[0], P.shape[0], values.shape[0]
-        if nr * npp * nv > cap:
-            raise CapacityError(
-                f"joint enumeration needs {nr * npp * nv} models at step {h}, cap is {cap}"
-            )
-        expected = np.einsum("psax,vx->pvsa", P, values)
-        q = R[:, None, None, :, :] + expected[None]
-        values = q.max(axis=-1).reshape(nr * npp * nv, S)
-        step_sizes[h] = (nr, npp)
-        suffix_counts[h] = nr * npp * suffix_counts[h + 1]
+        values = joint_backup(R, agg.transitions[h][kernel_sets[h]], values)
     flat = int(np.argmax(values[:, initial_state]))
     value = float(values[flat, initial_state])
-    reward_idx: list[int] = []
-    transition_idx: list[int] = []
-    rem = flat
-    for h in range(H):
-        nr, npp = step_sizes[h]
-        tail = suffix_counts[h + 1]
-        r_pos = rem // (npp * tail)
-        rem -= r_pos * npp * tail
-        p_pos = rem // tail
-        rem -= p_pos * tail
-        reward_idx.append(int(reward_sets[h][r_pos]))
-        transition_idx.append(int(transition_sets[h][p_pos]))
+    # Rows are the product of (reward, kernel) positions over steps 0..H-1.
+    sizes = [n for h in range(H) for n in (len(reward_sets[h]), len(kernel_sets[h]))]
+    pos = np.unravel_index(flat, sizes)
+    reward_idx = tuple(int(reward_sets[h][pos[2 * h]]) for h in range(H))
+    kernel_idx = [int(kernel_sets[h][pos[2 * h + 1]]) for h in range(H)]
     rewards = np.stack([agg.rewards[h][reward_idx[h]] for h in range(H)])
-    transitions = np.stack([agg.transitions[h][transition_idx[h]] for h in range(H)])
+    transitions = np.stack([agg.transitions[h][kernel_idx[h]] for h in range(H)])
     mdp = AggregatedMDP(rewards, transitions, initial_state)
     plan = value_iteration(mdp)
     return SelectionResult(
         value=value,
         policy=plan.policy,
-        reward_idx=tuple(reward_idx),
-        transition_idx=tuple(transition_idx),
+        reward_idx=reward_idx,
+        transition_idx=tuple(agg.candidate_index(h, kernel_idx[h]) for h in range(H)),
         relaxed=False,
         chosen_mdp=mdp,
     )
 
 
-def _select_exact_dynamical(
+def _select_pointwise(
     agg: CandidateAggregates,
     reward_sets: Sequence[Sequence[int]],
-    transition_sets: Sequence[Sequence[Sequence[int]]],
-    initial_state: int,
-    cap: int,
-) -> SelectionResult:
-    assert agg.mean_masses is not None and agg.grid is not None
-    grid = agg.grid
-    H = len(agg.rewards)
-    S = agg.rewards[0].shape[1]
-    dims = grid.cells_per_dim
-    values = np.zeros((1, S))
-    step_sizes: list[tuple[int, ...]] = [()] * H
-    suffix_counts = [1] * (H + 1)
-    for h in range(H - 1, -1, -1):
-        R = agg.rewards[h][np.asarray(reward_sets[h], dtype=int)]
-        nr, nv = R.shape[0], values.shape[0]
-        masses = []
-        for i in range(grid.dim):
-            sel = np.asarray(transition_sets[h][i], dtype=int)
-            if sel.size == 0:
-                raise ValidationError(f"empty mean-map candidate set at step {h}, coordinate {i}")
-            masses.append(agg.mean_masses[h][i][sel])
-        counts = tuple(m.shape[0] for m in masses)
-        total = nr * int(np.prod(counts)) * nv
-        if total > cap:
-            raise CapacityError(f"joint enumeration needs {total} models at step {h}, cap is {cap}")
-        if grid.dim == 1:
-            expected = np.einsum("msac,vc->mvsa", masses[0], values)
-            q = R[:, None, None, :, :] + expected[None]
-            values = q.max(axis=-1).reshape(nr * counts[0] * nv, S)
-        else:
-            v3 = values.reshape(nv, dims[0], dims[1])
-            part = np.einsum("nsac,vbc->nvsab", masses[1], v3)
-            expected = np.einsum("msab,nvsab->mnvsa", masses[0], part)
-            q = R[:, None, None, None, :, :] + expected[None]
-            values = q.max(axis=-1).reshape(nr * counts[0] * counts[1] * nv, S)
-        step_sizes[h] = (nr,) + counts
-        suffix_counts[h] = nr * int(np.prod(counts)) * suffix_counts[h + 1]
-    flat = int(np.argmax(values[:, initial_state]))
-    value = float(values[flat, initial_state])
-    reward_idx: list[int] = []
-    transition_idx: list[tuple[int, ...]] = []
-    rem = flat
-    for h in range(H):
-        sizes = step_sizes[h]  # (nr, n_coord1[, n_coord2])
-        tail = suffix_counts[h + 1]
-        positions = []
-        for j in range(len(sizes)):
-            block = int(np.prod(sizes[j + 1 :], dtype=int)) * tail
-            positions.append(rem // block)
-            rem -= positions[-1] * block
-        reward_idx.append(int(reward_sets[h][positions[0]]))
-        transition_idx.append(
-            tuple(int(transition_sets[h][i][positions[1 + i]]) for i in range(grid.dim))
-        )
-    rewards = np.stack([agg.rewards[h][reward_idx[h]] for h in range(H)])
-    kernels = []
-    for h in range(H):
-        per = [agg.mean_masses[h][i][transition_idx[h][i]] for i in range(grid.dim)]
-        if grid.dim == 1:
-            kernels.append(per[0])
-        else:
-            joint = per[0][..., :, None] * per[1][..., None, :]
-            kernels.append(joint.reshape(S, agg.rewards[h].shape[2], grid.num_cells))
-    mdp = AggregatedMDP(rewards, np.stack(kernels), initial_state)
-    plan = value_iteration(mdp)
-    return SelectionResult(
-        value=value,
-        policy=plan.policy,
-        reward_idx=tuple(reward_idx),
-        transition_idx=tuple(transition_idx),
-        relaxed=False,
-        chosen_mdp=mdp,
-    )
-
-
-def _select_pointwise_general(
-    agg: CandidateAggregates,
-    reward_sets: Sequence[Sequence[int]],
-    transition_sets: Sequence[Sequence[int]],
+    kernel_sets: list[np.ndarray],
     initial_state: int,
 ) -> SelectionResult:
-    assert agg.transitions is not None
     H = len(agg.rewards)
     S, A = agg.rewards[0].shape[1], agg.rewards[0].shape[2]
     values = np.zeros(S)
     r_pick = np.zeros((H, S, A), dtype=int)
-    p_pick = np.zeros((H, S, A), dtype=int)
+    p_pick: list[np.ndarray] = [np.zeros(0)] * H
     actions = np.zeros((H, S), dtype=int)
-    q_store = [np.zeros((S, A)) for _ in range(H)]
     for h in range(H - 1, -1, -1):
         rsel = np.asarray(reward_sets[h], dtype=int)
-        psel = np.asarray(transition_sets[h], dtype=int)
-        if rsel.size == 0 or psel.size == 0:
-            raise ValidationError(f"empty candidate set at step {h}")
+        psel = kernel_sets[h]
         R = agg.rewards[h][rsel]
         expected = np.einsum("psax,x->psa", agg.transitions[h][psel], values)
-        r_best = R.argmax(axis=0)
-        p_best = expected.argmax(axis=0)
+        r_pick[h] = rsel[R.argmax(axis=0)]
+        p_pick[h] = agg.candidate_index(h, psel[expected.argmax(axis=0)])
         q = R.max(axis=0) + expected.max(axis=0)
-        r_pick[h] = rsel[r_best]
-        p_pick[h] = psel[p_best]
-        q_store[h] = q
         values = q.max(axis=1)
         actions[h] = q.argmax(axis=1)
     policy = Policy.deterministic(actions, A)
@@ -500,56 +418,5 @@ def _select_pointwise_general(
         transition_idx=None,
         relaxed=True,
         pointwise_reward_idx=r_pick,
-        pointwise_transition_idx=p_pick,
-    )
-
-
-def _select_pointwise_dynamical(
-    agg: CandidateAggregates,
-    reward_sets: Sequence[Sequence[int]],
-    transition_sets: Sequence[Sequence[Sequence[int]]],
-    initial_state: int,
-) -> SelectionResult:
-    assert agg.mean_masses is not None and agg.grid is not None
-    grid = agg.grid
-    H = len(agg.rewards)
-    S, A = agg.rewards[0].shape[1], agg.rewards[0].shape[2]
-    values = np.zeros(S)
-    actions = np.zeros((H, S), dtype=int)
-    r_pick = np.zeros((H, S, A), dtype=int)
-    p_pick = np.zeros((H, S, A, grid.dim), dtype=int)
-    for h in range(H - 1, -1, -1):
-        rsel = np.asarray(reward_sets[h], dtype=int)
-        R = agg.rewards[h][rsel]
-        if grid.dim == 1:
-            sel = np.asarray(transition_sets[h][0], dtype=int)
-            expected = np.einsum("msac,c->msa", agg.mean_masses[h][0][sel], values)
-            g_best = expected.argmax(axis=0)
-            p_pick[h, :, :, 0] = sel[g_best]
-            ev = expected.max(axis=0)
-        else:
-            sel0 = np.asarray(transition_sets[h][0], dtype=int)
-            sel1 = np.asarray(transition_sets[h][1], dtype=int)
-            v2 = values.reshape(grid.cells_per_dim)
-            part = np.einsum("nsac,bc->nsab", agg.mean_masses[h][1][sel1], v2)
-            expected = np.einsum("msab,nsab->mnsa", agg.mean_masses[h][0][sel0], part)
-            flat = expected.reshape(-1, S, A)
-            best = flat.argmax(axis=0)
-            p_pick[h, :, :, 0] = sel0[best // len(sel1)]
-            p_pick[h, :, :, 1] = sel1[best % len(sel1)]
-            ev = flat.max(axis=0)
-        r_best = R.argmax(axis=0)
-        r_pick[h] = rsel[r_best]
-        q = R.max(axis=0) + ev
-        values = q.max(axis=1)
-        actions[h] = q.argmax(axis=1)
-    policy = Policy.deterministic(actions, A)
-    return SelectionResult(
-        value=float(values[initial_state]),
-        policy=policy,
-        reward_idx=None,
-        transition_idx=None,
-        relaxed=True,
-        pointwise_reward_idx=r_pick,
-        pointwise_transition_idx=p_pick,
+        pointwise_transition_idx=np.stack(p_pick),
     )

@@ -164,6 +164,23 @@ def uniform_policy_for(model: StrategicModel) -> Policy:
     return Policy.uniform(model.horizon, model.num_states, model.num_actions)
 
 
+def outer_cell_kernel(per_coord, idx) -> np.ndarray:
+    """(S, A, C) kernel of candidate idx[i] in coordinate i: the outer product of
+    the per-coordinate cell masses per_coord[i][idx[i]], each (S, A, C_i)."""
+    kernel = per_coord[0][idx[0]]
+    for masses, i in zip(per_coord[1:], idx[1:]):
+        joint = kernel[..., :, None] * masses[i][..., None, :]
+        kernel = joint.reshape(joint.shape[:-2] + (-1,))
+    return kernel
+
+
+def ref_joint_kernels(per_coord) -> np.ndarray:
+    """One step's outer-product kernels, listed over every per-coordinate index
+    tuple in lexicographic order."""
+    ranges = [range(len(m)) for m in per_coord]
+    return np.stack([outer_cell_kernel(per_coord, idx) for idx in itertools.product(*ranges)])
+
+
 # ---------------------------------------------------------------------------
 # scipy-based references
 # ---------------------------------------------------------------------------

@@ -254,7 +254,7 @@ def test_criterion_5_planner_oracles(verdict):
     for combo in itertools.product(*axes):
         r_idx, m_idx = combo[0::2], combo[1::2]
         rewards = np.stack([dagg.rewards[h][r_idx[h]] for h in range(dyn.classes.horizon)])
-        kernels = np.stack([dagg.mean_masses[h][0][m_idx[h]] for h in range(dyn.classes.horizon)])
+        kernels = np.stack([dagg.transitions[h][m_idx[h]] for h in range(dyn.classes.horizon)])
         v = value_iteration(AggregatedMDP(rewards, kernels, dyn.model.initial_state)).value_at_initial
         dbest = max(dbest, v)
     dyn_gap = abs(dgot.value - dbest)

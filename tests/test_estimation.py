@@ -136,7 +136,8 @@ def test_confidence_levels_reject_bad_inputs():
 # ---------------------------------------------------------------------------
 
 
-def collect_episodes(model, episodes, seed=0):
+def collect_episodes(model, episodes, seed=0, trajectories=None):
+    """Roll out a uniform policy; each trajectory is also appended to trajectories if given."""
     kn = LearnerKnowledge.from_model(model)
     data = StepDataset(
         mode=model.transition_mode,
@@ -150,19 +151,28 @@ def collect_episodes(model, episodes, seed=0):
     rng = make_rng(seed)
     policy = Policy.uniform(model.horizon, model.num_states, model.num_actions)
     for _ in range(episodes):
-        data.append_trajectory(rollout(model, policy, rng))
+        traj = rollout(model, policy, rng)
+        data.append_trajectory(traj)
+        if trajectories is not None:
+            trajectories.append(traj)
     return data, kn
+
+
+def step_samples(trajectories, h):
+    """(state, action, feedback, reward, next state) of step h, one per episode."""
+    return [
+        (step.state, step.action, step.feedback, step.reward, step.next_state)
+        for step in (traj.steps[h] for traj in trajectories)
+    ]
 
 
 def test_append_trajectory_matches_manual_append():
     model = tiny_general()
-    data, _ = collect_episodes(model, 20)
+    trajectories = []
+    data, _ = collect_episodes(model, 20, trajectories=trajectories)
     rebuilt = StepDataset(TransitionMode.GENERAL, 2, 2, 2, 2)
     for h in range(2):
-        src = data.steps[h]
-        for s, a, e, r, nxt in zip(
-            src.raw_states, src.raw_actions, src.raw_feedbacks, src.raw_rewards, src.raw_next
-        ):
+        for s, a, e, r, nxt in step_samples(trajectories, h):
             rebuilt.append(h, s, a, e, r, nxt)
     for h in range(2):
         np.testing.assert_array_equal(rebuilt.steps[h].counts, data.steps[h].counts)
@@ -197,21 +207,15 @@ def test_append_rejects_out_of_range_dynamical(field, bad):
 
 def test_losses_invariant_under_sample_permutation():
     model = tiny_general(reward_noise=0.2)
-    data, _ = collect_episodes(model, 30)
+    trajectories = []
+    data, _ = collect_episodes(model, 30, trajectories=trajectories)
     shuffled = StepDataset(TransitionMode.GENERAL, 2, 2, 2, 2)
     perm_rng = np.random.default_rng(1)
     for h in range(2):
-        src = data.steps[h]
-        order = perm_rng.permutation(src.num_samples)
+        samples = step_samples(trajectories, h)
+        order = perm_rng.permutation(data.steps[h].num_samples)
         for i in order:
-            shuffled.append(
-                h,
-                src.raw_states[i],
-                src.raw_actions[i],
-                src.raw_feedbacks[i],
-                src.raw_rewards[i],
-                src.raw_next[i],
-            )
+            shuffled.append(h, *samples[i])
     candidate = np.stack([model.principal_reward[0] + 0.1])
     disc = np.concatenate([np.zeros((1, 2, 2)), np.full((1, 2, 2), -0.1)])
     a = reward_losses(data.steps[0], candidate, disc)

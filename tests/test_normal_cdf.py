@@ -22,7 +22,12 @@ from strategicmdp import (
 )
 from strategicmdp.model import normal_cdf
 
-from helpers import ref_discretize_gaussian, ref_gaussian_mass_1d, ref_mean_masses
+from helpers import (
+    ref_discretize_gaussian,
+    ref_gaussian_mass_1d,
+    ref_joint_kernels,
+    ref_mean_masses,
+)
 
 ndtr = pytest.importorskip("scipy.special").ndtr
 
@@ -98,10 +103,9 @@ def test_mean_masses_match_reference_on_dyn_1d(noiseless):
     scenario, knowledge = dyn_knowledge(noiseless)
     agg = CandidateAggregates.from_classes(scenario.classes, knowledge)
     want = ref_mean_masses(scenario.classes, knowledge)
-    assert len(agg.mean_masses) == len(want)
-    for got_h, want_h in zip(agg.mean_masses, want):
-        for got, ref in zip(got_h, want_h, strict=True):
-            assert_bitwise(got, ref)
+    assert len(agg.transitions) == len(want)
+    for got, want_h in zip(agg.transitions, want):
+        assert_bitwise(got, ref_joint_kernels(want_h))
 
 
 @pytest.mark.parametrize("noiseless", [False, True])
@@ -151,9 +155,8 @@ def test_mean_masses_match_reference_on_2d_grid(scale):
     )
     agg = CandidateAggregates.from_classes(classes, knowledge)
     want = ref_mean_masses(classes, knowledge)
-    for got_h, want_h in zip(agg.mean_masses, want, strict=True):
-        for got, ref in zip(got_h, want_h, strict=True):
-            assert_bitwise(got, ref)
+    for got, want_h in zip(agg.transitions, want, strict=True):
+        assert_bitwise(got, ref_joint_kernels(want_h))
 
 
 @settings(max_examples=100, deadline=None)

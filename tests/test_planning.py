@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strategicmdp import (
     AggregatedMDP,
@@ -13,9 +16,11 @@ from strategicmdp import (
     CapacityError,
     ConfigError,
     Grid,
+    HypothesisClasses,
     LearnerKnowledge,
     Policy,
     SelectionMode,
+    TransitionMode,
     ValidationError,
     aggregate,
     build_scenario,
@@ -26,8 +31,16 @@ from strategicmdp import (
     true_aggregated_model,
     value_iteration,
 )
+from strategicmdp.hypotheses import enumerate_suffix_values
 
-from helpers import all_action_tables, brute_force_optimum, eval_table_recursive, tiny_dynamical, tiny_general
+from helpers import (
+    all_action_tables,
+    brute_force_optimum,
+    eval_table_recursive,
+    outer_cell_kernel,
+    tiny_dynamical,
+    tiny_general,
+)
 
 
 def one_step_knowledge():
@@ -276,7 +289,8 @@ def test_optimistic_select_exact_matches_brute_force_dynamical():
     for combo in itertools.product(*axes):
         r_idx, m_idx = combo[0::2], combo[1::2]
         rewards = np.stack([agg.rewards[h][r_idx[h]] for h in range(H)])
-        kernels = np.stack([agg.mean_masses[h][0][m_idx[h]] for h in range(H)])
+        # 1-D grid: the joint kernel index is the coordinate index
+        kernels = np.stack([agg.transitions[h][m_idx[h]] for h in range(H)])
         v = value_iteration(AggregatedMDP(rewards, kernels, s1)).value_at_initial
         if v > best_val:
             best_val, best_combo = v, (r_idx, m_idx)
@@ -291,3 +305,183 @@ def test_dynamical_noiseless_aggregation_is_deterministic():
     # every transition row concentrates all mass on one cell
     assert np.all(np.isin(mdp.transitions, (0.0, 1.0)))
     np.testing.assert_allclose(mdp.transitions.sum(axis=-1), 1.0, atol=1e-12)
+
+
+def test_from_classes_rejects_three_dims():
+    grid = Grid((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2, 2, 2))
+    S, A, E = grid.num_cells, 1, 1
+    knowledge = LearnerKnowledge(
+        np.ones((1, 1)), np.ones((1, S, A, 1, E)), grid=grid, trans_noise_scale=0.5
+    )
+    classes = SimpleNamespace(
+        mode=TransitionMode.DYNAMICAL,
+        reward_tables=[np.zeros((1, S, A, E))],
+        mean_map_tables=[[np.zeros((1, S, A, E))] * 3],
+    )
+    with pytest.raises(ConfigError):
+        CandidateAggregates.from_classes(classes, knowledge)
+
+
+# ---------------------------------------------------------------------------
+# Joint cell kernels against literal enumeration on random dynamical instances
+# ---------------------------------------------------------------------------
+
+DIFF_GRIDS = [Grid((-1.5,), (1.5,), (4,)), Grid((-2.0, -1.0), (2.0, 3.0), (3, 2))]
+
+
+@st.composite
+def dynamical_instances(draw):
+    """Random dynamical classes on a 1-D or 2-D grid, with random surviving subsets.
+
+    1-3 mean-map candidates per coordinate and 1-2 reward candidates per step.
+    Counts and subsets come from a drawn seed, so they spread evenly instead
+    of shrinking towards single candidates.
+    """
+    grid = draw(st.sampled_from(DIFF_GRIDS))
+    H = draw(st.integers(1, 3 if grid.dim == 1 else 2))
+    scale = draw(st.sampled_from([0.0, 0.4, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    S, A, E, T = grid.num_cells, 2, 2, 2
+    n_rewards = rng.integers(1, 3, size=H)
+    n_coords = rng.integers(1, 4, size=(H, grid.dim))
+    knowledge = LearnerKnowledge(
+        rng.dirichlet(np.ones(T), size=H),
+        rng.dirichlet(np.ones(E), size=(H, S, A, T)),
+        grid=grid,
+        trans_noise_scale=scale,
+    )
+    classes = HypothesisClasses(
+        mode=TransitionMode.DYNAMICAL,
+        bound=1.0,
+        reward_tables=[rng.uniform(size=(n, S, A, E)) for n in n_rewards],
+        discriminators=[np.zeros((1, S, A))] * H,
+        value_targets=[np.zeros((1, S))] * H,
+        mean_map_tables=[
+            [
+                rng.uniform(lo - 1.0, hi + 1.0, size=(n, S, A, E))
+                for n, lo, hi in zip(counts, grid.lows, grid.highs)
+            ]
+            for counts in n_coords
+        ],
+    )
+
+    def subset(n):
+        keep = np.flatnonzero(rng.random(n) < 0.7)
+        return [int(i) for i in keep] if keep.size else [int(rng.integers(n))]
+
+    reward_sets = [subset(n) for n in n_rewards]
+    transition_sets = [[subset(n) for n in counts] for counts in n_coords]
+    s1 = int(rng.integers(S))
+    return classes, knowledge, reward_sets, transition_sets, s1
+
+
+def _literal_step_tables(classes, knowledge):
+    """Per-step aggregated rewards and per-coordinate cell masses, one step at a time."""
+    w = knowledge.feedback_mix()
+    rewards, masses = [], []
+    for h in range(classes.horizon):
+        rewards.append(np.einsum("sae,rsae->rsa", w[h], classes.reward_tables[h]))
+        masses.append(
+            [
+                knowledge.grid.gaussian_mass_1d(
+                    np.einsum("sae,nsae->nsa", w[h], tables), knowledge.trans_noise_scale, i
+                )
+                for i, tables in enumerate(classes.mean_map_tables[h])
+            ]
+        )
+    return rewards, masses
+
+
+def _joint_choices(reward_sets, transition_sets, steps):
+    """Every (reward index, coordinate tuple) choice per step, lexicographically."""
+    per_step = [
+        list(itertools.product(reward_sets[h], itertools.product(*transition_sets[h])))
+        for h in steps
+    ]
+    return itertools.product(*per_step)
+
+
+def _literal_value(rewards, masses, combo, steps, initial_state):
+    r = np.stack([rewards[h][ri] for h, (ri, _) in zip(steps, combo)])
+    p = np.stack([outer_cell_kernel(masses[h], idx) for h, (_, idx) in zip(steps, combo)])
+    return value_iteration(AggregatedMDP(r, p, initial_state))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dynamical_instances())
+def test_exact_selection_matches_literal_product_dynamical(instance):
+    classes, knowledge, reward_sets, transition_sets, s1 = instance
+    agg = CandidateAggregates.from_classes(classes, knowledge)
+    got = optimistic_select(agg, reward_sets, transition_sets, s1)
+    rewards, masses = _literal_step_tables(classes, knowledge)
+    steps = range(classes.horizon)
+    best, runner_up, best_combo = -np.inf, -np.inf, None
+    for combo in _joint_choices(reward_sets, transition_sets, steps):
+        v = _literal_value(rewards, masses, combo, steps, s1).value_at_initial
+        if v > best:
+            best, runner_up, best_combo = v, best, combo
+        elif v > runner_up:
+            runner_up = v
+    assert not got.relaxed
+    assert abs(got.value - best) <= 1e-12
+    # The chosen model is the one its reported indices name.
+    for h, idx in enumerate(got.transition_idx):
+        assert all(i in coord_set for i, coord_set in zip(idx, transition_sets[h]))
+        np.testing.assert_array_equal(got.chosen_mdp.transitions[h], outer_cell_kernel(masses[h], idx))
+    if best - runner_up > 1e-9:
+        assert got.reward_idx == tuple(ri for ri, _ in best_combo)
+        assert got.transition_idx == tuple(idx for _, idx in best_combo)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dynamical_instances())
+def test_pointwise_selection_matches_literal_loop_dynamical(instance):
+    classes, knowledge, reward_sets, transition_sets, s1 = instance
+    agg = CandidateAggregates.from_classes(classes, knowledge)
+    exact = optimistic_select(agg, reward_sets, transition_sets, s1)
+    loose = optimistic_select(agg, reward_sets, transition_sets, s1, mode=SelectionMode.POINTWISE)
+    rewards, masses = _literal_step_tables(classes, knowledge)
+    S, A = rewards[0].shape[1:]
+    picks = loose.pointwise_transition_idx
+    assert picks.shape == (classes.horizon, S, A, knowledge.grid.dim)
+    values = np.zeros(S)
+    for h in range(classes.horizon - 1, -1, -1):
+        kernels = [outer_cell_kernel(masses[h], idx) for idx in itertools.product(*transition_sets[h])]
+        q = np.zeros((S, A))
+        for s in range(S):
+            for a in range(A):
+                best_next = max(float(k[s, a] @ values) for k in kernels)
+                # the reported per-(s, a) pick survives and attains the max
+                idx = tuple(picks[h, s, a])
+                assert all(i in coord_set for i, coord_set in zip(idx, transition_sets[h]))
+                picked = float(outer_cell_kernel(masses[h], idx)[s, a] @ values)
+                assert abs(picked - best_next) <= 1e-12
+                q[s, a] = max(rewards[h][r, s, a] for r in reward_sets[h]) + best_next
+        values = q.max(axis=1)
+    assert loose.relaxed
+    assert abs(loose.value - values[s1]) <= 1e-12
+    assert loose.value >= exact.value - 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(dynamical_instances())
+def test_value_closure_matches_literal_joint_models_dynamical(instance):
+    classes, knowledge, _, _, _ = instance
+    suffix = enumerate_suffix_values(classes, knowledge)
+    rewards, masses = _literal_step_tables(classes, knowledge)
+    H = classes.horizon
+    full_r = [range(len(r)) for r in rewards]
+    full_p = [[range(len(m)) for m in per] for per in masses]
+    for h in range(H):
+        steps = range(h, H)
+        want = np.stack(
+            [
+                _literal_value(rewards, masses, combo, steps, 0).values[0]
+                for combo in _joint_choices(full_r, full_p, steps)
+            ]
+        )
+        rows = suffix[h]
+        assert len(rows) <= len(want)
+        gaps = np.abs(rows[:, None, :] - want[None, :, :]).max(axis=-1)
+        assert gaps.min(axis=1).max() <= 1e-12  # every row is some joint model's value
+        assert gaps.min(axis=0).max() <= 1e-12  # every joint model's value is a row
