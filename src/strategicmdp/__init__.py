@@ -60,6 +60,8 @@ from .hypotheses import (
     close_discriminators,
     close_value_targets,
     iter_residuals,
+    residual_labels,
+    residual_stack,
     source_feedback_mix,
     source_projection,
 )

@@ -18,7 +18,7 @@ import sys
 
 import yaml
 
-from .config import load_config
+from .config import load_config, parse_yaml
 from .errors import ConfigError, ParseError, StrategicMDPError, ValidationError
 from .harness import diagnose, run_experiment, sweep_configs
 
@@ -75,8 +75,10 @@ def _parse_grid(specs: list[str]) -> dict[str, list]:
         key = key.strip()
         if not key or not values:
             raise ConfigError(f"--param needs key=v1,v2,... , got {spec!r}")
-        parsed = [yaml.safe_load(tok) for tok in values.split(",")]
-        grid[key] = parsed
+        try:
+            grid[key] = [parse_yaml(tok) for tok in values.split(",")]
+        except yaml.YAMLError as exc:
+            raise ParseError(f"cannot parse --param {key}: {exc}") from None
     return grid
 
 

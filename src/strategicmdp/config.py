@@ -15,6 +15,9 @@ import yaml
 from .errors import ParseError, ValidationError
 from .scenarios import GENERATOR_MODES, GENERATORS
 
+# PyYAML's libyaml parser when it is compiled in: the same data, parsed faster.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 _MODES = ("general", "dynamical")
 _OPTIMISM = ("exact", "pointwise")
 
@@ -232,6 +235,11 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     )
 
 
+def parse_yaml(text: str):
+    """Parse YAML text with the safe loader; raises yaml.YAMLError."""
+    return yaml.load(text, Loader=YAML_LOADER)
+
+
 def load_config(path: str | Path) -> ScenarioConfig:
     """Read and validate a YAML config file."""
     path = Path(path)
@@ -240,7 +248,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from None
     try:
-        data = yaml.safe_load(text)
+        data = parse_yaml(text)
     except yaml.YAMLError as exc:
         raise ParseError(f"cannot parse config {path}: {exc}") from None
     if data is None:

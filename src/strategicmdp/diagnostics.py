@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .estimation import StepDataset
-from .hypotheses import HypothesisClasses, iter_residuals, source_feedback_mix
+from .hypotheses import HypothesisClasses, residual_labels, residual_stack, source_feedback_mix
 from .model import (
     LearnerKnowledge,
     Policy,
@@ -220,14 +220,12 @@ class RatioResult:
 def _collect_residuals(
     env: StrategicModel, classes: HypothesisClasses, h: int
 ) -> tuple[list[str], np.ndarray | None]:
-    labels, tables = [], []
-    for label, nu in iter_residuals(env, classes, h):
-        if np.any(nu != 0.0):
-            labels.append(label)
-            tables.append(nu)
-    if not tables:
-        return labels, None
-    return labels, np.stack(tables)
+    stack = residual_stack(env, classes, h)
+    nonzero = np.flatnonzero(np.any(stack.reshape(len(stack), -1) != 0.0, axis=1))
+    if nonzero.size == 0:
+        return [], None
+    labels = residual_labels(classes, h)
+    return [labels[j] for j in nonzero], stack[nonzero]
 
 
 def _state_action_occupancy(

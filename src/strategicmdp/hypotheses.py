@@ -23,6 +23,7 @@ properties by exact table equality through the same code paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
@@ -108,10 +109,9 @@ class HypothesisClasses:
             raise ValidationError("discriminators must have one family per step")
         zero_sa = np.zeros((S, A))
         for h in range(H):
-            if not any(np.array_equal(f, zero_sa) for f in self.discriminators[h]):
-                self.discriminators[h] = np.concatenate(
-                    [self.discriminators[h], zero_sa[None]], axis=0
-                )
+            f = self.discriminators[h]
+            if f.shape[1:] != (S, A) or not (f == 0.0).all(axis=(1, 2)).any():
+                self.discriminators[h] = np.concatenate([f, zero_sa[None]], axis=0)
         self.value_targets = [np.asarray(g, dtype=float) for g in self.value_targets]
         if len(self.value_targets) == H:
             self.value_targets.append(np.zeros((1, S)))
@@ -203,33 +203,61 @@ def source_projection(kappa_h: np.ndarray, nu: np.ndarray) -> np.ndarray:
     return np.einsum("sae,...sae->...sa", kappa_h, nu)
 
 
-def iter_residuals(
+def residual_stack(
     model: StrategicModel, classes: HypothesisClasses, h: int
-) -> Iterator[tuple[str, np.ndarray]]:
-    """Yield (label, table) residuals of every candidate against the truth at step h.
+) -> np.ndarray:
+    """Residuals (n, S, A, E) of every candidate against the truth at step h.
 
-    Reward residuals are candidate minus true reward. General-mode transition
-    residuals are (candidate kernel minus truth) applied to every value target
-    at the next step. Dynamical-mode residuals are per-coordinate mean-map
-    differences. Labels identify the source for witnesses in reports.
+    The rows are the reward residuals (candidate minus true reward), then in
+    general mode the transition residuals (candidate kernel minus truth)
+    applied to every value target at the next step, transition-major, and in
+    dynamical mode the per-coordinate mean-map differences, coordinate-major.
+    residual_labels names the rows in the same order.
     """
-    true_r = model.principal_reward[h]
-    for j, cand in enumerate(classes.reward_tables[h]):
-        yield f"reward[{j}]", cand - true_r
+    rewards = classes.reward_tables[h]
+    n = len(rewards)
     if classes.mode is TransitionMode.GENERAL:
         assert classes.transition_tables is not None and model.transition_kernel is not None
         delta = classes.transition_tables[h] - model.transition_kernel[h]
         targets = classes.value_targets[h + 1]
-        applied = np.einsum("psaex,gx->pgsae", delta, targets)
-        for j in range(applied.shape[0]):
-            for g in range(applied.shape[1]):
-                yield f"transition[{j}]*value[{g}]", applied[j, g]
+        stack = np.empty((n + len(delta) * len(targets),) + rewards.shape[1:])
+        applied = stack[n:].reshape((len(delta), len(targets)) + rewards.shape[1:])
+        np.einsum("psaex,gx->pgsae", delta, targets, out=applied)
     else:
         assert classes.mean_map_tables is not None and model.mean_map is not None
-        for i, per in enumerate(classes.mean_map_tables[h]):
-            truth = model.mean_map[h][..., i]
-            for j, cand in enumerate(per):
-                yield f"mean_map[{i}][{j}]", cand - truth
+        maps = [per - model.mean_map[h][..., i] for i, per in enumerate(classes.mean_map_tables[h])]
+        stack = np.empty((n + sum(len(m) for m in maps),) + rewards.shape[1:])
+        np.concatenate(maps, out=stack[n:])
+    np.subtract(rewards, model.principal_reward[h], out=stack[:n])
+    return stack
+
+
+def residual_labels(classes: HypothesisClasses, h: int) -> list[str]:
+    """Labels of the rows of residual_stack at step h, for witnesses in reports."""
+    labels = [f"reward[{j}]" for j in range(len(classes.reward_tables[h]))]
+    if classes.mode is TransitionMode.GENERAL:
+        assert classes.transition_tables is not None
+        targets = range(len(classes.value_targets[h + 1]))
+        labels += [
+            f"transition[{j}]*value[{g}]"
+            for j in range(len(classes.transition_tables[h]))
+            for g in targets
+        ]
+    else:
+        assert classes.mean_map_tables is not None
+        labels += [
+            f"mean_map[{i}][{j}]"
+            for i, per in enumerate(classes.mean_map_tables[h])
+            for j in range(len(per))
+        ]
+    return labels
+
+
+def iter_residuals(
+    model: StrategicModel, classes: HypothesisClasses, h: int
+) -> Iterator[tuple[str, np.ndarray]]:
+    """The (label, table) rows of residual_stack at step h, in order."""
+    return zip(residual_labels(classes, h), residual_stack(model, classes, h))
 
 
 # ---------------------------------------------------------------------------
@@ -237,18 +265,26 @@ def iter_residuals(
 # ---------------------------------------------------------------------------
 
 
-def _dedup_append(base: np.ndarray, extra: list[np.ndarray]) -> np.ndarray:
-    """Append tables not already present, preserving order; bit-exact keys."""
-    seen = {np.ascontiguousarray(row).tobytes() for row in base}
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """One key per leading-axis row, equal to that row's tobytes().
+
+    Keys are bit-exact: -0.0 and 0.0 differ, equal NaN bit patterns match.
+    """
+    flat = np.ascontiguousarray(rows).reshape(rows.shape[0], math.prod(rows.shape[1:]))
+    return flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel().tolist()
+
+
+def _dedup_append(base: np.ndarray, extra: np.ndarray) -> np.ndarray:
+    """Append the rows of extra not already present, preserving order; bit-exact keys."""
+    seen = set(_row_keys(base))
     keep = []
-    for row in extra:
-        key = np.ascontiguousarray(row).tobytes()
+    for i, key in enumerate(_row_keys(extra)):
         if key not in seen:
             seen.add(key)
-            keep.append(row)
+            keep.append(i)
     if not keep:
         return base
-    return np.concatenate([base, np.stack(keep)], axis=0)
+    return np.concatenate([base, extra[keep]], axis=0)
 
 
 def close_discriminators(
@@ -263,7 +299,7 @@ def close_discriminators(
     kappa = source_feedback_mix(model)
     new_disc = []
     for h in range(classes.horizon):
-        extra = [source_projection(kappa[h], nu) for _, nu in iter_residuals(model, classes, h)]
+        extra = source_projection(kappa[h], residual_stack(model, classes, h))
         new_disc.append(_dedup_append(classes.discriminators[h], extra))
     return replace(classes, discriminators=new_disc)
 
@@ -287,20 +323,10 @@ def enumerate_suffix_values(
     values = np.zeros((1, S))
     out: list[np.ndarray] = [np.zeros((0, S))] * classes.horizon
     for h in range(classes.horizon - 1, -1, -1):
-        values = _unique_rows(joint_backup(agg.rewards[h], agg.transitions[h], values))
+        values = joint_backup(agg.rewards[h], agg.transitions[h], values)
+        values = _dedup_append(values[:0], values)  # distinct rows, first occurrences
         out[h] = values
     return out
-
-
-def _unique_rows(arr: np.ndarray) -> np.ndarray:
-    seen: set[bytes] = set()
-    keep = []
-    for row in arr:
-        key = np.ascontiguousarray(row).tobytes()
-        if key not in seen:
-            seen.add(key)
-            keep.append(row)
-    return np.stack(keep) if keep else arr.reshape(0, arr.shape[-1])
 
 
 def close_value_targets(
@@ -315,7 +341,7 @@ def close_value_targets(
     suffix = enumerate_suffix_values(classes, knowledge)
     new_targets = list(classes.value_targets)
     for h in range(classes.horizon):
-        new_targets[h] = _dedup_append(classes.value_targets[h], list(suffix[h]))
+        new_targets[h] = _dedup_append(classes.value_targets[h], suffix[h])
     out = replace(classes, value_targets=new_targets)
     return out
 
@@ -371,8 +397,24 @@ class RealizabilityReport:
         }
 
 
-def _contains(table_set: np.ndarray, table: np.ndarray) -> bool:
-    return any(np.array_equal(row, table) for row in table_set)
+def _first_missing(table_set: np.ndarray, tables: np.ndarray) -> int | None:
+    """Index of the first of tables that equals no row of table_set, else None.
+
+    Equality is np.array_equal's: keys are taken on rows + 0.0, which maps
+    -0.0 to 0.0, and a table containing NaN, or of another shape, equals
+    nothing.
+    """
+    if len(tables) == 0:
+        return None
+    if table_set.shape[1:] != tables.shape[1:]:
+        return 0
+    tables = np.asarray(tables, dtype=float)
+    present = set(_row_keys(np.asarray(table_set, dtype=float) + 0.0))
+    has_nan = np.isnan(tables).reshape(len(tables), -1).any(axis=1)
+    for i, key in enumerate(_row_keys(tables + 0.0)):
+        if has_nan[i] or key not in present:
+            return i
+    return None
 
 
 def check_realizability(
@@ -387,7 +429,7 @@ def check_realizability(
     H = classes.horizon
     r_clause = ClauseResult(True)
     for h in range(H):
-        if not _contains(classes.reward_tables[h], model.principal_reward[h]):
+        if _first_missing(classes.reward_tables[h], model.principal_reward[h][None]) is not None:
             r_clause = ClauseResult(False, f"true reward missing at step {h}")
             break
         idx = classes.truth_reward_idx[h]
@@ -400,48 +442,41 @@ def check_realizability(
     for h in range(H):
         if classes.mode is TransitionMode.GENERAL:
             assert classes.transition_tables is not None and model.transition_kernel is not None
-            if not _contains(classes.transition_tables[h], model.transition_kernel[h]):
+            if _first_missing(classes.transition_tables[h], model.transition_kernel[h][None]) is not None:
                 t_clause = ClauseResult(False, f"true transition missing at step {h}")
                 break
         else:
             assert classes.mean_map_tables is not None and model.mean_map is not None
-            stop = False
-            for i, per in enumerate(classes.mean_map_tables[h]):
-                if not _contains(per, model.mean_map[h][..., i]):
-                    t_clause = ClauseResult(
-                        False, f"true mean map missing at step {h}, coordinate {i}"
-                    )
-                    stop = True
-                    break
-            if stop:
+            missing = [
+                i
+                for i, per in enumerate(classes.mean_map_tables[h])
+                if _first_missing(per, model.mean_map[h][None, ..., i]) is not None
+            ]
+            if missing:
+                t_clause = ClauseResult(
+                    False, f"true mean map missing at step {h}, coordinate {missing[0]}"
+                )
                 break
     kappa = source_feedback_mix(model)
     p_clause = ClauseResult(True)
     for h in range(H):
-        done = False
-        for label, nu in iter_residuals(model, classes, h):
-            proj = source_projection(kappa[h], nu)
-            if not _contains(classes.discriminators[h], proj):
-                p_clause = ClauseResult(
-                    False, f"projection of {label} missing from discriminators at step {h}"
-                )
-                done = True
-                break
-        if done:
+        proj = source_projection(kappa[h], residual_stack(model, classes, h))
+        j = _first_missing(classes.discriminators[h], proj)
+        if j is not None:
+            label = residual_labels(classes, h)[j]
+            p_clause = ClauseResult(
+                False, f"projection of {label} missing from discriminators at step {h}"
+            )
             break
     v_clause = ClauseResult(True)
     try:
         suffix = enumerate_suffix_values(classes, knowledge)
         for h in range(H):
-            done = False
-            for j, table in enumerate(suffix[h]):
-                if not _contains(classes.value_targets[h], table):
-                    v_clause = ClauseResult(
-                        False, f"candidate value table {j} missing from targets at step {h}"
-                    )
-                    done = True
-                    break
-            if done:
+            j = _first_missing(classes.value_targets[h], suffix[h])
+            if j is not None:
+                v_clause = ClauseResult(
+                    False, f"candidate value table {j} missing from targets at step {h}"
+                )
                 break
     except CapacityError as exc:
         v_clause = ClauseResult(False, f"not checkable: {exc}")

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, ValidationError
+from .errors import CapacityError, ConfigError, InvalidIndexError, ValidationError
 from .model import (
     Grid,
     LearnerKnowledge,
@@ -333,15 +333,33 @@ def optimistic_select(
 
     reward_sets[h] lists surviving reward candidate indices at step h;
     transition_sets[h] lists transition candidates (general) or is a sequence
-    of per-coordinate index lists (dynamical). Empty sets are a caller error.
+    of per-coordinate index lists (dynamical). Empty sets are a caller error,
+    and an index outside its class raises InvalidIndexError.
     Exact enumeration orders joint models lexicographically by the flattened
     per-step index tuple and keeps the first maximizer; if the joint count
     exceeds cap a CapacityError is raised so the caller can fall back to the
     pointwise relaxation.
     """
+    H = len(aggregates.rewards)
+    if len(reward_sets) != H or len(transition_sets) != H:
+        raise ValidationError(
+            f"need one reward and one transition set per step for {H} steps, "
+            f"got {len(reward_sets)} and {len(transition_sets)}"
+        )
     for h, rs in enumerate(reward_sets):
         if len(rs) == 0:
             raise ValidationError(f"empty reward candidate set at step {h}")
+        _check_range(rs, aggregates.rewards[h].shape[0], "reward candidate", h)
+    for h, ts in enumerate(transition_sets):
+        if aggregates.radices is None:
+            _check_range(ts, aggregates.transitions[h].shape[0], "transition candidate", h)
+        else:
+            if len(ts) != len(aggregates.radices[h]):
+                raise ValidationError(
+                    f"transition set at step {h} needs one index list per coordinate, got {len(ts)}"
+                )
+            for i, (cs, n) in enumerate(zip(ts, aggregates.radices[h])):
+                _check_range(cs, n, f"mean-map candidate of coordinate {i}", h)
     kernel_sets = [aggregates.kernel_indices(h, ts) for h, ts in enumerate(transition_sets)]
     for h, ks in enumerate(kernel_sets):
         if ks.size == 0:
@@ -349,6 +367,12 @@ def optimistic_select(
     if mode is SelectionMode.EXACT:
         return _select_exact(aggregates, reward_sets, kernel_sets, initial_state, cap)
     return _select_pointwise(aggregates, reward_sets, kernel_sets, initial_state)
+
+
+def _check_range(indices, size: int, what: str, h: int) -> None:
+    if min(indices, default=0) < 0 or max(indices, default=0) >= size:
+        bad = [int(i) for i in indices if not 0 <= i < size]
+        raise InvalidIndexError(f"{what} indices {bad} outside [0, {size}) at step {h}")
 
 
 def _select_exact(

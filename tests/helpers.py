@@ -2,14 +2,18 @@
 
 Everything here is deliberately slow and literal: plain loops and recursion,
 no shared code with the package internals beyond the public constructors.
-The scipy-based references at the end keep the package's earlier Gaussian
-discretizers and ratio oracles verbatim (scipy's ``ndtr``, a kernel rebuilt
-at every step of every policy); they reuse only its public residual and
-policy enumeration.
+The scipy-based references keep the package's earlier Gaussian discretizers
+and ratio oracles verbatim (scipy's ``ndtr``, a kernel rebuilt at every step
+of every policy); they reuse only its public residual and policy
+enumeration. The per-row references at the end keep the earlier class
+closures and realizability check verbatim (one residual, one projection and
+one ``tobytes`` key or ``np.array_equal`` scan per row); they reuse only the
+candidate aggregates and the joint backup step.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -17,17 +21,51 @@ import numpy as np
 import pytest
 
 from strategicmdp import (
+    CandidateAggregates,
+    CapacityError,
     DiagnosticWitness,
     Grid,
+    HypothesisClasses,
     Policy,
     RatioResult,
+    RealizabilityReport,
     StrategicModel,
     TransitionMode,
     deterministic_policy_tables,
     feedback_by_type,
     iter_residuals,
     source_feedback_mix,
+    source_projection,
 )
+from strategicmdp.hypotheses import ClauseResult
+from strategicmdp.planning import joint_backup
+
+BASE_YAML = """\
+environment:
+  generator: recsys-small
+run:
+  episodes: 6
+  delta: 0.1
+  beta_scale: 0.1
+  seeds: [0, 1]
+  evaluation_cadence: 3
+output:
+  root: {root}
+"""
+
+DYN_YAML = """\
+environment:
+  generator: dyn-1d
+run:
+  episodes: 5
+  seeds: [0]
+diagnostics:
+  ill_posedness: true
+  transfer: true
+  policy_budget: 16
+output:
+  root: {root}
+"""
 
 
 def tiny_general(
@@ -124,6 +162,60 @@ def tiny_dynamical(
         trans_confound=np.tile(np.array([[0.2], [-0.2]]), (H, 1, 1)),
         trans_noise_scale=noise_scale,
     )
+
+
+def _kernels(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    raw = rng.uniform(0.2, 1.0, size=shape)
+    return raw / raw.sum(axis=-1, keepdims=True)
+
+
+def random_general(
+    seed: int, horizon: int, states: int, actions: int, feedbacks: int, candidates: int
+) -> tuple[StrategicModel, HypothesisClasses]:
+    """Random general-mode model and unclosed classes; the truth is candidate 0.
+
+    Rewards sit on a 0.1 grid, so different joint models often share value
+    tables and the closures have duplicates to drop.
+    """
+    rng = np.random.default_rng(seed)
+    H, S, A, E, T, B = horizon, states, actions, feedbacks, 2, 2
+    model = StrategicModel(
+        horizon=H,
+        num_states=S,
+        num_actions=A,
+        num_feedbacks=E,
+        num_types=T,
+        num_agent_actions=B,
+        initial_state=0,
+        source_type_dist=_kernels(rng, (H, T)),
+        target_type_dist=_kernels(rng, (H, T)),
+        agent_reward=rng.uniform(0.0, 1.0, size=(H, S, A, T, B)),
+        feedback_kernel=_kernels(rng, (H, S, A, T, B, E)),
+        principal_reward=np.round(rng.uniform(0.0, 1.0, size=(H, S, A, E)), 1),
+        reward_confound=rng.uniform(-0.2, 0.2, size=(H, T)),
+        reward_noise_std=0.0,
+        reward_bound=1.0,
+        transition_mode=TransitionMode.GENERAL,
+        transition_kernel=_kernels(rng, (H, S, A, E, S)),
+    )
+    rewards, transitions = [], []
+    for h in range(H):
+        r_true, p_true = model.principal_reward[h], model.transition_kernel[h]
+        r_extra = np.round(rng.uniform(0.0, 1.0, size=(candidates - 1,) + r_true.shape), 1)
+        rewards.append(np.concatenate([r_true[None], r_extra]))
+        p_extra = [0.5 * (p_true + _kernels(rng, p_true.shape)) for _ in range(candidates - 1)]
+        transitions.append(np.stack([p_true] + p_extra))
+    classes = HypothesisClasses(
+        mode=TransitionMode.GENERAL,
+        bound=1.0,
+        reward_tables=rewards,
+        discriminators=[np.zeros((0, S, A))] * H,
+        value_targets=[np.zeros((0, S))] * H,
+        transition_tables=transitions,
+        truth_reward_idx=[0] * H,
+        truth_transition_idx=[0] * H,
+    )
+    return model, classes
 
 
 def all_action_tables(horizon: int, num_states: int, num_actions: int):
@@ -318,3 +410,157 @@ def ref_worst_ratio(env, classes, h: int, policy_budget: int, transfer: bool) ->
     if best == -np.inf:
         return RatioResult(1.0, False, True, sampled, None, len(tables), n)
     return RatioResult(best, False, False, sampled, witness, len(tables), n)
+
+
+# ---------------------------------------------------------------------------
+# Per-row references for the class closures and the realizability check
+# ---------------------------------------------------------------------------
+
+
+def ref_iter_residuals(model: StrategicModel, classes: HypothesisClasses, h: int):
+    true_r = model.principal_reward[h]
+    for j, cand in enumerate(classes.reward_tables[h]):
+        yield f"reward[{j}]", cand - true_r
+    if classes.mode is TransitionMode.GENERAL:
+        delta = classes.transition_tables[h] - model.transition_kernel[h]
+        targets = classes.value_targets[h + 1]
+        applied = np.einsum("psaex,gx->pgsae", delta, targets)
+        for j in range(applied.shape[0]):
+            for g in range(applied.shape[1]):
+                yield f"transition[{j}]*value[{g}]", applied[j, g]
+    else:
+        for i, per in enumerate(classes.mean_map_tables[h]):
+            truth = model.mean_map[h][..., i]
+            for j, cand in enumerate(per):
+                yield f"mean_map[{i}][{j}]", cand - truth
+
+
+def ref_dedup_append(base: np.ndarray, extra: list[np.ndarray]) -> np.ndarray:
+    seen = {np.ascontiguousarray(row).tobytes() for row in base}
+    keep = []
+    for row in extra:
+        key = np.ascontiguousarray(row).tobytes()
+        if key not in seen:
+            seen.add(key)
+            keep.append(row)
+    if not keep:
+        return base
+    return np.concatenate([base, np.stack(keep)], axis=0)
+
+
+def ref_unique_rows(arr: np.ndarray) -> np.ndarray:
+    seen: set[bytes] = set()
+    keep = []
+    for row in arr:
+        key = np.ascontiguousarray(row).tobytes()
+        if key not in seen:
+            seen.add(key)
+            keep.append(row)
+    return np.stack(keep) if keep else arr.reshape(0, arr.shape[-1])
+
+
+def ref_close_discriminators(model, classes):
+    kappa = source_feedback_mix(model)
+    new_disc = []
+    for h in range(classes.horizon):
+        extra = [source_projection(kappa[h], nu) for _, nu in ref_iter_residuals(model, classes, h)]
+        new_disc.append(ref_dedup_append(classes.discriminators[h], extra))
+    return dataclasses.replace(classes, discriminators=new_disc)
+
+
+def ref_enumerate_suffix_values(classes, knowledge):
+    agg = CandidateAggregates.from_classes(classes, knowledge)
+    joint = 1
+    for R, P in zip(agg.rewards, agg.transitions):
+        joint *= R.shape[0] * P.shape[0]
+    if joint > classes.caps.joint:
+        raise CapacityError(f"value closure would enumerate {joint} joint models, cap is {classes.caps.joint}")
+    S = classes.reward_tables[0].shape[1]
+    values = np.zeros((1, S))
+    out = [np.zeros((0, S))] * classes.horizon
+    for h in range(classes.horizon - 1, -1, -1):
+        values = ref_unique_rows(joint_backup(agg.rewards[h], agg.transitions[h], values))
+        out[h] = values
+    return out
+
+
+def ref_close_classes(model, classes, knowledge):
+    suffix = ref_enumerate_suffix_values(classes, knowledge)
+    new_targets = list(classes.value_targets)
+    for h in range(classes.horizon):
+        new_targets[h] = ref_dedup_append(classes.value_targets[h], list(suffix[h]))
+    closed = dataclasses.replace(classes, value_targets=new_targets)
+    return ref_close_discriminators(model, closed)
+
+
+def _ref_contains(table_set: np.ndarray, table: np.ndarray) -> bool:
+    return any(np.array_equal(row, table) for row in table_set)
+
+
+def ref_check_realizability(model, classes, knowledge) -> RealizabilityReport:
+    H = classes.horizon
+    r_clause = ClauseResult(True)
+    for h in range(H):
+        if not _ref_contains(classes.reward_tables[h], model.principal_reward[h]):
+            r_clause = ClauseResult(False, f"true reward missing at step {h}")
+            break
+        idx = classes.truth_reward_idx[h]
+        if idx is not None and not np.array_equal(
+            classes.reward_tables[h][idx], model.principal_reward[h]
+        ):
+            r_clause = ClauseResult(False, f"designated reward index {idx} wrong at step {h}")
+            break
+    t_clause = ClauseResult(True)
+    for h in range(H):
+        if classes.mode is TransitionMode.GENERAL:
+            if not _ref_contains(classes.transition_tables[h], model.transition_kernel[h]):
+                t_clause = ClauseResult(False, f"true transition missing at step {h}")
+                break
+        else:
+            stop = False
+            for i, per in enumerate(classes.mean_map_tables[h]):
+                if not _ref_contains(per, model.mean_map[h][..., i]):
+                    t_clause = ClauseResult(
+                        False, f"true mean map missing at step {h}, coordinate {i}"
+                    )
+                    stop = True
+                    break
+            if stop:
+                break
+    kappa = source_feedback_mix(model)
+    p_clause = ClauseResult(True)
+    for h in range(H):
+        done = False
+        for label, nu in ref_iter_residuals(model, classes, h):
+            proj = source_projection(kappa[h], nu)
+            if not _ref_contains(classes.discriminators[h], proj):
+                p_clause = ClauseResult(
+                    False, f"projection of {label} missing from discriminators at step {h}"
+                )
+                done = True
+                break
+        if done:
+            break
+    v_clause = ClauseResult(True)
+    try:
+        suffix = ref_enumerate_suffix_values(classes, knowledge)
+        for h in range(H):
+            done = False
+            for j, table in enumerate(suffix[h]):
+                if not _ref_contains(classes.value_targets[h], table):
+                    v_clause = ClauseResult(
+                        False, f"candidate value table {j} missing from targets at step {h}"
+                    )
+                    done = True
+                    break
+            if done:
+                break
+    except CapacityError as exc:
+        v_clause = ClauseResult(False, f"not checkable: {exc}")
+    return RealizabilityReport(
+        truth_in_rewards=r_clause,
+        truth_in_transitions=t_clause,
+        projections_in_discriminators=p_clause,
+        values_in_targets=v_clause,
+        flags=classes.flags,
+    )

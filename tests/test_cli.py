@@ -20,20 +20,9 @@ except ModuleNotFoundError:  # Python 3.10
 from strategicmdp.cli import ENV_OUTPUT, main
 from strategicmdp.harness import EPISODE_COLUMNS, SUMMARY_COLUMNS
 
-REPO = Path(__file__).resolve().parents[1]
+from helpers import BASE_YAML, DYN_YAML
 
-BASE_YAML = """\
-environment:
-  generator: recsys-small
-run:
-  episodes: 6
-  delta: 0.1
-  beta_scale: 0.1
-  seeds: [0, 1]
-  evaluation_cadence: 3
-output:
-  root: {root}
-"""
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -176,6 +165,13 @@ def test_sweep_rejects_malformed_param(config_path, capsys):
     assert "key=v1,v2" in capsys.readouterr().err
 
 
+def test_sweep_rejects_unparsable_param_value(config_path, capsys):
+    assert main(["sweep", str(config_path()), "--param", "run.episodes=[1"]) == 2
+    err = capsys.readouterr().err
+    assert "cannot parse --param run.episodes" in err
+    assert "runtime failure" not in err
+
+
 def test_sweep_rejects_invalid_grid_point(config_path, capsys):
     assert main(["sweep", str(config_path()), "--param", "run.delta=0.05,7"]) == 2
     err = capsys.readouterr().err
@@ -276,21 +272,6 @@ def test_python_m_entry_point(config_path, tmp_path):
     missing = run_module("validate", str(tmp_path / "absent.yaml"))
     assert missing.returncode == 2
     assert "cannot read" in missing.stderr
-
-
-DYN_YAML = """\
-environment:
-  generator: dyn-1d
-run:
-  episodes: 5
-  seeds: [0]
-diagnostics:
-  ill_posedness: true
-  transfer: true
-  policy_budget: 16
-output:
-  root: {root}
-"""
 
 
 def test_dynamical_path_does_not_import_scipy(tmp_path):

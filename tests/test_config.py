@@ -2,10 +2,34 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
+import yaml
 
 from strategicmdp import ParseError, ValidationError
-from strategicmdp.config import config_from_dict, load_config
+from strategicmdp.config import YAML_LOADER, config_from_dict, load_config, parse_yaml
+
+from helpers import BASE_YAML, DYN_YAML
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+CONTRACT_YAML = "environment:\n  generator: contract-small\nrun:\n  episodes: 7\n  seeds: [2]\n"
+
+
+def readme_config() -> str:
+    return re.search(r"```yaml\n(.*?)```", README.read_text(), re.S).group(1)
+
+
+# Every valid config the tests write, and the README's annotated example.
+VALID_CONFIGS = {
+    "contract": CONTRACT_YAML,
+    "cli-base": BASE_YAML.format(root="runs"),
+    "cli-workers": BASE_YAML.format(root="runs") + "workers: 2\n",
+    "cli-dyn": DYN_YAML.format(root="runs"),
+    "readme": readme_config(),
+}
 
 
 def minimal(**env_extra):
@@ -154,9 +178,7 @@ def test_workers_positive():
 
 def test_load_config_reads_yaml(tmp_path):
     p = tmp_path / "exp.yaml"
-    p.write_text(
-        "environment:\n  generator: contract-small\nrun:\n  episodes: 7\n  seeds: [2]\n"
-    )
+    p.write_text(CONTRACT_YAML)
     cfg = load_config(p)
     assert cfg.generator == "contract-small"
     assert cfg.episodes == 7
@@ -173,6 +195,41 @@ def test_load_config_bad_yaml(tmp_path):
     p.write_text("environment: [unclosed\n")
     with pytest.raises(ParseError, match="cannot parse"):
         load_config(p)
+
+
+def test_loader_is_libyaml_when_compiled_in():
+    if yaml.__with_libyaml__:
+        assert YAML_LOADER is yaml.CSafeLoader
+    else:
+        assert YAML_LOADER is yaml.SafeLoader
+
+
+@pytest.mark.parametrize("name", sorted(VALID_CONFIGS))
+def test_load_config_raw_equals_pure_python_safe_load(tmp_path, name):
+    text = VALID_CONFIGS[name]
+    p = tmp_path / f"{name}.yaml"
+    p.write_text(text)
+    assert load_config(p).raw == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "environment:\n  generator: nope\nrun:\n  episodes: 0\n",
+        "- a\n- b\n",
+        "",
+        "3",
+        "0.1",
+        "1e-3",
+        "[1, 2]",
+        "null",
+        "true",
+        "pointwise",
+        "{a: 1}",
+    ],
+)
+def test_parse_yaml_equals_pure_python_safe_load(text):
+    assert parse_yaml(text) == yaml.load(text, Loader=yaml.SafeLoader)
 
 
 def test_load_config_non_mapping(tmp_path):

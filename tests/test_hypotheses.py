@@ -6,8 +6,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strategicmdp import (
+    GENERATORS,
     CapacityError,
     ClassCaps,
     HypothesisClasses,
@@ -20,12 +23,24 @@ from strategicmdp import (
     close_discriminators,
     close_value_targets,
     iter_residuals,
+    residual_labels,
+    residual_stack,
+    scenarios,
     true_aggregated_model,
     value_iteration,
 )
-from strategicmdp.hypotheses import enumerate_suffix_values
+from strategicmdp.hypotheses import _dedup_append, _first_missing, enumerate_suffix_values
 
-from helpers import tiny_general
+from helpers import (
+    random_general,
+    ref_check_realizability,
+    ref_close_classes,
+    ref_dedup_append,
+    ref_iter_residuals,
+    ref_unique_rows,
+    tiny_dynamical,
+    tiny_general,
+)
 
 
 def singleton_classes(model):
@@ -55,6 +70,21 @@ def test_zero_discriminator_always_present():
     zero = np.zeros((model.num_states, model.num_actions))
     for h in range(classes.horizon):
         assert any(np.array_equal(f, zero) for f in classes.discriminators[h])
+
+
+@pytest.mark.parametrize("fill, added", [(-0.0, 0), (0.0, 0), (np.nan, 1), (1e-300, 1)])
+def test_zero_discriminator_appended_only_when_no_row_equals_zero(fill, added):
+    model = tiny_general()
+    H, S, A = model.horizon, model.num_states, model.num_actions
+    classes = HypothesisClasses(
+        mode=TransitionMode.GENERAL,
+        bound=model.reward_bound,
+        reward_tables=[model.principal_reward[h][None] for h in range(H)],
+        discriminators=[np.full((1, S, A), fill) for _ in range(H)],
+        value_targets=[np.zeros((1, S)) for _ in range(H)],
+        transition_tables=[model.transition_kernel[h][None] for h in range(H)],
+    )
+    assert [len(f) for f in classes.discriminators] == [1 + added] * H
 
 
 def test_terminal_value_target_is_zero_singleton():
@@ -263,3 +293,231 @@ def test_missing_transition_truth_detected():
     )
     report = check_realizability(scenario.model, broken, scenario.knowledge())
     assert not report.truth_in_transitions.passed
+
+
+# ---------------------------------------------------------------------------
+# Whole-array closures and check against the per-row references
+# ---------------------------------------------------------------------------
+
+# Bit patterns that tell bit-exact keys from value equality: both zeros, and
+# NaNs with different payloads and signs.
+_BITS = [0x0, 0x8000000000000000, 0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000]
+KEY_VALUES = [np.array(b, dtype=np.uint64).view(np.float64).item() for b in _BITS] + [1.0, -1.0, 0.5]
+
+
+def row_arrays(rows: int, shape: tuple[int, ...]):
+    values = st.sampled_from(KEY_VALUES)
+    size = rows * int(np.prod(shape))
+    return st.lists(values, min_size=size, max_size=size).map(
+        lambda v: np.array(v, dtype=float).reshape((rows,) + shape)
+    )
+
+
+@st.composite
+def row_sets(draw):
+    shape = draw(st.sampled_from([(1,), (2,), (3,), (2, 2)]))
+    base = draw(row_arrays(draw(st.integers(0, 4)), shape))
+    extra = draw(row_arrays(draw(st.integers(0, 10)), shape))
+    return base, extra
+
+
+def assert_bitwise_equal(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_sets())
+def test_dedup_and_unique_match_per_row_references(rows):
+    base, extra = rows
+    assert_bitwise_equal(_dedup_append(base, extra), ref_dedup_append(base, list(extra)))
+    if extra.ndim == 2:
+        assert_bitwise_equal(_dedup_append(extra[:0], extra), ref_unique_rows(extra))
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_sets())
+def test_first_missing_matches_array_equal_scan(rows):
+    table_set, tables = rows
+    want = next(
+        (i for i, t in enumerate(tables) if not any(np.array_equal(r, t) for r in table_set)),
+        None,
+    )
+    assert _first_missing(table_set, tables) == want
+
+
+def assert_classes_bitwise_equal(got, want) -> None:
+    assert got.flags == want.flags
+    for family in ("discriminators", "value_targets"):
+        for a, b in zip(getattr(got, family), getattr(want, family), strict=True):
+            assert_bitwise_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_closed_scenario_classes_match_per_row_reference(monkeypatch, name, seed):
+    calls = []
+    real = scenarios.close_classes
+
+    def capture(model, classes, knowledge):
+        calls.append((model, classes, knowledge))
+        return real(model, classes, knowledge)
+
+    monkeypatch.setattr(scenarios, "close_classes", capture)
+    scenario = build_scenario(name, seed)
+    [(model, classes, knowledge)] = calls
+    assert_classes_bitwise_equal(scenario.classes, ref_close_classes(model, classes, knowledge))
+    for h in range(classes.horizon):
+        labels, tables = zip(*ref_iter_residuals(model, scenario.classes, h))
+        assert residual_labels(scenario.classes, h) == list(labels)
+        assert_bitwise_equal(residual_stack(model, scenario.classes, h), np.stack(tables))
+
+
+@st.composite
+def general_instances(draw):
+    return random_general(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        horizon=draw(st.integers(1, 3)),
+        states=draw(st.integers(1, 3)),
+        actions=draw(st.integers(1, 3)),
+        feedbacks=draw(st.integers(1, 4)),
+        candidates=draw(st.integers(1, 3)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(general_instances())
+def test_closed_random_classes_match_per_row_reference(instance):
+    model, classes = instance
+    knowledge = LearnerKnowledge.from_model(model)
+    closed = close_classes(model, classes, knowledge)
+    assert_classes_bitwise_equal(closed, ref_close_classes(model, classes, knowledge))
+    report = check_realizability(model, closed, knowledge)
+    assert report.passed
+    assert report.as_dict() == ref_check_realizability(model, closed, knowledge).as_dict()
+
+
+def _replace_row(tables: list[np.ndarray], h: int, j: int, row: np.ndarray) -> list[np.ndarray]:
+    out = list(tables)
+    out[h] = out[h].copy()
+    out[h][j] = row
+    return out
+
+
+def _drop_row(tables: list[np.ndarray], h: int, j: int) -> list[np.ndarray]:
+    out = list(tables)
+    out[h] = np.delete(out[h], j, axis=0)
+    return out
+
+
+def _append_row(tables: list[np.ndarray], h: int, row: np.ndarray) -> list[np.ndarray]:
+    out = list(tables)
+    out[h] = np.concatenate([out[h], row[None]])
+    return out
+
+
+def _negative_zeros(tables: list[np.ndarray]) -> list[np.ndarray]:
+    return [np.where(t == 0.0, -0.0, t) for t in tables]
+
+
+def mutations(model, classes):
+    """(name, classes) pairs that break, or by value equality keep, each clause."""
+    H = classes.horizon
+    for h in range(H):
+        for j in sorted({0, len(classes.discriminators[h]) // 2, len(classes.discriminators[h]) - 1}):
+            yield f"drop discriminator {j} at {h}", dataclasses.replace(
+                classes, discriminators=_drop_row(classes.discriminators, h, j)
+            )
+        if h > 0:
+            for j in sorted({0, len(classes.value_targets[h]) - 1}):
+                yield f"drop value target {j} at {h}", dataclasses.replace(
+                    classes, value_targets=_drop_row(classes.value_targets, h, j)
+                )
+        r = classes.truth_reward_idx[h] or 0
+        shifted = np.clip(classes.reward_tables[h][r] + 0.05, 0.0, classes.bound)
+        yield f"missing reward truth at {h}", dataclasses.replace(
+            classes, reward_tables=_replace_row(classes.reward_tables, h, r, shifted)
+        )
+        nan_row = classes.reward_tables[h][r].copy()
+        nan_row.flat[0] = np.nan
+        yield f"nan reward candidate at {h}", dataclasses.replace(
+            classes, reward_tables=_append_row(classes.reward_tables, h, nan_row)
+        )
+        if classes.mode is TransitionMode.GENERAL:
+            p = classes.truth_transition_idx[h] or 0
+            tilted = 0.5 * (classes.transition_tables[h][p] + 1.0 / model.num_states)
+            yield f"missing transition truth at {h}", dataclasses.replace(
+                classes, transition_tables=_replace_row(classes.transition_tables, h, p, tilted)
+            )
+        else:
+            per = [list(c) for c in classes.mean_map_tables]
+            per[h][0] = per[h][0] + 0.01
+            yield f"missing mean-map truth at {h}", dataclasses.replace(classes, mean_map_tables=per)
+    yield "negative zeros", dataclasses.replace(
+        classes,
+        discriminators=_negative_zeros(classes.discriminators),
+        value_targets=_negative_zeros(classes.value_targets),
+    )
+
+
+def _closed_tiny_general():
+    model = tiny_general()
+    return model, singleton_classes(model)
+
+
+def _closed_random_general():
+    model, classes = random_general(7, horizon=3, states=3, actions=2, feedbacks=3, candidates=2)
+    return model, close_classes(model, classes, LearnerKnowledge.from_model(model))
+
+
+def _closed_tiny_dynamical():
+    model = tiny_dynamical()
+    H, S, A = model.horizon, model.num_states, model.num_actions
+    truth = model.mean_map[..., 0]
+    classes = HypothesisClasses(
+        mode=TransitionMode.DYNAMICAL,
+        bound=model.reward_bound,
+        reward_tables=[np.stack([r, 0.5 * r]) for r in model.principal_reward],
+        discriminators=[np.zeros((0, S, A))] * H,
+        value_targets=[np.zeros((0, S))] * H,
+        mean_map_tables=[[np.stack([m, np.clip(m + 0.3, -1.0, 1.0)])] for m in truth],
+        truth_reward_idx=[0] * H,
+        truth_transition_idx=[[0]] * H,
+    )
+    return model, close_classes(model, classes, LearnerKnowledge.from_model(model))
+
+
+def _closed_scenario(name):
+    def build():
+        scenario = build_scenario(name)
+        return scenario.model, scenario.classes
+
+    return build
+
+
+INSTANCES = {
+    "tiny-general": _closed_tiny_general,
+    "random-general": _closed_random_general,
+    "tiny-dynamical": _closed_tiny_dynamical,
+    "recsys-small": _closed_scenario("recsys-small"),
+    "dyn-1d": _closed_scenario("dyn-1d"),
+}
+
+
+@pytest.mark.parametrize("instance", sorted(INSTANCES))
+def test_realizability_report_matches_per_row_reference_on_mutations(instance):
+    model, classes = INSTANCES[instance]()
+    knowledge = LearnerKnowledge.from_model(model)
+    seen_failures = set()
+    for name, mutated in mutations(model, classes):
+        got = check_realizability(model, mutated, knowledge).as_dict()
+        assert got == ref_check_realizability(model, mutated, knowledge).as_dict(), name
+        if name == "negative zeros":
+            assert got["passed"], got
+        seen_failures |= {k for k, v in got.items() if isinstance(v, dict) and not v["passed"]}
+    assert seen_failures == {
+        "truth_in_rewards",
+        "truth_in_transitions",
+        "projections_in_discriminators",
+        "values_in_targets",
+    }

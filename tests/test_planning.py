@@ -17,6 +17,7 @@ from strategicmdp import (
     ConfigError,
     Grid,
     HypothesisClasses,
+    InvalidIndexError,
     LearnerKnowledge,
     Policy,
     SelectionMode,
@@ -269,6 +270,48 @@ def test_optimistic_select_rejects_empty_sets():
     reward_sets[1] = []
     with pytest.raises(ValidationError):
         optimistic_select(agg, reward_sets, transition_sets, 0)
+
+
+@pytest.mark.parametrize("mode", list(SelectionMode))
+@pytest.mark.parametrize("which", ["reward", "transition"])
+@pytest.mark.parametrize("name", ["recsys-small", "dyn-1d"])
+@pytest.mark.parametrize("bad", ["negative", "too-large"])
+def test_optimistic_select_rejects_out_of_range_indices(name, which, mode, bad):
+    scenario = build_scenario(name)
+    classes = scenario.classes
+    agg = CandidateAggregates.from_classes(classes, scenario.knowledge())
+    reward_sets, transition_sets = _full_sets(classes)
+    h = classes.horizon - 1
+    if which == "reward":
+        size = classes.reward_tables[h].shape[0]
+        reward_sets[h] = [0, -1] if bad == "negative" else [0, size]
+    elif classes.transition_tables is not None:
+        size = classes.transition_tables[h].shape[0]
+        transition_sets[h] = [0, -1] if bad == "negative" else [0, size]
+    else:
+        size = classes.mean_map_tables[h][0].shape[0]
+        transition_sets[h] = [[0, -1] if bad == "negative" else [0, size]]
+    with pytest.raises(InvalidIndexError, match=f"step {h}"):
+        optimistic_select(agg, reward_sets, transition_sets, scenario.model.initial_state, mode)
+
+
+@pytest.mark.parametrize("name", ["recsys-small", "dyn-1d"])
+def test_optimistic_select_rejects_sets_of_the_wrong_length(name):
+    scenario = build_scenario(name)
+    classes = scenario.classes
+    agg = CandidateAggregates.from_classes(classes, scenario.knowledge())
+    reward_sets, transition_sets = _full_sets(classes)
+    for rs, ts in [
+        (reward_sets[:-1], transition_sets),
+        (reward_sets + reward_sets[:1], transition_sets),
+        (reward_sets, transition_sets[:-1]),
+    ]:
+        with pytest.raises(ValidationError, match="per step"):
+            optimistic_select(agg, rs, ts, scenario.model.initial_state)
+    if classes.mean_map_tables is not None:
+        transition_sets[0] = transition_sets[0] * 2
+        with pytest.raises(ValidationError, match="per coordinate"):
+            optimistic_select(agg, reward_sets, transition_sets, scenario.model.initial_state)
 
 
 def test_optimistic_select_exact_matches_brute_force_dynamical():
