@@ -54,12 +54,12 @@ from .hypotheses import (
     ClassCaps,
     ClassSizes,
     HypothesisClasses,
+    KernelIndex,
     RealizabilityReport,
     check_realizability,
     close_classes,
     close_discriminators,
     close_value_targets,
-    iter_residuals,
     residual_labels,
     residual_stack,
     source_feedback_mix,

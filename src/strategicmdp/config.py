@@ -18,6 +18,33 @@ from .scenarios import GENERATOR_MODES, GENERATORS
 # PyYAML's libyaml parser when it is compiled in: the same data, parsed faster.
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
+
+def _unique_key_loader(base: type) -> type:
+    """Subclass of a YAML loader that rejects a mapping repeating a key.
+
+    PyYAML would keep the last value silently. Keys merged in with << may
+    still be overridden.
+    """
+
+    class UniqueKeyLoader(base):
+        def construct_mapping(self, node, deep=False):
+            keys = []
+            for key_node, _ in node.value if isinstance(node, yaml.MappingNode) else ():
+                if key_node.tag != "tag:yaml.org,2002:merge":
+                    key = self.construct_object(key_node, deep=True)
+                    if key in keys:
+                        raise yaml.constructor.ConstructorError(
+                            "while constructing a mapping", node.start_mark,
+                            f"found duplicate key {key!r}", key_node.start_mark,
+                        )
+                    keys.append(key)
+            return super().construct_mapping(node, deep)
+
+    return UniqueKeyLoader
+
+
+_LOADER = _unique_key_loader(YAML_LOADER)
+
 _MODES = ("general", "dynamical")
 _OPTIMISM = ("exact", "pointwise")
 
@@ -236,8 +263,11 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
 
 def parse_yaml(text: str):
-    """Parse YAML text with the safe loader; raises yaml.YAMLError."""
-    return yaml.load(text, Loader=YAML_LOADER)
+    """Parse YAML text with the safe loader; raises yaml.YAMLError.
+
+    A mapping that repeats a key is an error.
+    """
+    return yaml.load(text, Loader=_LOADER)
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

@@ -57,9 +57,6 @@ class OccupancyTable:
     type_dist: np.ndarray
     flags: tuple[str, ...] = ()
 
-    def state_action(self, h: int) -> np.ndarray:
-        return self.joints[h].sum(axis=-1)
-
     def states(self, h: int) -> np.ndarray:
         return self.joints[h].sum(axis=(1, 2))
 

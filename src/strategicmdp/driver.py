@@ -86,11 +86,14 @@ class EpisodeRecord:
     The confidence sets and selection stored here are the ones computed after
     this episode's data was appended, i.e. the state that produces the next
     policy. Regret fields are filled later by the diagnostics oracle.
+    Transition fields hold candidate indices: per step a bare value in general
+    mode, a tuple with one entry per coordinate in dynamical mode.
     """
 
     episode: int
     reward_sets: tuple[tuple[int, ...], ...]
     transition_sets: tuple
+    transition_set_sizes: tuple
     betas: tuple[float, float, float]
     optimistic_value: float
     relaxed: bool
@@ -107,12 +110,6 @@ class EpisodeRecord:
     def reward_set_sizes(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self.reward_sets)
 
-    @property
-    def transition_set_sizes(self) -> tuple:
-        if self.transition_sets and isinstance(self.transition_sets[0][0], tuple):
-            return tuple(tuple(len(c) for c in per) for per in self.transition_sets)
-        return tuple(len(s) for s in self.transition_sets)
-
 
 @dataclass
 class RunResult:
@@ -122,7 +119,6 @@ class RunResult:
     episodes: list[EpisodeRecord]
     realizability: RealizabilityReport | None
     flags: tuple[str, ...]
-    final_sets: ConfidenceSets | None = None
     dataset: StepDataset | None = None
 
     def canonical_json(self, include_wallclock: bool = False) -> str:
@@ -221,6 +217,17 @@ def run_learner(
     )
     evaluator = LossEvaluator(classes)
     aggregates = CandidateAggregates.from_classes(classes, knowledge)
+    index = evaluator.kernel_index
+    # Sets change in few episodes, so records share one decoded copy per
+    # distinct kernel-index set: a lookup costs less than a decode, and no
+    # record holds transition tuples of its own.
+    decoded: dict[tuple, tuple] = {}
+
+    def shaped(per_family: tuple):
+        # The one rule on transition-set shape, applied as kernel indices are
+        # decoded into a record: general mode shows its one family bare.
+        return per_family[0] if classes.mode is TransitionMode.GENERAL else per_family
+
     sizes = classes.sizes()
     betas = confidence_levels(
         classes.bound, cfg.episodes, H, sizes, cfg.delta, cfg.beta_scale
@@ -262,30 +269,32 @@ def run_learner(
         if selection.relaxed:
             episode_flags.append("relaxed-selection")
         chosen_r_losses = None
-        chosen_t_losses = None
         if selection.reward_idx is not None:
             chosen_r_losses = tuple(
                 float(sets.reward_loss_values[h][selection.reward_idx[h]]) for h in range(H)
             )
+        chosen_t = chosen_t_losses = None
         if selection.transition_idx is not None:
-            if classes.mode is TransitionMode.GENERAL:
-                chosen_t_losses = tuple(
-                    float(sets.transition_loss_values[h][selection.transition_idx[h]])
-                    for h in range(H)
-                )
-            else:
-                chosen_t_losses = tuple(
-                    tuple(
-                        float(sets.transition_loss_values[h][i][selection.transition_idx[h][i]])
-                        for i in range(len(selection.transition_idx[h]))
-                    )
-                    for h in range(H)
-                )
+            models = [index[h].models[j] for h, j in enumerate(selection.transition_idx)]
+            chosen_t = tuple(shaped(m) for m in models)
+            chosen_t_losses = tuple(
+                shaped(tuple(float(v[c]) for v, c in zip(sets.transition_loss_values[h], m)))
+                for h, m in enumerate(models)
+            )
+        key = tuple(sets.transition_sets)
+        if key not in decoded:
+            families = [ix.decode(ks) for ix, ks in zip(index, key)]
+            decoded[key] = (
+                tuple(shaped(f) for f in families),
+                tuple(shaped(tuple(map(len, f))) for f in families),
+            )
+        transition_sets, transition_set_sizes = decoded[key]
         records.append(
             EpisodeRecord(
                 episode=k,
                 reward_sets=tuple(tuple(s) for s in sets.reward_sets),
-                transition_sets=_freeze_transition_sets(sets),
+                transition_sets=transition_sets,
+                transition_set_sizes=transition_set_sizes,
                 betas=(
                     sets.betas.reward,
                     sets.betas.transition_general,
@@ -294,7 +303,7 @@ def run_learner(
                 optimistic_value=selection.value,
                 relaxed=selection.relaxed,
                 chosen_reward_idx=selection.reward_idx,
-                chosen_transition_idx=selection.transition_idx,
+                chosen_transition_idx=chosen_t,
                 chosen_reward_losses=chosen_r_losses,
                 chosen_transition_losses=chosen_t_losses,
                 flags=tuple(episode_flags),
@@ -312,7 +321,6 @@ def run_learner(
         episodes=records,
         realizability=report,
         flags=tuple(sorted(run_flags)),
-        final_sets=sets,
         dataset=dataset,
     )
 
@@ -349,16 +357,6 @@ def build_sets_and_select(
             cap=cfg.caps.selector,
         )
     return sets, selection
-
-
-def _freeze_transition_sets(sets: ConfidenceSets) -> tuple:
-    out = []
-    for per in sets.transition_sets:
-        if per and isinstance(per[0], tuple):
-            out.append(tuple(tuple(c) for c in per))
-        else:
-            out.append(tuple(per))
-    return tuple(out)
 
 
 def mixture_value(policy: MixturePolicy, oracle: AggregatedMDP) -> float:

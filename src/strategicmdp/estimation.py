@@ -158,11 +158,6 @@ def reward_losses(data_h: StepData, reward_tables: np.ndarray, disc: np.ndarray)
     return _discriminator_score(aggregated, disc, data_h.counts.sum(axis=-1))
 
 
-def reward_loss(data_h: StepData, reward_table: np.ndarray, disc: np.ndarray) -> float:
-    """Minimax loss of a single reward candidate."""
-    return float(reward_losses(data_h, reward_table[None], disc)[0])
-
-
 def transition_losses_general(
     data_h: StepData,
     transition_tables: np.ndarray,
@@ -186,17 +181,6 @@ def transition_losses_general(
     return scores.max(axis=1)
 
 
-def transition_loss_general(
-    data_h: StepData,
-    transition_table: np.ndarray,
-    value_targets_next: np.ndarray,
-    disc: np.ndarray,
-) -> float:
-    return float(
-        transition_losses_general(data_h, transition_table[None], value_targets_next, disc)[0]
-    )
-
-
 def mean_map_losses(
     data_h: StepData, mean_tables: np.ndarray, coord: int, disc: np.ndarray
 ) -> np.ndarray:
@@ -207,17 +191,12 @@ def mean_map_losses(
     return _discriminator_score(aggregated, disc, data_h.counts.sum(axis=-1))
 
 
-def mean_map_loss(
-    data_h: StepData, mean_table: np.ndarray, coord: int, disc: np.ndarray
-) -> float:
-    return float(mean_map_losses(data_h, mean_table[None], coord, disc)[0])
-
-
 class LossEvaluator:
     """Caches data-independent tensors so per-episode evaluation stays cheap.
 
-    Holds references to the (immutable) classes; per step it precomputes the
-    applied tensors P g for every transition candidate and value target.
+    Holds references to the (immutable) classes; per step it keeps the kernel
+    index and precomputes the applied tensors P g for every transition
+    candidate and value target.
     Evaluation from a dataset then reduces to small matrix products against
     the running count tensors, which matches a from-scratch per-sample
     computation to floating-point accuracy.
@@ -225,6 +204,7 @@ class LossEvaluator:
 
     def __init__(self, classes: HypothesisClasses) -> None:
         self.classes = classes
+        self.kernel_index = [classes.kernel_index(h) for h in range(classes.horizon)]
         self._applied: list[np.ndarray | None] = []
         if classes.mode is TransitionMode.GENERAL:
             assert classes.transition_tables is not None
@@ -316,17 +296,17 @@ def confidence_levels(
 class ConfidenceSets:
     """Surviving candidate indices per step, with the losses that produced them.
 
-    reward_sets[h] and (general) transition_sets[h] are ascending index
-    tuples; dynamical transition_sets[h] is a tuple of per-coordinate index
-    tuples. fallback_flags records empty-set fallbacks, which keep only the
-    loss minimizer.
+    reward_sets[h] holds ascending reward candidate indices and
+    transition_sets[h] ascending kernel indices (HypothesisClasses.kernel_index):
+    every model whose candidates all survive in their own family.
+    transition_loss_values[h] lists one loss array per family. fallback_flags
+    records empty-set fallbacks, which keep only the family's loss minimizer.
     """
 
-    mode: TransitionMode
     reward_sets: list[tuple[int, ...]]
-    transition_sets: list
+    transition_sets: list[tuple[int, ...]]
     reward_loss_values: list[np.ndarray]
-    transition_loss_values: list
+    transition_loss_values: list[list[np.ndarray]]
     betas: BetaLevels
     fallback_flags: tuple[str, ...] = ()
 
@@ -342,33 +322,31 @@ def _threshold(losses: np.ndarray, beta: float, label: str, flags: list[str]) ->
 def build_confidence_sets(
     evaluator: LossEvaluator, dataset: StepDataset, betas: BetaLevels
 ) -> ConfidenceSets:
-    """Threshold every candidate's loss at the mode-appropriate level."""
+    """Threshold every candidate's loss at the mode-appropriate level.
+
+    Each transition family is thresholded on its own; the step's set holds
+    the kernel indices of every combination of survivors.
+    """
     classes = evaluator.classes
     flags: list[str] = []
     reward_sets = []
     reward_vals = []
-    transition_sets: list = []
-    transition_vals: list = []
+    transition_sets = []
+    transition_vals = []
     for h in range(classes.horizon):
         r_losses = evaluator.reward_losses(dataset, h)
         reward_vals.append(r_losses)
         reward_sets.append(_threshold(r_losses, betas.reward, f"reward-h{h}", flags))
         t_losses = evaluator.transition_losses(dataset, h)
-        transition_vals.append(t_losses)
         if classes.mode is TransitionMode.GENERAL:
-            transition_sets.append(
-                _threshold(t_losses, betas.transition_general, f"transition-h{h}", flags)
-            )
+            families, beta, labels = [t_losses], betas.transition_general, [f"transition-h{h}"]
         else:
-            per = tuple(
-                _threshold(
-                    t_losses[i], betas.transition_dynamical, f"mean-map-h{h}-c{i}", flags
-                )
-                for i in range(len(t_losses))
-            )
-            transition_sets.append(per)
+            families, beta = t_losses, betas.transition_dynamical
+            labels = [f"mean-map-h{h}-c{i}" for i in range(len(families))]
+        transition_vals.append(families)
+        survivors = [_threshold(f, beta, lab, flags) for f, lab in zip(families, labels)]
+        transition_sets.append(evaluator.kernel_index[h].encode(survivors))
     return ConfidenceSets(
-        mode=classes.mode,
         reward_sets=reward_sets,
         transition_sets=transition_sets,
         reward_loss_values=reward_vals,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from copy import deepcopy
@@ -60,13 +61,30 @@ def _sizes_r(rec) -> str:
 
 
 def _sizes_p(rec) -> str:
-    parts = []
-    for per in rec.transition_set_sizes:
-        if isinstance(per, tuple):
-            parts.append(",".join(str(n) for n in per))
-        else:
-            parts.append(str(per))
-    return ";".join(parts)
+    """One entry per step; a dynamical step lists its coordinates' sizes."""
+    return ";".join(",".join(map(str, np.ravel(n))) for n in rec.transition_set_sizes)
+
+
+def _write_atomic(path: Path, fill) -> None:
+    """Write path through fill(handle) into a temporary file that then replaces it.
+
+    A failed write removes the temporary file and leaves any earlier file whole.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", newline="") as fh:
+            fill(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_json(path: Path, data: dict) -> None:
+    text = json.dumps(data, indent=2, sort_keys=True)
+    _write_atomic(path, lambda fh: fh.write(text))
 
 
 def _truth_in_record(rec, classes: HypothesisClasses) -> bool | None:
@@ -132,7 +150,7 @@ class SeedOutcome:
 
 
 def write_episodes_csv(path: Path, seed: int, run: RunResult) -> None:
-    with path.open("w", newline="") as fh:
+    def fill(fh) -> None:
         writer = csv.writer(fh)
         writer.writerow(EPISODE_COLUMNS)
         for rec in run.episodes:
@@ -151,6 +169,8 @@ def write_episodes_csv(path: Path, seed: int, run: RunResult) -> None:
                     _fmt(rec.wallclock_ms),
                 ]
             )
+
+    _write_atomic(path, fill)
 
 
 def run_seed(
@@ -175,7 +195,7 @@ def run_seed(
         diag.update(shared_diag)
     if run.realizability is not None:
         diag["realizability"] = run.realizability.as_dict()
-    (seed_dir / "diagnostics.json").write_text(json.dumps(diag, indent=2, sort_keys=True))
+    _write_json(seed_dir / "diagnostics.json", diag)
 
     marks = checkpoints(cfg.episodes, cfg.evaluation_cadence)
     cum_at: dict[int, float] = {}
@@ -207,7 +227,7 @@ def run_seed(
         "final_cum_regret": cum_at[cfg.episodes],
         "wallclock_ms": wall,
     }
-    (seed_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    _write_json(seed_dir / "manifest.json", manifest)
     return SeedOutcome(
         seed=seed,
         cum_at=cum_at,
@@ -244,7 +264,8 @@ def shared_diagnostics(cfg: ScenarioConfig, scenario: Scenario) -> dict:
 
 def write_summary(path: Path, cfg: ScenarioConfig, outcomes: list[SeedOutcome]) -> None:
     marks = checkpoints(cfg.episodes, cfg.evaluation_cadence)
-    with path.open("w", newline="") as fh:
+
+    def fill(fh) -> None:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)
         for k in marks:
@@ -256,6 +277,8 @@ def write_summary(path: Path, cfg: ScenarioConfig, outcomes: list[SeedOutcome]) 
             writer.writerow(
                 [k, len(outcomes), _fmt(cums.mean()), _fmt(std), coverage]
             )
+
+    _write_atomic(path, fill)
 
 
 def experiment_dir(cfg: ScenarioConfig, output_root: str | None = None) -> Path:
@@ -305,13 +328,13 @@ def run_experiment(cfg: ScenarioConfig, output_root: str | None = None) -> Path:
         manifest["run_flags"] = flags
         manifest["status"] = "ok"
         manifest["wallclock_ms"] = (time.perf_counter() - started) * 1000.0
-        (exp_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        _write_json(exp_dir / "manifest.json", manifest)
         return exp_dir
     except Exception as exc:
         manifest["status"] = "error"
         manifest["error"] = f"{type(exc).__name__}: {exc}"
         manifest["wallclock_ms"] = (time.perf_counter() - started) * 1000.0
-        (exp_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        _write_json(exp_dir / "manifest.json", manifest)
         raise
 
 
@@ -350,7 +373,7 @@ def diagnose(cfg: ScenarioConfig, output_root: str | None = None) -> Path:
             for h in range(H)
         ],
     }
-    (exp_dir / "diagnostics.json").write_text(json.dumps(diag, indent=2, sort_keys=True))
+    _write_json(exp_dir / "diagnostics.json", diag)
     return exp_dir
 
 

@@ -23,9 +23,10 @@ properties by exact table equality through the same code paths.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,35 @@ class ClassSizes:
     transitions: int
     discriminators: int
     value_targets: int
+
+
+@dataclass(frozen=True)
+class KernelIndex:
+    """Mixed-radix numbering of one step's transition models.
+
+    A model takes one candidate per family: the kernels in general mode (so a
+    kernel index is the candidate index), one mean map per state coordinate
+    in dynamical mode. radices[i] counts family i's candidates; family 0
+    varies slowest, the order CandidateAggregates lays kernels out in.
+    """
+
+    radices: tuple[int, ...]
+
+    def encode(self, per_family) -> tuple[int, ...]:
+        """Ascending kernel indices of the models drawn from ascending per-family lists."""
+        kernels = per_family[0]
+        for n, candidates in zip(self.radices[1:], per_family[1:]):
+            kernels = [k * n + c for k in kernels for c in candidates]
+        return tuple(kernels)
+
+    @cached_property
+    def models(self) -> list[tuple[int, ...]]:
+        """The candidate of each family, listed by kernel index: the decoding table."""
+        return list(itertools.product(*map(range, self.radices)))
+
+    def decode(self, kernels) -> tuple[tuple[int, ...], ...]:
+        """Ascending per-family candidate lists of the models among kernels; inverts encode."""
+        return tuple(tuple(sorted(set(c))) for c in zip(*(self.models[k] for k in kernels)))
 
 
 @dataclass
@@ -168,15 +198,18 @@ class HypothesisClasses:
     def horizon(self) -> int:
         return len(self.reward_tables)
 
+    def kernel_index(self, h: int) -> KernelIndex:
+        """The numbering of step h's transition models."""
+        if self.mode is TransitionMode.GENERAL:
+            assert self.transition_tables is not None
+            return KernelIndex((len(self.transition_tables[h]),))
+        assert self.mean_map_tables is not None
+        return KernelIndex(tuple(len(g) for g in self.mean_map_tables[h]))
+
     def sizes(self) -> ClassSizes:
         """Summed class sizes, the cardinalities used by the confidence levels."""
         rewards = sum(r.shape[0] for r in self.reward_tables)
-        if self.mode is TransitionMode.GENERAL:
-            assert self.transition_tables is not None
-            transitions = sum(p.shape[0] for p in self.transition_tables)
-        else:
-            assert self.mean_map_tables is not None
-            transitions = sum(g.shape[0] for per in self.mean_map_tables for g in per)
+        transitions = sum(sum(self.kernel_index(h).radices) for h in range(self.horizon))
         discriminators = sum(f.shape[0] for f in self.discriminators)
         value_targets = sum(g.shape[0] for g in self.value_targets)
         return ClassSizes(rewards, transitions, discriminators, value_targets)
@@ -251,13 +284,6 @@ def residual_labels(classes: HypothesisClasses, h: int) -> list[str]:
             for j in range(len(per))
         ]
     return labels
-
-
-def iter_residuals(
-    model: StrategicModel, classes: HypothesisClasses, h: int
-) -> Iterator[tuple[str, np.ndarray]]:
-    """The (label, table) rows of residual_stack at step h, in order."""
-    return zip(residual_labels(classes, h), residual_stack(model, classes, h))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ product of per-step candidate sets for the model with the largest optimal
 value, either by exact joint enumeration or by a per-(state, action) pointwise
 relaxation whose value dominates the exact one.
 
-Both transition modes plan over one next-state kernel per step candidate. In
+Both transition modes plan over one next-state kernel per transition model. In
 dynamical mode the aggregated object is a mean map on grid cells, with
 candidates cut per coordinate; each coordinate's Gaussian is discretized to
 cell masses by CDF differences, with out-of-box mass folded into boundary
@@ -209,19 +209,14 @@ class CandidateAggregates:
     """Per-step candidate tables with feedback averaged out under the target.
 
     rewards[h] is (nR_h, S, A) and transitions[h] is (nP_h, S, A, S), one
-    next-state kernel per transition candidate, in both modes. In dynamical
-    mode the candidates are cut per coordinate of the mean map, and
-    transitions[h] holds one joint cell kernel for every choice of one
-    candidate per coordinate: radices[h] gives the candidate count of each
-    coordinate, and the kernel of index tuple (i_0, i_1) sits at the
-    mixed-radix index i_0 * n_1 + i_1, so joint indices keep the tuples'
-    lexicographic order. radices is None in general mode, where a candidate
-    index is its kernel index.
+    next-state kernel per transition model, in both modes, listed in the
+    order of HypothesisClasses.kernel_index. In dynamical mode the candidates
+    are cut per coordinate of the mean map, and each model's kernel is the
+    joint cell kernel of its per-coordinate candidates.
     """
 
     rewards: list[np.ndarray]
     transitions: list[np.ndarray]
-    radices: list[tuple[int, ...]] | None = None
 
     @classmethod
     def from_classes(
@@ -251,57 +246,29 @@ class CandidateAggregates:
             masses = grid.gaussian_mass_1d(means, knowledge.trans_noise_scale, i)
             bounds = np.cumsum([len(t) for t in tables])[:-1]
             per_coord.append(np.split(masses, bounds))
-        transitions, radices = [], []
+        transitions = []
         for axes in zip(*per_coord):  # one step: (n_i, S, A, C_i) per coordinate i
-            radices.append(tuple(len(m) for m in axes))
-            if len(axes) == 2:  # coordinate 0's candidates vary slowest: mixed-radix order
+            if len(axes) == 2:  # coordinate 0's candidates vary slowest
                 axes = (axes[0][:, None], axes[1][None, :])
             joint = _joint_cell_masses(axes)
             transitions.append(joint.reshape((-1,) + joint.shape[len(axes) :]))
-        return cls(rewards, transitions, radices)
-
-    def kernel_indices(self, h: int, transition_set) -> np.ndarray:
-        """Kernel indices of a step's surviving transition candidates.
-
-        General mode: the set itself. Dynamical mode: the set holds one index
-        list per coordinate, and the product of the lists is listed in
-        lexicographic order.
-        """
-        if self.radices is None:
-            return np.asarray(transition_set, dtype=int)
-        grids = np.meshgrid(*[np.asarray(c, dtype=int) for c in transition_set], indexing="ij")
-        return np.ravel_multi_index(grids, self.radices[h]).reshape(-1)
-
-    def candidate_index(self, h: int, kernel):
-        """Inverse of kernel_indices for one kernel index or an array of them.
-
-        General mode: the index itself. Dynamical mode: a tuple of
-        per-coordinate indices, or for an array a trailing coordinate axis.
-        """
-        if self.radices is None:
-            return kernel
-        coords = np.unravel_index(kernel, self.radices[h])
-        if np.ndim(kernel) == 0:
-            return tuple(int(c) for c in coords)
-        return np.stack(coords, axis=-1)
+        return cls(rewards, transitions)
 
 
 @dataclass
 class SelectionResult:
     """Chosen model and its optimal policy.
 
-    For exact selection reward_idx and transition_idx give one candidate index
-    per step; in dynamical mode a transition index is a tuple with one
-    candidate index per coordinate, decoded from the chosen joint kernel. For
-    the pointwise relaxation they are None and the per-(state, action) argmax
-    tables are reported instead, with relaxed set; in dynamical mode the
-    transition table has a trailing coordinate axis.
+    For exact selection reward_idx gives one reward candidate index and
+    transition_idx one kernel index per step. For the pointwise relaxation
+    they are None and the per-(state, action) argmax tables of the same
+    indices are reported instead, with relaxed set.
     """
 
     value: float
     policy: Policy
     reward_idx: tuple[int, ...] | None
-    transition_idx: tuple | None
+    transition_idx: tuple[int, ...] | None
     relaxed: bool
     chosen_mdp: AggregatedMDP | None = None
     pointwise_reward_idx: np.ndarray | None = None
@@ -324,17 +291,18 @@ def joint_backup(rewards: np.ndarray, kernels: np.ndarray, values: np.ndarray) -
 def optimistic_select(
     aggregates: CandidateAggregates,
     reward_sets: Sequence[Sequence[int]],
-    transition_sets: Sequence,
+    transition_sets: Sequence[Sequence[int]],
     initial_state: int,
     mode: SelectionMode = SelectionMode.EXACT,
     cap: int = 1_000_000,
 ) -> SelectionResult:
     """Pick the candidate model with the largest optimal value.
 
-    reward_sets[h] lists surviving reward candidate indices at step h;
-    transition_sets[h] lists transition candidates (general) or is a sequence
-    of per-coordinate index lists (dynamical). Empty sets are a caller error,
-    and an index outside its class raises InvalidIndexError.
+    reward_sets[h] lists surviving reward candidate indices at step h and
+    transition_sets[h] surviving kernel indices (see
+    HypothesisClasses.kernel_index). Empty sets and sets that are not flat
+    sequences of integers are caller errors, and an index outside its class
+    raises InvalidIndexError.
     Exact enumeration orders joint models lexicographically by the flattened
     per-step index tuple and keeps the first maximizer; if the joint count
     exceeds cap a CapacityError is raised so the caller can fall back to the
@@ -346,31 +314,22 @@ def optimistic_select(
             f"need one reward and one transition set per step for {H} steps, "
             f"got {len(reward_sets)} and {len(transition_sets)}"
         )
-    for h, rs in enumerate(reward_sets):
-        if len(rs) == 0:
-            raise ValidationError(f"empty reward candidate set at step {h}")
-        _check_range(rs, aggregates.rewards[h].shape[0], "reward candidate", h)
-    for h, ts in enumerate(transition_sets):
-        if aggregates.radices is None:
-            _check_range(ts, aggregates.transitions[h].shape[0], "transition candidate", h)
-        else:
-            if len(ts) != len(aggregates.radices[h]):
-                raise ValidationError(
-                    f"transition set at step {h} needs one index list per coordinate, got {len(ts)}"
-                )
-            for i, (cs, n) in enumerate(zip(ts, aggregates.radices[h])):
-                _check_range(cs, n, f"mean-map candidate of coordinate {i}", h)
-    kernel_sets = [aggregates.kernel_indices(h, ts) for h, ts in enumerate(transition_sets)]
-    for h, ks in enumerate(kernel_sets):
-        if ks.size == 0:
-            raise ValidationError(f"empty transition candidate set at step {h}")
+    for h in range(H):
+        _check_set(reward_sets[h], aggregates.rewards[h].shape[0], "reward candidate", h)
+        _check_set(transition_sets[h], aggregates.transitions[h].shape[0], "transition kernel", h)
     if mode is SelectionMode.EXACT:
-        return _select_exact(aggregates, reward_sets, kernel_sets, initial_state, cap)
-    return _select_pointwise(aggregates, reward_sets, kernel_sets, initial_state)
+        return _select_exact(aggregates, reward_sets, transition_sets, initial_state, cap)
+    return _select_pointwise(aggregates, reward_sets, transition_sets, initial_state)
 
 
-def _check_range(indices, size: int, what: str, h: int) -> None:
-    if min(indices, default=0) < 0 or max(indices, default=0) >= size:
+def _check_set(indices, size: int, what: str, h: int) -> None:
+    if len(indices) == 0:
+        raise ValidationError(f"empty {what} set at step {h}")
+    if not all(isinstance(i, (int, np.integer)) for i in indices):
+        raise ValidationError(
+            f"{what} set at step {h} must be a flat sequence of integer indices, got {indices!r}"
+        )
+    if min(indices) < 0 or max(indices) >= size:
         bad = [int(i) for i in indices if not 0 <= i < size]
         raise InvalidIndexError(f"{what} indices {bad} outside [0, {size}) at step {h}")
 
@@ -378,7 +337,7 @@ def _check_range(indices, size: int, what: str, h: int) -> None:
 def _select_exact(
     agg: CandidateAggregates,
     reward_sets: Sequence[Sequence[int]],
-    kernel_sets: list[np.ndarray],
+    kernel_sets: Sequence[Sequence[int]],
     initial_state: int,
     cap: int,
 ) -> SelectionResult:
@@ -390,14 +349,15 @@ def _select_exact(
         if total > cap:
             raise CapacityError(f"joint enumeration needs {total} models at step {h}, cap is {cap}")
         R = agg.rewards[h][np.asarray(reward_sets[h], dtype=int)]
-        values = joint_backup(R, agg.transitions[h][kernel_sets[h]], values)
+        P = agg.transitions[h][np.asarray(kernel_sets[h], dtype=int)]
+        values = joint_backup(R, P, values)
     flat = int(np.argmax(values[:, initial_state]))
     value = float(values[flat, initial_state])
     # Rows are the product of (reward, kernel) positions over steps 0..H-1.
     sizes = [n for h in range(H) for n in (len(reward_sets[h]), len(kernel_sets[h]))]
     pos = np.unravel_index(flat, sizes)
     reward_idx = tuple(int(reward_sets[h][pos[2 * h]]) for h in range(H))
-    kernel_idx = [int(kernel_sets[h][pos[2 * h + 1]]) for h in range(H)]
+    kernel_idx = tuple(int(kernel_sets[h][pos[2 * h + 1]]) for h in range(H))
     rewards = np.stack([agg.rewards[h][reward_idx[h]] for h in range(H)])
     transitions = np.stack([agg.transitions[h][kernel_idx[h]] for h in range(H)])
     mdp = AggregatedMDP(rewards, transitions, initial_state)
@@ -406,7 +366,7 @@ def _select_exact(
         value=value,
         policy=plan.policy,
         reward_idx=reward_idx,
-        transition_idx=tuple(agg.candidate_index(h, kernel_idx[h]) for h in range(H)),
+        transition_idx=kernel_idx,
         relaxed=False,
         chosen_mdp=mdp,
     )
@@ -415,22 +375,22 @@ def _select_exact(
 def _select_pointwise(
     agg: CandidateAggregates,
     reward_sets: Sequence[Sequence[int]],
-    kernel_sets: list[np.ndarray],
+    kernel_sets: Sequence[Sequence[int]],
     initial_state: int,
 ) -> SelectionResult:
     H = len(agg.rewards)
     S, A = agg.rewards[0].shape[1], agg.rewards[0].shape[2]
     values = np.zeros(S)
     r_pick = np.zeros((H, S, A), dtype=int)
-    p_pick: list[np.ndarray] = [np.zeros(0)] * H
+    p_pick = np.zeros((H, S, A), dtype=int)
     actions = np.zeros((H, S), dtype=int)
     for h in range(H - 1, -1, -1):
         rsel = np.asarray(reward_sets[h], dtype=int)
-        psel = kernel_sets[h]
+        psel = np.asarray(kernel_sets[h], dtype=int)
         R = agg.rewards[h][rsel]
         expected = np.einsum("psax,x->psa", agg.transitions[h][psel], values)
         r_pick[h] = rsel[R.argmax(axis=0)]
-        p_pick[h] = agg.candidate_index(h, psel[expected.argmax(axis=0)])
+        p_pick[h] = psel[expected.argmax(axis=0)]
         q = R.max(axis=0) + expected.max(axis=0)
         values = q.max(axis=1)
         actions[h] = q.argmax(axis=1)
@@ -442,5 +402,5 @@ def _select_pointwise(
         transition_idx=None,
         relaxed=True,
         pointwise_reward_idx=r_pick,
-        pointwise_transition_idx=np.stack(p_pick),
+        pointwise_transition_idx=p_pick,
     )

@@ -8,7 +8,8 @@ of every policy); they reuse only its public residual and policy
 enumeration. The per-row references at the end keep the earlier class
 closures and realizability check verbatim (one residual, one projection and
 one ``tobytes`` key or ``np.array_equal`` scan per row); they reuse only the
-candidate aggregates and the joint backup step.
+candidate aggregates and the joint backup step. The learner references keep
+the earlier per-coordinate transition sets verbatim (see that section).
 """
 
 from __future__ import annotations
@@ -16,26 +17,37 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from strategicmdp import (
+    AggregatedMDP,
     CandidateAggregates,
     CapacityError,
     DiagnosticWitness,
     Grid,
     HypothesisClasses,
+    LossEvaluator,
     Policy,
     RatioResult,
     RealizabilityReport,
+    SelectionMode,
+    SelectionResult,
+    StepDataset,
     StrategicModel,
     TransitionMode,
+    confidence_levels,
     deterministic_policy_tables,
     feedback_by_type,
-    iter_residuals,
+    make_rng,
+    residual_labels,
+    residual_stack,
+    rollout,
     source_feedback_mix,
     source_projection,
+    value_iteration,
 )
 from strategicmdp.hypotheses import ClauseResult
 from strategicmdp.planning import joint_backup
@@ -357,7 +369,7 @@ def ref_occupancy_joints(env: StrategicModel, policy: Policy, dist: np.ndarray):
 def ref_worst_ratio(env, classes, h: int, policy_budget: int, transfer: bool) -> RatioResult:
     """ill_posedness (transfer=False) or transfer_term, one full DP per policy."""
     labels, nus = [], []
-    for label, nu in iter_residuals(env, classes, h):
+    for label, nu in zip(residual_labels(classes, h), residual_stack(env, classes, h)):
         if np.any(nu != 0.0):
             labels.append(label)
             nus.append(nu)
@@ -564,3 +576,319 @@ def ref_check_realizability(model, classes, knowledge) -> RealizabilityReport:
         values_in_targets=v_clause,
         flags=classes.flags,
     )
+
+
+# ---------------------------------------------------------------------------
+# The earlier learner path, with per-coordinate transition sets
+# ---------------------------------------------------------------------------
+#
+# Dynamical confidence sets used to be a tuple of per-coordinate index
+# tuples. They were turned into kernel indices inside the selector
+# (kernel_indices), the chosen kernel was decoded back (candidate_index),
+# the sets were frozen into records by shape, and the chosen losses were
+# looked up per mode. Kept verbatim so the kernel-index learner can be
+# compared with it record by record; the shared rollout, dataset, losses,
+# confidence levels, aggregates and joint backup are the package's own.
+
+
+def ref_radices(classes) -> list[tuple[int, ...]] | None:
+    """Candidate counts per coordinate at each step; None in general mode."""
+    if classes.mode is TransitionMode.GENERAL:
+        return None
+    return [tuple(len(g) for g in per) for per in classes.mean_map_tables]
+
+
+def ref_kernel_indices(radices, h: int, transition_set) -> np.ndarray:
+    if radices is None:
+        return np.asarray(transition_set, dtype=int)
+    grids = np.meshgrid(*[np.asarray(c, dtype=int) for c in transition_set], indexing="ij")
+    return np.ravel_multi_index(grids, radices[h]).reshape(-1)
+
+
+def ref_candidate_index(radices, h: int, kernel):
+    if radices is None:
+        return kernel
+    coords = np.unravel_index(kernel, radices[h])
+    if np.ndim(kernel) == 0:
+        return tuple(int(c) for c in coords)
+    return np.stack(coords, axis=-1)
+
+
+def ref_optimistic_select(agg, radices, reward_sets, transition_sets, initial_state, mode, cap):
+    """optimistic_select on per-coordinate sets, with per-coordinate results."""
+    kernel_sets = [ref_kernel_indices(radices, h, ts) for h, ts in enumerate(transition_sets)]
+    H = len(agg.rewards)
+    S, A = agg.rewards[0].shape[1], agg.rewards[0].shape[2]
+    if mode is SelectionMode.EXACT:
+        values = np.zeros((1, S))
+        for h in range(H - 1, -1, -1):
+            total = len(reward_sets[h]) * len(kernel_sets[h]) * values.shape[0]
+            if total > cap:
+                raise CapacityError(f"joint enumeration needs {total} models at step {h}, cap is {cap}")
+            R = agg.rewards[h][np.asarray(reward_sets[h], dtype=int)]
+            values = joint_backup(R, agg.transitions[h][kernel_sets[h]], values)
+        flat = int(np.argmax(values[:, initial_state]))
+        value = float(values[flat, initial_state])
+        sizes = [n for h in range(H) for n in (len(reward_sets[h]), len(kernel_sets[h]))]
+        pos = np.unravel_index(flat, sizes)
+        reward_idx = tuple(int(reward_sets[h][pos[2 * h]]) for h in range(H))
+        kernel_idx = [int(kernel_sets[h][pos[2 * h + 1]]) for h in range(H)]
+        rewards = np.stack([agg.rewards[h][reward_idx[h]] for h in range(H)])
+        transitions = np.stack([agg.transitions[h][kernel_idx[h]] for h in range(H)])
+        mdp = AggregatedMDP(rewards, transitions, initial_state)
+        plan = value_iteration(mdp)
+        return SelectionResult(
+            value=value,
+            policy=plan.policy,
+            reward_idx=reward_idx,
+            transition_idx=tuple(ref_candidate_index(radices, h, kernel_idx[h]) for h in range(H)),
+            relaxed=False,
+            chosen_mdp=mdp,
+        )
+    values = np.zeros(S)
+    r_pick = np.zeros((H, S, A), dtype=int)
+    p_pick = [np.zeros(0)] * H
+    actions = np.zeros((H, S), dtype=int)
+    for h in range(H - 1, -1, -1):
+        rsel = np.asarray(reward_sets[h], dtype=int)
+        psel = kernel_sets[h]
+        R = agg.rewards[h][rsel]
+        expected = np.einsum("psax,x->psa", agg.transitions[h][psel], values)
+        r_pick[h] = rsel[R.argmax(axis=0)]
+        p_pick[h] = ref_candidate_index(radices, h, psel[expected.argmax(axis=0)])
+        q = R.max(axis=0) + expected.max(axis=0)
+        values = q.max(axis=1)
+        actions[h] = q.argmax(axis=1)
+    return SelectionResult(
+        value=float(values[initial_state]),
+        policy=Policy.deterministic(actions, A),
+        reward_idx=None,
+        transition_idx=None,
+        relaxed=True,
+        pointwise_reward_idx=r_pick,
+        pointwise_transition_idx=np.stack(p_pick),
+    )
+
+
+def _ref_threshold(losses, beta, label, flags):
+    keep = np.flatnonzero(losses <= beta)
+    if keep.size == 0:
+        flags.append(f"{label}-empty-set-fallback")
+        keep = np.array([int(np.argmin(losses))])
+    return tuple(int(i) for i in keep)
+
+
+def ref_build_confidence_sets(evaluator, dataset, betas):
+    """Thresholds into flat (general) or per-coordinate (dynamical) sets."""
+    classes = evaluator.classes
+    flags = []
+    reward_sets, reward_vals, transition_sets, transition_vals = [], [], [], []
+    for h in range(classes.horizon):
+        r_losses = evaluator.reward_losses(dataset, h)
+        reward_vals.append(r_losses)
+        reward_sets.append(_ref_threshold(r_losses, betas.reward, f"reward-h{h}", flags))
+        t_losses = evaluator.transition_losses(dataset, h)
+        transition_vals.append(t_losses)
+        if classes.mode is TransitionMode.GENERAL:
+            transition_sets.append(
+                _ref_threshold(t_losses, betas.transition_general, f"transition-h{h}", flags)
+            )
+        else:
+            per = tuple(
+                _ref_threshold(
+                    t_losses[i], betas.transition_dynamical, f"mean-map-h{h}-c{i}", flags
+                )
+                for i in range(len(t_losses))
+            )
+            transition_sets.append(per)
+    return SimpleNamespace(
+        reward_sets=reward_sets,
+        transition_sets=transition_sets,
+        reward_loss_values=reward_vals,
+        transition_loss_values=transition_vals,
+        betas=betas,
+        fallback_flags=tuple(flags),
+    )
+
+
+def ref_freeze_transition_sets(sets) -> tuple:
+    out = []
+    for per in sets.transition_sets:
+        if per and isinstance(per[0], tuple):
+            out.append(tuple(tuple(c) for c in per))
+        else:
+            out.append(tuple(per))
+    return tuple(out)
+
+
+def ref_run_learner(env, knowledge, classes, cfg) -> tuple[list[dict], list[Policy]]:
+    """The earlier run_learner loop without the realizability gate.
+
+    Returns each episode's record fields (wall-clock excluded) and the
+    committed policies.
+    """
+    H = knowledge.horizon
+    rng = make_rng(cfg.seed)
+    dataset = StepDataset(
+        mode=env.transition_mode,
+        horizon=H,
+        num_states=knowledge.num_states,
+        num_actions=knowledge.num_actions,
+        num_feedbacks=knowledge.num_feedbacks,
+        state_dim=env.state_dim,
+        grid=knowledge.grid,
+    )
+    evaluator = LossEvaluator(classes)
+    aggregates = CandidateAggregates.from_classes(classes, knowledge)
+    radices = ref_radices(classes)
+    betas = confidence_levels(
+        classes.bound, cfg.episodes, H, classes.sizes(), cfg.delta, cfg.beta_scale
+    )
+    policy = Policy.uniform(H, knowledge.num_states, knowledge.num_actions)
+    policies, records = [], []
+    initial_cell = None
+    sets = selection = None
+    for k in range(1, cfg.episodes + 1):
+        traj = rollout(env, policy, rng)
+        policies.append(policy)
+        dataset.append_trajectory(traj)
+        if initial_cell is None:
+            first = traj.steps[0].state
+            if env.transition_mode is TransitionMode.DYNAMICAL:
+                initial_cell = knowledge.grid.locate(np.asarray(first, dtype=float))
+            else:
+                initial_cell = int(first)
+        episode_flags = []
+        if k == 1 or k % cfg.recompute_every == 0 or k == cfg.episodes:
+            sets = ref_build_confidence_sets(evaluator, dataset, betas)
+            args = (aggregates, radices, sets.reward_sets, sets.transition_sets, initial_cell)
+            try:
+                selection = ref_optimistic_select(*args, cfg.optimism, cfg.caps.selector)
+            except CapacityError:
+                episode_flags.append("selector-capacity-fallback")
+                selection = ref_optimistic_select(*args, SelectionMode.POINTWISE, cfg.caps.selector)
+        else:
+            episode_flags.append("stale-sets")
+        policy = selection.policy
+        episode_flags.extend(sets.fallback_flags)
+        if selection.relaxed:
+            episode_flags.append("relaxed-selection")
+        chosen_r_losses = None
+        chosen_t_losses = None
+        if selection.reward_idx is not None:
+            chosen_r_losses = tuple(
+                float(sets.reward_loss_values[h][selection.reward_idx[h]]) for h in range(H)
+            )
+        if selection.transition_idx is not None:
+            if classes.mode is TransitionMode.GENERAL:
+                chosen_t_losses = tuple(
+                    float(sets.transition_loss_values[h][selection.transition_idx[h]])
+                    for h in range(H)
+                )
+            else:
+                chosen_t_losses = tuple(
+                    tuple(
+                        float(sets.transition_loss_values[h][i][selection.transition_idx[h][i]])
+                        for i in range(len(selection.transition_idx[h]))
+                    )
+                    for h in range(H)
+                )
+        records.append(
+            dict(
+                episode=k,
+                reward_sets=tuple(tuple(s) for s in sets.reward_sets),
+                transition_sets=ref_freeze_transition_sets(sets),
+                betas=(
+                    sets.betas.reward,
+                    sets.betas.transition_general,
+                    sets.betas.transition_dynamical,
+                ),
+                optimistic_value=selection.value,
+                relaxed=selection.relaxed,
+                chosen_reward_idx=selection.reward_idx,
+                chosen_transition_idx=selection.transition_idx,
+                chosen_reward_losses=chosen_r_losses,
+                chosen_transition_losses=chosen_t_losses,
+                flags=tuple(episode_flags),
+            )
+        )
+    return records, policies
+
+
+def random_dynamical(
+    seed: int, grid: Grid, horizon: int, rewards: int, candidates: tuple[int, ...]
+) -> tuple[StrategicModel, HypothesisClasses]:
+    """Random dynamical model and unclosed classes; the truth is candidate 0.
+
+    candidates[i] mean-map candidates per step for coordinate i; the wrong
+    ones are the truth shifted by a random offset per (state, action), so
+    the losses can tell them apart.
+    """
+    rng = np.random.default_rng(seed)
+    H, S, A, E, T, B, d = horizon, grid.num_cells, 2, 2, 2, 2, grid.dim
+    lows, highs = np.asarray(grid.lows), np.asarray(grid.highs)
+    mean_map = rng.uniform(lows, highs, size=(H, S, A, E, d))
+    confound = rng.uniform(-0.3, 0.3, size=(H, T, d))
+    model = StrategicModel(
+        horizon=H,
+        num_states=S,
+        num_actions=A,
+        num_feedbacks=E,
+        num_types=T,
+        num_agent_actions=B,
+        initial_state=int(rng.integers(S)),
+        source_type_dist=_kernels(rng, (H, T)),
+        target_type_dist=_kernels(rng, (H, T)),
+        agent_reward=rng.uniform(0.0, 1.0, size=(H, S, A, T, B)),
+        feedback_kernel=_kernels(rng, (H, S, A, T, B, E)),
+        principal_reward=rng.uniform(0.2, 0.8, size=(H, S, A, E)),
+        reward_confound=rng.uniform(-0.1, 0.1, size=(H, T)),
+        reward_noise_std=0.1,
+        reward_bound=1.0,
+        transition_mode=TransitionMode.DYNAMICAL,
+        state_dim=d,
+        grid=grid,
+        mean_map=mean_map,
+        trans_confound=confound,
+        trans_noise_scale=0.3,
+    )
+    reward_tables, mean_maps = [], []
+    for h in range(H):
+        r_true = model.principal_reward[h]
+        shifts = rng.uniform(-0.2, 0.2, size=(rewards - 1, S, A, 1))
+        reward_tables.append(np.concatenate([r_true[None], np.clip(r_true + shifts, 0.0, 1.0)]))
+        per = []
+        for i, n in enumerate(candidates):
+            g_true = mean_map[h, ..., i]
+            offsets = rng.uniform(-1.0, 1.0, size=(n - 1, S, A, 1))
+            per.append(np.concatenate([g_true[None], g_true + offsets]))
+        mean_maps.append(per)
+    classes = HypothesisClasses(
+        mode=TransitionMode.DYNAMICAL,
+        bound=1.0,
+        reward_tables=reward_tables,
+        discriminators=[np.zeros((0, S, A))] * H,
+        value_targets=[np.zeros((0, S))] * H,
+        mean_map_tables=mean_maps,
+        truth_reward_idx=[0] * H,
+        truth_transition_idx=[[0] * d for _ in range(H)],
+    )
+    return model, classes
+
+
+def ref_transition_set_sizes(transition_sets) -> tuple:
+    """EpisodeRecord.transition_set_sizes as it was, told apart by shape."""
+    if transition_sets and isinstance(transition_sets[0][0], tuple):
+        return tuple(tuple(len(c) for c in per) for per in transition_sets)
+    return tuple(len(s) for s in transition_sets)
+
+
+def ref_sizes_p(sizes) -> str:
+    """The conf_sizes_P column as it was written from those sizes."""
+    parts = []
+    for per in sizes:
+        if isinstance(per, tuple):
+            parts.append(",".join(str(n) for n in per))
+        else:
+            parts.append(str(per))
+    return ";".join(parts)

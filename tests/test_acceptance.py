@@ -38,7 +38,7 @@ from strategicmdp import (
     value_iteration,
 )
 from strategicmdp.config import config_from_dict
-from strategicmdp.estimation import mean_map_loss
+from strategicmdp.estimation import mean_map_losses
 from strategicmdp.harness import run_experiment
 from strategicmdp.planning import AggregatedMDP
 
@@ -250,7 +250,7 @@ def test_criterion_5_planner_oracles(verdict):
     axes = []
     for h in range(dyn.classes.horizon):
         axes.append(list(dr_sets[h]))
-        axes.append(list(dt_sets[h][0]))
+        axes.append(list(dt_sets[h]))
     for combo in itertools.product(*axes):
         r_idx, m_idx = combo[0::2], combo[1::2]
         rewards = np.stack([dagg.rewards[h][r_idx[h]] for h in range(dyn.classes.horizon)])
@@ -399,9 +399,9 @@ def test_criterion_9_dynamical_mode_sanity(verdict):
                 disc = classes.discriminators[h]
                 per = classes.mean_map_tables[h][0]
                 true_losses[h].append(
-                    mean_map_loss(data.steps[h], per[classes.truth_transition_idx[h][0]], 0, disc)
+                    float(mean_map_losses(data.steps[h], per[[classes.truth_transition_idx[h][0]]], 0, disc)[0])
                 )
-                wrong_losses[h].append(mean_map_loss(data.steps[h], per[wrong_idx[h]], 0, disc))
+                wrong_losses[h].append(float(mean_map_losses(data.steps[h], per[[wrong_idx[h]]], 0, disc)[0]))
 
     occ = occupancy(model, pol)
     mix = kn.feedback_mix(model.source_type_dist)

@@ -17,6 +17,7 @@ try:
 except ModuleNotFoundError:  # Python 3.10
     tomllib = None
 
+from strategicmdp import RunConfig, build_scenario, harness, run_learner
 from strategicmdp.cli import ENV_OUTPUT, main
 from strategicmdp.harness import EPISODE_COLUMNS, SUMMARY_COLUMNS
 
@@ -176,6 +177,66 @@ def test_sweep_rejects_invalid_grid_point(config_path, capsys):
     assert main(["sweep", str(config_path()), "--param", "run.delta=0.05,7"]) == 2
     err = capsys.readouterr().err
     assert "sweep point [delta=7]" in err
+
+
+def test_interrupted_write_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "diagnostics.json"
+    path.write_text("old\n")
+
+    def fill(fh):
+        fh.write("new, half written")
+        raise OSError("disk full")
+
+    for target in (path, tmp_path / "manifest.json"):
+        with pytest.raises(OSError, match="disk full"):
+            harness._write_atomic(target, fill)
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["diagnostics.json"]
+
+
+def test_failed_episodes_write_keeps_previous_csv(config_path, tmp_path):
+    assert main(["run", str(config_path())]) == 0
+    seed_dir = tmp_path / "runs" / "recsys-small" / "seed-0000"
+    before = sorted(os.listdir(seed_dir))
+    old = (seed_dir / "episodes.csv").read_bytes()
+    scenario = build_scenario("recsys-small")
+    cfg = RunConfig(episodes=3, delta=0.1, mode=scenario.model.transition_mode, seed=0)
+    run = run_learner(scenario.model, scenario.knowledge(), scenario.classes, cfg)
+    # Regret is filled in for the first record only, so the write fails at the second row.
+    run.episodes[0].instant_regret = run.episodes[0].cum_regret = 0.0
+    with pytest.raises(TypeError):
+        harness.write_episodes_csv(seed_dir / "episodes.csv", 0, run)
+    assert (seed_dir / "episodes.csv").read_bytes() == old
+    assert sorted(os.listdir(seed_dir)) == before
+
+
+def test_every_artifact_is_written_atomically(config_path, tmp_path, monkeypatch):
+    written = []
+    real = harness._write_atomic
+
+    def spy(path, fill):
+        written.append(path.relative_to(tmp_path / "runs").as_posix())
+        real(path, fill)
+
+    monkeypatch.setattr(harness, "_write_atomic", spy)
+    assert main(["run", str(config_path())]) == 0
+    assert main(["diagnose", str(config_path(root=tmp_path / "runs" / "diag"))]) == 0
+    body = BASE_YAML + "classes:\n  per_step_cap: 1\n"
+    assert main(["run", str(config_path(body=body, root=tmp_path / "runs" / "err"))]) == 3
+    per_seed = ("episodes.csv", "diagnostics.json", "manifest.json")
+    assert sorted(written) == sorted(
+        [f"recsys-small/seed-000{s}/{f}" for s in (0, 1) for f in per_seed]
+        + [
+            "recsys-small/summary.csv",
+            "recsys-small/manifest.json",
+            "diag/recsys-small/diagnostics.json",
+            "err/recsys-small/manifest.json",
+        ]
+    )
+    error_manifest = tmp_path / "runs" / "err" / "recsys-small" / "manifest.json"
+    assert json.loads(error_manifest.read_text())["status"] == "error"
+    leftovers = [p for p in (tmp_path / "runs").rglob("*") if p.name.endswith(".tmp")]
+    assert leftovers == []
 
 
 def test_run_capacity_failure_exits_3_and_marks_manifest(config_path, tmp_path, capsys):

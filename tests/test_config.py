@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 import yaml
 
-from strategicmdp import ParseError, ValidationError
+from strategicmdp import ParseError, ValidationError, config
+from strategicmdp.cli import main
 from strategicmdp.config import YAML_LOADER, config_from_dict, load_config, parse_yaml
 
 from helpers import BASE_YAML, DYN_YAML
@@ -244,3 +245,67 @@ def test_load_config_empty_file_means_empty_mapping(tmp_path):
     p.write_text("")
     with pytest.raises(ValidationError, match="environment.generator"):
         load_config(p)
+
+
+# ---------------------------------------------------------------------------
+# Duplicate mapping keys
+# ---------------------------------------------------------------------------
+
+LOADERS = sorted({YAML_LOADER, yaml.SafeLoader}, key=lambda loader: loader.__name__)
+
+
+@pytest.fixture(params=LOADERS, ids=lambda loader: loader.__name__)
+def loader(request, monkeypatch):
+    """Parse with the duplicate-rejecting subclass of each available loader."""
+    monkeypatch.setattr(config, "_LOADER", config._unique_key_loader(request.param))
+    return request.param
+
+
+DUPLICATE_RUN = (
+    "environment:\n  generator: recsys-small\n"
+    "run:\n  episodes: 5\n"
+    "run:\n  seeds: [1]\n"
+)
+
+
+def test_duplicate_top_level_key_is_rejected(tmp_path, loader):
+    p = tmp_path / "twice.yaml"
+    p.write_text(DUPLICATE_RUN)
+    with pytest.raises(ParseError, match="(?s)cannot parse.*duplicate key 'run'") as err:
+        load_config(p)
+    assert "line 5" in str(err.value)  # where the second key is
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("run:\n  episodes: 5\n  delta: 0.1\n  episodes: 6\n", "'episodes'"),
+        ("a: {x: 1, y: 2, x: 3}\n", "'x'"),
+        ("- {x: 1}\n- {x: 1, x: 1}\n", "'x'"),
+        ("1: a\n1.0: b\n", "1.0"),
+    ],
+)
+def test_duplicate_nested_keys_are_rejected(text, key, loader):
+    with pytest.raises(yaml.YAMLError, match=f"duplicate key {re.escape(key)}"):
+        parse_yaml(text)
+
+
+def test_merge_keys_are_not_duplicates(loader):
+    text = "base: &b {x: 1, y: 2}\nd:\n  <<: *b\n  x: 3\n"
+    assert parse_yaml(text) == {"base": {"x": 1, "y": 2}, "d": {"x": 3, "y": 2}}
+    assert parse_yaml(text) == yaml.load(text, Loader=loader)
+
+
+def test_unhashable_key_still_reported_by_the_loader(loader):
+    with pytest.raises(yaml.YAMLError, match="unhashable key"):
+        parse_yaml("? [1, 2]\n: 3\n")
+
+
+def test_sweep_rejects_duplicate_key_in_param_value(tmp_path, capsys, loader):
+    p = tmp_path / "base.yaml"
+    p.write_text(CONTRACT_YAML)
+    # values are split at commas, so the repeated key comes in block style
+    assert main(["sweep", str(p), "--param", "environment.params=a: 1\na: 2"]) == 2
+    err = capsys.readouterr().err
+    assert "cannot parse --param environment.params" in err
+    assert "duplicate key 'a'" in err

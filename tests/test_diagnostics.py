@@ -30,7 +30,7 @@ from strategicmdp import (
     true_aggregated_model,
     value_iteration,
 )
-from strategicmdp.hypotheses import iter_residuals
+from strategicmdp.hypotheses import residual_stack
 
 from helpers import (
     all_action_tables,
@@ -91,7 +91,7 @@ def worst_ratio_literal(model, classes, h, transfer=False):
     for actions in all_action_tables(h + 1, model.num_states, model.num_actions):
         occ_src = occupancy_literal(model, actions, h, src)
         occ_tgt = occupancy_literal(model, actions, h, tgt) if transfer else None
-        for _, nu in iter_residuals(model, classes, h):
+        for nu in residual_stack(model, classes, h):
             if not np.any(nu != 0.0):
                 continue
             mse_src = float(np.sum(occ_src * nu * nu))

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from strategicmdp import (
     AggregatedMDP,
     ConfigError,
+    Grid,
     LearnerKnowledge,
     MixturePolicy,
     Policy,
@@ -19,6 +24,7 @@ from strategicmdp import (
     SelectionMode,
     TransitionMode,
     build_scenario,
+    close_classes,
     mixture_value,
     policy_value,
     run_learner,
@@ -26,7 +32,16 @@ from strategicmdp import (
     value_iteration,
 )
 
-from helpers import tiny_general
+from strategicmdp.harness import write_episodes_csv
+
+from helpers import (
+    random_dynamical,
+    random_general,
+    ref_run_learner,
+    ref_sizes_p,
+    ref_transition_set_sizes,
+    tiny_general,
+)
 from test_hypotheses import singleton_classes
 
 
@@ -203,3 +218,104 @@ def test_dynamical_run_smoke():
     # dynamical transition sets are per-coordinate tuples
     assert isinstance(rec.transition_sets[0][0], tuple)
     assert result.dataset.steps[0].next_sums is not None
+
+
+# ---------------------------------------------------------------------------
+# Kernel-index learner against the earlier per-coordinate path
+# ---------------------------------------------------------------------------
+
+GRID_1D = Grid((-1.5,), (1.5,), (4,))
+GRID_2D = Grid((-2.0, -1.0), (2.0, 3.0), (3, 2))  # 3 x 2 cells
+
+
+@functools.lru_cache(maxsize=None)
+def _closed_instance(kind: str, seed: int):
+    """A closed random instance: general, 1-D dynamical, or 2-D dynamical with
+    2 x 3 mean-map candidates."""
+    H = 2 + seed % 2
+    if kind == "general":
+        model, classes = random_general(seed, H, states=3, actions=2, feedbacks=2, candidates=3)
+    elif kind == "dyn-1d":
+        model, classes = random_dynamical(seed, GRID_1D, H, rewards=2, candidates=(3,))
+    else:
+        model, classes = random_dynamical(seed, GRID_2D, 2, rewards=2, candidates=(2, 3))
+    knowledge = LearnerKnowledge.from_model(model)
+    return model, knowledge, close_classes(model, classes, knowledge)
+
+
+def _run_both(kind, seed, optimism, recompute_every, cap, beta_scale, episodes=25):
+    model, knowledge, classes = _closed_instance(kind, seed)
+    cfg = RunConfig(
+        episodes=episodes,
+        delta=0.1,
+        mode=model.transition_mode,
+        seed=seed,
+        optimism=optimism,
+        beta_scale=beta_scale,
+        caps=RunCaps(selector=cap),
+        recompute_every=recompute_every,
+        check_realizability_at_start=False,
+    )
+    got = run_learner(model, knowledge, classes, cfg)
+    want, want_policies = ref_run_learner(model, knowledge, classes, cfg)
+    assert len(got.episodes) == len(want) == episodes
+    for rec, ref in zip(got.episodes, want):
+        assert {key: getattr(rec, key) for key in ref} == ref
+        assert rec.transition_set_sizes == ref_transition_set_sizes(ref["transition_sets"])
+    assert len(got.policies) == len(want_policies)
+    for p, q in zip(got.policies, want_policies):
+        np.testing.assert_array_equal(p.action_probs, q.action_probs)
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["general", "dyn-1d", "dyn-2d"]),
+    seed=st.integers(0, 5),
+    optimism=st.sampled_from(list(SelectionMode)),
+    recompute_every=st.sampled_from([1, 3]),
+    cap=st.sampled_from([1_000_000, 4]),
+    beta_scale=st.sampled_from([1e-5, 1e-4, 0.002, 0.02]),
+)
+@example(
+    kind="dyn-2d",
+    seed=0,
+    optimism=SelectionMode.EXACT,
+    recompute_every=3,
+    cap=1_000_000,
+    beta_scale=0.02,
+)
+def test_run_learner_matches_per_coordinate_reference(
+    kind, seed, optimism, recompute_every, cap, beta_scale
+):
+    """Small beta scales empty some families (each falls back to its loss
+    minimizer), larger ones shrink the sets over the 25 episodes."""
+    _run_both(kind, seed, optimism, recompute_every, cap, beta_scale)
+
+
+@pytest.mark.parametrize("kind", ["general", "dyn-1d", "dyn-2d"])
+def test_empty_set_fallback_matches_per_coordinate_reference(kind):
+    got = _run_both(kind, 0, SelectionMode.EXACT, 1, 1_000_000, 1e-5)
+    assert any(f.endswith("empty-set-fallback") for rec in got.episodes for f in rec.flags)
+
+
+@pytest.mark.parametrize("kind", ["general", "dyn-1d", "dyn-2d"])
+def test_forced_capacity_fallback_matches_per_coordinate_reference(kind):
+    got = _run_both(kind, 1, SelectionMode.EXACT, 1, 1, 0.02)
+    assert any("selector-capacity-fallback" in rec.flags for rec in got.episodes)
+
+
+def test_2d_run_writes_per_coordinate_sizes(tmp_path):
+    got = _run_both("dyn-2d", 2, SelectionMode.EXACT, 1, 1_000_000, 0.02, episodes=40)
+    rec = got.episodes[-1]
+    assert all(len(per) == 2 for per in rec.transition_sets)
+    assert all(len(idx) == 2 for idx in rec.chosen_transition_idx)
+    for rec in got.episodes:
+        rec.instant_regret = rec.cum_regret = 0.0
+    path = tmp_path / "episodes.csv"
+    write_episodes_csv(path, 2, got)
+    rows = list(csv.DictReader(path.open(newline="")))
+    assert [row["conf_sizes_P"] for row in rows] == [
+        ref_sizes_p(ref_transition_set_sizes(rec.transition_sets)) for rec in got.episodes
+    ]
+    assert any(row["conf_sizes_P"] != "2,3;2,3" for row in rows)

@@ -26,7 +26,7 @@ from strategicmdp import (
     rollout,
     transition_losses_general,
 )
-from strategicmdp.estimation import StepData, _threshold, reward_loss, transition_loss_general
+from strategicmdp.estimation import StepData, _threshold
 
 from helpers import tiny_dynamical, tiny_general
 
@@ -58,7 +58,7 @@ def test_reward_loss_hand_oracle():
     data = one_cell_data([6.0, 4.0], [3.0, 2.0])
     candidate = np.full((1, 1, 2), 0.2)
     disc = np.array([[[0.0]], [[1.0]], [[-1.0]], [[-0.3]]])
-    loss = reward_loss(data, candidate, disc)
+    loss = float(reward_losses(data, candidate[None], disc)[0])
     np.testing.assert_allclose(loss, 0.45, atol=1e-12)
 
 
@@ -66,7 +66,7 @@ def test_reward_loss_zero_discriminator_floors_at_zero():
     data = one_cell_data([6.0, 4.0], [3.0, 2.0])
     candidate = np.full((1, 1, 2), 0.2)
     disc = np.array([[[0.0]], [[1.0]]])  # only bad directions available
-    loss = reward_loss(data, candidate, disc)
+    loss = float(reward_losses(data, candidate[None], disc)[0])
     assert loss == 0.0
 
 
@@ -76,7 +76,7 @@ def test_reward_loss_optimal_discriminator_closed_form():
     candidate = np.full((1, 1, 2), 0.2)
     disc = np.array([[[0.0]], [[-0.3]], [[-0.15]], [[0.3]]])
     want = 0.5 * 10.0 * 0.3**2
-    np.testing.assert_allclose(reward_loss(data, candidate, disc), want, atol=1e-12)
+    np.testing.assert_allclose(float(reward_losses(data, candidate[None], disc)[0]), want, atol=1e-12)
 
 
 def test_transition_loss_hand_oracle():
@@ -87,7 +87,7 @@ def test_transition_loss_hand_oracle():
     kernel = np.full((2, 1, 1, 2), 0.5)
     targets = np.array([[1.0, 0.0], [0.0, 0.0]])
     disc = np.array([[[0.0], [0.0]], [[-0.2], [0.0]], [[1.0], [0.0]]])
-    loss = transition_loss_general(data, kernel, targets, disc)
+    loss = float(transition_losses_general(data, kernel[None], targets, disc)[0])
     np.testing.assert_allclose(loss, 0.2, atol=1e-12)
 
 

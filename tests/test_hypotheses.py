@@ -22,7 +22,6 @@ from strategicmdp import (
     close_classes,
     close_discriminators,
     close_value_targets,
-    iter_residuals,
     residual_labels,
     residual_stack,
     scenarios,
@@ -153,12 +152,12 @@ def test_sizes_sum_over_steps():
 # ---------------------------------------------------------------------------
 
 
-def test_iter_residuals_labels_and_counts():
+def test_residual_labels_and_counts():
     scenario = build_scenario("recsys-small")
     classes = scenario.classes
     model = scenario.model
     for h in range(classes.horizon):
-        residuals = list(iter_residuals(model, classes, h))
+        residuals = list(zip(residual_labels(classes, h), residual_stack(model, classes, h)))
         nR = classes.reward_tables[h].shape[0]
         nP = classes.transition_tables[h].shape[0]
         nG = classes.value_targets[h + 1].shape[0]
@@ -170,9 +169,9 @@ def test_iter_residuals_labels_and_counts():
         np.testing.assert_array_equal(residuals[0][1], 0.0)
 
 
-def test_iter_residuals_dynamical_labels():
+def test_residual_labels_dynamical():
     scenario = build_scenario("dyn-1d")
-    labels = [lab for lab, _ in iter_residuals(scenario.model, scenario.classes, 0)]
+    labels = residual_labels(scenario.classes, 0)
     assert any(lab.startswith("mean_map[0][") for lab in labels)
 
 
@@ -200,7 +199,7 @@ def test_closure_adds_projection_of_every_residual():
 
     kappa = source_feedback_mix(model)
     for h in range(classes.horizon):
-        for _, nu in iter_residuals(model, classes, h):
+        for nu in residual_stack(model, classes, h):
             proj = source_projection(kappa[h], nu)
             assert any(np.array_equal(f, proj) for f in classes.discriminators[h])
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -177,15 +178,17 @@ def test_discretize_gaussian_rejects_three_dims():
 
 
 def _full_sets(classes):
+    """Every reward candidate and every kernel index, per step."""
     rewards = [list(range(classes.reward_tables[h].shape[0])) for h in range(classes.horizon)]
-    if classes.transition_tables is not None:
-        trans = [list(range(classes.transition_tables[h].shape[0])) for h in range(classes.horizon)]
-    else:
-        trans = [
-            [list(range(g.shape[0])) for g in classes.mean_map_tables[h]]
-            for h in range(classes.horizon)
-        ]
+    trans = [
+        list(range(math.prod(classes.kernel_index(h).radices))) for h in range(classes.horizon)
+    ]
     return rewards, trans
+
+
+def _kernel_sets(classes, transition_sets):
+    """Kernel-index sets of per-coordinate candidate sets."""
+    return [classes.kernel_index(h).encode(ts) for h, ts in enumerate(transition_sets)]
 
 
 def _brute_force_select_general(agg, reward_sets, transition_sets, initial_state):
@@ -285,12 +288,9 @@ def test_optimistic_select_rejects_out_of_range_indices(name, which, mode, bad):
     if which == "reward":
         size = classes.reward_tables[h].shape[0]
         reward_sets[h] = [0, -1] if bad == "negative" else [0, size]
-    elif classes.transition_tables is not None:
-        size = classes.transition_tables[h].shape[0]
-        transition_sets[h] = [0, -1] if bad == "negative" else [0, size]
     else:
-        size = classes.mean_map_tables[h][0].shape[0]
-        transition_sets[h] = [[0, -1] if bad == "negative" else [0, size]]
+        size = agg.transitions[h].shape[0]
+        transition_sets[h] = [0, -1] if bad == "negative" else [0, size]
     with pytest.raises(InvalidIndexError, match=f"step {h}"):
         optimistic_select(agg, reward_sets, transition_sets, scenario.model.initial_state, mode)
 
@@ -308,10 +308,12 @@ def test_optimistic_select_rejects_sets_of_the_wrong_length(name):
     ]:
         with pytest.raises(ValidationError, match="per step"):
             optimistic_select(agg, rs, ts, scenario.model.initial_state)
-    if classes.mean_map_tables is not None:
-        transition_sets[0] = transition_sets[0] * 2
-        with pytest.raises(ValidationError, match="per coordinate"):
-            optimistic_select(agg, reward_sets, transition_sets, scenario.model.initial_state)
+    # The per-coordinate shape that dynamical sets had before kernel indices,
+    # as nested lists and as a 2-D array, is not a set of kernel indices.
+    for nested in ([[[0, 1]]] * classes.horizon, [np.array([[0, 1]])] * classes.horizon):
+        for rs, ts in [(reward_sets, nested), (nested, transition_sets)]:
+            with pytest.raises(ValidationError, match="flat sequence of integer"):
+                optimistic_select(agg, rs, ts, scenario.model.initial_state)
 
 
 def test_optimistic_select_exact_matches_brute_force_dynamical():
@@ -326,7 +328,7 @@ def test_optimistic_select_exact_matches_brute_force_dynamical():
     axes = []
     for h in range(H):
         axes.append(list(reward_sets[h]))
-        axes.append(list(transition_sets[h][0]))
+        axes.append(list(transition_sets[h]))
     best_val = -np.inf
     best_combo = None
     for combo in itertools.product(*axes):
@@ -339,7 +341,7 @@ def test_optimistic_select_exact_matches_brute_force_dynamical():
             best_val, best_combo = v, (r_idx, m_idx)
     assert abs(got.value - best_val) <= 1e-9
     assert got.reward_idx == best_combo[0]
-    assert got.transition_idx == tuple((i,) for i in best_combo[1])
+    assert got.transition_idx == best_combo[1]
 
 
 def test_dynamical_noiseless_aggregation_is_deterministic():
@@ -455,7 +457,8 @@ def _literal_value(rewards, masses, combo, steps, initial_state):
 def test_exact_selection_matches_literal_product_dynamical(instance):
     classes, knowledge, reward_sets, transition_sets, s1 = instance
     agg = CandidateAggregates.from_classes(classes, knowledge)
-    got = optimistic_select(agg, reward_sets, transition_sets, s1)
+    got = optimistic_select(agg, reward_sets, _kernel_sets(classes, transition_sets), s1)
+    chosen = tuple(classes.kernel_index(h).models[k] for h, k in enumerate(got.transition_idx))
     rewards, masses = _literal_step_tables(classes, knowledge)
     steps = range(classes.horizon)
     best, runner_up, best_combo = -np.inf, -np.inf, None
@@ -468,12 +471,12 @@ def test_exact_selection_matches_literal_product_dynamical(instance):
     assert not got.relaxed
     assert abs(got.value - best) <= 1e-12
     # The chosen model is the one its reported indices name.
-    for h, idx in enumerate(got.transition_idx):
+    for h, idx in enumerate(chosen):
         assert all(i in coord_set for i, coord_set in zip(idx, transition_sets[h]))
         np.testing.assert_array_equal(got.chosen_mdp.transitions[h], outer_cell_kernel(masses[h], idx))
     if best - runner_up > 1e-9:
         assert got.reward_idx == tuple(ri for ri, _ in best_combo)
-        assert got.transition_idx == tuple(idx for _, idx in best_combo)
+        assert chosen == tuple(idx for _, idx in best_combo)
 
 
 @settings(max_examples=100, deadline=None)
@@ -481,12 +484,13 @@ def test_exact_selection_matches_literal_product_dynamical(instance):
 def test_pointwise_selection_matches_literal_loop_dynamical(instance):
     classes, knowledge, reward_sets, transition_sets, s1 = instance
     agg = CandidateAggregates.from_classes(classes, knowledge)
-    exact = optimistic_select(agg, reward_sets, transition_sets, s1)
-    loose = optimistic_select(agg, reward_sets, transition_sets, s1, mode=SelectionMode.POINTWISE)
+    kernel_sets = _kernel_sets(classes, transition_sets)
+    exact = optimistic_select(agg, reward_sets, kernel_sets, s1)
+    loose = optimistic_select(agg, reward_sets, kernel_sets, s1, mode=SelectionMode.POINTWISE)
     rewards, masses = _literal_step_tables(classes, knowledge)
     S, A = rewards[0].shape[1:]
     picks = loose.pointwise_transition_idx
-    assert picks.shape == (classes.horizon, S, A, knowledge.grid.dim)
+    assert picks.shape == (classes.horizon, S, A)
     values = np.zeros(S)
     for h in range(classes.horizon - 1, -1, -1):
         kernels = [outer_cell_kernel(masses[h], idx) for idx in itertools.product(*transition_sets[h])]
@@ -495,7 +499,7 @@ def test_pointwise_selection_matches_literal_loop_dynamical(instance):
             for a in range(A):
                 best_next = max(float(k[s, a] @ values) for k in kernels)
                 # the reported per-(s, a) pick survives and attains the max
-                idx = tuple(picks[h, s, a])
+                idx = classes.kernel_index(h).models[picks[h, s, a]]
                 assert all(i in coord_set for i, coord_set in zip(idx, transition_sets[h]))
                 picked = float(outer_cell_kernel(masses[h], idx)[s, a] @ values)
                 assert abs(picked - best_next) <= 1e-12
