@@ -435,7 +435,13 @@ def regret_curve(run, env: StrategicModel, knowledge: LearnerKnowledge) -> Regre
     oracle = true_aggregated_model(env)
     plan = value_iteration(oracle)
     vstar = plan.value_at_initial
-    inst = np.array([vstar - policy_value(oracle, pol) for pol in run.policies])
+    # Episodes between set changes commit one shared Policy object, so each
+    # object is evaluated once; run.policies keeps every id() alive.
+    values: dict[int, float] = {}
+    for pol in run.policies:
+        if id(pol) not in values:
+            values[id(pol)] = policy_value(oracle, pol)
+    inst = np.array([vstar - values[id(pol)] for pol in run.policies])
     if inst.size and inst.min() < -1e-9:
         raise ValidationError(f"negative regret {inst.min()} against the optimal value")
     cum = np.cumsum(inst)

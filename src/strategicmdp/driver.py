@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import CapacityError, ConfigError, RealizabilityError
 from .estimation import (
-    BetaLevels,
     ConfidenceSets,
     LossEvaluator,
     StepDataset,
@@ -87,7 +86,9 @@ class EpisodeRecord:
     this episode's data was appended, i.e. the state that produces the next
     policy. Regret fields are filled later by the diagnostics oracle.
     Transition fields hold candidate indices: per step a bare value in general
-    mode, a tuple with one entry per coordinate in dynamical mode.
+    mode, a tuple with one entry per coordinate in dynamical mode. Records
+    whose confidence sets are equal share one copy of their set, size and
+    chosen-index tuples.
     """
 
     episode: int
@@ -215,23 +216,45 @@ def run_learner(
         state_dim=env.state_dim,
         grid=knowledge.grid,
     )
+    from .estimation import build_confidence_sets  # read per call: wrappers patch the module
     evaluator = LossEvaluator(classes)
     aggregates = CandidateAggregates.from_classes(classes, knowledge)
     index = evaluator.kernel_index
-    # Sets change in few episodes, so records share one decoded copy per
-    # distinct kernel-index set: a lookup costs less than a decode, and no
-    # record holds transition tuples of its own.
-    decoded: dict[tuple, tuple] = {}
+    # Sets change in few episodes, so everything that depends on them alone
+    # (the selection and the flags it raised, the record's set and index
+    # tuples, the chosen models) is computed once per distinct key; records
+    # and committed policies share those objects.
+    memo: dict[tuple, tuple] = {}
 
     def shaped(per_family: tuple):
         # The one rule on transition-set shape, applied as kernel indices are
         # decoded into a record: general mode shows its one family bare.
         return per_family[0] if classes.mode is TransitionMode.GENERAL else per_family
 
+    def select(reward_sets: tuple, transition_sets: tuple) -> tuple:
+        args = (aggregates, reward_sets, transition_sets, initial_cell)
+        flags: tuple[str, ...] = ()
+        try:
+            selection = optimistic_select(*args, mode=cfg.optimism, cap=cfg.caps.selector)
+        except CapacityError:  # too many joint models: the pointwise relaxation answers
+            flags = ("selector-capacity-fallback",)
+            selection = optimistic_select(
+                *args, mode=SelectionMode.POINTWISE, cap=cfg.caps.selector
+            )
+        families = [ix.decode(ks) for ix, ks in zip(index, transition_sets)]
+        models = chosen_t = None
+        if selection.transition_idx is not None:
+            models = [index[h].models[j] for h, j in enumerate(selection.transition_idx)]
+            chosen_t = tuple(shaped(m) for m in models)
+        decoded = tuple(shaped(f) for f in families)
+        set_sizes = tuple(shaped(tuple(map(len, f))) for f in families)
+        return selection, flags, reward_sets, decoded, set_sizes, models, chosen_t
+
     sizes = classes.sizes()
     betas = confidence_levels(
         classes.bound, cfg.episodes, H, sizes, cfg.delta, cfg.beta_scale
     )
+    beta_triple = (betas.reward, betas.transition_general, betas.transition_dynamical)
     if cfg.recompute_every > 1:
         run_flags.add("stale-sets-deviation")
 
@@ -240,7 +263,7 @@ def run_learner(
     records: list[EpisodeRecord] = []
     initial_cell: int | None = None
     sets: ConfidenceSets | None = None
-    selection = None
+    entry = None
 
     for k in range(1, cfg.episodes + 1):
         t0 = time.perf_counter()
@@ -257,49 +280,38 @@ def run_learner(
 
         episode_flags: list[str] = []
         if k == 1 or k % cfg.recompute_every == 0 or k == cfg.episodes:
-            sets, selection = build_sets_and_select(
-                evaluator, dataset, betas, aggregates, initial_cell, cfg, episode_flags
-            )
+            sets = build_confidence_sets(evaluator, dataset, betas)
+            key = (tuple(sets.reward_sets), tuple(sets.transition_sets))
+            if key not in memo:
+                memo[key] = select(*key)
+            entry = memo[key]
+            episode_flags.extend(entry[1])
         else:
             episode_flags.append("stale-sets")
-        assert sets is not None and selection is not None
+        assert sets is not None and entry is not None
+        selection, _, reward_sets, transition_sets, transition_set_sizes, models, chosen_t = entry
         policy = selection.policy
 
         episode_flags.extend(sets.fallback_flags)
         if selection.relaxed:
             episode_flags.append("relaxed-selection")
-        chosen_r_losses = None
+        chosen_r_losses = chosen_t_losses = None
         if selection.reward_idx is not None:
             chosen_r_losses = tuple(
                 float(sets.reward_loss_values[h][selection.reward_idx[h]]) for h in range(H)
             )
-        chosen_t = chosen_t_losses = None
-        if selection.transition_idx is not None:
-            models = [index[h].models[j] for h, j in enumerate(selection.transition_idx)]
-            chosen_t = tuple(shaped(m) for m in models)
+        if models is not None:
             chosen_t_losses = tuple(
                 shaped(tuple(float(v[c]) for v, c in zip(sets.transition_loss_values[h], m)))
                 for h, m in enumerate(models)
             )
-        key = tuple(sets.transition_sets)
-        if key not in decoded:
-            families = [ix.decode(ks) for ix, ks in zip(index, key)]
-            decoded[key] = (
-                tuple(shaped(f) for f in families),
-                tuple(shaped(tuple(map(len, f))) for f in families),
-            )
-        transition_sets, transition_set_sizes = decoded[key]
         records.append(
             EpisodeRecord(
                 episode=k,
-                reward_sets=tuple(tuple(s) for s in sets.reward_sets),
+                reward_sets=reward_sets,
                 transition_sets=transition_sets,
                 transition_set_sizes=transition_set_sizes,
-                betas=(
-                    sets.betas.reward,
-                    sets.betas.transition_general,
-                    sets.betas.transition_dynamical,
-                ),
+                betas=beta_triple,
                 optimistic_value=selection.value,
                 relaxed=selection.relaxed,
                 chosen_reward_idx=selection.reward_idx,
@@ -323,40 +335,6 @@ def run_learner(
         flags=tuple(sorted(run_flags)),
         dataset=dataset,
     )
-
-
-def build_sets_and_select(
-    evaluator: LossEvaluator,
-    dataset: StepDataset,
-    betas: BetaLevels,
-    aggregates: CandidateAggregates,
-    initial_cell: int,
-    cfg: RunConfig,
-    episode_flags: list[str],
-):
-    from .estimation import build_confidence_sets
-
-    sets = build_confidence_sets(evaluator, dataset, betas)
-    try:
-        selection = optimistic_select(
-            aggregates,
-            sets.reward_sets,
-            sets.transition_sets,
-            initial_cell,
-            mode=cfg.optimism,
-            cap=cfg.caps.selector,
-        )
-    except CapacityError:
-        episode_flags.append("selector-capacity-fallback")
-        selection = optimistic_select(
-            aggregates,
-            sets.reward_sets,
-            sets.transition_sets,
-            initial_cell,
-            mode=SelectionMode.POINTWISE,
-            cap=cfg.caps.selector,
-        )
-    return sets, selection
 
 
 def mixture_value(policy: MixturePolicy, oracle: AggregatedMDP) -> float:

@@ -136,26 +136,35 @@ class StepDataset:
 # ---------------------------------------------------------------------------
 
 
-def _discriminator_score(targets: np.ndarray, disc: np.ndarray, sa_counts: np.ndarray) -> np.ndarray:
+def _half_squares(disc: np.ndarray) -> np.ndarray:
+    """0.5 * f(s, a)^2 per discriminator, flattened to (nF, S * A); data-independent."""
+    return 0.5 * disc.reshape(disc.shape[0], -1) ** 2
+
+
+def _discriminator_score(
+    targets: np.ndarray, disc: np.ndarray, sa_counts: np.ndarray, halves: np.ndarray | None
+) -> np.ndarray:
     """max over discriminators of linear term minus half its empirical square.
 
-    targets is (..., S, A): the per-(s, a) aggregated residual weights.
+    targets is (..., S, A): the per-(s, a) aggregated residual weights;
+    halves is _half_squares(disc), or None to compute it here.
     Returns the max over the discriminator family for each leading index.
     """
-    n_f = disc.shape[0]
-    flat_f = disc.reshape(n_f, -1)
-    quad = 0.5 * (flat_f**2) @ sa_counts.reshape(-1)
+    flat_f = disc.reshape(disc.shape[0], -1)
+    quad = (_half_squares(disc) if halves is None else halves) @ sa_counts.reshape(-1)
     lead = targets.shape[:-2]
     flat_t = targets.reshape(-1, flat_f.shape[1])
     scores = flat_t @ flat_f.T - quad[None, :]
     return scores.max(axis=1).reshape(lead)
 
 
-def reward_losses(data_h: StepData, reward_tables: np.ndarray, disc: np.ndarray) -> np.ndarray:
+def reward_losses(
+    data_h: StepData, reward_tables: np.ndarray, disc: np.ndarray, halves: np.ndarray | None = None
+) -> np.ndarray:
     """Loss of every reward candidate (nR, S, A, E) at one step."""
     aggregated = np.einsum("rsae,sae->rsa", reward_tables, data_h.counts)
     aggregated -= data_h.reward_sums.sum(axis=-1)[None]
-    return _discriminator_score(aggregated, disc, data_h.counts.sum(axis=-1))
+    return _discriminator_score(aggregated, disc, data_h.counts.sum(axis=-1), halves)
 
 
 def transition_losses_general(
@@ -164,12 +173,15 @@ def transition_losses_general(
     value_targets_next: np.ndarray,
     disc: np.ndarray,
     applied: np.ndarray | None = None,
+    halves: np.ndarray | None = None,
 ) -> np.ndarray:
     """Loss of every transition candidate (nP, S, A, E, S) at one step.
 
     The outer maximum runs over next-step value targets, the inner one over
     discriminators. ``applied`` may carry the data-independent tensor
-    P g(s, a, e) of shape (nP, nG, S, A, E) to avoid recomputing it per call.
+    P g(s, a, e) of shape (nP, nG, S, A, E), and ``halves`` the
+    discriminators' flattened half squares 0.5 * f^2, so neither is
+    recomputed per call.
     """
     assert data_h.next_counts is not None
     if applied is None:
@@ -177,26 +189,30 @@ def transition_losses_general(
     weighted = np.einsum("pgsae,sae->pgsa", applied, data_h.counts)
     visited = np.einsum("sax,gx->gsa", data_h.next_counts, value_targets_next)
     targets = weighted - visited[None]
-    scores = _discriminator_score(targets, disc, data_h.counts.sum(axis=-1))
+    scores = _discriminator_score(targets, disc, data_h.counts.sum(axis=-1), halves)
     return scores.max(axis=1)
 
 
 def mean_map_losses(
-    data_h: StepData, mean_tables: np.ndarray, coord: int, disc: np.ndarray
+    data_h: StepData,
+    mean_tables: np.ndarray,
+    coord: int,
+    disc: np.ndarray,
+    halves: np.ndarray | None = None,
 ) -> np.ndarray:
     """Loss of every mean-map candidate (nM, S, A, E) for one state coordinate."""
     assert data_h.next_sums is not None
     aggregated = np.einsum("msae,sae->msa", mean_tables, data_h.counts)
     aggregated -= data_h.next_sums[..., coord].sum(axis=-1)[None]
-    return _discriminator_score(aggregated, disc, data_h.counts.sum(axis=-1))
+    return _discriminator_score(aggregated, disc, data_h.counts.sum(axis=-1), halves)
 
 
 class LossEvaluator:
     """Caches data-independent tensors so per-episode evaluation stays cheap.
 
     Holds references to the (immutable) classes; per step it keeps the kernel
-    index and precomputes the applied tensors P g for every transition
-    candidate and value target.
+    index and the discriminators' half squares, and precomputes the applied
+    tensors P g for every transition candidate and value target.
     Evaluation from a dataset then reduces to small matrix products against
     the running count tensors, which matches a from-scratch per-sample
     computation to floating-point accuracy.
@@ -205,6 +221,7 @@ class LossEvaluator:
     def __init__(self, classes: HypothesisClasses) -> None:
         self.classes = classes
         self.kernel_index = [classes.kernel_index(h) for h in range(classes.horizon)]
+        self._halves = [_half_squares(f) for f in classes.discriminators]
         self._applied: list[np.ndarray | None] = []
         if classes.mode is TransitionMode.GENERAL:
             assert classes.transition_tables is not None
@@ -221,7 +238,10 @@ class LossEvaluator:
 
     def reward_losses(self, dataset: StepDataset, h: int) -> np.ndarray:
         return reward_losses(
-            dataset.steps[h], self.classes.reward_tables[h], self.classes.discriminators[h]
+            dataset.steps[h],
+            self.classes.reward_tables[h],
+            self.classes.discriminators[h],
+            halves=self._halves[h],
         )
 
     def transition_losses(self, dataset: StepDataset, h: int) -> np.ndarray | list[np.ndarray]:
@@ -233,10 +253,12 @@ class LossEvaluator:
                 self.classes.value_targets[h + 1],
                 self.classes.discriminators[h],
                 applied=self._applied[h],
+                halves=self._halves[h],
             )
         assert self.classes.mean_map_tables is not None
+        disc, halves = self.classes.discriminators[h], self._halves[h]
         return [
-            mean_map_losses(dataset.steps[h], per, i, self.classes.discriminators[h])
+            mean_map_losses(dataset.steps[h], per, i, disc, halves=halves)
             for i, per in enumerate(self.classes.mean_map_tables[h])
         ]
 

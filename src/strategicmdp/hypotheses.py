@@ -23,6 +23,7 @@ properties by exact table equality through the same code paths.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -154,6 +155,12 @@ class HypothesisClasses:
     def _validate(self, S: int, A: int) -> None:
         H = self.horizon
         flags = list(self.flags)
+        # Value targets are flagged before discriminators: the order in which
+        # close_classes's two closures raise them, validated once at the end.
+        for h in range(H + 1):
+            if self.value_targets[h].size and np.abs(self.value_targets[h]).max() > self.bound + 1e-9:
+                if "value-target-bound-exceeded" not in flags:
+                    flags.append("value-target-bound-exceeded")
         for h in range(H):
             nR = self.reward_tables[h].shape[0]
             if nR == 0:
@@ -188,10 +195,6 @@ class HypothesisClasses:
             fmax = np.abs(self.discriminators[h]).max()
             if fmax > self.bound + 1e-9 and "discriminator-bound-exceeded" not in flags:
                 flags.append("discriminator-bound-exceeded")
-        for h in range(H + 1):
-            if self.value_targets[h].size and np.abs(self.value_targets[h]).max() > self.bound + 1e-9:
-                if "value-target-bound-exceeded" not in flags:
-                    flags.append("value-target-bound-exceeded")
         self.flags = tuple(flags)
 
     @property
@@ -322,12 +325,16 @@ def close_discriminators(
     population, so this runs harness-side when classes are built. Appends
     only, deduplicates bit-exactly, and is idempotent.
     """
+    return replace(classes, discriminators=_closed_discriminators(model, classes))
+
+
+def _closed_discriminators(model: StrategicModel, classes: HypothesisClasses) -> list[np.ndarray]:
     kappa = source_feedback_mix(model)
     new_disc = []
     for h in range(classes.horizon):
         extra = source_projection(kappa[h], residual_stack(model, classes, h))
         new_disc.append(_dedup_append(classes.discriminators[h], extra))
-    return replace(classes, discriminators=new_disc)
+    return new_disc
 
 
 def enumerate_suffix_values(
@@ -364,12 +371,17 @@ def close_value_targets(
     (recorded on the returned classes) when inserted values exceed the class
     bound; values are never clamped.
     """
+    return replace(classes, value_targets=_closed_value_targets(classes, knowledge))
+
+
+def _closed_value_targets(
+    classes: HypothesisClasses, knowledge: LearnerKnowledge
+) -> list[np.ndarray]:
     suffix = enumerate_suffix_values(classes, knowledge)
     new_targets = list(classes.value_targets)
     for h in range(classes.horizon):
         new_targets[h] = _dedup_append(classes.value_targets[h], suffix[h])
-    out = replace(classes, value_targets=new_targets)
-    return out
+    return new_targets
 
 
 def close_classes(
@@ -378,10 +390,14 @@ def close_classes(
     """Value-target closure followed by the discriminator closure.
 
     Order matters: transition residual projections range over the closed
-    value-target family.
+    value-target family. The result is validated once; the intermediate with
+    closed value targets is an unvalidated copy that only the residuals read.
     """
-    closed = close_value_targets(classes, knowledge)
-    return close_discriminators(model, closed)
+    value_targets = _closed_value_targets(classes, knowledge)
+    staged = copy.copy(classes)
+    staged.value_targets = value_targets
+    discriminators = _closed_discriminators(model, staged)
+    return replace(classes, value_targets=value_targets, discriminators=discriminators)
 
 
 # ---------------------------------------------------------------------------

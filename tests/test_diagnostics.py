@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
 
 from strategicmdp import (
+    GENERATORS,
     HypothesisClasses,
     LearnerKnowledge,
     Policy,
@@ -23,6 +25,7 @@ from strategicmdp import (
     naive_baseline,
     occupancy,
     occupancy_mse,
+    policy_value,
     regret_curve,
     rollout,
     run_learner,
@@ -30,6 +33,7 @@ from strategicmdp import (
     true_aggregated_model,
     value_iteration,
 )
+from strategicmdp import diagnostics
 from strategicmdp.hypotheses import residual_stack
 
 from helpers import (
@@ -39,7 +43,7 @@ from helpers import (
     tiny_dynamical,
     tiny_general,
 )
-from test_hypotheses import singleton_classes
+from test_hypotheses import assert_bitwise_equal, singleton_classes
 
 
 # ---------------------------------------------------------------------------
@@ -465,3 +469,60 @@ def test_regret_nonnegative_and_mixture_identity():
     np.testing.assert_allclose(
         mv, curve.optimal_value - curve.cumulative[-1] / cfg.episodes, atol=1e-9
     )
+
+
+def regret_literal(run, env) -> np.ndarray:
+    """Instantaneous regret with one policy_value call per episode."""
+    oracle = true_aggregated_model(env)
+    vstar = value_iteration(oracle).value_at_initial
+    return np.array([vstar - policy_value(oracle, pol) for pol in run.policies])
+
+
+def count_policy_values(monkeypatch) -> list:
+    calls = []
+
+    def counting(oracle, policy):
+        calls.append(policy)
+        return policy_value(oracle, policy)
+
+    monkeypatch.setattr(diagnostics, "policy_value", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_regret_curve_matches_per_episode_loop_on_a_memoized_run(monkeypatch, name):
+    scenario = build_scenario(name)
+    kn = scenario.knowledge()
+    cfg = RunConfig(
+        episodes=60, delta=0.1, mode=scenario.model.transition_mode, seed=2, beta_scale=0.1
+    )
+    result = run_learner(scenario.model, kn, scenario.classes, cfg)
+    want = regret_literal(result, scenario.model)
+    distinct = {id(p) for p in result.policies}
+    assert len(distinct) < len(result.policies) // 5  # the run's memo shares Policy objects
+    calls = count_policy_values(monkeypatch)
+    curve = regret_curve(result, scenario.model, kn)
+    assert len(calls) == len(distinct)
+    assert_bitwise_equal(curve.instant, want)
+    assert_bitwise_equal(curve.cumulative, np.cumsum(want))
+    assert [rec.instant_regret for rec in result.episodes] == want.tolist()
+
+
+def test_regret_curve_evaluates_distinct_objects_with_equal_tables(monkeypatch):
+    model = tiny_general()
+    kn = LearnerKnowledge.from_model(model)
+    H, S, A = model.horizon, model.num_states, model.num_actions
+    first = Policy.deterministic(np.zeros((H, S), dtype=int), A)
+    twin = Policy(first.action_probs.copy())  # equal table, another object
+    other = Policy.uniform(H, S, A)
+    policies = [first, twin, first, other, twin, first]
+    run = types.SimpleNamespace(
+        policies=policies,
+        episodes=[types.SimpleNamespace(instant_regret=None, cum_regret=None) for _ in policies],
+    )
+    want = regret_literal(run, model)
+    calls = count_policy_values(monkeypatch)
+    curve = regret_curve(run, model, kn)
+    assert [id(p) for p in calls] == [id(first), id(twin), id(other)]
+    assert_bitwise_equal(curve.instant, want)
+    assert [rec.cum_regret for rec in run.episodes] == np.cumsum(want).tolist()

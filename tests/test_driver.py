@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from strategicmdp import (
     AggregatedMDP,
+    CapacityError,
     ConfigError,
     Grid,
     LearnerKnowledge,
@@ -32,6 +33,7 @@ from strategicmdp import (
     value_iteration,
 )
 
+from strategicmdp import driver, estimation
 from strategicmdp.harness import write_episodes_csv
 
 from helpers import (
@@ -319,3 +321,129 @@ def test_2d_run_writes_per_coordinate_sizes(tmp_path):
         ref_sizes_p(ref_transition_set_sizes(rec.transition_sets)) for rec in got.episodes
     ]
     assert any(row["conf_sizes_P"] != "2,3;2,3" for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# The run's selection memo
+# ---------------------------------------------------------------------------
+
+
+def count_calls(monkeypatch):
+    """Wrap the two names run_learner looks up at call time with counters.
+
+    built gets (set key, empty-set fallback flags) per confidence-set build,
+    selected one [key, mode, raised] entry per optimistic_select call."""
+    built, selected = [], []
+    real_build, real_select = estimation.build_confidence_sets, driver.optimistic_select
+
+    def build(*args, **kwargs):
+        sets = real_build(*args, **kwargs)
+        built.append(((tuple(sets.reward_sets), tuple(sets.transition_sets)), sets.fallback_flags))
+        return sets
+
+    def select(aggregates, reward_sets, transition_sets, initial_state, mode, cap):
+        entry = [(tuple(reward_sets), tuple(transition_sets)), mode, False]
+        selected.append(entry)
+        try:
+            return real_select(aggregates, reward_sets, transition_sets, initial_state, mode, cap)
+        except CapacityError:
+            entry[2] = True
+            raise
+
+    monkeypatch.setattr(estimation, "build_confidence_sets", build)
+    monkeypatch.setattr(driver, "optimistic_select", select)
+    return built, selected
+
+
+@pytest.mark.parametrize("kind", ["general", "dyn-2d"])
+@pytest.mark.parametrize(
+    "optimism, cap, recompute_every",
+    [
+        (SelectionMode.EXACT, 1_000_000, 1),
+        (SelectionMode.EXACT, 1_000_000, 3),
+        (SelectionMode.EXACT, 1, 1),
+        (SelectionMode.EXACT, 1, 3),
+        (SelectionMode.POINTWISE, 1_000_000, 1),
+        (SelectionMode.POINTWISE, 1_000_000, 3),
+    ],
+)
+def test_selection_runs_once_per_distinct_set(monkeypatch, kind, optimism, cap, recompute_every):
+    """Sets are built in every non-stale episode; the selector runs once per
+    distinct (reward sets, transition sets) key, plus one pointwise retry for
+    each key whose exact selection exceeds the cap."""
+    model, knowledge, classes = _closed_instance(kind, 1)
+    cfg = RunConfig(
+        episodes=40,
+        delta=0.1,
+        mode=model.transition_mode,
+        seed=1,
+        optimism=optimism,
+        beta_scale=1e-4,
+        caps=RunCaps(selector=cap),
+        recompute_every=recompute_every,
+        check_realizability_at_start=False,
+    )
+    built, selected = count_calls(monkeypatch)
+    result = run_learner(model, knowledge, classes, cfg)
+    fresh = [rec for rec in result.episodes if "stale-sets" not in rec.flags]
+    assert len(built) == len(fresh) == (40 if recompute_every == 1 else 15)
+    keys = [key for key, _ in built]
+    distinct = list(dict.fromkeys(keys))
+    assert 3 <= len(distinct) < len(keys)
+    first_calls = [(key, raised) for key, mode, raised in selected if mode is optimism]
+    assert [key for key, _ in first_calls] == distinct
+    fell_back = [key for key, raised in first_calls if raised]
+    assert bool(fell_back) == (optimism is SelectionMode.EXACT and cap == 1)
+    retries = [(key, mode) for key, mode, _ in selected if mode is not optimism]
+    assert retries == [(key, SelectionMode.POINTWISE) for key in fell_back]
+    for rec, (key, fallback_flags) in zip(fresh, built):
+        assert ("selector-capacity-fallback" in rec.flags) == (key in fell_back)
+        assert set(fallback_flags) <= set(rec.flags)
+        relaxed = optimism is SelectionMode.POINTWISE or key in fell_back
+        assert rec.reward_sets == key[0] and (rec.chosen_reward_idx is None) == relaxed
+    # records with one key share one copy of its set tuples and one Policy
+    assert len({id(rec.reward_sets) for rec in result.episodes}) == len(distinct)
+    assert len({id(rec.transition_sets) for rec in result.episodes}) == len(distinct)
+    assert len({id(p) for p in result.policies[1:]}) == len(distinct)
+
+
+def test_one_key_with_and_without_an_empty_set_fallback(monkeypatch):
+    """The memo answers a key however its sets arose; the fallback flags stay
+    those of the episode's own build."""
+    model, knowledge, classes = _closed_instance("general", 1)
+    cfg = RunConfig(
+        episodes=40,
+        delta=0.1,
+        mode=model.transition_mode,
+        seed=1,
+        beta_scale=1e-4,
+        check_realizability_at_start=False,
+    )
+    built, _ = count_calls(monkeypatch)
+    result = run_learner(model, knowledge, classes, cfg)
+    both = {key for key, flags in built if flags} & {key for key, flags in built if not flags}
+    assert both
+    for rec, (key, flags) in zip(result.episodes, built):
+        fallback = tuple(f for f in rec.flags if f.endswith("empty-set-fallback"))
+        assert fallback == flags
+
+
+def test_runs_share_no_memo(monkeypatch):
+    """A second run with other classes but the same index space selects
+    afresh and matches the same run made on its own."""
+    scenario = build_scenario("recsys-small")
+    knowledge = scenario.knowledge()
+    other = dataclasses.replace(
+        scenario.classes, reward_tables=[r[::-1].copy() for r in scenario.classes.reward_tables]
+    )
+    cfg = run_cfg(episodes=30, seed=1, check_realizability_at_start=False)
+    alone = run_learner(scenario.model, knowledge, other, cfg).canonical_json()
+    built, selected = count_calls(monkeypatch)
+    first = run_learner(scenario.model, knowledge, scenario.classes, cfg)
+    n_first = len(selected)
+    assert n_first == len(set(built))
+    del built[:]
+    second = run_learner(scenario.model, knowledge, other, cfg)
+    assert len(selected) - n_first == len(set(built))
+    assert second.canonical_json() == alone
+    assert first.canonical_json() != alone

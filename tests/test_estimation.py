@@ -11,6 +11,7 @@ from strategicmdp import (
     BetaLevels,
     ClassSizes,
     ConfigError,
+    Grid,
     InvalidIndexError,
     LearnerKnowledge,
     LossEvaluator,
@@ -19,6 +20,7 @@ from strategicmdp import (
     TransitionMode,
     build_confidence_sets,
     build_scenario,
+    close_classes,
     confidence_levels,
     make_rng,
     mean_map_losses,
@@ -28,7 +30,8 @@ from strategicmdp import (
 )
 from strategicmdp.estimation import StepData, _threshold
 
-from helpers import tiny_dynamical, tiny_general
+from helpers import random_dynamical, random_general, tiny_dynamical, tiny_general
+from test_hypotheses import assert_bitwise_equal
 
 
 def one_cell_data(counts_by_e, reward_sums_by_e, next_counts=None):
@@ -313,6 +316,44 @@ def test_loss_evaluator_dynamical_per_coordinate():
     per_coord = evaluator.transition_losses(data, 0)
     assert isinstance(per_coord, list) and len(per_coord) == 1
     assert per_coord[0].shape == (scenario.classes.mean_map_tables[0][0].shape[0],)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["general", "dyn-1d", "dyn-2d"]),
+    seed=st.integers(0, 2**16),
+    horizon=st.integers(1, 3),
+    episodes=st.integers(1, 15),
+)
+def test_loss_evaluator_precomputed_terms_are_bitwise_exact(kind, seed, horizon, episodes):
+    """The evaluator keeps each step's applied tensors and discriminator half
+    squares; the plural functions recompute both when called without them."""
+    if kind == "general":
+        model, classes = random_general(
+            seed, horizon, states=3, actions=2, feedbacks=2, candidates=3
+        )
+    elif kind == "dyn-1d":
+        grid = Grid((-1.5,), (1.5,), (4,))
+        model, classes = random_dynamical(seed, grid, horizon, rewards=2, candidates=(3,))
+    else:
+        grid = Grid((-2.0, -1.0), (2.0, 3.0), (3, 2))
+        model, classes = random_dynamical(seed, grid, horizon, rewards=2, candidates=(2, 3))
+    classes = close_classes(model, classes, LearnerKnowledge.from_model(model))
+    data, _ = collect_episodes(model, episodes, seed=seed)
+    evaluator = LossEvaluator(classes)
+    for h in range(horizon):
+        step, disc = data.steps[h], classes.discriminators[h]
+        want = reward_losses(step, classes.reward_tables[h], disc)
+        assert_bitwise_equal(evaluator.reward_losses(data, h), want)
+        got_t = evaluator.transition_losses(data, h)
+        if kind == "general":
+            want_t = transition_losses_general(
+                step, classes.transition_tables[h], classes.value_targets[h + 1], disc
+            )
+            assert_bitwise_equal(got_t, want_t)
+        else:
+            for i, per in enumerate(classes.mean_map_tables[h]):
+                assert_bitwise_equal(got_t[i], mean_map_losses(step, per, i, disc))
 
 
 @given(

@@ -396,6 +396,51 @@ def test_closed_random_classes_match_per_row_reference(instance):
     assert report.as_dict() == ref_check_realizability(model, closed, knowledge).as_dict()
 
 
+def _stay_or_swap_instance():
+    """Two states with reward 1 only in state 0, over three steps. The true
+    kernel stays put and the other candidate swaps the states, so at step 0
+    a transition residual against the true step-1 values projects to -2:
+    both closures raise their bound flag."""
+    H, S, A, E = 3, 2, 2, 2
+    model, _ = random_general(seed=0, horizon=H, states=S, actions=A, feedbacks=E, candidates=1)
+    reward = np.zeros((H, S, A, E))
+    reward[:, 0] = 1.0
+    stay = np.broadcast_to(np.eye(S)[:, None, None, :], (H, S, A, E, S)).copy()
+    model = dataclasses.replace(model, principal_reward=reward, transition_kernel=stay)
+    classes = HypothesisClasses(
+        mode=TransitionMode.GENERAL,
+        bound=1.0,
+        reward_tables=[reward[h][None] for h in range(H)],
+        discriminators=[np.zeros((0, S, A))] * H,
+        value_targets=[np.zeros((0, S))] * H,
+        transition_tables=[np.stack([stay[h], stay[h][..., ::-1]]) for h in range(H)],
+    )
+    return model, classes
+
+
+def test_close_classes_validates_once_and_keeps_the_flag_order(monkeypatch):
+    model, classes = _stay_or_swap_instance()
+    knowledge = LearnerKnowledge.from_model(model)
+    assert classes.flags == ()
+    want = ref_close_classes(model, classes, knowledge)
+    stepwise = close_discriminators(model, close_value_targets(classes, knowledge))
+    calls = []
+    real = HypothesisClasses.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        real(self)
+
+    monkeypatch.setattr(HypothesisClasses, "__post_init__", counting)
+    closed = close_classes(model, classes, knowledge)
+    assert len(calls) == 1
+    assert closed.flags == ("value-target-bound-exceeded", "discriminator-bound-exceeded")
+    assert_classes_bitwise_equal(closed, want)
+    assert_classes_bitwise_equal(closed, stepwise)
+    # the caller's classes are left as they were
+    assert classes.flags == () and len(classes.value_targets[0]) == 0
+
+
 def _replace_row(tables: list[np.ndarray], h: int, j: int, row: np.ndarray) -> list[np.ndarray]:
     out = list(tables)
     out[h] = out[h].copy()
