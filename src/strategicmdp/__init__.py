@@ -23,7 +23,6 @@ from .diagnostics import (
 )
 from .driver import (
     EpisodeRecord,
-    RunCaps,
     RunConfig,
     RunResult,
     mixture_value,

@@ -13,6 +13,8 @@ from pathlib import Path
 import yaml
 
 from .errors import ParseError, ValidationError
+from .model import TransitionMode
+from .planning import SelectionMode
 from .scenarios import GENERATOR_MODES, GENERATORS
 
 # PyYAML's libyaml parser when it is compiled in: the same data, parsed faster.
@@ -45,8 +47,8 @@ def _unique_key_loader(base: type) -> type:
 
 _LOADER = _unique_key_loader(YAML_LOADER)
 
-_MODES = ("general", "dynamical")
-_OPTIMISM = ("exact", "pointwise")
+_MODES = tuple(m.value for m in TransitionMode)
+_OPTIMISM = tuple(m.value for m in SelectionMode)
 
 _TOP_KEYS = {"environment", "classes", "run", "diagnostics", "output", "workers"}
 _ENV_KEYS = {"generator", "seed", "params", "mode"}
@@ -58,7 +60,6 @@ _RUN_KEYS = {
     "optimism",
     "seeds",
     "evaluation_cadence",
-    "recompute_every",
     "strict_realizability",
     "selector_cap",
 }
@@ -96,7 +97,6 @@ class ScenarioConfig:
     optimism: str = "exact"
     seeds: list[int] = field(default_factory=lambda: [0])
     evaluation_cadence: int = 50
-    recompute_every: int = 1
     strict_realizability: bool = False
     selector_cap: int = 1_000_000
     diagnostics: DiagnosticsConfig = field(default_factory=DiagnosticsConfig)
@@ -205,7 +205,6 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         dups = sorted({s for s in seeds if seeds.count(s) > 1})
         violations.append(f"run.seeds: duplicate seeds {dups}")
     evaluation_cadence = _as_int(run, "evaluation_cadence", 50, 1, "run", violations)
-    recompute_every = _as_int(run, "recompute_every", 1, 1, "run", violations)
     strict = _as_bool(run, "strict_realizability", False, "run", violations)
     selector_cap = _as_int(run, "selector_cap", 1_000_000, 1, "run", violations)
 
@@ -252,7 +251,6 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         optimism=optimism,
         seeds=list(seeds),
         evaluation_cadence=evaluation_cadence,
-        recompute_every=recompute_every,
         strict_realizability=strict,
         selector_cap=selector_cap,
         diagnostics=diagnostics,

@@ -16,17 +16,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, ConfigError, RealizabilityError
-from .estimation import (
-    ConfidenceSets,
-    LossEvaluator,
-    StepDataset,
-    confidence_levels,
-)
+from .estimation import LossEvaluator, StepDataset, confidence_levels
 from .hypotheses import HypothesisClasses, RealizabilityReport, check_realizability
 from .model import (
     LearnerKnowledge,
@@ -46,11 +41,6 @@ from .planning import (
 )
 
 
-@dataclass(frozen=True)
-class RunCaps:
-    selector: int = 1_000_000
-
-
 @dataclass
 class RunConfig:
     """Inputs of one learning run."""
@@ -61,9 +51,7 @@ class RunConfig:
     seed: int
     optimism: SelectionMode = SelectionMode.EXACT
     beta_scale: float = 1.0
-    caps: RunCaps = field(default_factory=RunCaps)
-    evaluation_cadence: int = 50
-    recompute_every: int = 1
+    selector_cap: int = 1_000_000
     strict_realizability: bool = False
     check_realizability_at_start: bool = True
 
@@ -74,8 +62,8 @@ class RunConfig:
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
         if self.beta_scale <= 0:
             raise ConfigError("beta_scale must be positive")
-        if self.recompute_every < 1 or self.evaluation_cadence < 1:
-            raise ConfigError("recompute_every and evaluation_cadence must be at least 1")
+        if self.selector_cap < 1:
+            raise ConfigError(f"selector_cap must be at least 1, got {self.selector_cap}")
 
 
 @dataclass
@@ -152,8 +140,7 @@ class RunResult:
                 "seed": self.config.seed,
                 "optimism": self.config.optimism.value,
                 "beta_scale": self.config.beta_scale,
-                "selector_cap": self.config.caps.selector,
-                "recompute_every": self.config.recompute_every,
+                "selector_cap": self.config.selector_cap,
             },
             "flags": sorted(self.flags),
             "policies": [p.action_probs.tolist() for p in self.policies],
@@ -235,12 +222,10 @@ def run_learner(
         args = (aggregates, reward_sets, transition_sets, initial_cell)
         flags: tuple[str, ...] = ()
         try:
-            selection = optimistic_select(*args, mode=cfg.optimism, cap=cfg.caps.selector)
+            selection = optimistic_select(*args, mode=cfg.optimism, cap=cfg.selector_cap)
         except CapacityError:  # too many joint models: the pointwise relaxation answers
             flags = ("selector-capacity-fallback",)
-            selection = optimistic_select(
-                *args, mode=SelectionMode.POINTWISE, cap=cfg.caps.selector
-            )
+            selection = optimistic_select(*args, mode=SelectionMode.POINTWISE, cap=cfg.selector_cap)
         families = [ix.decode(ks) for ix, ks in zip(index, transition_sets)]
         models = chosen_t = None
         if selection.transition_idx is not None:
@@ -255,15 +240,11 @@ def run_learner(
         classes.bound, cfg.episodes, H, sizes, cfg.delta, cfg.beta_scale
     )
     beta_triple = (betas.reward, betas.transition_general, betas.transition_dynamical)
-    if cfg.recompute_every > 1:
-        run_flags.add("stale-sets-deviation")
 
     policy = Policy.uniform(H, knowledge.num_states, knowledge.num_actions)
     policies: list[Policy] = []
     records: list[EpisodeRecord] = []
     initial_cell: int | None = None
-    sets: ConfidenceSets | None = None
-    entry = None
 
     for k in range(1, cfg.episodes + 1):
         t0 = time.perf_counter()
@@ -278,21 +259,14 @@ def run_learner(
             else:
                 initial_cell = int(first)
 
-        episode_flags: list[str] = []
-        if k == 1 or k % cfg.recompute_every == 0 or k == cfg.episodes:
-            sets = build_confidence_sets(evaluator, dataset, betas)
-            key = (tuple(sets.reward_sets), tuple(sets.transition_sets))
-            if key not in memo:
-                memo[key] = select(*key)
-            entry = memo[key]
-            episode_flags.extend(entry[1])
-        else:
-            episode_flags.append("stale-sets")
-        assert sets is not None and entry is not None
-        selection, _, reward_sets, transition_sets, transition_set_sizes, models, chosen_t = entry
+        sets = build_confidence_sets(evaluator, dataset, betas)
+        key = (tuple(sets.reward_sets), tuple(sets.transition_sets))
+        if key not in memo:
+            memo[key] = select(*key)
+        selection, select_flags, reward_sets, transition_sets, set_sizes, models, chosen_t = memo[key]
         policy = selection.policy
 
-        episode_flags.extend(sets.fallback_flags)
+        episode_flags = [*select_flags, *sets.fallback_flags]
         if selection.relaxed:
             episode_flags.append("relaxed-selection")
         chosen_r_losses = chosen_t_losses = None
@@ -310,7 +284,7 @@ def run_learner(
                 episode=k,
                 reward_sets=reward_sets,
                 transition_sets=transition_sets,
-                transition_set_sizes=transition_set_sizes,
+                transition_set_sizes=set_sizes,
                 betas=beta_triple,
                 optimistic_value=selection.value,
                 relaxed=selection.relaxed,

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .config import ScenarioConfig, config_from_dict
 from .diagnostics import ill_posedness, naive_baseline, regret_curve, transfer_term
-from .driver import RunCaps, RunConfig, RunResult, run_learner
+from .driver import RunConfig, RunResult, run_learner
 from .errors import ValidationError
 from .hypotheses import ClassCaps, HypothesisClasses
 from .model import TransitionMode
@@ -126,11 +126,9 @@ def run_config_for(cfg: ScenarioConfig, scenario: Scenario, seed: int) -> RunCon
         delta=cfg.delta,
         mode=scenario.model.transition_mode,
         seed=seed,
-        optimism=SelectionMode.EXACT if cfg.optimism == "exact" else SelectionMode.POINTWISE,
+        optimism=SelectionMode(cfg.optimism),
         beta_scale=cfg.beta_scale,
-        caps=RunCaps(selector=cfg.selector_cap),
-        evaluation_cadence=cfg.evaluation_cadence,
-        recompute_every=cfg.recompute_every,
+        selector_cap=cfg.selector_cap,
         strict_realizability=cfg.strict_realizability,
     )
 

@@ -487,6 +487,8 @@ def check_realizability(
             if _first_missing(classes.transition_tables[h], model.transition_kernel[h][None]) is not None:
                 t_clause = ClauseResult(False, f"true transition missing at step {h}")
                 break
+            truth_idx = classes.truth_transition_idx[h]
+            designated = [(classes.transition_tables[h], model.transition_kernel[h], truth_idx)]
         else:
             assert classes.mean_map_tables is not None and model.mean_map is not None
             missing = [
@@ -499,6 +501,16 @@ def check_realizability(
                     False, f"true mean map missing at step {h}, coordinate {missing[0]}"
                 )
                 break
+            per_coord = zip(classes.mean_map_tables[h], classes.truth_transition_idx[h])
+            designated = [(per, model.mean_map[h][..., i], idx) for i, (per, idx) in enumerate(per_coord)]
+        wrong = [
+            idx
+            for table, truth, idx in designated
+            if idx is not None and not np.array_equal(table[idx], truth)
+        ]
+        if wrong:
+            t_clause = ClauseResult(False, f"designated transition index {wrong[0]} wrong at step {h}")
+            break
     kappa = source_feedback_mix(model)
     p_clause = ClauseResult(True)
     for h in range(H):

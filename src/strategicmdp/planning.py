@@ -78,10 +78,9 @@ class AggregatedMDP:
 
 @dataclass
 class PlanResult:
-    """Backward-induction output: values, action values, and a greedy policy."""
+    """Backward-induction output: values and a greedy policy."""
 
     values: np.ndarray  # (H + 1, S)
-    q_values: np.ndarray  # (H, S, A)
     policy: Policy
     value_at_initial: float
 
@@ -90,15 +89,13 @@ def value_iteration(mdp: AggregatedMDP) -> PlanResult:
     """Exact finite-horizon backward induction; greedy ties pick the lowest action."""
     H, S, A = mdp.rewards.shape
     values = np.zeros((H + 1, S))
-    q_values = np.zeros((H, S, A))
     actions = np.zeros((H, S), dtype=int)
     for h in range(H - 1, -1, -1):
         q = mdp.rewards[h] + mdp.transitions[h] @ values[h + 1]
-        q_values[h] = q
         values[h] = q.max(axis=1)
         actions[h] = q.argmax(axis=1)
     policy = Policy.deterministic(actions, A)
-    return PlanResult(values, q_values, policy, float(values[0, mdp.initial_state]))
+    return PlanResult(values, policy, float(values[0, mdp.initial_state]))
 
 
 def evaluate_policy(mdp: AggregatedMDP, policy: Policy) -> np.ndarray:

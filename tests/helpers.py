@@ -528,12 +528,28 @@ def ref_check_realizability(model, classes, knowledge) -> RealizabilityReport:
             if not _ref_contains(classes.transition_tables[h], model.transition_kernel[h]):
                 t_clause = ClauseResult(False, f"true transition missing at step {h}")
                 break
+            idx = classes.truth_transition_idx[h]
+            if idx is not None and not np.array_equal(
+                classes.transition_tables[h][idx], model.transition_kernel[h]
+            ):
+                t_clause = ClauseResult(False, f"designated transition index {idx} wrong at step {h}")
+                break
         else:
             stop = False
             for i, per in enumerate(classes.mean_map_tables[h]):
                 if not _ref_contains(per, model.mean_map[h][..., i]):
                     t_clause = ClauseResult(
                         False, f"true mean map missing at step {h}, coordinate {i}"
+                    )
+                    stop = True
+                    break
+            if stop:
+                break
+            for i, per in enumerate(classes.mean_map_tables[h]):
+                idx = classes.truth_transition_idx[h][i]
+                if idx is not None and not np.array_equal(per[idx], model.mean_map[h][..., i]):
+                    t_clause = ClauseResult(
+                        False, f"designated transition index {idx} wrong at step {h}"
                     )
                     stop = True
                     break
@@ -747,7 +763,6 @@ def ref_run_learner(env, knowledge, classes, cfg) -> tuple[list[dict], list[Poli
     policy = Policy.uniform(H, knowledge.num_states, knowledge.num_actions)
     policies, records = [], []
     initial_cell = None
-    sets = selection = None
     for k in range(1, cfg.episodes + 1):
         traj = rollout(env, policy, rng)
         policies.append(policy)
@@ -759,16 +774,13 @@ def ref_run_learner(env, knowledge, classes, cfg) -> tuple[list[dict], list[Poli
             else:
                 initial_cell = int(first)
         episode_flags = []
-        if k == 1 or k % cfg.recompute_every == 0 or k == cfg.episodes:
-            sets = ref_build_confidence_sets(evaluator, dataset, betas)
-            args = (aggregates, radices, sets.reward_sets, sets.transition_sets, initial_cell)
-            try:
-                selection = ref_optimistic_select(*args, cfg.optimism, cfg.caps.selector)
-            except CapacityError:
-                episode_flags.append("selector-capacity-fallback")
-                selection = ref_optimistic_select(*args, SelectionMode.POINTWISE, cfg.caps.selector)
-        else:
-            episode_flags.append("stale-sets")
+        sets = ref_build_confidence_sets(evaluator, dataset, betas)
+        args = (aggregates, radices, sets.reward_sets, sets.transition_sets, initial_cell)
+        try:
+            selection = ref_optimistic_select(*args, cfg.optimism, cfg.selector_cap)
+        except CapacityError:
+            episode_flags.append("selector-capacity-fallback")
+            selection = ref_optimistic_select(*args, SelectionMode.POINTWISE, cfg.selector_cap)
         policy = selection.policy
         episode_flags.extend(sets.fallback_flags)
         if selection.relaxed:

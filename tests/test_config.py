@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 import yaml
 
-from strategicmdp import ParseError, ValidationError, config
+from strategicmdp import ParseError, SelectionMode, ValidationError, config
 from strategicmdp.cli import main
 from strategicmdp.config import YAML_LOADER, config_from_dict, load_config, parse_yaml
+from strategicmdp.harness import build_from_config, run_config_for
 
 from helpers import BASE_YAML, DYN_YAML
 
@@ -20,7 +21,8 @@ CONTRACT_YAML = "environment:\n  generator: contract-small\nrun:\n  episodes: 7\
 
 
 def readme_config() -> str:
-    return re.search(r"```yaml\n(.*?)```", README.read_text(), re.S).group(1)
+    """The annotated YAML block under the README's "Config grammar" heading."""
+    return re.search(r"## Config grammar\n.*?```yaml\n(.*?)```", README.read_text(), re.S).group(1)
 
 
 # Every valid config the tests write, and the README's annotated example.
@@ -50,7 +52,6 @@ def test_minimal_config_fills_defaults():
     assert cfg.optimism == "exact"
     assert cfg.seeds == [0]
     assert cfg.evaluation_cadence == 50
-    assert cfg.recompute_every == 1
     assert cfg.strict_realizability is False
     assert cfg.selector_cap == 1_000_000
     assert cfg.diagnostics.regret is True
@@ -60,6 +61,20 @@ def test_minimal_config_fills_defaults():
     assert cfg.output.label is None
     assert cfg.workers == 1
     assert cfg.raw == minimal()
+
+
+@pytest.mark.parametrize("mode", list(SelectionMode))
+def test_run_options_reach_the_run_config(mode):
+    """Each optimism value of the schema is a SelectionMode, and the run
+    config built from a scenario config carries it and the selector cap."""
+    cfg = config_from_dict({**minimal(), "run": {"optimism": mode.value, "selector_cap": 7}})
+    scenario = build_from_config(cfg)
+    run = run_config_for(cfg, scenario, seed=4)
+    run.validate()
+    assert run.optimism is mode
+    assert run.selector_cap == 7
+    assert run.seed == 4
+    assert run.mode is scenario.model.transition_mode
 
 
 def test_full_config_round_trips():
@@ -73,7 +88,6 @@ def test_full_config_round_trips():
             "optimism": "pointwise",
             "seeds": [3, 4, 5],
             "evaluation_cadence": 10,
-            "recompute_every": 25,
             "strict_realizability": True,
             "selector_cap": 4000,
         },
@@ -87,7 +101,7 @@ def test_full_config_round_trips():
     assert cfg.episodes == 250
     assert cfg.optimism == "pointwise"
     assert cfg.seeds == [3, 4, 5]
-    assert cfg.recompute_every == 25
+    assert cfg.evaluation_cadence == 10
     assert cfg.strict_realizability is True
     assert cfg.diagnostics.transfer is True
     assert cfg.output.label == "trial"
@@ -98,6 +112,33 @@ def violations_of(data):
     with pytest.raises(ValidationError) as err:
         config_from_dict(data)
     return str(err.value)
+
+
+def test_recompute_every_is_an_unknown_key(tmp_path, capsys):
+    # Confidence sets are rebuilt every episode; there is no rebuild period.
+    msg = violations_of({**minimal(), "run": {"recompute_every": 25}})
+    assert "run.recompute_every: unknown key" in msg
+    p = tmp_path / "exp.yaml"
+    p.write_text(CONTRACT_YAML + "  recompute_every: 3\n")
+    assert main(["validate", str(p)]) == 2
+    assert "run.recompute_every: unknown key" in capsys.readouterr().err
+
+
+def test_readme_config_block_matches_the_schema():
+    """The README's config block validates and names every key of every
+    section, and no key the schema does not know."""
+    data = parse_yaml(readme_config())
+    config_from_dict(data)
+    assert set(data) == config._TOP_KEYS
+    schema = {
+        "environment": config._ENV_KEYS,
+        "classes": config._CLASS_KEYS,
+        "run": config._RUN_KEYS,
+        "diagnostics": config._DIAG_KEYS,
+        "output": config._OUT_KEYS,
+    }
+    for section, keys in schema.items():
+        assert set(data[section]) == keys, section
 
 
 def test_all_violations_reported_at_once():

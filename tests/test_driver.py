@@ -20,7 +20,6 @@ from strategicmdp import (
     MixturePolicy,
     Policy,
     RealizabilityError,
-    RunCaps,
     RunConfig,
     SelectionMode,
     TransitionMode,
@@ -60,8 +59,9 @@ def test_run_config_validation():
         run_cfg(delta=2.0).validate()
     with pytest.raises(ConfigError):
         dataclasses.replace(run_cfg(), beta_scale=0.0).validate()
-    with pytest.raises(ConfigError):
-        dataclasses.replace(run_cfg(), recompute_every=0).validate()
+    for cap in (0, -5):
+        with pytest.raises(ConfigError, match="selector_cap"):
+            run_cfg(selector_cap=cap).validate()
 
 
 def test_mode_mismatch_rejected():
@@ -132,22 +132,9 @@ def test_agent_utilities_matter_only_through_best_responses():
     assert a.canonical_json() == b.canonical_json()
 
 
-def test_recompute_every_marks_stale_episodes():
-    scenario = build_scenario("recsys-small")
-    cfg = run_cfg(episodes=7, recompute_every=3)
-    result = run_learner(scenario.model, scenario.knowledge(), scenario.classes, cfg)
-    assert "stale-sets-deviation" in result.flags
-    stale = [rec.episode for rec in result.episodes if "stale-sets" in rec.flags]
-    assert stale == [2, 4, 5]
-    # stale episodes reuse the last recomputed sets verbatim
-    recs = result.episodes
-    assert recs[1].reward_sets == recs[0].reward_sets
-    assert recs[4].reward_sets == recs[3].reward_sets
-
-
 def test_selector_cap_falls_back_to_pointwise():
     scenario = build_scenario("recsys-small")
-    cfg = run_cfg(episodes=5, caps=RunCaps(selector=2))
+    cfg = run_cfg(episodes=5, selector_cap=2)
     result = run_learner(scenario.model, scenario.knowledge(), scenario.classes, cfg)
     assert all(rec.relaxed for rec in result.episodes)
     assert all("selector-capacity-fallback" in rec.flags for rec in result.episodes)
@@ -245,7 +232,7 @@ def _closed_instance(kind: str, seed: int):
     return model, knowledge, close_classes(model, classes, knowledge)
 
 
-def _run_both(kind, seed, optimism, recompute_every, cap, beta_scale, episodes=25):
+def _run_both(kind, seed, optimism, cap, beta_scale, episodes=25):
     model, knowledge, classes = _closed_instance(kind, seed)
     cfg = RunConfig(
         episodes=episodes,
@@ -254,8 +241,7 @@ def _run_both(kind, seed, optimism, recompute_every, cap, beta_scale, episodes=2
         seed=seed,
         optimism=optimism,
         beta_scale=beta_scale,
-        caps=RunCaps(selector=cap),
-        recompute_every=recompute_every,
+        selector_cap=cap,
         check_realizability_at_start=False,
     )
     got = run_learner(model, knowledge, classes, cfg)
@@ -275,7 +261,6 @@ def _run_both(kind, seed, optimism, recompute_every, cap, beta_scale, episodes=2
     kind=st.sampled_from(["general", "dyn-1d", "dyn-2d"]),
     seed=st.integers(0, 5),
     optimism=st.sampled_from(list(SelectionMode)),
-    recompute_every=st.sampled_from([1, 3]),
     cap=st.sampled_from([1_000_000, 4]),
     beta_scale=st.sampled_from([1e-5, 1e-4, 0.002, 0.02]),
 )
@@ -283,32 +268,29 @@ def _run_both(kind, seed, optimism, recompute_every, cap, beta_scale, episodes=2
     kind="dyn-2d",
     seed=0,
     optimism=SelectionMode.EXACT,
-    recompute_every=3,
     cap=1_000_000,
     beta_scale=0.02,
 )
-def test_run_learner_matches_per_coordinate_reference(
-    kind, seed, optimism, recompute_every, cap, beta_scale
-):
+def test_run_learner_matches_per_coordinate_reference(kind, seed, optimism, cap, beta_scale):
     """Small beta scales empty some families (each falls back to its loss
     minimizer), larger ones shrink the sets over the 25 episodes."""
-    _run_both(kind, seed, optimism, recompute_every, cap, beta_scale)
+    _run_both(kind, seed, optimism, cap, beta_scale)
 
 
 @pytest.mark.parametrize("kind", ["general", "dyn-1d", "dyn-2d"])
 def test_empty_set_fallback_matches_per_coordinate_reference(kind):
-    got = _run_both(kind, 0, SelectionMode.EXACT, 1, 1_000_000, 1e-5)
+    got = _run_both(kind, 0, SelectionMode.EXACT, 1_000_000, 1e-5)
     assert any(f.endswith("empty-set-fallback") for rec in got.episodes for f in rec.flags)
 
 
 @pytest.mark.parametrize("kind", ["general", "dyn-1d", "dyn-2d"])
 def test_forced_capacity_fallback_matches_per_coordinate_reference(kind):
-    got = _run_both(kind, 1, SelectionMode.EXACT, 1, 1, 0.02)
+    got = _run_both(kind, 1, SelectionMode.EXACT, 1, 0.02)
     assert any("selector-capacity-fallback" in rec.flags for rec in got.episodes)
 
 
 def test_2d_run_writes_per_coordinate_sizes(tmp_path):
-    got = _run_both("dyn-2d", 2, SelectionMode.EXACT, 1, 1_000_000, 0.02, episodes=40)
+    got = _run_both("dyn-2d", 2, SelectionMode.EXACT, 1_000_000, 0.02, episodes=40)
     rec = got.episodes[-1]
     assert all(len(per) == 2 for per in rec.transition_sets)
     assert all(len(idx) == 2 for idx in rec.chosen_transition_idx)
@@ -355,20 +337,17 @@ def count_calls(monkeypatch):
     return built, selected
 
 
-@pytest.mark.parametrize("kind", ["general", "dyn-2d"])
+@pytest.mark.parametrize("kind", ["general", "dyn-1d", "dyn-2d"])
 @pytest.mark.parametrize(
-    "optimism, cap, recompute_every",
+    "optimism, cap",
     [
-        (SelectionMode.EXACT, 1_000_000, 1),
-        (SelectionMode.EXACT, 1_000_000, 3),
-        (SelectionMode.EXACT, 1, 1),
-        (SelectionMode.EXACT, 1, 3),
-        (SelectionMode.POINTWISE, 1_000_000, 1),
-        (SelectionMode.POINTWISE, 1_000_000, 3),
+        (SelectionMode.EXACT, 1_000_000),
+        (SelectionMode.EXACT, 1),
+        (SelectionMode.POINTWISE, 1_000_000),
     ],
 )
-def test_selection_runs_once_per_distinct_set(monkeypatch, kind, optimism, cap, recompute_every):
-    """Sets are built in every non-stale episode; the selector runs once per
+def test_selection_runs_once_per_distinct_set(monkeypatch, kind, optimism, cap):
+    """Sets are built in every episode; the selector runs once per
     distinct (reward sets, transition sets) key, plus one pointwise retry for
     each key whose exact selection exceeds the cap."""
     model, knowledge, classes = _closed_instance(kind, 1)
@@ -379,14 +358,12 @@ def test_selection_runs_once_per_distinct_set(monkeypatch, kind, optimism, cap, 
         seed=1,
         optimism=optimism,
         beta_scale=1e-4,
-        caps=RunCaps(selector=cap),
-        recompute_every=recompute_every,
+        selector_cap=cap,
         check_realizability_at_start=False,
     )
     built, selected = count_calls(monkeypatch)
     result = run_learner(model, knowledge, classes, cfg)
-    fresh = [rec for rec in result.episodes if "stale-sets" not in rec.flags]
-    assert len(built) == len(fresh) == (40 if recompute_every == 1 else 15)
+    assert len(built) == len(result.episodes) == 40
     keys = [key for key, _ in built]
     distinct = list(dict.fromkeys(keys))
     assert 3 <= len(distinct) < len(keys)
@@ -396,7 +373,7 @@ def test_selection_runs_once_per_distinct_set(monkeypatch, kind, optimism, cap, 
     assert bool(fell_back) == (optimism is SelectionMode.EXACT and cap == 1)
     retries = [(key, mode) for key, mode, _ in selected if mode is not optimism]
     assert retries == [(key, SelectionMode.POINTWISE) for key in fell_back]
-    for rec, (key, fallback_flags) in zip(fresh, built):
+    for rec, (key, fallback_flags) in zip(result.episodes, built):
         assert ("selector-capacity-fallback" in rec.flags) == (key in fell_back)
         assert set(fallback_flags) <= set(rec.flags)
         relaxed = optimism is SelectionMode.POINTWISE or key in fell_back

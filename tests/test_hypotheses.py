@@ -15,6 +15,8 @@ from strategicmdp import (
     ClassCaps,
     HypothesisClasses,
     LearnerKnowledge,
+    RealizabilityError,
+    RunConfig,
     TransitionMode,
     ValidationError,
     build_scenario,
@@ -24,6 +26,7 @@ from strategicmdp import (
     close_value_targets,
     residual_labels,
     residual_stack,
+    run_learner,
     scenarios,
     true_aggregated_model,
     value_iteration,
@@ -294,6 +297,26 @@ def test_missing_transition_truth_detected():
     assert not report.truth_in_transitions.passed
 
 
+@pytest.mark.parametrize(
+    "name, designated", [("contract-small", [1, 1, 1]), ("dyn-1d", [[1]] * 3)]
+)
+def test_wrong_designated_transition_index_detected(name, designated):
+    scenario = build_scenario(name)
+    broken = dataclasses.replace(scenario.classes, truth_transition_idx=designated)
+    report = check_realizability(scenario.model, broken, scenario.knowledge())
+    assert not report.passed
+    assert report.truth_in_transitions.detail == "designated transition index 1 wrong at step 0"
+    cfg = RunConfig(
+        episodes=2,
+        delta=0.1,
+        mode=scenario.model.transition_mode,
+        seed=0,
+        strict_realizability=True,
+    )
+    with pytest.raises(RealizabilityError, match="designated transition index 1"):
+        run_learner(scenario.model, scenario.knowledge(), broken, cfg)
+
+
 # ---------------------------------------------------------------------------
 # Whole-array closures and check against the per-row references
 # ---------------------------------------------------------------------------
@@ -493,10 +516,20 @@ def mutations(model, classes):
             yield f"missing transition truth at {h}", dataclasses.replace(
                 classes, transition_tables=_replace_row(classes.transition_tables, h, p, tilted)
             )
+            designated = list(classes.truth_transition_idx)
+            designated[h] = (p + 1) % classes.transition_tables[h].shape[0]
+            yield f"wrong designated transition at {h}", dataclasses.replace(
+                classes, truth_transition_idx=designated
+            )
         else:
             per = [list(c) for c in classes.mean_map_tables]
             per[h][0] = per[h][0] + 0.01
             yield f"missing mean-map truth at {h}", dataclasses.replace(classes, mean_map_tables=per)
+            designated = [list(t) for t in classes.truth_transition_idx]
+            designated[h][0] = ((designated[h][0] or 0) + 1) % classes.mean_map_tables[h][0].shape[0]
+            yield f"wrong designated mean map at {h}", dataclasses.replace(
+                classes, truth_transition_idx=designated
+            )
     yield "negative zeros", dataclasses.replace(
         classes,
         discriminators=_negative_zeros(classes.discriminators),
