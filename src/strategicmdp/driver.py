@@ -111,9 +111,25 @@ class RunResult:
     dataset: StepDataset | None = None
 
     def canonical_json(self, include_wallclock: bool = False) -> str:
-        """Deterministic serialization; wall-clock fields excluded by default."""
-        eps = []
-        for rec in self.episodes:
+        """Deterministic serialization; wall-clock fields excluded by default.
+
+        The text is that of one json.dumps of the whole payload with sorted
+        keys, but it is encoded one record at a time and each distinct Policy
+        object once, so no full copy of the payload is ever built.
+        """
+        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        config = {
+            "episodes": self.config.episodes,
+            "delta": self.config.delta,
+            "mode": self.config.mode.value,
+            "seed": self.config.seed,
+            "optimism": self.config.optimism.value,
+            "beta_scale": self.config.beta_scale,
+            "selector_cap": self.config.selector_cap,
+        }
+        # Top-level keys in the sorted order that sort_keys gives them.
+        pieces = ['{"config":', encode(config), ',"episodes":[']
+        for i, rec in enumerate(self.episodes):
             d = {
                 "episode": rec.episode,
                 "reward_sets": rec.reward_sets,
@@ -131,22 +147,15 @@ class RunResult:
             }
             if include_wallclock:
                 d["wallclock_ms"] = rec.wallclock_ms
-            eps.append(d)
-        payload = {
-            "config": {
-                "episodes": self.config.episodes,
-                "delta": self.config.delta,
-                "mode": self.config.mode.value,
-                "seed": self.config.seed,
-                "optimism": self.config.optimism.value,
-                "beta_scale": self.config.beta_scale,
-                "selector_cap": self.config.selector_cap,
-            },
-            "flags": sorted(self.flags),
-            "policies": [p.action_probs.tolist() for p in self.policies],
-            "episodes": eps,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            pieces += ("," if i else "", encode(d))
+        pieces += ('],"flags":', encode(sorted(self.flags)), ',"policies":[')
+        encoded: dict[int, str] = {}  # by id: every policy stays alive in self.policies
+        for i, p in enumerate(self.policies):
+            if id(p) not in encoded:
+                encoded[id(p)] = encode(p.action_probs.tolist())
+            pieces += ("," if i else "", encoded[id(p)])
+        pieces.append("]}")
+        return "".join(pieces)
 
 
 def run_learner(

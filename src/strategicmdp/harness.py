@@ -148,18 +148,27 @@ class SeedOutcome:
 
 
 def write_episodes_csv(path: Path, seed: int, run: RunResult) -> None:
+    """One row per episode; each set-size column is formatted once per distinct
+    set object the records share (they stay alive in run.episodes, so ids do)."""
+
     def fill(fh) -> None:
         writer = csv.writer(fh)
         writer.writerow(EPISODE_COLUMNS)
+        sizes_r: dict[int, str] = {}
+        sizes_p: dict[int, str] = {}
         for rec in run.episodes:
+            if id(rec.reward_sets) not in sizes_r:
+                sizes_r[id(rec.reward_sets)] = _sizes_r(rec)
+            if id(rec.transition_set_sizes) not in sizes_p:
+                sizes_p[id(rec.transition_set_sizes)] = _sizes_p(rec)
             writer.writerow(
                 [
                     seed,
                     rec.episode,
                     _fmt(rec.instant_regret),
                     _fmt(rec.cum_regret),
-                    _sizes_r(rec),
-                    _sizes_p(rec),
+                    sizes_r[id(rec.reward_sets)],
+                    sizes_p[id(rec.transition_set_sizes)],
                     _fmt(rec.betas[0]),
                     _fmt(rec.betas[1]),
                     _fmt(rec.betas[2]),
@@ -200,14 +209,19 @@ def run_seed(
     truth_at: dict[int, bool | None] = {}
     ok: bool | None = True
     by_episode = {rec.episode: rec for rec in run.episodes}
+    truth_memo: dict[tuple[int, int], bool | None] = {}  # by the ids of a record's sets
     for k in range(1, cfg.episodes + 1):
-        t = _truth_in_record(by_episode[k], scenario.classes)
+        rec = by_episode[k]
+        key = (id(rec.reward_sets), id(rec.transition_sets))
+        if key not in truth_memo:
+            truth_memo[key] = _truth_in_record(rec, scenario.classes)
+        t = truth_memo[key]
         if t is None:
             ok = None
         elif ok is True and not t:
             ok = False
         if k in marks:
-            cum_at[k] = float(by_episode[k].cum_regret)
+            cum_at[k] = float(rec.cum_regret)
             truth_at[k] = ok
     wall = (time.perf_counter() - t0) * 1000.0
 

@@ -84,6 +84,16 @@ class KernelIndex:
         return tuple(tuple(sorted(set(c))) for c in zip(*(self.models[k] for k in kernels)))
 
 
+def _check_truth_index(idx, count: int, kind: str, where: str) -> None:
+    """A designated truth index is None or an integer naming one of count candidates."""
+    if idx is None:
+        return
+    if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)) or not 0 <= idx < count:
+        raise ValidationError(
+            f"truth {kind} index {idx!r} at {where} is not one of the {count} candidates"
+        )
+
+
 @dataclass
 class HypothesisClasses:
     """Per-step candidate and discriminator families.
@@ -154,6 +164,9 @@ class HypothesisClasses:
 
     def _validate(self, S: int, A: int) -> None:
         H = self.horizon
+        for name in ("truth_reward_idx", "truth_transition_idx"):
+            if len(getattr(self, name)) != H:
+                raise ValidationError(f"{name} must have one entry per step ({H})")
         flags = list(self.flags)
         # Value targets are flagged before discriminators: the order in which
         # close_classes's two closures raise them, validated once at the end.
@@ -171,6 +184,7 @@ class HypothesisClasses:
                 )
             if self.reward_tables[h].min() < -1e-9 or self.reward_tables[h].max() > self.bound + 1e-9:
                 raise ValidationError(f"reward candidates at step {h} leave [0, bound]")
+            _check_truth_index(self.truth_reward_idx[h], nR, "reward", f"step {h}")
             if self.mode is TransitionMode.GENERAL:
                 assert self.transition_tables is not None
                 nP = self.transition_tables[h].shape[0]
@@ -183,8 +197,15 @@ class HypothesisClasses:
                 rows = self.transition_tables[h].sum(axis=-1)
                 if np.abs(rows - 1.0).max() > 1e-9 or self.transition_tables[h].min() < -1e-9:
                     raise ValidationError(f"transition candidates at step {h} are not kernels")
+                _check_truth_index(self.truth_transition_idx[h], nP, "transition", f"step {h}")
             else:
                 assert self.mean_map_tables is not None
+                truth = self.truth_transition_idx[h]
+                dim = len(self.mean_map_tables[h])
+                if not isinstance(truth, (list, tuple)) or len(truth) != dim:
+                    raise ValidationError(
+                        f"truth transition index at step {h} must list one entry per coordinate ({dim})"
+                    )
                 for i, per in enumerate(self.mean_map_tables[h]):
                     if per.shape[0] == 0:
                         raise ValidationError(f"no mean-map candidates at step {h}, coordinate {i}")
@@ -192,6 +213,7 @@ class HypothesisClasses:
                         raise CapacityError(
                             f"{per.shape[0]} mean-map candidates at step {h} exceed the per-step cap"
                         )
+                    _check_truth_index(truth[i], per.shape[0], "transition", f"step {h}, coordinate {i}")
             fmax = np.abs(self.discriminators[h]).max()
             if fmax > self.bound + 1e-9 and "discriminator-bound-exceeded" not in flags:
                 flags.append("discriminator-bound-exceeded")

@@ -9,13 +9,17 @@ enumeration. The per-row references at the end keep the earlier class
 closures and realizability check verbatim (one residual, one projection and
 one ``tobytes`` key or ``np.array_equal`` scan per row); they reuse only the
 candidate aggregates and the joint backup step. The learner references keep
-the earlier per-coordinate transition sets verbatim (see that section).
+the earlier per-coordinate transition sets verbatim (see that section). The
+serializer references at the end keep the earlier whole-payload canonical
+JSON and the per-row episodes.csv writer verbatim.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import itertools
+import json
 import math
 from types import SimpleNamespace
 
@@ -904,3 +908,98 @@ def ref_sizes_p(sizes) -> str:
         else:
             parts.append(str(per))
     return ";".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# Serializers as they were: one json.dumps of the whole payload, and every
+# episodes.csv cell formatted afresh on every row
+# ---------------------------------------------------------------------------
+
+
+def ref_canonical_json(run, include_wallclock: bool = False) -> str:
+    """RunResult.canonical_json as it was: the whole payload built, then dumped."""
+    eps = []
+    for rec in run.episodes:
+        d = {
+            "episode": rec.episode,
+            "reward_sets": rec.reward_sets,
+            "transition_sets": rec.transition_sets,
+            "betas": rec.betas,
+            "optimistic_value": rec.optimistic_value,
+            "relaxed": rec.relaxed,
+            "chosen_reward_idx": rec.chosen_reward_idx,
+            "chosen_transition_idx": rec.chosen_transition_idx,
+            "chosen_reward_losses": rec.chosen_reward_losses,
+            "chosen_transition_losses": rec.chosen_transition_losses,
+            "flags": rec.flags,
+            "instant_regret": rec.instant_regret,
+            "cum_regret": rec.cum_regret,
+        }
+        if include_wallclock:
+            d["wallclock_ms"] = rec.wallclock_ms
+        eps.append(d)
+    payload = {
+        "config": {
+            "episodes": run.config.episodes,
+            "delta": run.config.delta,
+            "mode": run.config.mode.value,
+            "seed": run.config.seed,
+            "optimism": run.config.optimism.value,
+            "beta_scale": run.config.beta_scale,
+            "selector_cap": run.config.selector_cap,
+        },
+        "flags": sorted(run.flags),
+        "policies": [p.action_probs.tolist() for p in run.policies],
+        "episodes": eps,
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+REF_EPISODE_COLUMNS = [
+    "seed",
+    "episode",
+    "instant_regret",
+    "cum_regret",
+    "conf_sizes_R",
+    "conf_sizes_P",
+    "beta1",
+    "beta2",
+    "beta3",
+    "flags",
+    "wallclock_ms",
+]
+
+
+def _ref_fmt(x) -> str:
+    return repr(float(x))
+
+
+def _ref_sizes_r(rec) -> str:
+    return ";".join(str(n) for n in rec.reward_set_sizes)
+
+
+def _ref_sizes_p(rec) -> str:
+    return ";".join(",".join(map(str, np.ravel(n))) for n in rec.transition_set_sizes)
+
+
+def ref_write_episodes_csv(path, seed: int, run) -> None:
+    """harness.write_episodes_csv as it was: every cell of every row formatted afresh."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(REF_EPISODE_COLUMNS)
+        for rec in run.episodes:
+            writer.writerow(
+                [
+                    seed,
+                    rec.episode,
+                    _ref_fmt(rec.instant_regret),
+                    _ref_fmt(rec.cum_regret),
+                    _ref_sizes_r(rec),
+                    _ref_sizes_p(rec),
+                    _ref_fmt(rec.betas[0]),
+                    _ref_fmt(rec.betas[1]),
+                    _ref_fmt(rec.betas[2]),
+                    ";".join(rec.flags),
+                    _ref_fmt(rec.wallclock_ms),
+                ]
+            )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -19,6 +20,7 @@ except ModuleNotFoundError:  # Python 3.10
 
 from strategicmdp import RunConfig, build_scenario, harness, run_learner
 from strategicmdp.cli import ENV_OUTPUT, main
+from strategicmdp.config import load_config
 from strategicmdp.harness import EPISODE_COLUMNS, SUMMARY_COLUMNS
 
 from helpers import BASE_YAML, DYN_YAML
@@ -208,6 +210,56 @@ def test_failed_episodes_write_keeps_previous_csv(config_path, tmp_path):
         harness.write_episodes_csv(seed_dir / "episodes.csv", 0, run)
     assert (seed_dir / "episodes.csv").read_bytes() == old
     assert sorted(os.listdir(seed_dir)) == before
+
+
+@pytest.mark.parametrize(
+    "truth_reward_idx, final", [(None, True), ([1, 0, 0], False), ([None, 0, 0], None)]
+)
+def test_truth_check_runs_once_per_distinct_set_pair(
+    config_path, tmp_path, monkeypatch, truth_reward_idx, final
+):
+    """run_seed checks the designated truth once per distinct pair of set
+    objects, and its checkpoints match the check made on every record. The
+    designations cover a surviving truth, one that leaves (False) and an
+    undesignated step (None)."""
+    body = BASE_YAML.replace("episodes: 6", "episodes: 40").replace("beta_scale: 0.1", "beta_scale: 0.0001")
+    cfg = load_config(config_path(body=body.replace("evaluation_cadence: 3", "evaluation_cadence: 5")))
+    runs, calls = [], []
+    real_build, real_run, real_truth = harness.build_from_config, harness.run_learner, harness._truth_in_record
+
+    def build(cfg):
+        scenario = real_build(cfg)
+        if truth_reward_idx is not None:
+            scenario.classes = dataclasses.replace(scenario.classes, truth_reward_idx=truth_reward_idx)
+        return scenario
+
+    def run(*args):
+        runs.append(real_run(*args))
+        return runs[-1]
+
+    def truth(rec, classes):
+        calls.append((id(rec.reward_sets), id(rec.transition_sets)))
+        return real_truth(rec, classes)
+
+    monkeypatch.setattr(harness, "build_from_config", build)
+    monkeypatch.setattr(harness, "run_learner", run)
+    monkeypatch.setattr(harness, "_truth_in_record", truth)
+    outcome = harness.run_seed(cfg, 0, tmp_path / "seed-0000")
+    (result,) = runs
+    pairs = [(id(rec.reward_sets), id(rec.transition_sets)) for rec in result.episodes]
+    assert calls == list(dict.fromkeys(pairs)) and len(calls) < len(pairs)
+    classes = build(cfg).classes
+    want, ok = {}, True
+    for rec in result.episodes:
+        t = real_truth(rec, classes)
+        if t is None:
+            ok = None
+        elif ok is True and not t:
+            ok = False
+        if rec.episode % 5 == 0:
+            want[rec.episode] = ok
+    assert outcome.truth_prefix_at == want
+    assert want[40] is final
 
 
 def test_every_artifact_is_written_atomically(config_path, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from strategicmdp import (
     close_classes,
     mixture_value,
     policy_value,
+    regret_curve,
     run_learner,
     true_aggregated_model,
     value_iteration,
@@ -38,9 +40,11 @@ from strategicmdp.harness import write_episodes_csv
 from helpers import (
     random_dynamical,
     random_general,
+    ref_canonical_json,
     ref_run_learner,
     ref_sizes_p,
     ref_transition_set_sizes,
+    ref_write_episodes_csv,
     tiny_general,
 )
 from test_hypotheses import singleton_classes
@@ -424,3 +428,107 @@ def test_runs_share_no_memo(monkeypatch):
     assert len(selected) - n_first == len(set(built))
     assert second.canonical_json() == alone
     assert first.canonical_json() != alone
+
+
+# ---------------------------------------------------------------------------
+# Serializers against the whole-payload and per-row references
+# ---------------------------------------------------------------------------
+
+
+def _run_closed(kind, seed, optimism=SelectionMode.EXACT, beta_scale=0.02, episodes=25):
+    model, knowledge, classes = _closed_instance(kind, seed)
+    cfg = RunConfig(
+        episodes=episodes,
+        delta=0.1,
+        mode=model.transition_mode,
+        seed=seed,
+        optimism=optimism,
+        beta_scale=beta_scale,
+        check_realizability_at_start=False,
+    )
+    return run_learner(model, knowledge, classes, cfg), model, knowledge
+
+
+def assert_json_matches_reference(run):
+    for wall in (False, True):
+        assert run.canonical_json(include_wallclock=wall) == ref_canonical_json(run, wall)
+
+
+def assert_csv_matches_reference(run, out_dir):
+    got, want = out_dir / "got.csv", out_dir / "want.csv"
+    write_episodes_csv(got, 3, run)
+    ref_write_episodes_csv(want, 3, run)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["general", "dyn-1d", "dyn-2d"]),
+    seed=st.integers(0, 5),
+    optimism=st.sampled_from(list(SelectionMode)),
+    beta_scale=st.sampled_from([1e-4, 0.002, 0.02]),
+)
+def test_serializers_match_whole_payload_references(
+    tmp_path_factory, kind, seed, optimism, beta_scale
+):
+    """Byte for byte, with the regret fields still None and once they are filled."""
+    run, model, knowledge = _run_closed(kind, seed, optimism, beta_scale)
+    assert_json_matches_reference(run)
+    regret_curve(run, model, knowledge)
+    assert_json_matches_reference(run)
+    assert_csv_matches_reference(run, tmp_path_factory.mktemp("csv"))
+
+
+def _unshared(obj):
+    """An equal copy of nested tuples that shares no tuple object with obj."""
+    return tuple(_unshared(x) for x in obj) if isinstance(obj, tuple) else obj
+
+
+@pytest.mark.parametrize("kind", ["general", "dyn-1d", "dyn-2d"])
+def test_serializers_match_references_when_nothing_is_shared(tmp_path, kind):
+    """Hand-built runs whose policies are distinct objects holding equal
+    arrays, and whose records share no set tuple."""
+    run, model, knowledge = _run_closed(kind, 2, episodes=40)
+    regret_curve(run, model, knowledge)
+    assert len({id(p) for p in run.policies}) < len(run.policies)
+    own_policies = dataclasses.replace(
+        run, policies=[Policy(p.action_probs.copy()) for p in run.policies]
+    )
+    own_sets = dataclasses.replace(
+        run,
+        episodes=[
+            dataclasses.replace(
+                rec,
+                reward_sets=_unshared(rec.reward_sets),
+                transition_sets=_unshared(rec.transition_sets),
+                transition_set_sizes=_unshared(rec.transition_set_sizes),
+            )
+            for rec in run.episodes
+        ],
+    )
+    for field in ("reward_sets", "transition_sets", "transition_set_sizes"):
+        assert len({id(getattr(rec, field)) for rec in own_sets.episodes}) == 40
+    for variant in (own_policies, own_sets):
+        assert_json_matches_reference(variant)
+        assert variant.canonical_json() == run.canonical_json()
+        assert_csv_matches_reference(variant, tmp_path)
+
+
+def test_canonical_json_transient_memory_stays_near_its_output():
+    """Encoding record by record, each distinct policy once, keeps the traced
+    transient peak within 4x the output (the whole-payload dump took ~13x)."""
+    scenario = build_scenario("recsys-small")
+    knowledge = scenario.knowledge()
+    cfg = run_cfg(episodes=300, seed=1, check_realizability_at_start=False)
+    run = run_learner(scenario.model, knowledge, scenario.classes, cfg)
+    regret_curve(run, scenario.model, knowledge)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = run.canonical_json()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert out == ref_canonical_json(run)
+    assert peak <= 4 * len(out), f"{peak} bytes traced for {len(out)} bytes of output"

@@ -255,12 +255,59 @@ def test_missing_truth_reward_detected():
     assert "step 0" in report.truth_in_rewards.detail
 
 
-def test_wrong_designated_index_detected():
+@pytest.mark.parametrize("designated", [[1, 0, 0], [1, 1, 1]])
+def test_wrong_designated_index_detected(designated):
+    """An in-range wrong index passes construction and fails realizability."""
     scenario = build_scenario("recsys-small")
-    broken = dataclasses.replace(scenario.classes, truth_reward_idx=[1, 0, 0])
+    broken = dataclasses.replace(scenario.classes, truth_reward_idx=designated)
     report = check_realizability(scenario.model, broken, scenario.knowledge())
     assert not report.truth_in_rewards.passed
     assert "designated" in report.truth_in_rewards.detail
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_truth_indices_validated_on_every_scenario(name):
+    """Every scenario's designated indices pass validation again; a wrong step
+    count, an index past the last candidate or a non-integer fails by step."""
+    classes = dataclasses.replace(build_scenario(name).classes)
+    H = classes.horizon
+    last = classes.reward_tables[H - 1].shape[0]
+    bad_reward = {
+        f"truth reward index {last} at step {H - 1}": [0] * (H - 1) + [last],
+        "truth reward index 0.0 at step 0": [0.0] + [0] * (H - 1),
+        "truth reward index True at step 0": [True] + [0] * (H - 1),
+        "truth reward index -1 at step 0": [-1] + [0] * (H - 1),
+        "truth_reward_idx must have one entry per step": [0] * (H + 1),
+    }
+    for match, designated in bad_reward.items():
+        with pytest.raises(ValidationError, match=match):
+            dataclasses.replace(classes, truth_reward_idx=designated)
+    ok = dataclasses.replace(classes, truth_reward_idx=[np.int64(0)] + [None] * (H - 1))
+    assert ok.truth_reward_idx[0] == 0
+    with pytest.raises(ValidationError, match="truth_transition_idx must have one entry per step"):
+        dataclasses.replace(classes, truth_transition_idx=classes.truth_transition_idx[:-1])
+
+
+def test_out_of_range_truth_indices_rejected():
+    recsys = build_scenario("recsys-small").classes
+    with pytest.raises(ValidationError, match="truth reward index 99 at step 0 is not one of the 2"):
+        dataclasses.replace(recsys, truth_reward_idx=[99, 0, 0])
+    contract = build_scenario("contract-small").classes
+    n = contract.transition_tables[2].shape[0]
+    with pytest.raises(ValidationError, match=f"truth transition index {n} at step 2 is not"):
+        dataclasses.replace(contract, truth_transition_idx=[0, 0, n])
+    dyn = build_scenario("dyn-1d").classes
+    n = dyn.mean_map_tables[1][0].shape[0]
+    with pytest.raises(ValidationError, match=f"index {n} at step 1, coordinate 0 is not"):
+        dataclasses.replace(dyn, truth_transition_idx=[[0], [n], [0]])
+
+
+@pytest.mark.parametrize("designated", [[[0, 1]] * 3, [[]] * 3, [0] * 3])
+def test_dynamical_truth_needs_one_index_per_coordinate(designated):
+    """An extra coordinate entry used to be zipped away and pass realizability."""
+    dyn = build_scenario("dyn-1d").classes
+    with pytest.raises(ValidationError, match="at step 0 must list one entry per coordinate"):
+        dataclasses.replace(dyn, truth_transition_idx=designated)
 
 
 def test_missing_projection_detected():
