@@ -154,7 +154,8 @@ def _discriminator_score(
     quad = (_half_squares(disc) if halves is None else halves) @ sa_counts.reshape(-1)
     lead = targets.shape[:-2]
     flat_t = targets.reshape(-1, flat_f.shape[1])
-    scores = flat_t @ flat_f.T - quad[None, :]
+    scores = flat_t @ flat_f.T
+    scores -= quad  # in place: one (rows, nF) array per call, not two
     return scores.max(axis=1).reshape(lead)
 
 

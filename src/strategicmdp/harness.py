@@ -18,7 +18,6 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from copy import deepcopy
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -208,10 +207,8 @@ def run_seed(
     cum_at: dict[int, float] = {}
     truth_at: dict[int, bool | None] = {}
     ok: bool | None = True
-    by_episode = {rec.episode: rec for rec in run.episodes}
     truth_memo: dict[tuple[int, int], bool | None] = {}  # by the ids of a record's sets
-    for k in range(1, cfg.episodes + 1):
-        rec = by_episode[k]
+    for rec in run.episodes:
         key = (id(rec.reward_sets), id(rec.transition_sets))
         if key not in truth_memo:
             truth_memo[key] = _truth_in_record(rec, scenario.classes)
@@ -220,9 +217,9 @@ def run_seed(
             ok = None
         elif ok is True and not t:
             ok = False
-        if k in marks:
-            cum_at[k] = float(rec.cum_regret)
-            truth_at[k] = ok
+        if rec.episode in marks:
+            cum_at[rec.episode] = float(rec.cum_regret)
+            truth_at[rec.episode] = ok
     wall = (time.perf_counter() - t0) * 1000.0
 
     manifest = {
@@ -325,6 +322,9 @@ def run_experiment(cfg: ScenarioConfig, output_root: str | None = None) -> Path:
         outcomes: list[SeedOutcome] = []
         dirs = {seed: exp_dir / f"seed-{seed:04d}" for seed in cfg.seeds}
         if cfg.workers > 1:
+            # imported here so a serial run never loads the multiprocessing stack
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
                 futures = [
                     pool.submit(_seed_task, cfg, seed, str(dirs[seed]), shared)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -164,19 +165,24 @@ class Grid:
             self.cells_per_dim
         )
 
+    @cached_property
+    def _locate_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """lows, widths and last cell per dimension, built once: locate runs every step."""
+        return np.asarray(self.lows), self.widths(), np.asarray(self.cells_per_dim) - 1
+
     def locate(self, point: np.ndarray) -> int:
         """Cell index containing the point, clipped to the box."""
         point = np.asarray(point, dtype=float)
         if point.shape != (self.dim,):
             raise ValidationError(f"point shape {point.shape} does not match grid dim {self.dim}")
-        rel = (point - np.asarray(self.lows)) / self.widths()
-        sub = np.clip(np.floor(rel).astype(int), 0, np.asarray(self.cells_per_dim) - 1)
+        lows, widths, last = self._locate_arrays
+        sub = np.clip(np.floor((point - lows) / widths).astype(int), 0, last)
         return int(np.ravel_multi_index(tuple(sub), self.cells_per_dim))
 
     def locate_many(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float).reshape(-1, self.dim)
-        rel = (points - np.asarray(self.lows)) / self.widths()
-        sub = np.clip(np.floor(rel).astype(int), 0, np.asarray(self.cells_per_dim) - 1)
+        lows, widths, last = self._locate_arrays
+        sub = np.clip(np.floor((points - lows) / widths).astype(int), 0, last)
         return np.ravel_multi_index(tuple(sub.T), self.cells_per_dim)
 
     def center(self, cell: int) -> np.ndarray:

@@ -335,6 +335,13 @@ def ref_discretize_gaussian(means: np.ndarray, grid: Grid, scale: float) -> np.n
     return joint.reshape(means.shape[:-1] + (grid.num_cells,))
 
 
+def ref_locate(grid: Grid, point: np.ndarray) -> int:
+    """Grid.locate as a literal formula, every array rebuilt from the grid's tuples."""
+    rel = (np.asarray(point, dtype=float) - np.asarray(grid.lows)) / grid.widths()
+    sub = np.clip(np.floor(rel).astype(int), 0, np.asarray(grid.cells_per_dim) - 1)
+    return int(np.ravel_multi_index(tuple(sub), grid.cells_per_dim))
+
+
 def ref_mean_masses(classes, knowledge) -> list[list[np.ndarray]]:
     """Per-step, per-coordinate candidate cell masses, one step at a time."""
     w = knowledge.feedback_mix()
@@ -1003,3 +1010,13 @@ def ref_write_episodes_csv(path, seed: int, run) -> None:
                     _ref_fmt(rec.wallclock_ms),
                 ]
             )
+
+
+def ref_discriminator_score(targets, disc, sa_counts, halves) -> np.ndarray:
+    """estimation._discriminator_score with the quadratic term subtracted out of place."""
+    flat_f = disc.reshape(disc.shape[0], -1)
+    half = 0.5 * flat_f**2 if halves is None else halves
+    quad = half @ sa_counts.reshape(-1)
+    flat_t = targets.reshape(-1, flat_f.shape[1])
+    scores = flat_t @ flat_f.T - quad[None, :]
+    return scores.max(axis=1).reshape(targets.shape[:-2])

@@ -408,6 +408,27 @@ def test_dynamical_path_does_not_import_scipy(tmp_path):
     assert (tmp_path / "runs" / "dyn-1d" / "diagnostics.json").is_file()
 
 
+def test_serial_path_does_not_import_the_process_pool(config_path, tmp_path):
+    # The pool is imported only when workers > 1, so a serial run never loads
+    # the multiprocessing stack; test_workers_parallel_matches_serial covers the pool.
+    script = (
+        "import sys\n"
+        "from strategicmdp.cli import main\n"
+        "def pool_modules():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.split('.')[0] in ('multiprocessing', 'concurrent'))\n"
+        "print('pool', pool_modules())\n"
+        f"assert main(['run', {str(config_path())!r}]) == 0\n"
+        "print('pool', pool_modules())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=src_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [l for l in proc.stdout.splitlines() if l.startswith("pool ")] == ["pool []"] * 2
+    assert (tmp_path / "runs" / "recsys-small" / "summary.csv").is_file()
+
+
 @pytest.mark.skipif(
     shutil.which("strategicmdp") is None, reason="strategicmdp is not installed on PATH"
 )

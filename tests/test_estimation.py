@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,9 +30,15 @@ from strategicmdp import (
     rollout,
     transition_losses_general,
 )
-from strategicmdp.estimation import StepData, _threshold
+from strategicmdp.estimation import StepData, _discriminator_score, _half_squares, _threshold
 
-from helpers import random_dynamical, random_general, tiny_dynamical, tiny_general
+from helpers import (
+    random_dynamical,
+    random_general,
+    ref_discriminator_score,
+    tiny_dynamical,
+    tiny_general,
+)
 from test_hypotheses import assert_bitwise_equal
 
 
@@ -354,6 +362,59 @@ def test_loss_evaluator_precomputed_terms_are_bitwise_exact(kind, seed, horizon,
         else:
             for i, per in enumerate(classes.mean_map_tables[h]):
                 assert_bitwise_equal(got_t[i], mean_map_losses(step, per, i, disc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lead=st.sampled_from([(), (1,), (4,), (3, 5), (2, 1, 3)]),
+    S=st.integers(1, 4),
+    A=st.integers(1, 3),
+    nF=st.integers(1, 7),
+    precomputed=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_discriminator_score_matches_out_of_place_reference(lead, S, A, nF, precomputed, seed):
+    """Subtracting the quadratic term in place gives the out-of-place scores
+    bit for bit, for reward-shaped (nR, S, A) and transition-shaped
+    (nP, nG, S, A) targets, with the half squares passed in or not."""
+    rng = np.random.default_rng(seed)
+    targets = rng.normal(size=lead + (S, A)) * rng.integers(0, 30, size=lead + (S, A))
+    disc = rng.uniform(-1.0, 1.0, size=(nF, S, A))
+    sa_counts = rng.integers(0, 50, size=(S, A)).astype(float)
+    halves = _half_squares(disc) if precomputed else None
+    got = _discriminator_score(targets, disc, sa_counts, halves)
+    assert_bitwise_equal(got, ref_discriminator_score(targets, disc, sa_counts, halves))
+
+
+def test_transition_loss_transient_stays_near_one_scores_array():
+    """One (nP * nG, nF) scores array per call: the out-of-place subtraction
+    held two at once, at least twice this bound's base."""
+    nP, nG, S, A, E, nF = 16, 16, 2, 2, 2, 128
+    rng = np.random.default_rng(5)
+    tables = rng.dirichlet(np.ones(S), size=(nP, S, A, E))
+    targets = rng.uniform(0.0, 1.0, size=(nG, S))
+    disc = rng.uniform(-1.0, 1.0, size=(nF, S, A))
+    step = StepData(
+        counts=rng.integers(0, 20, size=(S, A, E)).astype(float),
+        reward_sums=np.zeros((S, A, E)),
+        next_counts=rng.integers(0, 20, size=(S, A, S)).astype(float),
+        next_sums=None,
+    )
+    applied = np.einsum("psaex,gx->pgsae", tables, targets)
+    halves = _half_squares(disc)
+    scores_bytes = nP * nG * nF * 8
+    assert scores_bytes >= 256 * 1024
+    want = transition_losses_general(step, tables, targets, disc, applied, halves)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        got = transition_losses_general(step, tables, targets, disc, applied, halves)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert_bitwise_equal(got, want)
+    assert peak - base < 1.5 * scores_bytes, (peak - base, scores_bytes)
 
 
 @given(

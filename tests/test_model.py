@@ -25,7 +25,7 @@ from strategicmdp import (
 )
 from strategicmdp.model import best_response, best_response_table, draw_categorical
 
-from helpers import tiny_dynamical, tiny_general
+from helpers import ref_locate, tiny_dynamical, tiny_general
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +93,38 @@ def test_grid_locate_many_matches_scalar():
     many = grid.locate_many(pts)
     each = [grid.locate(p) for p in pts]
     assert list(many) == each
+
+
+@st.composite
+def grids_and_points(draw):
+    """A 1-D or 2-D grid and points inside the box, outside it and on cell edges."""
+    dim = draw(st.integers(1, 2))
+    coord = st.floats(-5.0, 5.0, allow_nan=False)
+    lows = tuple(draw(coord) for _ in range(dim))
+    highs = tuple(lo + draw(st.floats(0.01, 6.0)) for lo in lows)
+    cells = tuple(draw(st.integers(1, 9)) for _ in range(dim))
+    grid = Grid(lows, highs, cells)
+    widths = grid.widths()
+    per_dim = []
+    for d in range(dim):
+        edges = [lows[d] + k * widths[d] for k in range(-2, cells[d] + 3)]
+        edges += list(grid.edges(d))
+        free = draw(st.lists(st.floats(lows[d] - 20.0, highs[d] + 20.0), min_size=1, max_size=6))
+        per_dim.append(draw(st.lists(st.sampled_from(edges + free), min_size=1, max_size=12)))
+    n = min(len(v) for v in per_dim)
+    points = np.array([[per_dim[d][i] for d in range(dim)] for i in range(n)], dtype=float)
+    return grid, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids_and_points())
+def test_grid_locate_matches_literal_formula(case):
+    """locate and locate_many reuse the grid's arrays; the cell is the one
+    the formula gives with every array rebuilt, edges and clipping included."""
+    grid, points = case
+    want = [ref_locate(grid, p) for p in points]
+    assert [grid.locate(p) for p in points] == want
+    assert grid.locate_many(points).tolist() == want
 
 
 def test_grid_validation():
