@@ -17,7 +17,6 @@ from .diagnostics import (
     ill_posedness,
     naive_baseline,
     occupancy,
-    occupancy_mse,
     regret_curve,
     transfer_term,
 )
@@ -25,7 +24,6 @@ from .driver import (
     EpisodeRecord,
     RunConfig,
     RunResult,
-    mixture_value,
     run_learner,
 )
 from .errors import (
@@ -78,7 +76,6 @@ from .model import (
     feedback_by_type,
     make_rng,
     rollout,
-    sample_step_batch,
 )
 from .planning import (
     AggregatedMDP,
@@ -86,7 +83,6 @@ from .planning import (
     PlanResult,
     SelectionMode,
     SelectionResult,
-    aggregate,
     discretize_gaussian,
     evaluate_policy,
     optimistic_select,

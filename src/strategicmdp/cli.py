@@ -7,7 +7,7 @@
 
 The output root comes from --output-root, else the STRATEGICMDP_OUTPUT
 environment variable, else the config's output.root. Exit codes: 0 success,
-2 config or validation failure, 3 runtime failure.
+2 config or validation failure, 3 runtime failure, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ ENV_OUTPUT = "STRATEGICMDP_OUTPUT"
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_RUNTIME = 3
+EXIT_INTERRUPTED = 130
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -114,6 +115,9 @@ def main(argv: list[str] | None = None) -> int:
     except StrategicMDPError as exc:
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports everything
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

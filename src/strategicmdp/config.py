@@ -158,7 +158,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     elif generator not in GENERATORS:
         known = ", ".join(sorted(GENERATORS))
         violations.append(f"environment.generator: unknown scenario {generator!r} (known: {known})")
-    generator_seed = _as_int(env, "seed", 0, -(2**63), "environment", violations)
+    generator_seed = _as_int(env, "seed", 0, 0, "environment", violations)
     params = env.get("params", {}) or {}
     if not isinstance(params, dict):
         violations.append("environment.params: must be a mapping")
@@ -197,9 +197,11 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     if (
         not isinstance(seeds, list)
         or not seeds
-        or any(not isinstance(s, int) or isinstance(s, bool) for s in seeds)
+        or any(not isinstance(s, int) or isinstance(s, bool) or s < 0 for s in seeds)
     ):
-        violations.append(f"run.seeds: must be a nonempty list of integers, got {seeds!r}")
+        violations.append(
+            f"run.seeds: must be a nonempty list of nonnegative integers, got {seeds!r}"
+        )
         seeds = [0]
     elif len(set(seeds)) != len(seeds):
         dups = sorted({s for s in seeds if seeds.count(s) > 1})

@@ -54,11 +54,7 @@ class OccupancyTable:
     """
 
     joints: list[np.ndarray]
-    type_dist: np.ndarray
     flags: tuple[str, ...] = ()
-
-    def states(self, h: int) -> np.ndarray:
-        return self.joints[h].sum(axis=(1, 2))
 
 
 def occupancy(
@@ -81,7 +77,7 @@ def occupancy(
     joints = _forward_joints(
         env, policy.action_probs, dist, feedback_by_type(env), _step_kernels(env, H - 1)
     )
-    return OccupancyTable(joints=joints, type_dist=dist, flags=flags)
+    return OccupancyTable(joints=joints, flags=flags)
 
 
 def _step_kernels(env: StrategicModel, steps: int) -> list[np.ndarray]:
@@ -131,11 +127,6 @@ def _forward_joints(
             else:
                 d = np.einsum("sate,tsaec->c", per_type, kernels[h])
     return joints
-
-
-def occupancy_mse(occ: OccupancyTable, h: int, nu: np.ndarray) -> float:
-    """Mean square of a (state, action, feedback) function under the occupancy."""
-    return float(np.sum(occ.joints[h] * nu * nu))
 
 
 # ---------------------------------------------------------------------------
@@ -356,15 +347,14 @@ def transfer_term(
 class NaiveBaselineReport:
     """Cell-wise reward regression on realized feedback, and its exact bias.
 
-    empirical_mean[h, s, a, e] averages observed rewards in that cell (NaN
-    when unvisited); empirical_bias subtracts the true reward table. The
+    empirical_bias[h, s, a, e] is the average observed reward in that cell
+    (NaN when unvisited) minus the true reward table. The
     population bias is the exact conditional mean of the reward shift given
     the cell, computed from environment internals; it is what the empirical
     bias converges to, and is nonzero wherever feedback correlates with type.
     """
 
     counts: np.ndarray
-    empirical_mean: np.ndarray
     empirical_bias: np.ndarray
     population_bias: np.ndarray
     flags: tuple[str, ...] = ()
@@ -398,7 +388,6 @@ def naive_baseline(dataset: StepDataset, env: StrategicModel) -> NaiveBaselineRe
     flags = (f"empty-cells:{empty}",) if empty else ()
     return NaiveBaselineReport(
         counts=counts,
-        empirical_mean=mean,
         empirical_bias=empirical_bias,
         population_bias=population_bias,
         flags=flags,

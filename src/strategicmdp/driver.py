@@ -32,13 +32,7 @@ from .model import (
     make_rng,
     rollout,
 )
-from .planning import (
-    AggregatedMDP,
-    CandidateAggregates,
-    SelectionMode,
-    optimistic_select,
-    policy_value,
-)
+from .planning import CandidateAggregates, SelectionMode, optimistic_select
 
 
 @dataclass
@@ -318,13 +312,3 @@ def run_learner(
         flags=tuple(sorted(run_flags)),
         dataset=dataset,
     )
-
-
-def mixture_value(policy: MixturePolicy, oracle: AggregatedMDP) -> float:
-    """Average exact value of the mixture components on the evaluation oracle."""
-    H = oracle.horizon
-    for comp in policy.components:
-        if comp.action_probs.shape[0] != H:
-            raise ConfigError("mixture component horizon does not match the oracle")
-    vals = [policy_value(oracle, comp) for comp in policy.components]
-    return float(np.mean(vals))

@@ -180,11 +180,10 @@ def write_episodes_csv(path: Path, seed: int, run: RunResult) -> None:
 
 
 def run_seed(
-    cfg: ScenarioConfig, seed: int, seed_dir: Path, shared_diag: dict | None = None
+    cfg: ScenarioConfig, seed: int, seed_dir: Path, scenario: Scenario, shared_diag: dict
 ) -> SeedOutcome:
-    """Run one seed end to end and write its artifact directory."""
+    """Run one seed on the experiment's scenario and write its artifact directory."""
     t0 = time.perf_counter()
-    scenario = build_from_config(cfg)
     knowledge = scenario.knowledge()
     run = run_learner(scenario.model, knowledge, scenario.classes, run_config_for(cfg, scenario, seed))
     curve = regret_curve(run, scenario.model, knowledge)
@@ -246,28 +245,22 @@ def run_seed(
     )
 
 
-def _seed_task(cfg: ScenarioConfig, seed: int, seed_dir: str, shared: dict | None) -> SeedOutcome:
-    return run_seed(cfg, seed, Path(seed_dir), shared)
+def _per_step(oracle, cfg: ScenarioConfig, scenario: Scenario) -> list[dict]:
+    """One worst-case ratio oracle (ill_posedness or transfer_term) at every step."""
+    budget = cfg.diagnostics.policy_budget
+    return [
+        oracle(scenario.model, scenario.classes, h, policy_budget=budget).as_dict()
+        for h in range(scenario.model.horizon)
+    ]
 
 
 def shared_diagnostics(cfg: ScenarioConfig, scenario: Scenario) -> dict:
     """Seed-independent oracles requested by the config, computed once."""
     out: dict = {}
-    H = scenario.model.horizon
     if cfg.diagnostics.ill_posedness:
-        out["ill_posedness"] = [
-            ill_posedness(
-                scenario.model, scenario.classes, h, policy_budget=cfg.diagnostics.policy_budget
-            ).as_dict()
-            for h in range(H)
-        ]
+        out["ill_posedness"] = _per_step(ill_posedness, cfg, scenario)
     if cfg.diagnostics.transfer:
-        out["transfer"] = [
-            transfer_term(
-                scenario.model, scenario.classes, h, policy_budget=cfg.diagnostics.policy_budget
-            ).as_dict()
-            for h in range(H)
-        ]
+        out["transfer"] = _per_step(transfer_term, cfg, scenario)
     return out
 
 
@@ -298,8 +291,10 @@ def experiment_dir(cfg: ScenarioConfig, output_root: str | None = None) -> Path:
 def run_experiment(cfg: ScenarioConfig, output_root: str | None = None) -> Path:
     """Run every seed, write all artifacts, and return the experiment directory.
 
-    Any error is recorded in the experiment manifest before being re-raised,
-    so a failed directory is self-describing.
+    The scenario, its closed classes and the shared oracles are built once and
+    handed to every seed. An error or an interrupt is recorded in the
+    experiment manifest before being re-raised, so a failed or interrupted
+    directory is self-describing.
     """
     exp_dir = experiment_dir(cfg, output_root)
     exp_dir.mkdir(parents=True, exist_ok=True)
@@ -327,13 +322,13 @@ def run_experiment(cfg: ScenarioConfig, output_root: str | None = None) -> Path:
 
             with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
                 futures = [
-                    pool.submit(_seed_task, cfg, seed, str(dirs[seed]), shared)
+                    pool.submit(run_seed, cfg, seed, dirs[seed], scenario, shared)
                     for seed in cfg.seeds
                 ]
                 outcomes = [f.result() for f in futures]
         else:
             for seed in cfg.seeds:
-                outcomes.append(run_seed(cfg, seed, dirs[seed], shared))
+                outcomes.append(run_seed(cfg, seed, dirs[seed], scenario, shared))
 
         write_summary(exp_dir / "summary.csv", cfg, outcomes)
         flags = sorted({f for o in outcomes for f in o.run_flags})
@@ -342,9 +337,9 @@ def run_experiment(cfg: ScenarioConfig, output_root: str | None = None) -> Path:
         manifest["wallclock_ms"] = (time.perf_counter() - started) * 1000.0
         _write_json(exp_dir / "manifest.json", manifest)
         return exp_dir
-    except Exception as exc:
-        manifest["status"] = "error"
-        manifest["error"] = f"{type(exc).__name__}: {exc}"
+    except BaseException as exc:
+        manifest["status"] = "interrupted" if isinstance(exc, KeyboardInterrupt) else "error"
+        manifest["error"] = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
         manifest["wallclock_ms"] = (time.perf_counter() - started) * 1000.0
         _write_json(exp_dir / "manifest.json", manifest)
         raise
@@ -363,7 +358,6 @@ def diagnose(cfg: ScenarioConfig, output_root: str | None = None) -> Path:
     exp_dir.mkdir(parents=True, exist_ok=True)
     scenario = build_from_config(cfg)
     knowledge = scenario.knowledge()
-    H = scenario.model.horizon
     report = check_realizability(scenario.model, scenario.classes, knowledge)
     plan = value_iteration(true_aggregated_model(scenario.model))
     diag = {
@@ -372,18 +366,8 @@ def diagnose(cfg: ScenarioConfig, output_root: str | None = None) -> Path:
         "version": __version__,
         "optimal_target_value": plan.value_at_initial,
         "realizability": report.as_dict(),
-        "ill_posedness": [
-            ill_posedness(
-                scenario.model, scenario.classes, h, policy_budget=cfg.diagnostics.policy_budget
-            ).as_dict()
-            for h in range(H)
-        ],
-        "transfer": [
-            transfer_term(
-                scenario.model, scenario.classes, h, policy_budget=cfg.diagnostics.policy_budget
-            ).as_dict()
-            for h in range(H)
-        ],
+        "ill_posedness": _per_step(ill_posedness, cfg, scenario),
+        "transfer": _per_step(transfer_term, cfg, scenario),
     }
     _write_json(exp_dir / "diagnostics.json", diag)
     return exp_dir

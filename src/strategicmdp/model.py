@@ -108,17 +108,6 @@ def draw_categorical(rng: np.random.Generator, probs: np.ndarray) -> int:
     return min(idx, len(probs) - 1)
 
 
-def _draw_categorical_rows(rng: np.random.Generator, rows: np.ndarray) -> np.ndarray:
-    """Vectorized inverse-CDF sampling, one draw per row of (n, m) probabilities."""
-    cum = np.cumsum(rows, axis=1)
-    u = rng.random(rows.shape[0])
-    idx = (cum > u[:, None]).argmax(axis=1)
-    # argmax of an all-False row is 0; map rounding leftovers to the last index
-    bad = cum[:, -1] <= u
-    idx[bad] = rows.shape[1] - 1
-    return idx
-
-
 class TransitionMode(Enum):
     """How next states are produced: finite kernel or mean map on a grid."""
 
@@ -178,12 +167,6 @@ class Grid:
         lows, widths, last = self._locate_arrays
         sub = np.clip(np.floor((point - lows) / widths).astype(int), 0, last)
         return int(np.ravel_multi_index(tuple(sub), self.cells_per_dim))
-
-    def locate_many(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float).reshape(-1, self.dim)
-        lows, widths, last = self._locate_arrays
-        sub = np.clip(np.floor((points - lows) / widths).astype(int), 0, last)
-        return np.ravel_multi_index(tuple(sub.T), self.cells_per_dim)
 
     def center(self, cell: int) -> np.ndarray:
         sub = np.asarray(np.unravel_index(cell, self.cells_per_dim))
@@ -529,9 +512,6 @@ class MixturePolicy:
         if not self.components:
             raise ValidationError("mixture needs at least one component")
 
-    def sample_component(self, rng: np.random.Generator) -> Policy:
-        return self.components[int(rng.integers(len(self.components)))]
-
 
 # ---------------------------------------------------------------------------
 # Stepping and rollouts
@@ -613,35 +593,3 @@ def rollout(model: StrategicModel, policy: Policy, rng: np.random.Generator) -> 
         state = out.next_state
     return traj
 
-
-def sample_step_batch(
-    model: StrategicModel, h: int, s: int, a: int, rng: np.random.Generator, n: int
-) -> dict[str, np.ndarray]:
-    """Draw n independent step outcomes at a fixed (h, s, a), vectorized.
-
-    Samples the same per-step law as env_step but with a batched draw layout,
-    so it is not pathwise-aligned with repeated env_step calls. Intended for
-    Monte-Carlo checks. In dynamical mode s is a cell index and states are
-    taken at the cell center.
-    """
-    _check_index(h, model.horizon, "step")
-    _check_index(s, model.num_states, "state")
-    _check_index(a, model.num_actions, "action")
-    types = _draw_categorical_rows(rng, np.tile(model.source_type_dist[h], (n, 1)))
-    br = best_response_table(model)[h, s, a]  # (T,)
-    bs = br[types]
-    feed_rows = model.feedback_kernel[h, s, a, types, bs]
-    es = _draw_categorical_rows(rng, feed_rows)
-    noise = rng.standard_normal(n) * model.reward_noise_std
-    shifts = model.reward_confound[h, types] + noise
-    rewards = model.principal_reward[h, s, a, es] + shifts
-    out = {"types": types, "agent_actions": bs, "feedbacks": es, "rewards": rewards}
-    if model.transition_mode is TransitionMode.GENERAL:
-        assert model.transition_kernel is not None
-        rows = model.transition_kernel[h, s, a, es]
-        out["next_states"] = _draw_categorical_rows(rng, rows)
-    else:
-        assert model.mean_map is not None and model.trans_confound is not None
-        eta = rng.standard_normal((n, model.state_dim)) * model.trans_noise_scale
-        out["next_states"] = model.mean_map[h, s, a, es] + model.trans_confound[h, types] + eta
-    return out

@@ -114,28 +114,6 @@ def policy_value(mdp: AggregatedMDP, policy: Policy) -> float:
     return float(evaluate_policy(mdp, policy)[0, mdp.initial_state])
 
 
-# ---------------------------------------------------------------------------
-# Aggregation
-# ---------------------------------------------------------------------------
-
-
-def aggregate(
-    reward_table: np.ndarray,
-    transition_table: np.ndarray,
-    knowledge: LearnerKnowledge,
-    initial_state: int,
-    type_dist: np.ndarray | None = None,
-) -> AggregatedMDP:
-    """Average feedback out of full-horizon candidate tables (general mode).
-
-    reward_table is (H, S, A, E) and transition_table is (H, S, A, E, S).
-    """
-    w = knowledge.feedback_mix(type_dist)
-    rewards = np.einsum("hsae,hsae->hsa", w, reward_table)
-    transitions = np.einsum("hsae,hsaex->hsax", w, transition_table)
-    return AggregatedMDP(rewards, transitions, initial_state)
-
-
 def _joint_cell_masses(per_axis: Sequence[np.ndarray]) -> np.ndarray:
     """Joint cell masses (..., C) from per-axis masses (..., C_k).
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .hypotheses import ClassCaps, HypothesisClasses, close_classes
+from .hypotheses import HypothesisClasses, close_classes
 from .model import Grid, LearnerKnowledge, StrategicModel, TransitionMode, make_rng
 
 
@@ -38,6 +38,37 @@ def _uniform_tilt(kernel: np.ndarray, weight: float) -> np.ndarray:
     """Mix a transition kernel with the uniform kernel; stays a kernel."""
     S = kernel.shape[-1]
     return (1.0 - weight) * kernel + weight / S
+
+
+def _assemble(
+    name: str,
+    model: StrategicModel,
+    rewards: list[np.ndarray],
+    transitions: list,
+    params: dict,
+    description: str,
+) -> Scenario:
+    """Close candidate classes whose first candidate in every family is the truth.
+
+    transitions[h] is step h's kernel stack in general mode and its list of
+    per-coordinate mean-map stacks in dynamical mode. The discriminator and
+    value-target families start empty; close_classes fills them.
+    """
+    H, S, A = model.horizon, model.num_states, model.num_actions
+    general = model.transition_mode is TransitionMode.GENERAL
+    classes = HypothesisClasses(
+        mode=model.transition_mode,
+        bound=1.0,
+        reward_tables=rewards,
+        discriminators=[np.zeros((0, S, A))] * H,
+        value_targets=[np.zeros((0, S))] * H,
+        transition_tables=transitions if general else None,
+        mean_map_tables=None if general else transitions,
+        truth_reward_idx=[0] * H,
+        truth_transition_idx=[0] * H if general else [[0] * len(per) for per in transitions],
+    )
+    classes = close_classes(model, classes, LearnerKnowledge.from_model(model))
+    return Scenario(name=name, model=model, classes=classes, params=params, description=description)
 
 
 # ---------------------------------------------------------------------------
@@ -131,25 +162,12 @@ def recsys_small(
     ]
     if bias_probe:
         transitions = [kernel[h][None] for h in range(H)]
-        truth_p = [0, 0, 0]
     else:
         transitions = [
             np.stack([kernel[0], _uniform_tilt(kernel[0], 0.10)]),
             np.stack([kernel[1], _uniform_tilt(kernel[1], 0.10)]),
             kernel[2][None],
         ]
-        truth_p = [0, 0, 0]
-    classes = HypothesisClasses(
-        mode=TransitionMode.GENERAL,
-        bound=1.0,
-        reward_tables=rewards,
-        discriminators=[np.zeros((0, S, A))] * H,
-        value_targets=[np.zeros((0, S))] * H,
-        transition_tables=transitions,
-        truth_reward_idx=[0, 0, 0],
-        truth_transition_idx=truth_p,
-    )
-    classes = close_classes(model, classes, LearnerKnowledge.from_model(model))
     params = {
         "seed": seed,
         "bogus_boost": bogus_boost,
@@ -159,10 +177,8 @@ def recsys_small(
         "bias_probe": bias_probe,
         "probe_offset": probe_offset,
     }
-    return Scenario(
-        name="recsys-small",
-        model=model,
-        classes=classes,
+    return _assemble(
+        "recsys-small", model, rewards, transitions,
         params=params,
         description="three-step recommendation loop, compliant vs contrarian types",
     )
@@ -225,21 +241,8 @@ def contract_small(seed: int = 0, *, reward_noise: float = 0.2) -> Scenario:
     transitions = [
         np.stack([kernel[h], _uniform_tilt(kernel[h], 0.15)]) for h in range(H)
     ]
-    classes = HypothesisClasses(
-        mode=TransitionMode.GENERAL,
-        bound=1.0,
-        reward_tables=rewards,
-        discriminators=[np.zeros((0, S, A))] * H,
-        value_targets=[np.zeros((0, S))] * H,
-        transition_tables=transitions,
-        truth_reward_idx=[0] * H,
-        truth_transition_idx=[0] * H,
-    )
-    classes = close_classes(model, classes, LearnerKnowledge.from_model(model))
-    return Scenario(
-        name="contract-small",
-        model=model,
-        classes=classes,
+    return _assemble(
+        "contract-small", model, rewards, transitions,
         params={"seed": seed, "reward_noise": reward_noise},
         description="two-state contracting problem with a defiant type",
     )
@@ -295,21 +298,8 @@ def shifted_target(seed: int = 0) -> Scenario:
     bump[..., 0] = 0.4
     rewards = [np.stack([reward[h], reward[h] + bump]) for h in range(H)]
     transitions = [kernel[h][None] for h in range(H)]
-    classes = HypothesisClasses(
-        mode=TransitionMode.GENERAL,
-        bound=1.0,
-        reward_tables=rewards,
-        discriminators=[np.zeros((0, S, A))] * H,
-        value_targets=[np.zeros((0, S))] * H,
-        transition_tables=transitions,
-        truth_reward_idx=[0] * H,
-        truth_transition_idx=[0] * H,
-    )
-    classes = close_classes(model, classes, LearnerKnowledge.from_model(model))
-    return Scenario(
-        name="shifted-target",
-        model=model,
-        classes=classes,
+    return _assemble(
+        "shifted-target", model, rewards, transitions,
         params={"seed": seed},
         description="population shift scenario with an exact transfer ratio of 5",
     )
@@ -374,21 +364,8 @@ def degenerate_feedback(seed: int = 0) -> Scenario:
     transitions = [
         np.stack([kernel[h], _uniform_tilt(kernel[h], 0.2)]) for h in range(H)
     ]
-    classes = HypothesisClasses(
-        mode=TransitionMode.GENERAL,
-        bound=1.0,
-        reward_tables=rewards,
-        discriminators=[np.zeros((0, S, A))] * H,
-        value_targets=[np.zeros((0, S))] * H,
-        transition_tables=transitions,
-        truth_reward_idx=[0] * H,
-        truth_transition_idx=[0] * H,
-    )
-    classes = close_classes(model, classes, LearnerKnowledge.from_model(model))
-    return Scenario(
-        name="degenerate-feedback",
-        model=model,
-        classes=classes,
+    return _assemble(
+        "degenerate-feedback", model, rewards, transitions,
         params={"seed": seed},
         description="deterministic feedback; projection loses no information",
     )
@@ -468,21 +445,8 @@ def linear_d(seed: int = 0, *, feature_dim: int = 4, num_candidates: int = 3) ->
             p_cands.append(pk / pk.sum(axis=-1, keepdims=True))
         rewards.append(np.stack(r_cands))
         transitions.append(np.stack(p_cands))
-    classes = HypothesisClasses(
-        mode=TransitionMode.GENERAL,
-        bound=1.0,
-        reward_tables=rewards,
-        discriminators=[np.zeros((0, S, A))] * H,
-        value_targets=[np.zeros((0, S))] * H,
-        transition_tables=transitions,
-        truth_reward_idx=[0] * H,
-        truth_transition_idx=[0] * H,
-    )
-    classes = close_classes(model, classes, LearnerKnowledge.from_model(model))
-    return Scenario(
-        name="linear-d",
-        model=model,
-        classes=classes,
+    return _assemble(
+        "linear-d", model, rewards, transitions,
         params={"seed": seed, "feature_dim": feature_dim, "num_candidates": num_candidates},
         description="linear reward features and softmax transition candidates",
     )
@@ -563,21 +527,8 @@ def dyn_1d(seed: int = 0, *, noiseless: bool = False) -> Scenario:
     mean_maps = [
         [np.stack([mean_map[h, ..., 0], mean_map[h, ..., 0] + shift])] for h in range(H)
     ]
-    classes = HypothesisClasses(
-        mode=TransitionMode.DYNAMICAL,
-        bound=1.0,
-        reward_tables=rewards,
-        discriminators=[np.zeros((0, S, A))] * H,
-        value_targets=[np.zeros((0, S))] * H,
-        mean_map_tables=mean_maps,
-        truth_reward_idx=[0] * H,
-        truth_transition_idx=[[0]] * H,
-    )
-    classes = close_classes(model, classes, LearnerKnowledge.from_model(model))
-    return Scenario(
-        name="dyn-1d",
-        model=model,
-        classes=classes,
+    return _assemble(
+        "dyn-1d", model, rewards, mean_maps,
         params={"seed": seed, "noiseless": noiseless},
         description="drift dynamics on a one-dimensional grid",
     )

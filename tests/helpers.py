@@ -10,8 +10,10 @@ closures and realizability check verbatim (one residual, one projection and
 one ``tobytes`` key or ``np.array_equal`` scan per row); they reuse only the
 candidate aggregates and the joint backup step. The learner references keep
 the earlier per-coordinate transition sets verbatim (see that section). The
-serializer references at the end keep the earlier whole-payload canonical
-JSON and the per-row episodes.csv writer verbatim.
+serializer references keep the earlier whole-payload canonical JSON and the
+per-row episodes.csv writer verbatim. The last section keeps, verbatim, the
+package functions that only tests called: the aggregation of full-horizon
+tables, a mixture's value, the occupancy MSE and the batched step sampler.
 """
 
 from __future__ import annotations
@@ -30,10 +32,14 @@ from strategicmdp import (
     AggregatedMDP,
     CandidateAggregates,
     CapacityError,
+    ConfigError,
     DiagnosticWitness,
     Grid,
     HypothesisClasses,
+    LearnerKnowledge,
     LossEvaluator,
+    MixturePolicy,
+    OccupancyTable,
     Policy,
     RatioResult,
     RealizabilityReport,
@@ -46,6 +52,7 @@ from strategicmdp import (
     deterministic_policy_tables,
     feedback_by_type,
     make_rng,
+    policy_value,
     residual_labels,
     residual_stack,
     rollout,
@@ -54,6 +61,7 @@ from strategicmdp import (
     value_iteration,
 )
 from strategicmdp.hypotheses import ClauseResult
+from strategicmdp.model import _check_index, best_response_table
 from strategicmdp.planning import joint_backup
 
 BASE_YAML = """\
@@ -1020,3 +1028,84 @@ def ref_discriminator_score(targets, disc, sa_counts, halves) -> np.ndarray:
     flat_t = targets.reshape(-1, flat_f.shape[1])
     scores = flat_t @ flat_f.T - quad[None, :]
     return scores.max(axis=1).reshape(targets.shape[:-2])
+
+
+# ---------------------------------------------------------------------------
+# Tools only the tests use, kept verbatim from the package
+# ---------------------------------------------------------------------------
+
+
+def aggregate(
+    reward_table: np.ndarray,
+    transition_table: np.ndarray,
+    knowledge: LearnerKnowledge,
+    initial_state: int,
+    type_dist: np.ndarray | None = None,
+) -> AggregatedMDP:
+    """Average feedback out of full-horizon candidate tables (general mode).
+
+    reward_table is (H, S, A, E) and transition_table is (H, S, A, E, S).
+    """
+    w = knowledge.feedback_mix(type_dist)
+    rewards = np.einsum("hsae,hsae->hsa", w, reward_table)
+    transitions = np.einsum("hsae,hsaex->hsax", w, transition_table)
+    return AggregatedMDP(rewards, transitions, initial_state)
+
+
+def mixture_value(policy: MixturePolicy, oracle: AggregatedMDP) -> float:
+    """Average exact value of the mixture components on the evaluation oracle."""
+    H = oracle.horizon
+    for comp in policy.components:
+        if comp.action_probs.shape[0] != H:
+            raise ConfigError("mixture component horizon does not match the oracle")
+    vals = [policy_value(oracle, comp) for comp in policy.components]
+    return float(np.mean(vals))
+
+
+def occupancy_mse(occ: OccupancyTable, h: int, nu: np.ndarray) -> float:
+    """Mean square of a (state, action, feedback) function under the occupancy."""
+    return float(np.sum(occ.joints[h] * nu * nu))
+
+
+def _draw_categorical_rows(rng: np.random.Generator, rows: np.ndarray) -> np.ndarray:
+    """Vectorized inverse-CDF sampling, one draw per row of (n, m) probabilities."""
+    cum = np.cumsum(rows, axis=1)
+    u = rng.random(rows.shape[0])
+    idx = (cum > u[:, None]).argmax(axis=1)
+    # argmax of an all-False row is 0; map rounding leftovers to the last index
+    bad = cum[:, -1] <= u
+    idx[bad] = rows.shape[1] - 1
+    return idx
+
+
+def sample_step_batch(
+    model: StrategicModel, h: int, s: int, a: int, rng: np.random.Generator, n: int
+) -> dict[str, np.ndarray]:
+    """Draw n independent step outcomes at a fixed (h, s, a), vectorized.
+
+    Samples the same per-step law as env_step but with a batched draw layout,
+    so it is not pathwise-aligned with repeated env_step calls. Intended for
+    Monte-Carlo checks. In dynamical mode s is a cell index and states are
+    taken at the cell center.
+    """
+    _check_index(h, model.horizon, "step")
+    _check_index(s, model.num_states, "state")
+    _check_index(a, model.num_actions, "action")
+    types = _draw_categorical_rows(rng, np.tile(model.source_type_dist[h], (n, 1)))
+    br = best_response_table(model)[h, s, a]  # (T,)
+    bs = br[types]
+    feed_rows = model.feedback_kernel[h, s, a, types, bs]
+    es = _draw_categorical_rows(rng, feed_rows)
+    noise = rng.standard_normal(n) * model.reward_noise_std
+    shifts = model.reward_confound[h, types] + noise
+    rewards = model.principal_reward[h, s, a, es] + shifts
+    out = {"types": types, "agent_actions": bs, "feedbacks": es, "rewards": rewards}
+    if model.transition_mode is TransitionMode.GENERAL:
+        assert model.transition_kernel is not None
+        rows = model.transition_kernel[h, s, a, es]
+        out["next_states"] = _draw_categorical_rows(rng, rows)
+    else:
+        assert model.mean_map is not None and model.trans_confound is not None
+        eta = rng.standard_normal((n, model.state_dim)) * model.trans_noise_scale
+        out["next_states"] = model.mean_map[h, s, a, es] + model.trans_confound[h, types] + eta
+    return out

@@ -27,12 +27,10 @@ from strategicmdp import (
     make_rng,
     naive_baseline,
     occupancy,
-    occupancy_mse,
     optimistic_select,
     regret_curve,
     rollout,
     run_learner,
-    sample_step_batch,
     transfer_term,
     true_aggregated_model,
     value_iteration,
@@ -42,7 +40,7 @@ from strategicmdp.estimation import mean_map_losses
 from strategicmdp.harness import run_experiment
 from strategicmdp.planning import AggregatedMDP
 
-from helpers import brute_force_optimum, tiny_general
+from helpers import brute_force_optimum, occupancy_mse, sample_step_batch, tiny_general
 from test_planning import _brute_force_select_general, _full_sets
 
 K_GRID = (250, 500, 1000, 2000)

@@ -225,13 +225,10 @@ def test_truth_check_runs_once_per_distinct_set_pair(
     body = BASE_YAML.replace("episodes: 6", "episodes: 40").replace("beta_scale: 0.1", "beta_scale: 0.0001")
     cfg = load_config(config_path(body=body.replace("evaluation_cadence: 3", "evaluation_cadence: 5")))
     runs, calls = [], []
-    real_build, real_run, real_truth = harness.build_from_config, harness.run_learner, harness._truth_in_record
-
-    def build(cfg):
-        scenario = real_build(cfg)
-        if truth_reward_idx is not None:
-            scenario.classes = dataclasses.replace(scenario.classes, truth_reward_idx=truth_reward_idx)
-        return scenario
+    real_run, real_truth = harness.run_learner, harness._truth_in_record
+    scenario = harness.build_from_config(cfg)
+    if truth_reward_idx is not None:
+        scenario.classes = dataclasses.replace(scenario.classes, truth_reward_idx=truth_reward_idx)
 
     def run(*args):
         runs.append(real_run(*args))
@@ -241,14 +238,13 @@ def test_truth_check_runs_once_per_distinct_set_pair(
         calls.append((id(rec.reward_sets), id(rec.transition_sets)))
         return real_truth(rec, classes)
 
-    monkeypatch.setattr(harness, "build_from_config", build)
     monkeypatch.setattr(harness, "run_learner", run)
     monkeypatch.setattr(harness, "_truth_in_record", truth)
-    outcome = harness.run_seed(cfg, 0, tmp_path / "seed-0000")
+    outcome = harness.run_seed(cfg, 0, tmp_path / "seed-0000", scenario, {})
     (result,) = runs
     pairs = [(id(rec.reward_sets), id(rec.transition_sets)) for rec in result.episodes]
     assert calls == list(dict.fromkeys(pairs)) and len(calls) < len(pairs)
-    classes = build(cfg).classes
+    classes = scenario.classes
     want, ok = {}, True
     for rec in result.episodes:
         t = real_truth(rec, classes)
@@ -320,14 +316,67 @@ def test_output_label_overrides_directory_name(config_path, tmp_path):
 
 
 def test_workers_parallel_matches_serial(config_path, tmp_path):
+    """The pool's seeds run on a pickled copy of the experiment's scenario and
+    write the same episodes, manifests and diagnostics as the serial path."""
     a, b = tmp_path / "serial", tmp_path / "par"
     assert main(["run", str(config_path(root=a, name="s.yaml"))]) == 0
     body = BASE_YAML + "workers: 2\n"
     assert main(["run", str(config_path(body=body, root=b, name="p.yaml"))]) == 0
     for seed in (0, 1):
-        sa = a / "recsys-small" / f"seed-{seed:04d}" / "episodes.csv"
-        sb = b / "recsys-small" / f"seed-{seed:04d}" / "episodes.csv"
-        assert strip_wallclock_csv(sa) == strip_wallclock_csv(sb)
+        sa = a / "recsys-small" / f"seed-{seed:04d}"
+        sb = b / "recsys-small" / f"seed-{seed:04d}"
+        assert strip_wallclock_csv(sa / "episodes.csv") == strip_wallclock_csv(sb / "episodes.csv")
+        ma, mb = (strip_wallclock_json(d / "manifest.json") for d in (sa, sb))
+        for m in (ma, mb):  # the config echoes differ in workers and output root only
+            m["config"].pop("workers", None)
+            m["config"]["output"].pop("root")
+        assert ma == mb
+        assert (sa / "diagnostics.json").read_bytes() == (sb / "diagnostics.json").read_bytes()
+
+
+def test_scenario_is_built_once_per_experiment(config_path, monkeypatch):
+    """run builds the scenario once for all its seeds, and diagnose once."""
+    calls = []
+    real = harness.build_scenario
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "build_scenario", spy)
+    assert main(["run", str(config_path())]) == 0
+    assert len(calls) == 1
+    assert main(["diagnose", str(config_path())]) == 0
+    assert len(calls) == 2
+
+
+def test_interrupted_run_exits_130_and_marks_manifest(config_path, tmp_path, monkeypatch, capsys):
+    """An interrupt during the second seed leaves an `interrupted` experiment
+    manifest, the first seed's artifacts whole, and a one-line message."""
+    real = harness.run_learner
+
+    def run(*args):
+        if args[3].seed == 1:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    monkeypatch.setattr(harness, "run_learner", run)
+    try:
+        code = main(["run", str(config_path())])
+    except KeyboardInterrupt:  # escaping would stop the whole test session
+        pytest.fail("cli.main let the interrupt through")
+    assert code == 130
+    assert capsys.readouterr().err == "interrupted\n"
+    exp = tmp_path / "runs" / "recsys-small"
+    manifest = json.loads((exp / "manifest.json").read_text())
+    assert manifest["status"] == "interrupted"
+    assert manifest["error"] == "KeyboardInterrupt"
+    assert sorted(p.name for p in (exp / "seed-0000").iterdir()) == [
+        "diagnostics.json", "episodes.csv", "manifest.json"
+    ]
+    assert len(read_rows(exp / "seed-0000" / "episodes.csv")) == 6 + 1
+    assert json.loads((exp / "seed-0000" / "manifest.json").read_text())["seed"] == 0
+    assert not (exp / "seed-0001").exists() and not (exp / "summary.csv").exists()
 
 
 def run_console_script(name, args, cwd):

@@ -186,9 +186,20 @@ def test_optimism_enum():
 
 
 def test_seeds_shape_errors():
-    for bad in ([], [1.5], "0", [True]):
+    for bad in ([], [1.5], "0", [True], [-1]):
         msg = violations_of({**minimal(), "run": {"seeds": bad}})
         assert "run.seeds" in msg
+
+
+def test_negative_generator_seed_rejected(tmp_path, capsys):
+    """A negative seed would only fail inside the seeded generator, mid-run."""
+    msg = violations_of(minimal(seed=-1))
+    assert "environment.seed" in msg
+    p = tmp_path / "neg.yaml"
+    p.write_text("environment:\n  generator: linear-d\n  seed: -1\n")
+    assert main(["run", str(p), "--output-root", str(tmp_path / "runs")]) == 2
+    assert "environment.seed" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_mode_mismatch_rejected():

@@ -21,10 +21,8 @@ from strategicmdp import (
     deterministic_policy_tables,
     ill_posedness,
     make_rng,
-    mixture_value,
     naive_baseline,
     occupancy,
-    occupancy_mse,
     policy_value,
     regret_curve,
     rollout,
@@ -38,6 +36,8 @@ from strategicmdp.hypotheses import residual_stack
 
 from helpers import (
     all_action_tables,
+    mixture_value,
+    occupancy_mse,
     ref_occupancy_joints,
     ref_worst_ratio,
     tiny_dynamical,

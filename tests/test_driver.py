@@ -26,7 +26,6 @@ from strategicmdp import (
     TransitionMode,
     build_scenario,
     close_classes,
-    mixture_value,
     policy_value,
     regret_curve,
     run_learner,
@@ -38,6 +37,7 @@ from strategicmdp import driver, estimation
 from strategicmdp.harness import write_episodes_csv
 
 from helpers import (
+    mixture_value,
     random_dynamical,
     random_general,
     ref_canonical_json,

@@ -21,11 +21,10 @@ from strategicmdp import (
     env_step,
     make_rng,
     rollout,
-    sample_step_batch,
 )
 from strategicmdp.model import best_response, best_response_table, draw_categorical
 
-from helpers import ref_locate, tiny_dynamical, tiny_general
+from helpers import ref_locate, sample_step_batch, tiny_dynamical, tiny_general
 
 
 # ---------------------------------------------------------------------------
@@ -87,14 +86,6 @@ def test_grid_locate_clips_outside_points():
     assert grid.locate(np.array([10.0])) == grid.num_cells - 1
 
 
-def test_grid_locate_many_matches_scalar():
-    grid = Grid((-1.0,), (1.0,), (5,))
-    pts = np.linspace(-1.5, 1.5, 13)[:, None]
-    many = grid.locate_many(pts)
-    each = [grid.locate(p) for p in pts]
-    assert list(many) == each
-
-
 @st.composite
 def grids_and_points(draw):
     """A 1-D or 2-D grid and points inside the box, outside it and on cell edges."""
@@ -119,12 +110,11 @@ def grids_and_points(draw):
 @settings(max_examples=200, deadline=None)
 @given(grids_and_points())
 def test_grid_locate_matches_literal_formula(case):
-    """locate and locate_many reuse the grid's arrays; the cell is the one
-    the formula gives with every array rebuilt, edges and clipping included."""
+    """locate reuses the grid's arrays; the cell is the one the formula
+    gives with every array rebuilt, edges and clipping included."""
     grid, points = case
     want = [ref_locate(grid, p) for p in points]
     assert [grid.locate(p) for p in points] == want
-    assert grid.locate_many(points).tolist() == want
 
 
 def test_grid_validation():
@@ -366,11 +356,6 @@ def test_policy_rejects_bad_rows():
         Policy(np.full((1, 2, 2), 0.4))
 
 
-def test_mixture_policy_sampling():
-    a = Policy.deterministic(np.zeros((1, 1), dtype=int), 2)
-    b = Policy.deterministic(np.ones((1, 1), dtype=int), 2)
-    mix = MixturePolicy([a, b])
-    picks = [mix.sample_component(make_rng(s)) for s in range(30)]
-    assert any(p is a for p in picks) and any(p is b for p in picks)
+def test_mixture_policy_rejects_no_components():
     with pytest.raises(ValidationError):
         MixturePolicy([])

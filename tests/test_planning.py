@@ -24,7 +24,6 @@ from strategicmdp import (
     SelectionMode,
     TransitionMode,
     ValidationError,
-    aggregate,
     build_scenario,
     discretize_gaussian,
     evaluate_policy,
@@ -36,6 +35,7 @@ from strategicmdp import (
 from strategicmdp.hypotheses import enumerate_suffix_values
 
 from helpers import (
+    aggregate,
     all_action_tables,
     brute_force_optimum,
     eval_table_recursive,
