@@ -7,6 +7,7 @@ in a single error rather than one at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -186,8 +187,13 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         violations.append(f"run.delta: must lie strictly between 0 and 1, got {delta!r}")
         delta = 0.1
     beta_scale = run.get("beta_scale", 1.0)
-    if not isinstance(beta_scale, (int, float)) or isinstance(beta_scale, bool) or beta_scale <= 0:
-        violations.append(f"run.beta_scale: must be positive, got {beta_scale!r}")
+    if (
+        not isinstance(beta_scale, (int, float))
+        or isinstance(beta_scale, bool)
+        or not math.isfinite(beta_scale)
+        or beta_scale <= 0
+    ):
+        violations.append(f"run.beta_scale: must be finite and positive, got {beta_scale!r}")
         beta_scale = 1.0
     optimism = run.get("optimism", "exact")
     if optimism not in _OPTIMISM:

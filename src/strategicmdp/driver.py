@@ -15,6 +15,7 @@ startup, which does not influence any decision).
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -54,8 +55,8 @@ class RunConfig:
             raise ConfigError("episodes must be at least 1")
         if not (0.0 < self.delta < 1.0):
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.beta_scale <= 0:
-            raise ConfigError("beta_scale must be positive")
+        if not math.isfinite(self.beta_scale) or self.beta_scale <= 0:
+            raise ConfigError(f"beta_scale must be finite and positive, got {self.beta_scale}")
         if self.selector_cap < 1:
             raise ConfigError(f"selector_cap must be at least 1, got {self.selector_cap}")
 

@@ -125,8 +125,8 @@ class HypothesisClasses:
             raise ValidationError("need at least one step of reward candidates")
         self.reward_tables = [np.asarray(r, dtype=float) for r in self.reward_tables]
         S, A = self.reward_tables[0].shape[1:3]
-        if self.bound <= 0:
-            raise ValidationError("bound must be positive")
+        if not math.isfinite(self.bound) or self.bound <= 0:
+            raise ValidationError(f"bound must be finite and positive, got {self.bound}")
         if not self.truth_reward_idx:
             self.truth_reward_idx = [None] * H
         if not self.truth_transition_idx:
@@ -327,15 +327,16 @@ def _row_keys(rows: np.ndarray) -> list[bytes]:
 
 def _dedup_append(base: np.ndarray, extra: np.ndarray) -> np.ndarray:
     """Append the rows of extra not already present, preserving order; bit-exact keys."""
-    seen = set(_row_keys(base))
-    keep = []
-    for i, key in enumerate(_row_keys(extra)):
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    if not keep:
+    # A dict keeps its keys in first-insertion order, so the keys past base's
+    # distinct rows are extra's new rows, in order; a key is the row's bytes.
+    keys = dict.fromkeys(_row_keys(base)) if len(base) else {}
+    known = len(keys)
+    keys.update(dict.fromkeys(_row_keys(extra)))
+    if len(keys) == known:
         return base
-    return np.concatenate([base, extra[keep]], axis=0)
+    new = b"".join(itertools.islice(keys, known, None))
+    rows = np.frombuffer(new, dtype=extra.dtype).reshape(len(keys) - known, *extra.shape[1:])
+    return np.concatenate([base, rows], axis=0)
 
 
 def close_discriminators(
@@ -402,7 +403,9 @@ def _closed_value_targets(
     suffix = enumerate_suffix_values(classes, knowledge)
     new_targets = list(classes.value_targets)
     for h in range(classes.horizon):
-        new_targets[h] = _dedup_append(classes.value_targets[h], suffix[h])
+        base = classes.value_targets[h]
+        # Suffix rows are distinct already, so an empty family takes them unkeyed.
+        new_targets[h] = _dedup_append(base, suffix[h]) if len(base) else suffix[h]
     return new_targets
 
 

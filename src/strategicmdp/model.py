@@ -301,10 +301,10 @@ class StrategicModel:
         _check_simplex(self.source_type_dist, "source_type_dist")
         _check_simplex(self.target_type_dist, "target_type_dist")
         _check_simplex(self.feedback_kernel, "feedback_kernel")
-        if self.reward_noise_std < 0:
-            raise ValidationError("reward_noise_std must be nonnegative")
-        if self.reward_bound <= 0:
-            raise ValidationError("reward_bound must be positive")
+        if not math.isfinite(self.reward_noise_std) or self.reward_noise_std < 0:
+            raise ValidationError("reward_noise_std must be finite and nonnegative")
+        if not math.isfinite(self.reward_bound) or self.reward_bound <= 0:
+            raise ValidationError("reward_bound must be finite and positive")
         lo, hi = self.principal_reward.min(), self.principal_reward.max()
         if lo < -SIMPLEX_TOL or hi > self.reward_bound + SIMPLEX_TOL:
             raise ValidationError(
@@ -338,8 +338,8 @@ class StrategicModel:
                 )
             if self.trans_confound.shape != (H, T, self.state_dim):
                 raise ValidationError("trans_confound shape mismatch")
-            if self.trans_noise_scale < 0:
-                raise ValidationError("trans_noise_scale must be nonnegative")
+            if not math.isfinite(self.trans_noise_scale) or self.trans_noise_scale < 0:
+                raise ValidationError("trans_noise_scale must be finite and nonnegative")
             tres = np.abs(np.einsum("ht,htd->hd", self.source_type_dist, self.trans_confound))
             if tres.max() > SIMPLEX_TOL:
                 raise ValidationError("trans_confound is not demeaned under the source")

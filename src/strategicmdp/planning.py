@@ -260,7 +260,16 @@ def joint_backup(rewards: np.ndarray, kernels: np.ndarray, values: np.ndarray) -
     """
     expected = np.einsum("psax,vx->pvsa", kernels, values)
     q = rewards[:, None, None, :, :] + expected[None]
-    return q.max(axis=-1).reshape(-1, rewards.shape[1])
+    # The action maximum one action slice at a time: a reduction over the
+    # short last axis costs a loop per entry. np.maximum keeps the bits of
+    # max(axis=-1) on ties and signed zeros, but where action 0 is NaN the
+    # reduction returns the default NaN and np.maximum keeps action 0's bits.
+    best = q[..., 0].copy()
+    for a in range(1, q.shape[-1]):
+        np.maximum(best, q[..., a], out=best)
+    if q.shape[-1] > 1:
+        np.copyto(best, np.nan, where=np.isnan(q[..., 0]))
+    return best.reshape(-1, rewards.shape[1])
 
 
 def optimistic_select(

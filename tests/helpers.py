@@ -7,13 +7,14 @@ and ratio oracles verbatim (scipy's ``ndtr``, a kernel rebuilt at every step
 of every policy); they reuse only its public residual and policy
 enumeration. The per-row references at the end keep the earlier class
 closures and realizability check verbatim (one residual, one projection and
-one ``tobytes`` key or ``np.array_equal`` scan per row); they reuse only the
-candidate aggregates and the joint backup step. The learner references keep
-the earlier per-coordinate transition sets verbatim (see that section). The
-serializer references keep the earlier whole-payload canonical JSON and the
-per-row episodes.csv writer verbatim. The last section keeps, verbatim, the
-package functions that only tests called: the aggregation of full-horizon
-tables, a mixture's value, the occupancy MSE and the batched step sampler.
+one ``tobytes`` key or ``np.array_equal`` scan per row), and the joint backup
+step with its action maximum as one reduction; they reuse only the candidate
+aggregates. The learner references keep the earlier per-coordinate transition
+sets verbatim (see that section). The serializer references keep the earlier
+whole-payload canonical JSON and the per-row episodes.csv writer verbatim. The
+last section keeps, verbatim, the package functions that only tests called:
+the aggregation of full-horizon tables, a mixture's value, the occupancy MSE
+and the batched step sampler.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from strategicmdp import (
 )
 from strategicmdp.hypotheses import ClauseResult
 from strategicmdp.model import _check_index, best_response_table
-from strategicmdp.planning import joint_backup
 
 BASE_YAML = """\
 environment:
@@ -499,6 +499,12 @@ def ref_close_discriminators(model, classes):
     return dataclasses.replace(classes, discriminators=new_disc)
 
 
+def ref_joint_backup(rewards: np.ndarray, kernels: np.ndarray, values: np.ndarray) -> np.ndarray:
+    expected = np.einsum("psax,vx->pvsa", kernels, values)
+    q = rewards[:, None, None, :, :] + expected[None]
+    return q.max(axis=-1).reshape(-1, rewards.shape[1])
+
+
 def ref_enumerate_suffix_values(classes, knowledge):
     agg = CandidateAggregates.from_classes(classes, knowledge)
     joint = 1
@@ -510,7 +516,7 @@ def ref_enumerate_suffix_values(classes, knowledge):
     values = np.zeros((1, S))
     out = [np.zeros((0, S))] * classes.horizon
     for h in range(classes.horizon - 1, -1, -1):
-        values = ref_unique_rows(joint_backup(agg.rewards[h], agg.transitions[h], values))
+        values = ref_unique_rows(ref_joint_backup(agg.rewards[h], agg.transitions[h], values))
         out[h] = values
     return out
 
@@ -661,7 +667,7 @@ def ref_optimistic_select(agg, radices, reward_sets, transition_sets, initial_st
             if total > cap:
                 raise CapacityError(f"joint enumeration needs {total} models at step {h}, cap is {cap}")
             R = agg.rewards[h][np.asarray(reward_sets[h], dtype=int)]
-            values = joint_backup(R, agg.transitions[h][kernel_sets[h]], values)
+            values = ref_joint_backup(R, agg.transitions[h][kernel_sets[h]], values)
         flat = int(np.argmax(values[:, initial_state]))
         value = float(values[flat, initial_state])
         sizes = [n for h in range(H) for n in (len(reward_sets[h]), len(kernel_sets[h]))]

@@ -60,6 +60,13 @@ def test_validate_reports_all_issues(tmp_path, capsys):
     assert "run.episodes" in err
 
 
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+def test_validate_rejects_non_finite_beta_scale(config_path, capsys, value):
+    p = config_path(BASE_YAML.replace("beta_scale: 0.1", f"beta_scale: {value}"))
+    assert main(["validate", str(p)]) == 2
+    assert "run.beta_scale" in capsys.readouterr().err
+
+
 def test_validate_missing_file(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.yaml")]) == 2
     assert "cannot read" in capsys.readouterr().err

@@ -180,6 +180,12 @@ def test_beta_scale_positive():
     assert "run.beta_scale" in msg
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_beta_scale_finite(value):
+    msg = violations_of({**minimal(), "run": {"beta_scale": value}})
+    assert "run.beta_scale" in msg
+
+
 def test_optimism_enum():
     msg = violations_of({**minimal(), "run": {"optimism": "greedy"}})
     assert "run.optimism" in msg

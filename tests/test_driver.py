@@ -68,6 +68,12 @@ def test_run_config_validation():
             run_cfg(selector_cap=cap).validate()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_run_config_rejects_non_finite_beta_scale(value):
+    with pytest.raises(ConfigError, match="beta_scale"):
+        run_cfg(beta_scale=value).validate()
+
+
 def test_mode_mismatch_rejected():
     scenario = build_scenario("recsys-small")
     cfg = RunConfig(episodes=5, delta=0.1, mode=TransitionMode.DYNAMICAL, seed=0)

@@ -6,7 +6,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strategicmdp import (
@@ -87,6 +87,13 @@ def test_zero_discriminator_appended_only_when_no_row_equals_zero(fill, added):
         transition_tables=[model.transition_kernel[h][None] for h in range(H)],
     )
     assert [len(f) for f in classes.discriminators] == [1 + added] * H
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_class_bound_must_be_finite(value):
+    classes = singleton_classes(tiny_general())
+    with pytest.raises(ValidationError, match="bound"):
+        dataclasses.replace(classes, bound=value)
 
 
 def test_terminal_value_target_is_zero_singleton():
@@ -384,9 +391,18 @@ def row_arrays(rows: int, shape: tuple[int, ...]):
 
 @st.composite
 def row_sets(draw):
-    shape = draw(st.sampled_from([(1,), (2,), (3,), (2, 2)]))
+    """A base that may repeat its own rows, and extra rows in C order, strided
+    or with their (S, A) axes transposed."""
+    shape = draw(st.sampled_from([(1,), (2,), (3,), (2, 2), (2, 3)]))
     base = draw(row_arrays(draw(st.integers(0, 4)), shape))
+    if draw(st.booleans()):
+        base = np.concatenate([base, base[::-1]])
     extra = draw(row_arrays(draw(st.integers(0, 10)), shape))
+    layout = draw(st.sampled_from(["c", "strided", "transposed"]))
+    if layout == "strided":
+        extra = np.repeat(extra, 2, axis=0)[::2]
+    elif layout == "transposed" and extra.ndim == 3:
+        extra = np.ascontiguousarray(extra.transpose(0, 2, 1)).transpose(0, 2, 1)
     return base, extra
 
 
@@ -397,6 +413,9 @@ def assert_bitwise_equal(got: np.ndarray, want: np.ndarray) -> None:
 
 @settings(max_examples=300, deadline=None)
 @given(row_sets())
+@example((np.zeros((0, 2, 3)), np.zeros((0, 2, 3))))
+@example((np.zeros((0, 2, 3)), np.ones((2, 2, 3))))
+@example((np.ones((2, 2, 3)), np.zeros((0, 2, 3))))
 def test_dedup_and_unique_match_per_row_references(rows):
     base, extra = rows
     assert_bitwise_equal(_dedup_append(base, extra), ref_dedup_append(base, list(extra)))
@@ -464,6 +483,17 @@ def test_closed_random_classes_match_per_row_reference(instance):
     report = check_realizability(model, closed, knowledge)
     assert report.passed
     assert report.as_dict() == ref_check_realizability(model, closed, knowledge).as_dict()
+
+
+@pytest.mark.parametrize("seed, states, actions", [(0, 2, 2), (1, 3, 2), (2, 2, 3)])
+def test_closed_horizon_5_classes_match_per_row_reference(seed, states, actions):
+    model, classes = random_general(
+        seed=seed, horizon=5, states=states, actions=actions, feedbacks=2, candidates=2
+    )
+    knowledge = LearnerKnowledge.from_model(model)
+    closed = close_classes(model, classes, knowledge)
+    assert_classes_bitwise_equal(closed, ref_close_classes(model, classes, knowledge))
+    assert check_realizability(model, closed, knowledge).passed
 
 
 def _stay_or_swap_instance():

@@ -195,6 +195,20 @@ def test_validation_rejects_bad_shapes_and_ranges():
         dataclasses.replace(good, transition_kernel=None)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "maker, key",
+    [
+        (tiny_general, "reward_noise_std"),
+        (tiny_general, "reward_bound"),
+        (tiny_dynamical, "trans_noise_scale"),
+    ],
+)
+def test_validation_rejects_non_finite_scales(maker, key, value):
+    with pytest.raises(ValidationError, match=key):
+        dataclasses.replace(maker(), **{key: value})
+
+
 def test_validation_dynamical_requirements():
     good = tiny_dynamical()
     with pytest.raises(ValidationError):

@@ -33,6 +33,7 @@ from strategicmdp import (
     value_iteration,
 )
 from strategicmdp.hypotheses import enumerate_suffix_values
+from strategicmdp.planning import joint_backup
 
 from helpers import (
     aggregate,
@@ -40,9 +41,11 @@ from helpers import (
     brute_force_optimum,
     eval_table_recursive,
     outer_cell_kernel,
+    ref_joint_backup,
     tiny_dynamical,
     tiny_general,
 )
+from test_hypotheses import KEY_VALUES
 
 
 def one_step_knowledge():
@@ -209,6 +212,31 @@ def _brute_force_select_general(agg, reward_sets, transition_sets, initial_state
         elif v > runner_up:
             runner_up = v
     return best_val, best_combo, runner_up
+
+
+@st.composite
+def backup_inputs(draw):
+    """Rewards, kernels and up to 300 suffix rows: values on a 0.1 grid, so
+    actions tie, with a drawn share replaced by the bit patterns of
+    KEY_VALUES (both zeros, NaNs of either sign with and without a payload)."""
+    n_r, n_p, S, A = (draw(st.integers(1, n)) for n in (3, 3, 4, 3))
+    n_v = draw(st.integers(1, 300))
+    share = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def table(shape):
+        grid = np.round(rng.uniform(-1.0, 1.0, size=shape), 1)
+        return np.where(rng.random(shape) < share, rng.choice(np.array(KEY_VALUES), size=shape), grid)
+
+    return table((n_r, S, A)), table((n_p, S, A, S)), table((n_v, S))
+
+
+@settings(max_examples=200, deadline=None)
+@given(backup_inputs())
+def test_joint_backup_matches_one_reduction_bitwise(inputs):
+    got, want = joint_backup(*inputs), ref_joint_backup(*inputs)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_optimistic_select_exact_matches_brute_force_general():
