@@ -65,13 +65,11 @@ from .hypotheses import (
 from .model import (
     Grid,
     LearnerKnowledge,
-    MixturePolicy,
     Policy,
     StrategicModel,
     Trajectory,
     TrajectoryStep,
     TransitionMode,
-    best_response,
     env_step,
     feedback_by_type,
     make_rng,

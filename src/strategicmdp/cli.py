@@ -76,6 +76,8 @@ def _parse_grid(specs: list[str]) -> dict[str, list]:
         key = key.strip()
         if not key or not values:
             raise ConfigError(f"--param needs key=v1,v2,... , got {spec!r}")
+        if key in grid:
+            raise ConfigError(f"--param {key} is given more than once")
         try:
             grid[key] = [parse_yaml(tok) for tok in values.split(",")]
         except yaml.YAMLError as exc:

@@ -3,13 +3,13 @@
 Each episode the committed policy is played once, the episode's samples join
 the per-step datasets, every candidate's minimax loss is refreshed, and the
 next policy is the optimal policy of the highest-value model whose candidates
-all survive their confidence thresholds. The returned mixture over episode
-policies is the standard online-to-batch output.
+all survive their confidence thresholds. The uniform mixture over the returned
+episode policies is the standard online-to-batch output.
 
 The learner path touches only trajectory observables, the learner-visible
 knowledge object, and the candidate classes. Environment internals are used
-solely to generate rollouts (and, optionally, for the realizability gate at
-startup, which does not influence any decision).
+solely to generate rollouts and for the realizability report at startup,
+which does not influence any decision.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .estimation import LossEvaluator, StepDataset, confidence_levels
 from .hypotheses import HypothesisClasses, RealizabilityReport, check_realizability
 from .model import (
     LearnerKnowledge,
-    MixturePolicy,
     Policy,
     StrategicModel,
     TransitionMode,
@@ -48,7 +47,6 @@ class RunConfig:
     beta_scale: float = 1.0
     selector_cap: int = 1_000_000
     strict_realizability: bool = False
-    check_realizability_at_start: bool = True
 
     def validate(self) -> None:
         if self.episodes < 1:
@@ -71,7 +69,9 @@ class EpisodeRecord:
     Transition fields hold candidate indices: per step a bare value in general
     mode, a tuple with one entry per coordinate in dynamical mode. Records
     whose confidence sets are equal share one copy of their set, size and
-    chosen-index tuples.
+    chosen-index tuples. truth_covered says whether every designated true
+    candidate survives in these sets (None when some truth is undesignated);
+    it is not serialized.
     """
 
     episode: int
@@ -87,6 +87,7 @@ class EpisodeRecord:
     chosen_transition_losses: tuple | None
     flags: tuple[str, ...]
     wallclock_ms: float
+    truth_covered: bool | None
     instant_regret: float | None = None
     cum_regret: float | None = None
 
@@ -99,9 +100,8 @@ class EpisodeRecord:
 class RunResult:
     config: RunConfig
     policies: list[Policy]
-    mixture: MixturePolicy
     episodes: list[EpisodeRecord]
-    realizability: RealizabilityReport | None
+    realizability: RealizabilityReport
     flags: tuple[str, ...]
     dataset: StepDataset | None = None
 
@@ -153,6 +153,24 @@ class RunResult:
         return "".join(pieces)
 
 
+def _truth_covered(classes: HypothesisClasses, reward_sets: tuple, families: tuple) -> bool | None:
+    """Whether every designated true candidate survives in the sets.
+
+    families[h] lists step h's surviving candidates per transition family.
+    Step by step, the reward set is read first and then each family in
+    order: the first undesignated truth gives None, the first eliminated
+    one False.
+    """
+    for h, per_family in enumerate(families):
+        truths = (classes.truth_reward_idx[h], *classes.truth_per_family(h))
+        for idx, survivors in zip(truths, (reward_sets[h], *per_family)):
+            if idx is None:
+                return None
+            if idx not in survivors:
+                return False
+    return True
+
+
 def run_learner(
     env: StrategicModel,
     knowledge: LearnerKnowledge,
@@ -164,7 +182,7 @@ def run_learner(
     Per episode: roll out the committed policy, append its samples, rebuild
     the confidence sets from all data at the fixed-horizon confidence levels,
     and select the optimistic surviving model; its optimal policy is committed
-    for the next episode. The mixture over all committed policies is returned.
+    for the next episode. All committed policies are returned.
     """
     cfg.validate()
     if cfg.mode is not env.transition_mode:
@@ -175,26 +193,24 @@ def run_learner(
     if classes.mode is not env.transition_mode:
         raise ConfigError("classes mode does not match environment mode")
 
-    report: RealizabilityReport | None = None
     run_flags: set[str] = set()
-    if cfg.check_realizability_at_start:
-        report = check_realizability(env, classes, knowledge)
-        if not report.passed:
-            if cfg.strict_realizability:
-                raise RealizabilityError(
-                    "realizability check failed: "
-                    + "; ".join(
-                        c.detail
-                        for c in (
-                            report.truth_in_rewards,
-                            report.truth_in_transitions,
-                            report.projections_in_discriminators,
-                            report.values_in_targets,
-                        )
-                        if c.detail
+    report = check_realizability(env, classes, knowledge)
+    if not report.passed:
+        if cfg.strict_realizability:
+            raise RealizabilityError(
+                "realizability check failed: "
+                + "; ".join(
+                    c.detail
+                    for c in (
+                        report.truth_in_rewards,
+                        report.truth_in_transitions,
+                        report.projections_in_discriminators,
+                        report.values_in_targets,
                     )
+                    if c.detail
                 )
-            run_flags.add("realizability-not-verified")
+            )
+        run_flags.add("realizability-not-verified")
 
     H = knowledge.horizon
     rng = make_rng(cfg.seed)
@@ -213,8 +229,8 @@ def run_learner(
     index = evaluator.kernel_index
     # Sets change in few episodes, so everything that depends on them alone
     # (the selection and the flags it raised, the record's set and index
-    # tuples, the chosen models) is computed once per distinct key; records
-    # and committed policies share those objects.
+    # tuples, the chosen models, the truth's coverage) is computed once per
+    # distinct key; records and committed policies share those objects.
     memo: dict[tuple, tuple] = {}
 
     def shaped(per_family: tuple):
@@ -237,7 +253,8 @@ def run_learner(
             chosen_t = tuple(shaped(m) for m in models)
         decoded = tuple(shaped(f) for f in families)
         set_sizes = tuple(shaped(tuple(map(len, f))) for f in families)
-        return selection, flags, reward_sets, decoded, set_sizes, models, chosen_t
+        covered = _truth_covered(classes, reward_sets, families)
+        return selection, flags, reward_sets, decoded, set_sizes, models, chosen_t, covered
 
     sizes = classes.sizes()
     betas = confidence_levels(
@@ -267,7 +284,8 @@ def run_learner(
         key = (tuple(sets.reward_sets), tuple(sets.transition_sets))
         if key not in memo:
             memo[key] = select(*key)
-        selection, select_flags, reward_sets, transition_sets, set_sizes, models, chosen_t = memo[key]
+        (selection, select_flags, reward_sets, transition_sets, set_sizes, models, chosen_t,
+         covered) = memo[key]
         policy = selection.policy
 
         episode_flags = [*select_flags, *sets.fallback_flags]
@@ -298,6 +316,7 @@ def run_learner(
                 chosen_transition_losses=chosen_t_losses,
                 flags=tuple(episode_flags),
                 wallclock_ms=(time.perf_counter() - t0) * 1000.0,
+                truth_covered=covered,
             )
         )
         for f in episode_flags:
@@ -307,7 +326,6 @@ def run_learner(
     return RunResult(
         config=cfg,
         policies=policies,
-        mixture=MixturePolicy(policies),
         episodes=records,
         realizability=report,
         flags=tuple(sorted(run_flags)),

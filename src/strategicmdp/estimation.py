@@ -49,7 +49,6 @@ class StepData:
     reward_sums: np.ndarray
     next_counts: np.ndarray | None
     next_sums: np.ndarray | None
-    num_samples: int = 0
 
 
 class StepDataset:
@@ -110,7 +109,6 @@ class StepDataset:
         else:
             assert d.next_sums is not None
             d.next_sums[s, a, e] += np.asarray(s_next, dtype=float)
-        d.num_samples += 1
 
     def append_trajectory(self, traj: Trajectory) -> None:
         """Record one episode using observable fields only."""
@@ -125,10 +123,6 @@ class StepDataset:
                 s = int(step.state)
                 s_next = int(step.next_state)
             self.append(h, s, step.action, step.feedback, step.reward, s_next)
-
-    @property
-    def num_episodes(self) -> int:
-        return self.steps[0].num_samples if self.steps else 0
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +274,7 @@ class BetaLevels:
 
 def confidence_levels(
     bound: float,
-    num_episodes: int,
+    episodes: int,
     horizon: int,
     sizes: ClassSizes,
     delta: float,
@@ -295,7 +289,7 @@ def confidence_levels(
     knob (1.0 reproduces the analysis constant; small fractions are the
     operating range at desk scale).
     """
-    if num_episodes < 1 or horizon < 1:
+    if episodes < 1 or horizon < 1:
         raise ConfigError("episode count and horizon must be positive")
     if not (0.0 < delta < 1.0):
         raise ConfigError(f"delta must lie in (0, 1), got {delta}")
@@ -306,7 +300,7 @@ def confidence_levels(
     if min(sizes.rewards, sizes.transitions, sizes.discriminators, sizes.value_targets) < 1:
         raise ConfigError("class sizes must be positive")
     base = 28.0 * bound * bound * beta_scale
-    kh = float(num_episodes) * float(horizon)
+    kh = float(episodes) * float(horizon)
     b1 = base * math.log(kh * sizes.discriminators * sizes.rewards / delta)
     b2 = base * math.log(
         kh * sizes.discriminators * sizes.value_targets * sizes.transitions / delta

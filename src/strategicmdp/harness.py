@@ -29,8 +29,7 @@ from .config import ScenarioConfig, config_from_dict
 from .diagnostics import ill_posedness, naive_baseline, regret_curve, transfer_term
 from .driver import RunConfig, RunResult, run_learner
 from .errors import ValidationError
-from .hypotheses import ClassCaps, HypothesisClasses
-from .model import TransitionMode
+from .hypotheses import ClassCaps
 from .planning import SelectionMode, true_aggregated_model, value_iteration
 from .scenarios import Scenario, build_scenario
 
@@ -84,30 +83,6 @@ def _write_atomic(path: Path, fill) -> None:
 def _write_json(path: Path, data: dict) -> None:
     text = json.dumps(data, indent=2, sort_keys=True)
     _write_atomic(path, lambda fh: fh.write(text))
-
-
-def _truth_in_record(rec, classes: HypothesisClasses) -> bool | None:
-    """Whether the designated true candidates survive in every set of this record."""
-    for h in range(classes.horizon):
-        ri = classes.truth_reward_idx[h]
-        if ri is None:
-            return None
-        if ri not in rec.reward_sets[h]:
-            return False
-        ti = classes.truth_transition_idx[h]
-        per = rec.transition_sets[h]
-        if classes.mode is TransitionMode.GENERAL:
-            if ti is None:
-                return None
-            if ti not in per:
-                return False
-        else:
-            for i, idx in enumerate(ti):
-                if idx is None:
-                    return None
-                if idx not in per[i]:
-                    return False
-    return True
 
 
 def build_from_config(cfg: ScenarioConfig) -> Scenario:
@@ -198,20 +173,15 @@ def run_seed(
         diag["naive_baseline"] = naive_baseline(run.dataset, scenario.model).as_dict()
     if shared_diag:
         diag.update(shared_diag)
-    if run.realizability is not None:
-        diag["realizability"] = run.realizability.as_dict()
+    diag["realizability"] = run.realizability.as_dict()
     _write_json(seed_dir / "diagnostics.json", diag)
 
     marks = checkpoints(cfg.episodes, cfg.evaluation_cadence)
     cum_at: dict[int, float] = {}
     truth_at: dict[int, bool | None] = {}
     ok: bool | None = True
-    truth_memo: dict[tuple[int, int], bool | None] = {}  # by the ids of a record's sets
     for rec in run.episodes:
-        key = (id(rec.reward_sets), id(rec.transition_sets))
-        if key not in truth_memo:
-            truth_memo[key] = _truth_in_record(rec, scenario.classes)
-        t = truth_memo[key]
+        t = rec.truth_covered
         if t is None:
             ok = None
         elif ok is True and not t:
@@ -230,7 +200,7 @@ def run_seed(
         "scenario_params": scenario.params,
         "run_flags": sorted(run.flags),
         "class_flags": sorted(scenario.classes.flags),
-        "realizability": None if run.realizability is None else run.realizability.as_dict(),
+        "realizability": run.realizability.as_dict(),
         "truth_event": truth_at.get(cfg.episodes),
         "final_cum_regret": cum_at[cfg.episodes],
         "wallclock_ms": wall,

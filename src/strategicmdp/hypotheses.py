@@ -182,7 +182,10 @@ class HypothesisClasses:
                 raise CapacityError(
                     f"{nR} reward candidates at step {h} exceed the per-step cap {self.caps.per_step}"
                 )
-            if self.reward_tables[h].min() < -1e-9 or self.reward_tables[h].max() > self.bound + 1e-9:
+            lo, hi = self.reward_tables[h].min(), self.reward_tables[h].max()
+            if not (math.isfinite(lo) and math.isfinite(hi)):  # min and max keep a NaN
+                raise ValidationError(f"reward candidates at step {h} have non-finite entries")
+            if lo < -1e-9 or hi > self.bound + 1e-9:
                 raise ValidationError(f"reward candidates at step {h} leave [0, bound]")
             _check_truth_index(self.truth_reward_idx[h], nR, "reward", f"step {h}")
             if self.mode is TransitionMode.GENERAL:
@@ -194,8 +197,10 @@ class HypothesisClasses:
                     raise CapacityError(
                         f"{nP} transition candidates at step {h} exceed the per-step cap"
                     )
-                rows = self.transition_tables[h].sum(axis=-1)
-                if np.abs(rows - 1.0).max() > 1e-9 or self.transition_tables[h].min() < -1e-9:
+                off = np.abs(self.transition_tables[h].sum(axis=-1) - 1.0).max()
+                if not math.isfinite(off):  # a NaN or infinite entry leaves its row sum non-finite
+                    raise ValidationError(f"transition candidates at step {h} have non-finite entries")
+                if off > 1e-9 or self.transition_tables[h].min() < -1e-9:
                     raise ValidationError(f"transition candidates at step {h} are not kernels")
                 _check_truth_index(self.truth_transition_idx[h], nP, "transition", f"step {h}")
             else:
@@ -213,6 +218,10 @@ class HypothesisClasses:
                         raise CapacityError(
                             f"{per.shape[0]} mean-map candidates at step {h} exceed the per-step cap"
                         )
+                    if not np.isfinite(per).all():
+                        raise ValidationError(
+                            f"mean-map candidates at step {h}, coordinate {i} have non-finite entries"
+                        )
                     _check_truth_index(truth[i], per.shape[0], "transition", f"step {h}, coordinate {i}")
             fmax = np.abs(self.discriminators[h]).max()
             if fmax > self.bound + 1e-9 and "discriminator-bound-exceeded" not in flags:
@@ -222,6 +231,11 @@ class HypothesisClasses:
     @property
     def horizon(self) -> int:
         return len(self.reward_tables)
+
+    def truth_per_family(self, h: int) -> tuple:
+        """Step h's designated true candidate per transition family; None where undesignated."""
+        truth = self.truth_transition_idx[h]
+        return (truth,) if self.mode is TransitionMode.GENERAL else tuple(truth)
 
     def kernel_index(self, h: int) -> KernelIndex:
         """The numbering of step h's transition models."""
@@ -512,8 +526,7 @@ def check_realizability(
             if _first_missing(classes.transition_tables[h], model.transition_kernel[h][None]) is not None:
                 t_clause = ClauseResult(False, f"true transition missing at step {h}")
                 break
-            truth_idx = classes.truth_transition_idx[h]
-            designated = [(classes.transition_tables[h], model.transition_kernel[h], truth_idx)]
+            designated = [(classes.transition_tables[h], model.transition_kernel[h])]
         else:
             assert classes.mean_map_tables is not None and model.mean_map is not None
             missing = [
@@ -526,11 +539,11 @@ def check_realizability(
                     False, f"true mean map missing at step {h}, coordinate {missing[0]}"
                 )
                 break
-            per_coord = zip(classes.mean_map_tables[h], classes.truth_transition_idx[h])
-            designated = [(per, model.mean_map[h][..., i], idx) for i, (per, idx) in enumerate(per_coord)]
+            maps = classes.mean_map_tables[h]
+            designated = [(per, model.mean_map[h][..., i]) for i, per in enumerate(maps)]
         wrong = [
             idx
-            for table, truth, idx in designated
+            for (table, truth), idx in zip(designated, classes.truth_per_family(h))
             if idx is not None and not np.array_equal(table[idx], truth)
         ]
         if wrong:

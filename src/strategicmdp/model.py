@@ -172,9 +172,6 @@ class Grid:
         sub = np.asarray(np.unravel_index(cell, self.cells_per_dim))
         return np.asarray(self.lows) + (sub + 0.5) * self.widths()
 
-    def centers(self) -> np.ndarray:
-        return np.stack([self.center(c) for c in range(self.num_cells)])
-
     def edges(self, dim: int) -> np.ndarray:
         return np.linspace(self.lows[dim], self.highs[dim], self.cells_per_dim[dim] + 1)
 
@@ -301,6 +298,11 @@ class StrategicModel:
         _check_simplex(self.source_type_dist, "source_type_dist")
         _check_simplex(self.target_type_dist, "target_type_dist")
         _check_simplex(self.feedback_kernel, "feedback_kernel")
+        finite = ("principal_reward", "agent_reward", "reward_confound", "mean_map", "trans_confound")
+        for name in finite:
+            table = getattr(self, name)
+            if table is not None and not np.isfinite(table).all():
+                raise ValidationError(f"{name} has non-finite entries")
         if not math.isfinite(self.reward_noise_std) or self.reward_noise_std < 0:
             raise ValidationError("reward_noise_std must be finite and nonnegative")
         if not math.isfinite(self.reward_bound) or self.reward_bound <= 0:
@@ -352,9 +354,10 @@ class StrategicModel:
 def _check_simplex(arr: np.ndarray, name: str) -> None:
     if arr.min() < -SIMPLEX_TOL:
         raise ValidationError(f"{name} has negative entries")
-    sums = arr.sum(axis=-1)
-    if np.abs(sums - 1.0).max() > SIMPLEX_TOL:
-        off = float(np.abs(sums - 1.0).max())
+    off = float(np.abs(arr.sum(axis=-1) - 1.0).max())
+    if not math.isfinite(off):  # a NaN or infinite entry leaves its row sum non-finite
+        raise ValidationError(f"{name} has non-finite entries")
+    if off > SIMPLEX_TOL:
         raise ValidationError(f"{name} rows deviate from sum 1 by {off}")
 
 
@@ -404,22 +407,9 @@ class LearnerKnowledge:
     def num_feedbacks(self) -> int:
         return self.feedback_by_type.shape[4]
 
-    def feedback_mix(self, type_dist: np.ndarray | None = None) -> np.ndarray:
-        """Feedback distribution (H, S, A, E) under a type distribution.
-
-        Defaults to the target distribution.
-        """
-        dist = self.target_type_dist if type_dist is None else np.asarray(type_dist)
-        return np.einsum("ht,hsate->hsae", dist, self.feedback_by_type)
-
-
-def best_response(model: StrategicModel, h: int, s: int, a: int, t: int) -> int:
-    """Agent action maximizing the agent's reward; lowest index on ties."""
-    _check_index(h, model.horizon, "step")
-    _check_index(s, model.num_states, "state")
-    _check_index(a, model.num_actions, "action")
-    _check_index(t, model.num_types, "type")
-    return int(np.argmax(model.agent_reward[h, s, a, t]))
+    def feedback_mix(self) -> np.ndarray:
+        """Feedback distribution (H, S, A, E) under the target type distribution."""
+        return np.einsum("ht,hsate->hsae", self.target_type_dist, self.feedback_by_type)
 
 
 def best_response_table(model: StrategicModel) -> np.ndarray:
@@ -450,7 +440,6 @@ class HiddenStep:
 
     agent_type: int
     agent_action: int
-    reward_shift: float
 
 
 @dataclass(frozen=True)
@@ -502,33 +491,14 @@ class Policy:
         return draw_categorical(rng, self.action_probs[h, s])
 
 
-@dataclass
-class MixturePolicy:
-    """Uniform mixture over episode policies; the standard online-to-batch output."""
-
-    components: list[Policy]
-
-    def __post_init__(self) -> None:
-        if not self.components:
-            raise ValidationError("mixture needs at least one component")
-
-
 # ---------------------------------------------------------------------------
 # Stepping and rollouts
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StepOutcome:
-    feedback: int
-    reward: float
-    next_state: int | np.ndarray
-    hidden: HiddenStep
-
-
 def env_step(
     model: StrategicModel, h: int, state: int | np.ndarray, a: int, rng: np.random.Generator
-) -> StepOutcome:
+) -> TrajectoryStep:
     """Advance the environment one step.
 
     Draw order is fixed: agent type, best response (deterministic), feedback,
@@ -560,7 +530,7 @@ def env_step(
         eta = rng.standard_normal(model.state_dim) * model.trans_noise_scale
         s_next = model.mean_map[h, s, a, e] + model.trans_confound[h, t] + eta
 
-    return StepOutcome(feedback=e, reward=r, next_state=s_next, hidden=HiddenStep(t, b, shift))
+    return TrajectoryStep(state, a, e, r, s_next, HiddenStep(t, b))
 
 
 def rollout(model: StrategicModel, policy: Policy, rng: np.random.Generator) -> Trajectory:
@@ -579,17 +549,8 @@ def rollout(model: StrategicModel, policy: Policy, rng: np.random.Generator) -> 
         else:
             cell = int(state)
         a = policy.sample_action(rng, h, cell)
-        out = env_step(model, h, state, a, rng)
-        traj.steps.append(
-            TrajectoryStep(
-                state=state,
-                action=a,
-                feedback=out.feedback,
-                reward=out.reward,
-                next_state=out.next_state,
-                hidden=out.hidden,
-            )
-        )
-        state = out.next_state
+        step = env_step(model, h, state, a, rng)
+        traj.steps.append(step)
+        state = step.next_state
     return traj
 

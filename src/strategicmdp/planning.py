@@ -235,9 +235,8 @@ class SelectionResult:
     """Chosen model and its optimal policy.
 
     For exact selection reward_idx gives one reward candidate index and
-    transition_idx one kernel index per step. For the pointwise relaxation
-    they are None and the per-(state, action) argmax tables of the same
-    indices are reported instead, with relaxed set.
+    transition_idx one kernel index per step. For the pointwise relaxation,
+    which picks per (state, action), they are None and relaxed is set.
     """
 
     value: float
@@ -245,9 +244,6 @@ class SelectionResult:
     reward_idx: tuple[int, ...] | None
     transition_idx: tuple[int, ...] | None
     relaxed: bool
-    chosen_mdp: AggregatedMDP | None = None
-    pointwise_reward_idx: np.ndarray | None = None
-    pointwise_transition_idx: np.ndarray | None = None
 
 
 def joint_backup(rewards: np.ndarray, kernels: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -344,15 +340,13 @@ def _select_exact(
     kernel_idx = tuple(int(kernel_sets[h][pos[2 * h + 1]]) for h in range(H))
     rewards = np.stack([agg.rewards[h][reward_idx[h]] for h in range(H)])
     transitions = np.stack([agg.transitions[h][kernel_idx[h]] for h in range(H)])
-    mdp = AggregatedMDP(rewards, transitions, initial_state)
-    plan = value_iteration(mdp)
+    plan = value_iteration(AggregatedMDP(rewards, transitions, initial_state))
     return SelectionResult(
         value=value,
         policy=plan.policy,
         reward_idx=reward_idx,
         transition_idx=kernel_idx,
         relaxed=False,
-        chosen_mdp=mdp,
     )
 
 
@@ -365,16 +359,11 @@ def _select_pointwise(
     H = len(agg.rewards)
     S, A = agg.rewards[0].shape[1], agg.rewards[0].shape[2]
     values = np.zeros(S)
-    r_pick = np.zeros((H, S, A), dtype=int)
-    p_pick = np.zeros((H, S, A), dtype=int)
     actions = np.zeros((H, S), dtype=int)
     for h in range(H - 1, -1, -1):
-        rsel = np.asarray(reward_sets[h], dtype=int)
-        psel = np.asarray(kernel_sets[h], dtype=int)
-        R = agg.rewards[h][rsel]
-        expected = np.einsum("psax,x->psa", agg.transitions[h][psel], values)
-        r_pick[h] = rsel[R.argmax(axis=0)]
-        p_pick[h] = psel[expected.argmax(axis=0)]
+        R = agg.rewards[h][np.asarray(reward_sets[h], dtype=int)]
+        P = agg.transitions[h][np.asarray(kernel_sets[h], dtype=int)]
+        expected = np.einsum("psax,x->psa", P, values)
         q = R.max(axis=0) + expected.max(axis=0)
         values = q.max(axis=1)
         actions[h] = q.argmax(axis=1)
@@ -385,6 +374,4 @@ def _select_pointwise(
         reward_idx=None,
         transition_idx=None,
         relaxed=True,
-        pointwise_reward_idx=r_pick,
-        pointwise_transition_idx=p_pick,
     )

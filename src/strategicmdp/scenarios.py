@@ -23,7 +23,6 @@ class Scenario:
     model: StrategicModel
     classes: HypothesisClasses
     params: dict = field(default_factory=dict)
-    description: str = ""
 
     def knowledge(self) -> LearnerKnowledge:
         return LearnerKnowledge.from_model(self.model)
@@ -46,7 +45,6 @@ def _assemble(
     rewards: list[np.ndarray],
     transitions: list,
     params: dict,
-    description: str,
 ) -> Scenario:
     """Close candidate classes whose first candidate in every family is the truth.
 
@@ -68,7 +66,7 @@ def _assemble(
         truth_transition_idx=[0] * H if general else [[0] * len(per) for per in transitions],
     )
     classes = close_classes(model, classes, LearnerKnowledge.from_model(model))
-    return Scenario(name=name, model=model, classes=classes, params=params, description=description)
+    return Scenario(name=name, model=model, classes=classes, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +178,6 @@ def recsys_small(
     return _assemble(
         "recsys-small", model, rewards, transitions,
         params=params,
-        description="three-step recommendation loop, compliant vs contrarian types",
     )
 
 
@@ -244,7 +241,6 @@ def contract_small(seed: int = 0, *, reward_noise: float = 0.2) -> Scenario:
     return _assemble(
         "contract-small", model, rewards, transitions,
         params={"seed": seed, "reward_noise": reward_noise},
-        description="two-state contracting problem with a defiant type",
     )
 
 
@@ -301,7 +297,6 @@ def shifted_target(seed: int = 0) -> Scenario:
     return _assemble(
         "shifted-target", model, rewards, transitions,
         params={"seed": seed},
-        description="population shift scenario with an exact transfer ratio of 5",
     )
 
 
@@ -367,7 +362,6 @@ def degenerate_feedback(seed: int = 0) -> Scenario:
     return _assemble(
         "degenerate-feedback", model, rewards, transitions,
         params={"seed": seed},
-        description="deterministic feedback; projection loses no information",
     )
 
 
@@ -448,7 +442,6 @@ def linear_d(seed: int = 0, *, feature_dim: int = 4, num_candidates: int = 3) ->
     return _assemble(
         "linear-d", model, rewards, transitions,
         params={"seed": seed, "feature_dim": feature_dim, "num_candidates": num_candidates},
-        description="linear reward features and softmax transition candidates",
     )
 
 
@@ -530,7 +523,6 @@ def dyn_1d(seed: int = 0, *, noiseless: bool = False) -> Scenario:
     return _assemble(
         "dyn-1d", model, rewards, mean_maps,
         params={"seed": seed, "noiseless": noiseless},
-        description="drift dynamics on a one-dimensional grid",
     )
 
 

@@ -11,10 +11,12 @@ one ``tobytes`` key or ``np.array_equal`` scan per row), and the joint backup
 step with its action maximum as one reduction; they reuse only the candidate
 aggregates. The learner references keep the earlier per-coordinate transition
 sets verbatim (see that section). The serializer references keep the earlier
-whole-payload canonical JSON and the per-row episodes.csv writer verbatim. The
-last section keeps, verbatim, the package functions that only tests called:
-the aggregation of full-horizon tables, a mixture's value, the occupancy MSE
-and the batched step sampler.
+whole-payload canonical JSON and the per-row episodes.csv writer verbatim, and
+the truth check keeps the harness's earlier per-record reader of shaped sets
+verbatim. The last section keeps the package functions that only tests called:
+the aggregation of full-horizon tables (target distribution only), a
+mixture's value (over a list of policies), the occupancy MSE and the batched
+step sampler.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from strategicmdp import (
     HypothesisClasses,
     LearnerKnowledge,
     LossEvaluator,
-    MixturePolicy,
     OccupancyTable,
     Policy,
     RatioResult,
@@ -156,7 +157,7 @@ def tiny_dynamical(
     reward = np.broadcast_to(
         0.3 + 0.2 * (e_idx == 0) + 0.1 * (a_idx == 1), (H, S, A, E)
     ).copy()
-    centers = grid.centers()[:, 0]
+    centers = np.array([grid.center(c)[0] for c in range(grid.num_cells)])
     mean = (
         0.5 * centers[None, :, None, None]
         + 0.3 * (a_idx == 1)
@@ -676,27 +677,19 @@ def ref_optimistic_select(agg, radices, reward_sets, transition_sets, initial_st
         kernel_idx = [int(kernel_sets[h][pos[2 * h + 1]]) for h in range(H)]
         rewards = np.stack([agg.rewards[h][reward_idx[h]] for h in range(H)])
         transitions = np.stack([agg.transitions[h][kernel_idx[h]] for h in range(H)])
-        mdp = AggregatedMDP(rewards, transitions, initial_state)
-        plan = value_iteration(mdp)
+        plan = value_iteration(AggregatedMDP(rewards, transitions, initial_state))
         return SelectionResult(
             value=value,
             policy=plan.policy,
             reward_idx=reward_idx,
             transition_idx=tuple(ref_candidate_index(radices, h, kernel_idx[h]) for h in range(H)),
             relaxed=False,
-            chosen_mdp=mdp,
         )
     values = np.zeros(S)
-    r_pick = np.zeros((H, S, A), dtype=int)
-    p_pick = [np.zeros(0)] * H
     actions = np.zeros((H, S), dtype=int)
     for h in range(H - 1, -1, -1):
-        rsel = np.asarray(reward_sets[h], dtype=int)
-        psel = kernel_sets[h]
-        R = agg.rewards[h][rsel]
-        expected = np.einsum("psax,x->psa", agg.transitions[h][psel], values)
-        r_pick[h] = rsel[R.argmax(axis=0)]
-        p_pick[h] = ref_candidate_index(radices, h, psel[expected.argmax(axis=0)])
+        R = agg.rewards[h][np.asarray(reward_sets[h], dtype=int)]
+        expected = np.einsum("psax,x->psa", agg.transitions[h][kernel_sets[h]], values)
         q = R.max(axis=0) + expected.max(axis=0)
         values = q.max(axis=1)
         actions[h] = q.argmax(axis=1)
@@ -706,8 +699,6 @@ def ref_optimistic_select(agg, radices, reward_sets, transition_sets, initial_st
         reward_idx=None,
         transition_idx=None,
         relaxed=True,
-        pointwise_reward_idx=r_pick,
-        pointwise_transition_idx=np.stack(p_pick),
     )
 
 
@@ -1037,6 +1028,35 @@ def ref_discriminator_score(targets, disc, sa_counts, halves) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# The truth check as the harness made it on every record's shaped sets
+# ---------------------------------------------------------------------------
+
+
+def ref_truth_in_record(rec, classes: HypothesisClasses) -> bool | None:
+    """Whether the designated true candidates survive in every set of this record."""
+    for h in range(classes.horizon):
+        ri = classes.truth_reward_idx[h]
+        if ri is None:
+            return None
+        if ri not in rec.reward_sets[h]:
+            return False
+        ti = classes.truth_transition_idx[h]
+        per = rec.transition_sets[h]
+        if classes.mode is TransitionMode.GENERAL:
+            if ti is None:
+                return None
+            if ti not in per:
+                return False
+        else:
+            for i, idx in enumerate(ti):
+                if idx is None:
+                    return None
+                if idx not in per[i]:
+                    return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # Tools only the tests use, kept verbatim from the package
 # ---------------------------------------------------------------------------
 
@@ -1046,25 +1066,24 @@ def aggregate(
     transition_table: np.ndarray,
     knowledge: LearnerKnowledge,
     initial_state: int,
-    type_dist: np.ndarray | None = None,
 ) -> AggregatedMDP:
     """Average feedback out of full-horizon candidate tables (general mode).
 
     reward_table is (H, S, A, E) and transition_table is (H, S, A, E, S).
     """
-    w = knowledge.feedback_mix(type_dist)
+    w = knowledge.feedback_mix()
     rewards = np.einsum("hsae,hsae->hsa", w, reward_table)
     transitions = np.einsum("hsae,hsaex->hsax", w, transition_table)
     return AggregatedMDP(rewards, transitions, initial_state)
 
 
-def mixture_value(policy: MixturePolicy, oracle: AggregatedMDP) -> float:
-    """Average exact value of the mixture components on the evaluation oracle."""
+def mixture_value(policies: list[Policy], oracle: AggregatedMDP) -> float:
+    """Exact value on the evaluation oracle of the uniform mixture over policies."""
     H = oracle.horizon
-    for comp in policy.components:
+    for comp in policies:
         if comp.action_probs.shape[0] != H:
             raise ConfigError("mixture component horizon does not match the oracle")
-    vals = [policy_value(oracle, comp) for comp in policy.components]
+    vals = [policy_value(oracle, comp) for comp in policies]
     return float(np.mean(vals))
 
 

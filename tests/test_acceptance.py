@@ -31,6 +31,7 @@ from strategicmdp import (
     regret_curve,
     rollout,
     run_learner,
+    source_feedback_mix,
     transfer_term,
     true_aggregated_model,
     value_iteration,
@@ -369,7 +370,6 @@ def test_criterion_8_determinism(tmp_path, verdict):
 def test_criterion_9_dynamical_mode_sanity(verdict):
     scenario = build_scenario("dyn-1d", params={"noiseless": True})
     model, classes = scenario.model, scenario.classes
-    kn = scenario.knowledge()
     pol = Policy.uniform(model.horizon, model.num_states, model.num_actions)
     H = model.horizon
     wrong_idx = [
@@ -402,7 +402,7 @@ def test_criterion_9_dynamical_mode_sanity(verdict):
                 wrong_losses[h].append(float(mean_map_losses(data.steps[h], per[[wrong_idx[h]]], 0, disc)[0]))
 
     occ = occupancy(model, pol)
-    mix = kn.feedback_mix(model.source_type_dist)
+    mix = source_feedback_mix(model)
     truth_zero = all(v == 0.0 for h in range(H) for v in true_losses[h])
     ratios = []
     for h in range(H):

@@ -18,12 +18,12 @@ try:
 except ModuleNotFoundError:  # Python 3.10
     tomllib = None
 
-from strategicmdp import RunConfig, build_scenario, harness, run_learner
+from strategicmdp import RunConfig, build_scenario, driver, harness, run_learner
 from strategicmdp.cli import ENV_OUTPUT, main
 from strategicmdp.config import load_config
 from strategicmdp.harness import EPISODE_COLUMNS, SUMMARY_COLUMNS
 
-from helpers import BASE_YAML, DYN_YAML
+from helpers import BASE_YAML, DYN_YAML, ref_truth_in_record
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -182,6 +182,14 @@ def test_sweep_rejects_unparsable_param_value(config_path, capsys):
     assert "runtime failure" not in err
 
 
+def test_sweep_rejects_a_repeated_param_key(config_path, tmp_path, capsys):
+    p = config_path()
+    rc = main(["sweep", str(p), "--param", "run.episodes=2,3", "--param", " run.episodes=4"])
+    assert rc == 2
+    assert "--param run.episodes is given more than once" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_sweep_rejects_invalid_grid_point(config_path, capsys):
     assert main(["sweep", str(config_path()), "--param", "run.delta=0.05,7"]) == 2
     err = capsys.readouterr().err
@@ -225,14 +233,14 @@ def test_failed_episodes_write_keeps_previous_csv(config_path, tmp_path):
 def test_truth_check_runs_once_per_distinct_set_pair(
     config_path, tmp_path, monkeypatch, truth_reward_idx, final
 ):
-    """run_seed checks the designated truth once per distinct pair of set
-    objects, and its checkpoints match the check made on every record. The
-    designations cover a surviving truth, one that leaves (False) and an
-    undesignated step (None)."""
+    """The learner checks the designated truth once per distinct set key, and
+    run_seed's checkpoints match the harness's earlier check made on every
+    record. The designations cover a surviving truth, one that leaves (False)
+    and an undesignated step (None)."""
     body = BASE_YAML.replace("episodes: 6", "episodes: 40").replace("beta_scale: 0.1", "beta_scale: 0.0001")
     cfg = load_config(config_path(body=body.replace("evaluation_cadence: 3", "evaluation_cadence: 5")))
     runs, calls = [], []
-    real_run, real_truth = harness.run_learner, harness._truth_in_record
+    real_run, real_truth = harness.run_learner, driver._truth_covered
     scenario = harness.build_from_config(cfg)
     if truth_reward_idx is not None:
         scenario.classes = dataclasses.replace(scenario.classes, truth_reward_idx=truth_reward_idx)
@@ -241,20 +249,21 @@ def test_truth_check_runs_once_per_distinct_set_pair(
         runs.append(real_run(*args))
         return runs[-1]
 
-    def truth(rec, classes):
-        calls.append((id(rec.reward_sets), id(rec.transition_sets)))
-        return real_truth(rec, classes)
+    def truth(classes, reward_sets, families):
+        calls.append((reward_sets, tuple(per_family[0] for per_family in families)))
+        return real_truth(classes, reward_sets, families)
 
     monkeypatch.setattr(harness, "run_learner", run)
-    monkeypatch.setattr(harness, "_truth_in_record", truth)
+    monkeypatch.setattr(driver, "_truth_covered", truth)
     outcome = harness.run_seed(cfg, 0, tmp_path / "seed-0000", scenario, {})
     (result,) = runs
-    pairs = [(id(rec.reward_sets), id(rec.transition_sets)) for rec in result.episodes]
-    assert calls == list(dict.fromkeys(pairs)) and len(calls) < len(pairs)
+    keys = [(rec.reward_sets, rec.transition_sets) for rec in result.episodes]
+    assert calls == list(dict.fromkeys(keys)) and len(calls) < len(keys)
     classes = scenario.classes
     want, ok = {}, True
     for rec in result.episodes:
-        t = real_truth(rec, classes)
+        t = ref_truth_in_record(rec, classes)
+        assert rec.truth_covered == t
         if t is None:
             ok = None
         elif ok is True and not t:

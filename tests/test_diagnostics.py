@@ -445,9 +445,7 @@ def test_regret_curve_singleton_truth():
     curve = regret_curve(result, model, kn)
     oracle = true_aggregated_model(model)
     plan = value_iteration(oracle)
-    gap = plan.value_at_initial - mixture_value(
-        type(result.mixture)([result.policies[0]]), oracle
-    )
+    gap = plan.value_at_initial - mixture_value([result.policies[0]], oracle)
     np.testing.assert_allclose(curve.instant[0], gap, atol=1e-12)
     np.testing.assert_allclose(curve.instant[1:], 0.0, atol=1e-12)
     np.testing.assert_allclose(curve.cumulative[-1], gap, atol=1e-12)
@@ -465,7 +463,7 @@ def test_regret_nonnegative_and_mixture_identity():
     assert np.all(curve.instant >= -1e-9)
     # online-to-batch: mixture value equals optimal value minus average regret
     oracle = true_aggregated_model(scenario.model)
-    mv = mixture_value(result.mixture, oracle)
+    mv = mixture_value(result.policies, oracle)
     np.testing.assert_allclose(
         mv, curve.optimal_value - curve.cumulative[-1] / cfg.episodes, atol=1e-9
     )

@@ -18,7 +18,6 @@ from strategicmdp import (
     ConfigError,
     Grid,
     LearnerKnowledge,
-    MixturePolicy,
     Policy,
     RealizabilityError,
     RunConfig,
@@ -44,6 +43,7 @@ from helpers import (
     ref_run_learner,
     ref_sizes_p,
     ref_transition_set_sizes,
+    ref_truth_in_record,
     ref_write_episodes_csv,
     tiny_general,
 )
@@ -85,12 +85,10 @@ def test_single_episode_mixture_is_uniform_start():
     scenario = build_scenario("recsys-small")
     result = run_learner(scenario.model, scenario.knowledge(), scenario.classes, run_cfg(episodes=1))
     assert len(result.episodes) == 1
-    assert len(result.mixture.components) == 1
+    assert len(result.policies) == 1
     uniform = Policy.uniform(3, 3, 2)
-    np.testing.assert_array_equal(
-        result.mixture.components[0].action_probs, uniform.action_probs
-    )
-    assert result.dataset.num_episodes == 1
+    np.testing.assert_array_equal(result.policies[0].action_probs, uniform.action_probs)
+    assert all(step.counts.sum() == 1 for step in result.dataset.steps)
 
 
 def test_singleton_truth_commits_optimal_policy():
@@ -202,10 +200,10 @@ def test_mixture_value_hand_example():
     hi = Policy.deterministic(np.ones((1, 1), dtype=int), 2)
     assert abs(policy_value(mdp, lo) - 0.4) <= 1e-12
     assert abs(policy_value(mdp, hi) - 0.8) <= 1e-12
-    np.testing.assert_allclose(mixture_value(MixturePolicy([lo, hi]), mdp), 0.6, atol=1e-12)
+    np.testing.assert_allclose(mixture_value([lo, hi], mdp), 0.6, atol=1e-12)
     short = Policy.uniform(2, 1, 2)
     with pytest.raises(ConfigError):
-        mixture_value(MixturePolicy([short]), mdp)
+        mixture_value([short], mdp)
 
 
 def test_dynamical_run_smoke():
@@ -252,7 +250,6 @@ def _run_both(kind, seed, optimism, cap, beta_scale, episodes=25):
         optimism=optimism,
         beta_scale=beta_scale,
         selector_cap=cap,
-        check_realizability_at_start=False,
     )
     got = run_learner(model, knowledge, classes, cfg)
     want, want_policies = ref_run_learner(model, knowledge, classes, cfg)
@@ -316,6 +313,56 @@ def test_2d_run_writes_per_coordinate_sizes(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Truth coverage, decided where the sets are decoded
+# ---------------------------------------------------------------------------
+
+
+def _designated(classes, picks):
+    """Classes whose designated truths are taken from picks in turn, step by
+    step, reward first: None leaves a truth undesignated, an integer names
+    candidate pick % count, most often one that the data eliminates."""
+    picks = iter(picks)
+
+    def pick(count):
+        p = next(picks)
+        return None if p is None else p % count
+
+    rewards, transitions = [], []
+    for h in range(classes.horizon):
+        rewards.append(pick(len(classes.reward_tables[h])))
+        per = [pick(n) for n in classes.kernel_index(h).radices]
+        transitions.append(per[0] if classes.mode is TransitionMode.GENERAL else per)
+    return dataclasses.replace(classes, truth_reward_idx=rewards, truth_transition_idx=transitions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["general", "dyn-1d", "dyn-2d"]),
+    seed=st.integers(0, 5),
+    beta_scale=st.sampled_from([1e-4, 0.002, 0.02, 5.0]),
+    picks=st.lists(
+        st.one_of(st.none(), st.integers(0, 5)) | st.integers(0, 5), min_size=9, max_size=9
+    ),
+)
+def test_truth_coverage_matches_the_per_record_reference(kind, seed, beta_scale, picks):
+    """Every record's truth_covered equals the check the harness made on the
+    record's shaped sets, for truths that survive, truths the data eliminates
+    and truths left undesignated at a step or a coordinate."""
+    model, knowledge, classes = _closed_instance(kind, seed)
+    classes = _designated(classes, picks)
+    cfg = RunConfig(
+        episodes=20,
+        delta=0.1,
+        mode=model.transition_mode,
+        seed=seed,
+        beta_scale=beta_scale,
+    )
+    result = run_learner(model, knowledge, classes, cfg)
+    for rec in result.episodes:
+        assert rec.truth_covered is ref_truth_in_record(rec, classes)
+
+
+# ---------------------------------------------------------------------------
 # The run's selection memo
 # ---------------------------------------------------------------------------
 
@@ -369,7 +416,6 @@ def test_selection_runs_once_per_distinct_set(monkeypatch, kind, optimism, cap):
         optimism=optimism,
         beta_scale=1e-4,
         selector_cap=cap,
-        check_realizability_at_start=False,
     )
     built, selected = count_calls(monkeypatch)
     result = run_learner(model, knowledge, classes, cfg)
@@ -404,7 +450,6 @@ def test_one_key_with_and_without_an_empty_set_fallback(monkeypatch):
         mode=model.transition_mode,
         seed=1,
         beta_scale=1e-4,
-        check_realizability_at_start=False,
     )
     built, _ = count_calls(monkeypatch)
     result = run_learner(model, knowledge, classes, cfg)
@@ -423,7 +468,7 @@ def test_runs_share_no_memo(monkeypatch):
     other = dataclasses.replace(
         scenario.classes, reward_tables=[r[::-1].copy() for r in scenario.classes.reward_tables]
     )
-    cfg = run_cfg(episodes=30, seed=1, check_realizability_at_start=False)
+    cfg = run_cfg(episodes=30, seed=1)
     alone = run_learner(scenario.model, knowledge, other, cfg).canonical_json()
     built, selected = count_calls(monkeypatch)
     first = run_learner(scenario.model, knowledge, scenario.classes, cfg)
@@ -450,7 +495,6 @@ def _run_closed(kind, seed, optimism=SelectionMode.EXACT, beta_scale=0.02, episo
         seed=seed,
         optimism=optimism,
         beta_scale=beta_scale,
-        check_realizability_at_start=False,
     )
     return run_learner(model, knowledge, classes, cfg), model, knowledge
 
@@ -525,7 +569,7 @@ def test_canonical_json_transient_memory_stays_near_its_output():
     transient peak within 4x the output (the whole-payload dump took ~13x)."""
     scenario = build_scenario("recsys-small")
     knowledge = scenario.knowledge()
-    cfg = run_cfg(episodes=300, seed=1, check_realizability_at_start=False)
+    cfg = run_cfg(episodes=300, seed=1)
     run = run_learner(scenario.model, knowledge, scenario.classes, cfg)
     regret_curve(run, scenario.model, knowledge)
     tracemalloc.start()

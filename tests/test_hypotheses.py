@@ -96,6 +96,35 @@ def test_class_bound_must_be_finite(value):
         dataclasses.replace(classes, bound=value)
 
 
+def _nan_in_first_candidate(tables, h):
+    out = list(tables)
+    out[h] = out[h].copy()
+    out[h][0].flat[0] = np.nan
+    return out
+
+
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        ("reward_tables", "reward candidates at step 1 have non-finite entries"),
+        ("transition_tables", "transition candidates at step 1 have non-finite entries"),
+        ("mean_map_tables", "mean-map candidates at step 1, coordinate 0 have non-finite entries"),
+    ],
+    ids=["reward", "transition", "mean-map"],
+)
+def test_non_finite_candidates_rejected(family, message):
+    """Candidate tables must be finite; discriminators may hold NaN (see above)."""
+    if family == "mean_map_tables":
+        _, classes = _closed_tiny_dynamical()
+        bad = [list(per) for per in classes.mean_map_tables]
+        bad[1] = _nan_in_first_candidate(bad[1], 0)
+    else:
+        classes = singleton_classes(tiny_general())
+        bad = _nan_in_first_candidate(getattr(classes, family), 1)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        dataclasses.replace(classes, **{family: bad})
+
+
 def test_terminal_value_target_is_zero_singleton():
     model = tiny_general()
     classes = singleton_classes(model)
@@ -582,11 +611,12 @@ def mutations(model, classes):
         yield f"missing reward truth at {h}", dataclasses.replace(
             classes, reward_tables=_replace_row(classes.reward_tables, h, r, shifted)
         )
-        nan_row = classes.reward_tables[h][r].copy()
-        nan_row.flat[0] = np.nan
-        yield f"nan reward candidate at {h}", dataclasses.replace(
-            classes, reward_tables=_append_row(classes.reward_tables, h, nan_row)
-        )
+        if h + 1 < H:
+            nan_row = classes.value_targets[h + 1][0].copy()
+            nan_row.flat[0] = np.nan
+            yield f"nan value target at {h + 1}", dataclasses.replace(
+                classes, value_targets=_append_row(classes.value_targets, h + 1, nan_row)
+            )
         if classes.mode is TransitionMode.GENERAL:
             p = classes.truth_transition_idx[h] or 0
             tilted = 0.5 * (classes.transition_tables[h][p] + 1.0 / model.num_states)

@@ -78,3 +78,59 @@ def test_unused_import_check_sees_string_annotations_and_if_blocks(tmp_path):
         "    return np.zeros(TYPE_CHECKING)\n"
     )
     assert unused_imports(source) == ["mod.py:2: os", "mod.py:6: Unused"]
+
+
+def _private_definitions(tree: ast.Module):
+    """(line, name) of every module-level private function or class."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds) and node.name.startswith("_") and not node.name.startswith("__"):
+            yield node.lineno, node.name
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Names the module reads bare, as attributes, or imports by name."""
+    names = _used_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def unreferenced_private_definitions(package: Path) -> list[str]:
+    """Module-level private functions and classes that no module of the package references."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sorted(package.glob("*.py"))}
+    referenced = set().union(*map(_referenced_names, trees.values()))
+    return sorted(
+        f"{path.name}:{line}: {name}"
+        for path, tree in trees.items()
+        for line, name in _private_definitions(tree)
+        if name not in referenced
+    )
+
+
+def test_no_unreferenced_private_definitions():
+    assert unreferenced_private_definitions(PACKAGE) == []
+
+
+def test_unreferenced_private_check_finds_a_planted_helper(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def _called():\n"
+        "    return 1\n"
+        "def _imported():\n"
+        "    return 2\n"
+        "class _ReadAsAttribute:\n"
+        "    pass\n"
+        "def _planted():\n"
+        "    return _called()\n"
+        "def __dunder__():\n"
+        "    pass\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from . import a\n"
+        "from .a import _imported\n"
+        "VALUE = (a._ReadAsAttribute, _imported)\n"
+    )
+    assert unreferenced_private_definitions(tmp_path) == ["a.py:7: _planted"]

@@ -14,7 +14,6 @@ from strategicmdp import (
     Grid,
     InvalidIndexError,
     LearnerKnowledge,
-    MixturePolicy,
     Policy,
     TransitionMode,
     ValidationError,
@@ -22,7 +21,7 @@ from strategicmdp import (
     make_rng,
     rollout,
 )
-from strategicmdp.model import best_response, best_response_table, draw_categorical
+from strategicmdp.model import best_response_table, draw_categorical
 
 from helpers import ref_locate, sample_step_batch, tiny_dynamical, tiny_general
 
@@ -209,6 +208,34 @@ def test_validation_rejects_non_finite_scales(maker, key, value):
         dataclasses.replace(maker(), **{key: value})
 
 
+def _planted(table, value):
+    """A copy of table with value in its first entry."""
+    out = np.array(table, dtype=float)
+    out.flat[0] = value
+    return out
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "maker, table",
+    [
+        (tiny_general, "source_type_dist"),
+        (tiny_general, "target_type_dist"),
+        (tiny_general, "agent_reward"),
+        (tiny_general, "feedback_kernel"),
+        (tiny_general, "principal_reward"),
+        (tiny_general, "reward_confound"),
+        (tiny_general, "transition_kernel"),
+        (tiny_dynamical, "mean_map"),
+        (tiny_dynamical, "trans_confound"),
+    ],
+)
+def test_validation_rejects_non_finite_tables(maker, table, value):
+    good = maker()
+    with pytest.raises(ValidationError, match=f"^{table} has non-finite entries$"):
+        dataclasses.replace(good, **{table: _planted(getattr(good, table), value)})
+
+
 def test_validation_dynamical_requirements():
     good = tiny_dynamical()
     with pytest.raises(ValidationError):
@@ -229,7 +256,7 @@ def test_best_response_prefers_lowest_index_on_tie():
     tied = model.agent_reward.copy()
     tied[0, 0, 0, 0, :] = 0.5
     model = dataclasses.replace(model, agent_reward=tied)
-    assert best_response(model, 0, 0, 0, 0) == 0
+    assert best_response_table(model)[0, 0, 0, 0] == 0
 
 
 def test_best_response_table_matches_scalar():
@@ -239,7 +266,8 @@ def test_best_response_table_matches_scalar():
         for s in range(model.num_states):
             for a in range(model.num_actions):
                 for t in range(model.num_types):
-                    assert table[h, s, a, t] == best_response(model, h, s, a, t)
+                    utilities = list(model.agent_reward[h, s, a, t])
+                    assert table[h, s, a, t] == utilities.index(max(utilities))
 
 
 def test_knowledge_hides_confounds_and_source():
@@ -256,9 +284,9 @@ def test_feedback_mix_rows_sum_to_one():
     mix = kn.feedback_mix()
     np.testing.assert_allclose(mix.sum(axis=-1), 1.0, atol=1e-12)
     # compliant type 0 emits the b=a row, contrary type 1 the b=1-a row
-    src = kn.feedback_mix(np.tile((1.0, 0.0), (2, 1)))
-    np.testing.assert_allclose(src[0, 0, 0], [0.9, 0.1], atol=1e-12)
-    np.testing.assert_allclose(src[0, 0, 1], [0.2, 0.8], atol=1e-12)
+    compliant = kn.feedback_by_type[:, :, :, 0]
+    np.testing.assert_allclose(compliant[0, 0, 0], [0.9, 0.1], atol=1e-12)
+    np.testing.assert_allclose(compliant[0, 0, 1], [0.2, 0.8], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +330,7 @@ def test_env_step_agent_best_responds():
     for seed in range(20):
         out = env_step(model, 0, 0, 1, make_rng(seed))
         t, b = out.hidden.agent_type, out.hidden.agent_action
-        assert b == best_response(model, 0, 0, 1, t)
+        assert b == best_response_table(model)[0, 0, 1, t]
 
 
 def test_env_step_index_checks():
@@ -370,6 +398,7 @@ def test_policy_rejects_bad_rows():
         Policy(np.full((1, 2, 2), 0.4))
 
 
-def test_mixture_policy_rejects_no_components():
-    with pytest.raises(ValidationError):
-        MixturePolicy([])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_policy_rejects_non_finite_entries(value):
+    with pytest.raises(ValidationError, match="^policy has non-finite entries$"):
+        Policy(np.full((2, 2, 2), value))

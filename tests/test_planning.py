@@ -96,6 +96,14 @@ def test_aggregated_mdp_validation():
         AggregatedMDP(np.zeros((1, 2, 2)), bad, 0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_aggregated_mdp_rejects_non_finite_transitions(value):
+    kernels = np.full((1, 2, 2, 2), 0.5)
+    kernels[0, 1, 0] = (value, 0.5)
+    with pytest.raises(ValidationError, match="^aggregated transitions has non-finite entries$"):
+        AggregatedMDP(np.zeros((1, 2, 2)), kernels, 0)
+
+
 # ---------------------------------------------------------------------------
 # Backward induction against brute force
 # ---------------------------------------------------------------------------
@@ -281,7 +289,7 @@ def test_optimistic_select_pointwise_upper_bounds_exact():
     assert loose.relaxed
     assert loose.reward_idx is None
     assert loose.value >= exact.value - 1e-12
-    assert loose.pointwise_reward_idx is not None
+    assert loose.transition_idx is None
 
 
 def test_optimistic_select_cap_raises():
@@ -501,7 +509,8 @@ def test_exact_selection_matches_literal_product_dynamical(instance):
     # The chosen model is the one its reported indices name.
     for h, idx in enumerate(chosen):
         assert all(i in coord_set for i, coord_set in zip(idx, transition_sets[h]))
-        np.testing.assert_array_equal(got.chosen_mdp.transitions[h], outer_cell_kernel(masses[h], idx))
+        kernel = agg.transitions[h][got.transition_idx[h]]
+        np.testing.assert_array_equal(kernel, outer_cell_kernel(masses[h], idx))
     if best - runner_up > 1e-9:
         assert got.reward_idx == tuple(ri for ri, _ in best_combo)
         assert chosen == tuple(idx for _, idx in best_combo)
@@ -517,8 +526,6 @@ def test_pointwise_selection_matches_literal_loop_dynamical(instance):
     loose = optimistic_select(agg, reward_sets, kernel_sets, s1, mode=SelectionMode.POINTWISE)
     rewards, masses = _literal_step_tables(classes, knowledge)
     S, A = rewards[0].shape[1:]
-    picks = loose.pointwise_transition_idx
-    assert picks.shape == (classes.horizon, S, A)
     values = np.zeros(S)
     for h in range(classes.horizon - 1, -1, -1):
         kernels = [outer_cell_kernel(masses[h], idx) for idx in itertools.product(*transition_sets[h])]
@@ -526,13 +533,11 @@ def test_pointwise_selection_matches_literal_loop_dynamical(instance):
         for s in range(S):
             for a in range(A):
                 best_next = max(float(k[s, a] @ values) for k in kernels)
-                # the reported per-(s, a) pick survives and attains the max
-                idx = classes.kernel_index(h).models[picks[h, s, a]]
-                assert all(i in coord_set for i, coord_set in zip(idx, transition_sets[h]))
-                picked = float(outer_cell_kernel(masses[h], idx)[s, a] @ values)
-                assert abs(picked - best_next) <= 1e-12
                 q[s, a] = max(rewards[h][r, s, a] for r in reward_sets[h]) + best_next
         values = q.max(axis=1)
+        # the committed action attains the step's maximum in every state
+        chosen = loose.policy.action_probs[h].argmax(axis=1)
+        assert np.abs(q[np.arange(S), chosen] - values).max() <= 1e-12
     assert loose.relaxed
     assert abs(loose.value - values[s1]) <= 1e-12
     assert loose.value >= exact.value - 1e-12

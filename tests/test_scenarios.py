@@ -53,7 +53,6 @@ def test_mode_registry_matches_built_model(name):
 def test_params_echo_inputs(name):
     scenario = build_scenario(name, seed=3)
     assert scenario.params["seed"] == 3
-    assert scenario.description
 
 
 def test_unknown_name_rejected():
