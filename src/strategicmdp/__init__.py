@@ -55,8 +55,6 @@ from .hypotheses import (
     RealizabilityReport,
     check_realizability,
     close_classes,
-    close_discriminators,
-    close_value_targets,
     residual_labels,
     residual_stack,
     source_feedback_mix,

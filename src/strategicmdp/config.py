@@ -14,9 +14,8 @@ from pathlib import Path
 import yaml
 
 from .errors import ParseError, ValidationError
-from .model import TransitionMode
 from .planning import SelectionMode
-from .scenarios import GENERATOR_MODES, GENERATORS
+from .scenarios import GENERATORS
 
 # PyYAML's libyaml parser when it is compiled in: the same data, parsed faster.
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -48,11 +47,10 @@ def _unique_key_loader(base: type) -> type:
 
 _LOADER = _unique_key_loader(YAML_LOADER)
 
-_MODES = tuple(m.value for m in TransitionMode)
 _OPTIMISM = tuple(m.value for m in SelectionMode)
 
 _TOP_KEYS = {"environment", "classes", "run", "diagnostics", "output", "workers"}
-_ENV_KEYS = {"generator", "seed", "params", "mode"}
+_ENV_KEYS = {"generator", "seed", "params"}
 _CLASS_KEYS = {"per_step_cap", "joint_cap"}
 _RUN_KEYS = {
     "episodes",
@@ -164,15 +162,6 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     if not isinstance(params, dict):
         violations.append("environment.params: must be a mapping")
         params = {}
-    mode = env.get("mode")
-    if mode is not None:
-        if mode not in _MODES:
-            violations.append(f"environment.mode: must be one of {_MODES}, got {mode!r}")
-        elif generator in GENERATOR_MODES and GENERATOR_MODES[generator].value != mode:
-            violations.append(
-                f"environment.mode: {mode!r} conflicts with scenario {generator!r}, "
-                f"which is {GENERATOR_MODES[generator].value}"
-            )
 
     cls = _section(data, "classes", violations)
     _check_keys(cls, _CLASS_KEYS, "classes", violations)

@@ -19,7 +19,7 @@ import json
 import os
 import time
 from copy import deepcopy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -86,12 +86,9 @@ def _write_json(path: Path, data: dict) -> None:
 
 
 def build_from_config(cfg: ScenarioConfig) -> Scenario:
-    """Construct the scenario named by the config and apply the class caps."""
-    scenario = build_scenario(cfg.generator, cfg.generator_seed, cfg.generator_params)
-    caps = ClassCaps(per_step=cfg.per_step_cap, joint=cfg.joint_cap)
-    if caps != scenario.classes.caps:
-        scenario.classes = replace(scenario.classes, caps=caps)
-    return scenario
+    """Construct the scenario named by the config, its classes closed under the class caps."""
+    caps = ClassCaps(cfg.per_step_cap, cfg.joint_cap)
+    return build_scenario(cfg.generator, cfg.generator_seed, cfg.generator_params, caps)
 
 
 def run_config_for(cfg: ScenarioConfig, scenario: Scenario, seed: int) -> RunConfig:

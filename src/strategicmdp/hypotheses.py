@@ -7,18 +7,15 @@ needs two discriminator families: state-action test functions used inside the
 minimax losses, and state value functions used as regression targets for
 transitions.
 
-Two closure operations make the families rich enough for the losses to be
-well-calibrated:
-
-  close_discriminators   adds, for every candidate residual against the truth,
-                         its conditional expectation given (state, action)
-                         under the source population;
-  close_value_targets    adds the optimal value tables of every joint
-                         candidate model aggregated under the target.
-
-Both closures only append (never remove), deduplicate bit-exactly, and are
-idempotent. The realizability check verifies truth membership and both closure
-properties by exact table equality through the same code paths.
+close_classes makes the families rich enough for the losses to be
+well-calibrated. It adds the optimal value tables of every joint candidate
+model aggregated under the target to the value targets, then, for every
+candidate residual against the truth, its conditional expectation given
+(state, action) under the source population to the discriminators. Both
+closures only append (never remove), deduplicate bit-exactly, and are
+idempotent; the joint cap bounds the value closure's enumeration. The
+realizability check verifies truth membership and both closure properties by
+exact table equality through the same code paths.
 """
 
 from __future__ import annotations
@@ -353,27 +350,6 @@ def _dedup_append(base: np.ndarray, extra: np.ndarray) -> np.ndarray:
     return np.concatenate([base, rows], axis=0)
 
 
-def close_discriminators(
-    model: StrategicModel, classes: HypothesisClasses
-) -> HypothesisClasses:
-    """Add the source-conditional projection of every candidate residual.
-
-    Projections use the true per-type feedback mixture under the source
-    population, so this runs harness-side when classes are built. Appends
-    only, deduplicates bit-exactly, and is idempotent.
-    """
-    return replace(classes, discriminators=_closed_discriminators(model, classes))
-
-
-def _closed_discriminators(model: StrategicModel, classes: HypothesisClasses) -> list[np.ndarray]:
-    kappa = source_feedback_mix(model)
-    new_disc = []
-    for h in range(classes.horizon):
-        extra = source_projection(kappa[h], residual_stack(model, classes, h))
-        new_disc.append(_dedup_append(classes.discriminators[h], extra))
-    return new_disc
-
-
 def enumerate_suffix_values(
     classes: HypothesisClasses, knowledge: LearnerKnowledge
 ) -> list[np.ndarray]:
@@ -399,44 +375,31 @@ def enumerate_suffix_values(
     return out
 
 
-def close_value_targets(
-    classes: HypothesisClasses, knowledge: LearnerKnowledge
-) -> HypothesisClasses:
-    """Add every joint candidate model's optimal value tables under the target.
-
-    Appends only, deduplicates bit-exactly, idempotent. Raises a bound flag
-    (recorded on the returned classes) when inserted values exceed the class
-    bound; values are never clamped.
-    """
-    return replace(classes, value_targets=_closed_value_targets(classes, knowledge))
-
-
-def _closed_value_targets(
-    classes: HypothesisClasses, knowledge: LearnerKnowledge
-) -> list[np.ndarray]:
-    suffix = enumerate_suffix_values(classes, knowledge)
-    new_targets = list(classes.value_targets)
-    for h in range(classes.horizon):
-        base = classes.value_targets[h]
-        # Suffix rows are distinct already, so an empty family takes them unkeyed.
-        new_targets[h] = _dedup_append(base, suffix[h]) if len(base) else suffix[h]
-    return new_targets
-
-
 def close_classes(
     model: StrategicModel, classes: HypothesisClasses, knowledge: LearnerKnowledge
 ) -> HypothesisClasses:
     """Value-target closure followed by the discriminator closure.
 
     Order matters: transition residual projections range over the closed
-    value-target family. The result is validated once; the intermediate with
-    closed value targets is an unvalidated copy that only the residuals read.
+    value-target family. Projections use the true per-type feedback mixture
+    under the source population, so this runs where the scenario is built.
+    Nothing is clamped: a value target or discriminator beyond the class
+    bound raises a flag on the result. The result is validated once; the intermediate with closed
+    value targets is an unvalidated copy that only the residuals read.
     """
-    value_targets = _closed_value_targets(classes, knowledge)
+    suffix = enumerate_suffix_values(classes, knowledge)
     staged = copy.copy(classes)
-    staged.value_targets = value_targets
-    discriminators = _closed_discriminators(model, staged)
-    return replace(classes, value_targets=value_targets, discriminators=discriminators)
+    staged.value_targets = list(classes.value_targets)
+    for h in range(classes.horizon):
+        base = classes.value_targets[h]
+        # Suffix rows are distinct already, so an empty family takes them unkeyed.
+        staged.value_targets[h] = _dedup_append(base, suffix[h]) if len(base) else suffix[h]
+    kappa = source_feedback_mix(model)
+    discriminators = [
+        _dedup_append(f, source_projection(kappa[h], residual_stack(model, staged, h)))
+        for h, f in enumerate(classes.discriminators)
+    ]
+    return replace(classes, value_targets=staged.value_targets, discriminators=discriminators)
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,7 @@ class StrategicModel:
             self.mean_map = np.asarray(self.mean_map, dtype=float)
         if self.trans_confound is not None:
             self.trans_confound = np.asarray(self.trans_confound, dtype=float)
+        _check_finite(self, ("reward_confound", "trans_confound"))  # before inf - inf can warn
         self._demean_confounds()
         self.validate()
 
@@ -298,11 +299,7 @@ class StrategicModel:
         _check_simplex(self.source_type_dist, "source_type_dist")
         _check_simplex(self.target_type_dist, "target_type_dist")
         _check_simplex(self.feedback_kernel, "feedback_kernel")
-        finite = ("principal_reward", "agent_reward", "reward_confound", "mean_map", "trans_confound")
-        for name in finite:
-            table = getattr(self, name)
-            if table is not None and not np.isfinite(table).all():
-                raise ValidationError(f"{name} has non-finite entries")
+        _check_finite(self, ("principal_reward", "agent_reward", "reward_confound", "mean_map", "trans_confound"))
         if not math.isfinite(self.reward_noise_std) or self.reward_noise_std < 0:
             raise ValidationError("reward_noise_std must be finite and nonnegative")
         if not math.isfinite(self.reward_bound) or self.reward_bound <= 0:
@@ -349,6 +346,14 @@ class StrategicModel:
     def initial_state_vector(self) -> np.ndarray:
         assert self.grid is not None
         return self.grid.center(self.initial_state)
+
+
+def _check_finite(model: StrategicModel, names: tuple[str, ...]) -> None:
+    """Every named table that is set holds only finite entries."""
+    for name in names:
+        table = getattr(model, name)
+        if table is not None and not np.isfinite(table).all():
+            raise ValidationError(f"{name} has non-finite entries")
 
 
 def _check_simplex(arr: np.ndarray, name: str) -> None:

@@ -1,9 +1,11 @@
 """Built-in benchmark environments with matched hypothesis classes.
 
-Each generator returns a fully validated simulator plus closed candidate
-classes whose truth membership is verifiable. Generators are deterministic
+Each generator returns a fully validated simulator and its candidate tables,
+with the truth as candidate 0 of every family. Generators are deterministic
 functions of their seed and keyword parameters; tables are written out
-explicitly so runs are reproducible across platforms.
+explicitly so runs are reproducible across platforms. build_scenario is the
+one place that turns a generator into a Scenario: it echoes the parameters
+and closes the classes once, under the given class caps.
 """
 
 from __future__ import annotations
@@ -13,8 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .hypotheses import HypothesisClasses, close_classes
+from .hypotheses import ClassCaps, HypothesisClasses, close_classes
 from .model import Grid, LearnerKnowledge, StrategicModel, TransitionMode, make_rng
+
+# A generator's model, its per-step reward candidate stacks, and its per-step
+# transition candidates (see _assemble).
+Tables = tuple[StrategicModel, list[np.ndarray], list]
 
 
 @dataclass
@@ -40,17 +46,13 @@ def _uniform_tilt(kernel: np.ndarray, weight: float) -> np.ndarray:
 
 
 def _assemble(
-    name: str,
-    model: StrategicModel,
-    rewards: list[np.ndarray],
-    transitions: list,
-    params: dict,
-) -> Scenario:
+    model: StrategicModel, rewards: list[np.ndarray], transitions: list, caps: ClassCaps
+) -> HypothesisClasses:
     """Close candidate classes whose first candidate in every family is the truth.
 
     transitions[h] is step h's kernel stack in general mode and its list of
     per-coordinate mean-map stacks in dynamical mode. The discriminator and
-    value-target families start empty; close_classes fills them.
+    value-target families start empty; close_classes fills them under caps.
     """
     H, S, A = model.horizon, model.num_states, model.num_actions
     general = model.transition_mode is TransitionMode.GENERAL
@@ -64,9 +66,9 @@ def _assemble(
         mean_map_tables=None if general else transitions,
         truth_reward_idx=[0] * H,
         truth_transition_idx=[0] * H if general else [[0] * len(per) for per in transitions],
+        caps=caps,
     )
-    classes = close_classes(model, classes, LearnerKnowledge.from_model(model))
-    return Scenario(name=name, model=model, classes=classes, params=params)
+    return close_classes(model, classes, LearnerKnowledge.from_model(model))
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +85,7 @@ def recsys_small(
     reward_noise: float = 0.25,
     bias_probe: bool = False,
     probe_offset: float = 0.35,
-) -> Scenario:
+) -> Tables:
     """Three-step recommendation loop with a compliant and a contrarian type.
 
     The default reward class contains one candidate that inflates the second
@@ -166,19 +168,7 @@ def recsys_small(
             np.stack([kernel[1], _uniform_tilt(kernel[1], 0.10)]),
             kernel[2][None],
         ]
-    params = {
-        "seed": seed,
-        "bogus_boost": bogus_boost,
-        "small_offset": small_offset,
-        "confound": confound,
-        "reward_noise": reward_noise,
-        "bias_probe": bias_probe,
-        "probe_offset": probe_offset,
-    }
-    return _assemble(
-        "recsys-small", model, rewards, transitions,
-        params=params,
-    )
+    return model, rewards, transitions
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +176,7 @@ def recsys_small(
 # ---------------------------------------------------------------------------
 
 
-def contract_small(seed: int = 0, *, reward_noise: float = 0.2) -> Scenario:
+def contract_small(seed: int = 0, *, reward_noise: float = 0.2) -> Tables:
     """Two-state contracting problem; source equals target, defiant second type."""
     H, S, A, E, T, B = 3, 2, 2, 2, 2, 2
     dist = _tile(np.array([0.6, 0.4]), H)
@@ -238,10 +228,7 @@ def contract_small(seed: int = 0, *, reward_noise: float = 0.2) -> Scenario:
     transitions = [
         np.stack([kernel[h], _uniform_tilt(kernel[h], 0.15)]) for h in range(H)
     ]
-    return _assemble(
-        "contract-small", model, rewards, transitions,
-        params={"seed": seed, "reward_noise": reward_noise},
-    )
+    return model, rewards, transitions
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +236,7 @@ def contract_small(seed: int = 0, *, reward_noise: float = 0.2) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def shifted_target(seed: int = 0) -> Scenario:
+def shifted_target(seed: int = 0) -> Tables:
     """Type-separating feedback with a 0.2 source mass moved to full target mass.
 
     Transitions are feedback- and action-independent, so occupancies agree
@@ -294,10 +281,7 @@ def shifted_target(seed: int = 0) -> Scenario:
     bump[..., 0] = 0.4
     rewards = [np.stack([reward[h], reward[h] + bump]) for h in range(H)]
     transitions = [kernel[h][None] for h in range(H)]
-    return _assemble(
-        "shifted-target", model, rewards, transitions,
-        params={"seed": seed},
-    )
+    return model, rewards, transitions
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +289,7 @@ def shifted_target(seed: int = 0) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def degenerate_feedback(seed: int = 0) -> Scenario:
+def degenerate_feedback(seed: int = 0) -> Tables:
     """Single type, feedback a deterministic function of state and action.
 
     Conditioning on (state, action) already determines the feedback, so
@@ -359,10 +343,7 @@ def degenerate_feedback(seed: int = 0) -> Scenario:
     transitions = [
         np.stack([kernel[h], _uniform_tilt(kernel[h], 0.2)]) for h in range(H)
     ]
-    return _assemble(
-        "degenerate-feedback", model, rewards, transitions,
-        params={"seed": seed},
-    )
+    return model, rewards, transitions
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +351,7 @@ def degenerate_feedback(seed: int = 0) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def linear_d(seed: int = 0, *, feature_dim: int = 4, num_candidates: int = 3) -> Scenario:
+def linear_d(seed: int = 0, *, feature_dim: int = 4, num_candidates: int = 3) -> Tables:
     """Random feature embedding with linear rewards and softmax transitions.
 
     Candidate tables come from perturbed parameter vectors; the truth is the
@@ -439,10 +420,7 @@ def linear_d(seed: int = 0, *, feature_dim: int = 4, num_candidates: int = 3) ->
             p_cands.append(pk / pk.sum(axis=-1, keepdims=True))
         rewards.append(np.stack(r_cands))
         transitions.append(np.stack(p_cands))
-    return _assemble(
-        "linear-d", model, rewards, transitions,
-        params={"seed": seed, "feature_dim": feature_dim, "num_candidates": num_candidates},
-    )
+    return model, rewards, transitions
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +428,7 @@ def linear_d(seed: int = 0, *, feature_dim: int = 4, num_candidates: int = 3) ->
 # ---------------------------------------------------------------------------
 
 
-def dyn_1d(seed: int = 0, *, noiseless: bool = False) -> Scenario:
+def dyn_1d(seed: int = 0, *, noiseless: bool = False) -> Tables:
     """One-dimensional drift dynamics on a nine-cell grid.
 
     The mean map contracts toward the origin with an action-dependent drift
@@ -520,10 +498,7 @@ def dyn_1d(seed: int = 0, *, noiseless: bool = False) -> Scenario:
     mean_maps = [
         [np.stack([mean_map[h, ..., 0], mean_map[h, ..., 0] + shift])] for h in range(H)
     ]
-    return _assemble(
-        "dyn-1d", model, rewards, mean_maps,
-        params={"seed": seed, "noiseless": noiseless},
-    )
+    return model, rewards, mean_maps
 
 
 # ---------------------------------------------------------------------------
@@ -539,18 +514,23 @@ GENERATORS = {
     "degenerate-feedback": degenerate_feedback,
 }
 
-GENERATOR_MODES = {
-    name: (TransitionMode.DYNAMICAL if name == "dyn-1d" else TransitionMode.GENERAL)
-    for name in GENERATORS
-}
 
+def build_scenario(
+    name: str, seed: int = 0, params: dict | None = None, caps: ClassCaps = ClassCaps()
+) -> Scenario:
+    """Build the named generator's scenario and close its classes under caps.
 
-def build_scenario(name: str, seed: int = 0, params: dict | None = None) -> Scenario:
-    """Look up a generator by name and build it with the given parameters."""
+    Scenario.params echoes the seed and every keyword option, defaults
+    filled in; every generator takes its seed and then keyword-only options.
+    """
     if name not in GENERATORS:
         known = ", ".join(sorted(GENERATORS))
         raise ConfigError(f"unknown scenario {name!r}; known scenarios: {known}")
+    generator = GENERATORS[name]
+    params = params or {}
     try:
-        return GENERATORS[name](seed, **(params or {}))
+        model, rewards, transitions = generator(seed, **params)
     except TypeError as exc:
         raise ConfigError(f"bad parameters for scenario {name!r}: {exc}") from None
+    echo = {"seed": seed, **(generator.__kwdefaults__ or {}), **params}
+    return Scenario(name, model, _assemble(model, rewards, transitions, caps), echo)

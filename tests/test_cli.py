@@ -313,6 +313,15 @@ def test_run_capacity_failure_exits_3_and_marks_manifest(config_path, tmp_path, 
     assert "CapacityError" in manifest["error"]
 
 
+def test_run_joint_cap_failure_exits_3_and_marks_manifest(config_path, tmp_path, capsys):
+    body = BASE_YAML.replace("recsys-small", "linear-d") + "classes:\n  joint_cap: 2\n"
+    assert main(["run", str(config_path(body=body))]) == 3
+    assert "cap is 2" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "runs" / "linear-d" / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert "CapacityError" in manifest["error"] and "cap is 2" in manifest["error"]
+
+
 def test_output_root_env_and_flag_priority(config_path, tmp_path, monkeypatch, capsys):
     env_root = tmp_path / "from-env"
     flag_root = tmp_path / "from-flag"

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from strategicmdp import ParseError, SelectionMode, ValidationError, config
+from strategicmdp import CapacityError, ParseError, SelectionMode, ValidationError, config
 from strategicmdp.cli import main
 from strategicmdp.config import YAML_LOADER, config_from_dict, load_config, parse_yaml
 from strategicmdp.harness import build_from_config, run_config_for
@@ -79,7 +79,7 @@ def test_run_options_reach_the_run_config(mode):
 
 def test_full_config_round_trips():
     data = {
-        "environment": {"generator": "dyn-1d", "seed": 5, "params": {"noiseless": True}, "mode": "dynamical"},
+        "environment": {"generator": "dyn-1d", "seed": 5, "params": {"noiseless": True}},
         "classes": {"per_step_cap": 12, "joint_cap": 500},
         "run": {
             "episodes": 250,
@@ -208,12 +208,26 @@ def test_negative_generator_seed_rejected(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
-def test_mode_mismatch_rejected():
-    msg = violations_of(minimal(mode="dynamical"))
-    assert "conflicts with scenario" in msg
-    config_from_dict(minimal(mode="general"))
-    cfg = config_from_dict({"environment": {"generator": "dyn-1d", "mode": "dynamical"}})
-    assert cfg.generator == "dyn-1d"
+def test_mode_is_an_unknown_key(tmp_path, capsys):
+    # The transition mode is the generator's own; a config cannot name it.
+    msg = violations_of(minimal(mode="general"))
+    assert "environment.mode: unknown key" in msg
+    p = tmp_path / "exp.yaml"
+    p.write_text("environment:\n  generator: dyn-1d\n  mode: dynamical\n")
+    assert main(["validate", str(p)]) == 2
+    assert "environment.mode: unknown key" in capsys.readouterr().err
+
+
+def test_class_caps_bound_the_closure_when_the_scenario_is_built():
+    """A per-step cap above the default admits more candidates, and a joint
+    cap below the closure's enumeration stops the build."""
+    env = {"generator": "linear-d", "params": {"num_candidates": 9}}
+    scenario = build_from_config(config_from_dict({"environment": env, "classes": {"per_step_cap": 10}}))
+    assert scenario.classes.caps.per_step == 10
+    assert len(scenario.classes.reward_tables[0]) == 9
+    squeezed = config_from_dict({"environment": {"generator": "linear-d"}, "classes": {"joint_cap": 2}})
+    with pytest.raises(CapacityError, match="81 joint models, cap is 2"):
+        build_from_config(squeezed)
 
 
 def test_bool_fields_reject_nonbool():

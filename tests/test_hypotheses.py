@@ -22,8 +22,6 @@ from strategicmdp import (
     build_scenario,
     check_realizability,
     close_classes,
-    close_discriminators,
-    close_value_targets,
     residual_labels,
     residual_stack,
     run_learner,
@@ -37,6 +35,7 @@ from helpers import (
     random_general,
     ref_check_realizability,
     ref_close_classes,
+    ref_close_discriminators,
     ref_dedup_append,
     ref_iter_residuals,
     ref_unique_rows,
@@ -156,8 +155,9 @@ def test_per_step_cap_enforced():
 def test_joint_cap_blocks_value_closure():
     scenario = build_scenario("recsys-small")
     squeezed = dataclasses.replace(scenario.classes, caps=ClassCaps(per_step=8, joint=2))
-    with pytest.raises(CapacityError):
-        close_value_targets(squeezed, scenario.knowledge())
+    for close in (close_classes, ref_close_classes):
+        with pytest.raises(CapacityError, match="cap is 2"):
+            close(scenario.model, squeezed, scenario.knowledge())
 
 
 def test_bound_flags_are_raised_not_clamped():
@@ -258,12 +258,25 @@ def test_suffix_values_of_singleton_truth_match_backward_induction():
 
 
 def test_close_discriminators_appends_only():
+    """Closing keeps every discriminator row in place, a planted one
+    included, and appends the missing projections after them."""
     scenario = build_scenario("recsys-small")
-    classes = scenario.classes
-    closed = close_discriminators(scenario.model, classes)
+    model, knowledge = scenario.model, scenario.knowledge()
+    classes = dataclasses.replace(
+        scenario.classes,
+        discriminators=[
+            np.concatenate([np.full((1,) + f.shape[1:], 0.5), f[1::2]])
+            for f in scenario.classes.discriminators
+        ],
+    )
+    closed = close_classes(model, classes, knowledge)
+    grown = 0
     for h in range(classes.horizon):
         n_old = classes.discriminators[h].shape[0]
+        grown += closed.discriminators[h].shape[0] - n_old
         np.testing.assert_array_equal(closed.discriminators[h][:n_old], classes.discriminators[h])
+    assert grown > 0
+    assert_classes_bitwise_equal(closed, ref_close_classes(model, classes, knowledge))
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +565,9 @@ def test_close_classes_validates_once_and_keeps_the_flag_order(monkeypatch):
     knowledge = LearnerKnowledge.from_model(model)
     assert classes.flags == ()
     want = ref_close_classes(model, classes, knowledge)
-    stepwise = close_discriminators(model, close_value_targets(classes, knowledge))
+    # the discriminator closure over the package's closed value targets
+    closed_targets = close_classes(model, classes, knowledge).value_targets
+    stepwise = ref_close_discriminators(model, dataclasses.replace(classes, value_targets=closed_targets))
     calls = []
     real = HypothesisClasses.__post_init__
 

@@ -14,9 +14,36 @@ from strategicmdp import (
     true_aggregated_model,
     value_iteration,
 )
-from strategicmdp.scenarios import GENERATOR_MODES
 
 ALL_NAMES = sorted(GENERATORS)
+
+DYNAMICAL = {"dyn-1d"}
+
+# Each generator's keyword options and defaults, as Scenario.params echoes
+# them after the seed, and one override of each.
+ECHOED_DEFAULTS = {
+    "recsys-small": {
+        "bogus_boost": 0.33,
+        "small_offset": 0.05,
+        "confound": 0.3,
+        "reward_noise": 0.25,
+        "bias_probe": False,
+        "probe_offset": 0.35,
+    },
+    "contract-small": {"reward_noise": 0.2},
+    "shifted-target": {},
+    "degenerate-feedback": {},
+    "linear-d": {"feature_dim": 4, "num_candidates": 3},
+    "dyn-1d": {"noiseless": False},
+}
+OVERRIDES = {
+    "recsys-small": {"probe_offset": 0.3, "bias_probe": True},
+    "contract-small": {"reward_noise": 0.1},
+    "shifted-target": {},
+    "degenerate-feedback": {},
+    "linear-d": {"num_candidates": 2, "feature_dim": 3},
+    "dyn-1d": {"noiseless": True},
+}
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -44,7 +71,8 @@ def test_models_validate_and_classes_are_realizable(name):
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_mode_registry_matches_built_model(name):
     scenario = build_scenario(name)
-    assert scenario.model.transition_mode is GENERATOR_MODES[name]
+    want = TransitionMode.DYNAMICAL if name in DYNAMICAL else TransitionMode.GENERAL
+    assert scenario.model.transition_mode is want
     assert scenario.classes.mode is scenario.model.transition_mode
     assert scenario.name == name
 
@@ -53,6 +81,16 @@ def test_mode_registry_matches_built_model(name):
 def test_params_echo_inputs(name):
     scenario = build_scenario(name, seed=3)
     assert scenario.params["seed"] == 3
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+@pytest.mark.parametrize("override", [False, True])
+def test_params_echo_seed_then_every_option(name, override):
+    params = OVERRIDES[name] if override else {}
+    scenario = build_scenario(name, seed=5, params=params)
+    want = {"seed": 5, **ECHOED_DEFAULTS[name]}
+    want.update(params)
+    assert list(scenario.params.items()) == list(want.items())
 
 
 def test_unknown_name_rejected():
