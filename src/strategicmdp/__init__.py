@@ -43,9 +43,7 @@ from .estimation import (
     StepDataset,
     build_confidence_sets,
     confidence_levels,
-    mean_map_losses,
-    reward_losses,
-    transition_losses_general,
+    family_losses,
 )
 from .hypotheses import (
     ClassCaps,

@@ -8,9 +8,11 @@ a self-normalized objective whose maximum stays near zero exactly when the
 residual has zero conditional mean given (state, action) under the data
 distribution. Projecting onto (state, action) discriminators is what removes
 the confounding that plain regression on realized feedback picks up.
-Transition candidates are scored the same way with residuals P g(s, a, e) -
-g(next state) against every next-step value target g (general mode), or
-per-coordinate mean-map residuals G_i(s, a, e) - next_state_i (dynamical).
+Every family is scored the same way: its candidates predict the conditional
+means of G observed quantities, r for rewards, g(next state) for each
+next-step value target g in general mode (predicted by P g(s, a, e)), and
+next_state_i in dynamical mode, one family per coordinate (predicted by the
+mean map G_i(s, a, e)); the loss is the max over the G quantities as well.
 
 Because states, actions, and feedbacks are finite, every empirical sum is a
 linear functional of per-(s, a, e) counts, so datasets store running count
@@ -22,11 +24,12 @@ an empty set falls back to the loss minimizer and raises a flag.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, InvalidIndexError, ValidationError
 from .hypotheses import ClassSizes, HypothesisClasses
 from .model import Grid, Trajectory, TransitionMode, _check_index
 
@@ -92,14 +95,23 @@ class StepDataset:
         )
 
     def append(self, h: int, s: int, a: int, e: int, r: float, s_next) -> None:
-        """Record one sample; every index is range-checked before anything is written."""
+        """Record one sample; every index and value is checked before anything is written."""
         _check_index(h, self.horizon, "step")
         _check_index(s, self.num_states, "state")
         _check_index(a, self.num_actions, "action")
         _check_index(e, self.num_feedbacks, "feedback")
+        if not math.isfinite(r):
+            raise ValidationError(f"reward must be finite, got {r}")
         if self.mode is TransitionMode.GENERAL:
-            s_next = int(s_next)
+            if not isinstance(s_next, (int, np.integer)):
+                raise InvalidIndexError(f"next state index must be an integer, got {s_next!r}")
             _check_index(s_next, self.num_states, "next state")
+        else:
+            s_next = np.asarray(s_next, dtype=float)
+            if s_next.shape != (self.state_dim,) or not np.isfinite(s_next).all():
+                raise ValidationError(
+                    f"next state must be a finite vector of shape ({self.state_dim},), got {s_next}"
+                )
         d = self.steps[h]
         d.counts[s, a, e] += 1.0
         d.reward_sums[s, a, e] += r
@@ -108,7 +120,7 @@ class StepDataset:
             d.next_counts[s, a, s_next] += 1.0
         else:
             assert d.next_sums is not None
-            d.next_sums[s, a, e] += np.asarray(s_next, dtype=float)
+            d.next_sums[s, a, e] += s_next
 
     def append_trajectory(self, traj: Trajectory) -> None:
         """Record one episode using observable fields only."""
@@ -153,61 +165,44 @@ def _discriminator_score(
     return scores.max(axis=1).reshape(lead)
 
 
-def reward_losses(
-    data_h: StepData, reward_tables: np.ndarray, disc: np.ndarray, halves: np.ndarray | None = None
-) -> np.ndarray:
-    """Loss of every reward candidate (nR, S, A, E) at one step."""
-    aggregated = np.einsum("rsae,sae->rsa", reward_tables, data_h.counts)
-    aggregated -= data_h.reward_sums.sum(axis=-1)[None]
-    return _discriminator_score(aggregated, disc, data_h.counts.sum(axis=-1), halves)
-
-
-def transition_losses_general(
-    data_h: StepData,
-    transition_tables: np.ndarray,
-    value_targets_next: np.ndarray,
+def family_losses(
+    predicted: np.ndarray,
+    observed: np.ndarray,
+    counts: np.ndarray,
     disc: np.ndarray,
-    applied: np.ndarray | None = None,
     halves: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Loss of every transition candidate (nP, S, A, E, S) at one step.
+    """Loss of every candidate in one family at one step.
 
-    The outer maximum runs over next-step value targets, the inner one over
-    discriminators. ``applied`` may carry the data-independent tensor
-    P g(s, a, e) of shape (nP, nG, S, A, E), and ``halves`` the
-    discriminators' flattened half squares 0.5 * f^2, so neither is
-    recomputed per call.
+    predicted is (n, G, S, A, E): each candidate's prediction of G observed
+    quantities; observed is (G, S, A): their per-(s, a) data sums; counts is
+    the step's (S, A, E) sample counts. The loss is the max over the G
+    quantities and the discriminators.
     """
-    assert data_h.next_counts is not None
-    if applied is None:
-        applied = np.einsum("psaex,gx->pgsae", transition_tables, value_targets_next)
-    weighted = np.einsum("pgsae,sae->pgsa", applied, data_h.counts)
-    visited = np.einsum("sax,gx->gsa", data_h.next_counts, value_targets_next)
-    targets = weighted - visited[None]
-    scores = _discriminator_score(targets, disc, data_h.counts.sum(axis=-1), halves)
-    return scores.max(axis=1)
+    targets = np.einsum("ngsae,sae->ngsa", predicted, counts)
+    targets -= observed
+    return _discriminator_score(targets, disc, counts.sum(axis=-1), halves).max(axis=1)
 
 
-def mean_map_losses(
-    data_h: StepData,
-    mean_tables: np.ndarray,
-    coord: int,
-    disc: np.ndarray,
-    halves: np.ndarray | None = None,
-) -> np.ndarray:
-    """Loss of every mean-map candidate (nM, S, A, E) for one state coordinate."""
-    assert data_h.next_sums is not None
-    aggregated = np.einsum("msae,sae->msa", mean_tables, data_h.counts)
-    aggregated -= data_h.next_sums[..., coord].sum(axis=-1)[None]
-    return _discriminator_score(aggregated, disc, data_h.counts.sum(axis=-1), halves)
+@dataclass(frozen=True)
+class _Family:
+    """One step's loss family: its label, its BetaLevels field, the
+    candidates' predictions, and the data sums they are compared with."""
+
+    label: str
+    level: str
+    predicted: np.ndarray
+    observe: Callable[[StepData], np.ndarray]
 
 
 class LossEvaluator:
     """Caches data-independent tensors so per-episode evaluation stays cheap.
 
     Holds references to the (immutable) classes; per step it keeps the kernel
-    index and the discriminators' half squares, and precomputes the applied
-    tensors P g for every transition candidate and value target.
+    index, the discriminators' half squares and the loss families: rewards
+    first, then one general-transition family (predictions P g for every
+    candidate and value target, computed here once) or one family per
+    mean-map coordinate. This is the only place the loss path reads the mode.
     Evaluation from a dataset then reduces to small matrix products against
     the running count tensors, which matches a from-scratch per-sample
     computation to floating-point accuracy.
@@ -217,45 +212,50 @@ class LossEvaluator:
         self.classes = classes
         self.kernel_index = [classes.kernel_index(h) for h in range(classes.horizon)]
         self._halves = [_half_squares(f) for f in classes.discriminators]
-        self._applied: list[np.ndarray | None] = []
-        if classes.mode is TransitionMode.GENERAL:
-            assert classes.transition_tables is not None
-            for h in range(classes.horizon):
-                self._applied.append(
-                    np.einsum(
-                        "psaex,gx->pgsae",
-                        classes.transition_tables[h],
-                        classes.value_targets[h + 1],
+        self.families: list[list[_Family]] = []
+        for h, rewards in enumerate(classes.reward_tables):
+            families = [
+                _Family(
+                    f"reward-h{h}",
+                    "reward",
+                    rewards[:, None],
+                    lambda d: d.reward_sums.sum(axis=-1)[None],
+                )
+            ]
+            if classes.mode is TransitionMode.GENERAL:
+                assert classes.transition_tables is not None
+                g = classes.value_targets[h + 1]
+                families.append(
+                    _Family(
+                        f"transition-h{h}",
+                        "transition_general",
+                        np.einsum("psaex,gx->pgsae", classes.transition_tables[h], g),
+                        lambda d, g=g: np.einsum("sax,gx->gsa", d.next_counts, g),
                     )
                 )
-        else:
-            self._applied = [None] * classes.horizon
+            else:
+                assert classes.mean_map_tables is not None
+                families += [
+                    _Family(
+                        f"mean-map-h{h}-c{i}",
+                        "transition_dynamical",
+                        per[:, None],
+                        lambda d, i=i: d.next_sums[..., i].sum(axis=-1)[None],
+                    )
+                    for i, per in enumerate(classes.mean_map_tables[h])
+                ]
+            self.families.append(families)
+
+    def _losses(self, family: _Family, dataset: StepDataset, h: int) -> np.ndarray:
+        d = dataset.steps[h]
+        disc, halves = self.classes.discriminators[h], self._halves[h]
+        return family_losses(family.predicted, family.observe(d), d.counts, disc, halves)
 
     def reward_losses(self, dataset: StepDataset, h: int) -> np.ndarray:
-        return reward_losses(
-            dataset.steps[h],
-            self.classes.reward_tables[h],
-            self.classes.discriminators[h],
-            halves=self._halves[h],
-        )
+        return self._losses(self.families[h][0], dataset, h)
 
-    def transition_losses(self, dataset: StepDataset, h: int) -> np.ndarray | list[np.ndarray]:
-        if self.classes.mode is TransitionMode.GENERAL:
-            assert self.classes.transition_tables is not None
-            return transition_losses_general(
-                dataset.steps[h],
-                self.classes.transition_tables[h],
-                self.classes.value_targets[h + 1],
-                self.classes.discriminators[h],
-                applied=self._applied[h],
-                halves=self._halves[h],
-            )
-        assert self.classes.mean_map_tables is not None
-        disc, halves = self.classes.discriminators[h], self._halves[h]
-        return [
-            mean_map_losses(dataset.steps[h], per, i, disc, halves=halves)
-            for i, per in enumerate(self.classes.mean_map_tables[h])
-        ]
+    def transition_losses(self, dataset: StepDataset, h: int) -> list[np.ndarray]:
+        return [self._losses(f, dataset, h) for f in self.families[h][1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +293,10 @@ def confidence_levels(
         raise ConfigError("episode count and horizon must be positive")
     if not (0.0 < delta < 1.0):
         raise ConfigError(f"delta must lie in (0, 1), got {delta}")
-    if beta_scale <= 0:
-        raise ConfigError("beta_scale must be positive")
-    if bound <= 0:
-        raise ConfigError("bound must be positive")
+    if not 0 < beta_scale < math.inf:
+        raise ConfigError(f"beta_scale must be finite and positive, got {beta_scale}")
+    if not 0 < bound < math.inf:
+        raise ConfigError(f"bound must be finite and positive, got {bound}")
     if min(sizes.rewards, sizes.transitions, sizes.discriminators, sizes.value_targets) < 1:
         raise ConfigError("class sizes must be positive")
     base = 28.0 * bound * bound * beta_scale
@@ -339,30 +339,28 @@ def _threshold(losses: np.ndarray, beta: float, label: str, flags: list[str]) ->
 def build_confidence_sets(
     evaluator: LossEvaluator, dataset: StepDataset, betas: BetaLevels
 ) -> ConfidenceSets:
-    """Threshold every candidate's loss at the mode-appropriate level.
+    """Threshold every family's losses at its own level.
 
-    Each transition family is thresholded on its own; the step's set holds
-    the kernel indices of every combination of survivors.
+    The reward family gives the step's reward set; each transition family is
+    thresholded on its own, and the step's transition set holds the kernel
+    indices of every combination of survivors.
     """
-    classes = evaluator.classes
     flags: list[str] = []
     reward_sets = []
     reward_vals = []
     transition_sets = []
     transition_vals = []
-    for h in range(classes.horizon):
+    for h, families in enumerate(evaluator.families):
         r_losses = evaluator.reward_losses(dataset, h)
-        reward_vals.append(r_losses)
-        reward_sets.append(_threshold(r_losses, betas.reward, f"reward-h{h}", flags))
         t_losses = evaluator.transition_losses(dataset, h)
-        if classes.mode is TransitionMode.GENERAL:
-            families, beta, labels = [t_losses], betas.transition_general, [f"transition-h{h}"]
-        else:
-            families, beta = t_losses, betas.transition_dynamical
-            labels = [f"mean-map-h{h}-c{i}" for i in range(len(families))]
-        transition_vals.append(families)
-        survivors = [_threshold(f, beta, lab, flags) for f, lab in zip(families, labels)]
-        transition_sets.append(evaluator.kernel_index[h].encode(survivors))
+        survivors = [
+            _threshold(losses, getattr(betas, family.level), family.label, flags)
+            for family, losses in zip(families, [r_losses, *t_losses])
+        ]
+        reward_vals.append(r_losses)
+        reward_sets.append(survivors[0])
+        transition_vals.append(t_losses)
+        transition_sets.append(evaluator.kernel_index[h].encode(survivors[1:]))
     return ConfidenceSets(
         reward_sets=reward_sets,
         transition_sets=transition_sets,

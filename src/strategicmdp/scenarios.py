@@ -515,6 +515,16 @@ GENERATORS = {
 }
 
 
+def _option_accepts(default: bool | int | float, value: object) -> bool:
+    """A bool option takes a bool, an int option an int, a float option an
+    int or a float; only a bool option takes a bool."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    if isinstance(default, int):
+        return isinstance(value, int)
+    return isinstance(value, (int, float))
+
+
 def build_scenario(
     name: str, seed: int = 0, params: dict | None = None, caps: ClassCaps = ClassCaps()
 ) -> Scenario:
@@ -528,9 +538,14 @@ def build_scenario(
         raise ConfigError(f"unknown scenario {name!r}; known scenarios: {known}")
     generator = GENERATORS[name]
     params = params or {}
+    defaults = generator.__kwdefaults__ or {}
+    for key, value in params.items():
+        if key in defaults and not _option_accepts(defaults[key], value):
+            kind = type(defaults[key]).__name__
+            raise ConfigError(f"scenario {name!r} option {key!r} takes a {kind}, got {value!r}")
     try:
         model, rewards, transitions = generator(seed, **params)
     except TypeError as exc:
         raise ConfigError(f"bad parameters for scenario {name!r}: {exc}") from None
-    echo = {"seed": seed, **(generator.__kwdefaults__ or {}), **params}
+    echo = {"seed": seed, **defaults, **params}
     return Scenario(name, model, _assemble(model, rewards, transitions, caps), echo)

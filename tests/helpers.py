@@ -711,7 +711,11 @@ def _ref_threshold(losses, beta, label, flags):
 
 
 def ref_build_confidence_sets(evaluator, dataset, betas):
-    """Thresholds into flat (general) or per-coordinate (dynamical) sets."""
+    """Thresholds into flat (general) or per-coordinate (dynamical) sets.
+
+    The evaluator returns one loss array per transition family: a single one
+    in general mode, one per coordinate in dynamical mode.
+    """
     classes = evaluator.classes
     flags = []
     reward_sets, reward_vals, transition_sets, transition_vals = [], [], [], []
@@ -722,8 +726,9 @@ def ref_build_confidence_sets(evaluator, dataset, betas):
         t_losses = evaluator.transition_losses(dataset, h)
         transition_vals.append(t_losses)
         if classes.mode is TransitionMode.GENERAL:
+            (losses,) = t_losses
             transition_sets.append(
-                _ref_threshold(t_losses, betas.transition_general, f"transition-h{h}", flags)
+                _ref_threshold(losses, betas.transition_general, f"transition-h{h}", flags)
             )
         else:
             per = tuple(
@@ -810,7 +815,7 @@ def ref_run_learner(env, knowledge, classes, cfg) -> tuple[list[dict], list[Poli
         if selection.transition_idx is not None:
             if classes.mode is TransitionMode.GENERAL:
                 chosen_t_losses = tuple(
-                    float(sets.transition_loss_values[h][selection.transition_idx[h]])
+                    float(sets.transition_loss_values[h][0][selection.transition_idx[h]])
                     for h in range(H)
                 )
             else:

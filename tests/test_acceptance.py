@@ -37,7 +37,7 @@ from strategicmdp import (
     value_iteration,
 )
 from strategicmdp.config import config_from_dict
-from strategicmdp.estimation import mean_map_losses
+from strategicmdp.estimation import family_losses
 from strategicmdp.harness import run_experiment
 from strategicmdp.planning import AggregatedMDP
 
@@ -396,10 +396,12 @@ def test_criterion_9_dynamical_mode_sanity(verdict):
             for h in range(H):
                 disc = classes.discriminators[h]
                 per = classes.mean_map_tables[h][0]
+                step = data.steps[h]
+                observed = step.next_sums[..., 0].sum(axis=-1)[None]
                 true_losses[h].append(
-                    float(mean_map_losses(data.steps[h], per[[classes.truth_transition_idx[h][0]]], 0, disc)[0])
+                    float(family_losses(per[[classes.truth_transition_idx[h][0]]][:, None], observed, step.counts, disc)[0])
                 )
-                wrong_losses[h].append(float(mean_map_losses(data.steps[h], per[[wrong_idx[h]]], 0, disc)[0]))
+                wrong_losses[h].append(float(family_losses(per[[wrong_idx[h]]][:, None], observed, step.counts, disc)[0]))
 
     occ = occupancy(model, pol)
     mix = source_feedback_mix(model)

@@ -313,6 +313,13 @@ def test_run_capacity_failure_exits_3_and_marks_manifest(config_path, tmp_path, 
     assert "CapacityError" in manifest["error"]
 
 
+def test_run_rejects_a_quoted_boolean_option_with_exit_2(config_path, capsys):
+    params = "  params:\n    bias_probe: 'false'\n"
+    body = BASE_YAML.replace("recsys-small\n", "recsys-small\n" + params)
+    assert main(["run", str(config_path(body=body))]) == 2
+    assert "option 'bias_probe' takes a bool" in capsys.readouterr().err
+
+
 def test_run_joint_cap_failure_exits_3_and_marks_manifest(config_path, tmp_path, capsys):
     body = BASE_YAML.replace("recsys-small", "linear-d") + "classes:\n  joint_cap: 2\n"
     assert main(["run", str(config_path(body=body))]) == 3

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -22,13 +23,12 @@ from strategicmdp import (
     TransitionMode,
     build_confidence_sets,
     build_scenario,
+    ValidationError,
     close_classes,
     confidence_levels,
+    family_losses,
     make_rng,
-    mean_map_losses,
-    reward_losses,
     rollout,
-    transition_losses_general,
 )
 from strategicmdp.estimation import StepData, _discriminator_score, _half_squares, _threshold
 
@@ -42,19 +42,23 @@ from helpers import (
 from test_hypotheses import assert_bitwise_equal
 
 
-def one_cell_data(counts_by_e, reward_sums_by_e, next_counts=None):
-    """StepData with all samples in the (s=0, a=0) cell of a 1x1 problem."""
-    E = len(counts_by_e)
-    S = 2 if next_counts is not None else 1
-    counts = np.zeros((S, 1, E))
-    counts[0, 0] = counts_by_e
-    sums = np.zeros((S, 1, E))
-    sums[0, 0] = reward_sums_by_e
-    nc = None
-    if next_counts is not None:
-        nc = np.zeros((S, 1, S))
-        nc[0, 0] = next_counts
-    return StepData(counts=counts, reward_sums=sums, next_counts=nc, next_sums=None)
+def reward_loss(step, tables, disc):
+    """family_losses of a reward family (n, S, A, E) at one step, observed
+    against the reward sums, without precomputed half squares."""
+    observed = step.reward_sums.sum(axis=-1)[None]
+    return family_losses(tables[:, None], observed, step.counts, disc)
+
+
+def general_family(step, tables, targets):
+    """(predicted, observed) of general transitions (n, S, A, E, S) against
+    next-step value targets (G, S): P g and the visited sums of g."""
+    predicted = np.einsum("psaex,gx->pgsae", tables, targets)
+    return predicted, np.einsum("sax,gx->gsa", step.next_counts, targets)
+
+
+def mean_map_family(step, tables, coord):
+    """(predicted, observed) of one coordinate's mean maps (n, S, A, E)."""
+    return tables[:, None], step.next_sums[..., coord].sum(axis=-1)[None]
 
 
 # ---------------------------------------------------------------------------
@@ -66,54 +70,54 @@ def test_reward_loss_hand_oracle():
     # 10 samples, empirical reward sum 5.0, candidate predicts 0.2 everywhere:
     # aggregated residual weight is 10*0.2 - 5.0 = -3; best discriminator in
     # {0, 1, -1, -0.3} is -0.3 with score 0.9 - 0.5*10*0.09 = 0.45
-    data = one_cell_data([6.0, 4.0], [3.0, 2.0])
-    candidate = np.full((1, 1, 2), 0.2)
+    predicted = np.full((1, 1, 1, 1, 2), 0.2)
+    counts = np.array([[[6.0, 4.0]]])
     disc = np.array([[[0.0]], [[1.0]], [[-1.0]], [[-0.3]]])
-    loss = float(reward_losses(data, candidate[None], disc)[0])
+    loss = float(family_losses(predicted, np.array([[[5.0]]]), counts, disc)[0])
     np.testing.assert_allclose(loss, 0.45, atol=1e-12)
 
 
 def test_reward_loss_zero_discriminator_floors_at_zero():
-    data = one_cell_data([6.0, 4.0], [3.0, 2.0])
-    candidate = np.full((1, 1, 2), 0.2)
+    predicted = np.full((1, 1, 1, 1, 2), 0.2)
+    counts = np.array([[[6.0, 4.0]]])
     disc = np.array([[[0.0]], [[1.0]]])  # only bad directions available
-    loss = float(reward_losses(data, candidate[None], disc)[0])
+    loss = float(family_losses(predicted, np.array([[[5.0]]]), counts, disc)[0])
     assert loss == 0.0
 
 
 def test_reward_loss_optimal_discriminator_closed_form():
     # with f = residual/n available, the max equals n/2 * (mean residual)^2
-    data = one_cell_data([6.0, 4.0], [3.0, 2.0])
-    candidate = np.full((1, 1, 2), 0.2)
+    predicted = np.full((1, 1, 1, 1, 2), 0.2)
+    counts = np.array([[[6.0, 4.0]]])
     disc = np.array([[[0.0]], [[-0.3]], [[-0.15]], [[0.3]]])
     want = 0.5 * 10.0 * 0.3**2
-    np.testing.assert_allclose(float(reward_losses(data, candidate[None], disc)[0]), want, atol=1e-12)
+    loss = float(family_losses(predicted, np.array([[[5.0]]]), counts, disc)[0])
+    np.testing.assert_allclose(loss, want, atol=1e-12)
 
 
 def test_transition_loss_hand_oracle():
-    # 10 samples at one cell, 7 land in state 0 and 3 in state 1; candidate
-    # kernel predicts a coin flip; with target g = 1[state 0] the residual
-    # weight is 5 - 7 = -2, and f = -0.2 attains 0.4 - 0.5*10*0.04 = 0.2
-    data = one_cell_data([10.0], [0.0], next_counts=[7.0, 3.0])
-    kernel = np.full((2, 1, 1, 2), 0.5)
-    targets = np.array([[1.0, 0.0], [0.0, 0.0]])
+    # 10 samples at cell (s=0, a=0) of a 2-state problem, 7 land in state 0
+    # and 3 in state 1; the candidate kernel predicts a coin flip, so with
+    # targets g0 = 1[state 0] and g1 = 0 it predicts P g0 = 0.5 and P g1 = 0.
+    # The residual weight of g0 is 5 - 7 = -2, and f = -0.2 attains
+    # 0.4 - 0.5*10*0.04 = 0.2
+    predicted = np.zeros((1, 2, 2, 1, 1))
+    predicted[0, 0] = 0.5
+    observed = np.zeros((2, 2, 1))
+    observed[0, 0, 0] = 7.0
+    counts = np.array([[[10.0]], [[0.0]]])
     disc = np.array([[[0.0], [0.0]], [[-0.2], [0.0]], [[1.0], [0.0]]])
-    loss = float(transition_losses_general(data, kernel[None], targets, disc)[0])
+    loss = float(family_losses(predicted, observed, counts, disc)[0])
     np.testing.assert_allclose(loss, 0.2, atol=1e-12)
 
 
 def test_mean_map_loss_hand_oracle():
     # 5 samples with next-coordinate total 2.0; candidate mean 0.1 gives
     # residual weight 0.5 - 2.0 = -1.5; f = -0.3 attains 0.45 - 0.225 = 0.225
-    data = StepData(
-        counts=np.full((1, 1, 1), 5.0),
-        reward_sums=np.zeros((1, 1, 1)),
-        next_counts=None,
-        next_sums=np.full((1, 1, 1, 1), 2.0),
-    )
-    tables = np.full((1, 1, 1, 1), 0.1)
+    predicted = np.full((1, 1, 1, 1, 1), 0.1)
+    counts = np.full((1, 1, 1), 5.0)
     disc = np.array([[[0.0]], [[-0.3]]])
-    loss = mean_map_losses(data, tables, 0, disc)[0]
+    loss = family_losses(predicted, np.full((1, 1, 1), 2.0), counts, disc)[0]
     np.testing.assert_allclose(loss, 0.225, atol=1e-12)
 
 
@@ -140,6 +144,14 @@ def test_confidence_levels_reject_bad_inputs():
         confidence_levels(-1.0, 100, 4, sizes, 0.1)
     with pytest.raises(ConfigError):
         confidence_levels(1.0, 100, 4, ClassSizes(0, 4, 40, 12), 0.1)
+    # a NaN bound would give NaN levels, so every family would silently take
+    # its empty-set fallback; an infinite scale would give infinite levels
+    for bound in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="bound must be finite"):
+            confidence_levels(bound, 100, 4, sizes, 0.1)
+    for scale in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="beta_scale must be finite"):
+            confidence_levels(1.0, 100, 4, sizes, 0.1, beta_scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -193,26 +205,38 @@ def test_append_trajectory_matches_manual_append():
 
 @pytest.mark.parametrize(
     "field, bad",
-    [(f, v) for f in ("h", "s", "a", "e", "s_next") for v in (-1, 2)],
+    [(f, v) for f in ("h", "s", "a", "e", "s_next") for v in (-1, 2)]
+    + [("s_next", 1.7), ("s_next", 1.0), ("r", math.nan), ("r", math.inf)],
 )
 def test_append_rejects_out_of_range_general(field, bad):
+    """Indices out of range, a next state that is not an integer (int(1.7)
+    would record state 1) and a non-finite reward are all rejected."""
     data = StepDataset(TransitionMode.GENERAL, 2, 2, 2, 2)
     args = {"h": 0, "s": 1, "a": 1, "e": 1, "r": 0.5, "s_next": 1}
     args[field] = bad
-    with pytest.raises(InvalidIndexError):
+    with pytest.raises(ValidationError if field == "r" else InvalidIndexError):
         data.append(**args)
     assert not data.steps[0].counts.any()
+    assert not data.steps[0].reward_sums.any()
     assert not data.steps[0].next_counts.any()
 
 
-@pytest.mark.parametrize("field, bad", [("s", -1), ("s", 4), ("a", -1), ("e", 2)])
+@pytest.mark.parametrize(
+    "field, bad",
+    [("s", -1), ("s", 4), ("a", -1), ("e", 2), ("r", math.nan), ("r", -math.inf)]
+    + [("s_next", v) for v in (0.5, [0.2, 0.3], [[0.2]], [math.nan], [math.inf])],
+)
 def test_append_rejects_out_of_range_dynamical(field, bad):
+    """Indices out of range, a non-finite reward and a next state that is not
+    a finite vector of shape (state_dim,) are all rejected; a scalar next
+    state would otherwise be broadcast into every coordinate."""
     model = tiny_dynamical()
     data = StepDataset(TransitionMode.DYNAMICAL, 2, 4, 2, 2, state_dim=1, grid=model.grid)
     args = {"h": 1, "s": 3, "a": 1, "e": 1, "r": 0.5, "s_next": np.array([0.2])}
     args[field] = bad
-    with pytest.raises(InvalidIndexError):
+    with pytest.raises(InvalidIndexError if field in "sae" else ValidationError):
         data.append(**args)
+    assert not data.steps[1].counts.any()
     assert not data.steps[1].next_sums.any()
 
 
@@ -229,8 +253,8 @@ def test_losses_invariant_under_sample_permutation():
             shuffled.append(h, *samples[i])
     candidate = np.stack([model.principal_reward[0] + 0.1])
     disc = np.concatenate([np.zeros((1, 2, 2)), np.full((1, 2, 2), -0.1)])
-    a = reward_losses(data.steps[0], candidate, disc)
-    b = reward_losses(shuffled.steps[0], candidate, disc)
+    a = reward_loss(data.steps[0], candidate, disc)
+    b = reward_loss(shuffled.steps[0], candidate, disc)
     np.testing.assert_allclose(a, b, atol=1e-10)
 
 
@@ -249,8 +273,8 @@ def test_wrong_candidate_loss_grows_with_data():
     wrong = np.clip(model.principal_reward[0] + 0.2, 0.0, 1.0)[None]
     proj = np.full((2, 2), -0.2)
     disc = np.stack([np.zeros((2, 2)), proj, -proj])
-    loss_small = reward_losses(small.steps[0], wrong, disc)[0]
-    loss_big = reward_losses(big.steps[0], wrong, disc)[0]
+    loss_small = reward_loss(small.steps[0], wrong, disc)[0]
+    loss_big = reward_loss(big.steps[0], wrong, disc)[0]
     assert loss_big > loss_small > 0
 
 
@@ -303,17 +327,13 @@ def test_loss_evaluator_matches_direct_functions():
     classes = scenario.classes
     evaluator = LossEvaluator(classes)
     for h in range(3):
-        direct = reward_losses(
-            data.steps[h], classes.reward_tables[h], classes.discriminators[h]
-        )
+        step, disc = data.steps[h], classes.discriminators[h]
+        direct = reward_loss(step, classes.reward_tables[h], disc)
         np.testing.assert_array_equal(evaluator.reward_losses(data, h), direct)
-        direct_t = transition_losses_general(
-            data.steps[h],
-            classes.transition_tables[h],
-            classes.value_targets[h + 1],
-            classes.discriminators[h],
-        )
-        np.testing.assert_allclose(evaluator.transition_losses(data, h), direct_t, atol=1e-12)
+        family = general_family(step, classes.transition_tables[h], classes.value_targets[h + 1])
+        got = evaluator.transition_losses(data, h)
+        assert isinstance(got, list) and len(got) == 1
+        np.testing.assert_allclose(got[0], family_losses(*family, step.counts, disc), atol=1e-12)
 
 
 def test_loss_evaluator_dynamical_per_coordinate():
@@ -325,16 +345,8 @@ def test_loss_evaluator_dynamical_per_coordinate():
     assert per_coord[0].shape == (scenario.classes.mean_map_tables[0][0].shape[0],)
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    kind=st.sampled_from(["general", "dyn-1d", "dyn-2d"]),
-    seed=st.integers(0, 2**16),
-    horizon=st.integers(1, 3),
-    episodes=st.integers(1, 15),
-)
-def test_loss_evaluator_precomputed_terms_are_bitwise_exact(kind, seed, horizon, episodes):
-    """The evaluator keeps each step's applied tensors and discriminator half
-    squares; the plural functions recompute both when called without them."""
+def random_closed_classes(kind, seed, horizon):
+    """A random model and its closed classes: general, or dynamical in 1-D or 2-D."""
     if kind == "general":
         model, classes = random_general(
             seed, horizon, states=3, actions=2, feedbacks=2, candidates=3
@@ -345,22 +357,124 @@ def test_loss_evaluator_precomputed_terms_are_bitwise_exact(kind, seed, horizon,
     else:
         grid = Grid((-2.0, -1.0), (2.0, 3.0), (3, 2))
         model, classes = random_dynamical(seed, grid, horizon, rewards=2, candidates=(2, 3))
-    classes = close_classes(model, classes, LearnerKnowledge.from_model(model))
+    return model, close_classes(model, classes, LearnerKnowledge.from_model(model))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["general", "dyn-1d", "dyn-2d"]),
+    seed=st.integers(0, 2**16),
+    horizon=st.integers(1, 3),
+    episodes=st.integers(1, 15),
+)
+def test_loss_evaluator_precomputed_terms_are_bitwise_exact(kind, seed, horizon, episodes):
+    """The evaluator keeps each step's family predictions and discriminator
+    half squares; family_losses on freshly built families without them gives
+    the same bits."""
+    model, classes = random_closed_classes(kind, seed, horizon)
     data, _ = collect_episodes(model, episodes, seed=seed)
     evaluator = LossEvaluator(classes)
     for h in range(horizon):
         step, disc = data.steps[h], classes.discriminators[h]
-        want = reward_losses(step, classes.reward_tables[h], disc)
+        want = reward_loss(step, classes.reward_tables[h], disc)
         assert_bitwise_equal(evaluator.reward_losses(data, h), want)
+        if kind == "general":
+            targets = classes.value_targets[h + 1]
+            families = [general_family(step, classes.transition_tables[h], targets)]
+        else:
+            families = [
+                mean_map_family(step, per, i) for i, per in enumerate(classes.mean_map_tables[h])
+            ]
+        got_t = evaluator.transition_losses(data, h)
+        assert len(got_t) == len(families)
+        for got, family in zip(got_t, families):
+            assert_bitwise_equal(got, family_losses(*family, step.counts, disc))
+
+
+def per_sample_losses(samples, n, G, predict, observe, disc):
+    """The minimax loss of each of n candidates, by literal loops over the
+    observed quantities, the discriminators and the samples.
+
+    predict(c, g, s, a, e) is candidate c's prediction of quantity g, and
+    observe(g, r, s_next) the value of quantity g that a sample shows.
+    """
+    losses = []
+    for c in range(n):
+        best = -math.inf
+        for g in range(G):
+            for f in disc:
+                total = 0.0
+                for s, a, e, r, s_next in samples:
+                    residual = predict(c, g, s, a, e) - observe(g, r, s_next)
+                    total += f[s, a] * residual - 0.5 * f[s, a] ** 2
+                best = max(best, total)
+        losses.append(best)
+    return np.array(losses)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["general", "dyn-1d", "dyn-2d"]),
+    seed=st.integers(0, 2**16),
+    horizon=st.integers(1, 2),
+    samples=st.integers(0, 12),
+)
+def test_family_losses_match_a_per_sample_oracle(kind, seed, horizon, samples):
+    """Every family the evaluator builds, scored by family_losses from count
+    tensors, equals the loss summed sample by sample: rewards against r,
+    general transitions against g(next state) for every value target g, and
+    mean maps against each coordinate of the next state."""
+    model, classes = random_closed_classes(kind, seed, horizon)
+    S, A, E, d = model.num_states, model.num_actions, model.num_feedbacks, model.state_dim
+    data = StepDataset(model.transition_mode, horizon, S, A, E, state_dim=d, grid=model.grid)
+    rng = np.random.default_rng(seed)
+    per_step = []
+    for h in range(horizon):
+        drawn = []
+        for _ in range(samples):
+            s, a, e = int(rng.integers(S)), int(rng.integers(A)), int(rng.integers(E))
+            r = float(rng.uniform(-1.0, 1.0))
+            s_next = int(rng.integers(S)) if kind == "general" else rng.normal(size=d)
+            data.append(h, s, a, e, r, s_next)
+            drawn.append((s, a, e, r, s_next))
+        per_step.append(drawn)
+    evaluator = LossEvaluator(classes)
+    for h, drawn in enumerate(per_step):
+        disc = classes.discriminators[h]
+        rewards = classes.reward_tables[h]
+        want = per_sample_losses(
+            drawn, len(rewards), 1,
+            lambda c, g, s, a, e: rewards[c, s, a, e],
+            lambda g, r, s_next: r,
+            disc,
+        )
+        np.testing.assert_allclose(evaluator.reward_losses(data, h), want, rtol=1e-9, atol=1e-9)
         got_t = evaluator.transition_losses(data, h)
         if kind == "general":
-            want_t = transition_losses_general(
-                step, classes.transition_tables[h], classes.value_targets[h + 1], disc
-            )
-            assert_bitwise_equal(got_t, want_t)
+            kernels, targets = classes.transition_tables[h], classes.value_targets[h + 1]
+            want_t = [
+                per_sample_losses(
+                    drawn, len(kernels), len(targets),
+                    lambda c, g, s, a, e: sum(
+                        kernels[c, s, a, e, x] * targets[g, x] for x in range(S)
+                    ),
+                    lambda g, r, s_next: targets[g, s_next],
+                    disc,
+                )
+            ]
         else:
-            for i, per in enumerate(classes.mean_map_tables[h]):
-                assert_bitwise_equal(got_t[i], mean_map_losses(step, per, i, disc))
+            want_t = [
+                per_sample_losses(
+                    drawn, len(per), 1,
+                    lambda c, g, s, a, e, per=per: per[c, s, a, e],
+                    lambda g, r, s_next, i=i: s_next[i],
+                    disc,
+                )
+                for i, per in enumerate(classes.mean_map_tables[h])
+            ]
+        assert len(got_t) == len(want_t)
+        for got, want in zip(got_t, want_t):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -399,16 +513,16 @@ def test_transition_loss_transient_stays_near_one_scores_array():
         next_counts=rng.integers(0, 20, size=(S, A, S)).astype(float),
         next_sums=None,
     )
-    applied = np.einsum("psaex,gx->pgsae", tables, targets)
+    applied, visited = general_family(step, tables, targets)
     halves = _half_squares(disc)
     scores_bytes = nP * nG * nF * 8
     assert scores_bytes >= 256 * 1024
-    want = transition_losses_general(step, tables, targets, disc, applied, halves)
+    want = family_losses(applied, visited, step.counts, disc, halves)
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        got = transition_losses_general(step, tables, targets, disc, applied, halves)
+        got = family_losses(applied, visited, step.counts, disc, halves)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -430,5 +544,5 @@ def test_truth_loss_never_exceeds_any_candidate_by_construction(shift, episodes,
     data, _ = collect_episodes(model, episodes, seed=seed)
     cand = np.clip(model.principal_reward[0] + shift, 0.0, 1.0)[None]
     disc = np.stack([np.zeros((2, 2)), np.full((2, 2), 0.1), np.full((2, 2), -0.1)])
-    loss = reward_losses(data.steps[0], cand, disc)[0]
+    loss = reward_loss(data.steps[0], cand, disc)[0]
     assert loss >= 0.0

@@ -134,3 +134,41 @@ def test_unreferenced_private_check_finds_a_planted_helper(tmp_path):
         "VALUE = (a._ReadAsAttribute, _imported)\n"
     )
     assert unreferenced_private_definitions(tmp_path) == ["a.py:7: _planted"]
+
+
+def scopes_reading(source: str, name: str) -> set[str]:
+    """Dotted class/function scopes whose code reads `name` (module level is "")."""
+    found = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                if isinstance(child, ast.Name) and child.id == name:
+                    found.add(scope)
+                visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_loss_path_reads_the_mode_only_where_families_are_built():
+    """The loss families are built once per step in LossEvaluator.__init__;
+    evaluating and thresholding them never asks which transition mode runs."""
+    scopes = scopes_reading((PACKAGE / "estimation.py").read_text(), "TransitionMode")
+    allowed = {"LossEvaluator.__init__"}
+    assert {s for s in scopes if not s.startswith("StepDataset")} <= allowed
+    assert allowed <= scopes
+
+
+def test_mode_reader_check_finds_a_planted_branch():
+    source = (
+        "from .model import TransitionMode\n"
+        "class Kept:\n"
+        "    def __init__(self, mode: TransitionMode):\n"
+        "        self.general = mode is TransitionMode.GENERAL\n"
+        "def planted(mode):\n"
+        "    return [m for m in (mode,) if m is TransitionMode.GENERAL]\n"
+    )
+    assert scopes_reading(source, "TransitionMode") == {"Kept.__init__", "planted"}

@@ -103,6 +103,29 @@ def test_unknown_param_rejected():
         build_scenario("recsys-small", params={"bogus": 1})
 
 
+@pytest.mark.parametrize(
+    "name, key, value, kind",
+    [
+        ("recsys-small", "bias_probe", "false", "bool"),
+        ("dyn-1d", "noiseless", "no", "bool"),
+        ("linear-d", "num_candidates", True, "int"),
+        ("linear-d", "num_candidates", 2.0, "int"),
+        ("recsys-small", "confound", True, "float"),
+        ("recsys-small", "confound", "0.3", "float"),
+    ],
+)
+def test_option_of_the_wrong_type_rejected(name, key, value, kind):
+    """A quoted boolean or a bool for a number no longer switches a variant on."""
+    with pytest.raises(ConfigError, match=rf"scenario '{name}' option '{key}' takes a {kind}"):
+        build_scenario(name, params={key: value})
+
+
+def test_int_accepted_for_a_float_option():
+    scenario = build_scenario("recsys-small", params={"confound": 0})
+    assert scenario.params["confound"] == 0
+    assert not scenario.model.reward_confound.any()
+
+
 def test_recsys_bogus_candidate_dominates_first_step():
     scenario = build_scenario("recsys-small")
     r0 = scenario.classes.reward_tables[0]
