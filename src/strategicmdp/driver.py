@@ -29,6 +29,7 @@ from .model import (
     Policy,
     StrategicModel,
     TransitionMode,
+    _is_int,
     make_rng,
     rollout,
 )
@@ -49,8 +50,10 @@ class RunConfig:
     strict_realizability: bool = False
 
     def validate(self) -> None:
-        if self.episodes < 1:
-            raise ConfigError("episodes must be at least 1")
+        if not _is_int(self.episodes) or self.episodes < 1:
+            raise ConfigError(f"episodes must be an integer of at least 1, got {self.episodes!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not (0.0 < self.delta < 1.0):
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
         if not math.isfinite(self.beta_scale) or self.beta_scale <= 0:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidIndexError, ValidationError
+from .errors import ConfigError, ValidationError
 from .hypotheses import ClassSizes, HypothesisClasses
 from .model import Grid, Trajectory, TransitionMode, _check_index
 
@@ -103,8 +103,6 @@ class StepDataset:
         if not math.isfinite(r):
             raise ValidationError(f"reward must be finite, got {r}")
         if self.mode is TransitionMode.GENERAL:
-            if not isinstance(s_next, (int, np.integer)):
-                raise InvalidIndexError(f"next state index must be an integer, got {s_next!r}")
             _check_index(s_next, self.num_states, "next state")
         else:
             s_next = np.asarray(s_next, dtype=float)

@@ -23,13 +23,13 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .model import LearnerKnowledge, StrategicModel, TransitionMode, feedback_by_type
+from .model import LearnerKnowledge, StrategicModel, TransitionMode, _is_int, feedback_by_type
 from .planning import CandidateAggregates, joint_backup
 
 DEFAULT_PER_STEP_CAP = 8
@@ -85,7 +85,7 @@ def _check_truth_index(idx, count: int, kind: str, where: str) -> None:
     """A designated truth index is None or an integer naming one of count candidates."""
     if idx is None:
         return
-    if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)) or not 0 <= idx < count:
+    if not _is_int(idx) or not 0 <= idx < count:
         raise ValidationError(
             f"truth {kind} index {idx!r} at {where} is not one of the {count} candidates"
         )
@@ -164,13 +164,6 @@ class HypothesisClasses:
         for name in ("truth_reward_idx", "truth_transition_idx"):
             if len(getattr(self, name)) != H:
                 raise ValidationError(f"{name} must have one entry per step ({H})")
-        flags = list(self.flags)
-        # Value targets are flagged before discriminators: the order in which
-        # close_classes's two closures raise them, validated once at the end.
-        for h in range(H + 1):
-            if self.value_targets[h].size and np.abs(self.value_targets[h]).max() > self.bound + 1e-9:
-                if "value-target-bound-exceeded" not in flags:
-                    flags.append("value-target-bound-exceeded")
         for h in range(H):
             nR = self.reward_tables[h].shape[0]
             if nR == 0:
@@ -220,9 +213,23 @@ class HypothesisClasses:
                             f"mean-map candidates at step {h}, coordinate {i} have non-finite entries"
                         )
                     _check_truth_index(truth[i], per.shape[0], "transition", f"step {h}, coordinate {i}")
-            fmax = np.abs(self.discriminators[h]).max()
-            if fmax > self.bound + 1e-9 and "discriminator-bound-exceeded" not in flags:
-                flags.append("discriminator-bound-exceeded")
+        self._flag_bounds()
+
+    def _flag_bounds(self) -> None:
+        """Add a flag for a value target and for a discriminator beyond the bound.
+
+        Value targets are flagged before discriminators, the order in which
+        close_classes's two closures raise them; a flag already set stays.
+        """
+        flags = list(self.flags)
+        for flag, tables in (
+            ("value-target-bound-exceeded", self.value_targets),
+            ("discriminator-bound-exceeded", self.discriminators),
+        ):
+            if flag not in flags and any(
+                t.size and np.abs(t).max() > self.bound + 1e-9 for t in tables
+            ):
+                flags.append(flag)
         self.flags = tuple(flags)
 
     @property
@@ -256,9 +263,15 @@ class HypothesisClasses:
 # ---------------------------------------------------------------------------
 
 
-def source_feedback_mix(model: StrategicModel) -> np.ndarray:
-    """Feedback distribution (H, S, A, E) under the source population."""
-    fb = feedback_by_type(model)
+def source_feedback_mix(
+    model: StrategicModel, knowledge: LearnerKnowledge | None = None
+) -> np.ndarray:
+    """Feedback distribution (H, S, A, E) under the source population.
+
+    The per-type feedback table is knowledge's when given, which holds the
+    model's own, so a caller with knowledge at hand does not compute it again.
+    """
+    fb = feedback_by_type(model) if knowledge is None else knowledge.feedback_by_type
     return np.einsum("ht,hsate->hsae", model.source_type_dist, fb)
 
 
@@ -383,23 +396,31 @@ def close_classes(
     Order matters: transition residual projections range over the closed
     value-target family. Projections use the true per-type feedback mixture
     under the source population, so this runs where the scenario is built.
-    Nothing is clamped: a value target or discriminator beyond the class
-    bound raises a flag on the result. The result is validated once; the intermediate with closed
-    value targets is an unvalidated copy that only the residuals read.
+    Classes are validated at construction only: the closures append rows to
+    the two families of a copy that shares no list with classes, which is
+    left as it was, and re-derive the two bound flags. Nothing is clamped: a
+    value target or discriminator beyond the class bound raises a flag.
     """
     suffix = enumerate_suffix_values(classes, knowledge)
-    staged = copy.copy(classes)
-    staged.value_targets = list(classes.value_targets)
+    closed = copy.copy(classes)
+    for f in fields(classes):
+        setattr(closed, f.name, _fresh_lists(getattr(classes, f.name)))
     for h in range(classes.horizon):
         base = classes.value_targets[h]
         # Suffix rows are distinct already, so an empty family takes them unkeyed.
-        staged.value_targets[h] = _dedup_append(base, suffix[h]) if len(base) else suffix[h]
-    kappa = source_feedback_mix(model)
-    discriminators = [
-        _dedup_append(f, source_projection(kappa[h], residual_stack(model, staged, h)))
-        for h, f in enumerate(classes.discriminators)
-    ]
-    return replace(classes, value_targets=staged.value_targets, discriminators=discriminators)
+        closed.value_targets[h] = _dedup_append(base, suffix[h]) if len(base) else suffix[h]
+    kappa = source_feedback_mix(model, knowledge)
+    for h, f in enumerate(classes.discriminators):
+        closed.discriminators[h] = _dedup_append(
+            f, source_projection(kappa[h], residual_stack(model, closed, h))
+        )
+    closed._flag_bounds()
+    return closed
+
+
+def _fresh_lists(value):
+    """value with every list in it, nested lists too, copied; the items are shared."""
+    return [_fresh_lists(v) for v in value] if isinstance(value, list) else value
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +533,7 @@ def check_realizability(
         if wrong:
             t_clause = ClauseResult(False, f"designated transition index {wrong[0]} wrong at step {h}")
             break
-    kappa = source_feedback_mix(model)
+    kappa = source_feedback_mix(model, knowledge)
     p_clause = ClauseResult(True)
     for h in range(H):
         proj = source_projection(kappa[h], residual_stack(model, classes, h))

@@ -147,7 +147,7 @@ class Grid:
 
     @property
     def num_cells(self) -> int:
-        return int(np.prod(self.cells_per_dim))
+        return math.prod(self.cells_per_dim)
 
     def widths(self) -> np.ndarray:
         return (np.asarray(self.highs) - np.asarray(self.lows)) / np.asarray(
@@ -180,7 +180,10 @@ class Grid:
 
         mean is a scalar or an array of any shape. Tail mass below/above the
         box is folded into the first/last bin. A zero scale degenerates to a
-        point mass in the bin containing the mean.
+        point mass in the bin containing the mean. The CDF is evaluated once
+        per distinct mean and its rows gathered back: candidate means repeat
+        across steps and feedbacks, and equal means (0.0 and -0.0 included)
+        give bit-identical rows.
         """
         means = np.asarray(mean, dtype=float)
         n = self.cells_per_dim[dim]
@@ -190,10 +193,14 @@ class Grid:
             mass = np.zeros(means.shape + (n,))
             np.put_along_axis(mass, j[..., None], 1.0, axis=-1)
             return mass
-        cdf = np.zeros(means.shape + (n + 1,))
-        cdf[..., 1:-1] = normal_cdf((self.edges(dim)[1:-1] - means[..., None]) / scale)
-        cdf[..., -1] = 1.0
-        return np.diff(cdf, axis=-1)
+        # A dict, not np.unique: no sort, and so no sort code paged in per process.
+        rows: dict[float, int] = {}
+        gather = [rows.setdefault(m, len(rows)) for m in means.ravel().tolist()]
+        distinct = np.fromiter(rows, float, len(rows))
+        cdf = np.zeros((len(rows), n + 1))
+        cdf[:, 1:-1] = normal_cdf((self.edges(dim)[1:-1] - distinct[:, None]) / scale)
+        cdf[:, -1] = 1.0
+        return np.diff(cdf, axis=-1)[gather].reshape(means.shape + (n,))
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +436,14 @@ def feedback_by_type(model: StrategicModel) -> np.ndarray:
     return np.take_along_axis(model.feedback_kernel, idx, axis=4)[..., 0, :]
 
 
+def _is_int(value: object) -> bool:
+    """An int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_index(i: int, n: int, what: str) -> None:
-    if not (0 <= i < n):
-        raise InvalidIndexError(f"{what} index {i} out of range [0, {n})")
+    if not _is_int(i) or not 0 <= i < n:
+        raise InvalidIndexError(f"{what} index {i!r} is not an integer in [0, {n})")
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +529,8 @@ def env_step(
         state_vec = np.asarray(state, dtype=float)
         s = model.grid.locate(state_vec)
     else:
+        _check_index(state, model.num_states, "state")
         s = int(state)
-        _check_index(s, model.num_states, "state")
 
     t = draw_categorical(rng, model.source_type_dist[h])
     b = int(np.argmax(model.agent_reward[h, s, a, t]))

@@ -30,7 +30,9 @@ from .model import (
     Policy,
     StrategicModel,
     TransitionMode,
+    _check_index,
     _check_simplex,
+    _is_int,
     feedback_by_type,
 )
 
@@ -294,6 +296,7 @@ def optimistic_select(
             f"need one reward and one transition set per step for {H} steps, "
             f"got {len(reward_sets)} and {len(transition_sets)}"
         )
+    _check_index(initial_state, aggregates.rewards[0].shape[1], "initial state")
     for h in range(H):
         _check_set(reward_sets[h], aggregates.rewards[h].shape[0], "reward candidate", h)
         _check_set(transition_sets[h], aggregates.transitions[h].shape[0], "transition kernel", h)
@@ -305,7 +308,7 @@ def optimistic_select(
 def _check_set(indices, size: int, what: str, h: int) -> None:
     if len(indices) == 0:
         raise ValidationError(f"empty {what} set at step {h}")
-    if not all(isinstance(i, (int, np.integer)) for i in indices):
+    if not all(_is_int(i) for i in indices):
         raise ValidationError(
             f"{what} set at step {h} must be a flat sequence of integer indices, got {indices!r}"
         )

@@ -36,7 +36,7 @@ class Scenario:
 
 def _tile(table: np.ndarray, horizon: int) -> np.ndarray:
     """Repeat a per-step table across the horizon axis."""
-    return np.broadcast_to(table, (horizon,) + table.shape).copy()
+    return np.repeat(table[None], horizon, axis=0)
 
 
 def _uniform_tilt(kernel: np.ndarray, weight: float) -> np.ndarray:
@@ -438,7 +438,7 @@ def dyn_1d(seed: int = 0, *, noiseless: bool = False) -> Tables:
     H, A, E, T, B = 3, 2, 2, 2, 2
     grid = Grid(lows=(-2.5,), highs=(2.5,), cells_per_dim=(9,))
     S = grid.num_cells
-    centers = np.array([grid.center(c)[0] for c in range(S)])
+    centers = grid.lows[0] + (np.arange(S) + 0.5) * grid.widths()[0]
 
     agent = np.zeros((H, S, A, T, B))
     for a in range(A):

@@ -68,6 +68,23 @@ def test_run_config_validation():
             run_cfg(selector_cap=cap).validate()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("episodes", 2.5), ("episodes", True), ("episodes", "3"), ("seed", -1), ("seed", 1.0), ("seed", False)],
+)
+def test_run_config_rejects_episodes_and_seeds_that_are_not_counts(field, value):
+    """The library path refuses what the config path refuses, as a ConfigError,
+    before a float count or a negative seed reaches range() or the generator."""
+    scenario = build_scenario("recsys-small")
+    cfg = dataclasses.replace(run_cfg(episodes=2), **{field: value})
+    with pytest.raises(ConfigError, match=field):
+        run_learner(scenario.model, scenario.knowledge(), scenario.classes, cfg)
+
+
+def test_run_config_accepts_numpy_integers():
+    run_cfg(episodes=np.int64(2), seed=np.uint32(5)).validate()
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_run_config_rejects_non_finite_beta_scale(value):
     with pytest.raises(ConfigError, match="beta_scale"):

@@ -205,12 +205,13 @@ def test_append_trajectory_matches_manual_append():
 
 @pytest.mark.parametrize(
     "field, bad",
-    [(f, v) for f in ("h", "s", "a", "e", "s_next") for v in (-1, 2)]
-    + [("s_next", 1.7), ("s_next", 1.0), ("r", math.nan), ("r", math.inf)],
+    [(f, v) for f in ("h", "s", "a", "e", "s_next") for v in (-1, 2, 1.0, True)]
+    + [("s_next", 1.7), ("r", math.nan), ("r", math.inf)],
 )
 def test_append_rejects_out_of_range_general(field, bad):
-    """Indices out of range, a next state that is not an integer (int(1.7)
-    would record state 1) and a non-finite reward are all rejected."""
+    """Indices out of range, an index that is not an integer (int(1.7)
+    would record state 1, True step 1) and a non-finite reward are all
+    rejected."""
     data = StepDataset(TransitionMode.GENERAL, 2, 2, 2, 2)
     args = {"h": 0, "s": 1, "a": 1, "e": 1, "r": 0.5, "s_next": 1}
     args[field] = bad
@@ -224,7 +225,8 @@ def test_append_rejects_out_of_range_general(field, bad):
 @pytest.mark.parametrize(
     "field, bad",
     [("s", -1), ("s", 4), ("a", -1), ("e", 2), ("r", math.nan), ("r", -math.inf)]
-    + [("s_next", v) for v in (0.5, [0.2, 0.3], [[0.2]], [math.nan], [math.inf])],
+    + [("s_next", v) for v in (0.5, [0.2, 0.3], [[0.2]], [math.nan], [math.inf])]
+    + [("s", 1.0), ("a", True), ("e", np.float64(0.0))],
 )
 def test_append_rejects_out_of_range_dynamical(field, bad):
     """Indices out of range, a non-finite reward and a next state that is not
@@ -238,6 +240,13 @@ def test_append_rejects_out_of_range_dynamical(field, bad):
         data.append(**args)
     assert not data.steps[1].counts.any()
     assert not data.steps[1].next_sums.any()
+
+
+def test_append_takes_numpy_integer_indices():
+    data = StepDataset(TransitionMode.GENERAL, 2, 2, 2, 2)
+    h, s, a, e, s_next = np.arange(2)[[1, 0, 1, 1, 0]]  # numpy integers, as rollouts give
+    data.append(h, s, a, e, 0.5, s_next)
+    assert data.steps[1].counts[0, 1, 1] == 1.0 and data.steps[1].next_counts[0, 1, 0] == 1.0
 
 
 def test_losses_invariant_under_sample_permutation():

@@ -577,12 +577,25 @@ def test_close_classes_validates_once_and_keeps_the_flag_order(monkeypatch):
 
     monkeypatch.setattr(HypothesisClasses, "__post_init__", counting)
     closed = close_classes(model, classes, knowledge)
-    assert len(calls) == 1
+    # classes are validated at construction; the closure only re-derives the flags
+    assert len(calls) == 0
     assert closed.flags == ("value-target-bound-exceeded", "discriminator-bound-exceeded")
     assert_classes_bitwise_equal(closed, want)
     assert_classes_bitwise_equal(closed, stepwise)
-    # the caller's classes are left as they were
+    # the caller's classes are left as they were, and share no list with the result
     assert classes.flags == () and len(classes.value_targets[0]) == 0
+    assert not {id(x) for x in _lists(classes)} & {id(x) for x in _lists(closed)}
+
+
+def _lists(value):
+    """Every list reachable from a dataclass's fields through lists, nested ones too."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _lists(getattr(value, f.name))
+    elif isinstance(value, list):
+        yield value
+        for item in value:
+            yield from _lists(item)
 
 
 def _replace_row(tables: list[np.ndarray], h: int, j: int, row: np.ndarray) -> list[np.ndarray]:

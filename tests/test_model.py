@@ -339,6 +339,12 @@ def test_env_step_index_checks():
         env_step(model, 5, 0, 0, make_rng(0))
     with pytest.raises(InvalidIndexError):
         env_step(model, 0, 0, 7, make_rng(0))
+    # an index must be an integer: a float or a bool is refused, not truncated
+    for h, state, a in [(0, 0, 1.5), (True, 0, 0), (0, 1.0, 0), (0, 0, np.float64(1.0))]:
+        with pytest.raises(InvalidIndexError):
+            env_step(model, h, state, a, make_rng(0))
+    out = env_step(model, np.int64(1), np.int64(1), np.int64(0), make_rng(0))
+    assert out.state == 1 and out.action == 0
 
 
 def test_rollout_chains_states():

@@ -168,3 +168,61 @@ def test_gaussian_mass_1d_matches_reference(mean, scale):
     grid = Grid((-2.5,), (2.5,), (9,))
     want = ref_gaussian_mass_1d(grid, mean, scale, 0)
     assert_bitwise(grid.gaussian_mass_1d(mean, scale, 0), want)
+
+
+# ---------------------------------------------------------------------------
+# Repeated means: the CDF runs once per distinct mean and rows are gathered back
+# ---------------------------------------------------------------------------
+
+
+GRID_2D = Grid((-2.0, -1.0), (2.0, 3.0), (5, 3))
+SCALES = [0.0, 1e-3, 0.35, 1.3]
+
+
+def ref_masses(grid, means, scale, k):
+    """ref_gaussian_mass_1d at every entry of means, stacked to (*means.shape, n)."""
+    rows = [ref_gaussian_mass_1d(grid, m, scale, k) for m in means.ravel().tolist()]
+    return np.array(rows).reshape(means.shape + (grid.cells_per_dim[k],))
+
+
+def repeated_means(grid, k):
+    """Arrays drawn with repeats from a few means: signed zeros, the cell
+    edges, and values in and beyond the box."""
+    special = st.sampled_from([0.0, -0.0, *grid.edges(k).tolist()])
+    pool = st.lists(st.one_of(special, st.floats(-6.0, 6.0)), min_size=1, max_size=5)
+    return pool.flatmap(
+        lambda means: hnp.arrays(
+            np.intp,
+            hnp.array_shapes(max_dims=3, max_side=5),
+            elements=st.integers(0, len(means) - 1),
+        ).map(lambda picks: np.array(means)[picks])
+    )
+
+
+def test_gaussian_mass_1d_on_signed_zeros_and_edges_matches_reference():
+    grid = Grid((-2.5,), (2.5,), (10,))  # 0.0 is a cell edge
+    edges = grid.edges(0)
+    means = np.array([[0.0, -0.0, edges[3], 0.7], [edges[3], -0.0, 0.7, 0.0], [edges[7], 0.7, -3.1, edges[7]]])
+    for scale in SCALES:
+        assert_bitwise(grid.gaussian_mass_1d(means, scale, 0), ref_masses(grid, means, scale, 0))
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_gaussian_mass_1d_on_repeated_means_matches_reference(scale, data):
+    grid = Grid((-2.5,), (2.5,), (9,))
+    means = data.draw(repeated_means(grid, 0))
+    assert_bitwise(grid.gaussian_mass_1d(means, scale, 0), ref_masses(grid, means, scale, 0))
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_discretize_gaussian_on_repeated_means_matches_reference(scale, data):
+    x, y = (data.draw(repeated_means(GRID_2D, k)).ravel() for k in range(2))
+    n = min(len(x), len(y))
+    means = np.stack([x[:n], y[:n]], axis=-1)
+    mx, my = (ref_masses(GRID_2D, means[:, k], scale, k) for k in range(2))
+    want = (mx[:, :, None] * my[:, None, :]).reshape(n, GRID_2D.num_cells)
+    assert_bitwise(discretize_gaussian(means, GRID_2D, scale), want)

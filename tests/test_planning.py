@@ -28,6 +28,7 @@ from strategicmdp import (
     discretize_gaussian,
     evaluate_policy,
     optimistic_select,
+    planning,
     policy_value,
     true_aggregated_model,
     value_iteration,
@@ -331,6 +332,18 @@ def test_optimistic_select_rejects_out_of_range_indices(name, which, mode, bad):
         optimistic_select(agg, reward_sets, transition_sets, scenario.model.initial_state, mode)
 
 
+@pytest.mark.parametrize("mode", list(SelectionMode))
+@pytest.mark.parametrize("initial_state", [99, -1, 1.0, True])
+def test_optimistic_select_rejects_a_bad_initial_state_before_selecting(monkeypatch, mode, initial_state):
+    scenario = build_scenario("recsys-small")
+    agg = CandidateAggregates.from_classes(scenario.classes, scenario.knowledge())
+    reward_sets, transition_sets = _full_sets(scenario.classes)
+    for selector in ("_select_exact", "_select_pointwise"):
+        monkeypatch.setattr(planning, selector, None)  # selecting would call one
+    with pytest.raises(InvalidIndexError, match="initial state"):
+        optimistic_select(agg, reward_sets, transition_sets, initial_state, mode)
+
+
 @pytest.mark.parametrize("name", ["recsys-small", "dyn-1d"])
 def test_optimistic_select_rejects_sets_of_the_wrong_length(name):
     scenario = build_scenario(name)
@@ -346,7 +359,9 @@ def test_optimistic_select_rejects_sets_of_the_wrong_length(name):
             optimistic_select(agg, rs, ts, scenario.model.initial_state)
     # The per-coordinate shape that dynamical sets had before kernel indices,
     # as nested lists and as a 2-D array, is not a set of kernel indices.
-    for nested in ([[[0, 1]]] * classes.horizon, [np.array([[0, 1]])] * classes.horizon):
+    # Nor is a set holding a bool, which would otherwise pick candidate 1.
+    H = classes.horizon
+    for nested in ([[[0, 1]]] * H, [np.array([[0, 1]])] * H, [[True]] * H):
         for rs, ts in [(reward_sets, nested), (nested, transition_sets)]:
             with pytest.raises(ValidationError, match="flat sequence of integer"):
                 optimistic_select(agg, rs, ts, scenario.model.initial_state)

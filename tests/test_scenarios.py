@@ -2,18 +2,26 @@
 
 from __future__ import annotations
 
+import collections
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from strategicmdp import (
     ConfigError,
     GENERATORS,
+    HypothesisClasses,
     TransitionMode,
     build_scenario,
     check_realizability,
     true_aggregated_model,
     value_iteration,
 )
+from strategicmdp.model import feedback_by_type, normal_cdf
 
 ALL_NAMES = sorted(GENERATORS)
 
@@ -210,3 +218,71 @@ def test_aggregates_plan_without_error(name):
     plan = value_iteration(true_aggregated_model(scenario.model))
     bound = scenario.model.reward_bound * scenario.model.horizon
     assert -bound - 1e-9 <= plan.value_at_initial <= bound + 1e-9
+
+
+def _counting(real, key, calls):
+    def counting(*args, **kwargs):
+        calls[key] += 1
+        return real(*args, **kwargs)
+
+    return counting
+
+
+def _spy(monkeypatch, real, key, calls):
+    """Count calls of real under key, wherever the package has bound it."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "strategicmdp":
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, _counting(real, key, calls))
+
+
+@pytest.mark.parametrize("override", [False, True])
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_a_build_does_each_piece_of_set_up_once(monkeypatch, name, override):
+    """One build validates its classes once, at construction (the closure
+    re-validates nothing), computes the per-type feedback table once, and
+    evaluates the normal CDF once per grid coordinate (none at zero noise)."""
+    calls = collections.Counter()
+    _spy(monkeypatch, feedback_by_type, "feedback", calls)
+    _spy(monkeypatch, normal_cdf, "cdf", calls)
+    validate = _counting(HypothesisClasses.__post_init__, "classes", calls)
+    monkeypatch.setattr(HypothesisClasses, "__post_init__", validate)
+    model = build_scenario(name, params=OVERRIDES[name] if override else None).model
+    coordinates = model.grid.dim if model.grid is not None and model.trans_noise_scale else 0
+    assert (calls["classes"], calls["feedback"], calls["cdf"]) == (1, 1, coordinates)
+
+
+# Prints a SHA-256 of each shipped scenario's closed tables and flags.
+CLASSES_DIGEST = """
+import hashlib
+from strategicmdp import GENERATORS, build_scenario
+
+for name in sorted(GENERATORS):
+    classes = build_scenario(name).classes
+    maps = [g for per in classes.mean_map_tables or () for g in per]
+    digest = hashlib.sha256(repr(classes.flags).encode())
+    for table in (
+        *classes.reward_tables, *(classes.transition_tables or ()), *maps,
+        *classes.discriminators, *classes.value_targets,
+    ):
+        digest.update(repr(table.shape).encode() + table.tobytes())
+    print(name, digest.hexdigest())
+"""
+
+
+def test_closed_classes_do_not_depend_on_the_string_hash_seed():
+    """The closures and the cell-mass dedup key rows in dicts; their output
+    must not follow the per-process seed of str and bytes hashing."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", CLASSES_DIGEST],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert outputs[0] == outputs[1]
+    assert [line.split()[0] for line in outputs[0].splitlines()] == ALL_NAMES
