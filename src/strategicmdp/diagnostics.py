@@ -30,6 +30,7 @@ from .model import (
     Policy,
     StrategicModel,
     TransitionMode,
+    _check_index,
     feedback_by_type,
     make_rng,
 )
@@ -300,6 +301,7 @@ def ill_posedness(
     steps up to h. Every evaluated pair is checked for the projected MSE
     never exceeding the MSE.
     """
+    _check_index(h, env.horizon, "step")
     labels, nus = _collect_residuals(env, classes, h)
     tables, sampled = deterministic_policy_tables(
         env.num_states, env.num_actions, h + 1, policy_budget, sample_seed
@@ -321,6 +323,7 @@ def transfer_term(
     sample_seed: int = 0,
 ) -> RatioResult:
     """Worst-case target-MSE over source-MSE at step h, same enumeration scheme."""
+    _check_index(h, env.horizon, "step")
     labels, nus = _collect_residuals(env, classes, h)
     tables, sampled = deterministic_policy_tables(
         env.num_states, env.num_actions, h + 1, policy_budget, sample_seed

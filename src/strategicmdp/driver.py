@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -50,6 +51,10 @@ class RunConfig:
     strict_realizability: bool = False
 
     def validate(self) -> None:
+        for name, kind in (("mode", TransitionMode), ("optimism", SelectionMode), ("delta", numbers.Real),
+                           ("beta_scale", numbers.Real), ("strict_realizability", bool)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         if not _is_int(self.episodes) or self.episodes < 1:
             raise ConfigError(f"episodes must be an integer of at least 1, got {self.episodes!r}")
         if not _is_int(self.seed) or self.seed < 0:
@@ -58,6 +63,8 @@ class RunConfig:
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
         if not math.isfinite(self.beta_scale) or self.beta_scale <= 0:
             raise ConfigError(f"beta_scale must be finite and positive, got {self.beta_scale}")
+        if not _is_int(self.selector_cap):
+            raise ConfigError(f"selector_cap must be an integer, got {self.selector_cap!r}")
         if self.selector_cap < 1:
             raise ConfigError(f"selector_cap must be at least 1, got {self.selector_cap}")
 
@@ -165,7 +172,7 @@ def _truth_covered(classes: HypothesisClasses, reward_sets: tuple, families: tup
     one False.
     """
     for h, per_family in enumerate(families):
-        truths = (classes.truth_reward_idx[h], *classes.truth_per_family(h))
+        truths = (classes.truth_reward_idx[h], *(f.truth for f in classes.transition_families(h)))
         for idx, survivors in zip(truths, (reward_sets[h], *per_family)):
             if idx is None:
                 return None

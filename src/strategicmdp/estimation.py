@@ -198,51 +198,29 @@ class LossEvaluator:
 
     Holds references to the (immutable) classes; per step it keeps the kernel
     index, the discriminators' half squares and the loss families: rewards
-    first, then one general-transition family (predictions P g for every
-    candidate and value target, computed here once) or one family per
-    mean-map coordinate. This is the only place the loss path reads the mode.
-    Evaluation from a dataset then reduces to small matrix products against
-    the running count tensors, which matches a from-scratch per-sample
-    computation to floating-point accuracy.
+    first, then each of the step's transition families
+    (HypothesisClasses.transition_families) with its predictions computed
+    here once. Evaluation from a dataset then reduces to small matrix
+    products against the running count tensors, which matches a from-scratch
+    per-sample computation to floating-point accuracy.
     """
 
     def __init__(self, classes: HypothesisClasses) -> None:
         self.classes = classes
         self.kernel_index = [classes.kernel_index(h) for h in range(classes.horizon)]
         self._halves = [_half_squares(f) for f in classes.discriminators]
-        self.families: list[list[_Family]] = []
-        for h, rewards in enumerate(classes.reward_tables):
-            families = [
+        self.families: list[list[_Family]] = [
+            [
                 _Family(
-                    f"reward-h{h}",
-                    "reward",
-                    rewards[:, None],
-                    lambda d: d.reward_sums.sum(axis=-1)[None],
-                )
+                    f"reward-h{h}", "reward", rewards[:, None], lambda d: d.reward_sums.sum(axis=-1)[None]
+                ),
+                *(
+                    _Family(fam.label, fam.level, fam.apply(fam.tables), fam.observe)
+                    for fam in classes.transition_families(h)
+                ),
             ]
-            if classes.mode is TransitionMode.GENERAL:
-                assert classes.transition_tables is not None
-                g = classes.value_targets[h + 1]
-                families.append(
-                    _Family(
-                        f"transition-h{h}",
-                        "transition_general",
-                        np.einsum("psaex,gx->pgsae", classes.transition_tables[h], g),
-                        lambda d, g=g: np.einsum("sax,gx->gsa", d.next_counts, g),
-                    )
-                )
-            else:
-                assert classes.mean_map_tables is not None
-                families += [
-                    _Family(
-                        f"mean-map-h{h}-c{i}",
-                        "transition_dynamical",
-                        per[:, None],
-                        lambda d, i=i: d.next_sums[..., i].sum(axis=-1)[None],
-                    )
-                    for i, per in enumerate(classes.mean_map_tables[h])
-                ]
-            self.families.append(families)
+            for h, rewards in enumerate(classes.reward_tables)
+        ]
 
     def _losses(self, family: _Family, dataset: StepDataset, h: int) -> np.ndarray:
         d = dataset.steps[h]

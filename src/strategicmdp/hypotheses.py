@@ -23,8 +23,10 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from typing import Any
 
 import numpy as np
 
@@ -92,6 +94,33 @@ def _check_truth_index(idx, count: int, kind: str, where: str) -> None:
 
 
 @dataclass
+class TransitionFamily:
+    """One transition family of one step, in the form both modes share.
+
+    Each candidate predicts the conditional means of G observed next-state
+    quantities. apply maps candidate tables (n, S, A, E, ...) to those
+    predictions (n, G, S, A, E), observe gives the quantities' per-(s, a) data
+    sums (G, S, A) from a step's StepData, and true_table(model) is the
+    model's own table. kind and where stem the messages, label names the
+    loss, row formats a residual row's label from candidate j and quantity g,
+    and level is the family's BetaLevels field. The candidates of a family
+    with kernels set are next-state distributions.
+    """
+
+    tables: np.ndarray
+    truth: int | None
+    kind: str
+    where: str
+    label: str
+    row: str
+    level: str
+    kernels: bool
+    apply: Callable[[np.ndarray], np.ndarray]
+    observe: Callable[[Any], np.ndarray]
+    true_table: Callable[[StrategicModel], np.ndarray]
+
+
+@dataclass
 class HypothesisClasses:
     """Per-step candidate and discriminator families.
 
@@ -124,21 +153,11 @@ class HypothesisClasses:
         S, A = self.reward_tables[0].shape[1:3]
         if not math.isfinite(self.bound) or self.bound <= 0:
             raise ValidationError(f"bound must be finite and positive, got {self.bound}")
-        if not self.truth_reward_idx:
-            self.truth_reward_idx = [None] * H
-        if not self.truth_transition_idx:
-            if self.mode is TransitionMode.GENERAL:
-                self.truth_transition_idx = [None] * H
-            else:
-                dim = len(self.mean_map_tables[0]) if self.mean_map_tables else 0
-                self.truth_transition_idx = [[None] * dim for _ in range(H)]
-        if self.mode is TransitionMode.GENERAL:
-            if self.transition_tables is None or len(self.transition_tables) != H:
-                raise ValidationError("general mode needs transition_tables per step")
+        self.truth_reward_idx = self.truth_reward_idx or [None] * H
+        self.truth_transition_idx = self.truth_transition_idx or [None] * H
+        if self.transition_tables is not None:
             self.transition_tables = [np.asarray(p, dtype=float) for p in self.transition_tables]
-        else:
-            if self.mean_map_tables is None or len(self.mean_map_tables) != H:
-                raise ValidationError("dynamical mode needs mean_map_tables per step")
+        if self.mean_map_tables is not None:
             self.mean_map_tables = [
                 [np.asarray(g, dtype=float) for g in per] for per in self.mean_map_tables
             ]
@@ -157,9 +176,9 @@ class HypothesisClasses:
             raise ValidationError("value_targets must cover steps 1..H+1")
         if not np.array_equal(self.value_targets[H], np.zeros((1, S))):
             raise ValidationError("terminal value-target family must be the zero function alone")
-        self._validate(S, A)
+        self._validate()
 
-    def _validate(self, S: int, A: int) -> None:
+    def _validate(self) -> None:
         H = self.horizon
         for name in ("truth_reward_idx", "truth_transition_idx"):
             if len(getattr(self, name)) != H:
@@ -178,41 +197,19 @@ class HypothesisClasses:
             if lo < -1e-9 or hi > self.bound + 1e-9:
                 raise ValidationError(f"reward candidates at step {h} leave [0, bound]")
             _check_truth_index(self.truth_reward_idx[h], nR, "reward", f"step {h}")
-            if self.mode is TransitionMode.GENERAL:
-                assert self.transition_tables is not None
-                nP = self.transition_tables[h].shape[0]
-                if nP == 0:
-                    raise ValidationError(f"no transition candidates at step {h}")
-                if nP > self.caps.per_step:
-                    raise CapacityError(
-                        f"{nP} transition candidates at step {h} exceed the per-step cap"
-                    )
-                off = np.abs(self.transition_tables[h].sum(axis=-1) - 1.0).max()
-                if not math.isfinite(off):  # a NaN or infinite entry leaves its row sum non-finite
-                    raise ValidationError(f"transition candidates at step {h} have non-finite entries")
-                if off > 1e-9 or self.transition_tables[h].min() < -1e-9:
-                    raise ValidationError(f"transition candidates at step {h} are not kernels")
-                _check_truth_index(self.truth_transition_idx[h], nP, "transition", f"step {h}")
-            else:
-                assert self.mean_map_tables is not None
-                truth = self.truth_transition_idx[h]
-                dim = len(self.mean_map_tables[h])
-                if not isinstance(truth, (list, tuple)) or len(truth) != dim:
-                    raise ValidationError(
-                        f"truth transition index at step {h} must list one entry per coordinate ({dim})"
-                    )
-                for i, per in enumerate(self.mean_map_tables[h]):
-                    if per.shape[0] == 0:
-                        raise ValidationError(f"no mean-map candidates at step {h}, coordinate {i}")
-                    if per.shape[0] > self.caps.per_step:
-                        raise CapacityError(
-                            f"{per.shape[0]} mean-map candidates at step {h} exceed the per-step cap"
-                        )
-                    if not np.isfinite(per).all():
-                        raise ValidationError(
-                            f"mean-map candidates at step {h}, coordinate {i} have non-finite entries"
-                        )
-                    _check_truth_index(truth[i], per.shape[0], "transition", f"step {h}, coordinate {i}")
+            for fam in self.transition_families(h):
+                n, tables = len(fam.tables), fam.tables
+                if n == 0:
+                    raise ValidationError(f"no {fam.kind} candidates at {fam.where}")
+                if n > self.caps.per_step:
+                    raise CapacityError(f"{n} {fam.kind} candidates at step {h} exceed the per-step cap")
+                if not np.isfinite(tables).all():
+                    raise ValidationError(f"{fam.kind} candidates at {fam.where} have non-finite entries")
+                if fam.kernels and (
+                    np.abs(tables.sum(axis=-1) - 1.0).max() > 1e-9 or tables.min() < -1e-9
+                ):
+                    raise ValidationError(f"{fam.kind} candidates at {fam.where} are not kernels")
+                _check_truth_index(fam.truth, n, "transition", fam.where)
         self._flag_bounds()
 
     def _flag_bounds(self) -> None:
@@ -236,18 +233,53 @@ class HypothesisClasses:
     def horizon(self) -> int:
         return len(self.reward_tables)
 
-    def truth_per_family(self, h: int) -> tuple:
-        """Step h's designated true candidate per transition family; None where undesignated."""
-        truth = self.truth_transition_idx[h]
-        return (truth,) if self.mode is TransitionMode.GENERAL else tuple(truth)
+    def transition_families(self, h: int) -> tuple[TransitionFamily, ...]:
+        """Step h's transition families: the one place the classes read the mode.
+
+        General mode has one family, the kernels, whose candidates predict
+        g(next state) for every value target g at step h + 1; dynamical mode
+        has one per state coordinate i, whose mean maps predict next_state_i.
+        A step's designated truth is one index in general mode and one per
+        coordinate in dynamical mode; None designates none.
+        """
+        H, truth = self.horizon, self.truth_transition_idx[h]
+        if self.mode is TransitionMode.GENERAL:
+            if self.transition_tables is None or len(self.transition_tables) != H:
+                raise ValidationError("general mode needs transition_tables per step")
+            g = self.value_targets[h + 1]
+            return (
+                TransitionFamily(
+                    self.transition_tables[h], truth, "transition", f"step {h}",
+                    f"transition-h{h}", "transition[{j}]*value[{g}]", "transition_general",
+                    kernels=True,
+                    apply=lambda x: np.einsum("psaex,gx->pgsae", x, g),
+                    observe=lambda d: np.einsum("sax,gx->gsa", d.next_counts, g),
+                    true_table=lambda model: model.transition_kernel[h],
+                ),
+            )
+        if self.mean_map_tables is None or len(self.mean_map_tables) != H:
+            raise ValidationError("dynamical mode needs mean_map_tables per step")
+        maps = self.mean_map_tables[h]
+        truth = [None] * len(maps) if truth is None else truth
+        if not isinstance(truth, (list, tuple)) or len(truth) != len(maps):
+            raise ValidationError(
+                f"truth transition index at step {h} must list one entry per coordinate ({len(maps)})"
+            )
+        return tuple(
+            TransitionFamily(
+                per, idx, "mean-map", f"step {h}, coordinate {i}",
+                f"mean-map-h{h}-c{i}", f"mean_map[{i}][{{j}}]", "transition_dynamical",
+                kernels=False,
+                apply=lambda x: x[:, None],
+                observe=lambda d, i=i: d.next_sums[..., i].sum(axis=-1)[None],
+                true_table=lambda model, i=i: model.mean_map[h][..., i],
+            )
+            for i, (per, idx) in enumerate(zip(maps, truth))
+        )
 
     def kernel_index(self, h: int) -> KernelIndex:
         """The numbering of step h's transition models."""
-        if self.mode is TransitionMode.GENERAL:
-            assert self.transition_tables is not None
-            return KernelIndex((len(self.transition_tables[h]),))
-        assert self.mean_map_tables is not None
-        return KernelIndex(tuple(len(g) for g in self.mean_map_tables[h]))
+        return KernelIndex(tuple(len(fam.tables) for fam in self.transition_families(h)))
 
     def sizes(self) -> ClassSizes:
         """Summed class sizes, the cardinalities used by the confidence levels."""
@@ -290,48 +322,27 @@ def residual_stack(
 ) -> np.ndarray:
     """Residuals (n, S, A, E) of every candidate against the truth at step h.
 
-    The rows are the reward residuals (candidate minus true reward), then in
-    general mode the transition residuals (candidate kernel minus truth)
-    applied to every value target at the next step, transition-major, and in
-    dynamical mode the per-coordinate mean-map differences, coordinate-major.
+    The rows are the reward residuals (candidate minus true reward), then per
+    transition family the candidate-minus-truth tables, applied to the
+    family's observed quantities, candidate-major: in general mode every
+    value target at the next step, in dynamical mode the coordinate itself.
+    The truth is subtracted before apply: the closures key rows bit-exactly,
+    and applying first rounds differently.
     residual_labels names the rows in the same order.
     """
-    rewards = classes.reward_tables[h]
-    n = len(rewards)
-    if classes.mode is TransitionMode.GENERAL:
-        assert classes.transition_tables is not None and model.transition_kernel is not None
-        delta = classes.transition_tables[h] - model.transition_kernel[h]
-        targets = classes.value_targets[h + 1]
-        stack = np.empty((n + len(delta) * len(targets),) + rewards.shape[1:])
-        applied = stack[n:].reshape((len(delta), len(targets)) + rewards.shape[1:])
-        np.einsum("psaex,gx->pgsae", delta, targets, out=applied)
-    else:
-        assert classes.mean_map_tables is not None and model.mean_map is not None
-        maps = [per - model.mean_map[h][..., i] for i, per in enumerate(classes.mean_map_tables[h])]
-        stack = np.empty((n + sum(len(m) for m in maps),) + rewards.shape[1:])
-        np.concatenate(maps, out=stack[n:])
-    np.subtract(rewards, model.principal_reward[h], out=stack[:n])
-    return stack
+    rows = [classes.reward_tables[h] - model.principal_reward[h]]
+    for fam in classes.transition_families(h):
+        applied = fam.apply(fam.tables - fam.true_table(model))
+        rows.append(applied.reshape((-1,) + applied.shape[2:]))
+    return np.concatenate(rows)
 
 
 def residual_labels(classes: HypothesisClasses, h: int) -> list[str]:
     """Labels of the rows of residual_stack at step h, for witnesses in reports."""
     labels = [f"reward[{j}]" for j in range(len(classes.reward_tables[h]))]
-    if classes.mode is TransitionMode.GENERAL:
-        assert classes.transition_tables is not None
-        targets = range(len(classes.value_targets[h + 1]))
-        labels += [
-            f"transition[{j}]*value[{g}]"
-            for j in range(len(classes.transition_tables[h]))
-            for g in targets
-        ]
-    else:
-        assert classes.mean_map_tables is not None
-        labels += [
-            f"mean_map[{i}][{j}]"
-            for i, per in enumerate(classes.mean_map_tables[h])
-            for j in range(len(per))
-        ]
+    for fam in classes.transition_families(h):
+        quantities = range(fam.apply(fam.tables[:0]).shape[1])  # G, from no candidates
+        labels += [fam.row.format(j=j, g=g) for j in range(len(fam.tables)) for g in quantities]
     return labels
 
 
@@ -505,30 +516,16 @@ def check_realizability(
             break
     t_clause = ClauseResult(True)
     for h in range(H):
-        if classes.mode is TransitionMode.GENERAL:
-            assert classes.transition_tables is not None and model.transition_kernel is not None
-            if _first_missing(classes.transition_tables[h], model.transition_kernel[h][None]) is not None:
-                t_clause = ClauseResult(False, f"true transition missing at step {h}")
-                break
-            designated = [(classes.transition_tables[h], model.transition_kernel[h])]
-        else:
-            assert classes.mean_map_tables is not None and model.mean_map is not None
-            missing = [
-                i
-                for i, per in enumerate(classes.mean_map_tables[h])
-                if _first_missing(per, model.mean_map[h][None, ..., i]) is not None
-            ]
-            if missing:
-                t_clause = ClauseResult(
-                    False, f"true mean map missing at step {h}, coordinate {missing[0]}"
-                )
-                break
-            maps = classes.mean_map_tables[h]
-            designated = [(per, model.mean_map[h][..., i]) for i, per in enumerate(maps)]
+        families = [(fam, fam.true_table(model)) for fam in classes.transition_families(h)]
+        missing = [fam for fam, true in families if _first_missing(fam.tables, true[None]) is not None]
+        if missing:
+            noun = missing[0].kind.replace("-", " ")
+            t_clause = ClauseResult(False, f"true {noun} missing at {missing[0].where}")
+            break
         wrong = [
-            idx
-            for (table, truth), idx in zip(designated, classes.truth_per_family(h))
-            if idx is not None and not np.array_equal(table[idx], truth)
+            fam.truth
+            for fam, true in families
+            if fam.truth is not None and not np.array_equal(fam.tables[fam.truth], true)
         ]
         if wrong:
             t_clause = ClauseResult(False, f"designated transition index {wrong[0]} wrong at step {h}")

@@ -496,15 +496,18 @@ class Policy:
 
     @classmethod
     def deterministic(cls, actions: np.ndarray, num_actions: int) -> "Policy":
-        """Build from an (H, S) table of action indices."""
-        actions = np.asarray(actions, dtype=int)
-        H, S = actions.shape
-        table = np.zeros((H, S, num_actions))
-        for h in range(H):
-            table[h, np.arange(S), actions[h]] = 1.0
-        return cls(table)
+        """Build from an (H, S) table of action indices in [0, num_actions)."""
+        actions = np.asarray(actions)
+        if actions.size and not (
+            np.issubdtype(actions.dtype, np.integer) and 0 <= actions.min() and actions.max() < num_actions
+        ):
+            raise InvalidIndexError(f"action table must hold integers in [0, {num_actions})")
+        return cls(np.eye(num_actions)[actions])
 
     def sample_action(self, rng: np.random.Generator, h: int, s: int) -> int:
+        H, S, _ = self.action_probs.shape
+        _check_index(h, H, "step")
+        _check_index(s, S, "state")
         return draw_categorical(rng, self.action_probs[h, s])
 
 

@@ -290,6 +290,8 @@ def optimistic_select(
     exceeds cap a CapacityError is raised so the caller can fall back to the
     pointwise relaxation.
     """
+    if not isinstance(mode, SelectionMode):
+        raise ValidationError(f"mode must be a SelectionMode, got {mode!r}")
     H = len(aggregates.rewards)
     if len(reward_sets) != H or len(transition_sets) != H:
         raise ValidationError(

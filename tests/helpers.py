@@ -13,10 +13,11 @@ aggregates. The learner references keep the earlier per-coordinate transition
 sets verbatim (see that section). The serializer references keep the earlier
 whole-payload canonical JSON and the per-row episodes.csv writer verbatim, and
 the truth check keeps the harness's earlier per-record reader of shaped sets
-verbatim. The last section keeps the package functions that only tests called:
-the aggregation of full-horizon tables (target distribution only), a
-mixture's value (over a list of policies), the occupancy MSE and the batched
-step sampler.
+verbatim. The mode-branched residuals, labels, kernel radices and loss
+families are kept as they were before the transition-family view. The last
+section keeps the package functions that only tests called: the aggregation
+of full-horizon tables (target distribution only), a mixture's value (over a
+list of policies), the occupancy MSE and the batched step sampler.
 """
 
 from __future__ import annotations
@@ -1059,6 +1060,101 @@ def ref_truth_in_record(rec, classes: HypothesisClasses) -> bool | None:
                 if idx not in per[i]:
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The mode branches that the transition-family view replaced
+# ---------------------------------------------------------------------------
+
+# residual_stack, residual_labels, kernel_index and LossEvaluator.__init__
+# each branched on the transition mode before HypothesisClasses grew
+# transition_families; kept verbatim so the family view can be compared with
+# them bit for bit.
+
+
+def ref_residual_stack(model, classes, h: int) -> np.ndarray:
+    rewards = classes.reward_tables[h]
+    n = len(rewards)
+    if classes.mode is TransitionMode.GENERAL:
+        assert classes.transition_tables is not None and model.transition_kernel is not None
+        delta = classes.transition_tables[h] - model.transition_kernel[h]
+        targets = classes.value_targets[h + 1]
+        stack = np.empty((n + len(delta) * len(targets),) + rewards.shape[1:])
+        applied = stack[n:].reshape((len(delta), len(targets)) + rewards.shape[1:])
+        np.einsum("psaex,gx->pgsae", delta, targets, out=applied)
+    else:
+        assert classes.mean_map_tables is not None and model.mean_map is not None
+        maps = [per - model.mean_map[h][..., i] for i, per in enumerate(classes.mean_map_tables[h])]
+        stack = np.empty((n + sum(len(m) for m in maps),) + rewards.shape[1:])
+        np.concatenate(maps, out=stack[n:])
+    np.subtract(rewards, model.principal_reward[h], out=stack[:n])
+    return stack
+
+
+def ref_residual_labels(classes, h: int) -> list[str]:
+    labels = [f"reward[{j}]" for j in range(len(classes.reward_tables[h]))]
+    if classes.mode is TransitionMode.GENERAL:
+        assert classes.transition_tables is not None
+        targets = range(len(classes.value_targets[h + 1]))
+        labels += [
+            f"transition[{j}]*value[{g}]"
+            for j in range(len(classes.transition_tables[h]))
+            for g in targets
+        ]
+    else:
+        assert classes.mean_map_tables is not None
+        labels += [
+            f"mean_map[{i}][{j}]"
+            for i, per in enumerate(classes.mean_map_tables[h])
+            for j in range(len(per))
+        ]
+    return labels
+
+
+def ref_kernel_radices(classes, h: int) -> tuple[int, ...]:
+    if classes.mode is TransitionMode.GENERAL:
+        assert classes.transition_tables is not None
+        return (len(classes.transition_tables[h]),)
+    assert classes.mean_map_tables is not None
+    return tuple(len(g) for g in classes.mean_map_tables[h])
+
+
+def ref_loss_families(classes) -> list[list[SimpleNamespace]]:
+    """Per step: the (label, level, predicted, observe) of every loss family."""
+    out = []
+    for h, rewards in enumerate(classes.reward_tables):
+        families = [
+            SimpleNamespace(
+                label=f"reward-h{h}",
+                level="reward",
+                predicted=rewards[:, None],
+                observe=lambda d: d.reward_sums.sum(axis=-1)[None],
+            )
+        ]
+        if classes.mode is TransitionMode.GENERAL:
+            assert classes.transition_tables is not None
+            g = classes.value_targets[h + 1]
+            families.append(
+                SimpleNamespace(
+                    label=f"transition-h{h}",
+                    level="transition_general",
+                    predicted=np.einsum("psaex,gx->pgsae", classes.transition_tables[h], g),
+                    observe=lambda d, g=g: np.einsum("sax,gx->gsa", d.next_counts, g),
+                )
+            )
+        else:
+            assert classes.mean_map_tables is not None
+            families += [
+                SimpleNamespace(
+                    label=f"mean-map-h{h}-c{i}",
+                    level="transition_dynamical",
+                    predicted=per[:, None],
+                    observe=lambda d, i=i: d.next_sums[..., i].sum(axis=-1)[None],
+                )
+                for i, per in enumerate(classes.mean_map_tables[h])
+            ]
+        out.append(families)
+    return out
 
 
 # ---------------------------------------------------------------------------

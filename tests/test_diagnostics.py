@@ -11,6 +11,7 @@ import pytest
 from strategicmdp import (
     GENERATORS,
     HypothesisClasses,
+    InvalidIndexError,
     LearnerKnowledge,
     Policy,
     RunConfig,
@@ -274,6 +275,16 @@ def test_transfer_term_is_one_when_populations_match():
     got = transfer_term(model, classes, 0)
     assert not got.infinite
     np.testing.assert_allclose(got.value, 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("oracle", [ill_posedness, transfer_term])
+@pytest.mark.parametrize("h", [99, 3, -1, 1.0, True])
+def test_ratio_oracles_check_the_step(oracle, h):
+    """h = 99 gave "list index out of range", and transfer_term at h = -1 an
+    index error from an empty policy table."""
+    scenario = build_scenario("recsys-small")
+    with pytest.raises(InvalidIndexError, match="step index"):
+        oracle(scenario.model, scenario.classes, h, policy_budget=4)
 
 
 def test_ill_posedness_degenerate_when_only_truth():

@@ -81,6 +81,31 @@ def test_run_config_rejects_episodes_and_seeds_that_are_not_counts(field, value)
         run_learner(scenario.model, scenario.knowledge(), scenario.classes, cfg)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("mode", "general"),
+        ("optimism", "exact"),
+        ("selector_cap", True),
+        ("selector_cap", 2.5),
+        ("delta", "x"),
+        ("delta", None),
+        ("beta_scale", "0.1"),
+        ("strict_realizability", "false"),
+    ],
+)
+def test_run_config_rejects_mistyped_settings(field, value):
+    """A string mode used to run the pointwise relaxation in every episode and
+    then break canonical_json; a bool or float cap passed, a string delta
+    escaped as a TypeError, and a quoted "false" made the run strict."""
+    scenario = build_scenario("recsys-small")
+    cfg = dataclasses.replace(run_cfg(episodes=2), **{field: value})
+    with pytest.raises(ConfigError, match=field):
+        cfg.validate()
+    with pytest.raises(ConfigError, match=field):
+        run_learner(scenario.model, scenario.knowledge(), scenario.classes, cfg)
+
+
 def test_run_config_accepts_numpy_integers():
     run_cfg(episodes=np.int64(2), seed=np.uint32(5)).validate()
 

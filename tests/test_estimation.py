@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -28,6 +29,8 @@ from strategicmdp import (
     confidence_levels,
     family_losses,
     make_rng,
+    residual_labels,
+    residual_stack,
     rollout,
 )
 from strategicmdp.estimation import StepData, _discriminator_score, _half_squares, _threshold
@@ -36,6 +39,10 @@ from helpers import (
     random_dynamical,
     random_general,
     ref_discriminator_score,
+    ref_kernel_radices,
+    ref_loss_families,
+    ref_residual_labels,
+    ref_residual_stack,
     tiny_dynamical,
     tiny_general,
 )
@@ -398,6 +405,47 @@ def test_loss_evaluator_precomputed_terms_are_bitwise_exact(kind, seed, horizon,
         assert len(got_t) == len(families)
         for got, family in zip(got_t, families):
             assert_bitwise_equal(got, family_losses(*family, step.counts, disc))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["general", "dyn-1d", "dyn-2d"]),
+    seed=st.integers(0, 2**16),
+    horizon=st.integers(1, 3),
+    episodes=st.integers(0, 8),
+)
+def test_transition_families_match_the_mode_branches(kind, seed, horizon, episodes):
+    """The family view gives the bits of the mode branches it replaced:
+    residual stacks (truth subtracted before the targets are applied), their
+    labels, the kernel radices, and every loss family's label, level,
+    predictions and observed sums, on unclosed and closed classes."""
+    model, closed = random_closed_classes(kind, seed, horizon)
+    unclosed = dataclasses.replace(
+        closed,
+        discriminators=[f[:1] for f in closed.discriminators],
+        value_targets=[g[: 1 + h % 2] for h, g in enumerate(closed.value_targets[:-1])],
+    )
+    S, A, E, d = model.num_states, model.num_actions, model.num_feedbacks, model.state_dim
+    data = StepDataset(model.transition_mode, horizon, S, A, E, state_dim=d, grid=model.grid)
+    rng = make_rng(seed)
+    policy = Policy.uniform(horizon, S, A)
+    for _ in range(episodes):
+        data.append_trajectory(rollout(model, policy, rng))
+    for classes in (unclosed, closed):
+        want_families = ref_loss_families(classes)
+        got_families = LossEvaluator(classes).families
+        for h in range(horizon):
+            got, want = residual_stack(model, classes, h), ref_residual_stack(model, classes, h)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert residual_labels(classes, h) == ref_residual_labels(classes, h)
+            assert classes.kernel_index(h).radices == ref_kernel_radices(classes, h)
+            assert len(got_families[h]) == len(want_families[h])
+            for g, w in zip(got_families[h], want_families[h]):
+                assert (g.label, g.level) == (w.label, w.level)
+                assert g.predicted.shape == w.predicted.shape
+                assert g.predicted.tobytes() == w.predicted.tobytes()
+                got_obs, want_obs = g.observe(data.steps[h]), w.observe(data.steps[h])
+                assert got_obs.shape == want_obs.shape and got_obs.tobytes() == want_obs.tobytes()
 
 
 def per_sample_losses(samples, n, G, predict, observe, disc):

@@ -136,30 +136,56 @@ def test_unreferenced_private_check_finds_a_planted_helper(tmp_path):
     assert unreferenced_private_definitions(tmp_path) == ["a.py:7: _planted"]
 
 
+def _annotations(tree: ast.AST) -> set[int]:
+    """ids of every node inside an annotation: with postponed evaluation
+    (PEP 563) annotations are strings at run time, so they read nothing."""
+    roots = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            roots.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            roots.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            roots.append(node.annotation)
+    return {id(n) for root in filter(None, roots) for n in ast.walk(root)}
+
+
 def scopes_reading(source: str, name: str) -> set[str]:
-    """Dotted class/function scopes whose code reads `name` (module level is "")."""
+    """Dotted class/function scopes whose code reads `name` (module level is "").
+
+    Annotations are not code that runs, so a name read only there counts nowhere.
+    """
     found = set()
+    tree = ast.parse(source)
+    skipped = _annotations(tree)
 
     def visit(node: ast.AST, scope: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
             else:
-                if isinstance(child, ast.Name) and child.id == name:
+                if isinstance(child, ast.Name) and child.id == name and id(child) not in skipped:
                     found.add(scope)
                 visit(child, scope)
 
-    visit(ast.parse(source), "")
+    visit(tree, "")
     return found
 
 
-def test_loss_path_reads_the_mode_only_where_families_are_built():
-    """The loss families are built once per step in LossEvaluator.__init__;
-    evaluating and thresholding them never asks which transition mode runs."""
+def test_loss_path_never_reads_the_mode():
+    """The loss families come from HypothesisClasses.transition_families, so
+    building, evaluating and thresholding them never asks which transition
+    mode runs; only the dataset's storage does."""
     scopes = scopes_reading((PACKAGE / "estimation.py").read_text(), "TransitionMode")
-    allowed = {"LossEvaluator.__init__"}
-    assert {s for s in scopes if not s.startswith("StepDataset")} <= allowed
-    assert allowed <= scopes
+    assert {s for s in scopes if not s.startswith("StepDataset")} == set()
+
+
+def test_classes_read_the_mode_only_in_the_family_builder():
+    """Validation, kernel numbering, residuals, their labels and the
+    realizability check loop over the transition families; only the builder
+    that makes them asks which transition mode runs."""
+    scopes = scopes_reading((PACKAGE / "hypotheses.py").read_text(), "TransitionMode")
+    assert scopes == {"HypothesisClasses.transition_families"}
 
 
 def test_mode_reader_check_finds_a_planted_branch():
@@ -172,3 +198,18 @@ def test_mode_reader_check_finds_a_planted_branch():
         "    return [m for m in (mode,) if m is TransitionMode.GENERAL]\n"
     )
     assert scopes_reading(source, "TransitionMode") == {"Kept.__init__", "planted"}
+
+
+def test_mode_reader_check_skips_annotations():
+    source = (
+        "from __future__ import annotations\n"
+        "from .model import TransitionMode\n"
+        "class Stored:\n"
+        "    mode: TransitionMode\n"
+        "def typed(mode: TransitionMode = None) -> TransitionMode:\n"
+        "    kept: TransitionMode = mode\n"
+        "    return kept\n"
+        "def branching(mode):\n"
+        "    return mode is TransitionMode.GENERAL\n"
+    )
+    assert scopes_reading(source, "TransitionMode") == {"branching"}

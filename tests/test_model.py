@@ -399,6 +399,24 @@ def test_policy_uniform_and_deterministic():
     assert det.action_probs[0, 1, 0] == 0.0
 
 
+@pytest.mark.parametrize("h, s", [(-1, 0), (9, 0), (True, 0), (0, 1.5), (0, -1), (0, 3), (0, np.int64(7))])
+def test_sample_action_checks_step_and_state(h, s):
+    """A negative step used to play the last step's row; a step or state past
+    the table, or a float state, raised a bare IndexError."""
+    rng = make_rng(0)
+    with pytest.raises(InvalidIndexError):
+        Policy.uniform(3, 3, 2).sample_action(rng, h, s)
+    assert Policy.uniform(3, 3, 2).sample_action(rng, np.int64(2), np.int32(1)) in (0, 1)
+
+
+@pytest.mark.parametrize("actions", [[[0, 5]], [[-1, 0]], [[0.0, 1.0]], [[True, False]]])
+def test_deterministic_policy_checks_its_action_table(actions):
+    with pytest.raises(InvalidIndexError, match=r"\[0, 2\)"):
+        Policy.deterministic(np.array(actions), 2)
+    with pytest.raises(ValidationError, match="shape"):
+        Policy.deterministic(np.array([0, 1]), 2)
+
+
 def test_policy_rejects_bad_rows():
     with pytest.raises(ValidationError):
         Policy(np.full((1, 2, 2), 0.4))

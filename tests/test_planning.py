@@ -344,6 +344,17 @@ def test_optimistic_select_rejects_a_bad_initial_state_before_selecting(monkeypa
         optimistic_select(agg, reward_sets, transition_sets, initial_state, mode)
 
 
+@pytest.mark.parametrize("mode", ["exact", "pointwise", None])
+def test_optimistic_select_rejects_a_mode_that_is_not_a_selection_mode(monkeypatch, mode):
+    scenario = build_scenario("recsys-small")
+    agg = CandidateAggregates.from_classes(scenario.classes, scenario.knowledge())
+    reward_sets, transition_sets = _full_sets(scenario.classes)
+    for selector in ("_select_exact", "_select_pointwise"):
+        monkeypatch.setattr(planning, selector, None)  # selecting would call one
+    with pytest.raises(ValidationError, match="SelectionMode"):
+        optimistic_select(agg, reward_sets, transition_sets, scenario.model.initial_state, mode)
+
+
 @pytest.mark.parametrize("name", ["recsys-small", "dyn-1d"])
 def test_optimistic_select_rejects_sets_of_the_wrong_length(name):
     scenario = build_scenario(name)
