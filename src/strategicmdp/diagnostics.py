@@ -31,6 +31,7 @@ from .model import (
     StrategicModel,
     TransitionMode,
     _check_index,
+    _check_simplex,
     feedback_by_type,
     make_rng,
 )
@@ -63,11 +64,17 @@ def occupancy(
 ) -> OccupancyTable:
     """Forward dynamic program for the joint (state, action, feedback) law.
 
-    type_dist defaults to the source population. The next-state step averages
-    the true transitions consistently with the same population.
+    type_dist defaults to the source population; a given one must be an
+    (H, T) table of distributions. The next-state step averages the true
+    transitions consistently with the same population.
     """
-    dist = env.source_type_dist if type_dist is None else np.asarray(type_dist, dtype=float)
     H = env.horizon
+    dist = env.source_type_dist
+    if type_dist is not None:
+        dist = np.asarray(type_dist, dtype=float)
+        if dist.shape != (H, env.num_types):
+            raise ValidationError(f"type_dist has shape {dist.shape}, expected {(H, env.num_types)}")
+        _check_simplex(dist, "type_dist")
     if policy.action_probs.shape != (H, env.num_states, env.num_actions):
         raise ValidationError("policy shape does not match the environment")
     flags: tuple[str, ...] = ()

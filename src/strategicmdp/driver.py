@@ -20,8 +20,6 @@ import numbers
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CapacityError, ConfigError, RealizabilityError
 from .estimation import LossEvaluator, StepDataset, confidence_levels
 from .hypotheses import HypothesisClasses, RealizabilityReport, check_realizability
@@ -231,7 +229,6 @@ def run_learner(
         num_actions=knowledge.num_actions,
         num_feedbacks=knowledge.num_feedbacks,
         state_dim=env.state_dim,
-        grid=knowledge.grid,
     )
     from .estimation import build_confidence_sets  # read per call: wrappers patch the module
     evaluator = LossEvaluator(classes)
@@ -283,12 +280,7 @@ def run_learner(
         policies.append(policy)
         dataset.append_trajectory(traj)
         if initial_cell is None:
-            first = traj.steps[0].state
-            if env.transition_mode is TransitionMode.DYNAMICAL:
-                assert knowledge.grid is not None
-                initial_cell = knowledge.grid.locate(np.asarray(first, dtype=float))
-            else:
-                initial_cell = int(first)
+            initial_cell = traj.steps[0].state
 
         sets = build_confidence_sets(evaluator, dataset, betas)
         key = (tuple(sets.reward_sets), tuple(sets.transition_sets))

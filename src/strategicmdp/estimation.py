@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .hypotheses import ClassSizes, HypothesisClasses
-from .model import Grid, Trajectory, TransitionMode, _check_index
+from .model import Trajectory, TransitionMode, _check_index
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +55,11 @@ class StepData:
 
 
 class StepDataset:
-    """Per-step sample store for one run, appended one episode at a time."""
+    """Per-step sample store for one run, appended one episode at a time.
+
+    States are cells in both modes; a dynamical next state is its observed
+    vector, summed per coordinate.
+    """
 
     def __init__(
         self,
@@ -65,7 +69,6 @@ class StepDataset:
         num_actions: int,
         num_feedbacks: int,
         state_dim: int = 0,
-        grid: Grid | None = None,
     ) -> None:
         self.mode = mode
         self.horizon = horizon
@@ -73,9 +76,6 @@ class StepDataset:
         self.num_actions = num_actions
         self.num_feedbacks = num_feedbacks
         self.state_dim = state_dim
-        self.grid = grid
-        if mode is TransitionMode.DYNAMICAL and grid is None:
-            raise ConfigError("dynamical datasets need the grid used to bin states")
         self.steps = [self._empty_step() for _ in range(horizon)]
 
     def _empty_step(self) -> StepData:
@@ -94,45 +94,44 @@ class StepDataset:
             next_sums=np.zeros((S, A, E, self.state_dim)),
         )
 
-    def append(self, h: int, s: int, a: int, e: int, r: float, s_next) -> None:
-        """Record one sample; every index and value is checked before anything is written."""
+    def _writes(self, h: int, s: int, a: int, e: int, r: float, s_next) -> tuple:
+        """One sample's (table, index, value) additions, made only once every
+        index and value has passed its check."""
         _check_index(h, self.horizon, "step")
         _check_index(s, self.num_states, "state")
         _check_index(a, self.num_actions, "action")
         _check_index(e, self.num_feedbacks, "feedback")
         if not math.isfinite(r):
             raise ValidationError(f"reward must be finite, got {r}")
+        d = self.steps[h]
         if self.mode is TransitionMode.GENERAL:
             _check_index(s_next, self.num_states, "next state")
+            nxt = (d.next_counts, (s, a, s_next), 1.0)
         else:
             s_next = np.asarray(s_next, dtype=float)
             if s_next.shape != (self.state_dim,) or not np.isfinite(s_next).all():
                 raise ValidationError(
                     f"next state must be a finite vector of shape ({self.state_dim},), got {s_next}"
                 )
-        d = self.steps[h]
-        d.counts[s, a, e] += 1.0
-        d.reward_sums[s, a, e] += r
-        if self.mode is TransitionMode.GENERAL:
-            assert d.next_counts is not None
-            d.next_counts[s, a, s_next] += 1.0
-        else:
-            assert d.next_sums is not None
-            d.next_sums[s, a, e] += s_next
+            nxt = (d.next_sums, (s, a, e), s_next)
+        return (d.counts, (s, a, e), 1.0), (d.reward_sums, (s, a, e), r), nxt
+
+    def append(self, h: int, s: int, a: int, e: int, r: float, s_next) -> None:
+        """Record one sample; every index and value is checked before anything is written."""
+        for table, idx, value in self._writes(h, s, a, e, r, s_next):
+            table[idx] += value
 
     def append_trajectory(self, traj: Trajectory) -> None:
-        """Record one episode using observable fields only."""
+        """Record one episode using observable fields only; every step is
+        checked before any is written, so a refused episode writes nothing."""
         if len(traj) != self.horizon:
             raise ValidationError("trajectory length does not match the horizon")
-        for h, step in enumerate(traj.steps):
-            if self.mode is TransitionMode.DYNAMICAL:
-                assert self.grid is not None
-                s = self.grid.locate(np.asarray(step.state, dtype=float))
-                s_next = np.asarray(step.next_state, dtype=float)
-            else:
-                s = int(step.state)
-                s_next = int(step.next_state)
-            self.append(h, s, step.action, step.feedback, step.reward, s_next)
+        writes = [
+            self._writes(h, step.state, step.action, step.feedback, step.reward, step.next_state)
+            for h, step in enumerate(traj.steps)
+        ]
+        for table, idx, value in (w for sample in writes for w in sample):
+            table[idx] += value
 
 
 # ---------------------------------------------------------------------------

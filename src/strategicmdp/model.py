@@ -226,10 +226,10 @@ class StrategicModel:
       trans_confound      (H, T, d)   dynamical, demeaned under source per step
 
     Construction demeans both confound tables under the per-step source
-    distribution and then validates every distribution row to 1e-9. In
-    dynamical mode the state is a d-vector, tables are indexed by the grid cell
-    of the state, and the initial state is the center of cell
-    ``initial_state``.
+    distribution and then validates every distribution row to 1e-9. In both
+    modes tables are indexed by the state's cell; in dynamical mode the
+    observed next state is a d-vector, and its grid cell is the next state
+    the tables see.
     """
 
     horizon: int
@@ -316,8 +316,7 @@ class StrategicModel:
             raise ValidationError(
                 f"principal_reward range [{lo}, {hi}] exceeds [0, {self.reward_bound}]"
             )
-        if not (0 <= self.initial_state < S):
-            raise InvalidIndexError(f"initial_state {self.initial_state} out of range")
+        _check_index(self.initial_state, S, "initial state")
         resid = np.abs(np.sum(self.source_type_dist * self.reward_confound, axis=1))
         if resid.max() > SIMPLEX_TOL:
             raise ValidationError("reward_confound is not demeaned under the source")
@@ -349,10 +348,6 @@ class StrategicModel:
             tres = np.abs(np.einsum("ht,htd->hd", self.source_type_dist, self.trans_confound))
             if tres.max() > SIMPLEX_TOL:
                 raise ValidationError("trans_confound is not demeaned under the source")
-
-    def initial_state_vector(self) -> np.ndarray:
-        assert self.grid is not None
-        return self.grid.center(self.initial_state)
 
 
 def _check_finite(model: StrategicModel, names: tuple[str, ...]) -> None:
@@ -461,11 +456,15 @@ class HiddenStep:
 
 @dataclass(frozen=True)
 class TrajectoryStep:
-    state: int | np.ndarray
+    """One step from the cell ``state``. next_state is what was observed: a
+    cell in general mode, a d-vector in dynamical mode; next_cell is its cell."""
+
+    state: int
     action: int
     feedback: int
     reward: float
     next_state: int | np.ndarray
+    next_cell: int
     hidden: HiddenStep
 
 
@@ -517,60 +516,48 @@ class Policy:
 
 
 def env_step(
-    model: StrategicModel, h: int, state: int | np.ndarray, a: int, rng: np.random.Generator
+    model: StrategicModel, h: int, state: int, a: int, rng: np.random.Generator
 ) -> TrajectoryStep:
-    """Advance the environment one step.
+    """Advance the environment one step from the cell ``state``.
 
     Draw order is fixed: agent type, best response (deterministic), feedback,
     reward noise, then next-state noise. Noise draws are always consumed, and
     scaled afterwards, so the stream layout does not depend on parameters.
+    A dynamical next state is located on the grid here, once.
     """
     _check_index(h, model.horizon, "step")
+    _check_index(state, model.num_states, "state")
     _check_index(a, model.num_actions, "action")
-    if model.transition_mode is TransitionMode.DYNAMICAL:
-        assert model.grid is not None
-        state_vec = np.asarray(state, dtype=float)
-        s = model.grid.locate(state_vec)
-    else:
-        _check_index(state, model.num_states, "state")
-        s = int(state)
 
     t = draw_categorical(rng, model.source_type_dist[h])
-    b = int(np.argmax(model.agent_reward[h, s, a, t]))
-    e = draw_categorical(rng, model.feedback_kernel[h, s, a, t, b])
+    b = int(np.argmax(model.agent_reward[h, state, a, t]))
+    e = draw_categorical(rng, model.feedback_kernel[h, state, a, t, b])
     noise = rng.standard_normal() * model.reward_noise_std
     shift = float(model.reward_confound[h, t]) + float(noise)
-    r = float(model.principal_reward[h, s, a, e]) + shift
+    r = float(model.principal_reward[h, state, a, e]) + shift
 
     if model.transition_mode is TransitionMode.GENERAL:
         assert model.transition_kernel is not None
-        s_next: int | np.ndarray = draw_categorical(rng, model.transition_kernel[h, s, a, e])
+        s_next: int | np.ndarray = draw_categorical(rng, model.transition_kernel[h, state, a, e])
+        next_cell = s_next
     else:
         assert model.mean_map is not None and model.trans_confound is not None
+        assert model.grid is not None
         eta = rng.standard_normal(model.state_dim) * model.trans_noise_scale
-        s_next = model.mean_map[h, s, a, e] + model.trans_confound[h, t] + eta
+        s_next = model.mean_map[h, state, a, e] + model.trans_confound[h, t] + eta
+        next_cell = model.grid.locate(s_next)
 
-    return TrajectoryStep(state, a, e, r, s_next, HiddenStep(t, b))
+    return TrajectoryStep(state, a, e, r, s_next, next_cell, HiddenStep(t, b))
 
 
 def rollout(model: StrategicModel, policy: Policy, rng: np.random.Generator) -> Trajectory:
-    """Play one episode; states in dynamical mode are vectors."""
+    """Play one episode from the initial cell, each step starting from the last one's next cell."""
     if policy.action_probs.shape != (model.horizon, model.num_states, model.num_actions):
         raise ValidationError("policy shape does not match the model")
     traj = Trajectory()
-    if model.transition_mode is TransitionMode.DYNAMICAL:
-        state: int | np.ndarray = model.initial_state_vector()
-    else:
-        state = model.initial_state
+    cell = model.initial_state
     for h in range(model.horizon):
-        if model.transition_mode is TransitionMode.DYNAMICAL:
-            assert model.grid is not None
-            cell = model.grid.locate(np.asarray(state))
-        else:
-            cell = int(state)
-        a = policy.sample_action(rng, h, cell)
-        step = env_step(model, h, state, a, rng)
+        step = env_step(model, h, cell, policy.sample_action(rng, h, cell), rng)
         traj.steps.append(step)
-        state = step.next_state
+        cell = step.next_cell
     return traj
-

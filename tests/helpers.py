@@ -14,10 +14,12 @@ sets verbatim (see that section). The serializer references keep the earlier
 whole-payload canonical JSON and the per-row episodes.csv writer verbatim, and
 the truth check keeps the harness's earlier per-record reader of shaped sets
 verbatim. The mode-branched residuals, labels, kernel radices and loss
-families are kept as they were before the transition-family view. The last
-section keeps the package functions that only tests called: the aggregation
-of full-horizon tables (target distribution only), a mixture's value (over a
-list of policies), the occupancy MSE and the batched step sampler.
+families are kept as they were before the transition-family view, and the
+vector-state rollout, step and dataset append as they were before the cell
+became the state in both modes. The last section keeps the package functions
+that only tests called: the aggregation of full-horizon tables (target
+distribution only), a mixture's value (over a list of policies), the
+occupancy MSE and the batched step sampler.
 """
 
 from __future__ import annotations
@@ -50,7 +52,9 @@ from strategicmdp import (
     SelectionResult,
     StepDataset,
     StrategicModel,
+    Trajectory,
     TransitionMode,
+    ValidationError,
     confidence_levels,
     deterministic_policy_tables,
     feedback_by_type,
@@ -64,7 +68,7 @@ from strategicmdp import (
     value_iteration,
 )
 from strategicmdp.hypotheses import ClauseResult
-from strategicmdp.model import _check_index, best_response_table
+from strategicmdp.model import HiddenStep, _check_index, best_response_table, draw_categorical
 
 BASE_YAML = """\
 environment:
@@ -774,7 +778,6 @@ def ref_run_learner(env, knowledge, classes, cfg) -> tuple[list[dict], list[Poli
         num_actions=knowledge.num_actions,
         num_feedbacks=knowledge.num_feedbacks,
         state_dim=env.state_dim,
-        grid=knowledge.grid,
     )
     evaluator = LossEvaluator(classes)
     aggregates = CandidateAggregates.from_classes(classes, knowledge)
@@ -790,11 +793,7 @@ def ref_run_learner(env, knowledge, classes, cfg) -> tuple[list[dict], list[Poli
         policies.append(policy)
         dataset.append_trajectory(traj)
         if initial_cell is None:
-            first = traj.steps[0].state
-            if env.transition_mode is TransitionMode.DYNAMICAL:
-                initial_cell = knowledge.grid.locate(np.asarray(first, dtype=float))
-            else:
-                initial_cell = int(first)
+            initial_cell = traj.steps[0].state
         episode_flags = []
         sets = ref_build_confidence_sets(evaluator, dataset, betas)
         args = (aggregates, radices, sets.reward_sets, sets.transition_sets, initial_cell)
@@ -1155,6 +1154,92 @@ def ref_loss_families(classes) -> list[list[SimpleNamespace]]:
             ]
         out.append(families)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The vector-state path: every dynamical state located where it is used
+# ---------------------------------------------------------------------------
+
+# Before the cell became the state in both modes, a dynamical rollout carried
+# the observed vector from step to step and rollout, env_step and
+# StepDataset.append_trajectory each located it on the grid again. Kept
+# verbatim, except that a step is a RefStep (TrajectoryStep has since grown
+# next_cell), the initial vector is computed in place (the deleted
+# StrategicModel.initial_state_vector) and the dataset's grid is an argument.
+
+
+@dataclasses.dataclass(frozen=True)
+class RefStep:
+    state: int | np.ndarray
+    action: int
+    feedback: int
+    reward: float
+    next_state: int | np.ndarray
+    hidden: HiddenStep
+
+
+def ref_env_step(model, h, state, a, rng) -> RefStep:
+    _check_index(h, model.horizon, "step")
+    _check_index(a, model.num_actions, "action")
+    if model.transition_mode is TransitionMode.DYNAMICAL:
+        assert model.grid is not None
+        state_vec = np.asarray(state, dtype=float)
+        s = model.grid.locate(state_vec)
+    else:
+        _check_index(state, model.num_states, "state")
+        s = int(state)
+
+    t = draw_categorical(rng, model.source_type_dist[h])
+    b = int(np.argmax(model.agent_reward[h, s, a, t]))
+    e = draw_categorical(rng, model.feedback_kernel[h, s, a, t, b])
+    noise = rng.standard_normal() * model.reward_noise_std
+    shift = float(model.reward_confound[h, t]) + float(noise)
+    r = float(model.principal_reward[h, s, a, e]) + shift
+
+    if model.transition_mode is TransitionMode.GENERAL:
+        assert model.transition_kernel is not None
+        s_next = draw_categorical(rng, model.transition_kernel[h, s, a, e])
+    else:
+        assert model.mean_map is not None and model.trans_confound is not None
+        eta = rng.standard_normal(model.state_dim) * model.trans_noise_scale
+        s_next = model.mean_map[h, s, a, e] + model.trans_confound[h, t] + eta
+
+    return RefStep(state, a, e, r, s_next, HiddenStep(t, b))
+
+
+def ref_rollout(model, policy, rng) -> Trajectory:
+    if policy.action_probs.shape != (model.horizon, model.num_states, model.num_actions):
+        raise ValidationError("policy shape does not match the model")
+    traj = Trajectory()
+    if model.transition_mode is TransitionMode.DYNAMICAL:
+        state = model.grid.center(model.initial_state)
+    else:
+        state = model.initial_state
+    for h in range(model.horizon):
+        if model.transition_mode is TransitionMode.DYNAMICAL:
+            assert model.grid is not None
+            cell = model.grid.locate(np.asarray(state))
+        else:
+            cell = int(state)
+        a = policy.sample_action(rng, h, cell)
+        step = ref_env_step(model, h, state, a, rng)
+        traj.steps.append(step)
+        state = step.next_state
+    return traj
+
+
+def ref_append_trajectory(dataset, grid, traj: Trajectory) -> None:
+    if len(traj) != dataset.horizon:
+        raise ValidationError("trajectory length does not match the horizon")
+    for h, step in enumerate(traj.steps):
+        if dataset.mode is TransitionMode.DYNAMICAL:
+            assert grid is not None
+            s = grid.locate(np.asarray(step.state, dtype=float))
+            s_next = np.asarray(step.next_state, dtype=float)
+        else:
+            s = int(step.state)
+            s_next = int(step.next_state)
+        dataset.append(h, s, step.action, step.feedback, step.reward, s_next)
 
 
 # ---------------------------------------------------------------------------

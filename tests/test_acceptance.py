@@ -384,7 +384,6 @@ def test_criterion_9_dynamical_mode_sanity(verdict):
         num_actions=model.num_actions,
         num_feedbacks=model.num_feedbacks,
         state_dim=model.state_dim,
-        grid=model.grid,
     )
     rng = make_rng(5)
     marks = [100, 200, 300, 400, 500]

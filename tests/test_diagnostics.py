@@ -17,6 +17,7 @@ from strategicmdp import (
     RunConfig,
     StepDataset,
     TransitionMode,
+    ValidationError,
     build_scenario,
     close_classes,
     deterministic_policy_tables,
@@ -194,8 +195,7 @@ def test_occupancy_dynamical_noiseless_is_exact_and_unflagged():
     for _ in range(n):
         traj = rollout(model, pol, rng)
         for h, step in enumerate(traj.steps):
-            cell = model.grid.locate(np.asarray(step.state, dtype=float))
-            freq[h][cell, step.action, step.feedback] += 1.0
+            freq[h][step.state, step.action, step.feedback] += 1.0
     for h in range(model.horizon):
         p = occ.joints[h]
         tol = 4 * np.sqrt(np.maximum(p * (1 - p), 1e-12) / n) + 1e-6
@@ -206,6 +206,22 @@ def test_occupancy_dynamical_noisy_is_flagged():
     model = tiny_dynamical()
     occ = occupancy(model, Policy.uniform(2, 4, 2))
     assert "grid-resolution-approximation" in occ.flags
+
+
+@pytest.mark.parametrize(
+    "type_dist",
+    [
+        np.ones(2),  # one row, not (H, T)
+        np.full((2, 3), 1 / 3),  # a type too many
+        np.full((2, 2), np.nan),
+        np.array([[np.inf, 0.0], [0.5, 0.5]]),
+        np.array([[0.5, 0.6], [0.5, 0.5]]),  # a row summing to 1.1
+        np.array([[1.5, -0.5], [0.5, 0.5]]),  # sums to 1 with a negative entry
+    ],
+)
+def test_occupancy_refuses_a_type_dist_that_is_not_a_table_of_distributions(type_dist):
+    with pytest.raises(ValidationError):
+        occupancy(tiny_general(), Policy.uniform(2, 2, 2), type_dist)
 
 
 def test_occupancy_mse_definition():
@@ -385,7 +401,6 @@ def collect_dataset(model, episodes, seed=0):
         num_actions=model.num_actions,
         num_feedbacks=model.num_feedbacks,
         state_dim=model.state_dim,
-        grid=model.grid,
     )
     pol = Policy.uniform(model.horizon, model.num_states, model.num_actions)
     rng = make_rng(seed)

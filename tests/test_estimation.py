@@ -21,6 +21,7 @@ from strategicmdp import (
     LossEvaluator,
     Policy,
     StepDataset,
+    Trajectory,
     TransitionMode,
     build_confidence_sets,
     build_scenario,
@@ -176,7 +177,6 @@ def collect_episodes(model, episodes, seed=0, trajectories=None):
         num_actions=model.num_actions,
         num_feedbacks=model.num_feedbacks,
         state_dim=model.state_dim,
-        grid=model.grid,
     )
     rng = make_rng(seed)
     policy = Policy.uniform(model.horizon, model.num_states, model.num_actions)
@@ -239,8 +239,7 @@ def test_append_rejects_out_of_range_dynamical(field, bad):
     """Indices out of range, a non-finite reward and a next state that is not
     a finite vector of shape (state_dim,) are all rejected; a scalar next
     state would otherwise be broadcast into every coordinate."""
-    model = tiny_dynamical()
-    data = StepDataset(TransitionMode.DYNAMICAL, 2, 4, 2, 2, state_dim=1, grid=model.grid)
+    data = StepDataset(TransitionMode.DYNAMICAL, 2, 4, 2, 2, state_dim=1)
     args = {"h": 1, "s": 3, "a": 1, "e": 1, "r": 0.5, "s_next": np.array([0.2])}
     args[field] = bad
     with pytest.raises(InvalidIndexError if field in "sae" else ValidationError):
@@ -254,6 +253,28 @@ def test_append_takes_numpy_integer_indices():
     h, s, a, e, s_next = np.arange(2)[[1, 0, 1, 1, 0]]  # numpy integers, as rollouts give
     data.append(h, s, a, e, 0.5, s_next)
     assert data.steps[1].counts[0, 1, 1] == 1.0 and data.steps[1].next_counts[0, 1, 0] == 1.0
+
+
+@pytest.mark.parametrize("make", [tiny_general, tiny_dynamical])
+@pytest.mark.parametrize(
+    "field, bad", [("action", 7), ("state", 9), ("feedback", -1), ("reward", math.nan), ("next_state", -1)]
+)
+def test_append_trajectory_refused_at_its_last_step_writes_nothing(make, field, bad):
+    """Every step of an episode is checked before any is written, so a
+    trajectory refused at its last step leaves every StepData array as it was."""
+    model = make()
+    trajectories = []
+    data, _ = collect_episodes(model, 5, trajectories=trajectories)
+    before = [dataclasses.astuple(d) for d in data.steps]  # deep copies
+    steps = trajectories[0].steps
+    bad_traj = Trajectory([*steps[:-1], dataclasses.replace(steps[-1], **{field: bad})])
+    with pytest.raises((InvalidIndexError, ValidationError)):
+        data.append_trajectory(bad_traj)
+    for d, arrays in zip(data.steps, before):
+        for got, want in zip(dataclasses.astuple(d), arrays):
+            assert (got is None and want is None) or got.tobytes() == want.tobytes()
+    data.append_trajectory(trajectories[0])  # the same episode, unaltered, is taken
+    assert data.steps[-1].counts.sum() == 6.0
 
 
 def test_losses_invariant_under_sample_permutation():
@@ -426,7 +447,7 @@ def test_transition_families_match_the_mode_branches(kind, seed, horizon, episod
         value_targets=[g[: 1 + h % 2] for h, g in enumerate(closed.value_targets[:-1])],
     )
     S, A, E, d = model.num_states, model.num_actions, model.num_feedbacks, model.state_dim
-    data = StepDataset(model.transition_mode, horizon, S, A, E, state_dim=d, grid=model.grid)
+    data = StepDataset(model.transition_mode, horizon, S, A, E, state_dim=d)
     rng = make_rng(seed)
     policy = Policy.uniform(horizon, S, A)
     for _ in range(episodes):
@@ -483,7 +504,7 @@ def test_family_losses_match_a_per_sample_oracle(kind, seed, horizon, samples):
     mean maps against each coordinate of the next state."""
     model, classes = random_closed_classes(kind, seed, horizon)
     S, A, E, d = model.num_states, model.num_actions, model.num_feedbacks, model.state_dim
-    data = StepDataset(model.transition_mode, horizon, S, A, E, state_dim=d, grid=model.grid)
+    data = StepDataset(model.transition_mode, horizon, S, A, E, state_dim=d)
     rng = np.random.default_rng(seed)
     per_step = []
     for h in range(horizon):

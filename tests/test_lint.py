@@ -175,9 +175,26 @@ def scopes_reading(source: str, name: str) -> set[str]:
 def test_loss_path_never_reads_the_mode():
     """The loss families come from HypothesisClasses.transition_families, so
     building, evaluating and thresholding them never asks which transition
-    mode runs; only the dataset's storage does."""
+    mode runs; only the dataset's storage does: the tables it allocates and
+    the one check-and-write rule that append and append_trajectory share."""
     scopes = scopes_reading((PACKAGE / "estimation.py").read_text(), "TransitionMode")
-    assert {s for s in scopes if not s.startswith("StepDataset")} == set()
+    assert scopes == {"StepDataset._empty_step", "StepDataset._writes"}
+
+
+def test_rollout_never_reads_the_mode():
+    """A state is its cell in both modes and env_step locates a dynamical
+    next state once, so rollout carries cells without asking which
+    transition mode runs; only validation and the step's next-state draw do."""
+    scopes = scopes_reading((PACKAGE / "model.py").read_text(), "TransitionMode")
+    assert scopes == {"StrategicModel.validate", "env_step"}
+
+
+def test_learner_loop_reads_the_mode_only_to_check_and_shape():
+    """run_learner reads the initial cell off the first step, so the driver
+    asks which transition mode runs only in the config's type check and in
+    the one rule that shows general mode's single family bare."""
+    scopes = scopes_reading((PACKAGE / "driver.py").read_text(), "TransitionMode")
+    assert scopes == {"RunConfig.validate", "run_learner.shaped"}
 
 
 def test_classes_read_the_mode_only_in_the_family_builder():

@@ -15,6 +15,7 @@ from strategicmdp import (
     InvalidIndexError,
     LearnerKnowledge,
     Policy,
+    StepDataset,
     TransitionMode,
     ValidationError,
     env_step,
@@ -23,7 +24,16 @@ from strategicmdp import (
 )
 from strategicmdp.model import best_response_table, draw_categorical
 
-from helpers import ref_locate, sample_step_batch, tiny_dynamical, tiny_general
+from helpers import (
+    random_dynamical,
+    random_general,
+    ref_append_trajectory,
+    ref_locate,
+    ref_rollout,
+    sample_step_batch,
+    tiny_dynamical,
+    tiny_general,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -355,21 +365,73 @@ def test_rollout_chains_states():
     assert traj.steps[1].state == traj.steps[0].next_state
 
 
-def test_rollout_dynamical_states_are_vectors():
+def test_rollout_dynamical_states_are_cells():
     model = tiny_dynamical()
     traj = rollout(model, Policy.uniform(2, 4, 2), make_rng(1))
-    first = traj.steps[0].state
-    np.testing.assert_array_equal(first, model.initial_state_vector())
-    assert np.asarray(traj.steps[1].state).shape == (1,)
+    assert traj.steps[0].state == model.initial_state
+    assert traj.steps[1].state == traj.steps[0].next_cell
+    assert np.asarray(traj.steps[0].next_state).shape == (1,)
 
 
 def test_dynamical_noiseless_step_is_exact_mean():
     model = tiny_dynamical(noise_scale=0.0)
-    out = env_step(model, 0, model.initial_state_vector(), 1, make_rng(3))
+    s = model.initial_state
+    out = env_step(model, 0, s, 1, make_rng(3))
     t, e = out.hidden.agent_type, out.feedback
-    s = model.grid.locate(model.initial_state_vector())
     want = model.mean_map[0, s, 1, e] + model.trans_confound[0, t]
     np.testing.assert_allclose(out.next_state, want, atol=1e-12)
+
+
+def test_env_step_takes_a_cell_in_dynamical_mode():
+    """A dynamical state is its grid cell: a vector is refused like any
+    other index that is not an integer in range."""
+    model = tiny_dynamical()
+    for state in (model.grid.center(1), np.array([0.1]), 1.0, 4, -1):
+        with pytest.raises(InvalidIndexError):
+            env_step(model, 0, state, 1, make_rng(0))
+    assert env_step(model, 0, np.int64(1), 1, make_rng(0)).state == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["general", "dyn-1d", "dyn-2d"]),
+    seed=st.integers(0, 2**16),
+    horizon=st.integers(1, 4),
+    episodes=st.integers(1, 5),
+)
+def test_cell_rollout_matches_the_vector_state_path(kind, seed, horizon, episodes):
+    """Carrying each step's next cell gives the draws, observations and
+    dataset sums of the path that carried vectors and located them in
+    rollout, env_step and append_trajectory; its states are the cells of
+    the old ones, and the generator ends in the same state."""
+    if kind == "general":
+        model, _ = random_general(seed, horizon, states=3, actions=2, feedbacks=2, candidates=1)
+    else:
+        grid = Grid((-1.5,), (1.5,), (4,)) if kind == "dyn-1d" else Grid((-2.0, -1.0), (2.0, 3.0), (3, 2))
+        model, _ = random_dynamical(seed, grid, horizon, rewards=1, candidates=(1,) * grid.dim)
+    S, A = model.num_states, model.num_actions
+    policy = Policy(np.random.default_rng(seed).dirichlet(np.ones(A), size=(horizon, S)))
+    shape = (model.transition_mode, horizon, S, A, model.num_feedbacks, model.state_dim)
+    new_data, old_data = StepDataset(*shape), StepDataset(*shape)
+    new_rng, old_rng = make_rng(seed), make_rng(seed)
+    for _ in range(episodes):
+        new, old = rollout(model, policy, new_rng), ref_rollout(model, policy, old_rng)
+        assert len(new) == len(old) == horizon
+        for n, o in zip(new.steps, old.steps):
+            assert (n.action, n.feedback, n.reward, n.hidden) == (o.action, o.feedback, o.reward, o.hidden)
+            assert np.asarray(n.next_state).tobytes() == np.asarray(o.next_state).tobytes()
+            if model.grid is None:
+                assert (n.state, n.next_cell) == (o.state, o.next_state)
+            else:
+                assert n.state == model.grid.locate(o.state)
+                assert n.next_cell == model.grid.locate(o.next_state)
+        new_data.append_trajectory(new)
+        ref_append_trajectory(old_data, model.grid, old)
+    assert repr(new_rng.bit_generator.state) == repr(old_rng.bit_generator.state)  # holds arrays
+    for n, o in zip(new_data.steps, old_data.steps):
+        for field in dataclasses.fields(n):
+            got, want = getattr(n, field.name), getattr(o, field.name)
+            assert (got is None and want is None) or got.tobytes() == want.tobytes()
 
 
 def test_sample_step_batch_matches_population_feedback():
