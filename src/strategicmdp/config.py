@@ -8,13 +8,15 @@ in a single error rather than one at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
 
 from .errors import ParseError, ValidationError
-from .planning import SelectionMode
+from .diagnostics import DEFAULT_POLICY_BUDGET
+from .hypotheses import DEFAULT_JOINT_CAP, DEFAULT_PER_STEP_CAP
+from .planning import DEFAULT_SELECTOR_CAP, SelectionMode
 from .scenarios import GENERATORS
 
 # PyYAML's libyaml parser when it is compiled in: the same data, parsed faster.
@@ -68,40 +70,40 @@ _OUT_KEYS = {"root", "label"}
 
 @dataclass
 class DiagnosticsConfig:
-    regret: bool = True
-    naive_baseline: bool = True
-    ill_posedness: bool = False
-    transfer: bool = False
-    policy_budget: int = 4096
+    regret: bool
+    naive_baseline: bool
+    ill_posedness: bool
+    transfer: bool
+    policy_budget: int
 
 
 @dataclass
 class OutputConfig:
-    root: str = "runs"
-    label: str | None = None
+    root: str
+    label: str | None
 
 
 @dataclass
 class ScenarioConfig:
-    """Validated experiment description with defaults filled in."""
+    """Validated experiment description; config_from_dict fills in the defaults."""
 
     generator: str
-    generator_seed: int = 0
-    generator_params: dict = field(default_factory=dict)
-    per_step_cap: int = 8
-    joint_cap: int = 1_000_000
-    episodes: int = 100
-    delta: float = 0.1
-    beta_scale: float = 1.0
-    optimism: str = "exact"
-    seeds: list[int] = field(default_factory=lambda: [0])
-    evaluation_cadence: int = 50
-    strict_realizability: bool = False
-    selector_cap: int = 1_000_000
-    diagnostics: DiagnosticsConfig = field(default_factory=DiagnosticsConfig)
-    output: OutputConfig = field(default_factory=OutputConfig)
-    workers: int = 1
-    raw: dict = field(default_factory=dict)
+    generator_seed: int
+    generator_params: dict
+    per_step_cap: int
+    joint_cap: int
+    episodes: int
+    delta: float
+    beta_scale: float
+    optimism: str
+    seeds: list[int]
+    evaluation_cadence: int
+    strict_realizability: bool
+    selector_cap: int
+    diagnostics: DiagnosticsConfig
+    output: OutputConfig
+    workers: int
+    raw: dict
 
 
 def _section(data: dict, name: str, violations: list[str]) -> dict:
@@ -165,8 +167,8 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
     cls = _section(data, "classes", violations)
     _check_keys(cls, _CLASS_KEYS, "classes", violations)
-    per_step_cap = _as_int(cls, "per_step_cap", 8, 1, "classes", violations)
-    joint_cap = _as_int(cls, "joint_cap", 1_000_000, 1, "classes", violations)
+    per_step_cap = _as_int(cls, "per_step_cap", DEFAULT_PER_STEP_CAP, 1, "classes", violations)
+    joint_cap = _as_int(cls, "joint_cap", DEFAULT_JOINT_CAP, 1, "classes", violations)
 
     run = _section(data, "run", violations)
     _check_keys(run, _RUN_KEYS, "run", violations)
@@ -203,7 +205,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         violations.append(f"run.seeds: duplicate seeds {dups}")
     evaluation_cadence = _as_int(run, "evaluation_cadence", 50, 1, "run", violations)
     strict = _as_bool(run, "strict_realizability", False, "run", violations)
-    selector_cap = _as_int(run, "selector_cap", 1_000_000, 1, "run", violations)
+    selector_cap = _as_int(run, "selector_cap", DEFAULT_SELECTOR_CAP, 1, "run", violations)
 
     dg = _section(data, "diagnostics", violations)
     _check_keys(dg, _DIAG_KEYS, "diagnostics", violations)
@@ -212,7 +214,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         naive_baseline=_as_bool(dg, "naive_baseline", True, "diagnostics", violations),
         ill_posedness=_as_bool(dg, "ill_posedness", False, "diagnostics", violations),
         transfer=_as_bool(dg, "transfer", False, "diagnostics", violations),
-        policy_budget=_as_int(dg, "policy_budget", 4096, 1, "diagnostics", violations),
+        policy_budget=_as_int(dg, "policy_budget", DEFAULT_POLICY_BUDGET, 1, "diagnostics", violations),
     )
 
     out = _section(data, "output", violations)

@@ -38,6 +38,8 @@ from .model import (
 from .planning import discretize_gaussian, policy_value, true_aggregated_model, value_iteration
 
 JENSEN_TOL = 1e-9
+# The most deterministic policies a ratio oracle enumerates before it samples.
+DEFAULT_POLICY_BUDGET = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +299,7 @@ def ill_posedness(
     env: StrategicModel,
     classes: HypothesisClasses,
     h: int,
-    policy_budget: int = 4096,
+    policy_budget: int = DEFAULT_POLICY_BUDGET,
     sample_seed: int = 0,
 ) -> RatioResult:
     """Worst-case MSE over projected MSE at step h under the source population.
@@ -326,7 +328,7 @@ def transfer_term(
     env: StrategicModel,
     classes: HypothesisClasses,
     h: int,
-    policy_budget: int = 4096,
+    policy_budget: int = DEFAULT_POLICY_BUDGET,
     sample_seed: int = 0,
 ) -> RatioResult:
     """Worst-case target-MSE over source-MSE at step h, same enumeration scheme."""

@@ -32,7 +32,7 @@ from .model import (
     make_rng,
     rollout,
 )
-from .planning import CandidateAggregates, SelectionMode, optimistic_select
+from .planning import DEFAULT_SELECTOR_CAP, CandidateAggregates, SelectionMode, optimistic_select
 
 
 @dataclass
@@ -45,7 +45,7 @@ class RunConfig:
     seed: int
     optimism: SelectionMode = SelectionMode.EXACT
     beta_scale: float = 1.0
-    selector_cap: int = 1_000_000
+    selector_cap: int = DEFAULT_SELECTOR_CAP
     strict_realizability: bool = False
 
     def validate(self) -> None:
@@ -170,7 +170,7 @@ def _truth_covered(classes: HypothesisClasses, reward_sets: tuple, families: tup
     one False.
     """
     for h, per_family in enumerate(families):
-        truths = (classes.truth_reward_idx[h], *(f.truth for f in classes.transition_families(h)))
+        truths = [f.truth for f in classes.families(h)]
         for idx, survivors in zip(truths, (reward_sets[h], *per_family)):
             if idx is None:
                 return None

@@ -8,11 +8,12 @@ a self-normalized objective whose maximum stays near zero exactly when the
 residual has zero conditional mean given (state, action) under the data
 distribution. Projecting onto (state, action) discriminators is what removes
 the confounding that plain regression on realized feedback picks up.
-Every family is scored the same way: its candidates predict the conditional
-means of G observed quantities, r for rewards, g(next state) for each
-next-step value target g in general mode (predicted by P g(s, a, e)), and
-next_state_i in dynamical mode, one family per coordinate (predicted by the
-mean map G_i(s, a, e)); the loss is the max over the G quantities as well.
+Every loss family of a step (HypothesisClasses.families) is scored the same
+way: its candidates predict the conditional means of G observed quantities,
+r for the reward family (G = 1), g(next state) for each next-step value
+target g in general mode (predicted by P g(s, a, e)), and next_state_i in
+dynamical mode, one family per coordinate (predicted by the mean map
+G_i(s, a, e)); the loss is the max over the G quantities as well.
 
 Because states, actions, and feedbacks are finite, every empirical sum is a
 linear functional of per-(s, a, e) counts, so datasets store running count
@@ -24,7 +25,6 @@ an empty set falls back to the loss minimizer and raises a flag.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +87,8 @@ class StepDataset:
                 next_counts=np.zeros((S, A, S)),
                 next_sums=None,
             )
+        if self.state_dim < 1:
+            raise ValidationError(f"a dynamical dataset needs state_dim >= 1, got {self.state_dim!r}")
         return StepData(
             counts=np.zeros((S, A, E)),
             reward_sums=np.zeros((S, A, E)),
@@ -181,56 +183,35 @@ def family_losses(
     return _discriminator_score(targets, disc, counts.sum(axis=-1), halves).max(axis=1)
 
 
-@dataclass(frozen=True)
-class _Family:
-    """One step's loss family: its label, its BetaLevels field, the
-    candidates' predictions, and the data sums they are compared with."""
-
-    label: str
-    level: str
-    predicted: np.ndarray
-    observe: Callable[[StepData], np.ndarray]
-
-
 class LossEvaluator:
     """Caches data-independent tensors so per-episode evaluation stays cheap.
 
     Holds references to the (immutable) classes; per step it keeps the kernel
-    index, the discriminators' half squares and the loss families: rewards
-    first, then each of the step's transition families
-    (HypothesisClasses.transition_families) with its predictions computed
-    here once. Evaluation from a dataset then reduces to small matrix
-    products against the running count tensors, which matches a from-scratch
-    per-sample computation to floating-point accuracy.
+    index, the discriminators' half squares, the loss families
+    (HypothesisClasses.families: rewards first, then the step's transition
+    families) and their predictions, computed here once. Evaluation from a
+    dataset then reduces to small matrix products against the running count
+    tensors, which matches a from-scratch per-sample computation to
+    floating-point accuracy.
     """
 
     def __init__(self, classes: HypothesisClasses) -> None:
         self.classes = classes
         self.kernel_index = [classes.kernel_index(h) for h in range(classes.horizon)]
         self._halves = [_half_squares(f) for f in classes.discriminators]
-        self.families: list[list[_Family]] = [
-            [
-                _Family(
-                    f"reward-h{h}", "reward", rewards[:, None], lambda d: d.reward_sums.sum(axis=-1)[None]
-                ),
-                *(
-                    _Family(fam.label, fam.level, fam.apply(fam.tables), fam.observe)
-                    for fam in classes.transition_families(h)
-                ),
-            ]
-            for h, rewards in enumerate(classes.reward_tables)
-        ]
+        self.families = [classes.families(h) for h in range(classes.horizon)]
+        self.predictions = [[fam.apply(fam.tables) for fam in per] for per in self.families]
 
-    def _losses(self, family: _Family, dataset: StepDataset, h: int) -> np.ndarray:
-        d = dataset.steps[h]
+    def _losses(self, dataset: StepDataset, h: int, i: int) -> np.ndarray:
+        d, observe = dataset.steps[h], self.families[h][i].observe
         disc, halves = self.classes.discriminators[h], self._halves[h]
-        return family_losses(family.predicted, family.observe(d), d.counts, disc, halves)
+        return family_losses(self.predictions[h][i], observe(d), d.counts, disc, halves)
 
     def reward_losses(self, dataset: StepDataset, h: int) -> np.ndarray:
-        return self._losses(self.families[h][0], dataset, h)
+        return self._losses(dataset, h, 0)
 
     def transition_losses(self, dataset: StepDataset, h: int) -> list[np.ndarray]:
-        return [self._losses(f, dataset, h) for f in self.families[h][1:]]
+        return [self._losses(dataset, h, i) for i in range(1, len(self.families[h]))]
 
 
 # ---------------------------------------------------------------------------

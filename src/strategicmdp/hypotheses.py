@@ -43,6 +43,12 @@ class ClassCaps:
     per_step: int = DEFAULT_PER_STEP_CAP
     joint: int = DEFAULT_JOINT_CAP
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _is_int(value) or value < 1:
+                raise ValidationError(f"class cap {f.name} must be an integer of at least 1, got {value!r}")
+
 
 @dataclass(frozen=True)
 class ClassSizes:
@@ -94,17 +100,17 @@ def _check_truth_index(idx, count: int, kind: str, where: str) -> None:
 
 
 @dataclass
-class TransitionFamily:
-    """One transition family of one step, in the form both modes share.
+class LossFamily:
+    """One loss family of one step, in the form rewards and both transition modes share.
 
-    Each candidate predicts the conditional means of G observed next-state
-    quantities. apply maps candidate tables (n, S, A, E, ...) to those
-    predictions (n, G, S, A, E), observe gives the quantities' per-(s, a) data
-    sums (G, S, A) from a step's StepData, and true_table(model) is the
-    model's own table. kind and where stem the messages, label names the
-    loss, row formats a residual row's label from candidate j and quantity g,
-    and level is the family's BetaLevels field. The candidates of a family
-    with kernels set are next-state distributions.
+    Each candidate predicts the conditional means of G observed quantities.
+    apply maps candidate tables (n, S, A, E, ...) to those predictions
+    (n, G, S, A, E), observe gives the quantities' per-(s, a) data sums
+    (G, S, A) from a step's StepData, and true_table(model) is the model's own
+    table. kind and where stem the messages, label names the loss, row
+    formats a residual row's label from candidate j and quantity g, and level
+    is the family's BetaLevels field, "reward" for the reward family. The
+    candidates of a family with kernels set are next-state distributions.
     """
 
     tables: np.ndarray
@@ -118,6 +124,12 @@ class TransitionFamily:
     apply: Callable[[np.ndarray], np.ndarray]
     observe: Callable[[Any], np.ndarray]
     true_table: Callable[[StrategicModel], np.ndarray]
+
+    @property
+    def part(self) -> str:
+        """The class the candidates belong to, "reward" or "transition":
+        it names the truth in messages and routes the truth clauses."""
+        return "reward" if self.level == "reward" else "transition"
 
 
 @dataclass
@@ -184,32 +196,22 @@ class HypothesisClasses:
             if len(getattr(self, name)) != H:
                 raise ValidationError(f"{name} must have one entry per step ({H})")
         for h in range(H):
-            nR = self.reward_tables[h].shape[0]
-            if nR == 0:
-                raise ValidationError(f"no reward candidates at step {h}")
-            if nR > self.caps.per_step:
-                raise CapacityError(
-                    f"{nR} reward candidates at step {h} exceed the per-step cap {self.caps.per_step}"
-                )
-            lo, hi = self.reward_tables[h].min(), self.reward_tables[h].max()
-            if not (math.isfinite(lo) and math.isfinite(hi)):  # min and max keep a NaN
-                raise ValidationError(f"reward candidates at step {h} have non-finite entries")
-            if lo < -1e-9 or hi > self.bound + 1e-9:
-                raise ValidationError(f"reward candidates at step {h} leave [0, bound]")
-            _check_truth_index(self.truth_reward_idx[h], nR, "reward", f"step {h}")
-            for fam in self.transition_families(h):
+            for fam in self.families(h):
                 n, tables = len(fam.tables), fam.tables
                 if n == 0:
                     raise ValidationError(f"no {fam.kind} candidates at {fam.where}")
                 if n > self.caps.per_step:
-                    raise CapacityError(f"{n} {fam.kind} candidates at step {h} exceed the per-step cap")
-                if not np.isfinite(tables).all():
+                    raise CapacityError(
+                        f"{n} {fam.kind} candidates at {fam.where} exceed the per-step cap {self.caps.per_step}"
+                    )
+                lo, hi = tables.min(), tables.max()
+                if not (math.isfinite(lo) and math.isfinite(hi)):  # min and max keep a NaN
                     raise ValidationError(f"{fam.kind} candidates at {fam.where} have non-finite entries")
-                if fam.kernels and (
-                    np.abs(tables.sum(axis=-1) - 1.0).max() > 1e-9 or tables.min() < -1e-9
-                ):
+                if fam.part == "reward" and (lo < -1e-9 or hi > self.bound + 1e-9):
+                    raise ValidationError(f"reward candidates at {fam.where} leave [0, bound]")
+                if fam.kernels and (np.abs(tables.sum(axis=-1) - 1.0).max() > 1e-9 or lo < -1e-9):
                     raise ValidationError(f"{fam.kind} candidates at {fam.where} are not kernels")
-                _check_truth_index(fam.truth, n, "transition", fam.where)
+                _check_truth_index(fam.truth, n, fam.part, fam.where)
         self._flag_bounds()
 
     def _flag_bounds(self) -> None:
@@ -233,22 +235,33 @@ class HypothesisClasses:
     def horizon(self) -> int:
         return len(self.reward_tables)
 
-    def transition_families(self, h: int) -> tuple[TransitionFamily, ...]:
-        """Step h's transition families: the one place the classes read the mode.
+    def families(self, h: int) -> tuple[LossFamily, ...]:
+        """Step h's loss families: the one place the classes read the mode.
 
-        General mode has one family, the kernels, whose candidates predict
-        g(next state) for every value target g at step h + 1; dynamical mode
-        has one per state coordinate i, whose mean maps predict next_state_i.
-        A step's designated truth is one index in general mode and one per
-        coordinate in dynamical mode; None designates none.
+        The reward family comes first: its candidates predict the reward.
+        Then the transition families: general mode has one, the kernels,
+        whose candidates predict g(next state) for every value target g at
+        step h + 1; dynamical mode has one per state coordinate i, whose mean
+        maps predict next_state_i. A step's designated transition truth is
+        one index in general mode and one per coordinate in dynamical mode;
+        None designates none.
         """
         H, truth = self.horizon, self.truth_transition_idx[h]
+        reward = LossFamily(
+            self.reward_tables[h], self.truth_reward_idx[h], "reward", f"step {h}",
+            f"reward-h{h}", "reward[{j}]", "reward",
+            kernels=False,
+            apply=lambda x: x[:, None],
+            observe=lambda d: d.reward_sums.sum(axis=-1)[None],
+            true_table=lambda model: model.principal_reward[h],
+        )
         if self.mode is TransitionMode.GENERAL:
             if self.transition_tables is None or len(self.transition_tables) != H:
                 raise ValidationError("general mode needs transition_tables per step")
             g = self.value_targets[h + 1]
             return (
-                TransitionFamily(
+                reward,
+                LossFamily(
                     self.transition_tables[h], truth, "transition", f"step {h}",
                     f"transition-h{h}", "transition[{j}]*value[{g}]", "transition_general",
                     kernels=True,
@@ -265,8 +278,8 @@ class HypothesisClasses:
             raise ValidationError(
                 f"truth transition index at step {h} must list one entry per coordinate ({len(maps)})"
             )
-        return tuple(
-            TransitionFamily(
+        return reward, *(
+            LossFamily(
                 per, idx, "mean-map", f"step {h}, coordinate {i}",
                 f"mean-map-h{h}-c{i}", f"mean_map[{i}][{{j}}]", "transition_dynamical",
                 kernels=False,
@@ -279,7 +292,7 @@ class HypothesisClasses:
 
     def kernel_index(self, h: int) -> KernelIndex:
         """The numbering of step h's transition models."""
-        return KernelIndex(tuple(len(fam.tables) for fam in self.transition_families(h)))
+        return KernelIndex(tuple(len(fam.tables) for fam in self.families(h)[1:]))
 
     def sizes(self) -> ClassSizes:
         """Summed class sizes, the cardinalities used by the confidence levels."""
@@ -322,16 +335,15 @@ def residual_stack(
 ) -> np.ndarray:
     """Residuals (n, S, A, E) of every candidate against the truth at step h.
 
-    The rows are the reward residuals (candidate minus true reward), then per
-    transition family the candidate-minus-truth tables, applied to the
-    family's observed quantities, candidate-major: in general mode every
-    value target at the next step, in dynamical mode the coordinate itself.
-    The truth is subtracted before apply: the closures key rows bit-exactly,
-    and applying first rounds differently.
+    Per loss family, the candidate-minus-truth tables, applied to the
+    family's observed quantities, candidate-major: the reward itself, then in
+    general mode every value target at the next step, in dynamical mode the
+    coordinate itself. The truth is subtracted before apply: the closures key
+    rows bit-exactly, and applying first rounds differently.
     residual_labels names the rows in the same order.
     """
-    rows = [classes.reward_tables[h] - model.principal_reward[h]]
-    for fam in classes.transition_families(h):
+    rows = []
+    for fam in classes.families(h):
         applied = fam.apply(fam.tables - fam.true_table(model))
         rows.append(applied.reshape((-1,) + applied.shape[2:]))
     return np.concatenate(rows)
@@ -339,8 +351,8 @@ def residual_stack(
 
 def residual_labels(classes: HypothesisClasses, h: int) -> list[str]:
     """Labels of the rows of residual_stack at step h, for witnesses in reports."""
-    labels = [f"reward[{j}]" for j in range(len(classes.reward_tables[h]))]
-    for fam in classes.transition_families(h):
+    labels = []
+    for fam in classes.families(h):
         quantities = range(fam.apply(fam.tables[:0]).shape[1])  # G, from no candidates
         labels += [fam.row.format(j=j, g=g) for j in range(len(fam.tables)) for g in quantities]
     return labels
@@ -389,7 +401,7 @@ def enumerate_suffix_values(
         joint *= R.shape[0] * P.shape[0]
     if joint > classes.caps.joint:
         raise CapacityError(f"value closure would enumerate {joint} joint models, cap is {classes.caps.joint}")
-    S = classes.reward_tables[0].shape[1]
+    S = agg.rewards[0].shape[1]
     values = np.zeros((1, S))
     out: list[np.ndarray] = [np.zeros((0, S))] * classes.horizon
     for h in range(classes.horizon - 1, -1, -1):
@@ -503,33 +515,20 @@ def check_realizability(
     closed class always passes bit-exactly.
     """
     H = classes.horizon
-    r_clause = ClauseResult(True)
+    # Per part ("reward" or "transition"), the first step with a failure; at
+    # that step a missing truth in any family wins over a wrong designation.
+    truth_failures: dict[str, str] = {}
     for h in range(H):
-        if _first_missing(classes.reward_tables[h], model.principal_reward[h][None]) is not None:
-            r_clause = ClauseResult(False, f"true reward missing at step {h}")
-            break
-        idx = classes.truth_reward_idx[h]
-        if idx is not None and not np.array_equal(
-            classes.reward_tables[h][idx], model.principal_reward[h]
-        ):
-            r_clause = ClauseResult(False, f"designated reward index {idx} wrong at step {h}")
-            break
-    t_clause = ClauseResult(True)
-    for h in range(H):
-        families = [(fam, fam.true_table(model)) for fam in classes.transition_families(h)]
-        missing = [fam for fam, true in families if _first_missing(fam.tables, true[None]) is not None]
-        if missing:
-            noun = missing[0].kind.replace("-", " ")
-            t_clause = ClauseResult(False, f"true {noun} missing at {missing[0].where}")
-            break
-        wrong = [
-            fam.truth
-            for fam, true in families
-            if fam.truth is not None and not np.array_equal(fam.tables[fam.truth], true)
-        ]
-        if wrong:
-            t_clause = ClauseResult(False, f"designated transition index {wrong[0]} wrong at step {h}")
-            break
+        families = [(fam, fam.true_table(model)) for fam in classes.families(h)]
+        for fam, true in families:
+            if _first_missing(fam.tables, true[None]) is not None:
+                noun = fam.kind.replace("-", " ")
+                truth_failures.setdefault(fam.part, f"true {noun} missing at {fam.where}")
+        for fam, true in families:
+            if fam.truth is not None and not np.array_equal(fam.tables[fam.truth], true):
+                truth_failures.setdefault(
+                    fam.part, f"designated {fam.part} index {fam.truth} wrong at step {h}"
+                )
     kappa = source_feedback_mix(model, knowledge)
     p_clause = ClauseResult(True)
     for h in range(H):
@@ -553,6 +552,10 @@ def check_realizability(
                 break
     except CapacityError as exc:
         v_clause = ClauseResult(False, f"not checkable: {exc}")
+    r_clause, t_clause = (
+        ClauseResult(part not in truth_failures, truth_failures.get(part))
+        for part in ("reward", "transition")
+    )
     return RealizabilityReport(
         truth_in_rewards=r_clause,
         truth_in_transitions=t_clause,

@@ -39,6 +39,9 @@ from .model import (
 if TYPE_CHECKING:
     from .hypotheses import HypothesisClasses
 
+# The most joint models optimistic_select scores exactly before it falls back.
+DEFAULT_SELECTOR_CAP = 1_000_000
+
 
 # ---------------------------------------------------------------------------
 # Aggregated MDP and exact planning
@@ -276,7 +279,7 @@ def optimistic_select(
     transition_sets: Sequence[Sequence[int]],
     initial_state: int,
     mode: SelectionMode = SelectionMode.EXACT,
-    cap: int = 1_000_000,
+    cap: int = DEFAULT_SELECTOR_CAP,
 ) -> SelectionResult:
     """Pick the candidate model with the largest optimal value.
 

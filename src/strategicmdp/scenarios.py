@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .hypotheses import ClassCaps, HypothesisClasses, close_classes
-from .model import Grid, LearnerKnowledge, StrategicModel, TransitionMode, make_rng
+from .model import Grid, LearnerKnowledge, StrategicModel, TransitionMode, _is_int, make_rng
 
 # A generator's model, its per-step reward candidate stacks, and its per-step
 # transition candidates (see _assemble).
@@ -536,6 +536,8 @@ def build_scenario(
     if name not in GENERATORS:
         known = ", ".join(sorted(GENERATORS))
         raise ConfigError(f"unknown scenario {name!r}; known scenarios: {known}")
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"scenario seed must be a nonnegative integer, got {seed!r}")
     generator = GENERATORS[name]
     params = params or {}
     defaults = generator.__kwdefaults__ or {}
@@ -547,5 +549,5 @@ def build_scenario(
         model, rewards, transitions = generator(seed, **params)
     except TypeError as exc:
         raise ConfigError(f"bad parameters for scenario {name!r}: {exc}") from None
-    echo = {"seed": seed, **defaults, **params}
+    echo = {"seed": int(seed), **defaults, **params}  # a numpy seed echoes as JSON's int
     return Scenario(name, model, _assemble(model, rewards, transitions, caps), echo)

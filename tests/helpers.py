@@ -67,7 +67,7 @@ from strategicmdp import (
     source_projection,
     value_iteration,
 )
-from strategicmdp.hypotheses import ClauseResult
+from strategicmdp.hypotheses import ClauseResult, _check_truth_index, _first_missing
 from strategicmdp.model import HiddenStep, _check_index, best_response_table, draw_categorical
 
 BASE_YAML = """\
@@ -1066,8 +1066,8 @@ def ref_truth_in_record(rec, classes: HypothesisClasses) -> bool | None:
 # ---------------------------------------------------------------------------
 
 # residual_stack, residual_labels, kernel_index and LossEvaluator.__init__
-# each branched on the transition mode before HypothesisClasses grew
-# transition_families; kept verbatim so the family view can be compared with
+# each branched on the transition mode before HypothesisClasses grew its
+# family builder (now families); kept verbatim so the family view can be compared with
 # them bit for bit.
 
 
@@ -1154,6 +1154,89 @@ def ref_loss_families(classes) -> list[list[SimpleNamespace]]:
             ]
         out.append(families)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The reward class on its own path, beside the transition families
+# ---------------------------------------------------------------------------
+
+# Before the reward class became loss family 0, HypothesisClasses._validate
+# checked the reward tables by hand and then looped over the transition
+# families, and check_realizability had a reward truth clause and a
+# transition truth clause of its own. Kept verbatim, except that the
+# transition families are families(h)[1:] and the transition cap message
+# carries the cap and the family's where, the one message the family loop
+# changed.
+
+
+def ref_validate(classes) -> None:
+    H = classes.horizon
+    for name in ("truth_reward_idx", "truth_transition_idx"):
+        if len(getattr(classes, name)) != H:
+            raise ValidationError(f"{name} must have one entry per step ({H})")
+    for h in range(H):
+        nR = classes.reward_tables[h].shape[0]
+        if nR == 0:
+            raise ValidationError(f"no reward candidates at step {h}")
+        if nR > classes.caps.per_step:
+            raise CapacityError(
+                f"{nR} reward candidates at step {h} exceed the per-step cap {classes.caps.per_step}"
+            )
+        lo, hi = classes.reward_tables[h].min(), classes.reward_tables[h].max()
+        if not (math.isfinite(lo) and math.isfinite(hi)):  # min and max keep a NaN
+            raise ValidationError(f"reward candidates at step {h} have non-finite entries")
+        if lo < -1e-9 or hi > classes.bound + 1e-9:
+            raise ValidationError(f"reward candidates at step {h} leave [0, bound]")
+        _check_truth_index(classes.truth_reward_idx[h], nR, "reward", f"step {h}")
+        for fam in classes.families(h)[1:]:
+            n, tables = len(fam.tables), fam.tables
+            if n == 0:
+                raise ValidationError(f"no {fam.kind} candidates at {fam.where}")
+            if n > classes.caps.per_step:
+                raise CapacityError(
+                    f"{n} {fam.kind} candidates at {fam.where} exceed the per-step cap {classes.caps.per_step}"
+                )
+            if not np.isfinite(tables).all():
+                raise ValidationError(f"{fam.kind} candidates at {fam.where} have non-finite entries")
+            if fam.kernels and (
+                np.abs(tables.sum(axis=-1) - 1.0).max() > 1e-9 or tables.min() < -1e-9
+            ):
+                raise ValidationError(f"{fam.kind} candidates at {fam.where} are not kernels")
+            _check_truth_index(fam.truth, n, "transition", fam.where)
+    classes._flag_bounds()
+
+
+def ref_truth_clauses(model, classes) -> tuple[ClauseResult, ClauseResult]:
+    """The truth_in_rewards and truth_in_transitions clauses of check_realizability."""
+    H = classes.horizon
+    r_clause = ClauseResult(True)
+    for h in range(H):
+        if _first_missing(classes.reward_tables[h], model.principal_reward[h][None]) is not None:
+            r_clause = ClauseResult(False, f"true reward missing at step {h}")
+            break
+        idx = classes.truth_reward_idx[h]
+        if idx is not None and not np.array_equal(
+            classes.reward_tables[h][idx], model.principal_reward[h]
+        ):
+            r_clause = ClauseResult(False, f"designated reward index {idx} wrong at step {h}")
+            break
+    t_clause = ClauseResult(True)
+    for h in range(H):
+        families = [(fam, fam.true_table(model)) for fam in classes.families(h)[1:]]
+        missing = [fam for fam, true in families if _first_missing(fam.tables, true[None]) is not None]
+        if missing:
+            noun = missing[0].kind.replace("-", " ")
+            t_clause = ClauseResult(False, f"true {noun} missing at {missing[0].where}")
+            break
+        wrong = [
+            fam.truth
+            for fam, true in families
+            if fam.truth is not None and not np.array_equal(fam.tables[fam.truth], true)
+        ]
+        if wrong:
+            t_clause = ClauseResult(False, f"designated transition index {wrong[0]} wrong at step {h}")
+            break
+    return r_clause, t_clause
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,17 @@ def test_append_rejects_out_of_range_general(field, bad):
     assert not data.steps[0].next_counts.any()
 
 
+@pytest.mark.parametrize("state_dim", [0, -1])
+def test_dynamical_dataset_needs_coordinates(state_dim):
+    """A dynamical dataset without coordinates would count empty next states
+    and refuse real ones only at the first append; it is refused when built."""
+    with pytest.raises(ValidationError, match="state_dim"):
+        StepDataset(TransitionMode.DYNAMICAL, 2, 4, 2, 2, state_dim=state_dim)
+    with pytest.raises(ValidationError, match="state_dim"):
+        StepDataset(TransitionMode.DYNAMICAL, 2, 4, 2, 2)
+    assert StepDataset(TransitionMode.GENERAL, 2, 4, 2, 2).steps[1].next_sums is None
+
+
 @pytest.mark.parametrize(
     "field, bad",
     [("s", -1), ("s", 4), ("a", -1), ("e", 2), ("r", math.nan), ("r", -math.inf)]
@@ -454,17 +465,17 @@ def test_transition_families_match_the_mode_branches(kind, seed, horizon, episod
         data.append_trajectory(rollout(model, policy, rng))
     for classes in (unclosed, closed):
         want_families = ref_loss_families(classes)
-        got_families = LossEvaluator(classes).families
+        evaluator = LossEvaluator(classes)
         for h in range(horizon):
             got, want = residual_stack(model, classes, h), ref_residual_stack(model, classes, h)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
             assert residual_labels(classes, h) == ref_residual_labels(classes, h)
             assert classes.kernel_index(h).radices == ref_kernel_radices(classes, h)
-            assert len(got_families[h]) == len(want_families[h])
-            for g, w in zip(got_families[h], want_families[h]):
+            assert len(evaluator.families[h]) == len(want_families[h])
+            for g, predicted, w in zip(evaluator.families[h], evaluator.predictions[h], want_families[h]):
                 assert (g.label, g.level) == (w.label, w.level)
-                assert g.predicted.shape == w.predicted.shape
-                assert g.predicted.tobytes() == w.predicted.tobytes()
+                assert predicted.shape == w.predicted.shape
+                assert predicted.tobytes() == w.predicted.tobytes()
                 got_obs, want_obs = g.observe(data.steps[h]), w.observe(data.steps[h])
                 assert got_obs.shape == want_obs.shape and got_obs.tobytes() == want_obs.tobytes()
 

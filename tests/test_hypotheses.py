@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -13,10 +14,12 @@ from strategicmdp import (
     GENERATORS,
     CapacityError,
     ClassCaps,
+    Grid,
     HypothesisClasses,
     LearnerKnowledge,
     RealizabilityError,
     RunConfig,
+    StrategicMDPError,
     TransitionMode,
     ValidationError,
     build_scenario,
@@ -32,13 +35,16 @@ from strategicmdp import (
 from strategicmdp.hypotheses import _dedup_append, _first_missing, enumerate_suffix_values
 
 from helpers import (
+    random_dynamical,
     random_general,
     ref_check_realizability,
     ref_close_classes,
     ref_close_discriminators,
     ref_dedup_append,
     ref_iter_residuals,
+    ref_truth_clauses,
     ref_unique_rows,
+    ref_validate,
     tiny_dynamical,
     tiny_general,
 )
@@ -150,6 +156,16 @@ def test_per_step_cap_enforced():
     tables[0] = crowd
     with pytest.raises(CapacityError):
         dataclasses.replace(classes, reward_tables=tables, truth_reward_idx=[])
+
+
+@pytest.mark.parametrize(
+    "field, value", [("per_step", 2.5), ("per_step", 0), ("joint", -1), ("joint", True), ("per_step", "8")]
+)
+def test_class_caps_must_be_positive_integers(field, value):
+    """A cap is a non-bool integer of at least 1, as the config's classes section requires."""
+    with pytest.raises(ValidationError, match=f"class cap {field}"):
+        ClassCaps(**{field: value})
+    assert ClassCaps(per_step=np.int64(3), joint=1).per_step == 3
 
 
 def test_joint_cap_blocks_value_closure():
@@ -733,3 +749,120 @@ def test_realizability_report_matches_per_row_reference_on_mutations(instance):
         "projections_in_discriminators",
         "values_in_targets",
     }
+
+
+# ---------------------------------------------------------------------------
+# The reward class as loss family 0, against its own path
+# ---------------------------------------------------------------------------
+
+
+FAULTS = (
+    "nan",
+    "inf",
+    "entry below 0",
+    "entry above bound",
+    "non-kernel row",
+    "too many candidates",
+    "missing truth",
+    "wrong designated index",
+    "out-of-range designated index",
+    "undesignated truth",
+)
+
+
+def _random_classes(kind: str, seed: int, horizon: int):
+    """A random model and its unclosed classes: general, or dynamical in 1-D or 2-D."""
+    if kind == "general":
+        return random_general(seed, horizon, states=3, actions=2, feedbacks=2, candidates=3)
+    if kind == "dyn-1d":
+        return random_dynamical(seed, Grid((-1.5,), (1.5,), (4,)), horizon, rewards=2, candidates=(3,))
+    grid = Grid((-2.0, -1.0), (2.0, 3.0), (3, 2))
+    return random_dynamical(seed, grid, horizon, rewards=2, candidates=(2, 3))
+
+
+def _plant(classes, fault: str, step: int, family: int, draw: int) -> None:
+    """Plant one fault in family `family` of step `step`, in place and
+    without validation; classes' lists and tables are copied, not written."""
+    rng = np.random.default_rng(draw)
+    h = step % classes.horizon
+    fams = classes.families(h)
+    f = family % len(fams)
+    tables, truth = fams[f].tables.copy(), fams[f].truth
+    n = len(tables)
+    t = truth % n if isinstance(truth, int) else 0
+    entry = int(rng.integers(tables.size))
+    if fault in ("nan", "inf", "entry below 0", "entry above bound"):
+        tables.flat[entry] = {
+            "nan": np.nan, "inf": rng.choice([np.inf, -np.inf]),
+            "entry below 0": -0.5, "entry above bound": classes.bound + 0.5,
+        }[fault]
+    elif fault == "non-kernel row":
+        tables[np.unravel_index(entry, tables.shape)[:-1]] *= 1.5
+    elif fault == "missing truth":
+        tables[t] = 0.5 * (tables[t] + tables[(t + 1) % n])
+    elif fault == "too many candidates":
+        classes.caps = ClassCaps(per_step=max(1, n - 1), joint=classes.caps.joint)
+    else:
+        truth = {
+            "wrong designated index": (t + 1) % n,
+            "out-of-range designated index": [n, -1, True, 1.0][entry % 4],
+            "undesignated truth": None,
+        }[fault]
+    classes.reward_tables = list(classes.reward_tables)
+    classes.truth_reward_idx = list(classes.truth_reward_idx)
+    classes.truth_transition_idx = list(classes.truth_transition_idx)
+    if f == 0:
+        classes.reward_tables[h], classes.truth_reward_idx[h] = tables, truth
+    elif classes.mode is TransitionMode.GENERAL:
+        classes.transition_tables = list(classes.transition_tables)
+        classes.transition_tables[h], classes.truth_transition_idx[h] = tables, truth
+    else:
+        classes.mean_map_tables = [list(per) for per in classes.mean_map_tables]
+        classes.mean_map_tables[h][f - 1] = tables
+        per = classes.truth_transition_idx[h]
+        per = [None] * len(fams[1:]) if per is None else list(per)
+        per[f - 1] = truth
+        classes.truth_transition_idx[h] = per
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["general", "dyn-1d", "dyn-2d"]),
+    seed=st.integers(0, 2**16),
+    horizon=st.integers(1, 3),
+    faults=st.lists(
+        st.tuples(st.sampled_from(FAULTS), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2**16)),
+        min_size=1,
+        max_size=2,
+    ),
+)
+@example(kind="dyn-2d", seed=1, horizon=2, faults=[("entry above bound", 1, 0, 5)])
+@example(kind="general", seed=2, horizon=2, faults=[("missing truth", 1, 0, 0)])
+@example(kind="dyn-1d", seed=3, horizon=2, faults=[("wrong designated index", 0, 0, 0)])
+@example(kind="general", seed=4, horizon=2, faults=[("wrong designated index", 1, 1, 0)])
+@example(kind="dyn-2d", seed=5, horizon=1, faults=[("too many candidates", 0, 2, 0)])
+@example(kind="general", seed=6, horizon=2, faults=[("nan", 1, 0, 3), ("non-kernel row", 0, 1, 7)])
+def test_family_loop_matches_the_split_reward_path(kind, seed, horizon, faults):
+    """Validation and the truth clauses loop over one family list with the
+    rewards first; on random classes with planted faults they raise what the
+    reward-first split path raised (the transition cap message aside, see
+    helpers.ref_validate) and report the same truth clauses."""
+    model, base = _random_classes(kind, seed, horizon)
+    broken = copy.copy(base)  # fields replaced below; nothing is validated yet
+    for fault, step, family, draw in faults:
+        _plant(broken, fault, step, family, draw)
+    try:
+        ref_validate(copy.copy(broken))
+        want = None
+    except StrategicMDPError as exc:
+        want = exc
+    try:
+        classes = dataclasses.replace(broken)  # validates at construction
+    except StrategicMDPError as exc:
+        assert want is not None, exc
+        assert (type(exc), str(exc)) == (type(want), str(want))
+        return
+    assert want is None, want
+    got = check_realizability(model, classes, LearnerKnowledge.from_model(model))
+    r_clause, t_clause = ref_truth_clauses(model, classes)
+    assert got == dataclasses.replace(got, truth_in_rewards=r_clause, truth_in_transitions=t_clause)

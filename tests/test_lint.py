@@ -153,7 +153,9 @@ def _annotations(tree: ast.AST) -> set[int]:
 def scopes_reading(source: str, name: str) -> set[str]:
     """Dotted class/function scopes whose code reads `name` (module level is "").
 
-    Annotations are not code that runs, so a name read only there counts nowhere.
+    A read is a bare name or an attribute (`obj.name`) that is loaded; an
+    assignment to it is not a read. Annotations are not code that runs, so a
+    name read only there counts nowhere.
     """
     found = set()
     tree = ast.parse(source)
@@ -164,7 +166,8 @@ def scopes_reading(source: str, name: str) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
             else:
-                if isinstance(child, ast.Name) and child.id == name and id(child) not in skipped:
+                named = getattr(child, "id", None) == name or getattr(child, "attr", None) == name
+                if named and isinstance(getattr(child, "ctx", None), ast.Load) and id(child) not in skipped:
                     found.add(scope)
                 visit(child, scope)
 
@@ -173,7 +176,7 @@ def scopes_reading(source: str, name: str) -> set[str]:
 
 
 def test_loss_path_never_reads_the_mode():
-    """The loss families come from HypothesisClasses.transition_families, so
+    """The loss families come from HypothesisClasses.families, so
     building, evaluating and thresholding them never asks which transition
     mode runs; only the dataset's storage does: the tables it allocates and
     the one check-and-write rule that append and append_trajectory share."""
@@ -199,10 +202,31 @@ def test_learner_loop_reads_the_mode_only_to_check_and_shape():
 
 def test_classes_read_the_mode_only_in_the_family_builder():
     """Validation, kernel numbering, residuals, their labels and the
-    realizability check loop over the transition families; only the builder
-    that makes them asks which transition mode runs."""
+    realizability check loop over the loss families; only the builder that
+    makes them asks which transition mode runs."""
     scopes = scopes_reading((PACKAGE / "hypotheses.py").read_text(), "TransitionMode")
-    assert scopes == {"HypothesisClasses.transition_families"}
+    assert scopes == {"HypothesisClasses.families"}
+
+
+def test_rewards_are_read_only_as_a_loss_family():
+    """The reward class is family 0 of every step: validation, residuals,
+    their labels, the realizability check, the loss evaluator and the
+    driver's truth check take it from HypothesisClasses.families. Only that
+    builder, the construction checks, the horizon and the class sizes read
+    the reward fields, and estimation keeps no family type of its own."""
+    allowed = {
+        "HypothesisClasses.families",
+        "HypothesisClasses.__post_init__",
+        "HypothesisClasses.horizon",
+        "HypothesisClasses.sizes",
+    }
+    for module in ("hypotheses.py", "estimation.py", "driver.py"):
+        source = (PACKAGE / module).read_text()
+        for name in ("reward_tables", "truth_reward_idx"):
+            assert scopes_reading(source, name) <= allowed, (module, name)
+    tree = ast.parse((PACKAGE / "estimation.py").read_text())
+    classes = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    assert [name for name in classes if "family" in name.lower()] == []
 
 
 def test_mode_reader_check_finds_a_planted_branch():
@@ -215,6 +239,20 @@ def test_mode_reader_check_finds_a_planted_branch():
         "    return [m for m in (mode,) if m is TransitionMode.GENERAL]\n"
     )
     assert scopes_reading(source, "TransitionMode") == {"Kept.__init__", "planted"}
+
+
+def test_scope_check_sees_attribute_reads_and_skips_stores():
+    source = (
+        "class Classes:\n"
+        "    tables: list\n"
+        "    def __post_init__(self):\n"
+        "        self.tables = list(self.tables)\n"
+        "    def set_only(self, t):\n"
+        "        self.tables = t\n"
+        "def planted(classes):\n"
+        "    return classes.tables[0]\n"
+    )
+    assert scopes_reading(source, "tables") == {"Classes.__post_init__", "planted"}
 
 
 def test_mode_reader_check_skips_annotations():

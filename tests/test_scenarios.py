@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import json
 import os
 import subprocess
 import sys
@@ -286,3 +287,18 @@ def test_closed_classes_do_not_depend_on_the_string_hash_seed():
     ]
     assert outputs[0] == outputs[1]
     assert [line.split()[0] for line in outputs[0].splitlines()] == ALL_NAMES
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+@pytest.mark.parametrize("seed", [-1, -3, "x", True, 1.5, None])
+def test_build_scenario_refuses_a_seed_that_is_not_a_nonnegative_integer(name, seed):
+    """The seed is checked before the generator runs, so a bad one never
+    reaches numpy or Scenario.params."""
+    with pytest.raises(ConfigError, match="scenario seed must be a nonnegative integer"):
+        build_scenario(name, seed)
+
+
+def test_build_scenario_echoes_a_numpy_seed_as_an_int():
+    params = build_scenario("recsys-small", np.int64(3)).params
+    assert type(params["seed"]) is int
+    assert json.loads(json.dumps(params)) == build_scenario("recsys-small", 3).params
