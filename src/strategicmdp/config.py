@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import yaml
@@ -51,21 +52,96 @@ _LOADER = _unique_key_loader(YAML_LOADER)
 
 _OPTIMISM = tuple(m.value for m in SelectionMode)
 
-_TOP_KEYS = {"environment", "classes", "run", "diagnostics", "output", "workers"}
-_ENV_KEYS = {"generator", "seed", "params"}
-_CLASS_KEYS = {"per_step_cap", "joint_cap"}
-_RUN_KEYS = {
-    "episodes",
-    "delta",
-    "beta_scale",
-    "optimism",
-    "seeds",
-    "evaluation_cadence",
-    "strict_realizability",
-    "selector_cap",
+
+def _integer_at_least(lo: int, val) -> str | None:
+    if not isinstance(val, int) or isinstance(val, bool):
+        return f"expected an integer, got {val!r}"
+    return f"must be at least {lo}, got {val}" if val < lo else None
+
+
+def _boolean(val) -> str | None:
+    return None if isinstance(val, bool) else f"expected a boolean, got {val!r}"
+
+
+def _scenario_name(val) -> str | None:
+    if not isinstance(val, str) or not val:
+        return "required, must be a scenario name"
+    if val not in GENERATORS:
+        return f"unknown scenario {val!r} (known: {', '.join(sorted(GENERATORS))})"
+    return None
+
+
+def _mapping_or_null(val) -> str | None:
+    return None if val is None or isinstance(val, dict) else "must be a mapping"
+
+
+def _open_unit_interval(val) -> str | None:
+    ok = isinstance(val, (int, float)) and not isinstance(val, bool) and 0 < val < 1
+    return None if ok else f"must lie strictly between 0 and 1, got {val!r}"
+
+
+def _finite_positive(val) -> str | None:
+    ok = isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val) and val > 0
+    return None if ok else f"must be finite and positive, got {val!r}"
+
+
+def _selection_mode(val) -> str | None:
+    return None if val in _OPTIMISM else f"must be one of {_OPTIMISM}, got {val!r}"
+
+
+def _seed_list(val) -> str | None:
+    if not isinstance(val, list) or not val or any(_NONNEGATIVE(s) for s in val):
+        return f"must be a nonempty list of nonnegative integers, got {val!r}"
+    if len(set(val)) != len(val):
+        return f"duplicate seeds {sorted({s for s in val if val.count(s) > 1})}"
+    return None
+
+
+def _nonempty_string(val) -> str | None:
+    return None if isinstance(val, str) and val else f"must be a nonempty string, got {val!r}"
+
+
+def _string_or_null(val) -> str | None:
+    return None if val is None or isinstance(val, str) else f"must be a string, got {val!r}"
+
+
+_NONNEGATIVE, _POSITIVE = partial(_integer_at_least, 0), partial(_integer_at_least, 1)
+
+# Each section's keys in the order they are checked, with defaults and rules. A
+# rule returns None for a valid value, else the violation's text. The classes and
+# run keys are ScenarioConfig fields; diagnostics and output keys, their configs'.
+_SCHEMA = {
+    "environment": {
+        "generator": (None, _scenario_name),
+        "seed": (0, _NONNEGATIVE),
+        "params": (None, _mapping_or_null),
+    },
+    "classes": {
+        "per_step_cap": (DEFAULT_PER_STEP_CAP, _POSITIVE),
+        "joint_cap": (DEFAULT_JOINT_CAP, _POSITIVE),
+    },
+    "run": {
+        "episodes": (100, _POSITIVE),
+        "delta": (0.1, _open_unit_interval),
+        "beta_scale": (1.0, _finite_positive),
+        "optimism": ("exact", _selection_mode),
+        "seeds": ([0], _seed_list),
+        "evaluation_cadence": (50, _POSITIVE),
+        "strict_realizability": (False, _boolean),
+        "selector_cap": (DEFAULT_SELECTOR_CAP, _POSITIVE),
+    },
+    "diagnostics": {
+        "regret": (True, _boolean),
+        "naive_baseline": (True, _boolean),
+        "ill_posedness": (False, _boolean),
+        "transfer": (False, _boolean),
+        "policy_budget": (DEFAULT_POLICY_BUDGET, _POSITIVE),
+    },
+    "output": {
+        "root": ("runs", _nonempty_string),
+        "label": (None, _string_or_null),
+    },
 }
-_DIAG_KEYS = {"regret", "naive_baseline", "ill_posedness", "transfer", "policy_budget"}
-_OUT_KEYS = {"root", "label"}
 
 
 @dataclass
@@ -106,154 +182,38 @@ class ScenarioConfig:
     raw: dict
 
 
-def _section(data: dict, name: str, violations: list[str]) -> dict:
-    sec = data.get(name, {})
-    if sec is None:
-        sec = {}
-    if not isinstance(sec, dict):
-        violations.append(f"{name}: must be a mapping")
-        return {}
-    return sec
-
-
-def _check_keys(sec: dict, allowed: set, prefix: str, violations: list[str]) -> None:
-    for key in sec:
-        if key not in allowed:
-            violations.append(f"{prefix}.{key}: unknown key")
-
-
-def _as_int(sec: dict, key: str, default: int, lo: int, prefix: str, violations: list[str]) -> int:
-    val = sec.get(key, default)
-    if not isinstance(val, int) or isinstance(val, bool):
-        violations.append(f"{prefix}.{key}: expected an integer, got {val!r}")
-        return default
-    if val < lo:
-        violations.append(f"{prefix}.{key}: must be at least {lo}, got {val}")
-        return default
-    return val
-
-
-def _as_bool(sec: dict, key: str, default: bool, prefix: str, violations: list[str]) -> bool:
-    val = sec.get(key, default)
-    if not isinstance(val, bool):
-        violations.append(f"{prefix}.{key}: expected a boolean, got {val!r}")
-        return default
-    return val
-
-
 def config_from_dict(data: dict) -> ScenarioConfig:
-    """Validate a parsed mapping; raises one ValidationError listing every issue."""
-    violations: list[str] = []
+    """Validate a parsed mapping against _SCHEMA; raises one ValidationError listing every issue."""
     if not isinstance(data, dict):
         raise ValidationError("config root must be a mapping")
-    for key in data:
-        if key not in _TOP_KEYS:
-            violations.append(f"{key}: unknown section")
-
-    env = _section(data, "environment", violations)
-    _check_keys(env, _ENV_KEYS, "environment", violations)
-    generator = env.get("generator")
-    if not isinstance(generator, str) or not generator:
-        violations.append("environment.generator: required, must be a scenario name")
-        generator = ""
-    elif generator not in GENERATORS:
-        known = ", ".join(sorted(GENERATORS))
-        violations.append(f"environment.generator: unknown scenario {generator!r} (known: {known})")
-    generator_seed = _as_int(env, "seed", 0, 0, "environment", violations)
-    params = env.get("params", {}) or {}
-    if not isinstance(params, dict):
-        violations.append("environment.params: must be a mapping")
-        params = {}
-
-    cls = _section(data, "classes", violations)
-    _check_keys(cls, _CLASS_KEYS, "classes", violations)
-    per_step_cap = _as_int(cls, "per_step_cap", DEFAULT_PER_STEP_CAP, 1, "classes", violations)
-    joint_cap = _as_int(cls, "joint_cap", DEFAULT_JOINT_CAP, 1, "classes", violations)
-
-    run = _section(data, "run", violations)
-    _check_keys(run, _RUN_KEYS, "run", violations)
-    episodes = _as_int(run, "episodes", 100, 1, "run", violations)
-    delta = run.get("delta", 0.1)
-    if not isinstance(delta, (int, float)) or isinstance(delta, bool) or not 0 < delta < 1:
-        violations.append(f"run.delta: must lie strictly between 0 and 1, got {delta!r}")
-        delta = 0.1
-    beta_scale = run.get("beta_scale", 1.0)
-    if (
-        not isinstance(beta_scale, (int, float))
-        or isinstance(beta_scale, bool)
-        or not math.isfinite(beta_scale)
-        or beta_scale <= 0
-    ):
-        violations.append(f"run.beta_scale: must be finite and positive, got {beta_scale!r}")
-        beta_scale = 1.0
-    optimism = run.get("optimism", "exact")
-    if optimism not in _OPTIMISM:
-        violations.append(f"run.optimism: must be one of {_OPTIMISM}, got {optimism!r}")
-        optimism = "exact"
-    seeds = run.get("seeds", [0])
-    if (
-        not isinstance(seeds, list)
-        or not seeds
-        or any(not isinstance(s, int) or isinstance(s, bool) or s < 0 for s in seeds)
-    ):
-        violations.append(
-            f"run.seeds: must be a nonempty list of nonnegative integers, got {seeds!r}"
-        )
-        seeds = [0]
-    elif len(set(seeds)) != len(seeds):
-        dups = sorted({s for s in seeds if seeds.count(s) > 1})
-        violations.append(f"run.seeds: duplicate seeds {dups}")
-    evaluation_cadence = _as_int(run, "evaluation_cadence", 50, 1, "run", violations)
-    strict = _as_bool(run, "strict_realizability", False, "run", violations)
-    selector_cap = _as_int(run, "selector_cap", DEFAULT_SELECTOR_CAP, 1, "run", violations)
-
-    dg = _section(data, "diagnostics", violations)
-    _check_keys(dg, _DIAG_KEYS, "diagnostics", violations)
-    diagnostics = DiagnosticsConfig(
-        regret=_as_bool(dg, "regret", True, "diagnostics", violations),
-        naive_baseline=_as_bool(dg, "naive_baseline", True, "diagnostics", violations),
-        ill_posedness=_as_bool(dg, "ill_posedness", False, "diagnostics", violations),
-        transfer=_as_bool(dg, "transfer", False, "diagnostics", violations),
-        policy_budget=_as_int(dg, "policy_budget", DEFAULT_POLICY_BUDGET, 1, "diagnostics", violations),
-    )
-
-    out = _section(data, "output", violations)
-    _check_keys(out, _OUT_KEYS, "output", violations)
-    root = out.get("root", "runs")
-    if not isinstance(root, str) or not root:
-        violations.append(f"output.root: must be a nonempty string, got {root!r}")
-        root = "runs"
-    label = out.get("label")
-    if label is not None and not isinstance(label, str):
-        violations.append(f"output.label: must be a string, got {label!r}")
-        label = None
-
+    violations = [f"{key}: unknown section" for key in data if key not in _SCHEMA and key != "workers"]
+    parsed: dict[str, dict] = {}
+    for name, keys in _SCHEMA.items():
+        section = {} if data.get(name) is None else data[name]
+        if not isinstance(section, dict):
+            violations.append(f"{name}: must be a mapping")
+            section = {}
+        violations += [f"{name}.{key}: unknown key" for key in section if key not in keys]
+        parsed[name] = values = {}
+        for key, (default, rule) in keys.items():
+            values[key] = section.get(key, default)
+            if message := rule(values[key]):
+                violations.append(f"{name}.{key}: {message}")
     workers = data.get("workers", 1)
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
+    if _POSITIVE(workers):
         violations.append(f"workers: must be a positive integer, got {workers!r}")
-        workers = 1
-
     if violations:
-        raise ValidationError(
-            "invalid config (" + str(len(violations)) + " issue(s)):\n  - "
-            + "\n  - ".join(violations)
-        )
+        raise ValidationError("\n  - ".join([f"invalid config ({len(violations)} issue(s)):", *violations]))
+    env, run = parsed["environment"], parsed["run"]
+    run.update(delta=float(run["delta"]), beta_scale=float(run["beta_scale"]), seeds=list(run["seeds"]))
     return ScenarioConfig(
-        generator=generator,
-        generator_seed=generator_seed,
-        generator_params=params,
-        per_step_cap=per_step_cap,
-        joint_cap=joint_cap,
-        episodes=episodes,
-        delta=float(delta),
-        beta_scale=float(beta_scale),
-        optimism=optimism,
-        seeds=list(seeds),
-        evaluation_cadence=evaluation_cadence,
-        strict_realizability=strict,
-        selector_cap=selector_cap,
-        diagnostics=diagnostics,
-        output=OutputConfig(root=root, label=label),
+        generator=env["generator"],
+        generator_seed=env["seed"],
+        generator_params={} if env["params"] is None else env["params"],
+        **parsed["classes"],
+        **run,
+        diagnostics=DiagnosticsConfig(**parsed["diagnostics"]),
+        output=OutputConfig(**parsed["output"]),
         workers=workers,
         raw=data,
     )

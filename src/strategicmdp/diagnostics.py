@@ -149,9 +149,8 @@ def deterministic_policy_tables(
     num_actions: int,
     steps: int,
     budget: int,
-    sample_seed: int = 0,
 ) -> tuple[list[np.ndarray], bool]:
-    """All (steps, S) deterministic action tables, or a uniform sample of budget many.
+    """All (steps, S) deterministic action tables, or a uniform sample of budget many (seed 0).
 
     Returns (tables, sampled). Exhaustive enumeration is used exactly when
     num_actions ** (num_states * steps) fits the budget.
@@ -163,7 +162,7 @@ def deterministic_policy_tables(
             for combo in itertools.product(range(num_actions), repeat=num_states * steps)
         ]
         return tables, False
-    rng = make_rng(sample_seed)
+    rng = make_rng(0)
     tables = [
         rng.integers(num_actions, size=(steps, num_states)) for _ in range(budget)
     ]
@@ -300,7 +299,6 @@ def ill_posedness(
     classes: HypothesisClasses,
     h: int,
     policy_budget: int = DEFAULT_POLICY_BUDGET,
-    sample_seed: int = 0,
 ) -> RatioResult:
     """Worst-case MSE over projected MSE at step h under the source population.
 
@@ -312,9 +310,7 @@ def ill_posedness(
     """
     _check_index(h, env.horizon, "step")
     labels, nus = _collect_residuals(env, classes, h)
-    tables, sampled = deterministic_policy_tables(
-        env.num_states, env.num_actions, h + 1, policy_budget, sample_seed
-    )
+    tables, sampled = deterministic_policy_tables(env.num_states, env.num_actions, h + 1, policy_budget)
     if nus is None:
         return RatioResult(1.0, False, True, sampled, None, len(tables), 0)
     kappa = source_feedback_mix(env)[h]  # (S, A, E)
@@ -329,14 +325,11 @@ def transfer_term(
     classes: HypothesisClasses,
     h: int,
     policy_budget: int = DEFAULT_POLICY_BUDGET,
-    sample_seed: int = 0,
 ) -> RatioResult:
     """Worst-case target-MSE over source-MSE at step h, same enumeration scheme."""
     _check_index(h, env.horizon, "step")
     labels, nus = _collect_residuals(env, classes, h)
-    tables, sampled = deterministic_policy_tables(
-        env.num_states, env.num_actions, h + 1, policy_budget, sample_seed
-    )
+    tables, sampled = deterministic_policy_tables(env.num_states, env.num_actions, h + 1, policy_budget)
     if nus is None:
         return RatioResult(1.0, False, True, sampled, None, len(tables), 0)
     fb = feedback_by_type(env)

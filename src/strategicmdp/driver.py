@@ -111,7 +111,7 @@ class RunResult:
     episodes: list[EpisodeRecord]
     realizability: RealizabilityReport
     flags: tuple[str, ...]
-    dataset: StepDataset | None = None
+    dataset: StepDataset
 
     def canonical_json(self, include_wallclock: bool = False) -> str:
         """Deterministic serialization; wall-clock fields excluded by default.

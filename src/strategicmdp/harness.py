@@ -166,7 +166,7 @@ def run_seed(
     diag: dict = {}
     if cfg.diagnostics.regret:
         diag["regret"] = curve.as_dict()
-    if cfg.diagnostics.naive_baseline and run.dataset is not None:
+    if cfg.diagnostics.naive_baseline:
         diag["naive_baseline"] = naive_baseline(run.dataset, scenario.model).as_dict()
     if shared_diag:
         diag.update(shared_diag)

@@ -89,6 +89,13 @@ class KernelIndex:
         return tuple(tuple(sorted(set(c))) for c in zip(*(self.models[k] for k in kernels)))
 
 
+def _check_shape(tables: np.ndarray, want: tuple[int, ...], kind: str, where: str) -> None:
+    """tables stacks n tables of shape want."""
+    if tables.shape[1:] != want:
+        expected = ", ".join(map(str, ("n", *want)))
+        raise ValidationError(f"{kind} at {where} have shape {tables.shape}, expected ({expected})")
+
+
 def _check_truth_index(idx, count: int, kind: str, where: str) -> None:
     """A designated truth index is None or an integer naming one of count candidates."""
     if idx is None:
@@ -162,7 +169,10 @@ class HypothesisClasses:
         if H == 0:
             raise ValidationError("need at least one step of reward candidates")
         self.reward_tables = [np.asarray(r, dtype=float) for r in self.reward_tables]
-        S, A = self.reward_tables[0].shape[1:3]
+        if self.reward_tables[0].ndim != 4:
+            shape = self.reward_tables[0].shape
+            raise ValidationError(f"reward candidates at step 0 have shape {shape}, expected (n, S, A, E)")
+        S, A, E = self.reward_tables[0].shape[1:]
         if not math.isfinite(self.bound) or self.bound <= 0:
             raise ValidationError(f"bound must be finite and positive, got {self.bound}")
         self.truth_reward_idx = self.truth_reward_idx or [None] * H
@@ -179,25 +189,30 @@ class HypothesisClasses:
         zero_sa = np.zeros((S, A))
         for h in range(H):
             f = self.discriminators[h]
-            if f.shape[1:] != (S, A) or not (f == 0.0).all(axis=(1, 2)).any():
+            _check_shape(f, (S, A), "discriminators", f"step {h}")
+            if not (f == 0.0).all(axis=(1, 2)).any():
                 self.discriminators[h] = np.concatenate([f, zero_sa[None]], axis=0)
         self.value_targets = [np.asarray(g, dtype=float) for g in self.value_targets]
         if len(self.value_targets) == H:
             self.value_targets.append(np.zeros((1, S)))
         if len(self.value_targets) != H + 1:
             raise ValidationError("value_targets must cover steps 1..H+1")
+        for h, g in enumerate(self.value_targets):
+            _check_shape(g, (S,), "value targets", f"step {h}")
         if not np.array_equal(self.value_targets[H], np.zeros((1, S))):
             raise ValidationError("terminal value-target family must be the zero function alone")
-        self._validate()
+        self._validate(S, A, E)
 
-    def _validate(self) -> None:
+    def _validate(self, S: int, A: int, E: int) -> None:
         H = self.horizon
         for name in ("truth_reward_idx", "truth_transition_idx"):
             if len(getattr(self, name)) != H:
                 raise ValidationError(f"{name} must have one entry per step ({H})")
         for h in range(H):
             for fam in self.families(h):
-                n, tables = len(fam.tables), fam.tables
+                tables, want = fam.tables, (S, A, E, S) if fam.kernels else (S, A, E)
+                _check_shape(tables, want, f"{fam.kind} candidates", fam.where)
+                n = len(tables)
                 if n == 0:
                     raise ValidationError(f"no {fam.kind} candidates at {fam.where}")
                 if n > self.caps.per_step:

@@ -249,7 +249,6 @@ class StrategicModel:
     reward_bound: float
     transition_mode: TransitionMode
     transition_kernel: np.ndarray | None = None
-    state_dim: int = 0
     grid: Grid | None = None
     mean_map: np.ndarray | None = None
     trans_confound: np.ndarray | None = None
@@ -274,6 +273,11 @@ class StrategicModel:
         _check_finite(self, ("reward_confound", "trans_confound"))  # before inf - inf can warn
         self._demean_confounds()
         self.validate()
+
+    @property
+    def state_dim(self) -> int:
+        """d, the grid's dimension; 0 without a grid."""
+        return 0 if self.grid is None else self.grid.dim
 
     def _demean_confounds(self) -> None:
         src = self.source_type_dist
@@ -332,8 +336,6 @@ class StrategicModel:
         else:
             if self.grid is None or self.mean_map is None or self.trans_confound is None:
                 raise ValidationError("dynamical mode requires grid, mean_map, trans_confound")
-            if self.state_dim != self.grid.dim:
-                raise ValidationError("state_dim does not match grid dimension")
             if self.num_states != self.grid.num_cells:
                 raise ValidationError("num_states must equal the grid cell count")
             if self.mean_map.shape != (H, S, A, E, self.state_dim):

@@ -483,7 +483,6 @@ def dyn_1d(seed: int = 0, *, noiseless: bool = False) -> Tables:
         reward_noise_std=0.0 if noiseless else 0.2,
         reward_bound=1.0,
         transition_mode=TransitionMode.DYNAMICAL,
-        state_dim=1,
         grid=grid,
         mean_map=mean_map,
         trans_confound=_tile(np.array([[trans_conf], [-trans_conf]]), H),

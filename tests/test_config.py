@@ -2,18 +2,29 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from strategicmdp import CapacityError, ParseError, SelectionMode, ValidationError, config
+from strategicmdp import GENERATORS, CapacityError, ParseError, SelectionMode, ValidationError, config
 from strategicmdp.cli import main
-from strategicmdp.config import YAML_LOADER, config_from_dict, load_config, parse_yaml
+from strategicmdp.config import (
+    YAML_LOADER,
+    DiagnosticsConfig,
+    OutputConfig,
+    ScenarioConfig,
+    config_from_dict,
+    load_config,
+    parse_yaml,
+)
 from strategicmdp.harness import build_from_config, run_config_for
 
-from helpers import BASE_YAML, DYN_YAML
+from helpers import BASE_YAML, DYN_YAML, ref_config_from_dict
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -129,16 +140,132 @@ def test_readme_config_block_matches_the_schema():
     section, and no key the schema does not know."""
     data = parse_yaml(readme_config())
     config_from_dict(data)
-    assert set(data) == config._TOP_KEYS
-    schema = {
-        "environment": config._ENV_KEYS,
-        "classes": config._CLASS_KEYS,
-        "run": config._RUN_KEYS,
-        "diagnostics": config._DIAG_KEYS,
-        "output": config._OUT_KEYS,
-    }
-    for section, keys in schema.items():
-        assert set(data[section]) == keys, section
+    assert set(data) == {*config._SCHEMA, "workers"}
+    for section, keys in config._SCHEMA.items():
+        assert set(data[section]) == set(keys), section
+
+
+def test_schema_keys_are_the_config_fields():
+    """A key declared in the table but not in its config class, or the
+    reverse, fails here rather than when a config first sets it."""
+
+    def names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert set(config._SCHEMA["diagnostics"]) == names(DiagnosticsConfig)
+    assert set(config._SCHEMA["output"]) == names(OutputConfig)
+    assert set(config._SCHEMA["classes"]) | set(config._SCHEMA["run"]) <= names(ScenarioConfig)
+
+
+SCALARS = st.one_of(
+    st.integers(-3, 10),
+    st.integers(-(2**40), 2**40),
+    st.booleans(),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, float("nan"), float("inf"), -float("inf")]),
+    st.text(max_size=3),
+    st.sampled_from(["", "exact", "pointwise", "runs", *sorted(GENERATORS)]),
+    st.none(),
+)
+JUNK = st.one_of(
+    SCALARS,
+    st.lists(SCALARS, max_size=3),
+    st.sampled_from([[], [1, 1], [0, 2, 2], [True]]),
+    st.dictionaries(st.text(max_size=2), SCALARS, max_size=2),
+)
+POSITIVE = st.integers(1, 9)
+VALID = {
+    "environment": {
+        "generator": st.sampled_from(sorted(GENERATORS)),
+        "seed": st.integers(0, 9),
+        "params": st.one_of(st.none(), st.dictionaries(st.text(max_size=3), SCALARS, max_size=2)),
+    },
+    "classes": {"per_step_cap": POSITIVE, "joint_cap": POSITIVE},
+    "run": {
+        "episodes": POSITIVE,
+        "delta": st.floats(0.01, 0.99),
+        "beta_scale": st.one_of(POSITIVE, st.floats(0.1, 5.0)),
+        "optimism": st.sampled_from([m.value for m in SelectionMode]),
+        "seeds": st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True),
+        "evaluation_cadence": POSITIVE,
+        "strict_realizability": st.booleans(),
+        "selector_cap": POSITIVE,
+    },
+    "diagnostics": {
+        "regret": st.booleans(),
+        "naive_baseline": st.booleans(),
+        "ill_posedness": st.booleans(),
+        "transfer": st.booleans(),
+        "policy_budget": POSITIVE,
+    },
+    "output": {"root": st.text(min_size=1, max_size=3), "label": st.one_of(st.none(), st.text(max_size=3))},
+}
+UNKNOWN = st.sampled_from(["bogus", "mode", "recompute_every", 3, None])
+
+
+@st.composite
+def config_mappings(draw):
+    """A mapping a parsed config could be. A clean one has only known keys,
+    valid values and a generator, so it parses, and any key may be left to
+    its default; otherwise sections may be null, not mappings or absent,
+    and any key may hold junk or be unknown."""
+    clean = draw(st.booleans())
+    entries = []
+    for name, keys in VALID.items():
+        shape = "mapping" if clean else draw(st.sampled_from(["mapping"] * 4 + ["absent", "null", "junk"]))
+        if shape == "null":
+            entries.append((name, None))
+        elif shape == "junk":
+            entries.append((name, draw(JUNK)))
+        elif shape == "mapping":
+            section = []
+            for key, valid in keys.items():
+                kinds = ["absent", "valid"] if clean else ["absent", "valid", "junk", "junk"]
+                kind = "valid" if clean and key == "generator" else draw(st.sampled_from(kinds))
+                if kind != "absent":
+                    section.append((key, draw(valid if kind == "valid" else JUNK)))
+            if not clean:
+                section += draw(st.lists(st.tuples(UNKNOWN, JUNK), max_size=2))
+            entries.append((name, dict(draw(st.permutations(section)))))
+    workers = draw(st.sampled_from(["absent", "valid"] if clean else ["absent", "valid", "junk"]))
+    if workers != "absent":
+        entries.append(("workers", draw(POSITIVE if workers == "valid" else JUNK)))
+    if not clean:
+        entries += draw(st.lists(st.tuples(UNKNOWN, JUNK), max_size=2))
+    return dict(draw(st.permutations(entries)))
+
+
+def parsed_or_violations(parse, data):
+    try:
+        return parse(data)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(config_mappings())
+def test_schema_parser_matches_the_reference_parser(data):
+    """The table-driven parser gives the reference parser's config, or its
+    violations in the same order. The one difference: the reference read a
+    falsy non-mapping environment.params ([], 0, false, "") as {}, the table
+    refuses it, as the reference refuses a truthy one."""
+    expected_input = data
+    env = data.get("environment")
+    if isinstance(env, dict) and not isinstance(env.get("params", {}), dict):
+        if env["params"] is not None and not env["params"]:
+            expected_input = {**data, "environment": {**env, "params": ["not a mapping"]}}
+    got = parsed_or_violations(config_from_dict, data)
+    assert got == parsed_or_violations(ref_config_from_dict, expected_input)
+
+
+@pytest.mark.parametrize("params", [[], 0, False, "", [1], "x"])
+def test_environment_params_must_be_a_mapping_when_given(params):
+    assert "environment.params: must be a mapping" in violations_of(minimal(params=params))
+
+
+@pytest.mark.parametrize("params", [None, {}])
+def test_null_or_empty_environment_params_are_no_options(params):
+    assert config_from_dict(minimal(params=params)).generator_params == {}
 
 
 def test_all_violations_reported_at_once():

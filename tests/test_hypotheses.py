@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -127,6 +128,55 @@ def test_non_finite_candidates_rejected(family, message):
         classes = singleton_classes(tiny_general())
         bad = _nan_in_first_candidate(getattr(classes, family), 1)
     with pytest.raises(ValidationError, match=f"^{message}$"):
+        dataclasses.replace(classes, **{family: bad})
+
+
+@pytest.mark.parametrize(
+    "name, family, h, shape, message",
+    [
+        (
+            "recsys-small", "reward_tables", 0, (2, 3),
+            "reward candidates at step 0 have shape (2, 3), expected (n, S, A, E)",
+        ),
+        (
+            "recsys-small", "reward_tables", 1, (2, 3, 2, 2),
+            "reward candidates at step 1 have shape (2, 3, 2, 2), expected (n, 3, 2, 3)",
+        ),
+        (
+            "recsys-small", "transition_tables", 0, (2, 3, 2, 3, 2),
+            "transition candidates at step 0 have shape (2, 3, 2, 3, 2), expected (n, 3, 2, 3, 3)",
+        ),
+        (
+            "recsys-small", "transition_tables", 2, (2, 3, 2, 3),
+            "transition candidates at step 2 have shape (2, 3, 2, 3), expected (n, 3, 2, 3, 3)",
+        ),
+        (
+            "recsys-small", "discriminators", 0, (2, 3, 3),
+            "discriminators at step 0 have shape (2, 3, 3), expected (n, 3, 2)",
+        ),
+        (
+            "recsys-small", "value_targets", 1, (2, 2),
+            "value targets at step 1 have shape (2, 2), expected (n, 3)",
+        ),
+        (
+            "dyn-1d", "mean_map_tables", 1, (2, 9, 2, 3),
+            "mean-map candidates at step 1, coordinate 0 have shape (2, 9, 2, 3), expected (n, 9, 2, 2)",
+        ),
+    ],
+    ids=[
+        "reward-2d", "reward-feedbacks", "kernel-next-states", "kernel-no-next-state",
+        "discriminators", "value-targets", "mean-map",
+    ],
+)
+def test_mis_shaped_tables_rejected(name, family, h, shape, message):
+    """Each table of a misshapen family is refused by name, not by numpy's
+    broadcast error at first use. The tables are otherwise valid: every row
+    sums to 1 along the last axis, inside the class bound."""
+    classes = build_scenario(name).classes
+    bad = list(getattr(classes, family))
+    table = np.full(shape, 1.0 / shape[-1])
+    bad[h] = [table, *bad[h][1:]] if family == "mean_map_tables" else table
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         dataclasses.replace(classes, **{family: bad})
 
 
