@@ -19,6 +19,7 @@ from .diagnostics import (
     occupancy,
     regret_curve,
     transfer_term,
+    true_aggregated_model,
 )
 from .driver import (
     EpisodeRecord,
@@ -81,7 +82,6 @@ from .planning import (
     evaluate_policy,
     optimistic_select,
     policy_value,
-    true_aggregated_model,
     value_iteration,
 )
 from .scenarios import GENERATORS, Scenario, build_scenario

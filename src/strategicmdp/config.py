@@ -7,7 +7,7 @@ in a single error rather than one at a time.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -81,7 +81,8 @@ def _open_unit_interval(val) -> str | None:
 
 
 def _finite_positive(val) -> str | None:
-    ok = isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val) and val > 0
+    # The float range check also refuses NaN and an int too large to become a float.
+    ok = isinstance(val, (int, float)) and not isinstance(val, bool) and 0 < val <= sys.float_info.max
     return None if ok else f"must be finite and positive, got {val!r}"
 
 

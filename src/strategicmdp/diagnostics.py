@@ -1,8 +1,10 @@
-"""Ground-truth-aware oracles: occupancies, regret, identifiability measures.
+"""Ground-truth-aware oracles: the true law, occupancies, regret, identifiability measures.
 
 Everything here may read environment internals; none of it feeds back into
-learning decisions. The two identifiability measures are worst-case ratios
-over candidate residuals and enumerated policies:
+learning decisions. The true law is one set of per-step next-state kernels,
+read by the aggregated MDP of regret, occupancy and the ratio oracles. The
+two identifiability measures are worst-case ratios over candidate residuals
+and enumerated policies:
 
   ill_posedness    max MSE / projected-MSE under the source occupancy, i.e.
                    how much resolution the (state, action) instrument loses
@@ -35,7 +37,7 @@ from .model import (
     feedback_by_type,
     make_rng,
 )
-from .planning import discretize_gaussian, policy_value, true_aggregated_model, value_iteration
+from .planning import AggregatedMDP, discretize_gaussian, policy_value, value_iteration
 
 JENSEN_TOL = 1e-9
 # The most deterministic policies a ratio oracle enumerates before it samples.
@@ -43,8 +45,52 @@ DEFAULT_POLICY_BUDGET = 4096
 
 
 # ---------------------------------------------------------------------------
-# Occupancy
+# The true law and occupancy
 # ---------------------------------------------------------------------------
+
+
+def _step_kernels(env: StrategicModel, steps: int) -> list[np.ndarray]:
+    """Next-state laws of steps 0..steps-1; they depend on neither policy nor population.
+
+    General mode: the (S, A, E, S) transition tables. Dynamical mode: the
+    (T, S, A, E, C) cell masses of every type's shifted mean.
+    """
+    if env.transition_mode is TransitionMode.GENERAL:
+        assert env.transition_kernel is not None
+        return [env.transition_kernel[h] for h in range(steps)]
+    assert env.mean_map is not None and env.trans_confound is not None and env.grid is not None
+    kernels = []
+    for h in range(steps):
+        means = env.mean_map[h][None] + env.trans_confound[h][:, None, None, None, :]  # (T, S, A, E, d)
+        kernels.append(discretize_gaussian(means, env.grid, env.trans_noise_scale))
+    return kernels
+
+
+def _push(weights: np.ndarray, kernel: np.ndarray, out: str) -> np.ndarray:
+    """Next-state mass of (S, A, T, E) per-type weights under one step kernel, on the
+    `out` axes of s, a and x. A general (S, A, E, S) kernel has no type axis, so
+    the types are summed out first."""
+    if kernel.ndim == 4:
+        return np.einsum(f"sae,saex->{out}", weights.sum(axis=2), kernel)
+    return np.einsum(f"sate,tsaex->{out}", weights, kernel)
+
+
+def true_aggregated_model(model: StrategicModel, type_dist: np.ndarray | None = None) -> AggregatedMDP:
+    """Aggregated MDP of the true environment under a type distribution, by default the target.
+
+    Each (state, action) moves by the (type, feedback) mixture of the step
+    kernels, the simulator's own next-cell law. The rewards leave out the
+    population mean of the reward confound, one constant per step (-0.08 on
+    dyn-1d, -0.09 on recsys-small under the target): it shifts the optimal
+    value but never regret. An evaluation oracle the learner cannot call.
+    """
+    dist = model.target_type_dist if type_dist is None else np.asarray(type_dist, dtype=float)
+    fb = feedback_by_type(model)  # (H, S, A, T, E)
+    w = np.einsum("ht,hsate->hsae", dist, fb)
+    rewards = np.einsum("hsae,hsae->hsa", w, model.principal_reward)
+    weights = dist[:, None, None, :, None] * fb
+    transitions = [_push(weights[h], k, "sax") for h, k in enumerate(_step_kernels(model, model.horizon))]
+    return AggregatedMDP(rewards, transitions, model.initial_state)
 
 
 @dataclass
@@ -52,9 +98,8 @@ class OccupancyTable:
     """Exact per-step distributions induced by a policy and a type population.
 
     joints[h] is the (S, A, E) distribution of (state, action, feedback);
-    marginals follow by summation. In dynamical mode states are grid cells and
-    the table is exact only when transition noise and type shifts vanish,
-    otherwise a resolution flag is set.
+    marginals follow by summation. A state is its grid cell in dynamical
+    mode, so the table is exact in both modes and flags stays empty.
     """
 
     joints: list[np.ndarray]
@@ -79,35 +124,8 @@ def occupancy(
         _check_simplex(dist, "type_dist")
     if policy.action_probs.shape != (H, env.num_states, env.num_actions):
         raise ValidationError("policy shape does not match the environment")
-    flags: tuple[str, ...] = ()
-    if env.transition_mode is TransitionMode.DYNAMICAL:
-        assert env.trans_confound is not None
-        if env.trans_noise_scale > 0 or np.any(env.trans_confound != 0.0):
-            flags = ("grid-resolution-approximation",)
-    joints = _forward_joints(
-        env, policy.action_probs, dist, feedback_by_type(env), _step_kernels(env, H - 1)
-    )
-    return OccupancyTable(joints=joints, flags=flags)
-
-
-def _step_kernels(env: StrategicModel, steps: int) -> list[np.ndarray]:
-    """Next-state laws of steps 0..steps-1; they depend on neither policy nor population.
-
-    General mode: the (S, A, E, S) transition tables. Dynamical mode: the
-    (T, S, A, E, C) cell masses of every type's shifted mean.
-    """
-    if env.transition_mode is TransitionMode.GENERAL:
-        assert env.transition_kernel is not None
-        return [env.transition_kernel[h] for h in range(steps)]
-    assert env.mean_map is not None and env.trans_confound is not None
-    assert env.grid is not None
-    kernels = []
-    for h in range(steps):
-        means = (
-            env.mean_map[h][None, ...] + env.trans_confound[h][:, None, None, None, :]
-        )  # (T, S, A, E, d)
-        kernels.append(discretize_gaussian(means, env.grid, env.trans_noise_scale))
-    return kernels
+    kernels = _step_kernels(env, H - 1)
+    return OccupancyTable(_forward_joints(env, policy.action_probs, dist, feedback_by_type(env), kernels))
 
 
 def _forward_joints(
@@ -132,10 +150,7 @@ def _forward_joints(
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"occupancy at step {h} sums to {total}")
         if h < len(kernels):
-            if env.transition_mode is TransitionMode.GENERAL:
-                d = np.einsum("sae,saex->x", joint, kernels[h])
-            else:
-                d = np.einsum("sate,tsaec->c", per_type, kernels[h])
+            d = _push(per_type, kernels[h], "x")
     return joints
 
 
@@ -442,7 +457,4 @@ def regret_curve(run, env: StrategicModel, knowledge: LearnerKnowledge) -> Regre
     for i, rec in enumerate(run.episodes):
         rec.instant_regret = float(inst[i])
         rec.cum_regret = float(cum[i])
-    flags = ()
-    if env.transition_mode is TransitionMode.DYNAMICAL:
-        flags = ("grid-resolution-approximation",)
-    return RegretCurve(optimal_value=vstar, instant=inst, cumulative=cum, flags=flags)
+    return RegretCurve(optimal_value=vstar, instant=inst, cumulative=cum)

@@ -26,11 +26,11 @@ import numpy as np
 
 from . import __version__
 from .config import ScenarioConfig, config_from_dict
-from .diagnostics import ill_posedness, naive_baseline, regret_curve, transfer_term
+from .diagnostics import ill_posedness, naive_baseline, regret_curve, transfer_term, true_aggregated_model
 from .driver import RunConfig, RunResult, run_learner
 from .errors import ValidationError
 from .hypotheses import ClassCaps
-from .planning import SelectionMode, true_aggregated_model, value_iteration
+from .planning import SelectionMode, value_iteration
 from .scenarios import Scenario, build_scenario
 
 EPISODE_COLUMNS = [

@@ -1,18 +1,19 @@
-"""Population-aggregated MDPs: construction, exact planning, optimistic selection.
+"""Learner planning: aggregated MDPs, exact planning, optimistic selection.
 
 Candidate rewards and transitions are indexed by feedback. Averaging the
-feedback out under a chosen type distribution yields an ordinary tabular MDP,
-which backward induction solves exactly. Optimistic selection searches a
-product of per-step candidate sets for the model with the largest optimal
-value, either by exact joint enumeration or by a per-(state, action) pointwise
-relaxation whose value dominates the exact one.
+feedback out under the learner's target feedback mix yields an ordinary
+tabular MDP, which backward induction solves exactly. Optimistic selection
+searches a product of per-step candidate sets for the model with the largest
+optimal value, either by exact joint enumeration or by a per-(state, action)
+pointwise relaxation whose value dominates the exact one.
 
 Both transition modes plan over one next-state kernel per transition model. In
 dynamical mode the aggregated object is a mean map on grid cells, with
 candidates cut per coordinate; each coordinate's Gaussian is discretized to
 cell masses by CDF differences, with out-of-box mass folded into boundary
 cells, and every choice of one candidate per coordinate becomes one joint
-cell kernel, the outer product of its per-axis masses.
+cell kernel, the outer product of its per-axis masses. Nothing here reads the
+environment; its true law is an oracle in diagnostics.
 """
 
 from __future__ import annotations
@@ -28,12 +29,10 @@ from .model import (
     Grid,
     LearnerKnowledge,
     Policy,
-    StrategicModel,
     TransitionMode,
     _check_index,
     _check_simplex,
     _is_int,
-    feedback_by_type,
 )
 
 if TYPE_CHECKING:
@@ -143,28 +142,6 @@ def discretize_gaussian(means: np.ndarray, grid: Grid, scale: float) -> np.ndarr
     return _joint_cell_masses(
         [grid.gaussian_mass_1d(means[..., k], scale, k) for k in range(grid.dim)]
     )
-
-
-def true_aggregated_model(
-    model: StrategicModel, type_dist: np.ndarray | None = None
-) -> AggregatedMDP:
-    """Aggregated MDP of the true environment under a type distribution.
-
-    Defaults to the target distribution. Requires access to the full model, so
-    this is an evaluation oracle, not something the learner can call.
-    """
-    dist = model.target_type_dist if type_dist is None else np.asarray(type_dist, dtype=float)
-    fb = feedback_by_type(model)  # (H, S, A, T, E)
-    w = np.einsum("ht,hsate->hsae", dist, fb)
-    rewards = np.einsum("hsae,hsae->hsa", w, model.principal_reward)
-    if model.transition_mode is TransitionMode.GENERAL:
-        assert model.transition_kernel is not None
-        transitions = np.einsum("hsae,hsaex->hsax", w, model.transition_kernel)
-    else:
-        assert model.mean_map is not None and model.grid is not None
-        means = np.einsum("hsae,hsaed->hsad", w, model.mean_map)
-        transitions = discretize_gaussian(means, model.grid, model.trans_noise_scale)
-    return AggregatedMDP(rewards, transitions, model.initial_state)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ and closes the classes once, under the given class caps.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -515,13 +516,13 @@ GENERATORS = {
 
 
 def _option_accepts(default: bool | int | float, value: object) -> bool:
-    """A bool option takes a bool, an int option an int, a float option an
-    int or a float; only a bool option takes a bool."""
+    """A bool option takes a bool, an int option an int, a float option a
+    float or an int that a float can hold; only a bool option takes a bool."""
     if isinstance(default, bool) or isinstance(value, bool):
         return isinstance(default, bool) and isinstance(value, bool)
     if isinstance(default, int):
         return isinstance(value, int)
-    return isinstance(value, (int, float))
+    return isinstance(value, float) or (isinstance(value, int) and abs(value) <= sys.float_info.max)
 
 
 def build_scenario(

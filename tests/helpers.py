@@ -401,6 +401,17 @@ def ref_occupancy_joints(env: StrategicModel, policy: Policy, dist: np.ndarray):
     return joints
 
 
+def ref_true_aggregated_general(model: StrategicModel, type_dist: np.ndarray | None = None) -> AggregatedMDP:
+    """true_aggregated_model in general mode as it was: feedback weights contracted with
+    the transition tables in one einsum, before the step kernels were shared."""
+    dist = model.target_type_dist if type_dist is None else np.asarray(type_dist, dtype=float)
+    fb = feedback_by_type(model)  # (H, S, A, T, E)
+    w = np.einsum("ht,hsate->hsae", dist, fb)
+    rewards = np.einsum("hsae,hsae->hsa", w, model.principal_reward)
+    transitions = np.einsum("hsae,hsaex->hsax", w, model.transition_kernel)
+    return AggregatedMDP(rewards, transitions, model.initial_state)
+
+
 def ref_worst_ratio(env, classes, h: int, policy_budget: int, transfer: bool) -> RatioResult:
     """ill_posedness (transfer=False) or transfer_term, one full DP per policy."""
     labels, nus = [], []

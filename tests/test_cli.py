@@ -67,6 +67,12 @@ def test_validate_rejects_non_finite_beta_scale(config_path, capsys, value):
     assert "run.beta_scale" in capsys.readouterr().err
 
 
+def test_validate_rejects_a_beta_scale_too_large_for_a_float(config_path, capsys):
+    p = config_path(BASE_YAML.replace("beta_scale: 0.1", "beta_scale: 1" + "0" * 400))
+    assert main(["validate", str(p)]) == 2
+    assert "run.beta_scale" in capsys.readouterr().err
+
+
 def test_validate_missing_file(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.yaml")]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -318,6 +324,13 @@ def test_run_rejects_a_quoted_boolean_option_with_exit_2(config_path, capsys):
     body = BASE_YAML.replace("recsys-small\n", "recsys-small\n" + params)
     assert main(["run", str(config_path(body=body))]) == 2
     assert "option 'bias_probe' takes a bool" in capsys.readouterr().err
+
+
+def test_run_rejects_an_option_too_large_for_a_float_with_exit_2(config_path, capsys):
+    params = "  params:\n    bogus_boost: 1" + "0" * 400 + "\n"
+    body = BASE_YAML.replace("recsys-small\n", "recsys-small\n" + params)
+    assert main(["run", str(config_path(body=body))]) == 2
+    assert "option 'bogus_boost' takes a float" in capsys.readouterr().err
 
 
 def test_run_joint_cap_failure_exits_3_and_marks_manifest(config_path, tmp_path, capsys):

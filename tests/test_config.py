@@ -313,6 +313,12 @@ def test_beta_scale_finite(value):
     assert "run.beta_scale" in msg
 
 
+@pytest.mark.parametrize("value", [10**400, -(10**400)])
+def test_beta_scale_too_large_for_a_float_is_a_violation(value):
+    msg = violations_of({**minimal(), "run": {"beta_scale": value}})
+    assert "run.beta_scale" in msg
+
+
 def test_optimism_enum():
     msg = violations_of({**minimal(), "run": {"optimism": "greedy"}})
     assert "run.optimism" in msg

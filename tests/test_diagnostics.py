@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strategicmdp import (
     GENERATORS,
+    Grid,
     HypothesisClasses,
     InvalidIndexError,
     LearnerKnowledge,
@@ -40,7 +44,12 @@ from helpers import (
     all_action_tables,
     mixture_value,
     occupancy_mse,
+    random_dynamical,
+    random_general,
+    ref_discretize_gaussian,
+    ref_locate,
     ref_occupancy_joints,
+    ref_true_aggregated_general,
     ref_worst_ratio,
     tiny_dynamical,
     tiny_general,
@@ -86,6 +95,48 @@ def occupancy_literal(model, actions, upto, dist):
         mix = feedback_mix_literal(model, dist[upto], upto, s, a)
         joint[s, a] = d[s] * mix
     return joint
+
+
+def true_aggregated_literal(model, dist):
+    """Dynamical aggregated rewards and transitions by a literal loop over
+    (h, s, a, t, e), one discretized Gaussian per (type, feedback) path."""
+    H, S, A = model.horizon, model.num_states, model.num_actions
+    rewards = np.zeros((H, S, A))
+    transitions = np.zeros((H, S, A, S))
+    for h, s, a in itertools.product(range(H), range(S), range(A)):
+        for t in range(model.num_types):
+            b = int(np.argmax(model.agent_reward[h, s, a, t]))
+            for e in range(model.num_feedbacks):
+                p = dist[h, t] * model.feedback_kernel[h, s, a, t, b, e]
+                rewards[h, s, a] += p * model.principal_reward[h, s, a, e]
+                mean = model.mean_map[h, s, a, e] + model.trans_confound[h, t]
+                transitions[h, s, a] += p * ref_discretize_gaussian(
+                    mean, model.grid, model.trans_noise_scale
+                )
+    return rewards, transitions
+
+
+def noiseless_path_value(model, actions, dist) -> float:
+    """Expected return of a deterministic table on a noiseless dynamical model,
+    enumerating every (type, feedback) path and locating each next state."""
+
+    def value(h: int, s: int) -> float:
+        if h == model.horizon:
+            return 0.0
+        a = int(actions[h, s])
+        total = 0.0
+        for t in range(model.num_types):
+            b = int(np.argmax(model.agent_reward[h, s, a, t]))
+            for e in range(model.num_feedbacks):
+                p = dist[h, t] * model.feedback_kernel[h, s, a, t, b, e]
+                if p == 0.0:
+                    continue
+                r = model.principal_reward[h, s, a, e] + model.reward_confound[h, t]
+                nxt = ref_locate(model.grid, model.mean_map[h, s, a, e] + model.trans_confound[h, t])
+                total += p * (r + value(h + 1, nxt))
+        return total
+
+    return value(0, model.initial_state)
 
 
 def worst_ratio_literal(model, classes, h, transfer=False):
@@ -202,10 +253,22 @@ def test_occupancy_dynamical_noiseless_is_exact_and_unflagged():
         assert np.all(np.abs(freq[h] / n - p) <= tol)
 
 
-def test_occupancy_dynamical_noisy_is_flagged():
+def test_occupancy_dynamical_noisy_matches_monte_carlo_and_is_unflagged():
     model = tiny_dynamical()
-    occ = occupancy(model, Policy.uniform(2, 4, 2))
-    assert "grid-resolution-approximation" in occ.flags
+    pol = Policy.uniform(model.horizon, model.num_states, model.num_actions)
+    occ = occupancy(model, pol)
+    assert occ.flags == ()
+    n = 4000
+    rng = make_rng(9)
+    freq = [np.zeros_like(occ.joints[h]) for h in range(model.horizon)]
+    for _ in range(n):
+        traj = rollout(model, pol, rng)
+        for h, step in enumerate(traj.steps):
+            freq[h][step.state, step.action, step.feedback] += 1.0
+    for h in range(model.horizon):
+        p = occ.joints[h]
+        tol = 4 * np.sqrt(np.maximum(p * (1 - p), 1e-12) / n) + 1e-6
+        assert np.all(np.abs(freq[h] / n - p) <= tol)
 
 
 @pytest.mark.parametrize(
@@ -377,6 +440,77 @@ def test_occupancy_equals_per_step_kernel_reference(model):
         want = ref_occupancy_joints(model, policy, dist)
         for g, w in zip(got, want, strict=True):
             np.testing.assert_array_equal(g, w)
+
+
+# ---------------------------------------------------------------------------
+# The true law
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("which", ["dyn-1d", "tiny"])
+def test_true_aggregated_model_equals_noiseless_path_enumeration(which):
+    if which == "dyn-1d":
+        model = build_scenario("dyn-1d", params={"noiseless": True}).model
+    else:
+        model = tiny_dynamical(0.0)
+    rng = np.random.default_rng(3)
+    tables = [rng.integers(model.num_actions, size=(model.horizon, model.num_states)) for _ in range(4)]
+    for dist in (model.source_type_dist, model.target_type_dist):
+        oracle = true_aggregated_model(model, dist)
+        # The aggregated rewards leave out the population mean of the reward confound.
+        confound_mean = float(np.sum(dist * model.reward_confound))
+        for actions in tables:
+            got = policy_value(oracle, Policy.deterministic(actions, model.num_actions))
+            want = noiseless_path_value(model, actions, dist)
+            assert abs(got + confound_mean - want) <= 1e-12
+
+
+def test_true_aggregated_model_matches_monte_carlo_on_noisy_dyn_1d():
+    model = build_scenario("dyn-1d").model
+    assert model.trans_noise_scale > 0
+    oracle = true_aggregated_model(model, model.source_type_dist)
+    policy = value_iteration(oracle).policy
+    want = policy_value(oracle, policy) + float(np.sum(model.source_type_dist * model.reward_confound))
+    n = 20_000
+    rng = make_rng(11)
+    returns = np.array(
+        [sum(step.reward for step in rollout(model, policy, rng).steps) for _ in range(n)]
+    )
+    se = returns.std(ddof=1) / np.sqrt(n)
+    assert abs(returns.mean() - want) <= 4 * se
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**16),
+    horizon=st.integers(1, 3),
+    target=st.booleans(),
+)
+def test_true_aggregated_model_equals_literal_path_loop(dims, seed, horizon, target):
+    if dims == 1:
+        model, _ = random_dynamical(seed, Grid((-1.5,), (1.5,), (4,)), horizon, rewards=2, candidates=(2,))
+    else:
+        grid = Grid((-2.0, -1.0), (2.0, 3.0), (3, 2))
+        model, _ = random_dynamical(seed, grid, horizon, rewards=2, candidates=(2, 2))
+    dist = model.target_type_dist if target else model.source_type_dist
+    got = true_aggregated_model(model, dist)
+    rewards, transitions = true_aggregated_literal(model, dist)
+    np.testing.assert_allclose(got.rewards, rewards, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.transitions, transitions, rtol=0, atol=1e-12)
+
+
+def test_true_aggregated_model_keeps_the_general_formula_bitwise():
+    models = [tiny_general()]
+    models += [build_scenario(name).model for name in sorted(GENERATORS) if name != "dyn-1d"]
+    models += [random_general(seed, 3, 3, 2, 2, 2)[0] for seed in range(5)]
+    for model in models:
+        assert model.transition_mode is TransitionMode.GENERAL
+        for dist in (None, model.source_type_dist):
+            got = true_aggregated_model(model, dist)
+            want = ref_true_aggregated_general(model, dist)
+            np.testing.assert_array_equal(got.rewards, want.rewards)
+            np.testing.assert_array_equal(got.transitions, want.transitions)
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,24 @@ def test_rewards_are_read_only_as_a_loss_family():
     assert [name for name in classes if "family" in name.lower()] == []
 
 
+def test_the_true_law_reads_the_mode_only_in_the_step_kernels():
+    """true_aggregated_model, occupancy and the ratio oracles push per-type
+    weights through one set of step kernels, so only the kernel builder asks
+    which transition mode runs."""
+    scopes = scopes_reading((PACKAGE / "diagnostics.py").read_text(), "TransitionMode")
+    assert scopes == {"_step_kernels"}
+
+
+def test_planning_serves_only_the_learner():
+    """Learner planning reads no environment tables: the mode is read only
+    where the candidate kernels are built, and the model and its type-wise
+    feedback law are never read."""
+    source = (PACKAGE / "planning.py").read_text()
+    assert scopes_reading(source, "TransitionMode") == {"CandidateAggregates.from_classes"}
+    for name in ("StrategicModel", "feedback_by_type"):
+        assert scopes_reading(source, name) == set(), name
+
+
 def test_mode_reader_check_finds_a_planted_branch():
     source = (
         "from .model import TransitionMode\n"

@@ -43,7 +43,6 @@ from helpers import (
     eval_table_recursive,
     outer_cell_kernel,
     ref_joint_backup,
-    tiny_dynamical,
     tiny_general,
 )
 from test_hypotheses import KEY_VALUES
@@ -404,14 +403,6 @@ def test_optimistic_select_exact_matches_brute_force_dynamical():
     assert abs(got.value - best_val) <= 1e-9
     assert got.reward_idx == best_combo[0]
     assert got.transition_idx == best_combo[1]
-
-
-def test_dynamical_noiseless_aggregation_is_deterministic():
-    model = tiny_dynamical(noise_scale=0.0)
-    mdp = true_aggregated_model(model)
-    # every transition row concentrates all mass on one cell
-    assert np.all(np.isin(mdp.transitions, (0.0, 1.0)))
-    np.testing.assert_allclose(mdp.transitions.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_from_classes_rejects_three_dims():

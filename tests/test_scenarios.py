@@ -135,6 +135,13 @@ def test_int_accepted_for_a_float_option():
     assert not scenario.model.reward_confound.any()
 
 
+@pytest.mark.parametrize("name, key", [("recsys-small", "bogus_boost"), ("contract-small", "reward_noise")])
+@pytest.mark.parametrize("value", [10**400, -(10**400)])
+def test_int_too_large_for_a_float_option_rejected(name, key, value):
+    with pytest.raises(ConfigError, match=rf"scenario '{name}' option '{key}' takes a float"):
+        build_scenario(name, params={key: value})
+
+
 def test_recsys_bogus_candidate_dominates_first_step():
     scenario = build_scenario("recsys-small")
     r0 = scenario.classes.reward_tables[0]
