@@ -155,18 +155,25 @@ class Grid:
         )
 
     @cached_property
-    def _locate_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """lows, widths and last cell per dimension, built once: locate runs every step."""
+    def _bin_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """lows, widths and last bin per dimension, built once: locate runs every step."""
         return np.asarray(self.lows), self.widths(), np.asarray(self.cells_per_dim) - 1
+
+    def _bins(self, coords: np.ndarray, dims: int | slice = slice(None)) -> np.ndarray:
+        """Bin of each coordinate along its dimension(s) dims, clipped to the box.
+
+        The clip runs in float before the cast to int, so a coordinate far
+        outside the box (even one past the int range) lands in the boundary bin.
+        """
+        lows, widths, last = (arr[dims] for arr in self._bin_arrays)
+        return np.clip(np.floor((coords - lows) / widths), 0, last).astype(int)
 
     def locate(self, point: np.ndarray) -> int:
         """Cell index containing the point, clipped to the box."""
         point = np.asarray(point, dtype=float)
         if point.shape != (self.dim,):
             raise ValidationError(f"point shape {point.shape} does not match grid dim {self.dim}")
-        lows, widths, last = self._locate_arrays
-        sub = np.clip(np.floor((point - lows) / widths).astype(int), 0, last)
-        return int(np.ravel_multi_index(tuple(sub), self.cells_per_dim))
+        return int(np.ravel_multi_index(tuple(self._bins(point)), self.cells_per_dim))
 
     def center(self, cell: int) -> np.ndarray:
         sub = np.asarray(np.unravel_index(cell, self.cells_per_dim))
@@ -188,10 +195,8 @@ class Grid:
         means = np.asarray(mean, dtype=float)
         n = self.cells_per_dim[dim]
         if scale == 0.0:
-            rel = np.floor((means - self.lows[dim]) / self.widths()[dim])
-            j = np.clip(rel, 0, n - 1).astype(int)
             mass = np.zeros(means.shape + (n,))
-            np.put_along_axis(mass, j[..., None], 1.0, axis=-1)
+            np.put_along_axis(mass, self._bins(means, dim)[..., None], 1.0, axis=-1)
             return mass
         # A dict, not np.unique: no sort, and so no sort code paged in per process.
         rows: dict[float, int] = {}

@@ -1,11 +1,14 @@
 """Built-in benchmark environments with matched hypothesis classes.
 
 Each generator returns a fully validated simulator and its candidate tables,
-with the truth as candidate 0 of every family. Generators are deterministic
-functions of their seed and keyword parameters; tables are written out
-explicitly so runs are reproducible across platforms. build_scenario is the
-one place that turns a generator into a Scenario: it echoes the parameters
-and closes the classes once, under the given class caps.
+with the truth as candidate 0 of every family. A generator states only its
+tables: _model reads the sizes off the feedback kernel and the mode off the
+transition tables, _best_responses writes the agent table from each type's
+responses, and _tile repeats a table across leading axes. Generators are
+deterministic functions of their seed and keyword parameters, so runs are
+reproducible across platforms. build_scenario is the one place that turns a
+generator into a Scenario: it echoes the parameters and closes the classes
+once, under the given class caps.
 """
 
 from __future__ import annotations
@@ -35,9 +38,59 @@ class Scenario:
         return LearnerKnowledge.from_model(self.model)
 
 
-def _tile(table: np.ndarray, horizon: int) -> np.ndarray:
-    """Repeat a per-step table across the horizon axis."""
-    return np.repeat(table[None], horizon, axis=0)
+def _tile(table: np.ndarray, *lead: int) -> np.ndarray:
+    """A C-contiguous copy of table repeated across new leading axes of sizes lead."""
+    out = np.empty(lead + table.shape, dtype=table.dtype)
+    out[...] = table
+    return out
+
+
+def _best_responses(best: list[list[int]], H: int, S: int, B: int) -> np.ndarray:
+    """0/1 agent reward table (H, S, A, T, B) in which type t answers the
+    principal's action a with agent action best[t][a], at every step and state."""
+    by_type = np.eye(B)[np.asarray(best)]  # (T, A, B)
+    return _tile(by_type.transpose(1, 0, 2), H, S)
+
+
+def _model(
+    feedback: np.ndarray,
+    *,
+    agent: np.ndarray,
+    reward: np.ndarray,
+    source: np.ndarray,
+    target: np.ndarray,
+    confound: np.ndarray,
+    noise: float,
+    initial_state: int = 0,
+    **transitions,
+) -> StrategicModel:
+    """A scenario's model, sized by its (H, S, A, T, B, E) feedback kernel.
+
+    Rewards lie in [0, 1]. The transition tables given set the mode: a
+    transition_kernel makes it general; a grid with its mean_map,
+    trans_confound and trans_noise_scale makes it dynamical.
+    """
+    H, S, A, T, B, E = feedback.shape
+    general = "transition_kernel" in transitions
+    return StrategicModel(
+        horizon=H,
+        num_states=S,
+        num_actions=A,
+        num_feedbacks=E,
+        num_types=T,
+        num_agent_actions=B,
+        initial_state=initial_state,
+        source_type_dist=source,
+        target_type_dist=target,
+        agent_reward=agent,
+        feedback_kernel=feedback,
+        principal_reward=reward,
+        reward_confound=confound,
+        reward_noise_std=noise,
+        reward_bound=1.0,
+        transition_mode=TransitionMode.GENERAL if general else TransitionMode.DYNAMICAL,
+        **transitions,
+    )
 
 
 def _uniform_tilt(kernel: np.ndarray, weight: float) -> np.ndarray:
@@ -100,75 +153,49 @@ def recsys_small(
     additive probe_offset candidate remains eliminable from aggregates.
     """
     H, S, A, E, T, B = 3, 3, 2, 3, 2, 3
-    source = _tile(np.array([0.5, 0.5]), H)
-    target = _tile(np.array([0.35, 0.65]), H)
-
-    agent = np.zeros((H, S, A, T, B))
-    for a in range(A):
-        agent[:, :, a, 0, a] = 1.0  # compliant type matches the shown action
-    agent[:, :, :, 1, 2] = 1.0  # contrarian type always picks the outside option
-
-    by_type_action = np.zeros((T, B, E))
-    by_type_action[0] = [[0.80, 0.15, 0.05], [0.70, 0.20, 0.10], [0.60, 0.25, 0.15]]
-    by_type_action[1] = [[0.20, 0.30, 0.50], [0.15, 0.25, 0.60], [0.10, 0.20, 0.70]]
-    if bias_probe:
-        by_type_action = np.zeros((T, B, E))
-        by_type_action[0, :, 0] = 1.0
-        by_type_action[1, :, 1] = 1.0
-    feedback = np.broadcast_to(
-        by_type_action[None, None, None], (H, S, A, T, B, E)
-    ).copy()
+    if bias_probe:  # the feedback symbol is the type
+        by_type_action = np.broadcast_to(np.eye(E)[:T, None], (T, B, E))
+    else:
+        by_type_action = np.array([
+            [[0.80, 0.15, 0.05], [0.70, 0.20, 0.10], [0.60, 0.25, 0.15]],
+            [[0.20, 0.30, 0.50], [0.15, 0.25, 0.60], [0.10, 0.20, 0.70]],
+        ])
 
     reward = np.zeros((H, S, A, E))
-    s_idx = np.arange(S)[:, None, None]
-    a_idx = np.arange(A)[None, :, None]
-    e_idx = np.arange(E)[None, None, :]
+    s_idx, a_idx, e_idx = np.ogrid[:S, :A, :E]
     reward[0] = np.where(a_idx == 0, 0.55, 0.30) + 0.05 * (e_idx == 0)
     reward[1] = 0.18 + 0.03 * s_idx + 0.04 * (e_idx == 0) + 0.02 * (a_idx == 1)
     reward[2] = 0.22 + 0.04 * s_idx + 0.05 * (e_idx == 0) - 0.02 * (a_idx == 1)
 
     rows = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.3, 0.6]])  # by feedback
-    kernel = np.broadcast_to(rows[None, None, None, :, :], (H, S, A, E, S)).copy()
+    kernel = _tile(rows, H, S, A)
 
-    model = StrategicModel(
-        horizon=H,
-        num_states=S,
-        num_actions=A,
-        num_feedbacks=E,
-        num_types=T,
-        num_agent_actions=B,
-        initial_state=0,
-        source_type_dist=source,
-        target_type_dist=target,
-        agent_reward=agent,
-        feedback_kernel=feedback,
-        principal_reward=reward,
-        reward_confound=_tile(np.array([confound, -confound]), H),
-        reward_noise_std=reward_noise,
-        reward_bound=1.0,
-        transition_mode=TransitionMode.GENERAL,
+    model = _model(
+        _tile(by_type_action, H, S, A),
+        # the compliant type matches the shown action; the contrarian takes the outside option
+        agent=_best_responses([[0, 1], [2, 2]], H, S, B),
+        reward=reward,
+        source=_tile(np.array([0.5, 0.5]), H),
+        target=_tile(np.array([0.35, 0.65]), H),
+        confound=_tile(np.array([confound, -confound]), H),
+        noise=reward_noise,
         transition_kernel=kernel,
     )
 
-    boost = np.zeros((S, A, E))
     if bias_probe:
         r0 = np.stack([reward[0], reward[0] + probe_offset])
+        transitions = [kernel[h][None] for h in range(H)]
     else:
+        boost = np.zeros((S, A, E))
         boost[:, 1, :] = bogus_boost
         r0 = np.stack([reward[0], reward[0] + boost])
+        tilted = [np.stack([kernel[h], _uniform_tilt(kernel[h], 0.10)]) for h in range(H - 1)]
+        transitions = tilted + [kernel[H - 1][None]]
     rewards = [
         r0,
         np.stack([reward[1], reward[1] + small_offset]),
         np.stack([reward[2], reward[2] - small_offset]),
     ]
-    if bias_probe:
-        transitions = [kernel[h][None] for h in range(H)]
-    else:
-        transitions = [
-            np.stack([kernel[0], _uniform_tilt(kernel[0], 0.10)]),
-            np.stack([kernel[1], _uniform_tilt(kernel[1], 0.10)]),
-            kernel[2][None],
-        ]
     return model, rewards, transitions
 
 
@@ -182,53 +209,25 @@ def contract_small(seed: int = 0, *, reward_noise: float = 0.2) -> Tables:
     H, S, A, E, T, B = 3, 2, 2, 2, 2, 2
     dist = _tile(np.array([0.6, 0.4]), H)
 
-    agent = np.zeros((H, S, A, T, B))
-    for a in range(A):
-        agent[:, :, a, 0, a] = 1.0
-        agent[:, :, a, 1, 1 - a] = 1.0
+    s_idx, a_idx, e_idx = np.ogrid[:S, :A, :E]
+    reward = _tile(0.3 + 0.25 * (s_idx == 1) + 0.15 * (e_idx == 0) + 0.05 * (a_idx == 1), H)
+    p_hi = 0.25 + 0.3 * (e_idx == 0) + 0.1 * (a_idx == 1) * np.ones((S, 1, 1))  # chance of state 1
+    kernel = _tile(np.stack([1.0 - p_hi, p_hi], axis=-1), H)
 
-    by_b = np.array([[0.9, 0.1], [0.2, 0.8]])  # feedback dist per agent action
-    feedback = np.broadcast_to(
-        by_b[None, None, None, None, :, :], (H, S, A, T, B, E)
-    ).copy()
-
-    s_idx = np.arange(S)[:, None, None]
-    a_idx = np.arange(A)[None, :, None]
-    e_idx = np.arange(E)[None, None, :]
-    reward = _tile(
-        0.3 + 0.25 * (s_idx == 1) + 0.15 * (e_idx == 0) + 0.05 * (a_idx == 1), H
-    )
-
-    p_hi = 0.25 + 0.3 * (e_idx == 0) + 0.1 * (a_idx == 1)  # (S, A, E) chance of state 1
-    kernel = np.zeros((H, S, A, E, S))
-    kernel[..., 1] = p_hi[None]
-    kernel[..., 0] = 1.0 - p_hi[None]
-
-    model = StrategicModel(
-        horizon=H,
-        num_states=S,
-        num_actions=A,
-        num_feedbacks=E,
-        num_types=T,
-        num_agent_actions=B,
-        initial_state=0,
-        source_type_dist=dist,
-        target_type_dist=dist.copy(),
-        agent_reward=agent,
-        feedback_kernel=feedback,
-        principal_reward=reward,
-        reward_confound=_tile(np.array([0.2, -0.2]), H),
-        reward_noise_std=reward_noise,
-        reward_bound=1.0,
-        transition_mode=TransitionMode.GENERAL,
+    model = _model(
+        _tile(np.array([[0.9, 0.1], [0.2, 0.8]]), H, S, A, T),  # feedback by agent action
+        agent=_best_responses([[0, 1], [1, 0]], H, S, B),
+        reward=reward,
+        source=dist,
+        target=dist.copy(),
+        confound=_tile(np.array([0.2, -0.2]), H),
+        noise=reward_noise,
         transition_kernel=kernel,
     )
 
-    bump = 0.15 * (np.arange(E)[None, None, :] == 0) * np.ones((S, A, 1))
+    bump = 0.15 * (np.arange(E) == 0)
     rewards = [np.stack([reward[h], reward[h] + bump]) for h in range(H)]
-    transitions = [
-        np.stack([kernel[h], _uniform_tilt(kernel[h], 0.15)]) for h in range(H)
-    ]
+    transitions = [np.stack([kernel[h], _uniform_tilt(kernel[h], 0.15)]) for h in range(H)]
     return model, rewards, transitions
 
 
@@ -245,41 +244,21 @@ def shifted_target(seed: int = 0) -> Tables:
     exactly the inverse source mass of the first type, 5.
     """
     H, S, A, E, T, B = 2, 2, 2, 2, 2, 1
-    source = _tile(np.array([0.2, 0.8]), H)
-    target = _tile(np.array([1.0, 0.0]), H)
-
-    agent = np.zeros((H, S, A, T, B))
-    agent[..., 0] = 1.0
-
-    feedback = np.zeros((H, S, A, T, B, E))
-    feedback[:, :, :, 0, :, 0] = 1.0
-    feedback[:, :, :, 1, :, 1] = 1.0
-
     reward = np.full((H, S, A, E), 0.3)
     kernel = np.full((H, S, A, E, S), 0.5)
 
-    model = StrategicModel(
-        horizon=H,
-        num_states=S,
-        num_actions=A,
-        num_feedbacks=E,
-        num_types=T,
-        num_agent_actions=B,
-        initial_state=0,
-        source_type_dist=source,
-        target_type_dist=target,
-        agent_reward=agent,
-        feedback_kernel=feedback,
-        principal_reward=reward,
-        reward_confound=np.zeros((H, T)),
-        reward_noise_std=0.1,
-        reward_bound=1.0,
-        transition_mode=TransitionMode.GENERAL,
+    model = _model(
+        _tile(np.eye(E)[:, None], H, S, A),  # the feedback symbol is the type
+        agent=_best_responses([[0, 0], [0, 0]], H, S, B),
+        reward=reward,
+        source=_tile(np.array([0.2, 0.8]), H),
+        target=_tile(np.array([1.0, 0.0]), H),
+        confound=np.zeros((H, T)),
+        noise=0.1,
         transition_kernel=kernel,
     )
 
-    bump = np.zeros((S, A, E))
-    bump[..., 0] = 0.4
+    bump = 0.4 * (np.arange(E) == 0)
     rewards = [np.stack([reward[h], reward[h] + bump]) for h in range(H)]
     transitions = [kernel[h][None] for h in range(H)]
     return model, rewards, transitions
@@ -299,51 +278,27 @@ def degenerate_feedback(seed: int = 0) -> Tables:
     """
     H, S, A, E, T, B = 2, 2, 2, 3, 1, 2
     dist = np.ones((H, T))
+    symbol = np.eye(E)[(np.arange(S)[:, None] + np.arange(A)) % E]  # (S, A, E)
 
-    agent = np.zeros((H, S, A, T, B))
-    for a in range(A):
-        agent[:, :, a, 0, a] = 1.0
-
-    feedback = np.zeros((H, S, A, T, B, E))
-    for s in range(S):
-        for a in range(A):
-            feedback[:, s, a, 0, :, (s + a) % E] = 1.0
-
-    s_idx = np.arange(S)[:, None, None]
-    e_idx = np.arange(E)[None, None, :]
+    s_idx, _, e_idx = np.ogrid[:S, :A, :E]
     reward = _tile(0.2 + 0.2 * (e_idx == 0) + 0.1 * (s_idx == 1) * np.ones((1, A, 1)), H)
+    p_hi = 0.3 + 0.2 * (e_idx == 0) * np.ones((S, A, 1))  # chance of state 1
+    kernel = _tile(np.stack([1.0 - p_hi, p_hi], axis=-1), H)
 
-    p_hi = 0.3 + 0.2 * (e_idx == 0) * np.ones((S, A, 1))
-    kernel = np.zeros((H, S, A, E, S))
-    kernel[..., 1] = p_hi[None]
-    kernel[..., 0] = 1.0 - p_hi[None]
-
-    model = StrategicModel(
-        horizon=H,
-        num_states=S,
-        num_actions=A,
-        num_feedbacks=E,
-        num_types=T,
-        num_agent_actions=B,
-        initial_state=0,
-        source_type_dist=dist,
-        target_type_dist=dist.copy(),
-        agent_reward=agent,
-        feedback_kernel=feedback,
-        principal_reward=reward,
-        reward_confound=np.zeros((H, T)),
-        reward_noise_std=0.15,
-        reward_bound=1.0,
-        transition_mode=TransitionMode.GENERAL,
+    model = _model(
+        _tile(np.broadcast_to(symbol[:, :, None, None], (S, A, T, B, E)), H),
+        agent=_best_responses([[0, 1]], H, S, B),
+        reward=reward,
+        source=dist,
+        target=dist.copy(),
+        confound=np.zeros((H, T)),
+        noise=0.15,
         transition_kernel=kernel,
     )
 
-    bump = np.zeros((S, A, E))
-    bump[..., 0] = 0.2
+    bump = 0.2 * (np.arange(E) == 0)
     rewards = [np.stack([reward[h], reward[h] + bump]) for h in range(H)]
-    transitions = [
-        np.stack([kernel[h], _uniform_tilt(kernel[h], 0.2)]) for h in range(H)
-    ]
+    transitions = [np.stack([kernel[h], _uniform_tilt(kernel[h], 0.2)]) for h in range(H)]
     return model, rewards, transitions
 
 
@@ -360,7 +315,7 @@ def linear_d(seed: int = 0, *, feature_dim: int = 4, num_candidates: int = 3) ->
     """
     if num_candidates < 1:
         raise ConfigError("num_candidates must be at least 1")
-    H, S, A, E, T, B = 2, 4, 2, 2, 2, 2
+    H, S, A, E, B = 2, 4, 2, 2, 2
     rng = make_rng(seed * 2 + 1)
 
     def unit(shape: tuple) -> np.ndarray:
@@ -378,32 +333,15 @@ def linear_d(seed: int = 0, *, feature_dim: int = 4, num_candidates: int = 3) ->
     kernel = np.exp(logits)
     kernel /= kernel.sum(axis=-1, keepdims=True)
 
-    agent = np.zeros((H, S, A, T, B))
-    for a in range(A):
-        agent[:, :, a, 0, a] = 1.0
-        agent[:, :, a, 1, 1 - a] = 1.0
     by_b = np.array([[[0.75, 0.25], [0.45, 0.55]], [[0.35, 0.65], [0.60, 0.40]]])
-    feedback = np.broadcast_to(
-        by_b[None, None, None, :, :, :], (H, S, A, T, B, E)
-    ).copy()
-
-    model = StrategicModel(
-        horizon=H,
-        num_states=S,
-        num_actions=A,
-        num_feedbacks=E,
-        num_types=T,
-        num_agent_actions=B,
-        initial_state=0,
-        source_type_dist=_tile(np.array([0.45, 0.55]), H),
-        target_type_dist=_tile(np.array([0.7, 0.3]), H),
-        agent_reward=agent,
-        feedback_kernel=feedback,
-        principal_reward=reward,
-        reward_confound=_tile(np.array([0.15, -0.15]), H),
-        reward_noise_std=0.2,
-        reward_bound=1.0,
-        transition_mode=TransitionMode.GENERAL,
+    model = _model(
+        _tile(by_b, H, S, A),
+        agent=_best_responses([[0, 1], [1, 0]], H, S, B),
+        reward=reward,
+        source=_tile(np.array([0.45, 0.55]), H),
+        target=_tile(np.array([0.7, 0.3]), H),
+        confound=_tile(np.array([0.15, -0.15]), H),
+        noise=0.2,
         transition_kernel=kernel,
     )
 
@@ -436,68 +374,45 @@ def dyn_1d(seed: int = 0, *, noiseless: bool = False) -> Tables:
     and a feedback-dependent pull. With noiseless=True every noise source and
     both confounds vanish, so dataset moments are exact functions of counts.
     """
-    H, A, E, T, B = 3, 2, 2, 2, 2
+    H, A, E, B = 3, 2, 2, 2
     grid = Grid(lows=(-2.5,), highs=(2.5,), cells_per_dim=(9,))
     S = grid.num_cells
     centers = grid.lows[0] + (np.arange(S) + 0.5) * grid.widths()[0]
 
-    agent = np.zeros((H, S, A, T, B))
-    for a in range(A):
-        agent[:, :, a, 0, a] = 1.0
-        agent[:, :, a, 1, 1 - a] = 1.0
-    by_b = np.array([[[0.80, 0.20], [0.30, 0.70]], [[0.40, 0.60], [0.65, 0.35]]])
-    feedback = np.broadcast_to(
-        by_b[None, None, None, :, :, :], (H, S, A, T, B, E)
-    ).copy()
-
     drift = np.array([-0.45, 0.45])
     pull = np.array([0.3, -0.3])
-    mean = (
-        0.85 * centers[:, None, None] + drift[None, :, None] + pull[None, None, :]
-    )
-    mean = np.clip(mean, -2.3, 2.3)
-    mean_map = _tile(mean[..., None], H)  # (H, S, A, E, 1)
+    mean = np.clip(0.85 * centers[:, None, None] + drift[:, None] + pull, -2.3, 2.3)
 
+    _, a_idx, e_idx = np.ogrid[:S, :A, :E]
     reward = _tile(
         0.15
-        + 0.6 * np.exp(-0.5 * centers[:, None, None] ** 2) * np.where(np.arange(A)[None, :, None] == 0, 1.0, 0.9)
-        + 0.05 * (np.arange(E)[None, None, :] == 0),
+        + 0.6 * np.exp(-0.5 * centers[:, None, None] ** 2) * np.where(a_idx == 0, 1.0, 0.9)
+        + 0.05 * (e_idx == 0),
         H,
     )
 
+    by_b = np.array([[[0.80, 0.20], [0.30, 0.70]], [[0.40, 0.60], [0.65, 0.35]]])
     confound = 0.0 if noiseless else 0.2
     trans_conf = 0.0 if noiseless else 0.25
-    model = StrategicModel(
-        horizon=H,
-        num_states=S,
-        num_actions=A,
-        num_feedbacks=E,
-        num_types=T,
-        num_agent_actions=B,
+    model = _model(
+        _tile(by_b, H, S, A),
+        agent=_best_responses([[0, 1], [1, 0]], H, S, B),
+        reward=reward,
+        source=_tile(np.array([0.5, 0.5]), H),
+        target=_tile(np.array([0.3, 0.7]), H),
+        confound=_tile(np.array([confound, -confound]), H),
+        noise=0.0 if noiseless else 0.2,
         initial_state=4,
-        source_type_dist=_tile(np.array([0.5, 0.5]), H),
-        target_type_dist=_tile(np.array([0.3, 0.7]), H),
-        agent_reward=agent,
-        feedback_kernel=feedback,
-        principal_reward=reward,
-        reward_confound=_tile(np.array([confound, -confound]), H),
-        reward_noise_std=0.0 if noiseless else 0.2,
-        reward_bound=1.0,
-        transition_mode=TransitionMode.DYNAMICAL,
         grid=grid,
-        mean_map=mean_map,
+        mean_map=_tile(mean[..., None], H),  # (H, S, A, E, 1)
         trans_confound=_tile(np.array([[trans_conf], [-trans_conf]]), H),
         trans_noise_scale=0.0 if noiseless else 0.35,
     )
 
-    bump = np.zeros((S, A, E))
-    bump[..., 0] = 0.1
+    bump = 0.1 * (np.arange(E) == 0)
     rewards = [np.stack([reward[h], reward[h] + bump]) for h in range(H)]
-    shift = np.zeros((S, A, E))
-    shift[:, 1, :] = 0.3
-    mean_maps = [
-        [np.stack([mean_map[h, ..., 0], mean_map[h, ..., 0] + shift])] for h in range(H)
-    ]
+    shift = 0.3 * (np.arange(A) == 1)[:, None]
+    mean_maps = [[np.stack([mean, mean + shift])] for _ in range(H)]
     return model, rewards, mean_maps
 
 
@@ -549,5 +464,8 @@ def build_scenario(
         model, rewards, transitions = generator(seed, **params)
     except TypeError as exc:
         raise ConfigError(f"bad parameters for scenario {name!r}: {exc}") from None
+    except ValueError as exc:  # numpy refusing a value; no package error is a ValueError
+        options = sorted(params)
+        raise ConfigError(f"scenario {name!r} cannot be built with options {options}: {exc}") from None
     echo = {"seed": int(seed), **defaults, **params}  # a numpy seed echoes as JSON's int
     return Scenario(name, model, _assemble(model, rewards, transitions, caps), echo)

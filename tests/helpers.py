@@ -362,7 +362,7 @@ def ref_discretize_gaussian(means: np.ndarray, grid: Grid, scale: float) -> np.n
 def ref_locate(grid: Grid, point: np.ndarray) -> int:
     """Grid.locate as a literal formula, every array rebuilt from the grid's tuples."""
     rel = (np.asarray(point, dtype=float) - np.asarray(grid.lows)) / grid.widths()
-    sub = np.clip(np.floor(rel).astype(int), 0, np.asarray(grid.cells_per_dim) - 1)
+    sub = np.clip(np.floor(rel), 0, np.asarray(grid.cells_per_dim) - 1).astype(int)
     return int(np.ravel_multi_index(tuple(sub), grid.cells_per_dim))
 
 

@@ -333,6 +333,13 @@ def test_run_rejects_an_option_too_large_for_a_float_with_exit_2(config_path, ca
     assert "option 'bogus_boost' takes a float" in capsys.readouterr().err
 
 
+def test_run_rejects_an_option_numpy_refuses_with_exit_2(config_path, capsys):
+    params = "  params:\n    feature_dim: 1" + "0" * 400 + "\n"
+    body = BASE_YAML.replace("recsys-small\n", "linear-d\n" + params)
+    assert main(["run", str(config_path(body=body))]) == 2
+    assert "scenario 'linear-d' cannot be built with options ['feature_dim']" in capsys.readouterr().err
+
+
 def test_run_joint_cap_failure_exits_3_and_marks_manifest(config_path, tmp_path, capsys):
     body = BASE_YAML.replace("recsys-small", "linear-d") + "classes:\n  joint_cap: 2\n"
     assert main(["run", str(config_path(body=body))]) == 3

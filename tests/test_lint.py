@@ -150,6 +150,21 @@ def _annotations(tree: ast.AST) -> set[int]:
     return {id(n) for root in filter(None, roots) for n in ast.walk(root)}
 
 
+def _scoped_nodes(node: ast.AST, scope: str = ""):
+    """(dotted class/function scope, node) for every node below node; module level is ""."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _scoped_nodes(child, f"{scope}.{child.name}" if scope else child.name)
+        else:
+            yield scope, child
+            yield from _scoped_nodes(child, scope)
+
+
+def _names(node: ast.AST, name: str) -> bool:
+    """The node is `name`, bare or as an attribute (`obj.name`)."""
+    return name in (getattr(node, "id", None), getattr(node, "attr", None))
+
+
 def scopes_reading(source: str, name: str) -> set[str]:
     """Dotted class/function scopes whose code reads `name` (module level is "").
 
@@ -157,22 +172,24 @@ def scopes_reading(source: str, name: str) -> set[str]:
     assignment to it is not a read. Annotations are not code that runs, so a
     name read only there counts nowhere.
     """
-    found = set()
     tree = ast.parse(source)
     skipped = _annotations(tree)
+    return {
+        scope
+        for scope, node in _scoped_nodes(tree)
+        if _names(node, name)
+        and isinstance(getattr(node, "ctx", None), ast.Load)
+        and id(node) not in skipped
+    }
 
-    def visit(node: ast.AST, scope: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}" if scope else child.name)
-            else:
-                named = getattr(child, "id", None) == name or getattr(child, "attr", None) == name
-                if named and isinstance(getattr(child, "ctx", None), ast.Load) and id(child) not in skipped:
-                    found.add(scope)
-                visit(child, scope)
 
-    visit(tree, "")
-    return found
+def scopes_calling(source: str, name: str) -> set[str]:
+    """Dotted class/function scopes whose code calls `name`, bare or as an attribute."""
+    return {
+        scope
+        for scope, node in _scoped_nodes(ast.parse(source))
+        if isinstance(node, ast.Call) and _names(node.func, name)
+    }
 
 
 def test_loss_path_never_reads_the_mode():
@@ -245,6 +262,27 @@ def test_planning_serves_only_the_learner():
     assert scopes_reading(source, "TransitionMode") == {"CandidateAggregates.from_classes"}
     for name in ("StrategicModel", "feedback_by_type"):
         assert scopes_reading(source, name) == set(), name
+
+
+def test_scenarios_build_a_model_only_in_the_model_helper():
+    """Every generator hands its tables to _model, which reads the sizes off
+    the feedback kernel and the mode off the transition tables it is given.
+    The Tables alias names the class at module level, so this checks calls."""
+    assert scopes_calling((PACKAGE / "scenarios.py").read_text(), "StrategicModel") == {"_model"}
+
+
+def test_call_site_check_finds_a_planted_call():
+    source = (
+        "from . import model\n"
+        "from .model import StrategicModel\n"
+        "Tables = tuple[StrategicModel, list]\n"
+        "def _model(**tables) -> StrategicModel:\n"
+        "    return StrategicModel(**tables)\n"
+        "class Planted:\n"
+        "    def build(self):\n"
+        "        return model.StrategicModel(horizon=1)\n"
+    )
+    assert scopes_calling(source, "StrategicModel") == {"_model", "Planted.build"}
 
 
 def test_mode_reader_check_finds_a_planted_branch():

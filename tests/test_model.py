@@ -153,6 +153,18 @@ def test_gaussian_mass_zero_scale_is_point_mass():
     np.testing.assert_array_equal(grid.gaussian_mass_1d(5.0, 0.0, 0), [0, 0, 0, 1])
 
 
+@pytest.mark.parametrize("coordinate, cell", [(1e19, 8), (1e300, 8), (-1e300, 0), (-1e19, 0)])
+def test_far_points_and_zero_scale_means_share_the_boundary_bin(coordinate, cell):
+    """locate and the zero-scale mass clip in float before the cast to int,
+    so a coordinate past the int range lands in the boundary cell, with no
+    RuntimeWarning from the cast."""
+    grid = Grid(lows=(-2.5,), highs=(2.5,), cells_per_dim=(9,))
+    assert grid.locate(np.array([coordinate])) == cell
+    np.testing.assert_array_equal(grid.gaussian_mass_1d(np.array([coordinate]), 0.0, 0), [np.eye(9)[cell]])
+    plane = Grid((-1.0, 0.0), (1.0, 2.0), (4, 3))
+    assert plane.locate(np.array([coordinate, -coordinate])) == (9 if cell else 2)  # bins (3, 0) or (0, 2)
+
+
 def test_gaussian_mass_tail_folding():
     grid = Grid((-1.0,), (1.0,), (4,))
     # mean far to the left: nearly all mass folds into the first cell

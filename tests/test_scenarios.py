@@ -11,6 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from strategicmdp import (
     ConfigError,
@@ -23,6 +26,7 @@ from strategicmdp import (
     value_iteration,
 )
 from strategicmdp.model import feedback_by_type, normal_cdf
+from strategicmdp.scenarios import _best_responses, _tile
 
 ALL_NAMES = sorted(GENERATORS)
 
@@ -140,6 +144,62 @@ def test_int_accepted_for_a_float_option():
 def test_int_too_large_for_a_float_option_rejected(name, key, value):
     with pytest.raises(ConfigError, match=rf"scenario '{name}' option '{key}' takes a float"):
         build_scenario(name, params={key: value})
+
+
+@pytest.mark.parametrize("value, why", [(10**400, "Maximum allowed dimension"), (-1, "negative dimensions")])
+def test_an_option_numpy_refuses_is_a_config_error_naming_it(value, why):
+    """A builtin ValueError from inside the generator names the scenario and its options."""
+    want = rf"scenario 'linear-d' cannot be built with options \['feature_dim'\]: {why}"
+    with pytest.raises(ConfigError, match=want):
+        build_scenario("linear-d", params={"feature_dim": value})
+
+
+@st.composite
+def responses(draw):
+    """Sizes H, S, B and a per-type list of each principal action's response."""
+    H, S, A, T, B = (draw(st.integers(1, 4)) for _ in range(5))
+    row = st.lists(st.integers(0, B - 1), min_size=A, max_size=A)
+    return H, S, B, draw(st.lists(row, min_size=T, max_size=T))
+
+
+@settings(max_examples=200, deadline=None)
+@given(responses())
+@example((3, 3, 3, [[0, 1], [2, 2]]))  # recsys-small
+@example((2, 2, 2, [[0, 1]]))  # degenerate-feedback, T = 1
+@example((2, 2, 1, [[0, 0], [0, 0]]))  # shifted-target, B = 1
+def test_best_responses_equal_the_literal_loop(case):
+    H, S, B, best = case
+    T, A = len(best), len(best[0])
+    want = np.zeros((H, S, A, T, B))
+    for t in range(T):
+        for a in range(A):
+            want[:, :, a, t, best[t][a]] = 1.0
+    got = _best_responses(best, H, S, B)
+    assert (got.dtype, got.shape, got.flags.c_contiguous) == (want.dtype, want.shape, True)
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def tables_and_leads(draw):
+    """A float, int or bool table, C-ordered or transposed, and leading axis sizes."""
+    dtype = draw(st.sampled_from([np.float64, np.float32, np.int64, np.bool_]))
+    table = draw(hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=3, max_side=4)))
+    lead = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    return (table.T if draw(st.booleans()) else table), lead
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables_and_leads())
+def test_tile_equals_repeat_and_a_broadcast_copy(case):
+    table, lead = case
+    repeated = table
+    for n in reversed(lead):
+        repeated = np.repeat(repeated[None], n, axis=0)
+    got = _tile(table, *lead)
+    assert got.flags.c_contiguous
+    for want in (repeated, np.broadcast_to(table, lead + table.shape).copy()):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape) and want.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
 
 def test_recsys_bogus_candidate_dominates_first_step():
