@@ -91,8 +91,6 @@ class EpisodeRecord:
     relaxed: bool
     chosen_reward_idx: tuple[int, ...] | None
     chosen_transition_idx: tuple | None
-    chosen_reward_losses: tuple[float, ...] | None
-    chosen_transition_losses: tuple | None
     flags: tuple[str, ...]
     wallclock_ms: float
     truth_covered: bool | None
@@ -142,8 +140,6 @@ class RunResult:
                 "relaxed": rec.relaxed,
                 "chosen_reward_idx": rec.chosen_reward_idx,
                 "chosen_transition_idx": rec.chosen_transition_idx,
-                "chosen_reward_losses": rec.chosen_reward_losses,
-                "chosen_transition_losses": rec.chosen_transition_losses,
                 "flags": rec.flags,
                 "instant_regret": rec.instant_regret,
                 "cum_regret": rec.cum_regret,
@@ -236,8 +232,8 @@ def run_learner(
     index = evaluator.kernel_index
     # Sets change in few episodes, so everything that depends on them alone
     # (the selection and the flags it raised, the record's set and index
-    # tuples, the chosen models, the truth's coverage) is computed once per
-    # distinct key; records and committed policies share those objects.
+    # tuples, the truth's coverage) is computed once per distinct key;
+    # records and committed policies share those objects.
     memo: dict[tuple, tuple] = {}
 
     def shaped(per_family: tuple):
@@ -254,14 +250,13 @@ def run_learner(
             flags = ("selector-capacity-fallback",)
             selection = optimistic_select(*args, mode=SelectionMode.POINTWISE, cap=cfg.selector_cap)
         families = [ix.decode(ks) for ix, ks in zip(index, transition_sets)]
-        models = chosen_t = None
+        chosen_t = None
         if selection.transition_idx is not None:
-            models = [index[h].models[j] for h, j in enumerate(selection.transition_idx)]
-            chosen_t = tuple(shaped(m) for m in models)
+            chosen_t = tuple(shaped(index[h].models[j]) for h, j in enumerate(selection.transition_idx))
         decoded = tuple(shaped(f) for f in families)
         set_sizes = tuple(shaped(tuple(map(len, f))) for f in families)
         covered = _truth_covered(classes, reward_sets, families)
-        return selection, flags, reward_sets, decoded, set_sizes, models, chosen_t, covered
+        return selection, flags, reward_sets, decoded, set_sizes, chosen_t, covered
 
     sizes = classes.sizes()
     betas = confidence_levels(
@@ -286,23 +281,12 @@ def run_learner(
         key = (tuple(sets.reward_sets), tuple(sets.transition_sets))
         if key not in memo:
             memo[key] = select(*key)
-        (selection, select_flags, reward_sets, transition_sets, set_sizes, models, chosen_t,
-         covered) = memo[key]
+        selection, select_flags, reward_sets, transition_sets, set_sizes, chosen_t, covered = memo[key]
         policy = selection.policy
 
         episode_flags = [*select_flags, *sets.fallback_flags]
         if selection.relaxed:
             episode_flags.append("relaxed-selection")
-        chosen_r_losses = chosen_t_losses = None
-        if selection.reward_idx is not None:
-            chosen_r_losses = tuple(
-                float(sets.reward_loss_values[h][selection.reward_idx[h]]) for h in range(H)
-            )
-        if models is not None:
-            chosen_t_losses = tuple(
-                shaped(tuple(float(v[c]) for v, c in zip(sets.transition_loss_values[h], m)))
-                for h, m in enumerate(models)
-            )
         records.append(
             EpisodeRecord(
                 episode=k,
@@ -314,8 +298,6 @@ def run_learner(
                 relaxed=selection.relaxed,
                 chosen_reward_idx=selection.reward_idx,
                 chosen_transition_idx=chosen_t,
-                chosen_reward_losses=chosen_r_losses,
-                chosen_transition_losses=chosen_t_losses,
                 flags=tuple(episode_flags),
                 wallclock_ms=(time.perf_counter() - t0) * 1000.0,
                 truth_covered=covered,

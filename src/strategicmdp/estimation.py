@@ -267,20 +267,17 @@ def confidence_levels(
 
 @dataclass
 class ConfidenceSets:
-    """Surviving candidate indices per step, with the losses that produced them.
+    """Surviving candidate indices per step.
 
     reward_sets[h] holds ascending reward candidate indices and
     transition_sets[h] ascending kernel indices (HypothesisClasses.kernel_index):
     every model whose candidates all survive in their own family.
-    transition_loss_values[h] lists one loss array per family. fallback_flags
-    records empty-set fallbacks, which keep only the family's loss minimizer.
+    fallback_flags records empty-set fallbacks, which keep only the family's
+    loss minimizer.
     """
 
     reward_sets: list[tuple[int, ...]]
     transition_sets: list[tuple[int, ...]]
-    reward_loss_values: list[np.ndarray]
-    transition_loss_values: list[list[np.ndarray]]
-    betas: BetaLevels
     fallback_flags: tuple[str, ...] = ()
 
 
@@ -303,25 +300,15 @@ def build_confidence_sets(
     """
     flags: list[str] = []
     reward_sets = []
-    reward_vals = []
     transition_sets = []
-    transition_vals = []
     for h, families in enumerate(evaluator.families):
-        r_losses = evaluator.reward_losses(dataset, h)
-        t_losses = evaluator.transition_losses(dataset, h)
+        losses = [evaluator.reward_losses(dataset, h), *evaluator.transition_losses(dataset, h)]
         survivors = [
-            _threshold(losses, getattr(betas, family.level), family.label, flags)
-            for family, losses in zip(families, [r_losses, *t_losses])
+            _threshold(loss, getattr(betas, family.level), family.label, flags)
+            for family, loss in zip(families, losses)
         ]
-        reward_vals.append(r_losses)
         reward_sets.append(survivors[0])
-        transition_vals.append(t_losses)
         transition_sets.append(evaluator.kernel_index[h].encode(survivors[1:]))
     return ConfidenceSets(
-        reward_sets=reward_sets,
-        transition_sets=transition_sets,
-        reward_loss_values=reward_vals,
-        transition_loss_values=transition_vals,
-        betas=betas,
-        fallback_flags=tuple(flags),
+        reward_sets=reward_sets, transition_sets=transition_sets, fallback_flags=tuple(flags)
     )

@@ -111,11 +111,9 @@ def checkpoints(episodes: int, cadence: int) -> list[int]:
 
 @dataclass
 class SeedOutcome:
-    seed: int
     cum_at: dict[int, float]
     truth_prefix_at: dict[int, bool | None]
     run_flags: tuple[str, ...]
-    wallclock_ms: float
 
 
 def write_episodes_csv(path: Path, seed: int, run: RunResult) -> None:
@@ -186,7 +184,6 @@ def run_seed(
         if rec.episode in marks:
             cum_at[rec.episode] = float(rec.cum_regret)
             truth_at[rec.episode] = ok
-    wall = (time.perf_counter() - t0) * 1000.0
 
     manifest = {
         "config": cfg.raw,
@@ -200,16 +197,10 @@ def run_seed(
         "realizability": run.realizability.as_dict(),
         "truth_event": truth_at.get(cfg.episodes),
         "final_cum_regret": cum_at[cfg.episodes],
-        "wallclock_ms": wall,
+        "wallclock_ms": (time.perf_counter() - t0) * 1000.0,
     }
     _write_json(seed_dir / "manifest.json", manifest)
-    return SeedOutcome(
-        seed=seed,
-        cum_at=cum_at,
-        truth_prefix_at=truth_at,
-        run_flags=tuple(sorted(run.flags)),
-        wallclock_ms=wall,
-    )
+    return SeedOutcome(cum_at=cum_at, truth_prefix_at=truth_at, run_flags=tuple(sorted(run.flags)))
 
 
 def _per_step(oracle, cfg: ScenarioConfig, scenario: Scenario) -> list[dict]:

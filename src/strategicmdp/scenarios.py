@@ -313,6 +313,8 @@ def linear_d(seed: int = 0, *, feature_dim: int = 4, num_candidates: int = 3) ->
     Candidate tables come from perturbed parameter vectors; the truth is the
     unperturbed one. All randomness is driven by the generator seed.
     """
+    if feature_dim < 1:
+        raise ConfigError("feature_dim must be at least 1")
     if num_candidates < 1:
         raise ConfigError("num_candidates must be at least 1")
     H, S, A, E, B = 2, 4, 2, 2, 2

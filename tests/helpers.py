@@ -964,8 +964,6 @@ def ref_canonical_json(run, include_wallclock: bool = False) -> str:
             "relaxed": rec.relaxed,
             "chosen_reward_idx": rec.chosen_reward_idx,
             "chosen_transition_idx": rec.chosen_transition_idx,
-            "chosen_reward_losses": rec.chosen_reward_losses,
-            "chosen_transition_losses": rec.chosen_transition_losses,
             "flags": rec.flags,
             "instant_regret": rec.instant_regret,
             "cum_regret": rec.cum_regret,

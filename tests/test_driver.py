@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import json
 import tracemalloc
 
 import numpy as np
@@ -164,6 +165,32 @@ def test_canonical_json_reproducible():
     assert "wallclock_ms" in a.canonical_json(include_wallclock=True)
 
 
+EPISODE_KEYS = {
+    "episode",
+    "reward_sets",
+    "transition_sets",
+    "betas",
+    "optimistic_value",
+    "relaxed",
+    "chosen_reward_idx",
+    "chosen_transition_idx",
+    "flags",
+    "instant_regret",
+    "cum_regret",
+}
+
+
+def test_canonical_json_episode_keys_are_pinned():
+    """A record serializes the learner's decision: its sets, levels, choice
+    and flags, never the losses behind them; the wall clock only on request."""
+    scenario = build_scenario("recsys-small")
+    run = run_learner(scenario.model, scenario.knowledge(), scenario.classes, run_cfg(episodes=5))
+    for wall, keys in ((False, EPISODE_KEYS), (True, EPISODE_KEYS | {"wallclock_ms"})):
+        payload = json.loads(run.canonical_json(include_wallclock=wall))
+        assert set(payload) == {"config", "episodes", "flags", "policies"}
+        assert all(set(rec) == keys for rec in payload["episodes"])
+
+
 def test_different_seeds_differ():
     scenario = build_scenario("recsys-small")
     a = run_learner(scenario.model, scenario.knowledge(), scenario.classes, run_cfg(episodes=15, seed=0))
@@ -297,6 +324,8 @@ def _run_both(kind, seed, optimism, cap, beta_scale, episodes=25):
     want, want_policies = ref_run_learner(model, knowledge, classes, cfg)
     assert len(got.episodes) == len(want) == episodes
     for rec, ref in zip(got.episodes, want):
+        # the reference still computes the chosen losses, which a record does not keep
+        del ref["chosen_reward_losses"], ref["chosen_transition_losses"]
         assert {key: getattr(rec, key) for key in ref} == ref
         assert rec.transition_set_sizes == ref_transition_set_sizes(ref["transition_sets"])
     assert len(got.policies) == len(want_policies)

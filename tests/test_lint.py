@@ -192,6 +192,73 @@ def scopes_calling(source: str, name: str) -> set[str]:
     }
 
 
+def attributes_read(source: str) -> set[str]:
+    """Every attribute name the code loads (`obj.name`), annotations skipped."""
+    tree = ast.parse(source)
+    skipped = _annotations(tree)
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in skipped
+    }
+
+
+def unread_fields(records: dict[Path, list[str]], readers: list[Path]) -> list[str]:
+    """Fields of the named classes (records: module -> class names) that no
+    reader file loads as an attribute; a field only stored, passed by keyword
+    or named in an annotation is unread."""
+    read = set().union(*(attributes_read(path.read_text()) for path in readers))
+    found = []
+    for path, names in records.items():
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and node.name in names:
+                found += [
+                    f"{path.name}:{field.lineno}: {node.name}.{field.target.id}"
+                    for field in node.body
+                    if isinstance(field, ast.AnnAssign) and field.target.id not in read
+                ]
+    return sorted(found)
+
+
+def test_every_record_field_is_read():
+    """State that nothing reads gets deleted: every field of the per-episode
+    record, the confidence sets and the per-seed outcome is read somewhere in
+    the package or the benchmark (its tests excluded)."""
+    bench = PACKAGE.parents[1] / "bench"
+    readers = sorted(PACKAGE.glob("*.py")) + sorted(set(bench.glob("*.py")) - set(bench.glob("test_*.py")))
+    records = {
+        PACKAGE / "driver.py": ["EpisodeRecord"],
+        PACKAGE / "estimation.py": ["ConfidenceSets"],
+        PACKAGE / "harness.py": ["SeedOutcome"],
+    }
+    assert unread_fields(records, readers) == []
+
+
+def test_unread_field_check_finds_a_planted_field(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Record:\n"
+        "    kept: int\n"
+        "    planted: float\n"
+        "    stored: int = 0\n"
+        "class Other:\n"
+        "    unchecked: int\n"
+        "def make() -> Record:\n"
+        "    rec = Record(kept=1, planted=2.0)\n"
+        "    rec.stored = 3\n"
+        "    return rec\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from .a import Record, make\n"
+        "def use(rec: Record.planted) -> int:\n"
+        "    return make().kept\n"
+    )
+    readers = [tmp_path / "a.py", tmp_path / "b.py"]
+    records = {tmp_path / "a.py": ["Record"]}
+    assert unread_fields(records, readers) == ["a.py:5: Record.planted", "a.py:6: Record.stored"]
+
+
 def test_loss_path_never_reads_the_mode():
     """The loss families come from HypothesisClasses.families, so
     building, evaluating and thresholding them never asks which transition

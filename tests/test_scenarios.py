@@ -146,12 +146,19 @@ def test_int_too_large_for_a_float_option_rejected(name, key, value):
         build_scenario(name, params={key: value})
 
 
-@pytest.mark.parametrize("value, why", [(10**400, "Maximum allowed dimension"), (-1, "negative dimensions")])
-def test_an_option_numpy_refuses_is_a_config_error_naming_it(value, why):
+def test_an_option_numpy_refuses_is_a_config_error_naming_it():
     """A builtin ValueError from inside the generator names the scenario and its options."""
-    want = rf"scenario 'linear-d' cannot be built with options \['feature_dim'\]: {why}"
+    want = r"scenario 'linear-d' cannot be built with options \['feature_dim'\]: Maximum allowed dimension"
     with pytest.raises(ConfigError, match=want):
+        build_scenario("linear-d", params={"feature_dim": 10**400})
+
+
+@pytest.mark.parametrize("value", [0, -1])
+def test_linear_d_refuses_an_empty_feature_embedding(value):
+    """With no feature axis every reward would be 0.5 and every candidate the truth."""
+    with pytest.raises(ConfigError, match="feature_dim must be at least 1"):
         build_scenario("linear-d", params={"feature_dim": value})
+    assert build_scenario("linear-d", params={"feature_dim": 1}).params["feature_dim"] == 1
 
 
 @st.composite
