@@ -19,12 +19,11 @@ Infinite values are explicit flags with witnesses, never sentinel floats.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 from .estimation import StepDataset
 from .hypotheses import HypothesisClasses, residual_labels, residual_stack, source_feedback_mix
 from .model import (
@@ -34,6 +33,7 @@ from .model import (
     TransitionMode,
     _check_index,
     _check_simplex,
+    _is_int,
     feedback_by_type,
     make_rng,
 )
@@ -42,6 +42,9 @@ from .planning import AggregatedMDP, discretize_gaussian, policy_value, value_it
 JENSEN_TOL = 1e-9
 # The most deterministic policies a ratio oracle enumerates before it samples.
 DEFAULT_POLICY_BUDGET = 4096
+# Policy tables a ratio oracle runs through the occupancy DP at once; it bounds
+# the (block, S, A, T, E) temporaries, not the results.
+POLICY_BLOCK = 128
 
 
 # ---------------------------------------------------------------------------
@@ -67,12 +70,12 @@ def _step_kernels(env: StrategicModel, steps: int) -> list[np.ndarray]:
 
 
 def _push(weights: np.ndarray, kernel: np.ndarray, out: str) -> np.ndarray:
-    """Next-state mass of (S, A, T, E) per-type weights under one step kernel, on the
-    `out` axes of s, a and x. A general (S, A, E, S) kernel has no type axis, so
-    the types are summed out first."""
+    """Next-state mass of (..., S, A, T, E) per-type weights under one step kernel,
+    on the leading axes and the `out` axes of s, a and x. A general (S, A, E, S)
+    kernel has no type axis, so the types are summed out first."""
     if kernel.ndim == 4:
-        return np.einsum(f"sae,saex->{out}", weights.sum(axis=2), kernel)
-    return np.einsum(f"sate,tsaex->{out}", weights, kernel)
+        return np.einsum(f"...sae,saex->...{out}", weights.sum(axis=-2), kernel)
+    return np.einsum(f"...sate,tsaex->...{out}", weights, kernel)
 
 
 def true_aggregated_model(model: StrategicModel, type_dist: np.ndarray | None = None) -> AggregatedMDP:
@@ -135,20 +138,20 @@ def _forward_joints(
     fb: np.ndarray,
     kernels: list[np.ndarray],
 ) -> list[np.ndarray]:
-    """(S, A, E) joints of steps 0..len(kernels), moved forward by the kernels."""
-    d = np.zeros(env.num_states)
-    d[env.initial_state] = 1.0
+    """(..., S, A, E) joints of steps 0..len(kernels), moved forward by the kernels, for
+    (..., steps, S, A) action_probs whose leading axes index policies run side by side."""
+    d = np.zeros(action_probs.shape[:-3] + (env.num_states,))
+    d[..., env.initial_state] = 1.0
     joints: list[np.ndarray] = []
     for h in range(len(kernels) + 1):
-        sa = d[:, None] * action_probs[h]  # (S, A)
-        per_type = (
-            sa[:, :, None, None] * dist[h][None, None, :, None] * fb[h]
-        )  # (S, A, T, E)
-        joint = per_type.sum(axis=2)
+        sa = d[..., None] * action_probs[..., h, :, :]  # (..., S, A)
+        per_type = sa[..., None, None] * dist[h][:, None] * fb[h]  # (..., S, A, T, E)
+        joint = per_type.sum(axis=-2)
         joints.append(joint)
-        total = joint.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise ValidationError(f"occupancy at step {h} sums to {total}")
+        totals = joint.sum(axis=(-3, -2, -1))
+        worst = totals.flat[np.argmax(np.abs(totals - 1.0))]
+        if abs(worst - 1.0) > 1e-9:
+            raise ValidationError(f"occupancy at step {h} sums to {worst}")
         if h < len(kernels):
             d = _push(per_type, kernels[h], "x")
     return joints
@@ -164,24 +167,23 @@ def deterministic_policy_tables(
     num_actions: int,
     steps: int,
     budget: int,
-) -> tuple[list[np.ndarray], bool]:
-    """All (steps, S) deterministic action tables, or a uniform sample of budget many (seed 0).
+) -> tuple[np.ndarray, bool]:
+    """All deterministic (steps, S) action tables, or a uniform sample of budget many (seed 0),
+    as one (N, steps, S) array.
 
     Returns (tables, sampled). Exhaustive enumeration is used exactly when
-    num_actions ** (num_states * steps) fits the budget.
+    num_actions ** (num_states * steps) fits the budget; it counts in base
+    num_actions with the last cell fastest, the order of itertools.product.
     """
-    total = num_actions ** (num_states * steps)
+    if not _is_int(budget) or budget < 1:
+        raise ConfigError(f"policy budget must be an integer of at least 1, got {budget!r}")
+    cells = num_states * steps
+    total = num_actions**cells
     if total <= budget:
-        tables = [
-            np.array(combo, dtype=int).reshape(steps, num_states)
-            for combo in itertools.product(range(num_actions), repeat=num_states * steps)
-        ]
-        return tables, False
-    rng = make_rng(0)
-    tables = [
-        rng.integers(num_actions, size=(steps, num_states)) for _ in range(budget)
-    ]
-    return tables, True
+        digits = np.arange(total)[:, None] // num_actions ** np.arange(cells - 1, -1, -1) % num_actions
+        return digits.reshape(total, steps, num_states), False
+    # one draw of every table reads the generator's stream as one draw per table does
+    return make_rng(0).integers(num_actions, size=(budget, steps, num_states)), True
 
 
 # ---------------------------------------------------------------------------
@@ -240,23 +242,11 @@ def _collect_residuals(
     return [labels[j] for j in nonzero], stack[nonzero]
 
 
-def _state_action_occupancy(
-    env: StrategicModel,
-    table: np.ndarray,
-    dist: np.ndarray,
-    fb: np.ndarray,
-    kernels: list[np.ndarray],
-) -> np.ndarray:
-    """Flattened (S * A) occupancy at the last step of a deterministic (steps, S) table."""
-    action_probs = np.eye(env.num_actions)[table]
-    return _forward_joints(env, action_probs, dist, fb, kernels)[-1].sum(axis=-1).reshape(-1)
-
-
 def _worst_ratio(
     env: StrategicModel,
     h: int,
     labels: list[str],
-    tables: list[np.ndarray],
+    tables: np.ndarray,
     sampled: bool,
     num: np.ndarray,
     den: np.ndarray,
@@ -268,47 +258,44 @@ def _worst_ratio(
 
     num and den are (n, S, A) per-residual weights, integrated against the
     step-h (state, action) occupancy of each table under num_dist and den_dist
-    respectively. A zero denominator under a positive numerator is an infinite
-    result at the first such table and residual. With jensen set, every pair is
-    checked for the denominator never exceeding the numerator.
+    respectively; the occupancies come from one forward DP per POLICY_BLOCK
+    tables. A zero denominator under a positive numerator is an infinite
+    result at the first such table and residual; ties go to the first table,
+    then the first residual. With jensen set, every pair is checked for the
+    denominator never exceeding the numerator.
     """
-    n = num.shape[0]
-    num_flat = num.reshape(n, -1)
-    den_flat = den.reshape(n, -1)
+    N, n = len(tables), num.shape[0]
+    num_flat, den_flat = num.reshape(n, -1), den.reshape(n, -1)
     fb = feedback_by_type(env)
     kernels = _step_kernels(env, h)
-    best = -np.inf
-    best_witness: DiagnosticWitness | None = None
-    for table in tables:
-        d_den = _state_action_occupancy(env, table, den_dist, fb, kernels)
-        d_num = d_den if num_dist is den_dist else _state_action_occupancy(
-            env, table, num_dist, fb, kernels
-        )
-        top = num_flat @ d_num
-        bottom = den_flat @ d_den
-        if jensen and np.any(bottom > top + JENSEN_TOL):
-            raise ValidationError("projected MSE exceeded MSE; occupancy inconsistency")
-        zero = bottom == 0.0
-        infinite = zero & (top > 0.0)
-        if np.any(infinite):
-            j = int(np.flatnonzero(infinite)[0])
-            witness = DiagnosticWitness(labels[j], tuple(tuple(int(a) for a in row) for row in table))
-            return RatioResult(None, True, False, sampled, witness, len(tables), n)
-        valid = ~zero
-        if np.any(valid):
-            ratios = top[valid] / bottom[valid]
-            j_local = int(np.argmax(ratios))
-            if ratios[j_local] > best:
-                best = float(ratios[j_local])
-                j = int(np.flatnonzero(valid)[j_local])
-                best_witness = DiagnosticWitness(
-                    labels[j], tuple(tuple(int(a) for a in row) for row in table)
-                )
-    if best == -np.inf:
-        return RatioResult(1.0, False, True, sampled, None, len(tables), n)
-    return RatioResult(best, False, False, sampled, best_witness, len(tables), n)
-
-
+    eye = np.eye(env.num_actions)
+    top, bottom = np.empty((N, n)), np.empty((N, n))
+    for start in range(0, N, POLICY_BLOCK):
+        block = eye[tables[start : start + POLICY_BLOCK]]  # (B, h + 1, S, A)
+        rows = slice(start, start + len(block))
+        occ = [  # (B, S * A) occupancies at step h; one DP when both populations agree
+            _forward_joints(env, block, dist, fb, kernels)[-1].sum(axis=-1).reshape(len(block), -1)
+            for dist in ([den_dist] if num_dist is den_dist else [den_dist, num_dist])
+        ]
+        d_den, d_num = occ[0], occ[-1]
+        # a stacked mat-vec per table: a gemm over the block would change the bits
+        top[rows] = np.matmul(num_flat, d_num[..., None])[..., 0]
+        bottom[rows] = np.matmul(den_flat, d_den[..., None])[..., 0]
+    if jensen and np.any(bottom > top + JENSEN_TOL):
+        raise ValidationError("projected MSE exceeded MSE; occupancy inconsistency")
+    valid = bottom != 0.0
+    infinite = ~valid & (top > 0.0)
+    if np.any(infinite):
+        at, value = int(np.argmax(infinite)), None
+    elif np.any(valid):
+        ratios = np.divide(top, bottom, out=np.full((N, n), -np.inf), where=valid)
+        at = int(np.argmax(ratios))
+        value = float(ratios.flat[at])
+    else:
+        return RatioResult(1.0, False, True, sampled, None, N, n)
+    i, j = divmod(at, n)
+    witness = DiagnosticWitness(labels[j], tuple(map(tuple, tables[i].tolist())))
+    return RatioResult(value, value is None, False, sampled, witness, N, n)
 def ill_posedness(
     env: StrategicModel,
     classes: HypothesisClasses,

@@ -49,6 +49,10 @@ class ClassCaps:
             if not _is_int(value) or value < 1:
                 raise ValidationError(f"class cap {f.name} must be an integer of at least 1, got {value!r}")
 
+    def check_per_step(self, n: int, kind: str, where: str) -> None:
+        if n > self.per_step:
+            raise CapacityError(f"{n} {kind} candidates at {where} exceed the per-step cap {self.per_step}")
+
 
 @dataclass(frozen=True)
 class ClassSizes:
@@ -215,10 +219,7 @@ class HypothesisClasses:
                 n = len(tables)
                 if n == 0:
                     raise ValidationError(f"no {fam.kind} candidates at {fam.where}")
-                if n > self.caps.per_step:
-                    raise CapacityError(
-                        f"{n} {fam.kind} candidates at {fam.where} exceed the per-step cap {self.caps.per_step}"
-                    )
+                self.caps.check_per_step(n, fam.kind, fam.where)
                 lo, hi = tables.min(), tables.max()
                 if not (math.isfinite(lo) and math.isfinite(hi)):  # min and max keep a NaN
                     raise ValidationError(f"{fam.kind} candidates at {fam.where} have non-finite entries")

@@ -463,10 +463,14 @@ def build_scenario(
             kind = type(defaults[key]).__name__
             raise ConfigError(f"scenario {name!r} option {key!r} takes a {kind}, got {value!r}")
     try:
+        if "num_candidates" in defaults and "num_candidates" in params:
+            # every family gets that many candidates, so closing would refuse
+            # the first one, step 0's rewards; refuse it before any table is built
+            caps.check_per_step(params["num_candidates"], "reward", "step 0")
         model, rewards, transitions = generator(seed, **params)
     except TypeError as exc:
         raise ConfigError(f"bad parameters for scenario {name!r}: {exc}") from None
-    except ValueError as exc:  # numpy refusing a value; no package error is a ValueError
+    except ValueError as exc:  # numpy or int-to-str refusing a value; no package error is one
         options = sorted(params)
         raise ConfigError(f"scenario {name!r} cannot be built with options {options}: {exc}") from None
     echo = {"seed": int(seed), **defaults, **params}  # a numpy seed echoes as JSON's int

@@ -5,7 +5,8 @@ no shared code with the package internals beyond the public constructors.
 The scipy-based references keep the package's earlier Gaussian discretizers
 and ratio oracles verbatim (scipy's ``ndtr``, a kernel rebuilt at every step
 of every policy); they reuse only its public residual and policy
-enumeration. The per-row references at the end keep the earlier class
+enumeration, and the list-building policy enumeration is kept beside them
+verbatim. The per-row references at the end keep the earlier class
 closures and realizability check verbatim (one residual, one projection and
 one ``tobytes`` key or ``np.array_equal`` scan per row), and the joint backup
 step with its action maximum as one reduction; they reuse only the candidate
@@ -466,6 +467,31 @@ def ref_worst_ratio(env, classes, h: int, policy_budget: int, transfer: bool) ->
     if best == -np.inf:
         return RatioResult(1.0, False, True, sampled, None, len(tables), n)
     return RatioResult(best, False, False, sampled, witness, len(tables), n)
+
+
+def ref_deterministic_policy_tables(
+    num_states: int,
+    num_actions: int,
+    steps: int,
+    budget: int,
+) -> tuple[list[np.ndarray], bool]:
+    """All (steps, S) deterministic action tables, or a uniform sample of budget many (seed 0).
+
+    Returns (tables, sampled). Exhaustive enumeration is used exactly when
+    num_actions ** (num_states * steps) fits the budget.
+    """
+    total = num_actions ** (num_states * steps)
+    if total <= budget:
+        tables = [
+            np.array(combo, dtype=int).reshape(steps, num_states)
+            for combo in itertools.product(range(num_actions), repeat=num_states * steps)
+        ]
+        return tables, False
+    rng = make_rng(0)
+    tables = [
+        rng.integers(num_actions, size=(steps, num_states)) for _ in range(budget)
+    ]
+    return tables, True
 
 
 # ---------------------------------------------------------------------------

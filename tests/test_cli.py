@@ -319,6 +319,13 @@ def test_run_capacity_failure_exits_3_and_marks_manifest(config_path, tmp_path, 
     assert "CapacityError" in manifest["error"]
 
 
+def test_run_refuses_a_huge_candidate_count_with_exit_3(config_path, capsys):
+    params = "  params:\n    num_candidates: 1" + "0" * 400 + "\n"
+    body = BASE_YAML.replace("recsys-small\n", "linear-d\n" + params)
+    assert main(["run", str(config_path(body=body))]) == 3
+    assert "CapacityError" in capsys.readouterr().err
+
+
 def test_run_rejects_a_quoted_boolean_option_with_exit_2(config_path, capsys):
     params = "  params:\n    bias_probe: 'false'\n"
     body = BASE_YAML.replace("recsys-small\n", "recsys-small\n" + params)

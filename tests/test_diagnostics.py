@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import tracemalloc
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strategicmdp import (
     GENERATORS,
+    ConfigError,
     Grid,
     HypothesisClasses,
     InvalidIndexError,
@@ -48,6 +51,7 @@ from helpers import (
     random_general,
     ref_discretize_gaussian,
     ref_locate,
+    ref_deterministic_policy_tables,
     ref_occupancy_joints,
     ref_true_aggregated_general,
     ref_worst_ratio,
@@ -318,6 +322,30 @@ def test_policy_tables_sampled_when_large():
         np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("oracle", [ill_posedness, transfer_term])
+@pytest.mark.parametrize("budget", [0, -1, 2.0, True])
+def test_ratio_oracles_refuse_a_policy_budget_below_one(oracle, budget):
+    """A budget below 1 gave a degenerate result over no policies."""
+    scenario = build_scenario("recsys-small")
+    with pytest.raises(ConfigError, match="policy budget must be an integer of at least 1"):
+        oracle(scenario.model, scenario.classes, 0, policy_budget=budget)
+
+
+@pytest.mark.parametrize("states, actions, steps", [(2, 2, 2), (9, 2, 1), (3, 3, 2), (4, 3, 2), (1, 1, 5)])
+@pytest.mark.parametrize("budget", ["one", "total - 1", "total", "default"])
+def test_policy_tables_equal_the_list_built_tables(states, actions, steps, budget):
+    """One (N, steps, S) array holds the list-built tables in their order: exhaustive
+    tables in itertools.product order, sampled ones as one draw per table gives them."""
+    total = actions ** (states * steps)
+    budget = {"one": 1, "total - 1": max(total - 1, 1), "total": total, "default": 4096}[budget]
+    got, sampled = deterministic_policy_tables(states, actions, steps, budget)
+    want, want_sampled = ref_deterministic_policy_tables(states, actions, steps, budget)
+    assert sampled == want_sampled
+    assert got.shape == (len(want), steps, states) and got.dtype == want[0].dtype
+    for table, ref in zip(got, want):
+        np.testing.assert_array_equal(table, ref)
+
+
 # ---------------------------------------------------------------------------
 # Worst-case ratios
 # ---------------------------------------------------------------------------
@@ -428,6 +456,109 @@ def test_ratio_oracles_equal_per_policy_kernel_reference(noiseless, oracle):
         )
         assert got == want
         assert got.as_dict() == want.as_dict()
+
+
+def probe_instance(seed, states, actions, kind):
+    """A random general model whose extra reward candidates differ from the truth
+    at one (state, action) cell, twice over (tied residuals), with the true
+    transitions alone. "infinite-ill": symmetric feedback there hides the
+    two-sided residual from the instrument; "infinite-transfer": the source
+    types never show the feedback the residual sits on; "unreachable": the cell
+    is off the initial state, so no policy reaches a residual at step 0 (degenerate)."""
+    model, rand = random_general(seed, 2, states, actions, 2, 2)
+    s, a = (1, 0) if kind == "unreachable" else (0, actions - 1)
+    fb, reward, src = model.feedback_kernel.copy(), model.principal_reward.copy(), model.source_type_dist.copy()
+    reward[:, s, a] = 0.5  # dyadic, so candidate minus truth is exact
+    probe = reward.copy()
+    if kind == "infinite-transfer":
+        src[:] = [1.0, 0.0]
+        fb[:, s, a] = np.eye(2)[:, None, :]  # type t shows feedback t
+        probe[:, s, a, 1] = 0.75
+    else:
+        fb[:, s, a] = 0.5
+        probe[:, s, a] = [0.75, 0.25]
+    model = dataclasses.replace(model, feedback_kernel=fb, principal_reward=reward, source_type_dist=src)
+    H = model.horizon
+    rewards = [np.stack([reward[h], probe[h], probe[h]]) for h in range(H)]
+    if kind != "unreachable":
+        rewards = [np.concatenate([r, rand.reward_tables[h][1:]]) for h, r in enumerate(rewards)]
+    classes = HypothesisClasses(
+        mode=TransitionMode.GENERAL,
+        bound=1.0,
+        reward_tables=rewards,
+        discriminators=[np.zeros((0, states, actions))] * H,
+        value_targets=[np.zeros((0, states))] * H,
+        transition_tables=[model.transition_kernel[h][None] for h in range(H)],
+        truth_reward_idx=[0] * H,
+        truth_transition_idx=[0] * H,
+    )
+    return model, classes
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["general", "dynamical", "infinite-ill", "infinite-transfer", "unreachable"]),
+    seed=st.integers(0, 2**16),
+    states=st.integers(2, 3),
+    actions=st.integers(2, 3),
+    block=st.sampled_from([1, 3, diagnostics.POLICY_BLOCK]),
+    h=st.integers(0, 1),
+    budget=st.one_of(st.sampled_from(["total - 1", "total", "total + 1"]), st.integers(1, 800)),
+)
+@example(kind="general", seed=1, states=3, actions=2, block=128, h=1, budget="total")  # a gemm changes bits
+@example(kind="unreachable", seed=0, states=3, actions=2, block=3, h=1, budget="total + 1")  # tied maxima
+def test_blocked_ratio_oracles_equal_the_per_policy_reference(kind, seed, states, actions, block, h, budget):
+    """Blocks that end partway through the tables, budgets from 1 to past
+    exhaustive, infinite, degenerate and tied results: all equal, bit for bit,
+    the reference's one DP and one running best per table."""
+    if kind == "general":
+        model, classes = random_general(seed, 2, states, actions, 2, 3)
+    elif kind == "dynamical":
+        model, classes = random_dynamical(seed, Grid((-1.5,), (1.5,), (states,)), 2, rewards=2, candidates=(2,))
+    else:
+        model, classes = probe_instance(seed, states, actions, kind)
+    classes = close_classes(model, classes, LearnerKnowledge.from_model(model))
+    total = model.num_actions ** (model.num_states * (h + 1))
+    budget = {"total - 1": total - 1, "total": total, "total + 1": total + 1}.get(budget, budget)
+    with mock.patch.object(diagnostics, "POLICY_BLOCK", block):
+        for oracle in (ill_posedness, transfer_term):
+            got = oracle(model, classes, h, policy_budget=budget)
+            want = ref_worst_ratio(model, classes, h, budget, transfer=oracle is transfer_term)
+            assert got == want
+            assert got.as_dict() == want.as_dict()
+
+
+@pytest.mark.parametrize("kind, oracle", [("infinite-ill", ill_posedness), ("infinite-transfer", transfer_term)])
+def test_probe_instances_reach_an_infinite_tied_and_degenerate_result(kind, oracle):
+    """The differential test above sees each kind of result it is meant to cover."""
+    model, classes = probe_instance(0, 3, 2, kind)
+    classes = close_classes(model, classes, LearnerKnowledge.from_model(model))
+    infinite = oracle(model, classes, 1)
+    assert infinite.infinite and infinite.witness.residual == "reward[1]"  # tied with reward[2]
+    model, classes = probe_instance(0, 3, 2, "unreachable")
+    classes = close_classes(model, classes, LearnerKnowledge.from_model(model))
+    assert oracle(model, classes, 0).degenerate and oracle(model, classes, 0).num_residuals == 2
+    tied = transfer_term(model, classes, 1)
+    assert not tied.infinite and tied.witness.residual == "reward[1]"
+
+
+@pytest.mark.parametrize("oracle", [ill_posedness, transfer_term])
+def test_ratio_oracles_stay_within_the_memory_of_a_table_list(oracle):
+    """dyn-1d at h = 2 samples the default 4096 of its 2**27 tables. The cap is
+    the tracemalloc peak of a per-table loop over a list of (3, 9) arrays:
+    1,583,713 (ill_posedness) and 1,584,977 bytes (transfer_term). Blocks of
+    128 tables measure 1,531,061 and 1,567,973 bytes; one DP over all 4096
+    tables at once measured 12,113,069 and 12,704,309."""
+    scenario = build_scenario("dyn-1d")
+    oracle(scenario.model, scenario.classes, 2, policy_budget=8)  # first-call allocations
+    tracemalloc.start()
+    try:
+        result = oracle(scenario.model, scenario.classes, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.num_policies == 4096 and result.lower_bound_estimate
+    assert peak <= 1_585_000
 
 
 @pytest.mark.parametrize("model", [tiny_general(), tiny_dynamical(), tiny_dynamical(0.0)])

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from strategicmdp import (
+    CapacityError,
+    ClassCaps,
     ConfigError,
     GENERATORS,
     HypothesisClasses,
@@ -26,7 +29,7 @@ from strategicmdp import (
     value_iteration,
 )
 from strategicmdp.model import feedback_by_type, normal_cdf
-from strategicmdp.scenarios import _best_responses, _tile
+from strategicmdp.scenarios import _assemble, _best_responses, _tile, linear_d
 
 ALL_NAMES = sorted(GENERATORS)
 
@@ -266,6 +269,34 @@ def test_linear_d_candidate_count():
     assert len(scenario.classes.reward_tables[0]) == 4
     with pytest.raises(ConfigError, match="at least 1"):
         build_scenario("linear-d", params={"num_candidates": 0})
+
+
+@pytest.mark.parametrize("per_step", [1, 3, 8])
+def test_a_candidate_count_one_above_the_cap_is_refused_as_closing_refuses_it(per_step):
+    caps = ClassCaps(per_step=per_step)
+    with pytest.raises(CapacityError) as closing:
+        _assemble(*linear_d(0, num_candidates=per_step + 1), caps)
+    with pytest.raises(CapacityError) as early:
+        build_scenario("linear-d", params={"num_candidates": per_step + 1}, caps=caps)
+    assert str(early.value) == str(closing.value)
+    assert str(early.value) == f"{per_step + 1} reward candidates at step 0 exceed the per-step cap {per_step}"
+    built = build_scenario("linear-d", params={"num_candidates": per_step}, caps=caps)
+    assert len(built.classes.reward_tables[0]) == per_step
+
+
+def test_a_huge_candidate_count_is_refused_before_any_table_is_built():
+    """10**400 candidates allocated candidate tables until memory ran out."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=r"^10{400} reward candidates at step 0 exceed the per-step cap 8$"):
+            build_scenario("linear-d", params={"num_candidates": 10**400})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # bytes; 1.8 KB measured, where a build with 8 candidates peaks near 1 MB
+    # past Python's int-to-str limit the count cannot be quoted: still a package error
+    with pytest.raises(ConfigError, match=r"options \['num_candidates'\]"):
+        build_scenario("linear-d", params={"num_candidates": 10**5000})
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
