@@ -80,7 +80,7 @@ def _parse_grid(specs: list[str]) -> dict[str, list]:
             raise ConfigError(f"--param {key} is given more than once")
         try:
             grid[key] = [parse_yaml(tok) for tok in values.split(",")]
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError) as exc:
             raise ParseError(f"cannot parse --param {key}: {exc}") from None
     return grid
 

@@ -221,7 +221,8 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
 
 def parse_yaml(text: str):
-    """Parse YAML text with the safe loader; raises yaml.YAMLError.
+    """Parse YAML text with the safe loader; raises yaml.YAMLError, or ValueError
+    for a scalar the loader's own int() or date() refuses.
 
     A mapping that repeats a key is an error.
     """
@@ -237,7 +238,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ParseError(f"cannot read config {path}: {exc}") from None
     try:
         data = parse_yaml(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
         raise ParseError(f"cannot parse config {path}: {exc}") from None
     if data is None:
         data = {}

@@ -19,13 +19,14 @@ Infinite values are explicit flags with witnesses, never sentinel floats.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .estimation import StepDataset
-from .hypotheses import HypothesisClasses, residual_labels, residual_stack, source_feedback_mix
+from .hypotheses import HypothesisClasses, residual_labels, residual_stack
 from .model import (
     LearnerKnowledge,
     Policy,
@@ -78,6 +79,17 @@ def _push(weights: np.ndarray, kernel: np.ndarray, out: str) -> np.ndarray:
     return np.einsum(f"...sate,tsaex->...{out}", weights, kernel)
 
 
+def _type_dist(env: StrategicModel, type_dist: np.ndarray | None, default: np.ndarray) -> np.ndarray:
+    """A given type_dist checked to be an (H, T) table of distributions, else default."""
+    if type_dist is None:
+        return default
+    dist = np.asarray(type_dist, dtype=float)
+    if dist.shape != (env.horizon, env.num_types):
+        raise ValidationError(f"type_dist has shape {dist.shape}, expected {(env.horizon, env.num_types)}")
+    _check_simplex(dist, "type_dist")
+    return dist
+
+
 def true_aggregated_model(model: StrategicModel, type_dist: np.ndarray | None = None) -> AggregatedMDP:
     """Aggregated MDP of the true environment under a type distribution, by default the target.
 
@@ -85,9 +97,10 @@ def true_aggregated_model(model: StrategicModel, type_dist: np.ndarray | None = 
     kernels, the simulator's own next-cell law. The rewards leave out the
     population mean of the reward confound, one constant per step (-0.08 on
     dyn-1d, -0.09 on recsys-small under the target): it shifts the optimal
-    value but never regret. An evaluation oracle the learner cannot call.
+    value but never regret. An evaluation oracle the learner cannot call. A
+    given type_dist must be an (H, T) table of distributions.
     """
-    dist = model.target_type_dist if type_dist is None else np.asarray(type_dist, dtype=float)
+    dist = _type_dist(model, type_dist, model.target_type_dist)
     fb = feedback_by_type(model)  # (H, S, A, T, E)
     w = np.einsum("ht,hsate->hsae", dist, fb)
     rewards = np.einsum("hsae,hsae->hsa", w, model.principal_reward)
@@ -119,12 +132,7 @@ def occupancy(
     transitions consistently with the same population.
     """
     H = env.horizon
-    dist = env.source_type_dist
-    if type_dist is not None:
-        dist = np.asarray(type_dist, dtype=float)
-        if dist.shape != (H, env.num_types):
-            raise ValidationError(f"type_dist has shape {dist.shape}, expected {(H, env.num_types)}")
-        _check_simplex(dist, "type_dist")
+    dist = _type_dist(env, type_dist, env.source_type_dist)
     if policy.action_probs.shape != (H, env.num_states, env.num_actions):
         raise ValidationError("policy shape does not match the environment")
     kernels = _step_kernels(env, H - 1)
@@ -231,56 +239,49 @@ class RatioResult:
         }
 
 
-def _collect_residuals(
-    env: StrategicModel, classes: HypothesisClasses, h: int
-) -> tuple[list[str], np.ndarray | None]:
-    stack = residual_stack(env, classes, h)
-    nonzero = np.flatnonzero(np.any(stack.reshape(len(stack), -1) != 0.0, axis=1))
-    if nonzero.size == 0:
-        return [], None
-    labels = residual_labels(classes, h)
-    return [labels[j] for j in nonzero], stack[nonzero]
-
-
-def _worst_ratio(
+def _ratio_oracle(
     env: StrategicModel,
+    classes: HypothesisClasses,
     h: int,
-    labels: list[str],
-    tables: np.ndarray,
-    sampled: bool,
-    num: np.ndarray,
-    den: np.ndarray,
+    policy_budget: int,
+    moments: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     num_dist: np.ndarray,
-    den_dist: np.ndarray,
     jensen: bool,
 ) -> RatioResult:
-    """Largest ratio num / den over residuals and policy tables, with its witness.
+    """Largest ratio num / den at step h over nonzero residuals and policy tables, with its witness.
 
-    num and den are (n, S, A) per-residual weights, integrated against the
-    step-h (state, action) occupancy of each table under num_dist and den_dist
-    respectively; the occupancies come from one forward DP per POLICY_BLOCK
-    tables. A zero denominator under a positive numerator is an infinite
-    result at the first such table and residual; ties go to the first table,
-    then the first residual. With jensen set, every pair is checked for the
-    denominator never exceeding the numerator.
+    moments maps the (n, S, A, E) nonzero residuals and the step-h (S, A, T, E)
+    feedback table to (n, S, A) weights num and den, integrated against the
+    step-h (state, action) occupancy of each table under num_dist and the
+    source population respectively; the occupancies come from one forward DP
+    per POLICY_BLOCK tables. A zero denominator under a positive numerator is
+    an infinite result at the first such table and residual; ties go to the
+    first table, then the first residual. With jensen set, every pair is
+    checked for the denominator never exceeding the numerator.
     """
-    N, n = len(tables), num.shape[0]
-    num_flat, den_flat = num.reshape(n, -1), den.reshape(n, -1)
+    _check_index(h, env.horizon, "step")
+    stack = residual_stack(env, classes, h)
+    rows = np.flatnonzero(np.any(stack.reshape(len(stack), -1) != 0.0, axis=1))
+    tables, sampled = deterministic_policy_tables(env.num_states, env.num_actions, h + 1, policy_budget)
+    N, n = len(tables), rows.size
+    if n == 0:
+        return RatioResult(1.0, False, True, sampled, None, N, 0)
     fb = feedback_by_type(env)
+    num, den = (m.reshape(n, -1) for m in moments(stack[rows], fb[h]))
+    den_dist = env.source_type_dist
     kernels = _step_kernels(env, h)
     eye = np.eye(env.num_actions)
     top, bottom = np.empty((N, n)), np.empty((N, n))
     for start in range(0, N, POLICY_BLOCK):
         block = eye[tables[start : start + POLICY_BLOCK]]  # (B, h + 1, S, A)
-        rows = slice(start, start + len(block))
+        part = slice(start, start + len(block))
         occ = [  # (B, S * A) occupancies at step h; one DP when both populations agree
             _forward_joints(env, block, dist, fb, kernels)[-1].sum(axis=-1).reshape(len(block), -1)
             for dist in ([den_dist] if num_dist is den_dist else [den_dist, num_dist])
         ]
-        d_den, d_num = occ[0], occ[-1]
         # a stacked mat-vec per table: a gemm over the block would change the bits
-        top[rows] = np.matmul(num_flat, d_num[..., None])[..., 0]
-        bottom[rows] = np.matmul(den_flat, d_den[..., None])[..., 0]
+        top[part] = np.matmul(num, occ[-1][..., None])[..., 0]
+        bottom[part] = np.matmul(den, occ[0][..., None])[..., 0]
     if jensen and np.any(bottom > top + JENSEN_TOL):
         raise ValidationError("projected MSE exceeded MSE; occupancy inconsistency")
     valid = bottom != 0.0
@@ -294,8 +295,10 @@ def _worst_ratio(
     else:
         return RatioResult(1.0, False, True, sampled, None, N, n)
     i, j = divmod(at, n)
-    witness = DiagnosticWitness(labels[j], tuple(map(tuple, tables[i].tolist())))
+    witness = DiagnosticWitness(residual_labels(classes, h)[rows[j]], tuple(map(tuple, tables[i].tolist())))
     return RatioResult(value, value is None, False, sampled, witness, N, n)
+
+
 def ill_posedness(
     env: StrategicModel,
     classes: HypothesisClasses,
@@ -310,16 +313,13 @@ def ill_posedness(
     steps up to h. Every evaluated pair is checked for the projected MSE
     never exceeding the MSE.
     """
-    _check_index(h, env.horizon, "step")
-    labels, nus = _collect_residuals(env, classes, h)
-    tables, sampled = deterministic_policy_tables(env.num_states, env.num_actions, h + 1, policy_budget)
-    if nus is None:
-        return RatioResult(1.0, False, True, sampled, None, len(tables), 0)
-    kappa = source_feedback_mix(env)[h]  # (S, A, E)
-    sq = np.einsum("sae,nsae->nsa", kappa, nus * nus)  # conditional second moments
-    proj = np.einsum("sae,nsae->nsa", kappa, nus)
-    src = env.source_type_dist
-    return _worst_ratio(env, h, labels, tables, sampled, sq, proj * proj, src, src, jensen=True)
+
+    def moments(nus: np.ndarray, fb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        kappa = np.einsum("t,sate->sae", env.source_type_dist[h], fb)
+        proj = np.einsum("sae,nsae->nsa", kappa, nus)
+        return np.einsum("sae,nsae->nsa", kappa, nus * nus), proj * proj  # second moment, squared mean
+
+    return _ratio_oracle(env, classes, h, policy_budget, moments, env.source_type_dist, jensen=True)
 
 
 def transfer_term(
@@ -329,20 +329,13 @@ def transfer_term(
     policy_budget: int = DEFAULT_POLICY_BUDGET,
 ) -> RatioResult:
     """Worst-case target-MSE over source-MSE at step h, same enumeration scheme."""
-    _check_index(h, env.horizon, "step")
-    labels, nus = _collect_residuals(env, classes, h)
-    tables, sampled = deterministic_policy_tables(env.num_states, env.num_actions, h + 1, policy_budget)
-    if nus is None:
-        return RatioResult(1.0, False, True, sampled, None, len(tables), 0)
-    fb = feedback_by_type(env)
-    kappa_src = np.einsum("t,sate->sae", env.source_type_dist[h], fb[h])
-    kappa_tgt = np.einsum("t,sate->sae", env.target_type_dist[h], fb[h])
-    src_sq = np.einsum("sae,nsae->nsa", kappa_src, nus * nus)
-    tgt_sq = np.einsum("sae,nsae->nsa", kappa_tgt, nus * nus)
-    return _worst_ratio(
-        env, h, labels, tables, sampled, tgt_sq, src_sq,
-        env.target_type_dist, env.source_type_dist, jensen=False,
-    )
+
+    def moments(nus: np.ndarray, fb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        tgt = np.einsum("t,sate->sae", env.target_type_dist[h], fb)
+        src = np.einsum("t,sate->sae", env.source_type_dist[h], fb)
+        return np.einsum("sae,nsae->nsa", tgt, nus * nus), np.einsum("sae,nsae->nsa", src, nus * nus)
+
+    return _ratio_oracle(env, classes, h, policy_budget, moments, env.target_type_dist, jensen=False)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +374,9 @@ class NaiveBaselineReport:
 def naive_baseline(dataset: StepDataset, env: StrategicModel) -> NaiveBaselineReport:
     """Average reward per (h, s, a, e) cell versus the true reward table."""
     H, S, A, E = env.horizon, env.num_states, env.num_actions, env.num_feedbacks
+    shape = (dataset.horizon, dataset.num_states, dataset.num_actions, dataset.num_feedbacks)
+    if shape != (H, S, A, E):
+        raise ValidationError(f"dataset has (H, S, A, E) = {shape}, the model {(H, S, A, E)}")
     counts = np.stack([dataset.steps[h].counts for h in range(H)])
     sums = np.stack([dataset.steps[h].reward_sums for h in range(H)])
     with np.errstate(invalid="ignore", divide="ignore"):

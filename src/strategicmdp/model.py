@@ -136,8 +136,10 @@ class Grid:
     def __post_init__(self) -> None:
         if not (len(self.lows) == len(self.highs) == len(self.cells_per_dim)):
             raise ValidationError("grid lows/highs/cells_per_dim lengths differ")
-        if any(n < 1 for n in self.cells_per_dim):
-            raise ValidationError("grid needs at least one cell per dimension")
+        if not all(_is_int(n) and n >= 1 for n in self.cells_per_dim):
+            raise ValidationError(f"grid cell counts {self.cells_per_dim} are not all integers >= 1")
+        if not all(math.isfinite(x) for x in (*self.lows, *self.highs)):
+            raise ValidationError(f"grid box lows {self.lows} and highs {self.highs} are not all finite")
         if any(h <= l for l, h in zip(self.lows, self.highs)):
             raise ValidationError("grid box must have positive extent per dimension")
 

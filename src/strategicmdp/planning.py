@@ -58,14 +58,15 @@ class AggregatedMDP:
     def __post_init__(self) -> None:
         self.rewards = np.asarray(self.rewards, dtype=float)
         self.transitions = np.asarray(self.transitions, dtype=float)
+        if self.rewards.ndim != 3:
+            raise ValidationError(f"rewards shape {self.rewards.shape} is not (H, S, A)")
         H, S, A = self.rewards.shape
         if self.transitions.shape != (H, S, A, S):
             raise ValidationError(
                 f"transitions shape {self.transitions.shape} does not match rewards {self.rewards.shape}"
             )
         _check_simplex(self.transitions, "aggregated transitions")
-        if not (0 <= self.initial_state < S):
-            raise ValidationError(f"initial_state {self.initial_state} out of range")
+        _check_index(self.initial_state, S, "initial state")
 
     @property
     def horizon(self) -> int:

@@ -514,3 +514,30 @@ def test_sweep_rejects_duplicate_key_in_param_value(tmp_path, capsys, loader):
     err = capsys.readouterr().err
     assert "cannot parse --param environment.params" in err
     assert "duplicate key 'a'" in err
+
+
+# ---------------------------------------------------------------------------
+# Scalars the loader cannot convert
+# ---------------------------------------------------------------------------
+
+HUGE = "1" + "0" * 5000  # past Python's 4300-digit int-to-str limit
+
+
+@pytest.mark.parametrize(
+    "value, reason", [("-" + HUGE, "4300 digits"), ("2020-13-45", "month must be")], ids=["huge-int", "bad-date"]
+)
+def test_validate_refuses_a_scalar_the_loader_cannot_convert(tmp_path, capsys, loader, value, reason):
+    """The loader's own int() and date() raised a bare ValueError, a runtime failure with exit 3."""
+    p = tmp_path / "huge.yaml"
+    p.write_text(f"environment:\n  generator: recsys-small\nrun:\n  episodes: {value}\n")
+    assert main(["validate", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot parse config {p}: ") and reason in err
+
+
+def test_sweep_refuses_a_param_value_past_the_int_digit_limit(tmp_path, capsys, loader):
+    p = tmp_path / "base.yaml"
+    p.write_text(CONTRACT_YAML)
+    assert main(["sweep", str(p), "--param", f"run.episodes={HUGE}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot parse --param run.episodes: ") and "4300 digits" in err

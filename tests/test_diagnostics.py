@@ -286,9 +286,17 @@ def test_occupancy_dynamical_noisy_matches_monte_carlo_and_is_unflagged():
         np.array([[1.5, -0.5], [0.5, 0.5]]),  # sums to 1 with a negative entry
     ],
 )
-def test_occupancy_refuses_a_type_dist_that_is_not_a_table_of_distributions(type_dist):
-    with pytest.raises(ValidationError):
-        occupancy(tiny_general(), Policy.uniform(2, 2, 2), type_dist)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda model, dist: occupancy(model, Policy.uniform(2, 2, 2), dist),
+        true_aggregated_model,  # a bad shape raised numpy's broadcast error, a bad row a late one
+    ],
+    ids=["occupancy", "true_aggregated_model"],
+)
+def test_occupancy_refuses_a_type_dist_that_is_not_a_table_of_distributions(type_dist, entry):
+    with pytest.raises(ValidationError, match="type_dist"):
+        entry(tiny_general(), type_dist)
 
 
 def test_occupancy_mse_definition():
@@ -720,6 +728,16 @@ def test_naive_baseline_reports_empty_cells():
     flat = str(d["empirical_bias"])
     assert "nan" not in flat.lower()
     assert "None" in flat
+
+
+@pytest.mark.parametrize("field", ["horizon", "num_states", "num_actions", "num_feedbacks"])
+def test_naive_baseline_refuses_a_dataset_of_another_shape(field):
+    """A dataset from another scenario raised numpy's bare broadcast or index error."""
+    model = build_scenario("recsys-small").model
+    sizes = {name: getattr(model, name) for name in ("horizon", "num_states", "num_actions", "num_feedbacks")}
+    data = StepDataset(model.transition_mode, **{**sizes, field: sizes[field] + 1})
+    with pytest.raises(ValidationError, match=r"dataset has \(H, S, A, E\)"):
+        naive_baseline(data, model)
 
 
 # ---------------------------------------------------------------------------

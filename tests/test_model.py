@@ -135,6 +135,25 @@ def test_grid_validation():
         Grid((0.0, 0.0), (1.0,), (2,))
 
 
+@pytest.mark.parametrize(
+    "lows, highs, cells, match",
+    [
+        ((math.nan,), (1.0,), (2,), "not all finite"),
+        ((0.0,), (math.inf,), (2,), "not all finite"),
+        ((-math.inf, 0.0), (1.0, 1.0), (2, 2), "not all finite"),
+        ((0.0,), (1.0,), (2.5,), "not all integers"),
+        ((0.0,), (1.0,), (2.0,), "not all integers"),
+        ((0.0,), (1.0,), (True,), "not all integers"),
+        ((0.0,), (1.0,), (np.int64(0),), "not all integers"),
+    ],
+)
+def test_grid_refuses_a_non_finite_box_and_non_integer_cell_counts(lows, highs, cells, match):
+    """A NaN low and a cell count of 2.5 both constructed; locate, edges and
+    gaussian_mass_1d then raised a bare ValueError or TypeError."""
+    with pytest.raises(ValidationError, match=match):
+        Grid(lows, highs, cells)
+
+
 def test_gaussian_mass_rows_sum_to_one():
     grid = Grid((-1.0,), (1.0,), (4,))
     for mean in (-2.0, -0.3, 0.0, 0.9, 3.0):

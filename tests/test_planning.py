@@ -96,6 +96,20 @@ def test_aggregated_mdp_validation():
         AggregatedMDP(np.zeros((1, 2, 2)), bad, 0)
 
 
+@pytest.mark.parametrize("initial_state", [0.5, 1.0, True, "0", -1, 2])
+def test_aggregated_mdp_refuses_an_initial_state_that_is_not_a_state_index(initial_state):
+    """0.5 constructed and value_iteration then raised a bare IndexError."""
+    with pytest.raises(InvalidIndexError, match="initial state index"):
+        AggregatedMDP(np.zeros((1, 2, 2)), np.full((1, 2, 2, 2), 0.5), initial_state)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (1, 1, 2, 2), ()])
+def test_aggregated_mdp_refuses_rewards_that_are_not_h_s_a(shape):
+    """2-D rewards raised "not enough values to unpack"."""
+    with pytest.raises(ValidationError, match=r"is not \(H, S, A\)"):
+        AggregatedMDP(np.zeros(shape), np.full((1, 2, 2, 2), 0.5), 0)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_aggregated_mdp_rejects_non_finite_transitions(value):
     kernels = np.full((1, 2, 2, 2), 0.5)
