@@ -56,8 +56,6 @@ from .hypotheses import (
     close_classes,
     residual_labels,
     residual_stack,
-    source_feedback_mix,
-    source_projection,
 )
 from .model import (
     Grid,
@@ -69,6 +67,8 @@ from .model import (
     TransitionMode,
     env_step,
     feedback_by_type,
+    feedback_mix,
+    integrate_feedback,
     make_rng,
     rollout,
 )

@@ -36,6 +36,8 @@ from .model import (
     _check_simplex,
     _is_int,
     feedback_by_type,
+    feedback_mix,
+    integrate_feedback,
     make_rng,
 )
 from .planning import AggregatedMDP, discretize_gaussian, policy_value, value_iteration
@@ -83,7 +85,10 @@ def _type_dist(env: StrategicModel, type_dist: np.ndarray | None, default: np.nd
     """A given type_dist checked to be an (H, T) table of distributions, else default."""
     if type_dist is None:
         return default
-    dist = np.asarray(type_dist, dtype=float)
+    try:
+        dist = np.asarray(type_dist, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"type_dist is not a table of floats: {exc}") from None
     if dist.shape != (env.horizon, env.num_types):
         raise ValidationError(f"type_dist has shape {dist.shape}, expected {(env.horizon, env.num_types)}")
     _check_simplex(dist, "type_dist")
@@ -102,8 +107,7 @@ def true_aggregated_model(model: StrategicModel, type_dist: np.ndarray | None = 
     """
     dist = _type_dist(model, type_dist, model.target_type_dist)
     fb = feedback_by_type(model)  # (H, S, A, T, E)
-    w = np.einsum("ht,hsate->hsae", dist, fb)
-    rewards = np.einsum("hsae,hsae->hsa", w, model.principal_reward)
+    rewards = np.einsum("hsae,hsae->hsa", feedback_mix(dist, fb), model.principal_reward)
     weights = dist[:, None, None, :, None] * fb
     transitions = [_push(weights[h], k, "sax") for h, k in enumerate(_step_kernels(model, model.horizon))]
     return AggregatedMDP(rewards, transitions, model.initial_state)
@@ -250,14 +254,14 @@ def _ratio_oracle(
 ) -> RatioResult:
     """Largest ratio num / den at step h over nonzero residuals and policy tables, with its witness.
 
-    moments maps the (n, S, A, E) nonzero residuals and the step-h (S, A, T, E)
-    feedback table to (n, S, A) weights num and den, integrated against the
-    step-h (state, action) occupancy of each table under num_dist and the
-    source population respectively; the occupancies come from one forward DP
-    per POLICY_BLOCK tables. A zero denominator under a positive numerator is
-    an infinite result at the first such table and residual; ties go to the
-    first table, then the first residual. With jensen set, every pair is
-    checked for the denominator never exceeding the numerator.
+    moments maps the (n, S, A, E) nonzero residuals and the (H, S, A, T, E)
+    per-type feedback table to (n, S, A) weights num and den, integrated
+    against the step-h (state, action) occupancy of each table under num_dist
+    and the source population respectively; the occupancies come from one
+    forward DP per POLICY_BLOCK tables. A zero denominator under a positive
+    numerator is an infinite result at the first such table and residual;
+    ties go to the first table, then the first residual. With jensen set,
+    every pair is checked for the denominator never exceeding the numerator.
     """
     _check_index(h, env.horizon, "step")
     stack = residual_stack(env, classes, h)
@@ -267,7 +271,7 @@ def _ratio_oracle(
     if n == 0:
         return RatioResult(1.0, False, True, sampled, None, N, 0)
     fb = feedback_by_type(env)
-    num, den = (m.reshape(n, -1) for m in moments(stack[rows], fb[h]))
+    num, den = (m.reshape(n, -1) for m in moments(stack[rows], fb))
     den_dist = env.source_type_dist
     kernels = _step_kernels(env, h)
     eye = np.eye(env.num_actions)
@@ -315,9 +319,9 @@ def ill_posedness(
     """
 
     def moments(nus: np.ndarray, fb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        kappa = np.einsum("t,sate->sae", env.source_type_dist[h], fb)
-        proj = np.einsum("sae,nsae->nsa", kappa, nus)
-        return np.einsum("sae,nsae->nsa", kappa, nus * nus), proj * proj  # second moment, squared mean
+        kappa = feedback_mix(env.source_type_dist, fb)[h]
+        proj = integrate_feedback(kappa, nus)
+        return integrate_feedback(kappa, nus * nus), proj * proj  # second moment, squared mean
 
     return _ratio_oracle(env, classes, h, policy_budget, moments, env.source_type_dist, jensen=True)
 
@@ -331,9 +335,8 @@ def transfer_term(
     """Worst-case target-MSE over source-MSE at step h, same enumeration scheme."""
 
     def moments(nus: np.ndarray, fb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        tgt = np.einsum("t,sate->sae", env.target_type_dist[h], fb)
-        src = np.einsum("t,sate->sae", env.source_type_dist[h], fb)
-        return np.einsum("sae,nsae->nsa", tgt, nus * nus), np.einsum("sae,nsae->nsa", src, nus * nus)
+        tgt, src = (feedback_mix(dist, fb)[h] for dist in (env.target_type_dist, env.source_type_dist))
+        return integrate_feedback(tgt, nus * nus), integrate_feedback(src, nus * nus)
 
     return _ratio_oracle(env, classes, h, policy_budget, moments, env.target_type_dist, jensen=False)
 
@@ -383,8 +386,8 @@ def naive_baseline(dataset: StepDataset, env: StrategicModel) -> NaiveBaselineRe
         mean = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     empirical_bias = mean - env.principal_reward
     fb = feedback_by_type(env)
-    weighted = np.einsum("ht,hsate->hsae", env.source_type_dist * env.reward_confound, fb)
-    kappa = np.einsum("ht,hsate->hsae", env.source_type_dist, fb)
+    weighted = feedback_mix(env.source_type_dist * env.reward_confound, fb)
+    kappa = feedback_mix(env.source_type_dist, fb)
     with np.errstate(invalid="ignore", divide="ignore"):
         population_bias = np.where(kappa > 0, weighted / np.maximum(kappa, 1e-300), np.nan)
     empty = int(np.sum(counts == 0))

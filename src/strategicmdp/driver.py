@@ -219,7 +219,6 @@ def run_learner(
     H = knowledge.horizon
     rng = make_rng(cfg.seed)
     dataset = StepDataset(
-        mode=env.transition_mode,
         horizon=H,
         num_states=knowledge.num_states,
         num_actions=knowledge.num_actions,

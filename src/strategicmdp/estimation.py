@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .hypotheses import ClassSizes, HypothesisClasses
-from .model import Trajectory, TransitionMode, _check_index
+from .model import Trajectory, _check_index, _is_int, integrate_feedback
 
 
 # ---------------------------------------------------------------------------
@@ -57,20 +57,21 @@ class StepData:
 class StepDataset:
     """Per-step sample store for one run, appended one episode at a time.
 
-    States are cells in both modes; a dynamical next state is its observed
-    vector, summed per coordinate.
+    States are cells in both modes. state_dim 0 means general mode, whose
+    next states are cells, counted; a dynamical next state is its observed
+    state_dim-vector, summed per coordinate.
     """
 
     def __init__(
         self,
-        mode: TransitionMode,
         horizon: int,
         num_states: int,
         num_actions: int,
         num_feedbacks: int,
         state_dim: int = 0,
     ) -> None:
-        self.mode = mode
+        if not _is_int(state_dim) or state_dim < 0:
+            raise ValidationError(f"state_dim must be an integer of at least 0, got {state_dim!r}")
         self.horizon = horizon
         self.num_states = num_states
         self.num_actions = num_actions
@@ -79,21 +80,12 @@ class StepDataset:
         self.steps = [self._empty_step() for _ in range(horizon)]
 
     def _empty_step(self) -> StepData:
-        S, A, E = self.num_states, self.num_actions, self.num_feedbacks
-        if self.mode is TransitionMode.GENERAL:
-            return StepData(
-                counts=np.zeros((S, A, E)),
-                reward_sums=np.zeros((S, A, E)),
-                next_counts=np.zeros((S, A, S)),
-                next_sums=None,
-            )
-        if self.state_dim < 1:
-            raise ValidationError(f"a dynamical dataset needs state_dim >= 1, got {self.state_dim!r}")
+        S, A, E, d = self.num_states, self.num_actions, self.num_feedbacks, self.state_dim
         return StepData(
             counts=np.zeros((S, A, E)),
             reward_sums=np.zeros((S, A, E)),
-            next_counts=None,
-            next_sums=np.zeros((S, A, E, self.state_dim)),
+            next_counts=None if d else np.zeros((S, A, S)),
+            next_sums=np.zeros((S, A, E, d)) if d else None,
         )
 
     def _writes(self, h: int, s: int, a: int, e: int, r: float, s_next) -> tuple:
@@ -106,7 +98,7 @@ class StepDataset:
         if not math.isfinite(r):
             raise ValidationError(f"reward must be finite, got {r}")
         d = self.steps[h]
-        if self.mode is TransitionMode.GENERAL:
+        if not self.state_dim:
             _check_index(s_next, self.num_states, "next state")
             nxt = (d.next_counts, (s, a, s_next), 1.0)
         else:
@@ -178,7 +170,7 @@ def family_losses(
     the step's (S, A, E) sample counts. The loss is the max over the G
     quantities and the discriminators.
     """
-    targets = np.einsum("ngsae,sae->ngsa", predicted, counts)
+    targets = integrate_feedback(counts, predicted)
     targets -= observed
     return _discriminator_score(targets, disc, counts.sum(axis=-1), halves).max(axis=1)
 

@@ -31,7 +31,7 @@ from typing import Any
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .model import LearnerKnowledge, StrategicModel, TransitionMode, _is_int, feedback_by_type
+from .model import LearnerKnowledge, StrategicModel, TransitionMode, _is_int, feedback_mix, integrate_feedback
 from .planning import CandidateAggregates, joint_backup
 
 DEFAULT_PER_STEP_CAP = 8
@@ -324,28 +324,6 @@ class HypothesisClasses:
 # ---------------------------------------------------------------------------
 
 
-def source_feedback_mix(
-    model: StrategicModel, knowledge: LearnerKnowledge | None = None
-) -> np.ndarray:
-    """Feedback distribution (H, S, A, E) under the source population.
-
-    The per-type feedback table is knowledge's when given, which holds the
-    model's own, so a caller with knowledge at hand does not compute it again.
-    """
-    fb = feedback_by_type(model) if knowledge is None else knowledge.feedback_by_type
-    return np.einsum("ht,hsate->hsae", model.source_type_dist, fb)
-
-
-def source_projection(kappa_h: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """Conditional expectation of nu(s, a, e) given (s, a) under kappa(e | s, a).
-
-    kappa_h is (S, A, E); nu is (..., S, A, E). Shared by the discriminator
-    closure, the realizability check, and the diagnostics so membership tests
-    stay bit-exact.
-    """
-    return np.einsum("sae,...sae->...sa", kappa_h, nu)
-
-
 def residual_stack(
     model: StrategicModel, classes: HypothesisClasses, h: int
 ) -> np.ndarray:
@@ -448,11 +426,10 @@ def close_classes(
         base = classes.value_targets[h]
         # Suffix rows are distinct already, so an empty family takes them unkeyed.
         closed.value_targets[h] = _dedup_append(base, suffix[h]) if len(base) else suffix[h]
-    kappa = source_feedback_mix(model, knowledge)
+    kappa = feedback_mix(model.source_type_dist, knowledge.feedback_by_type)
     for h, f in enumerate(classes.discriminators):
-        closed.discriminators[h] = _dedup_append(
-            f, source_projection(kappa[h], residual_stack(model, closed, h))
-        )
+        proj = integrate_feedback(kappa[h], residual_stack(model, closed, h))
+        closed.discriminators[h] = _dedup_append(f, proj)
     closed._flag_bounds()
     return closed
 
@@ -545,10 +522,10 @@ def check_realizability(
                 truth_failures.setdefault(
                     fam.part, f"designated {fam.part} index {fam.truth} wrong at step {h}"
                 )
-    kappa = source_feedback_mix(model, knowledge)
+    kappa = feedback_mix(model.source_type_dist, knowledge.feedback_by_type)
     p_clause = ClauseResult(True)
     for h in range(H):
-        proj = source_projection(kappa[h], residual_stack(model, classes, h))
+        proj = integrate_feedback(kappa[h], residual_stack(model, classes, h))
         j = _first_missing(classes.discriminators[h], proj)
         if j is not None:
             label = residual_labels(classes, h)[j]

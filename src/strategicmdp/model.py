@@ -16,6 +16,7 @@ a fixed documented order, so a run is reproducible from its 64-bit seed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -138,8 +139,8 @@ class Grid:
             raise ValidationError("grid lows/highs/cells_per_dim lengths differ")
         if not all(_is_int(n) and n >= 1 for n in self.cells_per_dim):
             raise ValidationError(f"grid cell counts {self.cells_per_dim} are not all integers >= 1")
-        if not all(math.isfinite(x) for x in (*self.lows, *self.highs)):
-            raise ValidationError(f"grid box lows {self.lows} and highs {self.highs} are not all finite")
+        if not all(_is_finite_real(x) for x in (*self.lows, *self.highs)):
+            raise ValidationError(f"grid box lows {self.lows} and highs {self.highs} are not all finite numbers")
         if any(h <= l for l, h in zip(self.lows, self.highs)):
             raise ValidationError("grid box must have positive extent per dimension")
 
@@ -189,12 +190,15 @@ class Grid:
 
         mean is a scalar or an array of any shape. Tail mass below/above the
         box is folded into the first/last bin. A zero scale degenerates to a
-        point mass in the bin containing the mean. The CDF is evaluated once
+        point mass in the bin containing the mean; a negative or non-finite
+        scale, or a NaN mean, is a ValidationError. The CDF is evaluated once
         per distinct mean and its rows gathered back: candidate means repeat
         across steps and feedbacks, and equal means (0.0 and -0.0 included)
         give bit-identical rows.
         """
         means = np.asarray(mean, dtype=float)
+        if not (math.isfinite(scale) and scale >= 0) or np.isnan(means).any():
+            raise ValidationError(f"cell masses need a finite scale >= 0 and no NaN mean, got scale {scale}")
         n = self.cells_per_dim[dim]
         if scale == 0.0:
             mass = np.zeros(means.shape + (n,))
@@ -423,10 +427,6 @@ class LearnerKnowledge:
     def num_feedbacks(self) -> int:
         return self.feedback_by_type.shape[4]
 
-    def feedback_mix(self) -> np.ndarray:
-        """Feedback distribution (H, S, A, E) under the target type distribution."""
-        return np.einsum("ht,hsate->hsae", self.target_type_dist, self.feedback_by_type)
-
 
 def best_response_table(model: StrategicModel) -> np.ndarray:
     """Best responses for every (h, s, a, t), lowest index on ties."""
@@ -440,9 +440,33 @@ def feedback_by_type(model: StrategicModel) -> np.ndarray:
     return np.take_along_axis(model.feedback_kernel, idx, axis=4)[..., 0, :]
 
 
+def feedback_mix(type_dist: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """Feedback law (H, S, A, E) of an (H, T) type population over the
+    (H, S, A, T, E) per-type feedback table; other (H, T) weights mix alike."""
+    return np.einsum("ht,hsate->hsae", type_dist, fb)
+
+
+def integrate_feedback(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """(..., S, A) sums over e of weights[s, a, e] * table[..., s, a, e].
+
+    With a step's feedback law as weights this is the conditional mean given
+    (state, action) of every (S, A, E) table in the stack; with sample counts,
+    their total over the data.
+    """
+    return np.einsum("sae,...sae->...sa", weights, table)
+
+
 def _is_int(value: object) -> bool:
     """An int or a numpy integer, and not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_finite_real(value: object) -> bool:
+    """A real number, not a bool, that is a finite float."""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
 
 
 def _check_index(i: int, n: int, what: str) -> None:

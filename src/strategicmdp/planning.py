@@ -33,6 +33,8 @@ from .model import (
     _check_index,
     _check_simplex,
     _is_int,
+    feedback_mix,
+    integrate_feedback,
 )
 
 if TYPE_CHECKING:
@@ -65,6 +67,8 @@ class AggregatedMDP:
             raise ValidationError(
                 f"transitions shape {self.transitions.shape} does not match rewards {self.rewards.shape}"
             )
+        if not np.isfinite(self.rewards).all():
+            raise ValidationError("aggregated rewards have non-finite entries")
         _check_simplex(self.transitions, "aggregated transitions")
         _check_index(self.initial_state, S, "initial state")
 
@@ -180,11 +184,9 @@ class CandidateAggregates:
     def from_classes(
         cls, classes: "HypothesisClasses", knowledge: LearnerKnowledge
     ) -> "CandidateAggregates":
-        w = knowledge.feedback_mix()  # (H, S, A, E)
+        w = feedback_mix(knowledge.target_type_dist, knowledge.feedback_by_type)  # (H, S, A, E)
         H = knowledge.horizon
-        rewards = [
-            np.einsum("sae,rsae->rsa", w[h], classes.reward_tables[h]) for h in range(H)
-        ]
+        rewards = [integrate_feedback(w[h], classes.reward_tables[h]) for h in range(H)]
         if classes.mode is TransitionMode.GENERAL:
             transitions = [
                 np.einsum("sae,psaex->psax", w[h], classes.transition_tables[h])
@@ -198,9 +200,7 @@ class CandidateAggregates:
         per_coord = []
         for i in range(grid.dim):
             tables = [classes.mean_map_tables[h][i] for h in range(H)]  # (n_h, S, A, E)
-            means = np.concatenate(
-                [np.einsum("sae,nsae->nsa", w[h], tables[h]) for h in range(H)]
-            )
+            means = np.concatenate([integrate_feedback(w[h], tables[h]) for h in range(H)])
             masses = grid.gaussian_mass_1d(means, knowledge.trans_noise_scale, i)
             bounds = np.cumsum([len(t) for t in tables])[:-1]
             per_coord.append(np.split(masses, bounds))

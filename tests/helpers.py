@@ -17,9 +17,11 @@ the truth check keeps the harness's earlier per-record reader of shaped sets
 verbatim. The mode-branched residuals, labels, kernel radices and loss
 families are kept as they were before the transition-family view, and the
 vector-state rollout, step and dataset append as they were before the cell
-became the state in both modes. The last section keeps the package functions
-that only tests called: the aggregation of full-horizon tables (target
-distribution only), a mixture's value (over a list of policies), the
+became the state in both modes. Every spelling of the feedback law and its
+integration follows, as each package site wrote its einsum before the two
+functions in ``model`` replaced them. The last section keeps the package
+functions that only tests called: the aggregation of full-horizon tables
+(target distribution only), a mixture's value (over a list of policies), the
 occupancy MSE and the batched step sampler. After it comes the config parser
 as it was before one table declared every key.
 """
@@ -65,8 +67,6 @@ from strategicmdp import (
     residual_labels,
     residual_stack,
     rollout,
-    source_feedback_mix,
-    source_projection,
     value_iteration,
 )
 from strategicmdp.config import DiagnosticsConfig, OutputConfig, ScenarioConfig
@@ -369,7 +369,7 @@ def ref_locate(grid: Grid, point: np.ndarray) -> int:
 
 def ref_mean_masses(classes, knowledge) -> list[list[np.ndarray]]:
     """Per-step, per-coordinate candidate cell masses, one step at a time."""
-    w = knowledge.feedback_mix()
+    w = ref_target_feedback_mix(knowledge)
     grid = knowledge.grid
     out = []
     for h in range(knowledge.horizon):
@@ -433,7 +433,7 @@ def ref_worst_ratio(env, classes, h: int, policy_budget: int, transfer: bool) ->
         den_w = np.einsum("sae,nsae->nsa", kappa_src, nus * nus).reshape(n, -1)
         num_w = np.einsum("sae,nsae->nsa", kappa_tgt, nus * nus).reshape(n, -1)
     else:
-        kappa = source_feedback_mix(env)[h]
+        kappa = ref_source_feedback_mix(env)[h]
         num_w = np.einsum("sae,nsae->nsa", kappa, nus * nus).reshape(n, -1)
         proj = np.einsum("sae,nsae->nsa", kappa, nus)
         den_w = (proj * proj).reshape(n, -1)
@@ -542,10 +542,10 @@ def ref_unique_rows(arr: np.ndarray) -> np.ndarray:
 
 
 def ref_close_discriminators(model, classes):
-    kappa = source_feedback_mix(model)
+    kappa = ref_source_feedback_mix(model)
     new_disc = []
     for h in range(classes.horizon):
-        extra = [source_projection(kappa[h], nu) for _, nu in ref_iter_residuals(model, classes, h)]
+        extra = [ref_source_projection(kappa[h], nu) for _, nu in ref_iter_residuals(model, classes, h)]
         new_disc.append(ref_dedup_append(classes.discriminators[h], extra))
     return dataclasses.replace(classes, discriminators=new_disc)
 
@@ -631,12 +631,12 @@ def ref_check_realizability(model, classes, knowledge) -> RealizabilityReport:
                     break
             if stop:
                 break
-    kappa = source_feedback_mix(model)
+    kappa = ref_source_feedback_mix(model)
     p_clause = ClauseResult(True)
     for h in range(H):
         done = False
         for label, nu in ref_iter_residuals(model, classes, h):
-            proj = source_projection(kappa[h], nu)
+            proj = ref_source_projection(kappa[h], nu)
             if not _ref_contains(classes.discriminators[h], proj):
                 p_clause = ClauseResult(
                     False, f"projection of {label} missing from discriminators at step {h}"
@@ -817,7 +817,6 @@ def ref_run_learner(env, knowledge, classes, cfg) -> tuple[list[dict], list[Poli
     H = knowledge.horizon
     rng = make_rng(cfg.seed)
     dataset = StepDataset(
-        mode=env.transition_mode,
         horizon=H,
         num_states=knowledge.num_states,
         num_actions=knowledge.num_actions,
@@ -1357,7 +1356,7 @@ def ref_append_trajectory(dataset, grid, traj: Trajectory) -> None:
     if len(traj) != dataset.horizon:
         raise ValidationError("trajectory length does not match the horizon")
     for h, step in enumerate(traj.steps):
-        if dataset.mode is TransitionMode.DYNAMICAL:
+        if dataset.state_dim:
             assert grid is not None
             s = grid.locate(np.asarray(step.state, dtype=float))
             s_next = np.asarray(step.next_state, dtype=float)
@@ -1365,6 +1364,58 @@ def ref_append_trajectory(dataset, grid, traj: Trajectory) -> None:
             s = int(step.state)
             s_next = int(step.next_state)
         dataset.append(h, s, step.action, step.feedback, step.reward, s_next)
+
+
+# ---------------------------------------------------------------------------
+# The feedback law and its integration, as every package site spelled them
+# ---------------------------------------------------------------------------
+
+# Before model.feedback_mix and model.integrate_feedback, five modules wrote
+# their own einsums. Each spelling is kept verbatim below, keyed by its
+# subscripts and listing the sites that used it; the references in this file
+# call these, never the two package functions. A mix maps (H, T) weights and
+# the (H, S, A, T, E) per-type feedback table to (H, S, A, E).
+
+
+def ref_source_feedback_mix(model: StrategicModel) -> np.ndarray:
+    """hypotheses.source_feedback_mix as it was, on the model's own per-type table."""
+    return np.einsum("ht,hsate->hsae", model.source_type_dist, feedback_by_type(model))
+
+
+def ref_target_feedback_mix(knowledge: LearnerKnowledge) -> np.ndarray:
+    """LearnerKnowledge.feedback_mix as it was."""
+    return np.einsum("ht,hsate->hsae", knowledge.target_type_dist, knowledge.feedback_by_type)
+
+
+def ref_source_projection(kappa_h: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """hypotheses.source_projection as it was."""
+    return np.einsum("sae,...sae->...sa", kappa_h, nu)
+
+
+REF_FEEDBACK_MIXES = {
+    # LearnerKnowledge.feedback_mix, source_feedback_mix, true_aggregated_model
+    # and naive_baseline (the confound-weighted mix and the source law)
+    "ht,hsate->hsae": lambda dist, fb: np.einsum("ht,hsate->hsae", dist, fb),
+    # ill_posedness (the source law) and transfer_term (the target and the
+    # source laws), one step at a time
+    "t,sate->sae": lambda dist, fb: np.stack(
+        [np.einsum("t,sate->sae", dist[h], fb[h]) for h in range(len(dist))]
+    ),
+}
+
+# An integration maps (S, A, E) weights and a table of one of the listed ranks
+# to the table's leading axes followed by (S, A).
+REF_FEEDBACK_INTEGRATIONS = {
+    # source_projection: close_classes and check_realizability
+    "sae,...sae->...sa": ((3, 4, 5), lambda w, table: np.einsum("sae,...sae->...sa", w, table)),
+    # ill_posedness (the projection and the second moment), transfer_term
+    # (both moments) and CandidateAggregates.from_classes (the mean maps)
+    "sae,nsae->nsa": ((4,), lambda w, table: np.einsum("sae,nsae->nsa", w, table)),
+    # CandidateAggregates.from_classes (the rewards)
+    "sae,rsae->rsa": ((4,), lambda w, table: np.einsum("sae,rsae->rsa", w, table)),
+    # family_losses, the sample counts second
+    "ngsae,sae->ngsa": ((5,), lambda w, table: np.einsum("ngsae,sae->ngsa", table, w)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -1382,7 +1433,7 @@ def aggregate(
 
     reward_table is (H, S, A, E) and transition_table is (H, S, A, E, S).
     """
-    w = knowledge.feedback_mix()
+    w = ref_target_feedback_mix(knowledge)
     rewards = np.einsum("hsae,hsae->hsa", w, reward_table)
     transitions = np.einsum("hsae,hsaex->hsax", w, transition_table)
     return AggregatedMDP(rewards, transitions, initial_state)

@@ -23,6 +23,8 @@ from strategicmdp import (
     StepDataset,
     TransitionMode,
     build_scenario,
+    feedback_by_type,
+    feedback_mix,
     ill_posedness,
     make_rng,
     naive_baseline,
@@ -31,7 +33,6 @@ from strategicmdp import (
     regret_curve,
     rollout,
     run_learner,
-    source_feedback_mix,
     transfer_term,
     true_aggregated_model,
     value_iteration,
@@ -378,7 +379,6 @@ def test_criterion_9_dynamical_mode_sanity(verdict):
     ]
 
     data = StepDataset(
-        mode=model.transition_mode,
         horizon=H,
         num_states=model.num_states,
         num_actions=model.num_actions,
@@ -403,7 +403,7 @@ def test_criterion_9_dynamical_mode_sanity(verdict):
                 wrong_losses[h].append(float(family_losses(per[[wrong_idx[h]]][:, None], observed, step.counts, disc)[0]))
 
     occ = occupancy(model, pol)
-    mix = source_feedback_mix(model)
+    mix = feedback_mix(model.source_type_dist, feedback_by_type(model))
     truth_zero = all(v == 0.0 for h in range(H) for v in true_losses[h])
     ratios = []
     for h in range(H):

@@ -299,6 +299,24 @@ def test_occupancy_refuses_a_type_dist_that_is_not_a_table_of_distributions(type
         entry(tiny_general(), type_dist)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda model: true_aggregated_model(model, "abc"),
+        lambda model: occupancy(model, Policy.uniform(2, 2, 2), "abc"),
+        lambda model: true_aggregated_model(model, [[10**400, 0]] * 3),
+        lambda model: Grid((10**400,), (10**401,), (2,)),
+        lambda model: Grid(("a",), (1.0,), (2,)),
+    ],
+    ids=["aggregate-string", "occupancy-string", "aggregate-huge-int", "grid-huge-int", "grid-string"],
+)
+def test_a_table_or_box_that_is_not_floats_is_a_validation_error(build):
+    """Each escaped as a bare ValueError, OverflowError or TypeError from
+    its float conversion or finiteness check."""
+    with pytest.raises(ValidationError):
+        build(tiny_general())
+
+
 def test_occupancy_mse_definition():
     model = tiny_general()
     occ = occupancy(model, Policy.uniform(2, 2, 2))
@@ -668,7 +686,6 @@ def type_separating_model(reward_noise=0.0):
 
 def collect_dataset(model, episodes, seed=0):
     data = StepDataset(
-        mode=model.transition_mode,
         horizon=model.horizon,
         num_states=model.num_states,
         num_actions=model.num_actions,
@@ -735,7 +752,7 @@ def test_naive_baseline_refuses_a_dataset_of_another_shape(field):
     """A dataset from another scenario raised numpy's bare broadcast or index error."""
     model = build_scenario("recsys-small").model
     sizes = {name: getattr(model, name) for name in ("horizon", "num_states", "num_actions", "num_feedbacks")}
-    data = StepDataset(model.transition_mode, **{**sizes, field: sizes[field] + 1})
+    data = StepDataset(**{**sizes, field: sizes[field] + 1})
     with pytest.raises(ValidationError, match=r"dataset has \(H, S, A, E\)"):
         naive_baseline(data, model)
 

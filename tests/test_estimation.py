@@ -22,7 +22,6 @@ from strategicmdp import (
     Policy,
     StepDataset,
     Trajectory,
-    TransitionMode,
     build_confidence_sets,
     build_scenario,
     ValidationError,
@@ -171,7 +170,6 @@ def collect_episodes(model, episodes, seed=0, trajectories=None):
     """Roll out a uniform policy; each trajectory is also appended to trajectories if given."""
     kn = LearnerKnowledge.from_model(model)
     data = StepDataset(
-        mode=model.transition_mode,
         horizon=model.horizon,
         num_states=model.num_states,
         num_actions=model.num_actions,
@@ -200,7 +198,7 @@ def test_append_trajectory_matches_manual_append():
     model = tiny_general()
     trajectories = []
     data, _ = collect_episodes(model, 20, trajectories=trajectories)
-    rebuilt = StepDataset(TransitionMode.GENERAL, 2, 2, 2, 2)
+    rebuilt = StepDataset(2, 2, 2, 2)
     for h in range(2):
         for s, a, e, r, nxt in step_samples(trajectories, h):
             rebuilt.append(h, s, a, e, r, nxt)
@@ -219,7 +217,7 @@ def test_append_rejects_out_of_range_general(field, bad):
     """Indices out of range, an index that is not an integer (int(1.7)
     would record state 1, True step 1) and a non-finite reward are all
     rejected."""
-    data = StepDataset(TransitionMode.GENERAL, 2, 2, 2, 2)
+    data = StepDataset(2, 2, 2, 2)
     args = {"h": 0, "s": 1, "a": 1, "e": 1, "r": 0.5, "s_next": 1}
     args[field] = bad
     with pytest.raises(ValidationError if field == "r" else InvalidIndexError):
@@ -229,15 +227,19 @@ def test_append_rejects_out_of_range_general(field, bad):
     assert not data.steps[0].next_counts.any()
 
 
-@pytest.mark.parametrize("state_dim", [0, -1])
-def test_dynamical_dataset_needs_coordinates(state_dim):
-    """A dynamical dataset without coordinates would count empty next states
-    and refuse real ones only at the first append; it is refused when built."""
+@pytest.mark.parametrize("state_dim", [-1, 1.0, True, None, "1"])
+def test_dataset_refuses_a_state_dim_that_is_not_a_count(state_dim):
+    """state_dim states the mode (0 general, d >= 1 a d-vector next state),
+    so anything else is refused when the dataset is built, not at the first
+    append."""
     with pytest.raises(ValidationError, match="state_dim"):
-        StepDataset(TransitionMode.DYNAMICAL, 2, 4, 2, 2, state_dim=state_dim)
-    with pytest.raises(ValidationError, match="state_dim"):
-        StepDataset(TransitionMode.DYNAMICAL, 2, 4, 2, 2)
-    assert StepDataset(TransitionMode.GENERAL, 2, 4, 2, 2).steps[1].next_sums is None
+        StepDataset(2, 4, 2, 2, state_dim=state_dim)
+
+
+def test_dataset_storage_follows_state_dim():
+    general, dynamical = StepDataset(2, 4, 2, 2), StepDataset(2, 4, 2, 2, state_dim=np.int64(3))
+    assert general.steps[1].next_sums is None and general.steps[1].next_counts.shape == (4, 2, 4)
+    assert dynamical.steps[1].next_counts is None and dynamical.steps[1].next_sums.shape == (4, 2, 2, 3)
 
 
 @pytest.mark.parametrize(
@@ -250,7 +252,7 @@ def test_append_rejects_out_of_range_dynamical(field, bad):
     """Indices out of range, a non-finite reward and a next state that is not
     a finite vector of shape (state_dim,) are all rejected; a scalar next
     state would otherwise be broadcast into every coordinate."""
-    data = StepDataset(TransitionMode.DYNAMICAL, 2, 4, 2, 2, state_dim=1)
+    data = StepDataset(2, 4, 2, 2, state_dim=1)
     args = {"h": 1, "s": 3, "a": 1, "e": 1, "r": 0.5, "s_next": np.array([0.2])}
     args[field] = bad
     with pytest.raises(InvalidIndexError if field in "sae" else ValidationError):
@@ -260,7 +262,7 @@ def test_append_rejects_out_of_range_dynamical(field, bad):
 
 
 def test_append_takes_numpy_integer_indices():
-    data = StepDataset(TransitionMode.GENERAL, 2, 2, 2, 2)
+    data = StepDataset(2, 2, 2, 2)
     h, s, a, e, s_next = np.arange(2)[[1, 0, 1, 1, 0]]  # numpy integers, as rollouts give
     data.append(h, s, a, e, 0.5, s_next)
     assert data.steps[1].counts[0, 1, 1] == 1.0 and data.steps[1].next_counts[0, 1, 0] == 1.0
@@ -292,7 +294,7 @@ def test_losses_invariant_under_sample_permutation():
     model = tiny_general(reward_noise=0.2)
     trajectories = []
     data, _ = collect_episodes(model, 30, trajectories=trajectories)
-    shuffled = StepDataset(TransitionMode.GENERAL, 2, 2, 2, 2)
+    shuffled = StepDataset(2, 2, 2, 2)
     perm_rng = np.random.default_rng(1)
     for h in range(2):
         samples = step_samples(trajectories, h)
@@ -458,7 +460,7 @@ def test_transition_families_match_the_mode_branches(kind, seed, horizon, episod
         value_targets=[g[: 1 + h % 2] for h, g in enumerate(closed.value_targets[:-1])],
     )
     S, A, E, d = model.num_states, model.num_actions, model.num_feedbacks, model.state_dim
-    data = StepDataset(model.transition_mode, horizon, S, A, E, state_dim=d)
+    data = StepDataset(horizon, S, A, E, state_dim=d)
     rng = make_rng(seed)
     policy = Policy.uniform(horizon, S, A)
     for _ in range(episodes):
@@ -515,7 +517,7 @@ def test_family_losses_match_a_per_sample_oracle(kind, seed, horizon, samples):
     mean maps against each coordinate of the next state."""
     model, classes = random_closed_classes(kind, seed, horizon)
     S, A, E, d = model.num_states, model.num_actions, model.num_feedbacks, model.state_dim
-    data = StepDataset(model.transition_mode, horizon, S, A, E, state_dim=d)
+    data = StepDataset(horizon, S, A, E, state_dim=d)
     rng = np.random.default_rng(seed)
     per_step = []
     for h in range(horizon):

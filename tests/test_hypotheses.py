@@ -300,12 +300,12 @@ def test_closures_idempotent(name):
 def test_closure_adds_projection_of_every_residual():
     model = tiny_general()
     classes = singleton_classes(model)
-    from strategicmdp import source_feedback_mix, source_projection
+    from strategicmdp import feedback_by_type, feedback_mix, integrate_feedback
 
-    kappa = source_feedback_mix(model)
+    kappa = feedback_mix(model.source_type_dist, feedback_by_type(model))
     for h in range(classes.horizon):
         for nu in residual_stack(model, classes, h):
-            proj = source_projection(kappa[h], nu)
+            proj = integrate_feedback(kappa[h], nu)
             assert any(np.array_equal(f, proj) for f in classes.discriminators[h])
 
 

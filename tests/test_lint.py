@@ -5,6 +5,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+from helpers import REF_FEEDBACK_INTEGRATIONS, REF_FEEDBACK_MIXES
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "strategicmdp"
 
 
@@ -262,10 +264,9 @@ def test_unread_field_check_finds_a_planted_field(tmp_path):
 def test_loss_path_never_reads_the_mode():
     """The loss families come from HypothesisClasses.families, so
     building, evaluating and thresholding them never asks which transition
-    mode runs; only the dataset's storage does: the tables it allocates and
-    the one check-and-write rule that append and append_trajectory share."""
+    mode runs, and the dataset's storage follows its state_dim."""
     scopes = scopes_reading((PACKAGE / "estimation.py").read_text(), "TransitionMode")
-    assert scopes == {"StepDataset._empty_step", "StepDataset._writes"}
+    assert scopes == set()
 
 
 def test_rollout_never_reads_the_mode():
@@ -323,12 +324,14 @@ def test_the_true_law_reads_the_mode_only_in_the_step_kernels():
 
 def test_planning_serves_only_the_learner():
     """Learner planning reads no environment tables: the mode is read only
-    where the candidate kernels are built, and the model and its type-wise
-    feedback law are never read."""
+    where the candidate kernels are built, the model is never read, and the
+    per-type feedback law is read only off the learner's knowledge, where
+    the candidate kernels are built, never computed from the model."""
     source = (PACKAGE / "planning.py").read_text()
     assert scopes_reading(source, "TransitionMode") == {"CandidateAggregates.from_classes"}
-    for name in ("StrategicModel", "feedback_by_type"):
-        assert scopes_reading(source, name) == set(), name
+    assert scopes_reading(source, "StrategicModel") == set()
+    assert scopes_reading(source, "feedback_by_type") == {"CandidateAggregates.from_classes"}
+    assert "feedback_by_type" not in _used_names(ast.parse(source))  # an attribute, not the function
 
 
 def test_scenarios_build_a_model_only_in_the_model_helper():
@@ -391,3 +394,52 @@ def test_mode_reader_check_skips_annotations():
         "    return mode is TransitionMode.GENERAL\n"
     )
     assert scopes_reading(source, "TransitionMode") == {"branching"}
+
+
+def _einsum_subscripts(source: str):
+    """(scope, subscripts) of every einsum call whose subscripts are a string
+    literal; an f-string's placeholders read as "{}"."""
+    for scope, node in _scoped_nodes(ast.parse(source)):
+        if isinstance(node, ast.Call) and _names(node.func, "einsum") and node.args:
+            first = node.args[0]
+            if isinstance(first, ast.JoinedStr):
+                yield scope, "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in first.values)
+            elif isinstance(first, ast.Constant) and isinstance(first.value, str):
+                yield scope, first.value
+
+
+def feedback_sum_kind(subscripts: str) -> str | None:
+    """"mix" when the type axis t is summed out of a per-type feedback operand
+    (one ending in te) into a feedback law (output ending in e), "integrate"
+    when the feedback axis e, last in every operand, is summed out against
+    unbatched (s, a, e) weights; None for any other sum."""
+    inputs, _, output = subscripts.partition("->")
+    operands = inputs.split(",")
+    if "t" not in output and output.endswith("e") and any(op.endswith("te") for op in operands):
+        return "mix"
+    if "e" not in output and all(op.endswith("e") for op in operands) and "sae" in operands:
+        return "integrate"
+    return None
+
+
+def test_feedback_is_mixed_and_integrated_only_in_model():
+    """The population mix of the per-type feedback table and the integration
+    of feedback against (s, a, e) weights each have one spelling, in
+    model.feedback_mix and model.integrate_feedback."""
+    found = {
+        (path.name, scope, kind)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope, subscripts in _einsum_subscripts(path.read_text())
+        if (kind := feedback_sum_kind(subscripts))
+    }
+    assert found == {("model.py", "feedback_mix", "mix"), ("model.py", "integrate_feedback", "integrate")}
+
+
+def test_feedback_sum_check_knows_every_old_spelling_and_the_kept_sums():
+    assert [feedback_sum_kind(sub) for sub in REF_FEEDBACK_MIXES] == ["mix"] * len(REF_FEEDBACK_MIXES)
+    integrations = [feedback_sum_kind(sub) for sub in REF_FEEDBACK_INTEGRATIONS]
+    assert integrations == ["integrate"] * len(REF_FEEDBACK_INTEGRATIONS)
+    kept = ("sae,psaex->psax", "...sae,saex->...{}", "...sate,tsaex->...{}", "hsae,hsae->hsa", "ht,htd->hd")
+    assert [feedback_sum_kind(sub) for sub in kept] == [None] * len(kept)
+    planted = "import numpy as np\ndef planted(k, nu):\n    return np.einsum(f\"sae,nsae->{'nsa'}\", k, nu)\n"
+    assert list(_einsum_subscripts(planted)) == [("planted", "sae,nsae->{}")]

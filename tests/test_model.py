@@ -16,15 +16,18 @@ from strategicmdp import (
     LearnerKnowledge,
     Policy,
     StepDataset,
-    TransitionMode,
     ValidationError,
     env_step,
+    feedback_mix,
+    integrate_feedback,
     make_rng,
     rollout,
 )
 from strategicmdp.model import best_response_table, draw_categorical
 
 from helpers import (
+    REF_FEEDBACK_INTEGRATIONS,
+    REF_FEEDBACK_MIXES,
     random_dynamical,
     random_general,
     ref_append_trajectory,
@@ -322,12 +325,48 @@ def test_knowledge_hides_confounds_and_source():
 
 def test_feedback_mix_rows_sum_to_one():
     kn = LearnerKnowledge.from_model(tiny_general())
-    mix = kn.feedback_mix()
+    mix = feedback_mix(kn.target_type_dist, kn.feedback_by_type)
     np.testing.assert_allclose(mix.sum(axis=-1), 1.0, atol=1e-12)
     # compliant type 0 emits the b=a row, contrary type 1 the b=1-a row
     compliant = kn.feedback_by_type[:, :, :, 0]
     np.testing.assert_allclose(compliant[0, 0, 0], [0.9, 0.1], atol=1e-12)
     np.testing.assert_allclose(compliant[0, 0, 1], [0.2, 0.8], atol=1e-12)
+
+
+@st.composite
+def feedback_sizes(draw):
+    """(H, S, A, T, E, n, G): T up to 11, E up to 12, n up to 300 and G up
+    to 200 (n * G at most 1200), each down to 1."""
+    H, S, A = (draw(st.integers(1, 3)) for _ in range(3))
+    T, E, n = draw(st.integers(1, 11)), draw(st.integers(1, 12)), draw(st.integers(1, 300))
+    return H, S, A, T, E, n, draw(st.integers(1, min(200, 1200 // n)))
+
+
+def _maybe_strided(rng: np.random.Generator, shape: tuple, strided: bool) -> np.ndarray:
+    """Normal draws of the shape, C-ordered or as a view whose last axis is not contiguous."""
+    if not strided:
+        return rng.standard_normal(shape)
+    return np.moveaxis(rng.standard_normal(shape[-1:] + shape[:-1]), 0, -1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sizes=feedback_sizes(), strided=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_feedback_functions_equal_every_old_spelling_bitwise(sizes, strided, seed):
+    """feedback_mix and integrate_feedback give the bits of every einsum the
+    package sites wrote before them, on the same operands, C-ordered or not."""
+    H, S, A, T, E, n, G = sizes
+    rng = np.random.default_rng(seed)
+    dist, fb = rng.standard_normal((H, T)), _maybe_strided(rng, (H, S, A, T, E), strided)
+    mix = feedback_mix(dist, fb)
+    for subscripts, ref in REF_FEEDBACK_MIXES.items():
+        want = ref(dist, fb)
+        assert mix.shape == want.shape and mix.tobytes() == want.tobytes(), subscripts
+    weights = _maybe_strided(rng, (S, A, E), strided)
+    tables = {rank: _maybe_strided(rng, (n, G, S, A, E)[5 - rank :], strided) for rank in (3, 4, 5)}
+    for subscripts, (ranks, ref) in REF_FEEDBACK_INTEGRATIONS.items():
+        for rank in ranks:
+            got, want = integrate_feedback(weights, tables[rank]), ref(weights, tables[rank])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (subscripts, rank)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +481,7 @@ def test_cell_rollout_matches_the_vector_state_path(kind, seed, horizon, episode
         model, _ = random_dynamical(seed, grid, horizon, rewards=1, candidates=(1,) * grid.dim)
     S, A = model.num_states, model.num_actions
     policy = Policy(np.random.default_rng(seed).dirichlet(np.ones(A), size=(horizon, S)))
-    shape = (model.transition_mode, horizon, S, A, model.num_feedbacks, model.state_dim)
+    shape = (horizon, S, A, model.num_feedbacks, model.state_dim)
     new_data, old_data = StepDataset(*shape), StepDataset(*shape)
     new_rng, old_rng = make_rng(seed), make_rng(seed)
     for _ in range(episodes):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from types import SimpleNamespace
@@ -118,6 +119,15 @@ def test_aggregated_mdp_rejects_non_finite_transitions(value):
         AggregatedMDP(np.zeros((1, 2, 2)), kernels, 0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_value_iteration_refuses_non_finite_rewards(value):
+    """A NaN reward at the initial state gave a NaN value, unflagged."""
+    rewards = np.zeros((1, 2, 2))
+    rewards[0, 0, 1] = value
+    with pytest.raises(ValidationError, match="^aggregated rewards have non-finite entries$"):
+        value_iteration(AggregatedMDP(rewards, np.full((1, 2, 2, 2), 0.5), 0))
+
+
 # ---------------------------------------------------------------------------
 # Backward induction against brute force
 # ---------------------------------------------------------------------------
@@ -177,6 +187,27 @@ def test_discretize_gaussian_zero_scale():
     mass = discretize_gaussian(np.array([[0.3], [-5.0]]), grid, 0.0)
     np.testing.assert_array_equal(mass[0], [0, 0, 1, 0])
     np.testing.assert_array_equal(mass[1], [1, 0, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "mean, scale", [(0.0, -1.0), (0.0, math.nan), (0.0, math.inf), (math.nan, 0.3), (math.nan, 0.0)]
+)
+def test_discretize_gaussian_refuses_a_bad_scale_or_a_nan_mean(mean, scale):
+    """On the dyn-1d grid scale -1 gave masses down to -0.22, an infinite
+    scale half the mass in each boundary cell, a NaN scale or mean NaN
+    masses, and a NaN mean at zero scale a bare IndexError."""
+    grid = build_scenario("dyn-1d").model.grid
+    with pytest.raises(ValidationError, match="scale"):
+        discretize_gaussian(np.full((2, 1), mean), grid, scale)
+
+
+def test_from_classes_refuses_knowledge_with_a_negative_noise_scale():
+    """A hand-built knowledge with scale -0.35 gave dyn-1d kernels with entries
+    down to -0.57, which the value closure used unchecked."""
+    scenario = build_scenario("dyn-1d")
+    knowledge = LearnerKnowledge.from_model(scenario.model)
+    with pytest.raises(ValidationError, match="scale"):
+        CandidateAggregates.from_classes(scenario.classes, dataclasses.replace(knowledge, trans_noise_scale=-0.35))
 
 
 def test_discretize_gaussian_2d_is_separable():
@@ -489,7 +520,7 @@ def dynamical_instances(draw):
 
 def _literal_step_tables(classes, knowledge):
     """Per-step aggregated rewards and per-coordinate cell masses, one step at a time."""
-    w = knowledge.feedback_mix()
+    w = np.einsum("ht,hsate->hsae", knowledge.target_type_dist, knowledge.feedback_by_type)
     rewards, masses = [], []
     for h in range(classes.horizon):
         rewards.append(np.einsum("sae,rsae->rsa", w[h], classes.reward_tables[h]))
