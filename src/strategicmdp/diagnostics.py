@@ -33,7 +33,7 @@ from .model import (
     StrategicModel,
     TransitionMode,
     _check_index,
-    _check_simplex,
+    _distribution_table,
     _is_int,
     feedback_by_type,
     feedback_mix,
@@ -85,14 +85,7 @@ def _type_dist(env: StrategicModel, type_dist: np.ndarray | None, default: np.nd
     """A given type_dist checked to be an (H, T) table of distributions, else default."""
     if type_dist is None:
         return default
-    try:
-        dist = np.asarray(type_dist, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"type_dist is not a table of floats: {exc}") from None
-    if dist.shape != (env.horizon, env.num_types):
-        raise ValidationError(f"type_dist has shape {dist.shape}, expected {(env.horizon, env.num_types)}")
-    _check_simplex(dist, "type_dist")
-    return dist
+    return _distribution_table(type_dist, (env.horizon, env.num_types), "type_dist")
 
 
 def true_aggregated_model(model: StrategicModel, type_dist: np.ndarray | None = None) -> AggregatedMDP:

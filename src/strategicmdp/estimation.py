@@ -70,6 +70,10 @@ class StepDataset:
         num_feedbacks: int,
         state_dim: int = 0,
     ) -> None:
+        sizes = (horizon, num_states, num_actions, num_feedbacks)
+        for name, n in zip(("horizon", "num_states", "num_actions", "num_feedbacks"), sizes):
+            if not _is_int(n) or n < 1:
+                raise ValidationError(f"{name} must be an integer of at least 1, got {n!r}")
         if not _is_int(state_dim) or state_dim < 0:
             raise ValidationError(f"state_dim must be an integer of at least 0, got {state_dim!r}")
         self.horizon = horizon

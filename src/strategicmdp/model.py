@@ -381,6 +381,21 @@ def _check_simplex(arr: np.ndarray, name: str) -> None:
         raise ValidationError(f"{name} rows deviate from sum 1 by {off}")
 
 
+def _distribution_table(value, shape: tuple[int | str, ...], name: str) -> np.ndarray:
+    """value as a float table of distributions over its last axis, of the given
+    shape, where a named axis takes any size of at least 1; else a ValidationError."""
+    try:
+        table = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} is not a table of floats: {exc}") from None
+    if table.ndim != len(shape) or not all(
+        n >= 1 if isinstance(want, str) else n == want for n, want in zip(table.shape, shape)
+    ):
+        raise ValidationError(f"{name} has shape {table.shape}, expected ({', '.join(map(str, shape))})")
+    _check_simplex(table, name)
+    return table
+
+
 # ---------------------------------------------------------------------------
 # Learner-visible knowledge
 # ---------------------------------------------------------------------------
@@ -394,13 +409,27 @@ class LearnerKnowledge:
     after best-response substitution, plus, in dynamical mode, the grid and
     the structural transition noise scale (a public model constant, unit by
     default). Contains no source distribution, no confound tables, and no
-    reward noise level.
+    reward noise level. The learner integrates feedback out under these
+    tables as given, so construction refuses tables that are not
+    distributions of matching shapes, a grid whose cells are not the states,
+    and a negative or non-finite noise scale.
     """
 
-    target_type_dist: np.ndarray
+    target_type_dist: np.ndarray  # (H, T)
     feedback_by_type: np.ndarray  # (H, S, A, T, E)
     grid: Grid | None = None
     trans_noise_scale: float = 1.0
+
+    def __post_init__(self) -> None:
+        target = _distribution_table(self.target_type_dist, ("H", "T"), "target_type_dist")
+        H, T = target.shape
+        fb = _distribution_table(self.feedback_by_type, (H, "S", "A", T, "E"), "feedback_by_type")
+        if self.grid is not None and not (isinstance(self.grid, Grid) and self.grid.num_cells == fb.shape[1]):
+            raise ValidationError(f"grid must be None or a Grid of the {fb.shape[1]} states, got {self.grid!r}")
+        if not (_is_finite_real(self.trans_noise_scale) and self.trans_noise_scale >= 0):
+            raise ValidationError(f"trans_noise_scale must be a finite scale >= 0, got {self.trans_noise_scale!r}")
+        object.__setattr__(self, "target_type_dist", target)  # frozen: store the checked tables
+        object.__setattr__(self, "feedback_by_type", fb)
 
     @classmethod
     def from_model(cls, model: StrategicModel) -> "LearnerKnowledge":

@@ -7,13 +7,16 @@ searches a product of per-step candidate sets for the model with the largest
 optimal value, either by exact joint enumeration or by a per-(state, action)
 pointwise relaxation whose value dominates the exact one.
 
-Both transition modes plan over one next-state kernel per transition model. In
-dynamical mode the aggregated object is a mean map on grid cells, with
-candidates cut per coordinate; each coordinate's Gaussian is discretized to
-cell masses by CDF differences, with out-of-box mass folded into boundary
-cells, and every choice of one candidate per coordinate becomes one joint
-cell kernel, the outer product of its per-axis masses. Nothing here reads the
-environment; its true law is an oracle in diagnostics.
+Both transition modes plan over one next-state kernel per transition model:
+its per-feedback kernel with feedback integrated out under the target
+feedback law. In general mode the per-feedback kernels are the candidate
+tables. In dynamical mode the aggregated object is a mean map on grid cells,
+with candidates cut per coordinate; a model takes one candidate per
+coordinate, and its kernel at feedback e is the Gaussian at its mean vector
+for e, discretized to cell masses by CDF differences, with out-of-box mass
+folded into boundary cells. Where types shift nothing, the truth candidate's
+kernel is the environment's law. Nothing here reads the environment; its true
+law is an oracle in diagnostics.
 """
 
 from __future__ import annotations
@@ -123,30 +126,21 @@ def policy_value(mdp: AggregatedMDP, policy: Policy) -> float:
     return float(evaluate_policy(mdp, policy)[0, mdp.initial_state])
 
 
-def _joint_cell_masses(per_axis: Sequence[np.ndarray]) -> np.ndarray:
-    """Joint cell masses (..., C) from per-axis masses (..., C_k).
-
-    Coordinates are independent, so the joint mass is the outer product of the
-    per-axis masses, flattened in the grid's cell order; leading axes
-    broadcast. A single axis is returned as it is.
-    """
-    if len(per_axis) > 2:
-        raise ConfigError("grid planning supports at most two state dimensions")
-    if len(per_axis) == 1:
-        return per_axis[0]
-    joint = per_axis[0][..., :, None] * per_axis[1][..., None, :]
-    return joint.reshape(joint.shape[:-2] + (joint.shape[-2] * joint.shape[-1],))
-
-
 def discretize_gaussian(means: np.ndarray, grid: Grid, scale: float) -> np.ndarray:
     """Cell-mass kernel (..., C) for Gaussians centered at means (..., d).
 
     Tail mass joins the boundary cells. Zero scale gives a point mass in the
-    cell containing the mean.
+    cell containing the mean. Coordinates are independent, so on a 2-D grid
+    the mass is the outer product of the per-axis masses, flattened in the
+    grid's cell order.
     """
-    return _joint_cell_masses(
-        [grid.gaussian_mass_1d(means[..., k], scale, k) for k in range(grid.dim)]
-    )
+    if grid.dim > 2:
+        raise ConfigError("grid planning supports at most two state dimensions")
+    per_axis = [grid.gaussian_mass_1d(means[..., k], scale, k) for k in range(grid.dim)]
+    if grid.dim == 1:
+        return per_axis[0]
+    joint = per_axis[0][..., :, None] * per_axis[1][..., None, :]
+    return joint.reshape(joint.shape[:-2] + (grid.num_cells,))
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +166,10 @@ class CandidateAggregates:
 
     rewards[h] is (nR_h, S, A) and transitions[h] is (nP_h, S, A, S), one
     next-state kernel per transition model, in both modes, listed in the
-    order of HypothesisClasses.kernel_index. In dynamical mode the candidates
-    are cut per coordinate of the mean map, and each model's kernel is the
-    joint cell kernel of its per-coordinate candidates.
+    order of HypothesisClasses.kernel_index. A model's per-feedback kernels
+    (S, A, E, S) are its candidate table in general mode; in dynamical mode,
+    where candidates are cut per coordinate of the mean map, they are the cell
+    masses of the Gaussians at the model's per-feedback mean vectors.
     """
 
     rewards: list[np.ndarray]
@@ -188,28 +183,19 @@ class CandidateAggregates:
         H = knowledge.horizon
         rewards = [integrate_feedback(w[h], classes.reward_tables[h]) for h in range(H)]
         if classes.mode is TransitionMode.GENERAL:
-            transitions = [
-                np.einsum("sae,psaex->psax", w[h], classes.transition_tables[h])
-                for h in range(H)
-            ]
-            return cls(rewards, transitions)
-        if knowledge.grid is None:
+            kernels = classes.transition_tables
+        elif knowledge.grid is None:
             raise ConfigError("dynamical selection requires a grid on the knowledge object")
-        grid = knowledge.grid
-        # One cell-mass evaluation per coordinate, over all steps' candidates.
-        per_coord = []
-        for i in range(grid.dim):
-            tables = [classes.mean_map_tables[h][i] for h in range(H)]  # (n_h, S, A, E)
-            means = np.concatenate([integrate_feedback(w[h], tables[h]) for h in range(H)])
-            masses = grid.gaussian_mass_1d(means, knowledge.trans_noise_scale, i)
-            bounds = np.cumsum([len(t) for t in tables])[:-1]
-            per_coord.append(np.split(masses, bounds))
-        transitions = []
-        for axes in zip(*per_coord):  # one step: (n_i, S, A, C_i) per coordinate i
-            if len(axes) == 2:  # coordinate 0's candidates vary slowest
-                axes = (axes[0][:, None], axes[1][None, :])
-            joint = _joint_cell_masses(axes)
-            transitions.append(joint.reshape((-1,) + joint.shape[len(axes) :]))
+        else:
+            # Each model's per-feedback mean vectors (n_h, S, A, E, d); every
+            # step's Gaussians are discretized in one call.
+            means = []
+            for h in range(H):
+                picks = np.array(classes.kernel_index(h).models).T
+                means.append(np.stack([m[c] for m, c in zip(classes.mean_map_tables[h], picks)], axis=-1))
+            masses = discretize_gaussian(np.concatenate(means), knowledge.grid, knowledge.trans_noise_scale)
+            kernels = np.split(masses, np.cumsum([len(m) for m in means])[:-1])
+        transitions = [np.einsum("sae,psaex->psax", w[h], kernels[h]) for h in range(H)]
         return cls(rewards, transitions)
 
 

@@ -297,21 +297,10 @@ def uniform_policy_for(model: StrategicModel) -> Policy:
     return Policy.uniform(model.horizon, model.num_states, model.num_actions)
 
 
-def outer_cell_kernel(per_coord, idx) -> np.ndarray:
-    """(S, A, C) kernel of candidate idx[i] in coordinate i: the outer product of
-    the per-coordinate cell masses per_coord[i][idx[i]], each (S, A, C_i)."""
-    kernel = per_coord[0][idx[0]]
-    for masses, i in zip(per_coord[1:], idx[1:]):
-        joint = kernel[..., :, None] * masses[i][..., None, :]
-        kernel = joint.reshape(joint.shape[:-2] + (-1,))
-    return kernel
-
-
-def ref_joint_kernels(per_coord) -> np.ndarray:
-    """One step's outer-product kernels, listed over every per-coordinate index
-    tuple in lexicographic order."""
-    ranges = [range(len(m)) for m in per_coord]
-    return np.stack([outer_cell_kernel(per_coord, idx) for idx in itertools.product(*ranges)])
+def ref_models(maps) -> list[tuple[int, ...]]:
+    """Every choice of one candidate per coordinate of one step's mean maps,
+    in lexicographic order (coordinate 0's candidate varies slowest)."""
+    return list(itertools.product(*(range(len(m)) for m in maps)))
 
 
 # ---------------------------------------------------------------------------
@@ -367,17 +356,49 @@ def ref_locate(grid: Grid, point: np.ndarray) -> int:
     return int(np.ravel_multi_index(tuple(sub), grid.cells_per_dim))
 
 
-def ref_mean_masses(classes, knowledge) -> list[list[np.ndarray]]:
-    """Per-step, per-coordinate candidate cell masses, one step at a time."""
-    w = ref_target_feedback_mix(knowledge)
-    grid = knowledge.grid
+def ref_cell_masses(grid: Grid, mean, scale: float) -> np.ndarray:
+    """Cell masses (C,) of the Gaussian at one mean vector: each axis's CDF
+    differences and, on a 2-D grid, their outer product in cell order."""
+    per_axis = [ref_gaussian_mass_1d(grid, float(m), scale, k) for k, m in enumerate(mean)]
+    return per_axis[0] if len(per_axis) == 1 else np.outer(*per_axis).ravel()
+
+
+def ref_feedback_kernels(classes, knowledge) -> list[np.ndarray]:
+    """Per step, the (n, S, A, E, C) cell masses of every transition model at
+    every feedback, one Gaussian at a time, models listed as ref_models."""
+    grid, scale = knowledge.grid, knowledge.trans_noise_scale
     out = []
-    for h in range(knowledge.horizon):
-        per_coord = []
-        for i in range(grid.dim):
-            means = np.einsum("sae,nsae->nsa", w[h], classes.mean_map_tables[h][i])
-            per_coord.append(_ref_axis_masses(grid, means, knowledge.trans_noise_scale, i))
-        out.append(per_coord)
+    for maps in classes.mean_map_tables:
+        models = ref_models(maps)
+        _, S, A, E = maps[0].shape
+        kernels = np.zeros((len(models), S, A, E, grid.num_cells))
+        for p, combo in enumerate(models):
+            for s, a, e in itertools.product(range(S), range(A), range(E)):
+                mean = [m[c, s, a, e] for m, c in zip(maps, combo)]
+                kernels[p, s, a, e] = ref_cell_masses(grid, mean, scale)
+        out.append(kernels)
+    return out
+
+
+def ref_mixed_kernels(classes, knowledge) -> list[np.ndarray]:
+    """ref_feedback_kernels with feedback integrated out under the target law
+    by the package's einsum spelling, so that the cell masses compare bit for bit."""
+    w = ref_target_feedback_mix(knowledge)
+    per_feedback = ref_feedback_kernels(classes, knowledge)
+    return [np.einsum("sae,psaex->psax", w[h], k) for h, k in enumerate(per_feedback)]
+
+
+def ref_model_kernels(classes, knowledge) -> list[np.ndarray]:
+    """The learner's (n, S, A, C) kernels per step as a literal loop over models,
+    s, a and e: each feedback's cell masses, weighted by the target feedback law."""
+    w = ref_target_feedback_mix(knowledge)
+    out = []
+    for h, per_feedback in enumerate(ref_feedback_kernels(classes, knowledge)):
+        n, S, A, E, C = per_feedback.shape
+        kernels = np.zeros((n, S, A, C))
+        for p, s, a, e in itertools.product(range(n), range(S), range(A), range(E)):
+            kernels[p, s, a] += w[h, s, a, e] * per_feedback[p, s, a, e]
+        out.append(kernels)
     return out
 
 

@@ -236,6 +236,14 @@ def test_dataset_refuses_a_state_dim_that_is_not_a_count(state_dim):
         StepDataset(2, 4, 2, 2, state_dim=state_dim)
 
 
+@pytest.mark.parametrize("sizes", [(2, -1, 2, 2), (2, 2.5, 2, 2), (-1, 2, 2, 2), (0, 2, 2, 2), (2, 2, 0, 2)])
+def test_dataset_refuses_sizes_that_are_not_counts(sizes):
+    """A negative or fractional size was a bare numpy error, and a horizon or
+    action count of 0 or less an empty dataset."""
+    with pytest.raises(ValidationError, match="must be an integer of at least 1"):
+        StepDataset(*sizes)
+
+
 def test_dataset_storage_follows_state_dim():
     general, dynamical = StepDataset(2, 4, 2, 2), StepDataset(2, 4, 2, 2, state_dim=np.int64(3))
     assert general.steps[1].next_sums is None and general.steps[1].next_counts.shape == (4, 2, 4)

@@ -443,3 +443,27 @@ def test_feedback_sum_check_knows_every_old_spelling_and_the_kept_sums():
     assert [feedback_sum_kind(sub) for sub in kept] == [None] * len(kept)
     planted = "import numpy as np\ndef planted(k, nu):\n    return np.einsum(f\"sae,nsae->{'nsa'}\", k, nu)\n"
     assert list(_einsum_subscripts(planted)) == [("planted", "sae,nsae->{}")]
+
+
+def test_gaussians_are_discretized_only_in_discretize_gaussian():
+    """The learner's kernels and the environment's true law turn Gaussians
+    into cell masses through one function, planning.discretize_gaussian."""
+    found = {
+        (path.name, scope)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope in scopes_calling(path.read_text(), "gaussian_mass_1d")
+    }
+    assert found == {("planning.py", "discretize_gaussian")}
+
+
+def test_cell_mass_caller_check_finds_a_planted_second_caller():
+    source = (
+        "def discretize_gaussian(means, grid, scale):\n"
+        "    return grid.gaussian_mass_1d(means[..., 0], scale, 0)\n"
+        "class CandidateAggregates:\n"
+        "    @classmethod\n"
+        "    def from_classes(cls, classes, knowledge):\n"
+        "        return knowledge.grid.gaussian_mass_1d(0.0, knowledge.trans_noise_scale, 0)\n"
+    )
+    callers = scopes_calling(source, "gaussian_mass_1d")
+    assert callers == {"discretize_gaussian", "CandidateAggregates.from_classes"}

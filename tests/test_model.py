@@ -333,6 +333,38 @@ def test_feedback_mix_rows_sum_to_one():
     np.testing.assert_allclose(compliant[0, 0, 1], [0.2, 0.8], atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "field, change, match",
+    [
+        ("target_type_dist", lambda kn: "abc", "target_type_dist is not a table of floats"),
+        ("target_type_dist", lambda kn: [[2.0, -1.0]] * 2, "target_type_dist has negative entries"),
+        ("target_type_dist", lambda kn: [[0.5, 0.4]] * 2, "target_type_dist rows deviate"),
+        ("target_type_dist", lambda kn: [0.5, 0.5], r"target_type_dist has shape \(2,\), expected \(H, T\)"),
+        ("target_type_dist", lambda kn: np.ones((2, 0)), "target_type_dist has shape"),
+        ("feedback_by_type", lambda kn: [["a"]], "feedback_by_type is not a table of floats"),
+        ("feedback_by_type", lambda kn: kn.feedback_by_type[:1], r"expected \(2, S, A, 2, E\)"),
+        ("feedback_by_type", lambda kn: kn.feedback_by_type[..., :1, :], r"expected \(2, S, A, 2, E\)"),
+        ("feedback_by_type", lambda kn: kn.feedback_by_type[0], r"expected \(2, S, A, 2, E\)"),
+        ("feedback_by_type", lambda kn: kn.feedback_by_type / 2, "feedback_by_type rows deviate"),
+        ("feedback_by_type", lambda kn: kn.feedback_by_type * np.nan, "feedback_by_type has non-finite"),
+        ("grid", lambda kn: "grid", "grid must be None or a Grid"),
+        ("grid", lambda kn: ((-1.0,), (1.0,), (2,)), "grid must be None or a Grid"),
+        ("grid", lambda kn: Grid((-1.0,), (1.0,), (3,)), "grid must be None or a Grid of the 2 states"),
+        ("trans_noise_scale", lambda kn: -0.35, "scale"),
+        ("trans_noise_scale", lambda kn: math.nan, "scale"),
+        ("trans_noise_scale", lambda kn: math.inf, "scale"),
+        ("trans_noise_scale", lambda kn: "1.0", "scale"),
+        ("trans_noise_scale", lambda kn: True, "scale"),
+    ],
+)
+def test_knowledge_refuses_what_is_not_a_target_law(field, change, match):
+    """The learner integrates feedback out under these tables as they are, so
+    target rows (2, -1) gave kernel entries down to -0.18 before this check."""
+    kn = LearnerKnowledge.from_model(tiny_general())
+    with pytest.raises(ValidationError, match=match):
+        dataclasses.replace(kn, **{field: change(kn)})
+
+
 @st.composite
 def feedback_sizes(draw):
     """(H, S, A, T, E, n, G): T up to 11, E up to 12, n up to 300 and G up

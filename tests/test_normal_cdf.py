@@ -4,8 +4,6 @@ against scipy's ``ndtr``, which is needed only here, as the test oracle."""
 from __future__ import annotations
 
 import math
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from strategicmdp import (
     CandidateAggregates,
     Grid,
+    HypothesisClasses,
     LearnerKnowledge,
     TransitionMode,
     build_scenario,
@@ -25,8 +24,7 @@ from strategicmdp.model import normal_cdf
 from helpers import (
     ref_discretize_gaussian,
     ref_gaussian_mass_1d,
-    ref_joint_kernels,
-    ref_mean_masses,
+    ref_mixed_kernels,
 )
 
 ndtr = pytest.importorskip("scipy.special").ndtr
@@ -102,10 +100,10 @@ def dyn_knowledge(noiseless):
 def test_mean_masses_match_reference_on_dyn_1d(noiseless):
     scenario, knowledge = dyn_knowledge(noiseless)
     agg = CandidateAggregates.from_classes(scenario.classes, knowledge)
-    want = ref_mean_masses(scenario.classes, knowledge)
+    want = ref_mixed_kernels(scenario.classes, knowledge)
     assert len(agg.transitions) == len(want)
     for got, want_h in zip(agg.transitions, want):
-        assert_bitwise(got, ref_joint_kernels(want_h))
+        assert_bitwise(got, want_h)
 
 
 @pytest.mark.parametrize("noiseless", [False, True])
@@ -145,18 +143,21 @@ def test_mean_masses_match_reference_on_2d_grid(scale):
     knowledge = LearnerKnowledge(
         rng.dirichlet(np.ones(T), size=H), fb, grid=grid, trans_noise_scale=scale
     )
-    classes = SimpleNamespace(
+    classes = HypothesisClasses(
         mode=TransitionMode.DYNAMICAL,
+        bound=1.0,
         reward_tables=[rng.uniform(size=(2, S, A, E)) for _ in range(H)],
+        discriminators=[np.zeros((1, S, A))] * H,
+        value_targets=[np.zeros((1, S))] * H,
         mean_map_tables=[
             [rng.uniform(-3.0, 4.0, size=(2 + (h + i) % 2, S, A, E)) for i in range(2)]
             for h in range(H)
         ],
     )
     agg = CandidateAggregates.from_classes(classes, knowledge)
-    want = ref_mean_masses(classes, knowledge)
+    want = ref_mixed_kernels(classes, knowledge)
     for got, want_h in zip(agg.transitions, want, strict=True):
-        assert_bitwise(got, ref_joint_kernels(want_h))
+        assert_bitwise(got, want_h)
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,8 +41,10 @@ from helpers import (
     all_action_tables,
     brute_force_optimum,
     eval_table_recursive,
-    outer_cell_kernel,
     ref_joint_backup,
+    ref_mixed_kernels,
+    ref_model_kernels,
+    ref_models,
     tiny_general,
 )
 from test_hypotheses import KEY_VALUES
@@ -456,9 +457,12 @@ def test_from_classes_rejects_three_dims():
     knowledge = LearnerKnowledge(
         np.ones((1, 1)), np.ones((1, S, A, 1, E)), grid=grid, trans_noise_scale=0.5
     )
-    classes = SimpleNamespace(
+    classes = HypothesisClasses(
         mode=TransitionMode.DYNAMICAL,
+        bound=1.0,
         reward_tables=[np.zeros((1, S, A, E))],
+        discriminators=[np.zeros((1, S, A))],
+        value_targets=[np.zeros((1, S))],
         mean_map_tables=[[np.zeros((1, S, A, E))] * 3],
     )
     with pytest.raises(ConfigError):
@@ -519,20 +523,15 @@ def dynamical_instances(draw):
 
 
 def _literal_step_tables(classes, knowledge):
-    """Per-step aggregated rewards and per-coordinate cell masses, one step at a time."""
+    """Per-step aggregated rewards and the kernel of every per-coordinate
+    candidate tuple, one step at a time."""
     w = np.einsum("ht,hsate->hsae", knowledge.target_type_dist, knowledge.feedback_by_type)
-    rewards, masses = [], []
-    for h in range(classes.horizon):
-        rewards.append(np.einsum("sae,rsae->rsa", w[h], classes.reward_tables[h]))
-        masses.append(
-            [
-                knowledge.grid.gaussian_mass_1d(
-                    np.einsum("sae,nsae->nsa", w[h], tables), knowledge.trans_noise_scale, i
-                )
-                for i, tables in enumerate(classes.mean_map_tables[h])
-            ]
-        )
-    return rewards, masses
+    rewards = [np.einsum("sae,rsae->rsa", w[h], classes.reward_tables[h]) for h in range(classes.horizon)]
+    kernels = [
+        dict(zip(ref_models(maps), mixed))
+        for maps, mixed in zip(classes.mean_map_tables, ref_mixed_kernels(classes, knowledge))
+    ]
+    return rewards, kernels
 
 
 def _joint_choices(reward_sets, transition_sets, steps):
@@ -544,9 +543,9 @@ def _joint_choices(reward_sets, transition_sets, steps):
     return itertools.product(*per_step)
 
 
-def _literal_value(rewards, masses, combo, steps, initial_state):
+def _literal_value(rewards, kernels, combo, steps, initial_state):
     r = np.stack([rewards[h][ri] for h, (ri, _) in zip(steps, combo)])
-    p = np.stack([outer_cell_kernel(masses[h], idx) for h, (_, idx) in zip(steps, combo)])
+    p = np.stack([kernels[h][idx] for h, (_, idx) in zip(steps, combo)])
     return value_iteration(AggregatedMDP(r, p, initial_state))
 
 
@@ -557,11 +556,11 @@ def test_exact_selection_matches_literal_product_dynamical(instance):
     agg = CandidateAggregates.from_classes(classes, knowledge)
     got = optimistic_select(agg, reward_sets, _kernel_sets(classes, transition_sets), s1)
     chosen = tuple(classes.kernel_index(h).models[k] for h, k in enumerate(got.transition_idx))
-    rewards, masses = _literal_step_tables(classes, knowledge)
+    rewards, kernels = _literal_step_tables(classes, knowledge)
     steps = range(classes.horizon)
     best, runner_up, best_combo = -np.inf, -np.inf, None
     for combo in _joint_choices(reward_sets, transition_sets, steps):
-        v = _literal_value(rewards, masses, combo, steps, s1).value_at_initial
+        v = _literal_value(rewards, kernels, combo, steps, s1).value_at_initial
         if v > best:
             best, runner_up, best_combo = v, best, combo
         elif v > runner_up:
@@ -572,7 +571,7 @@ def test_exact_selection_matches_literal_product_dynamical(instance):
     for h, idx in enumerate(chosen):
         assert all(i in coord_set for i, coord_set in zip(idx, transition_sets[h]))
         kernel = agg.transitions[h][got.transition_idx[h]]
-        np.testing.assert_array_equal(kernel, outer_cell_kernel(masses[h], idx))
+        np.testing.assert_array_equal(kernel, kernels[h][idx])
     if best - runner_up > 1e-9:
         assert got.reward_idx == tuple(ri for ri, _ in best_combo)
         assert chosen == tuple(idx for _, idx in best_combo)
@@ -586,15 +585,15 @@ def test_pointwise_selection_matches_literal_loop_dynamical(instance):
     kernel_sets = _kernel_sets(classes, transition_sets)
     exact = optimistic_select(agg, reward_sets, kernel_sets, s1)
     loose = optimistic_select(agg, reward_sets, kernel_sets, s1, mode=SelectionMode.POINTWISE)
-    rewards, masses = _literal_step_tables(classes, knowledge)
+    rewards, kernels = _literal_step_tables(classes, knowledge)
     S, A = rewards[0].shape[1:]
     values = np.zeros(S)
     for h in range(classes.horizon - 1, -1, -1):
-        kernels = [outer_cell_kernel(masses[h], idx) for idx in itertools.product(*transition_sets[h])]
+        surviving = [kernels[h][idx] for idx in itertools.product(*transition_sets[h])]
         q = np.zeros((S, A))
         for s in range(S):
             for a in range(A):
-                best_next = max(float(k[s, a] @ values) for k in kernels)
+                best_next = max(float(k[s, a] @ values) for k in surviving)
                 q[s, a] = max(rewards[h][r, s, a] for r in reward_sets[h]) + best_next
         values = q.max(axis=1)
         # the committed action attains the step's maximum in every state
@@ -610,15 +609,15 @@ def test_pointwise_selection_matches_literal_loop_dynamical(instance):
 def test_value_closure_matches_literal_joint_models_dynamical(instance):
     classes, knowledge, _, _, _ = instance
     suffix = enumerate_suffix_values(classes, knowledge)
-    rewards, masses = _literal_step_tables(classes, knowledge)
+    rewards, kernels = _literal_step_tables(classes, knowledge)
     H = classes.horizon
     full_r = [range(len(r)) for r in rewards]
-    full_p = [[range(len(m)) for m in per] for per in masses]
+    full_p = [[range(len(m)) for m in maps] for maps in classes.mean_map_tables]
     for h in range(H):
         steps = range(h, H)
         want = np.stack(
             [
-                _literal_value(rewards, masses, combo, steps, 0).values[0]
+                _literal_value(rewards, kernels, combo, steps, 0).values[0]
                 for combo in _joint_choices(full_r, full_p, steps)
             ]
         )
@@ -627,3 +626,64 @@ def test_value_closure_matches_literal_joint_models_dynamical(instance):
         gaps = np.abs(rows[:, None, :] - want[None, :, :]).max(axis=-1)
         assert gaps.min(axis=1).max() <= 1e-12  # every row is some joint model's value
         assert gaps.min(axis=0).max() <= 1e-12  # every joint model's value is a row
+
+
+# ---------------------------------------------------------------------------
+# The learner's kernels: each model's per-feedback Gaussians, mixed by the target
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def mean_map_knowledge(draw):
+    """Random dynamical classes and knowledge on a 1-D or 2-D grid, with T, E and
+    the candidate counts per coordinate each drawn from 1 up."""
+    grid = draw(st.sampled_from(DIFF_GRIDS))
+    H = draw(st.integers(1, 2))
+    T, E = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    counts = draw(st.lists(st.tuples(*[st.integers(1, 3)] * grid.dim), min_size=H, max_size=H))
+    scale = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    S, A = grid.num_cells, 2
+    knowledge = LearnerKnowledge(
+        rng.dirichlet(np.ones(T), size=H),
+        rng.dirichlet(np.ones(E), size=(H, S, A, T)),
+        grid=grid,
+        trans_noise_scale=scale,
+    )
+    classes = HypothesisClasses(
+        mode=TransitionMode.DYNAMICAL,
+        bound=1.0,
+        reward_tables=[rng.uniform(size=(1, S, A, E))] * H,
+        discriminators=[np.zeros((1, S, A))] * H,
+        value_targets=[np.zeros((1, S))] * H,
+        mean_map_tables=[
+            [rng.uniform(lo - 1.0, hi + 1.0, size=(n, S, A, E)) for n, lo, hi in zip(per, grid.lows, grid.highs)]
+            for per in counts
+        ],
+    )
+    return classes, knowledge
+
+
+@settings(max_examples=150, deadline=None)
+@given(mean_map_knowledge())
+def test_from_classes_kernels_match_the_literal_feedback_mixture(instance):
+    classes, knowledge = instance
+    agg = CandidateAggregates.from_classes(classes, knowledge)
+    for got, want in zip(agg.transitions, ref_model_kernels(classes, knowledge), strict=True):
+        assert got.shape == want.shape
+        # The einsum may sum the E <= 3 terms, each at most 1, in another order.
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+def test_truth_kernel_is_the_true_law_on_noiseless_dyn_1d():
+    """Noiseless dyn-1d has no type shift, so the truth candidate plans under
+    the environment's own law, bit for bit."""
+    scenario = build_scenario("dyn-1d", params={"noiseless": True})
+    classes = scenario.classes
+    agg = CandidateAggregates.from_classes(classes, scenario.knowledge())
+    truth = [
+        agg.transitions[h][classes.kernel_index(h).encode([[i] for i in classes.truth_transition_idx[h]])[0]]
+        for h in range(classes.horizon)
+    ]
+    want = true_aggregated_model(scenario.model).transitions
+    np.testing.assert_array_equal(np.stack(truth).view(np.uint64), want.view(np.uint64))
