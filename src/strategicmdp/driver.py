@@ -29,6 +29,7 @@ from .model import (
     StrategicModel,
     TransitionMode,
     _is_int,
+    check_dims,
     make_rng,
     rollout,
 )
@@ -74,23 +75,22 @@ class EpisodeRecord:
     The confidence sets and selection stored here are the ones computed after
     this episode's data was appended, i.e. the state that produces the next
     policy. Regret fields are filled later by the diagnostics oracle.
-    Transition fields hold candidate indices: per step a bare value in general
-    mode, a tuple with one entry per coordinate in dynamical mode. Records
-    whose confidence sets are equal share one copy of their set, size and
-    chosen-index tuples. truth_covered says whether every designated true
-    candidate survives in these sets (None when some truth is undesignated);
-    it is not serialized.
+    Transition fields hold candidate indices with one entry per transition
+    family at every step: the kernels in general mode, one mean map per state
+    coordinate in dynamical mode. Records whose confidence sets are equal
+    share one copy of their set and chosen-index tuples. truth_covered says
+    whether every designated true candidate survives in these sets (None when
+    some truth is undesignated); it is not serialized.
     """
 
     episode: int
     reward_sets: tuple[tuple[int, ...], ...]
-    transition_sets: tuple
-    transition_set_sizes: tuple
+    transition_sets: tuple[tuple[tuple[int, ...], ...], ...]
     betas: tuple[float, float, float]
     optimistic_value: float
     relaxed: bool
     chosen_reward_idx: tuple[int, ...] | None
-    chosen_transition_idx: tuple | None
+    chosen_transition_idx: tuple[tuple[int, ...], ...] | None
     flags: tuple[str, ...]
     wallclock_ms: float
     truth_covered: bool | None
@@ -100,6 +100,11 @@ class EpisodeRecord:
     @property
     def reward_set_sizes(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self.reward_sets)
+
+    @property
+    def transition_set_sizes(self) -> tuple[int, ...]:
+        """Per step, the number of surviving transition models: the product of its family sizes."""
+        return tuple(math.prod(map(len, per_family)) for per_family in self.transition_sets)
 
 
 @dataclass
@@ -111,8 +116,8 @@ class RunResult:
     flags: tuple[str, ...]
     dataset: StepDataset
 
-    def canonical_json(self, include_wallclock: bool = False) -> str:
-        """Deterministic serialization; wall-clock fields excluded by default.
+    def canonical_json(self) -> str:
+        """Deterministic serialization; wall-clock fields are left out.
 
         The text is that of one json.dumps of the whole payload with sorted
         keys, but it is encoded one record at a time and each distinct Policy
@@ -144,8 +149,6 @@ class RunResult:
                 "instant_regret": rec.instant_regret,
                 "cum_regret": rec.cum_regret,
             }
-            if include_wallclock:
-                d["wallclock_ms"] = rec.wallclock_ms
             pieces += ("," if i else "", encode(d))
         pieces += ('],"flags":', encode(sorted(self.flags)), ',"policies":[')
         encoded: dict[int, str] = {}  # by id: every policy stays alive in self.policies
@@ -197,22 +200,15 @@ def run_learner(
     if classes.mode is not env.transition_mode:
         raise ConfigError("classes mode does not match environment mode")
 
+    dims = (env.horizon, env.num_states, env.num_actions, env.num_feedbacks)
+    check_dims(model=dims, knowledge=knowledge.dims, classes=classes.dims)
     run_flags: set[str] = set()
     report = check_realizability(env, classes, knowledge)
     if not report.passed:
         if cfg.strict_realizability:
             raise RealizabilityError(
                 "realizability check failed: "
-                + "; ".join(
-                    c.detail
-                    for c in (
-                        report.truth_in_rewards,
-                        report.truth_in_transitions,
-                        report.projections_in_discriminators,
-                        report.values_in_targets,
-                    )
-                    if c.detail
-                )
+                + "; ".join(c.detail for c in report.clauses.values() if c.detail)
             )
         run_flags.add("realizability-not-verified")
 
@@ -235,11 +231,6 @@ def run_learner(
     # records and committed policies share those objects.
     memo: dict[tuple, tuple] = {}
 
-    def shaped(per_family: tuple):
-        # The one rule on transition-set shape, applied as kernel indices are
-        # decoded into a record: general mode shows its one family bare.
-        return per_family[0] if classes.mode is TransitionMode.GENERAL else per_family
-
     def select(reward_sets: tuple, transition_sets: tuple) -> tuple:
         args = (aggregates, reward_sets, transition_sets, initial_cell)
         flags: tuple[str, ...] = ()
@@ -248,14 +239,12 @@ def run_learner(
         except CapacityError:  # too many joint models: the pointwise relaxation answers
             flags = ("selector-capacity-fallback",)
             selection = optimistic_select(*args, mode=SelectionMode.POINTWISE, cap=cfg.selector_cap)
-        families = [ix.decode(ks) for ix, ks in zip(index, transition_sets)]
+        families = tuple(ix.decode(ks) for ix, ks in zip(index, transition_sets))
         chosen_t = None
         if selection.transition_idx is not None:
-            chosen_t = tuple(shaped(index[h].models[j]) for h, j in enumerate(selection.transition_idx))
-        decoded = tuple(shaped(f) for f in families)
-        set_sizes = tuple(shaped(tuple(map(len, f))) for f in families)
+            chosen_t = tuple(index[h].models[j] for h, j in enumerate(selection.transition_idx))
         covered = _truth_covered(classes, reward_sets, families)
-        return selection, flags, reward_sets, decoded, set_sizes, chosen_t, covered
+        return selection, flags, reward_sets, families, chosen_t, covered
 
     sizes = classes.sizes()
     betas = confidence_levels(
@@ -280,7 +269,7 @@ def run_learner(
         key = (tuple(sets.reward_sets), tuple(sets.transition_sets))
         if key not in memo:
             memo[key] = select(*key)
-        selection, select_flags, reward_sets, transition_sets, set_sizes, chosen_t, covered = memo[key]
+        selection, select_flags, reward_sets, transition_sets, chosen_t, covered = memo[key]
         policy = selection.policy
 
         episode_flags = [*select_flags, *sets.fallback_flags]
@@ -291,7 +280,6 @@ def run_learner(
                 episode=k,
                 reward_sets=reward_sets,
                 transition_sets=transition_sets,
-                transition_set_sizes=set_sizes,
                 betas=beta_triple,
                 optimistic_value=selection.value,
                 relaxed=selection.relaxed,

@@ -59,8 +59,8 @@ def _sizes_r(rec) -> str:
 
 
 def _sizes_p(rec) -> str:
-    """One entry per step; a dynamical step lists its coordinates' sizes."""
-    return ";".join(",".join(map(str, np.ravel(n))) for n in rec.transition_set_sizes)
+    """One entry per step, listing the sizes of its transition families."""
+    return ";".join(",".join(str(len(s)) for s in per_family) for per_family in rec.transition_sets)
 
 
 def _write_atomic(path: Path, fill) -> None:
@@ -128,8 +128,8 @@ def write_episodes_csv(path: Path, seed: int, run: RunResult) -> None:
         for rec in run.episodes:
             if id(rec.reward_sets) not in sizes_r:
                 sizes_r[id(rec.reward_sets)] = _sizes_r(rec)
-            if id(rec.transition_set_sizes) not in sizes_p:
-                sizes_p[id(rec.transition_set_sizes)] = _sizes_p(rec)
+            if id(rec.transition_sets) not in sizes_p:
+                sizes_p[id(rec.transition_sets)] = _sizes_p(rec)
             writer.writerow(
                 [
                     seed,
@@ -137,7 +137,7 @@ def write_episodes_csv(path: Path, seed: int, run: RunResult) -> None:
                     _fmt(rec.instant_regret),
                     _fmt(rec.cum_regret),
                     sizes_r[id(rec.reward_sets)],
-                    sizes_p[id(rec.transition_set_sizes)],
+                    sizes_p[id(rec.transition_sets)],
                     _fmt(rec.betas[0]),
                     _fmt(rec.betas[1]),
                     _fmt(rec.betas[2]),
@@ -350,7 +350,8 @@ def sweep_configs(base: dict, grid: dict[str, list]) -> list[tuple[str, Scenario
     """Cartesian product of dotted-path overrides; returns (label, config) pairs.
 
     Every combination is validated; the first invalid combination aborts the
-    sweep with its full violation list.
+    sweep with its full violation list, and so do two combinations that
+    would write one experiment directory.
     """
     combos: list[tuple[str, dict]] = [("", base)]
     for key, values in grid.items():
@@ -361,6 +362,7 @@ def sweep_configs(base: dict, grid: dict[str, list]) -> list[tuple[str, Scenario
                 nxt.append((f"{label},{tag}" if label else tag, apply_override(data, key, v)))
         combos = nxt
     out = []
+    labels_by_dir: dict[Path, str] = {}
     for label, data in combos:
         try:
             cfg = config_from_dict(data)
@@ -369,5 +371,9 @@ def sweep_configs(base: dict, grid: dict[str, list]) -> list[tuple[str, Scenario
         label_dir = label.replace(",", "_").replace("=", "-") or "base"
         base_label = cfg.output.label or cfg.generator
         cfg.output.label = f"{base_label}_{label_dir}"
+        where = experiment_dir(cfg)
+        if where in labels_by_dir:
+            raise ValidationError(f"sweep points [{labels_by_dir[where]}] and [{label}] would both write {where}")
+        labels_by_dir[where] = label
         out.append((label, cfg))
     return out

@@ -251,6 +251,11 @@ class HypothesisClasses:
     def horizon(self) -> int:
         return len(self.reward_tables)
 
+    @property
+    def dims(self) -> tuple[int, int, int, int]:
+        """(H, S, A, E), read off step 0's reward candidates."""
+        return (self.horizon, *self.families(0)[0].tables.shape[1:])
+
     def families(self, h: int) -> tuple[LossFamily, ...]:
         """Step h's loss families: the one place the classes read the mode.
 
@@ -459,23 +464,17 @@ class RealizabilityReport:
     flags: tuple[str, ...] = ()
 
     @property
+    def clauses(self) -> dict[str, ClauseResult]:
+        """The clauses by field name, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "flags"}
+
+    @property
     def passed(self) -> bool:
-        return (
-            self.truth_in_rewards.passed
-            and self.truth_in_transitions.passed
-            and self.projections_in_discriminators.passed
-            and self.values_in_targets.passed
-        )
+        return all(c.passed for c in self.clauses.values())
 
     def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "truth_in_rewards": vars(self.truth_in_rewards),
-            "truth_in_transitions": vars(self.truth_in_transitions),
-            "projections_in_discriminators": vars(self.projections_in_discriminators),
-            "values_in_targets": vars(self.values_in_targets),
-            "flags": list(self.flags),
-        }
+        clauses = {name: vars(c) for name, c in self.clauses.items()}
+        return {"passed": self.passed, **clauses, "flags": list(self.flags)}
 
 
 def _first_missing(table_set: np.ndarray, tables: np.ndarray) -> int | None:

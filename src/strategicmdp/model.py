@@ -441,6 +441,11 @@ class LearnerKnowledge:
         )
 
     @property
+    def dims(self) -> tuple[int, int, int, int]:
+        """(H, S, A, E), the sizes the learner's tables share."""
+        return self.feedback_by_type.shape[:3] + self.feedback_by_type.shape[4:]
+
+    @property
     def horizon(self) -> int:
         return self.feedback_by_type.shape[0]
 
@@ -483,6 +488,12 @@ def integrate_feedback(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
     their total over the data.
     """
     return np.einsum("sae,...sae->...sa", weights, table)
+
+
+def check_dims(**dims: tuple[int, ...]) -> None:
+    """Refuse parts, named by keyword, whose (H, S, A, E) tuples differ."""
+    if len(set(dims.values())) > 1:
+        raise ValidationError("sizes (H, S, A, E) differ: " + ", ".join(f"{k} {d}" for k, d in dims.items()))
 
 
 def _is_int(value: object) -> bool:

@@ -36,6 +36,7 @@ from .model import (
     _check_index,
     _check_simplex,
     _is_int,
+    check_dims,
     feedback_mix,
     integrate_feedback,
 )
@@ -74,18 +75,6 @@ class AggregatedMDP:
             raise ValidationError("aggregated rewards have non-finite entries")
         _check_simplex(self.transitions, "aggregated transitions")
         _check_index(self.initial_state, S, "initial state")
-
-    @property
-    def horizon(self) -> int:
-        return self.rewards.shape[0]
-
-    @property
-    def num_states(self) -> int:
-        return self.rewards.shape[1]
-
-    @property
-    def num_actions(self) -> int:
-        return self.rewards.shape[2]
 
 
 @dataclass
@@ -179,6 +168,7 @@ class CandidateAggregates:
     def from_classes(
         cls, classes: "HypothesisClasses", knowledge: LearnerKnowledge
     ) -> "CandidateAggregates":
+        check_dims(classes=classes.dims, knowledge=knowledge.dims)
         w = feedback_mix(knowledge.target_type_dist, knowledge.feedback_by_type)  # (H, S, A, E)
         H = knowledge.horizon
         rewards = [integrate_feedback(w[h], classes.reward_tables[h]) for h in range(H)]

@@ -1123,6 +1123,28 @@ def ref_truth_in_record(rec, classes: HypothesisClasses) -> bool | None:
     return True
 
 
+def ref_bare(rec, classes: HypothesisClasses):
+    """rec as the references above read it: general mode's one transition family bare."""
+    if classes.mode is not TransitionMode.GENERAL:
+        return rec
+    return dataclasses.replace(rec, transition_sets=tuple(per[0] for per in rec.transition_sets))
+
+
+def ref_sized(run):
+    """run as ref_write_episodes_csv reads it: every record's transition_set_sizes
+    lists each family's size per step."""
+    return SimpleNamespace(
+        episodes=[
+            SimpleNamespace(
+                **vars(rec),
+                reward_set_sizes=rec.reward_set_sizes,
+                transition_set_sizes=ref_transition_set_sizes(rec.transition_sets),
+            )
+            for rec in run.episodes
+        ]
+    )
+
+
 # ---------------------------------------------------------------------------
 # The mode branches that the transition-family view replaced
 # ---------------------------------------------------------------------------
@@ -1462,7 +1484,7 @@ def aggregate(
 
 def mixture_value(policies: list[Policy], oracle: AggregatedMDP) -> float:
     """Exact value on the evaluation oracle of the uniform mixture over policies."""
-    H = oracle.horizon
+    H = oracle.rewards.shape[0]
     for comp in policies:
         if comp.action_probs.shape[0] != H:
             raise ConfigError("mixture component horizon does not match the oracle")

@@ -65,7 +65,7 @@ def truth_in_all_sets(rec, classes) -> bool:
             return False
         ti = classes.truth_transition_idx[h]
         if classes.mode is TransitionMode.GENERAL:
-            if ti not in rec.transition_sets[h]:
+            if ti not in rec.transition_sets[h][0]:
                 return False
         else:
             for i, idx in enumerate(ti):

@@ -23,7 +23,7 @@ from strategicmdp.cli import ENV_OUTPUT, main
 from strategicmdp.config import load_config
 from strategicmdp.harness import EPISODE_COLUMNS, SUMMARY_COLUMNS
 
-from helpers import BASE_YAML, DYN_YAML, ref_truth_in_record
+from helpers import BASE_YAML, DYN_YAML, ref_bare, ref_truth_in_record
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -196,6 +196,18 @@ def test_sweep_rejects_a_repeated_param_key(config_path, tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+def test_sweep_rejects_points_that_write_one_directory(config_path, tmp_path, capsys):
+    """5 and 5, and 0.1 and 0.10, give equal labels: every point would
+    overwrite the artifacts of the one before it."""
+    p = config_path()
+    rc = main(["sweep", str(p), "--param", "run.episodes=5,5", "--param", "run.delta=0.1,0.10"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert "wrote" not in out
+    assert "sweep points [episodes=5,delta=0.1] and [episodes=5,delta=0.1] would both write" in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_sweep_rejects_invalid_grid_point(config_path, capsys):
     assert main(["sweep", str(config_path()), "--param", "run.delta=0.05,7"]) == 2
     err = capsys.readouterr().err
@@ -256,7 +268,7 @@ def test_truth_check_runs_once_per_distinct_set_pair(
         return runs[-1]
 
     def truth(classes, reward_sets, families):
-        calls.append((reward_sets, tuple(per_family[0] for per_family in families)))
+        calls.append((reward_sets, families))
         return real_truth(classes, reward_sets, families)
 
     monkeypatch.setattr(harness, "run_learner", run)
@@ -268,7 +280,7 @@ def test_truth_check_runs_once_per_distinct_set_pair(
     classes = scenario.classes
     want, ok = {}, True
     for rec in result.episodes:
-        t = ref_truth_in_record(rec, classes)
+        t = ref_truth_in_record(ref_bare(rec, classes), classes)
         assert rec.truth_covered == t
         if t is None:
             ok = None

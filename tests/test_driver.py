@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from strategicmdp import (
     AggregatedMDP,
+    CandidateAggregates,
     CapacityError,
     ConfigError,
     Grid,
@@ -24,6 +26,7 @@ from strategicmdp import (
     RunConfig,
     SelectionMode,
     TransitionMode,
+    ValidationError,
     build_scenario,
     close_classes,
     policy_value,
@@ -40,8 +43,10 @@ from helpers import (
     mixture_value,
     random_dynamical,
     random_general,
+    ref_bare,
     ref_canonical_json,
     ref_run_learner,
+    ref_sized,
     ref_sizes_p,
     ref_transition_set_sizes,
     ref_truth_in_record,
@@ -124,6 +129,31 @@ def test_mode_mismatch_rejected():
         run_learner(scenario.model, scenario.knowledge(), scenario.classes, cfg)
 
 
+SIZE_MISMATCHES = {
+    "model-and-knowledge": ("recsys-small", "contract-small", "recsys-small"),
+    "classes": ("recsys-small", "recsys-small", "contract-small"),
+    "aggregates": (None, "dyn-1d", "recsys-small"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIZE_MISMATCHES))
+def test_inputs_of_different_sizes_are_refused(case):
+    """The model, the knowledge and the classes must agree on (H, S, A, E);
+    before the check they met in a bare numpy broadcasting error."""
+    model_name, knowledge_name, classes_name = SIZE_MISMATCHES[case]
+    knowledge = build_scenario(knowledge_name).knowledge()
+    classes = build_scenario(classes_name).classes
+    dims = {"recsys-small": "(3, 3, 2, 3)", "contract-small": "(3, 2, 2, 2)", "dyn-1d": "(3, 9, 2, 2)"}
+    want = {dims[knowledge_name], dims[classes_name]}
+    with pytest.raises(ValidationError, match=r"\(H, S, A, E\) differ") as info:
+        if model_name is None:
+            CandidateAggregates.from_classes(classes, knowledge)
+        else:
+            model = build_scenario(model_name).model
+            run_learner(model, knowledge, classes, run_cfg(episodes=2))
+    assert len(want) == 2 and all(d in str(info.value) for d in want)
+
+
 def test_single_episode_mixture_is_uniform_start():
     scenario = build_scenario("recsys-small")
     result = run_learner(scenario.model, scenario.knowledge(), scenario.classes, run_cfg(episodes=1))
@@ -162,7 +192,6 @@ def test_canonical_json_reproducible():
     b = run_learner(scenario.model, scenario.knowledge(), scenario.classes, run_cfg(episodes=15, seed=4))
     assert a.canonical_json() == b.canonical_json()
     assert "wallclock" not in a.canonical_json()
-    assert "wallclock_ms" in a.canonical_json(include_wallclock=True)
 
 
 EPISODE_KEYS = {
@@ -182,13 +211,12 @@ EPISODE_KEYS = {
 
 def test_canonical_json_episode_keys_are_pinned():
     """A record serializes the learner's decision: its sets, levels, choice
-    and flags, never the losses behind them; the wall clock only on request."""
+    and flags, never the losses behind them nor the wall clock."""
     scenario = build_scenario("recsys-small")
     run = run_learner(scenario.model, scenario.knowledge(), scenario.classes, run_cfg(episodes=5))
-    for wall, keys in ((False, EPISODE_KEYS), (True, EPISODE_KEYS | {"wallclock_ms"})):
-        payload = json.loads(run.canonical_json(include_wallclock=wall))
-        assert set(payload) == {"config", "episodes", "flags", "policies"}
-        assert all(set(rec) == keys for rec in payload["episodes"])
+    payload = json.loads(run.canonical_json())
+    assert set(payload) == {"config", "episodes", "flags", "policies"}
+    assert all(set(rec) == EPISODE_KEYS for rec in payload["episodes"])
 
 
 def test_different_seeds_differ():
@@ -245,7 +273,7 @@ def test_truth_survives_with_generous_beta():
     result = run_learner(scenario.model, scenario.knowledge(), scenario.classes, cfg)
     for rec in result.episodes:
         assert all(0 in s for s in rec.reward_sets)
-        assert all(0 in s for s in rec.transition_sets)
+        assert all(0 in s for per in rec.transition_sets for s in per)
 
 
 def test_optimism_holds_when_truth_survives():
@@ -257,7 +285,7 @@ def test_optimism_holds_when_truth_survives():
         )
         for rec in result.episodes:
             truth_in = all(0 in s for s in rec.reward_sets) and all(
-                0 in s for s in rec.transition_sets
+                0 in s for per in rec.transition_sets for s in per
             )
             if truth_in:
                 assert rec.optimistic_value >= vstar - 1e-9
@@ -326,8 +354,13 @@ def _run_both(kind, seed, optimism, cap, beta_scale, episodes=25):
     for rec, ref in zip(got.episodes, want):
         # the reference still computes the chosen losses, which a record does not keep
         del ref["chosen_reward_losses"], ref["chosen_transition_losses"]
+        if model.transition_mode is TransitionMode.GENERAL:  # the reference shows the one family bare
+            ref["transition_sets"] = tuple((s,) for s in ref["transition_sets"])
+            if ref["chosen_transition_idx"] is not None:
+                ref["chosen_transition_idx"] = tuple((j,) for j in ref["chosen_transition_idx"])
         assert {key: getattr(rec, key) for key in ref} == ref
-        assert rec.transition_set_sizes == ref_transition_set_sizes(ref["transition_sets"])
+        family_sizes = ref_transition_set_sizes(ref["transition_sets"])
+        assert rec.transition_set_sizes == tuple(math.prod(n) for n in family_sizes)
     assert len(got.policies) == len(want_policies)
     for p, q in zip(got.policies, want_policies):
         np.testing.assert_array_equal(p.action_probs, q.action_probs)
@@ -383,6 +416,27 @@ def test_2d_run_writes_per_coordinate_sizes(tmp_path):
     assert any(row["conf_sizes_P"] != "2,3;2,3" for row in rows)
 
 
+@pytest.mark.parametrize("kind", ["general", "dyn-1d", "dyn-2d"])
+def test_records_list_transition_sets_per_family_in_every_mode(kind):
+    """Every step lists one survivor tuple per transition family and the
+    chosen model's candidate in each, and transition_set_sizes counts the
+    surviving models: the product of the family sizes, a flat int per step."""
+    run, _, _ = _run_closed(kind, 2, episodes=40)
+    classes = _closed_instance(kind, 2)[2]
+    radices = [classes.kernel_index(h).radices for h in range(classes.horizon)]
+    assert {len(r) for r in radices} == {2 if kind == "dyn-2d" else 1}
+    for rec in run.episodes:
+        assert len(rec.transition_sets) == len(rec.chosen_transition_idx) == classes.horizon
+        for per_family, chosen, radix in zip(rec.transition_sets, rec.chosen_transition_idx, radices):
+            assert len(per_family) == len(chosen) == len(radix)
+            for survivors, c, n in zip(per_family, chosen, radix):
+                assert survivors == tuple(sorted(set(survivors))) and 0 <= survivors[0] and survivors[-1] < n
+                assert c in survivors
+        sizes = tuple(math.prod(len(s) for s in per_family) for per_family in rec.transition_sets)
+        assert rec.transition_set_sizes == sizes
+        assert all(type(n) is int for n in rec.transition_set_sizes)
+
+
 # ---------------------------------------------------------------------------
 # Truth coverage, decided where the sets are decoded
 # ---------------------------------------------------------------------------
@@ -430,7 +484,7 @@ def test_truth_coverage_matches_the_per_record_reference(kind, seed, beta_scale,
     )
     result = run_learner(model, knowledge, classes, cfg)
     for rec in result.episodes:
-        assert rec.truth_covered is ref_truth_in_record(rec, classes)
+        assert rec.truth_covered is ref_truth_in_record(ref_bare(rec, classes), classes)
 
 
 # ---------------------------------------------------------------------------
@@ -571,14 +625,13 @@ def _run_closed(kind, seed, optimism=SelectionMode.EXACT, beta_scale=0.02, episo
 
 
 def assert_json_matches_reference(run):
-    for wall in (False, True):
-        assert run.canonical_json(include_wallclock=wall) == ref_canonical_json(run, wall)
+    assert run.canonical_json() == ref_canonical_json(run)
 
 
 def assert_csv_matches_reference(run, out_dir):
     got, want = out_dir / "got.csv", out_dir / "want.csv"
     write_episodes_csv(got, 3, run)
-    ref_write_episodes_csv(want, 3, run)
+    ref_write_episodes_csv(want, 3, ref_sized(run))
     assert got.read_bytes() == want.read_bytes()
 
 
@@ -622,12 +675,11 @@ def test_serializers_match_references_when_nothing_is_shared(tmp_path, kind):
                 rec,
                 reward_sets=_unshared(rec.reward_sets),
                 transition_sets=_unshared(rec.transition_sets),
-                transition_set_sizes=_unshared(rec.transition_set_sizes),
             )
             for rec in run.episodes
         ],
     )
-    for field in ("reward_sets", "transition_sets", "transition_set_sizes"):
+    for field in ("reward_sets", "transition_sets"):
         assert len({id(getattr(rec, field)) for rec in own_sets.episodes}) == 40
     for variant in (own_policies, own_sets):
         assert_json_matches_reference(variant)

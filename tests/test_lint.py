@@ -277,12 +277,12 @@ def test_rollout_never_reads_the_mode():
     assert scopes == {"StrategicModel.validate", "env_step"}
 
 
-def test_learner_loop_reads_the_mode_only_to_check_and_shape():
-    """run_learner reads the initial cell off the first step, so the driver
-    asks which transition mode runs only in the config's type check and in
-    the one rule that shows general mode's single family bare."""
+def test_learner_loop_reads_the_mode_only_in_the_config_check():
+    """run_learner reads the initial cell off the first step and records
+    every step's transition sets per family in both modes, so the driver
+    asks which transition mode runs only in the config's type check."""
     scopes = scopes_reading((PACKAGE / "driver.py").read_text(), "TransitionMode")
-    assert scopes == {"RunConfig.validate", "run_learner.shaped"}
+    assert scopes == {"RunConfig.validate"}
 
 
 def test_classes_read_the_mode_only_in_the_family_builder():
