@@ -23,6 +23,7 @@ from .diagnostics import (
 )
 from .driver import (
     EpisodeRecord,
+    LogEntry,
     RunConfig,
     RunResult,
     run_learner,

@@ -35,6 +35,7 @@ from .model import (
     _check_index,
     _distribution_table,
     _is_int,
+    check_dims,
     feedback_by_type,
     feedback_mix,
     integrate_feedback,
@@ -174,7 +175,7 @@ def deterministic_policy_tables(
     budget: int,
 ) -> tuple[np.ndarray, bool]:
     """All deterministic (steps, S) action tables, or a uniform sample of budget many (seed 0),
-    as one (N, steps, S) array.
+    as one (N, steps, S) array of the smallest unsigned dtype that holds num_actions - 1.
 
     Returns (tables, sampled). Exhaustive enumeration is used exactly when
     num_actions ** (num_states * steps) fits the budget; it counts in base
@@ -184,11 +185,16 @@ def deterministic_policy_tables(
         raise ConfigError(f"policy budget must be an integer of at least 1, got {budget!r}")
     cells = num_states * steps
     total = num_actions**cells
+    dtype = np.min_scalar_type(num_actions - 1)
     if total <= budget:
         digits = np.arange(total)[:, None] // num_actions ** np.arange(cells - 1, -1, -1) % num_actions
-        return digits.reshape(total, steps, num_states), False
-    # one draw of every table reads the generator's stream as one draw per table does
-    return make_rng(0).integers(num_actions, size=(budget, steps, num_states)), True
+        return digits.astype(dtype).reshape(total, steps, num_states), False
+    # drawn POLICY_BLOCK tables at a time, which reads the generator's stream as one draw per table does
+    rng, tables = make_rng(0), np.empty((budget, steps, num_states), dtype)
+    for start in range(0, budget, POLICY_BLOCK):
+        block = tables[start : start + POLICY_BLOCK]
+        block[...] = rng.integers(num_actions, size=block.shape)
+    return tables, True
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +262,7 @@ def _ratio_oracle(
     ties go to the first table, then the first residual. With jensen set,
     every pair is checked for the denominator never exceeding the numerator.
     """
+    check_dims(model=env.dims, classes=classes.dims)
     _check_index(h, env.horizon, "step")
     stack = residual_stack(env, classes, h)
     rows = np.flatnonzero(np.any(stack.reshape(len(stack), -1) != 0.0, axis=1))
@@ -417,8 +424,8 @@ class RegretCurve:
 def regret_curve(run, env: StrategicModel, knowledge: LearnerKnowledge) -> RegretCurve:
     """Exact per-episode regret against the optimal aggregated target value.
 
-    Fills the regret fields of the run's episode records in place and returns
-    the series. Raises if any instantaneous regret is below -1e-9.
+    Sets the run's two regret columns and returns the series. Raises if any
+    instantaneous regret is below -1e-9.
     """
     oracle = true_aggregated_model(env)
     plan = value_iteration(oracle)
@@ -433,7 +440,5 @@ def regret_curve(run, env: StrategicModel, knowledge: LearnerKnowledge) -> Regre
     if inst.size and inst.min() < -1e-9:
         raise ValidationError(f"negative regret {inst.min()} against the optimal value")
     cum = np.cumsum(inst)
-    for i, rec in enumerate(run.episodes):
-        rec.instant_regret = float(inst[i])
-        rec.cum_regret = float(cum[i])
+    run.instant_regret, run.cum_regret = inst.tolist(), cum.tolist()
     return RegretCurve(optimal_value=vstar, instant=inst, cumulative=cum)

@@ -14,11 +14,12 @@ which does not influence any decision.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import CapacityError, ConfigError, RealizabilityError
 from .estimation import LossEvaluator, StepDataset, confidence_levels
@@ -29,7 +30,6 @@ from .model import (
     StrategicModel,
     TransitionMode,
     _is_int,
-    check_dims,
     make_rng,
     rollout,
 )
@@ -68,34 +68,26 @@ class RunConfig:
             raise ConfigError(f"selector_cap must be at least 1, got {self.selector_cap}")
 
 
-@dataclass
-class EpisodeRecord:
-    """Everything logged for one episode.
+@dataclass(frozen=True)
+class LogEntry:
+    """What every episode with one confidence-set key and one set of fallback flags logs.
 
-    The confidence sets and selection stored here are the ones computed after
-    this episode's data was appended, i.e. the state that produces the next
-    policy. Regret fields are filled later by the diagnostics oracle.
-    Transition fields hold candidate indices with one entry per transition
-    family at every step: the kernels in general mode, one mean map per state
-    coordinate in dynamical mode. Records whose confidence sets are equal
-    share one copy of their set and chosen-index tuples. truth_covered says
-    whether every designated true candidate survives in these sets (None when
-    some truth is undesignated); it is not serialized.
+    The sets are the ones computed after an episode's data was appended, i.e.
+    the state that produces the next policy. Transition fields hold candidate
+    indices with one entry per transition family at every step: the kernels
+    in general mode, one mean map per state coordinate in dynamical mode.
+    truth_covered says whether every designated true candidate survives in
+    these sets (None when some truth is undesignated); it is not serialized.
     """
 
-    episode: int
     reward_sets: tuple[tuple[int, ...], ...]
     transition_sets: tuple[tuple[tuple[int, ...], ...], ...]
-    betas: tuple[float, float, float]
     optimistic_value: float
     relaxed: bool
     chosen_reward_idx: tuple[int, ...] | None
     chosen_transition_idx: tuple[tuple[int, ...], ...] | None
     flags: tuple[str, ...]
-    wallclock_ms: float
     truth_covered: bool | None
-    instant_regret: float | None = None
-    cum_regret: float | None = None
 
     @property
     def reward_set_sizes(self) -> tuple[int, ...]:
@@ -107,21 +99,50 @@ class EpisodeRecord:
         return tuple(math.prod(map(len, per_family)) for per_family in self.transition_sets)
 
 
+@dataclass(frozen=True)
+class EpisodeRecord(LogEntry):
+    """One episode read back from a run's columns: its log entry and its own values."""
+
+    betas: tuple[float, float, float]
+    wallclock_ms: float
+    instant_regret: float | None
+    cum_regret: float | None
+
+
 @dataclass
 class RunResult:
+    """One run's log as columns: its distinct entries and, per episode, the
+    index of its entry, its wall time and (once regret_curve sets them) its
+    regret; policies[k] is the policy episode k + 1 played."""
+
     config: RunConfig
     policies: list[Policy]
-    episodes: list[EpisodeRecord]
+    entries: tuple[LogEntry, ...]
+    entry_index: list[int]
+    wallclock_ms: list[float]
+    instant_regret: list[float | None]
+    cum_regret: list[float | None]
+    betas: tuple[float, float, float]
     realizability: RealizabilityReport
     flags: tuple[str, ...]
     dataset: StepDataset
+
+    @property
+    def episodes(self) -> tuple[EpisodeRecord, ...]:
+        """A record per episode, built from the columns on every access."""
+        columns = zip(self.entry_index, self.wallclock_ms, self.instant_regret, self.cum_regret)
+        return tuple(
+            EpisodeRecord(**vars(self.entries[i]), betas=self.betas, wallclock_ms=ms, instant_regret=r, cum_regret=c)
+            for i, ms, r, c in columns
+        )
 
     def canonical_json(self) -> str:
         """Deterministic serialization; wall-clock fields are left out.
 
         The text is that of one json.dumps of the whole payload with sorted
-        keys, but it is encoded one record at a time and each distinct Policy
-        object once, so no full copy of the payload is ever built.
+        keys, but each entry is encoded once, with holes that every episode
+        of it fills, and a policy that consecutive episodes share is encoded
+        once, so no full copy of the payload is ever built.
         """
         encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         config = {
@@ -133,29 +154,33 @@ class RunResult:
             "beta_scale": self.config.beta_scale,
             "selector_cap": self.config.selector_cap,
         }
+        # Per entry, its record's text split where each episode's own values go (no record holds a NUL).
+        holes = dict.fromkeys(("cum_regret", "episode", "instant_regret"), "\0")
+        parts = []
+        for e in self.entries:
+            record = {
+                "reward_sets": e.reward_sets,
+                "transition_sets": e.transition_sets,
+                "betas": self.betas,
+                "optimistic_value": e.optimistic_value,
+                "relaxed": e.relaxed,
+                "chosen_reward_idx": e.chosen_reward_idx,
+                "chosen_transition_idx": e.chosen_transition_idx,
+                "flags": e.flags,
+                **holes,
+            }
+            parts.append(encode(record).split('"\\u0000"'))
         # Top-level keys in the sorted order that sort_keys gives them.
         pieces = ['{"config":', encode(config), ',"episodes":[']
-        for i, rec in enumerate(self.episodes):
-            d = {
-                "episode": rec.episode,
-                "reward_sets": rec.reward_sets,
-                "transition_sets": rec.transition_sets,
-                "betas": rec.betas,
-                "optimistic_value": rec.optimistic_value,
-                "relaxed": rec.relaxed,
-                "chosen_reward_idx": rec.chosen_reward_idx,
-                "chosen_transition_idx": rec.chosen_transition_idx,
-                "flags": rec.flags,
-                "instant_regret": rec.instant_regret,
-                "cum_regret": rec.cum_regret,
-            }
-            pieces += ("," if i else "", encode(d))
+        for k, (i, r, c) in enumerate(zip(self.entry_index, self.instant_regret, self.cum_regret), 1):
+            head, after_cum, after_episode, tail = parts[i]
+            pieces += ("," if k > 1 else "", head, encode(c), after_cum, str(k), after_episode, encode(r), tail)
         pieces += ('],"flags":', encode(sorted(self.flags)), ',"policies":[')
-        encoded: dict[int, str] = {}  # by id: every policy stays alive in self.policies
-        for i, p in enumerate(self.policies):
-            if id(p) not in encoded:
-                encoded[id(p)] = encode(p.action_probs.tolist())
-            pieces += ("," if i else "", encoded[id(p)])
+        last = None
+        for k, p in enumerate(self.policies):
+            if p is not last:
+                last, text = p, encode(p.action_probs.tolist())
+            pieces += ("," if k else "", text)
         pieces.append("]}")
         return "".join(pieces)
 
@@ -200,10 +225,8 @@ def run_learner(
     if classes.mode is not env.transition_mode:
         raise ConfigError("classes mode does not match environment mode")
 
-    dims = (env.horizon, env.num_states, env.num_actions, env.num_feedbacks)
-    check_dims(model=dims, knowledge=knowledge.dims, classes=classes.dims)
     run_flags: set[str] = set()
-    report = check_realizability(env, classes, knowledge)
+    report = check_realizability(env, classes, knowledge)  # refuses parts whose (H, S, A, E) differ
     if not report.passed:
         if cfg.strict_realizability:
             raise RealizabilityError(
@@ -212,26 +235,20 @@ def run_learner(
             )
         run_flags.add("realizability-not-verified")
 
-    H = knowledge.horizon
     rng = make_rng(cfg.seed)
-    dataset = StepDataset(
-        horizon=H,
-        num_states=knowledge.num_states,
-        num_actions=knowledge.num_actions,
-        num_feedbacks=knowledge.num_feedbacks,
-        state_dim=env.state_dim,
-    )
+    dataset = StepDataset(*knowledge.dims, state_dim=env.state_dim)
     from .estimation import build_confidence_sets  # read per call: wrappers patch the module
     evaluator = LossEvaluator(classes)
     aggregates = CandidateAggregates.from_classes(classes, knowledge)
     index = evaluator.kernel_index
-    # Sets change in few episodes, so everything that depends on them alone
-    # (the selection and the flags it raised, the record's set and index
-    # tuples, the truth's coverage) is computed once per distinct key;
-    # records and committed policies share those objects.
-    memo: dict[tuple, tuple] = {}
 
-    def select(reward_sets: tuple, transition_sets: tuple) -> tuple:
+    # Sets change in few episodes, so what depends on them alone (the selection,
+    # its flags, the decoded tuples, the truth's coverage) is computed once per
+    # set key. The log keeps an entry per (set key, fallback flags): an empty-set
+    # fallback can give the sets that thresholding gives, with other flags.
+    @functools.cache
+    def select(reward_sets: tuple, transition_sets: tuple) -> tuple[LogEntry, Policy]:
+        """The entry of a set key, before its fallback flags, and the policy it commits."""
         args = (aggregates, reward_sets, transition_sets, initial_cell)
         flags: tuple[str, ...] = ()
         try:
@@ -244,20 +261,21 @@ def run_learner(
         if selection.transition_idx is not None:
             chosen_t = tuple(index[h].models[j] for h, j in enumerate(selection.transition_idx))
         covered = _truth_covered(classes, reward_sets, families)
-        return selection, flags, reward_sets, families, chosen_t, covered
+        return LogEntry(
+            reward_sets, families, selection.value, selection.relaxed, selection.reward_idx, chosen_t, flags, covered
+        ), selection.policy
 
-    sizes = classes.sizes()
-    betas = confidence_levels(
-        classes.bound, cfg.episodes, H, sizes, cfg.delta, cfg.beta_scale
-    )
-    beta_triple = (betas.reward, betas.transition_general, betas.transition_dynamical)
+    betas = confidence_levels(classes.bound, cfg.episodes, classes.horizon, classes.sizes(), cfg.delta, cfg.beta_scale)
 
-    policy = Policy.uniform(H, knowledge.num_states, knowledge.num_actions)
+    policy = Policy.uniform(knowledge.horizon, knowledge.num_states, knowledge.num_actions)
     policies: list[Policy] = []
-    records: list[EpisodeRecord] = []
+    entry_at: dict[tuple, tuple[int, Policy]] = {}
+    entries: list[LogEntry] = []
+    entry_index: list[int] = []
+    wallclock_ms: list[float] = []
     initial_cell: int | None = None
 
-    for k in range(1, cfg.episodes + 1):
+    for _ in range(cfg.episodes):
         t0 = time.perf_counter()
         traj = rollout(env, policy, rng)
         policies.append(policy)
@@ -266,38 +284,27 @@ def run_learner(
             initial_cell = traj.steps[0].state
 
         sets = build_confidence_sets(evaluator, dataset, betas)
-        key = (tuple(sets.reward_sets), tuple(sets.transition_sets))
-        if key not in memo:
-            memo[key] = select(*key)
-        selection, select_flags, reward_sets, transition_sets, chosen_t, covered = memo[key]
-        policy = selection.policy
-
-        episode_flags = [*select_flags, *sets.fallback_flags]
-        if selection.relaxed:
-            episode_flags.append("relaxed-selection")
-        records.append(
-            EpisodeRecord(
-                episode=k,
-                reward_sets=reward_sets,
-                transition_sets=transition_sets,
-                betas=beta_triple,
-                optimistic_value=selection.value,
-                relaxed=selection.relaxed,
-                chosen_reward_idx=selection.reward_idx,
-                chosen_transition_idx=chosen_t,
-                flags=tuple(episode_flags),
-                wallclock_ms=(time.perf_counter() - t0) * 1000.0,
-                truth_covered=covered,
-            )
-        )
-        for f in episode_flags:
-            if f.endswith("empty-set-fallback"):
+        key = (tuple(sets.reward_sets), tuple(sets.transition_sets), sets.fallback_flags)
+        if key not in entry_at:
+            entry, committed = select(*key[:2])
+            relaxed = ("relaxed-selection",) if entry.relaxed else ()
+            entries.append(replace(entry, flags=entry.flags + sets.fallback_flags + relaxed))
+            entry_at[key] = (len(entries) - 1, committed)
+            if sets.fallback_flags:
                 run_flags.add("empty-set-fallback")
+        i, policy = entry_at[key]
+        entry_index.append(i)
+        wallclock_ms.append((time.perf_counter() - t0) * 1000.0)
 
     return RunResult(
         config=cfg,
         policies=policies,
-        episodes=records,
+        entries=tuple(entries),
+        entry_index=entry_index,
+        wallclock_ms=wallclock_ms,
+        instant_regret=[None] * cfg.episodes,
+        cum_regret=[None] * cfg.episodes,
+        betas=(betas.reward, betas.transition_general, betas.transition_dynamical),
         realizability=report,
         flags=tuple(sorted(run_flags)),
         dataset=dataset,

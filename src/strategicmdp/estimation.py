@@ -145,19 +145,17 @@ def _half_squares(disc: np.ndarray) -> np.ndarray:
 def _discriminator_score(
     targets: np.ndarray, disc: np.ndarray, sa_counts: np.ndarray, halves: np.ndarray | None
 ) -> np.ndarray:
-    """max over discriminators of linear term minus half its empirical square.
+    """Every discriminator's linear term minus half its empirical square.
 
     targets is (..., S, A): the per-(s, a) aggregated residual weights;
     halves is _half_squares(disc), or None to compute it here.
-    Returns the max over the discriminator family for each leading index.
+    Returns the (rows, nF) scores, rows the leading indices flattened.
     """
     flat_f = disc.reshape(disc.shape[0], -1)
     quad = (_half_squares(disc) if halves is None else halves) @ sa_counts.reshape(-1)
-    lead = targets.shape[:-2]
-    flat_t = targets.reshape(-1, flat_f.shape[1])
-    scores = flat_t @ flat_f.T
+    scores = targets.reshape(-1, flat_f.shape[1]) @ flat_f.T
     scores -= quad  # in place: one (rows, nF) array per call, not two
-    return scores.max(axis=1).reshape(lead)
+    return scores
 
 
 def family_losses(
@@ -176,7 +174,8 @@ def family_losses(
     """
     targets = integrate_feedback(counts, predicted)
     targets -= observed
-    return _discriminator_score(targets, disc, counts.sum(axis=-1), halves).max(axis=1)
+    scores = _discriminator_score(targets, disc, counts.sum(axis=-1), halves)
+    return scores.reshape(len(predicted), -1).max(axis=1)  # one max over G * nF per candidate
 
 
 class LossEvaluator:

@@ -54,13 +54,13 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _sizes_r(rec) -> str:
-    return ";".join(str(n) for n in rec.reward_set_sizes)
+def _sizes_r(entry) -> str:
+    return ";".join(str(n) for n in entry.reward_set_sizes)
 
 
-def _sizes_p(rec) -> str:
+def _sizes_p(entry) -> str:
     """One entry per step, listing the sizes of its transition families."""
-    return ";".join(",".join(str(len(s)) for s in per_family) for per_family in rec.transition_sets)
+    return ";".join(",".join(str(len(s)) for s in per_family) for per_family in entry.transition_sets)
 
 
 def _write_atomic(path: Path, fill) -> None:
@@ -116,35 +116,28 @@ class SeedOutcome:
     run_flags: tuple[str, ...]
 
 
+def seed_outcome(run: RunResult, marks: list[int]) -> SeedOutcome:
+    """Cumulative regret and the truth prefix (the worst coverage so far: None, then False) at each mark."""
+    coverage = (None, False, True)
+    worst = np.minimum.accumulate(np.array([coverage.index(e.truth_covered) for e in run.entries])[run.entry_index])
+    return SeedOutcome(
+        cum_at={k: run.cum_regret[k - 1] for k in marks},
+        truth_prefix_at={k: coverage[worst[k - 1]] for k in marks},
+        run_flags=tuple(sorted(run.flags)),
+    )
+
+
 def write_episodes_csv(path: Path, seed: int, run: RunResult) -> None:
-    """One row per episode; each set-size column is formatted once per distinct
-    set object the records share (they stay alive in run.episodes, so ids do)."""
+    """One row per episode; the columns an episode takes from its log entry
+    (set sizes, levels, flags) are formatted once per entry."""
 
     def fill(fh) -> None:
         writer = csv.writer(fh)
         writer.writerow(EPISODE_COLUMNS)
-        sizes_r: dict[int, str] = {}
-        sizes_p: dict[int, str] = {}
-        for rec in run.episodes:
-            if id(rec.reward_sets) not in sizes_r:
-                sizes_r[id(rec.reward_sets)] = _sizes_r(rec)
-            if id(rec.transition_sets) not in sizes_p:
-                sizes_p[id(rec.transition_sets)] = _sizes_p(rec)
-            writer.writerow(
-                [
-                    seed,
-                    rec.episode,
-                    _fmt(rec.instant_regret),
-                    _fmt(rec.cum_regret),
-                    sizes_r[id(rec.reward_sets)],
-                    sizes_p[id(rec.transition_sets)],
-                    _fmt(rec.betas[0]),
-                    _fmt(rec.betas[1]),
-                    _fmt(rec.betas[2]),
-                    ";".join(rec.flags),
-                    _fmt(rec.wallclock_ms),
-                ]
-            )
+        fixed = [[_sizes_r(e), _sizes_p(e), *map(_fmt, run.betas), ";".join(e.flags)] for e in run.entries]
+        columns = zip(run.entry_index, run.instant_regret, run.cum_regret, run.wallclock_ms)
+        for k, (i, instant, cum, ms) in enumerate(columns, 1):
+            writer.writerow([seed, k, _fmt(instant), _fmt(cum), *fixed[i], _fmt(ms)])
 
     _write_atomic(path, fill)
 
@@ -171,20 +164,7 @@ def run_seed(
     diag["realizability"] = run.realizability.as_dict()
     _write_json(seed_dir / "diagnostics.json", diag)
 
-    marks = checkpoints(cfg.episodes, cfg.evaluation_cadence)
-    cum_at: dict[int, float] = {}
-    truth_at: dict[int, bool | None] = {}
-    ok: bool | None = True
-    for rec in run.episodes:
-        t = rec.truth_covered
-        if t is None:
-            ok = None
-        elif ok is True and not t:
-            ok = False
-        if rec.episode in marks:
-            cum_at[rec.episode] = float(rec.cum_regret)
-            truth_at[rec.episode] = ok
-
+    outcome = seed_outcome(run, checkpoints(cfg.episodes, cfg.evaluation_cadence))
     manifest = {
         "config": cfg.raw,
         "version": __version__,
@@ -195,12 +175,12 @@ def run_seed(
         "run_flags": sorted(run.flags),
         "class_flags": sorted(scenario.classes.flags),
         "realizability": run.realizability.as_dict(),
-        "truth_event": truth_at.get(cfg.episodes),
-        "final_cum_regret": cum_at[cfg.episodes],
+        "truth_event": outcome.truth_prefix_at[cfg.episodes],
+        "final_cum_regret": outcome.cum_at[cfg.episodes],
         "wallclock_ms": (time.perf_counter() - t0) * 1000.0,
     }
     _write_json(seed_dir / "manifest.json", manifest)
-    return SeedOutcome(cum_at=cum_at, truth_prefix_at=truth_at, run_flags=tuple(sorted(run.flags)))
+    return outcome
 
 
 def _per_step(oracle, cfg: ScenarioConfig, scenario: Scenario) -> list[dict]:

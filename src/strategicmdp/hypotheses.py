@@ -31,7 +31,9 @@ from typing import Any
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .model import LearnerKnowledge, StrategicModel, TransitionMode, _is_int, feedback_mix, integrate_feedback
+from .model import (
+    LearnerKnowledge, StrategicModel, TransitionMode, _is_int, check_dims, feedback_mix, integrate_feedback
+)
 from .planning import CandidateAggregates, joint_backup
 
 DEFAULT_PER_STEP_CAP = 8
@@ -506,6 +508,7 @@ def check_realizability(
     projection and value computations reuse the closure code paths, so a
     closed class always passes bit-exactly.
     """
+    check_dims(model=model.dims, knowledge=knowledge.dims, classes=classes.dims)
     H = classes.horizon
     # Per part ("reward" or "transition"), the first step with a failure; at
     # that step a missing truth in any family wins over a wrong designation.

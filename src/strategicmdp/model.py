@@ -286,6 +286,10 @@ class StrategicModel:
         self.validate()
 
     @property
+    def dims(self) -> tuple[int, int, int, int]:
+        return (self.horizon, self.num_states, self.num_actions, self.num_feedbacks)
+
+    @property
     def state_dim(self) -> int:
         """d, the grid's dimension; 0 without a grid."""
         return 0 if self.grid is None else self.grid.dim

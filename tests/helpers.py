@@ -1000,9 +1000,9 @@ def ref_sizes_p(sizes) -> str:
 def ref_canonical_json(run, include_wallclock: bool = False) -> str:
     """RunResult.canonical_json as it was: the whole payload built, then dumped."""
     eps = []
-    for rec in run.episodes:
+    for episode, rec in enumerate(run.episodes, 1):
         d = {
-            "episode": rec.episode,
+            "episode": episode,
             "reward_sets": rec.reward_sets,
             "transition_sets": rec.transition_sets,
             "betas": rec.betas,
@@ -1066,11 +1066,11 @@ def ref_write_episodes_csv(path, seed: int, run) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REF_EPISODE_COLUMNS)
-        for rec in run.episodes:
+        for episode, rec in enumerate(run.episodes, 1):
             writer.writerow(
                 [
                     seed,
-                    rec.episode,
+                    episode,
                     _ref_fmt(rec.instant_regret),
                     _ref_fmt(rec.cum_regret),
                     _ref_sizes_r(rec),

@@ -237,8 +237,8 @@ def test_failed_episodes_write_keeps_previous_csv(config_path, tmp_path):
     scenario = build_scenario("recsys-small")
     cfg = RunConfig(episodes=3, delta=0.1, mode=scenario.model.transition_mode, seed=0)
     run = run_learner(scenario.model, scenario.knowledge(), scenario.classes, cfg)
-    # Regret is filled in for the first record only, so the write fails at the second row.
-    run.episodes[0].instant_regret = run.episodes[0].cum_regret = 0.0
+    # Regret is filled in for the first episode only, so the write fails at the second row.
+    run.instant_regret = run.cum_regret = [0.0, None, None]
     with pytest.raises(TypeError):
         harness.write_episodes_csv(seed_dir / "episodes.csv", 0, run)
     assert (seed_dir / "episodes.csv").read_bytes() == old
@@ -279,15 +279,15 @@ def test_truth_check_runs_once_per_distinct_set_pair(
     assert calls == list(dict.fromkeys(keys)) and len(calls) < len(keys)
     classes = scenario.classes
     want, ok = {}, True
-    for rec in result.episodes:
+    for episode, rec in enumerate(result.episodes, 1):
         t = ref_truth_in_record(ref_bare(rec, classes), classes)
         assert rec.truth_covered == t
         if t is None:
             ok = None
         elif ok is True and not t:
             ok = False
-        if rec.episode % 5 == 0:
-            want[rec.episode] = ok
+        if episode % 5 == 0:
+            want[episode] = ok
     assert outcome.truth_prefix_at == want
     assert want[40] is final
 

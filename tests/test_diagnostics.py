@@ -348,6 +348,18 @@ def test_policy_tables_sampled_when_large():
         np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("actions", [2, 3, 5, 7, 16, 1000, 2**33])
+@pytest.mark.parametrize("block", [1, 3, 128])
+def test_sampled_tables_drawn_by_block_read_the_stream_as_one_draw(monkeypatch, actions, block):
+    """Blocks of POLICY_BLOCK tables, a last partial one included, hold the
+    values of one draw of every table, in the smallest unsigned dtype."""
+    monkeypatch.setattr(diagnostics, "POLICY_BLOCK", block)
+    got, sampled = deterministic_policy_tables(4, actions, 3, budget=200)
+    want = make_rng(0).integers(actions, size=(200, 3, 4))
+    assert sampled and got.dtype == {2**33: np.uint64, 1000: np.uint16}.get(actions, np.uint8)
+    np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("oracle", [ill_posedness, transfer_term])
 @pytest.mark.parametrize("budget", [0, -1, 2.0, True])
 def test_ratio_oracles_refuse_a_policy_budget_below_one(oracle, budget):
@@ -367,7 +379,7 @@ def test_policy_tables_equal_the_list_built_tables(states, actions, steps, budge
     got, sampled = deterministic_policy_tables(states, actions, steps, budget)
     want, want_sampled = ref_deterministic_policy_tables(states, actions, steps, budget)
     assert sampled == want_sampled
-    assert got.shape == (len(want), steps, states) and got.dtype == want[0].dtype
+    assert got.shape == (len(want), steps, states) and got.dtype == np.uint8
     for table, ref in zip(got, want):
         np.testing.assert_array_equal(table, ref)
 
@@ -570,11 +582,12 @@ def test_probe_instances_reach_an_infinite_tied_and_degenerate_result(kind, orac
 
 @pytest.mark.parametrize("oracle", [ill_posedness, transfer_term])
 def test_ratio_oracles_stay_within_the_memory_of_a_table_list(oracle):
-    """dyn-1d at h = 2 samples the default 4096 of its 2**27 tables. The cap is
-    the tracemalloc peak of a per-table loop over a list of (3, 9) arrays:
-    1,583,713 (ill_posedness) and 1,584,977 bytes (transfer_term). Blocks of
-    128 tables measure 1,531,061 and 1,567,973 bytes; one DP over all 4096
-    tables at once measured 12,113,069 and 12,704,309."""
+    """dyn-1d at h = 2 samples the default 4096 of its 2**27 tables. A per-table
+    loop over a list of (3, 9) arrays peaked at 1,583,713 (ill_posedness) and
+    1,584,977 bytes (transfer_term), blocks of 128 int64 tables at 1,531,061
+    and 1,567,973, and one DP over all 4096 tables at once at 12,113,069 and
+    12,704,309. uint8 tables drawn a block at a time peak at 755,324 and
+    791,692 bytes; the cap rounds that up."""
     scenario = build_scenario("dyn-1d")
     oracle(scenario.model, scenario.classes, 2, policy_budget=8)  # first-call allocations
     tracemalloc.start()
@@ -584,7 +597,7 @@ def test_ratio_oracles_stay_within_the_memory_of_a_table_list(oracle):
     finally:
         tracemalloc.stop()
     assert result.num_policies == 4096 and result.lower_bound_estimate
-    assert peak <= 1_585_000
+    assert peak <= 800_000
 
 
 @pytest.mark.parametrize("model", [tiny_general(), tiny_dynamical(), tiny_dynamical(0.0)])
@@ -840,13 +853,20 @@ def test_regret_curve_evaluates_distinct_objects_with_equal_tables(monkeypatch):
     twin = Policy(first.action_probs.copy())  # equal table, another object
     other = Policy.uniform(H, S, A)
     policies = [first, twin, first, other, twin, first]
-    run = types.SimpleNamespace(
-        policies=policies,
-        episodes=[types.SimpleNamespace(instant_regret=None, cum_regret=None) for _ in policies],
-    )
+    run = types.SimpleNamespace(policies=policies, instant_regret=None, cum_regret=None)
     want = regret_literal(run, model)
     calls = count_policy_values(monkeypatch)
     curve = regret_curve(run, model, kn)
     assert [id(p) for p in calls] == [id(first), id(twin), id(other)]
     assert_bitwise_equal(curve.instant, want)
-    assert [rec.cum_regret for rec in run.episodes] == np.cumsum(want).tolist()
+    assert run.cum_regret == np.cumsum(want).tolist()
+
+
+@pytest.mark.parametrize("oracle", [ill_posedness, transfer_term])
+def test_ratio_oracles_refuse_classes_of_different_sizes(oracle):
+    """A model and classes that disagree on (H, S, A, E) are a ValidationError
+    naming both tuples, not a numpy broadcasting error."""
+    model = build_scenario("recsys-small").model
+    classes = build_scenario("contract-small").classes
+    with pytest.raises(ValidationError, match=r"model \(3, 3, 2, 3\), classes \(3, 2, 2, 2\)"):
+        oracle(model, classes, 0)

@@ -8,6 +8,7 @@ import functools
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from strategicmdp import (
 )
 
 from strategicmdp import driver, estimation
-from strategicmdp.harness import write_episodes_csv
+from strategicmdp.harness import checkpoints, seed_outcome, write_episodes_csv
 
 from helpers import (
     mixture_value,
@@ -351,7 +352,8 @@ def _run_both(kind, seed, optimism, cap, beta_scale, episodes=25):
     got = run_learner(model, knowledge, classes, cfg)
     want, want_policies = ref_run_learner(model, knowledge, classes, cfg)
     assert len(got.episodes) == len(want) == episodes
-    for rec, ref in zip(got.episodes, want):
+    for episode, (rec, ref) in enumerate(zip(got.episodes, want), 1):
+        assert ref.pop("episode") == episode  # a record's episode is its position
         # the reference still computes the chosen losses, which a record does not keep
         del ref["chosen_reward_losses"], ref["chosen_transition_losses"]
         if model.transition_mode is TransitionMode.GENERAL:  # the reference shows the one family bare
@@ -405,8 +407,7 @@ def test_2d_run_writes_per_coordinate_sizes(tmp_path):
     rec = got.episodes[-1]
     assert all(len(per) == 2 for per in rec.transition_sets)
     assert all(len(idx) == 2 for idx in rec.chosen_transition_idx)
-    for rec in got.episodes:
-        rec.instant_regret = rec.cum_regret = 0.0
+    got.instant_regret = got.cum_regret = [0.0] * len(got.entry_index)
     path = tmp_path / "episodes.csv"
     write_episodes_csv(path, 2, got)
     rows = list(csv.DictReader(path.open(newline="")))
@@ -661,7 +662,8 @@ def _unshared(obj):
 @pytest.mark.parametrize("kind", ["general", "dyn-1d", "dyn-2d"])
 def test_serializers_match_references_when_nothing_is_shared(tmp_path, kind):
     """Hand-built runs whose policies are distinct objects holding equal
-    arrays, and whose records share no set tuple."""
+    arrays, and whose episodes each have an entry of their own that shares
+    no set tuple."""
     run, model, knowledge = _run_closed(kind, 2, episodes=40)
     regret_curve(run, model, knowledge)
     assert len({id(p) for p in run.policies}) < len(run.policies)
@@ -670,14 +672,15 @@ def test_serializers_match_references_when_nothing_is_shared(tmp_path, kind):
     )
     own_sets = dataclasses.replace(
         run,
-        episodes=[
+        entries=tuple(
             dataclasses.replace(
-                rec,
-                reward_sets=_unshared(rec.reward_sets),
-                transition_sets=_unshared(rec.transition_sets),
+                run.entries[i],
+                reward_sets=_unshared(run.entries[i].reward_sets),
+                transition_sets=_unshared(run.entries[i].transition_sets),
             )
-            for rec in run.episodes
-        ],
+            for i in run.entry_index
+        ),
+        entry_index=list(range(len(run.entry_index))),
     )
     for field in ("reward_sets", "transition_sets"):
         assert len({id(getattr(rec, field)) for rec in own_sets.episodes}) == 40
@@ -705,3 +708,103 @@ def test_canonical_json_transient_memory_stays_near_its_output():
         tracemalloc.stop()
     assert out == ref_canonical_json(run)
     assert peak <= 4 * len(out), f"{peak} bytes traced for {len(out)} bytes of output"
+
+
+# ---------------------------------------------------------------------------
+# The columnar run log against the per-episode references
+# ---------------------------------------------------------------------------
+
+
+def _reference_run(model, knowledge, classes, cfg, realizable):
+    """ref_run_learner's records and policies as a run that the reference
+    serializers read, with regret from one policy_value call per episode."""
+    records, policies = ref_run_learner(model, knowledge, classes, cfg)
+    oracle = true_aggregated_model(model)
+    vstar = value_iteration(oracle).value_at_initial
+    instant = np.array([vstar - policy_value(oracle, p) for p in policies])
+    flags = {"empty-set-fallback" for ref in records for f in ref["flags"] if f.endswith("empty-set-fallback")}
+    if not realizable:
+        flags.add("realizability-not-verified")
+    episodes = []
+    for ref, r, c in zip(records, instant.tolist(), np.cumsum(instant).tolist()):
+        del ref["chosen_reward_losses"], ref["chosen_transition_losses"]
+        bare = SimpleNamespace(**ref)
+        if model.transition_mode is TransitionMode.GENERAL:  # the reference shows the one family bare
+            ref["transition_sets"] = tuple((s,) for s in ref["transition_sets"])
+            if ref["chosen_transition_idx"] is not None:
+                ref["chosen_transition_idx"] = tuple((j,) for j in ref["chosen_transition_idx"])
+        sizes = ref_transition_set_sizes(ref["transition_sets"])
+        episodes.append(
+            SimpleNamespace(
+                **ref,
+                truth_covered=ref_truth_in_record(bare, classes),
+                instant_regret=r,
+                cum_regret=c,
+                wallclock_ms=0.0,
+                reward_set_sizes=tuple(len(s) for s in ref["reward_sets"]),
+                transition_set_sizes=sizes,
+            )
+        )
+    return SimpleNamespace(config=cfg, episodes=episodes, policies=policies, flags=tuple(sorted(flags)))
+
+
+def _csv_without_wallclock(path):
+    return [row[:-1] for row in csv.reader(path.open(newline=""))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["general", "dyn-1d", "dyn-2d"]),
+    seed=st.integers(0, 5),
+    optimism=st.sampled_from(list(SelectionMode)),
+    cap=st.sampled_from([1_000_000, 4, 1]),
+    beta_scale=st.sampled_from([1e-5, 1e-4, 0.002, 0.02]),
+    cadence=st.integers(1, 7),
+)
+@example(kind="general", seed=1, optimism=SelectionMode.EXACT, cap=1_000_000, beta_scale=1e-4, cadence=3)
+@example(kind="dyn-2d", seed=0, optimism=SelectionMode.EXACT, cap=1, beta_scale=1e-5, cadence=4)
+def test_columnar_run_log_matches_the_per_episode_references(
+    tmp_path_factory, kind, seed, optimism, cap, beta_scale, cadence
+):
+    """The record view, episodes.csv (wall clock dropped), canonical_json and
+    the checkpoints of a run equal what the per-episode references make of
+    ref_run_learner's records, with capacity and empty-set fallbacks forced
+    by cap 1 and the smallest beta scales. The first example meets one set
+    key both thresholded and as an empty-set fallback."""
+    model, knowledge, classes = _closed_instance(kind, seed)
+    cfg = RunConfig(
+        episodes=40,
+        delta=0.1,
+        mode=model.transition_mode,
+        seed=seed,
+        optimism=optimism,
+        beta_scale=beta_scale,
+        selector_cap=cap,
+    )
+    got = run_learner(model, knowledge, classes, cfg)
+    regret_curve(got, model, knowledge)
+    want = _reference_run(model, knowledge, classes, cfg, got.realizability.passed)
+
+    fields = [f.name for f in dataclasses.fields(driver.EpisodeRecord) if f.name != "wallclock_ms"]
+    assert len(got.episodes) == len(want.episodes)
+    for rec, ref in zip(got.episodes, want.episodes):
+        assert {f: getattr(rec, f) for f in fields} == {f: getattr(ref, f) for f in fields}
+    assert got.canonical_json() == ref_canonical_json(want)
+    out = tmp_path_factory.mktemp("csv")
+    write_episodes_csv(out / "got.csv", seed, got)
+    ref_write_episodes_csv(out / "want.csv", seed, want)
+    assert _csv_without_wallclock(out / "got.csv") == _csv_without_wallclock(out / "want.csv")
+
+    marks = checkpoints(cfg.episodes, cadence)
+    cum_at, truth_at, ok = {}, {}, True
+    for k, ref in enumerate(want.episodes, 1):  # the checkpoint loop run_seed made over its records
+        t = ref.truth_covered
+        if t is None:
+            ok = None
+        elif ok is True and not t:
+            ok = False
+        if k in marks:
+            cum_at[k], truth_at[k] = float(ref.cum_regret), ok
+    outcome = seed_outcome(got, marks)
+    assert outcome.cum_at == cum_at and outcome.truth_prefix_at == truth_at
+    assert outcome.run_flags == want.flags

@@ -916,3 +916,15 @@ def test_family_loop_matches_the_split_reward_path(kind, seed, horizon, faults):
     got = check_realizability(model, classes, LearnerKnowledge.from_model(model))
     r_clause, t_clause = ref_truth_clauses(model, classes)
     assert got == dataclasses.replace(got, truth_in_rewards=r_clause, truth_in_transitions=t_clause)
+
+
+@pytest.mark.parametrize("part", ["classes", "knowledge"])
+def test_realizability_check_refuses_parts_of_different_sizes(part):
+    """A model, classes and knowledge that disagree on (H, S, A, E) are a
+    ValidationError naming each tuple, not a numpy broadcasting error."""
+    recsys, contract = build_scenario("recsys-small"), build_scenario("contract-small")
+    classes = contract.classes if part == "classes" else recsys.classes
+    knowledge = contract.knowledge() if part == "knowledge" else recsys.knowledge()
+    with pytest.raises(ValidationError, match=r"\(H, S, A, E\) differ") as info:
+        check_realizability(recsys.model, classes, knowledge)
+    assert f"{part} (3, 2, 2, 2)" in str(info.value) and "model (3, 3, 2, 3)" in str(info.value)

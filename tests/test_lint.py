@@ -223,17 +223,39 @@ def unread_fields(records: dict[Path, list[str]], readers: list[Path]) -> list[s
 
 
 def test_every_record_field_is_read():
-    """State that nothing reads gets deleted: every field of the per-episode
-    record, the confidence sets and the per-seed outcome is read somewhere in
-    the package or the benchmark (its tests excluded)."""
+    """State that nothing reads gets deleted: every field of the run log's
+    entry, of the per-episode record view built from the run's columns, of
+    the confidence sets and of the per-seed outcome is read somewhere in the
+    package or the benchmark (its tests excluded)."""
     bench = PACKAGE.parents[1] / "bench"
     readers = sorted(PACKAGE.glob("*.py")) + sorted(set(bench.glob("*.py")) - set(bench.glob("test_*.py")))
     records = {
-        PACKAGE / "driver.py": ["EpisodeRecord"],
+        PACKAGE / "driver.py": ["LogEntry", "EpisodeRecord"],
         PACKAGE / "estimation.py": ["ConfidenceSets"],
         PACKAGE / "harness.py": ["SeedOutcome"],
     }
     assert unread_fields(records, readers) == []
+
+
+def serializers_calling_id(harness_source: str, driver_source: str) -> set[str]:
+    """Scopes of write_episodes_csv and RunResult.canonical_json that call id()."""
+    scopes = scopes_calling(harness_source, "id") | scopes_calling(driver_source, "id")
+    return {s for s in scopes if s.split(".")[0] == "write_episodes_csv" or s.startswith("RunResult.canonical_json")}
+
+
+def test_serializers_key_nothing_on_object_ids():
+    """episodes.csv and canonical_json format each log entry once through
+    the run's entry index, so neither keys a cache on id(), whose values
+    repeat once an object is freed."""
+    sources = [(PACKAGE / name).read_text() for name in ("harness.py", "driver.py")]
+    assert serializers_calling_id(*sources) == set()
+
+
+def test_id_check_finds_the_record_caches():
+    """The check sees the id()-keyed caches the serializers used to keep."""
+    harness = "def write_episodes_csv(path, seed, run):\n    def fill(fh):\n        return id(run)\n"
+    driver = "class RunResult:\n    def canonical_json(self):\n        return {id(p) for p in self.policies}\n"
+    assert serializers_calling_id(harness, driver) == {"write_episodes_csv.fill", "RunResult.canonical_json"}
 
 
 def test_unread_field_check_finds_a_planted_field(tmp_path):
