@@ -7,9 +7,7 @@ in a single error rather than one at a time.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import yaml
@@ -17,6 +15,7 @@ import yaml
 from .errors import ParseError, ValidationError
 from .diagnostics import DEFAULT_POLICY_BUDGET
 from .hypotheses import DEFAULT_JOINT_CAP, DEFAULT_PER_STEP_CAP
+from .model import COUNT, NONNEGATIVE, POSITIVE, UNIT_INTERVAL, _shown
 from .planning import DEFAULT_SELECTOR_CAP, SelectionMode
 from .scenarios import GENERATORS
 
@@ -53,14 +52,8 @@ _LOADER = _unique_key_loader(YAML_LOADER)
 _OPTIMISM = tuple(m.value for m in SelectionMode)
 
 
-def _integer_at_least(lo: int, val) -> str | None:
-    if not isinstance(val, int) or isinstance(val, bool):
-        return f"expected an integer, got {val!r}"
-    return f"must be at least {lo}, got {val}" if val < lo else None
-
-
 def _boolean(val) -> str | None:
-    return None if isinstance(val, bool) else f"expected a boolean, got {val!r}"
+    return None if isinstance(val, bool) else f"expected a boolean, got {_shown(val)}"
 
 
 def _scenario_name(val) -> str | None:
@@ -75,38 +68,25 @@ def _mapping_or_null(val) -> str | None:
     return None if val is None or isinstance(val, dict) else "must be a mapping"
 
 
-def _open_unit_interval(val) -> str | None:
-    ok = isinstance(val, (int, float)) and not isinstance(val, bool) and 0 < val < 1
-    return None if ok else f"must lie strictly between 0 and 1, got {val!r}"
-
-
-def _finite_positive(val) -> str | None:
-    # The float range check also refuses NaN and an int too large to become a float.
-    ok = isinstance(val, (int, float)) and not isinstance(val, bool) and 0 < val <= sys.float_info.max
-    return None if ok else f"must be finite and positive, got {val!r}"
-
-
 def _selection_mode(val) -> str | None:
-    return None if val in _OPTIMISM else f"must be one of {_OPTIMISM}, got {val!r}"
+    return None if val in _OPTIMISM else f"must be one of {_OPTIMISM}, got {_shown(val)}"
 
 
 def _seed_list(val) -> str | None:
-    if not isinstance(val, list) or not val or any(_NONNEGATIVE(s) for s in val):
-        return f"must be a nonempty list of nonnegative integers, got {val!r}"
+    if not isinstance(val, list) or not val or any(NONNEGATIVE(s) for s in val):
+        return f"must be a nonempty list of nonnegative integers, got {_shown(val)}"
     if len(set(val)) != len(val):
-        return f"duplicate seeds {sorted({s for s in val if val.count(s) > 1})}"
+        return f"duplicate seeds {_shown(sorted({s for s in val if val.count(s) > 1}))}"
     return None
 
 
 def _nonempty_string(val) -> str | None:
-    return None if isinstance(val, str) and val else f"must be a nonempty string, got {val!r}"
+    return None if isinstance(val, str) and val else f"must be a nonempty string, got {_shown(val)}"
 
 
 def _string_or_null(val) -> str | None:
-    return None if val is None or isinstance(val, str) else f"must be a string, got {val!r}"
+    return None if val is None or isinstance(val, str) else f"must be a string, got {_shown(val)}"
 
-
-_NONNEGATIVE, _POSITIVE = partial(_integer_at_least, 0), partial(_integer_at_least, 1)
 
 # Each section's keys in the order they are checked, with defaults and rules. A
 # rule returns None for a valid value, else the violation's text. The classes and
@@ -114,29 +94,29 @@ _NONNEGATIVE, _POSITIVE = partial(_integer_at_least, 0), partial(_integer_at_lea
 _SCHEMA = {
     "environment": {
         "generator": (None, _scenario_name),
-        "seed": (0, _NONNEGATIVE),
+        "seed": (0, NONNEGATIVE),
         "params": (None, _mapping_or_null),
     },
     "classes": {
-        "per_step_cap": (DEFAULT_PER_STEP_CAP, _POSITIVE),
-        "joint_cap": (DEFAULT_JOINT_CAP, _POSITIVE),
+        "per_step_cap": (DEFAULT_PER_STEP_CAP, COUNT),
+        "joint_cap": (DEFAULT_JOINT_CAP, COUNT),
     },
     "run": {
-        "episodes": (100, _POSITIVE),
-        "delta": (0.1, _open_unit_interval),
-        "beta_scale": (1.0, _finite_positive),
+        "episodes": (100, COUNT),
+        "delta": (0.1, UNIT_INTERVAL),
+        "beta_scale": (1.0, POSITIVE),
         "optimism": ("exact", _selection_mode),
         "seeds": ([0], _seed_list),
-        "evaluation_cadence": (50, _POSITIVE),
+        "evaluation_cadence": (50, COUNT),
         "strict_realizability": (False, _boolean),
-        "selector_cap": (DEFAULT_SELECTOR_CAP, _POSITIVE),
+        "selector_cap": (DEFAULT_SELECTOR_CAP, COUNT),
     },
     "diagnostics": {
         "regret": (True, _boolean),
         "naive_baseline": (True, _boolean),
         "ill_posedness": (False, _boolean),
         "transfer": (False, _boolean),
-        "policy_budget": (DEFAULT_POLICY_BUDGET, _POSITIVE),
+        "policy_budget": (DEFAULT_POLICY_BUDGET, COUNT),
     },
     "output": {
         "root": ("runs", _nonempty_string),
@@ -201,8 +181,8 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             if message := rule(values[key]):
                 violations.append(f"{name}.{key}: {message}")
     workers = data.get("workers", 1)
-    if _POSITIVE(workers):
-        violations.append(f"workers: must be a positive integer, got {workers!r}")
+    if message := COUNT(workers):
+        violations.append(f"workers: {message}")
     if violations:
         raise ValidationError("\n  - ".join([f"invalid config ({len(violations)} issue(s)):", *violations]))
     env, run = parsed["environment"], parsed["run"]

@@ -28,13 +28,13 @@ from .errors import ConfigError, ValidationError
 from .estimation import StepDataset
 from .hypotheses import HypothesisClasses, residual_labels, residual_stack
 from .model import (
+    COUNT,
     LearnerKnowledge,
     Policy,
     StrategicModel,
     TransitionMode,
     _check_index,
     _distribution_table,
-    _is_int,
     check_dims,
     feedback_by_type,
     feedback_mix,
@@ -181,8 +181,7 @@ def deterministic_policy_tables(
     num_actions ** (num_states * steps) fits the budget; it counts in base
     num_actions with the last cell fastest, the order of itertools.product.
     """
-    if not _is_int(budget) or budget < 1:
-        raise ConfigError(f"policy budget must be an integer of at least 1, got {budget!r}")
+    COUNT.check(budget, "policy budget", ConfigError)
     cells = num_states * steps
     total = num_actions**cells
     dtype = np.min_scalar_type(num_actions - 1)
@@ -430,13 +429,9 @@ def regret_curve(run, env: StrategicModel, knowledge: LearnerKnowledge) -> Regre
     oracle = true_aggregated_model(env)
     plan = value_iteration(oracle)
     vstar = plan.value_at_initial
-    # Episodes between set changes commit one shared Policy object, so each
-    # object is evaluated once; run.policies keeps every id() alive.
-    values: dict[int, float] = {}
-    for pol in run.policies:
-        if id(pol) not in values:
-            values[id(pol)] = policy_value(oracle, pol)
-    inst = np.array([vstar - values[id(pol)] for pol in run.policies])
+    # One value per policy: the initial one, then each entry's, which the episode after it plays.
+    values = np.array([policy_value(oracle, p) for p in (run.initial_policy, *run.committed)])
+    inst = vstar - values[[0, *(i + 1 for i in run.entry_index[:-1])]]
     if inst.size and inst.min() < -1e-9:
         raise ValidationError(f"negative regret {inst.min()} against the optimal value")
     cum = np.cumsum(inst)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -25,11 +24,15 @@ from .errors import CapacityError, ConfigError, RealizabilityError
 from .estimation import LossEvaluator, StepDataset, confidence_levels
 from .hypotheses import HypothesisClasses, RealizabilityReport, check_realizability
 from .model import (
+    COUNT,
+    NONNEGATIVE,
+    POSITIVE,
+    UNIT_INTERVAL,
     LearnerKnowledge,
     Policy,
     StrategicModel,
     TransitionMode,
-    _is_int,
+    _shown,
     make_rng,
     rollout,
 )
@@ -50,22 +53,12 @@ class RunConfig:
     strict_realizability: bool = False
 
     def validate(self) -> None:
-        for name, kind in (("mode", TransitionMode), ("optimism", SelectionMode), ("delta", numbers.Real),
-                           ("beta_scale", numbers.Real), ("strict_realizability", bool)):
+        for name, kind in (("mode", TransitionMode), ("optimism", SelectionMode), ("strict_realizability", bool)):
             if not isinstance(getattr(self, name), kind):
-                raise ConfigError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
-        if not _is_int(self.episodes) or self.episodes < 1:
-            raise ConfigError(f"episodes must be an integer of at least 1, got {self.episodes!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not (0.0 < self.delta < 1.0):
-            raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
-        if not math.isfinite(self.beta_scale) or self.beta_scale <= 0:
-            raise ConfigError(f"beta_scale must be finite and positive, got {self.beta_scale}")
-        if not _is_int(self.selector_cap):
-            raise ConfigError(f"selector_cap must be an integer, got {self.selector_cap!r}")
-        if self.selector_cap < 1:
-            raise ConfigError(f"selector_cap must be at least 1, got {self.selector_cap}")
+                raise ConfigError(f"{name} must be a {kind.__name__}, got {_shown(getattr(self, name))}")
+        for name, rule in (("episodes", COUNT), ("seed", NONNEGATIVE), ("delta", UNIT_INTERVAL),
+                           ("beta_scale", POSITIVE), ("selector_cap", COUNT)):
+            rule.check(getattr(self, name), name, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -113,10 +106,12 @@ class EpisodeRecord(LogEntry):
 class RunResult:
     """One run's log as columns: its distinct entries and, per episode, the
     index of its entry, its wall time and (once regret_curve sets them) its
-    regret; policies[k] is the policy episode k + 1 played."""
+    regret. The first episode plays initial_policy; every later one plays
+    committed[i], the policy entry i of the episode before commits."""
 
     config: RunConfig
-    policies: list[Policy]
+    initial_policy: Policy
+    committed: tuple[Policy, ...]
     entries: tuple[LogEntry, ...]
     entry_index: list[int]
     wallclock_ms: list[float]
@@ -126,6 +121,11 @@ class RunResult:
     realizability: RealizabilityReport
     flags: tuple[str, ...]
     dataset: StepDataset
+
+    @property
+    def policies(self) -> tuple[Policy, ...]:
+        """The policy each episode played."""
+        return (self.initial_policy, *(self.committed[i] for i in self.entry_index[:-1]))
 
     @property
     def episodes(self) -> tuple[EpisodeRecord, ...]:
@@ -141,8 +141,8 @@ class RunResult:
 
         The text is that of one json.dumps of the whole payload with sorted
         keys, but each entry is encoded once, with holes that every episode
-        of it fills, and a policy that consecutive episodes share is encoded
-        once, so no full copy of the payload is ever built.
+        of it fills, and so is each committed policy, so no full copy of the
+        payload is ever built.
         """
         encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         config = {
@@ -176,11 +176,9 @@ class RunResult:
             head, after_cum, after_episode, tail = parts[i]
             pieces += ("," if k > 1 else "", head, encode(c), after_cum, str(k), after_episode, encode(r), tail)
         pieces += ('],"flags":', encode(sorted(self.flags)), ',"policies":[')
-        last = None
-        for k, p in enumerate(self.policies):
-            if p is not last:
-                last, text = p, encode(p.action_probs.tolist())
-            pieces += ("," if k else "", text)
+        pieces.append(encode(self.initial_policy.action_probs.tolist()))
+        committed = ["," + encode(p.action_probs.tolist()) for p in self.committed]
+        pieces += (committed[i] for i in self.entry_index[:-1])
         pieces.append("]}")
         return "".join(pieces)
 
@@ -267,10 +265,10 @@ def run_learner(
 
     betas = confidence_levels(classes.bound, cfg.episodes, classes.horizon, classes.sizes(), cfg.delta, cfg.beta_scale)
 
-    policy = Policy.uniform(knowledge.horizon, knowledge.num_states, knowledge.num_actions)
-    policies: list[Policy] = []
-    entry_at: dict[tuple, tuple[int, Policy]] = {}
+    policy = initial = Policy.uniform(knowledge.horizon, knowledge.num_states, knowledge.num_actions)
+    entry_at: dict[tuple, int] = {}
     entries: list[LogEntry] = []
+    committed: list[Policy] = []
     entry_index: list[int] = []
     wallclock_ms: list[float] = []
     initial_cell: int | None = None
@@ -278,7 +276,6 @@ def run_learner(
     for _ in range(cfg.episodes):
         t0 = time.perf_counter()
         traj = rollout(env, policy, rng)
-        policies.append(policy)
         dataset.append_trajectory(traj)
         if initial_cell is None:
             initial_cell = traj.steps[0].state
@@ -286,19 +283,21 @@ def run_learner(
         sets = build_confidence_sets(evaluator, dataset, betas)
         key = (tuple(sets.reward_sets), tuple(sets.transition_sets), sets.fallback_flags)
         if key not in entry_at:
-            entry, committed = select(*key[:2])
+            entry, commits = select(*key[:2])
             relaxed = ("relaxed-selection",) if entry.relaxed else ()
             entries.append(replace(entry, flags=entry.flags + sets.fallback_flags + relaxed))
-            entry_at[key] = (len(entries) - 1, committed)
+            committed.append(commits)
+            entry_at[key] = len(entries) - 1
             if sets.fallback_flags:
                 run_flags.add("empty-set-fallback")
-        i, policy = entry_at[key]
-        entry_index.append(i)
+        entry_index.append(entry_at[key])
+        policy = committed[entry_index[-1]]
         wallclock_ms.append((time.perf_counter() - t0) * 1000.0)
 
     return RunResult(
         config=cfg,
-        policies=policies,
+        initial_policy=initial,
+        committed=tuple(committed),
         entries=tuple(entries),
         entry_index=entry_index,
         wallclock_ms=wallclock_ms,

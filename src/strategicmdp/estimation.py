@@ -31,7 +31,10 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .hypotheses import ClassSizes, HypothesisClasses
-from .model import Trajectory, _check_index, _is_int, integrate_feedback
+from .model import (
+    COUNT, NONNEGATIVE, POSITIVE, UNIT_INTERVAL, Trajectory, _check_index, _float_table, _is_finite_real, _shown,
+    integrate_feedback,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -72,25 +75,20 @@ class StepDataset:
     ) -> None:
         sizes = (horizon, num_states, num_actions, num_feedbacks)
         for name, n in zip(("horizon", "num_states", "num_actions", "num_feedbacks"), sizes):
-            if not _is_int(n) or n < 1:
-                raise ValidationError(f"{name} must be an integer of at least 1, got {n!r}")
-        if not _is_int(state_dim) or state_dim < 0:
-            raise ValidationError(f"state_dim must be an integer of at least 0, got {state_dim!r}")
+            COUNT.check(n, name)
+        NONNEGATIVE.check(state_dim, "state_dim")
         self.horizon = horizon
         self.num_states = num_states
         self.num_actions = num_actions
         self.num_feedbacks = num_feedbacks
-        self.state_dim = state_dim
-        self.steps = [self._empty_step() for _ in range(horizon)]
-
-    def _empty_step(self) -> StepData:
-        S, A, E, d = self.num_states, self.num_actions, self.num_feedbacks, self.state_dim
-        return StepData(
-            counts=np.zeros((S, A, E)),
-            reward_sums=np.zeros((S, A, E)),
-            next_counts=None if d else np.zeros((S, A, S)),
-            next_sums=np.zeros((S, A, E, d)) if d else None,
-        )
+        self.state_dim = d = state_dim
+        try:  # each table is one array over the steps, so numpy refuses sizes it cannot hold at once
+            counts, reward_sums = np.zeros((2, *sizes))
+            nxt = np.zeros((*sizes, d) if d else (*sizes[:3], num_states))
+        except (ValueError, OverflowError) as exc:
+            raise ValidationError(f"no dataset has sizes {_shown((*sizes, d))}: {exc}") from None
+        nexts = [(None, n) if d else (n, None) for n in nxt]  # (next_counts, next_sums)
+        self.steps = [StepData(c, r, *n) for c, r, n in zip(counts, reward_sums, nexts)]
 
     def _writes(self, h: int, s: int, a: int, e: int, r: float, s_next) -> tuple:
         """One sample's (table, index, value) additions, made only once every
@@ -99,19 +97,19 @@ class StepDataset:
         _check_index(s, self.num_states, "state")
         _check_index(a, self.num_actions, "action")
         _check_index(e, self.num_feedbacks, "feedback")
-        if not math.isfinite(r):
-            raise ValidationError(f"reward must be finite, got {r}")
+        if not _is_finite_real(r):
+            raise ValidationError(f"reward must be finite, got {_shown(r)}")
         d = self.steps[h]
         if not self.state_dim:
             _check_index(s_next, self.num_states, "next state")
             nxt = (d.next_counts, (s, a, s_next), 1.0)
         else:
-            s_next = np.asarray(s_next, dtype=float)
-            if s_next.shape != (self.state_dim,) or not np.isfinite(s_next).all():
+            vector = _float_table(s_next, "next state")
+            if vector.shape != (self.state_dim,) or not np.isfinite(vector).all():
                 raise ValidationError(
-                    f"next state must be a finite vector of shape ({self.state_dim},), got {s_next}"
+                    f"next state must be a finite vector of shape ({self.state_dim},), got {_shown(s_next)}"
                 )
-            nxt = (d.next_sums, (s, a, e), s_next)
+            nxt = (d.next_sums, (s, a, e), vector)
         return (d.counts, (s, a, e), 1.0), (d.reward_sums, (s, a, e), r), nxt
 
     def append(self, h: int, s: int, a: int, e: int, r: float, s_next) -> None:
@@ -240,16 +238,13 @@ def confidence_levels(
     knob (1.0 reproduces the analysis constant; small fractions are the
     operating range at desk scale).
     """
-    if episodes < 1 or horizon < 1:
-        raise ConfigError("episode count and horizon must be positive")
-    if not (0.0 < delta < 1.0):
-        raise ConfigError(f"delta must lie in (0, 1), got {delta}")
-    if not 0 < beta_scale < math.inf:
-        raise ConfigError(f"beta_scale must be finite and positive, got {beta_scale}")
-    if not 0 < bound < math.inf:
-        raise ConfigError(f"bound must be finite and positive, got {bound}")
-    if min(sizes.rewards, sizes.transitions, sizes.discriminators, sizes.value_targets) < 1:
-        raise ConfigError("class sizes must be positive")
+    for name, value, rule in (
+        ("episodes", episodes, COUNT), ("horizon", horizon, COUNT), ("delta", delta, UNIT_INTERVAL),
+        ("beta_scale", beta_scale, POSITIVE), ("bound", bound, POSITIVE),
+        *((f"class size {kind}", n, COUNT) for kind, n in vars(sizes).items()),
+    ):
+        rule.check(value, name, ConfigError)
+    POSITIVE.check(episodes * horizon, "episodes times horizon", ConfigError)  # it becomes a float below
     base = 28.0 * bound * bound * beta_scale
     kh = float(episodes) * float(horizon)
     b1 = base * math.log(kh * sizes.discriminators * sizes.rewards / delta)

@@ -81,7 +81,7 @@ def _write_atomic(path: Path, fill) -> None:
 
 
 def _write_json(path: Path, data: dict) -> None:
-    text = json.dumps(data, indent=2, sort_keys=True)
+    text = json.dumps(data, indent=2, sort_keys=True, default=np.generic.item)  # a config's numpy numbers
     _write_atomic(path, lambda fh: fh.write(text))
 
 

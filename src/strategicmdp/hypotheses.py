@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 from .model import (
-    LearnerKnowledge, StrategicModel, TransitionMode, _is_int, check_dims, feedback_mix, integrate_feedback
+    COUNT, POSITIVE, LearnerKnowledge, StrategicModel, TransitionMode, _float_table, _is_int, _shown, check_dims,
+    feedback_mix, integrate_feedback,
 )
 from .planning import CandidateAggregates, joint_backup
 
@@ -47,9 +48,7 @@ class ClassCaps:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not _is_int(value) or value < 1:
-                raise ValidationError(f"class cap {f.name} must be an integer of at least 1, got {value!r}")
+            COUNT.check(getattr(self, f.name), f"class cap {f.name}")
 
     def check_per_step(self, n: int, kind: str, where: str) -> None:
         if n > self.per_step:
@@ -104,12 +103,8 @@ def _check_shape(tables: np.ndarray, want: tuple[int, ...], kind: str, where: st
 
 def _check_truth_index(idx, count: int, kind: str, where: str) -> None:
     """A designated truth index is None or an integer naming one of count candidates."""
-    if idx is None:
-        return
-    if not _is_int(idx) or not 0 <= idx < count:
-        raise ValidationError(
-            f"truth {kind} index {idx!r} at {where} is not one of the {count} candidates"
-        )
+    if idx is not None and not (_is_int(idx) and 0 <= idx < count):
+        raise ValidationError(f"truth {kind} index {_shown(idx)} at {where} is not one of the {count} candidates")
 
 
 @dataclass
@@ -174,22 +169,19 @@ class HypothesisClasses:
         H = len(self.reward_tables)
         if H == 0:
             raise ValidationError("need at least one step of reward candidates")
-        self.reward_tables = [np.asarray(r, dtype=float) for r in self.reward_tables]
+        self.reward_tables = [_float_table(r, "reward candidates") for r in self.reward_tables]
         if self.reward_tables[0].ndim != 4:
             shape = self.reward_tables[0].shape
             raise ValidationError(f"reward candidates at step 0 have shape {shape}, expected (n, S, A, E)")
         S, A, E = self.reward_tables[0].shape[1:]
-        if not math.isfinite(self.bound) or self.bound <= 0:
-            raise ValidationError(f"bound must be finite and positive, got {self.bound}")
+        POSITIVE.check(self.bound, "bound")
         self.truth_reward_idx = self.truth_reward_idx or [None] * H
         self.truth_transition_idx = self.truth_transition_idx or [None] * H
         if self.transition_tables is not None:
-            self.transition_tables = [np.asarray(p, dtype=float) for p in self.transition_tables]
+            self.transition_tables = [_float_table(p, "transition candidates") for p in self.transition_tables]
         if self.mean_map_tables is not None:
-            self.mean_map_tables = [
-                [np.asarray(g, dtype=float) for g in per] for per in self.mean_map_tables
-            ]
-        self.discriminators = [np.asarray(f, dtype=float) for f in self.discriminators]
+            self.mean_map_tables = [[_float_table(g, "mean-map candidates") for g in m] for m in self.mean_map_tables]
+        self.discriminators = [_float_table(f, "discriminators") for f in self.discriminators]
         if len(self.discriminators) != H:
             raise ValidationError("discriminators must have one family per step")
         zero_sa = np.zeros((S, A))
@@ -198,7 +190,7 @@ class HypothesisClasses:
             _check_shape(f, (S, A), "discriminators", f"step {h}")
             if not (f == 0.0).all(axis=(1, 2)).any():
                 self.discriminators[h] = np.concatenate([f, zero_sa[None]], axis=0)
-        self.value_targets = [np.asarray(g, dtype=float) for g in self.value_targets]
+        self.value_targets = [_float_table(g, "value targets") for g in self.value_targets]
         if len(self.value_targets) == H:
             self.value_targets.append(np.zeros((1, S)))
         if len(self.value_targets) != H + 1:

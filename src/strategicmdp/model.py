@@ -20,10 +20,11 @@ import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidIndexError, ValidationError
+from .errors import InvalidIndexError, StrategicMDPError, ValidationError
 
 SIMPLEX_TOL = 1e-9
 
@@ -137,8 +138,10 @@ class Grid:
     def __post_init__(self) -> None:
         if not (len(self.lows) == len(self.highs) == len(self.cells_per_dim)):
             raise ValidationError("grid lows/highs/cells_per_dim lengths differ")
-        if not all(_is_int(n) and n >= 1 for n in self.cells_per_dim):
-            raise ValidationError(f"grid cell counts {self.cells_per_dim} are not all integers >= 1")
+        for n in self.cells_per_dim:
+            COUNT.check(n, "grid cell count")
+        if self.num_cells > np.iinfo(np.intp).max:
+            raise ValidationError(f"grid has {_shown(self.num_cells)} cells, more than an array can index")
         if not all(_is_finite_real(x) for x in (*self.lows, *self.highs)):
             raise ValidationError(f"grid box lows {self.lows} and highs {self.highs} are not all finite numbers")
         if any(h <= l for l, h in zip(self.lows, self.highs)):
@@ -196,9 +199,10 @@ class Grid:
         across steps and feedbacks, and equal means (0.0 and -0.0 included)
         give bit-identical rows.
         """
+        SCALE.check(scale, "cell mass scale")
         means = np.asarray(mean, dtype=float)
-        if not (math.isfinite(scale) and scale >= 0) or np.isnan(means).any():
-            raise ValidationError(f"cell masses need a finite scale >= 0 and no NaN mean, got scale {scale}")
+        if np.isnan(means).any():
+            raise ValidationError("cell masses need means that are not NaN")
         n = self.cells_per_dim[dim]
         if scale == 0.0:
             mass = np.zeros(means.shape + (n,))
@@ -274,13 +278,10 @@ class StrategicModel:
             "principal_reward",
             "reward_confound",
         ):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.transition_kernel is not None:
-            self.transition_kernel = np.asarray(self.transition_kernel, dtype=float)
-        if self.mean_map is not None:
-            self.mean_map = np.asarray(self.mean_map, dtype=float)
-        if self.trans_confound is not None:
-            self.trans_confound = np.asarray(self.trans_confound, dtype=float)
+            setattr(self, name, _float_table(getattr(self, name), name))
+        for name in ("transition_kernel", "mean_map", "trans_confound"):
+            if getattr(self, name) is not None:
+                setattr(self, name, _float_table(getattr(self, name), name))
         _check_finite(self, ("reward_confound", "trans_confound"))  # before inf - inf can warn
         self._demean_confounds()
         self.validate()
@@ -309,8 +310,7 @@ class StrategicModel:
     def validate(self) -> None:
         H, S, A, E = self.horizon, self.num_states, self.num_actions, self.num_feedbacks
         T, B = self.num_types, self.num_agent_actions
-        if H < 1:
-            raise ValidationError("horizon must be at least 1")
+        COUNT.check(H, "horizon")
         shapes = {
             "source_type_dist": (self.source_type_dist, (H, T)),
             "target_type_dist": (self.target_type_dist, (H, T)),
@@ -326,10 +326,8 @@ class StrategicModel:
         _check_simplex(self.target_type_dist, "target_type_dist")
         _check_simplex(self.feedback_kernel, "feedback_kernel")
         _check_finite(self, ("principal_reward", "agent_reward", "reward_confound", "mean_map", "trans_confound"))
-        if not math.isfinite(self.reward_noise_std) or self.reward_noise_std < 0:
-            raise ValidationError("reward_noise_std must be finite and nonnegative")
-        if not math.isfinite(self.reward_bound) or self.reward_bound <= 0:
-            raise ValidationError("reward_bound must be finite and positive")
+        SCALE.check(self.reward_noise_std, "reward_noise_std")
+        POSITIVE.check(self.reward_bound, "reward_bound")
         lo, hi = self.principal_reward.min(), self.principal_reward.max()
         if lo < -SIMPLEX_TOL or hi > self.reward_bound + SIMPLEX_TOL:
             raise ValidationError(
@@ -360,8 +358,7 @@ class StrategicModel:
                 )
             if self.trans_confound.shape != (H, T, self.state_dim):
                 raise ValidationError("trans_confound shape mismatch")
-            if not math.isfinite(self.trans_noise_scale) or self.trans_noise_scale < 0:
-                raise ValidationError("trans_noise_scale must be finite and nonnegative")
+            SCALE.check(self.trans_noise_scale, "trans_noise_scale")
             tres = np.abs(np.einsum("ht,htd->hd", self.source_type_dist, self.trans_confound))
             if tres.max() > SIMPLEX_TOL:
                 raise ValidationError("trans_confound is not demeaned under the source")
@@ -385,13 +382,18 @@ def _check_simplex(arr: np.ndarray, name: str) -> None:
         raise ValidationError(f"{name} rows deviate from sum 1 by {off}")
 
 
+def _float_table(value, name: str) -> np.ndarray:
+    """value as a float array; else (ragged, not numbers, an int past the float range) a ValidationError."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} is not a table of floats: {exc}") from None
+
+
 def _distribution_table(value, shape: tuple[int | str, ...], name: str) -> np.ndarray:
     """value as a float table of distributions over its last axis, of the given
     shape, where a named axis takes any size of at least 1; else a ValidationError."""
-    try:
-        table = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{name} is not a table of floats: {exc}") from None
+    table = _float_table(value, name)
     if table.ndim != len(shape) or not all(
         n >= 1 if isinstance(want, str) else n == want for n, want in zip(table.shape, shape)
     ):
@@ -429,9 +431,8 @@ class LearnerKnowledge:
         H, T = target.shape
         fb = _distribution_table(self.feedback_by_type, (H, "S", "A", T, "E"), "feedback_by_type")
         if self.grid is not None and not (isinstance(self.grid, Grid) and self.grid.num_cells == fb.shape[1]):
-            raise ValidationError(f"grid must be None or a Grid of the {fb.shape[1]} states, got {self.grid!r}")
-        if not (_is_finite_real(self.trans_noise_scale) and self.trans_noise_scale >= 0):
-            raise ValidationError(f"trans_noise_scale must be a finite scale >= 0, got {self.trans_noise_scale!r}")
+            raise ValidationError(f"grid must be None or a Grid of the {fb.shape[1]} states, got {_shown(self.grid)}")
+        SCALE.check(self.trans_noise_scale, "trans_noise_scale")
         object.__setattr__(self, "target_type_dist", target)  # frozen: store the checked tables
         object.__setattr__(self, "feedback_by_type", fb)
 
@@ -513,9 +514,44 @@ def _is_finite_real(value: object) -> bool:
         return False
 
 
+def _shown(value: object) -> str:
+    """repr(value), or a description of a value holding an int too long for repr."""
+    try:
+        return repr(value)
+    except ValueError:  # past Python's limit on the digits of an int's str
+        if isinstance(value, int):
+            return f"an integer of {value.bit_length()} bits"
+        return f"a {type(value).__name__} holding an integer too long to print"
+
+
+@dataclass(frozen=True)
+class Rule:
+    """A value rule: a predicate and the stem of the message that refuses a value."""
+
+    holds: Callable[[object], bool]
+    stem: str
+
+    def __call__(self, value: object) -> str | None:
+        """None for a value the rule holds for, else the violation's text."""
+        return None if self.holds(value) else f"{self.stem}, got {_shown(value)}"
+
+    def check(self, value: object, name: str, error: type[StrategicMDPError] = ValidationError) -> None:
+        """Raise error, naming the value, unless the rule holds for it."""
+        if not self.holds(value):
+            raise error(f"{name} {self(value)}")
+
+
+# The rule book: every module checks counts, confidence levels and scales through these rules.
+COUNT = Rule(lambda v: _is_int(v) and v >= 1, "must be an integer of at least 1")
+NONNEGATIVE = Rule(lambda v: _is_int(v) and v >= 0, "must be an integer of at least 0")
+UNIT_INTERVAL = Rule(lambda v: _is_finite_real(v) and 0 < v < 1, "must lie strictly between 0 and 1")
+POSITIVE = Rule(lambda v: _is_finite_real(v) and v > 0, "must be finite and positive")
+SCALE = Rule(lambda v: _is_finite_real(v) and v >= 0, "must be finite and nonnegative")
+
+
 def _check_index(i: int, n: int, what: str) -> None:
     if not _is_int(i) or not 0 <= i < n:
-        raise InvalidIndexError(f"{what} index {i!r} is not an integer in [0, {n})")
+        raise InvalidIndexError(f"{what} index {_shown(i)} is not an integer in [0, {n})")
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .model import (
     _check_index,
     _check_simplex,
     _is_int,
+    _shown,
     check_dims,
     feedback_mix,
     integrate_feedback,
@@ -248,7 +249,7 @@ def optimistic_select(
     pointwise relaxation.
     """
     if not isinstance(mode, SelectionMode):
-        raise ValidationError(f"mode must be a SelectionMode, got {mode!r}")
+        raise ValidationError(f"mode must be a SelectionMode, got {_shown(mode)}")
     H = len(aggregates.rewards)
     if len(reward_sets) != H or len(transition_sets) != H:
         raise ValidationError(
@@ -269,11 +270,11 @@ def _check_set(indices, size: int, what: str, h: int) -> None:
         raise ValidationError(f"empty {what} set at step {h}")
     if not all(_is_int(i) for i in indices):
         raise ValidationError(
-            f"{what} set at step {h} must be a flat sequence of integer indices, got {indices!r}"
+            f"{what} set at step {h} must be a flat sequence of integer indices, got {_shown(indices)}"
         )
     if min(indices) < 0 or max(indices) >= size:
         bad = [int(i) for i in indices if not 0 <= i < size]
-        raise InvalidIndexError(f"{what} indices {bad} outside [0, {size}) at step {h}")
+        raise InvalidIndexError(f"{what} indices {_shown(bad)} outside [0, {size}) at step {h}")
 
 
 def _select_exact(

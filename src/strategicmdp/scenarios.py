@@ -13,14 +13,16 @@ once, under the given class caps.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
 from .hypotheses import ClassCaps, HypothesisClasses, close_classes
-from .model import Grid, LearnerKnowledge, StrategicModel, TransitionMode, _is_int, make_rng
+from .model import (
+    COUNT, NONNEGATIVE, Grid, LearnerKnowledge, StrategicModel, TransitionMode, _is_finite_real, _is_int, _shown,
+    make_rng,
+)
 
 # A generator's model, its per-step reward candidate stacks, and its per-step
 # transition candidates (see _assemble).
@@ -313,10 +315,8 @@ def linear_d(seed: int = 0, *, feature_dim: int = 4, num_candidates: int = 3) ->
     Candidate tables come from perturbed parameter vectors; the truth is the
     unperturbed one. All randomness is driven by the generator seed.
     """
-    if feature_dim < 1:
-        raise ConfigError("feature_dim must be at least 1")
-    if num_candidates < 1:
-        raise ConfigError("num_candidates must be at least 1")
+    COUNT.check(feature_dim, "feature_dim", ConfigError)
+    COUNT.check(num_candidates, "num_candidates", ConfigError)
     H, S, A, E, B = 2, 4, 2, 2, 2
     rng = make_rng(seed * 2 + 1)
 
@@ -434,12 +434,12 @@ GENERATORS = {
 
 def _option_accepts(default: bool | int | float, value: object) -> bool:
     """A bool option takes a bool, an int option an int, a float option a
-    float or an int that a float can hold; only a bool option takes a bool."""
+    float or a real that is a finite float; only a bool option takes a bool."""
     if isinstance(default, bool) or isinstance(value, bool):
         return isinstance(default, bool) and isinstance(value, bool)
     if isinstance(default, int):
-        return isinstance(value, int)
-    return isinstance(value, float) or (isinstance(value, int) and abs(value) <= sys.float_info.max)
+        return _is_int(value)
+    return isinstance(value, float) or _is_finite_real(value)
 
 
 def build_scenario(
@@ -453,15 +453,14 @@ def build_scenario(
     if name not in GENERATORS:
         known = ", ".join(sorted(GENERATORS))
         raise ConfigError(f"unknown scenario {name!r}; known scenarios: {known}")
-    if not _is_int(seed) or seed < 0:
-        raise ConfigError(f"scenario seed must be a nonnegative integer, got {seed!r}")
+    NONNEGATIVE.check(seed, "scenario seed", ConfigError)
     generator = GENERATORS[name]
     params = params or {}
     defaults = generator.__kwdefaults__ or {}
     for key, value in params.items():
         if key in defaults and not _option_accepts(defaults[key], value):
             kind = type(defaults[key]).__name__
-            raise ConfigError(f"scenario {name!r} option {key!r} takes a {kind}, got {value!r}")
+            raise ConfigError(f"scenario {name!r} option {key!r} takes a {kind}, got {_shown(value)}")
     try:
         if "num_candidates" in defaults and "num_candidates" in params:
             # every family gets that many candidates, so closing would refuse

@@ -1588,11 +1588,8 @@ def _check_keys(sec: dict, allowed: set, prefix: str, violations: list[str]) -> 
 
 def _as_int(sec: dict, key: str, default: int, lo: int, prefix: str, violations: list[str]) -> int:
     val = sec.get(key, default)
-    if not isinstance(val, int) or isinstance(val, bool):
-        violations.append(f"{prefix}.{key}: expected an integer, got {val!r}")
-        return default
-    if val < lo:
-        violations.append(f"{prefix}.{key}: must be at least {lo}, got {val}")
+    if not isinstance(val, int) or isinstance(val, bool) or val < lo:
+        violations.append(f"{prefix}.{key}: must be an integer of at least {lo}, got {val!r}")
         return default
     return val
 
@@ -1694,7 +1691,7 @@ def ref_config_from_dict(data: dict) -> ScenarioConfig:
 
     workers = data.get("workers", 1)
     if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        violations.append(f"workers: must be a positive integer, got {workers!r}")
+        violations.append(f"workers: must be an integer of at least 1, got {workers!r}")
         workers = 1
 
     if violations:

@@ -362,7 +362,7 @@ def test_run_rejects_an_option_numpy_refuses_with_exit_2(config_path, capsys):
 def test_run_rejects_an_empty_feature_embedding_with_exit_2(config_path, capsys):
     body = BASE_YAML.replace("recsys-small\n", "linear-d\n  params:\n    feature_dim: 0\n")
     assert main(["run", str(config_path(body=body))]) == 2
-    assert "feature_dim must be at least 1" in capsys.readouterr().err
+    assert "feature_dim must be an integer of at least 1" in capsys.readouterr().err
 
 
 def test_run_joint_cap_failure_exits_3_and_marks_manifest(config_path, tmp_path, capsys):

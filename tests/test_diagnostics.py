@@ -852,8 +852,15 @@ def test_regret_curve_evaluates_distinct_objects_with_equal_tables(monkeypatch):
     first = Policy.deterministic(np.zeros((H, S), dtype=int), A)
     twin = Policy(first.action_probs.copy())  # equal table, another object
     other = Policy.uniform(H, S, A)
-    policies = [first, twin, first, other, twin, first]
-    run = types.SimpleNamespace(policies=policies, instant_regret=None, cum_regret=None)
+    # episode 1 plays first, then each episode the policy of the entry before: twin or other
+    run = types.SimpleNamespace(
+        initial_policy=first,
+        committed=(twin, other),
+        entry_index=[0, 1, 0, 1, 0, 1],
+        policies=[first, twin, other, twin, other, twin],
+        instant_regret=None,
+        cum_regret=None,
+    )
     want = regret_literal(run, model)
     calls = count_policy_values(monkeypatch)
     curve = regret_curve(run, model, kn)

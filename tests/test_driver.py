@@ -662,13 +662,15 @@ def _unshared(obj):
 @pytest.mark.parametrize("kind", ["general", "dyn-1d", "dyn-2d"])
 def test_serializers_match_references_when_nothing_is_shared(tmp_path, kind):
     """Hand-built runs whose policies are distinct objects holding equal
-    arrays, and whose episodes each have an entry of their own that shares
-    no set tuple."""
+    arrays, and whose episodes each have an entry and a committed policy of
+    their own that shares no set tuple."""
     run, model, knowledge = _run_closed(kind, 2, episodes=40)
     regret_curve(run, model, knowledge)
     assert len({id(p) for p in run.policies}) < len(run.policies)
     own_policies = dataclasses.replace(
-        run, policies=[Policy(p.action_probs.copy()) for p in run.policies]
+        run,
+        initial_policy=Policy(run.initial_policy.action_probs.copy()),
+        committed=tuple(Policy(p.action_probs.copy()) for p in run.committed),
     )
     own_sets = dataclasses.replace(
         run,
@@ -681,6 +683,7 @@ def test_serializers_match_references_when_nothing_is_shared(tmp_path, kind):
             for i in run.entry_index
         ),
         entry_index=list(range(len(run.entry_index))),
+        committed=tuple(Policy(run.committed[i].action_probs.copy()) for i in run.entry_index),
     )
     for field in ("reward_sets", "transition_sets"):
         assert len({id(getattr(rec, field)) for rec in own_sets.episodes}) == 40

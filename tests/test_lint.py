@@ -5,6 +5,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+from strategicmdp import model
+
 from helpers import REF_FEEDBACK_INTEGRATIONS, REF_FEEDBACK_MIXES
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "strategicmdp"
@@ -237,25 +239,32 @@ def test_every_record_field_is_read():
     assert unread_fields(records, readers) == []
 
 
-def serializers_calling_id(harness_source: str, driver_source: str) -> set[str]:
-    """Scopes of write_episodes_csv and RunResult.canonical_json that call id()."""
-    scopes = scopes_calling(harness_source, "id") | scopes_calling(driver_source, "id")
-    return {s for s in scopes if s.split(".")[0] == "write_episodes_csv" or s.startswith("RunResult.canonical_json")}
+def serializers_calling_id(harness_source: str, driver_source: str, diagnostics_source: str) -> set[str]:
+    """Scopes of write_episodes_csv, RunResult.canonical_json and regret_curve that call id()."""
+    sources = (harness_source, driver_source, diagnostics_source)
+    scopes = set().union(*(scopes_calling(source, "id") for source in sources))
+    return {
+        s for s in scopes
+        if s.split(".")[0] in ("write_episodes_csv", "regret_curve") or s.startswith("RunResult.canonical_json")
+    }
 
 
 def test_serializers_key_nothing_on_object_ids():
-    """episodes.csv and canonical_json format each log entry once through
-    the run's entry index, so neither keys a cache on id(), whose values
-    repeat once an object is freed."""
-    sources = [(PACKAGE / name).read_text() for name in ("harness.py", "driver.py")]
+    """episodes.csv, canonical_json and the regret series read each log
+    entry and its committed policy once through the run's entry index, so
+    none keys a cache on id(), whose values repeat once an object is freed."""
+    sources = [(PACKAGE / name).read_text() for name in ("harness.py", "driver.py", "diagnostics.py")]
     assert serializers_calling_id(*sources) == set()
 
 
 def test_id_check_finds_the_record_caches():
-    """The check sees the id()-keyed caches the serializers used to keep."""
+    """The check sees the id()-keyed caches the serializers and regret_curve used to keep."""
     harness = "def write_episodes_csv(path, seed, run):\n    def fill(fh):\n        return id(run)\n"
     driver = "class RunResult:\n    def canonical_json(self):\n        return {id(p) for p in self.policies}\n"
-    assert serializers_calling_id(harness, driver) == {"write_episodes_csv.fill", "RunResult.canonical_json"}
+    diagnostics = "def regret_curve(run, env, knowledge):\n    return {id(pol): 0.0 for pol in run.policies}\n"
+    assert serializers_calling_id(harness, driver, diagnostics) == {
+        "write_episodes_csv.fill", "RunResult.canonical_json", "regret_curve"
+    }
 
 
 def test_unread_field_check_finds_a_planted_field(tmp_path):
@@ -489,3 +498,31 @@ def test_cell_mass_caller_check_finds_a_planted_second_caller():
     )
     callers = scopes_calling(source, "gaussian_mass_1d")
     assert callers == {"discretize_gaussian", "CandidateAggregates.from_classes"}
+
+
+def lines_spelling_rule_stems(sources: dict[str, str], stems: list[str]) -> list[str]:
+    """module:line of every line outside model.py that spells one of the stems."""
+    return [
+        f"{name}:{number}"
+        for name, source in sorted(sources.items())
+        if name != "model.py"
+        for number, line in enumerate(source.splitlines(), 1)
+        if any(stem in line for stem in stems)
+    ]
+
+
+def test_value_rules_are_spelled_only_in_the_rule_book():
+    """Counts, confidence levels and scales are refused through model.py's
+    rules, so no other module words a refusal of its own."""
+    stems = [rule.stem for rule in vars(model).values() if isinstance(rule, model.Rule)]
+    assert len(stems) == 5
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert lines_spelling_rule_stems(sources, stems) == []
+
+
+def test_rule_stem_check_finds_a_planted_copy():
+    sources = {
+        "model.py": 'COUNT = Rule(_is_count, "must be an integer of at least 1")\n',
+        "driver.py": 'def check(n):\n    raise ConfigError(f"episodes must be an integer of at least 1, got {n}")\n',
+    }
+    assert lines_spelling_rule_stems(sources, ["must be an integer of at least 1"]) == ["driver.py:2"]

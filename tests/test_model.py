@@ -144,10 +144,10 @@ def test_grid_validation():
         ((math.nan,), (1.0,), (2,), "not all finite"),
         ((0.0,), (math.inf,), (2,), "not all finite"),
         ((-math.inf, 0.0), (1.0, 1.0), (2, 2), "not all finite"),
-        ((0.0,), (1.0,), (2.5,), "not all integers"),
-        ((0.0,), (1.0,), (2.0,), "not all integers"),
-        ((0.0,), (1.0,), (True,), "not all integers"),
-        ((0.0,), (1.0,), (np.int64(0),), "not all integers"),
+        ((0.0,), (1.0,), (2.5,), "cell count must be an integer of at least 1"),
+        ((0.0,), (1.0,), (2.0,), "cell count must be an integer of at least 1"),
+        ((0.0,), (1.0,), (True,), "cell count must be an integer of at least 1"),
+        ((0.0,), (1.0,), (np.int64(0),), "cell count must be an integer of at least 1"),
     ],
 )
 def test_grid_refuses_a_non_finite_box_and_non_integer_cell_counts(lows, highs, cells, match):

@@ -159,7 +159,7 @@ def test_an_option_numpy_refuses_is_a_config_error_naming_it():
 @pytest.mark.parametrize("value", [0, -1])
 def test_linear_d_refuses_an_empty_feature_embedding(value):
     """With no feature axis every reward would be 0.5 and every candidate the truth."""
-    with pytest.raises(ConfigError, match="feature_dim must be at least 1"):
+    with pytest.raises(ConfigError, match="feature_dim must be an integer of at least 1"):
         build_scenario("linear-d", params={"feature_dim": value})
     assert build_scenario("linear-d", params={"feature_dim": 1}).params["feature_dim"] == 1
 
@@ -399,7 +399,7 @@ def test_closed_classes_do_not_depend_on_the_string_hash_seed():
 def test_build_scenario_refuses_a_seed_that_is_not_a_nonnegative_integer(name, seed):
     """The seed is checked before the generator runs, so a bad one never
     reaches numpy or Scenario.params."""
-    with pytest.raises(ConfigError, match="scenario seed must be a nonnegative integer"):
+    with pytest.raises(ConfigError, match="scenario seed must be an integer of at least 0"):
         build_scenario(name, seed)
 
 
