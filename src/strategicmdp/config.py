@@ -52,6 +52,11 @@ _LOADER = _unique_key_loader(YAML_LOADER)
 _OPTIMISM = tuple(m.value for m in SelectionMode)
 
 
+def _key(key) -> str:
+    """A mapping key as messages name it: a string as it is, anything else as _shown prints it."""
+    return key if isinstance(key, str) else _shown(key)
+
+
 def _boolean(val) -> str | None:
     return None if isinstance(val, bool) else f"expected a boolean, got {_shown(val)}"
 
@@ -167,14 +172,14 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     """Validate a parsed mapping against _SCHEMA; raises one ValidationError listing every issue."""
     if not isinstance(data, dict):
         raise ValidationError("config root must be a mapping")
-    violations = [f"{key}: unknown section" for key in data if key not in _SCHEMA and key != "workers"]
+    violations = [f"{_key(key)}: unknown section" for key in data if key not in _SCHEMA and key != "workers"]
     parsed: dict[str, dict] = {}
     for name, keys in _SCHEMA.items():
         section = {} if data.get(name) is None else data[name]
         if not isinstance(section, dict):
             violations.append(f"{name}: must be a mapping")
             section = {}
-        violations += [f"{name}.{key}: unknown key" for key in section if key not in keys]
+        violations += [f"{name}.{_key(key)}: unknown key" for key in section if key not in keys]
         parsed[name] = values = {}
         for key, (default, rule) in keys.items():
             values[key] = section.get(key, default)

@@ -34,7 +34,7 @@ from .model import (
     StrategicModel,
     TransitionMode,
     _check_index,
-    _distribution_table,
+    as_table,
     check_dims,
     feedback_by_type,
     feedback_mix,
@@ -86,7 +86,7 @@ def _type_dist(env: StrategicModel, type_dist: np.ndarray | None, default: np.nd
     """A given type_dist checked to be an (H, T) table of distributions, else default."""
     if type_dist is None:
         return default
-    return _distribution_table(type_dist, (env.horizon, env.num_types), "type_dist")
+    return as_table(type_dist, (env.horizon, env.num_types), "type_dist", rows=True)
 
 
 def true_aggregated_model(model: StrategicModel, type_dist: np.ndarray | None = None) -> AggregatedMDP:
@@ -131,8 +131,7 @@ def occupancy(
     """
     H = env.horizon
     dist = _type_dist(env, type_dist, env.source_type_dist)
-    if policy.action_probs.shape != (H, env.num_states, env.num_actions):
-        raise ValidationError("policy shape does not match the environment")
+    as_table(policy.action_probs, (H, env.num_states, env.num_actions), "policy", finite=False)
     kernels = _step_kernels(env, H - 1)
     return OccupancyTable(_forward_joints(env, policy.action_probs, dist, feedback_by_type(env), kernels))
 

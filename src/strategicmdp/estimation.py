@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConfigError, ValidationError
 from .hypotheses import ClassSizes, HypothesisClasses
 from .model import (
-    COUNT, NONNEGATIVE, POSITIVE, UNIT_INTERVAL, Trajectory, _check_index, _float_table, _is_finite_real, _shown,
+    COUNT, NONNEGATIVE, POSITIVE, UNIT_INTERVAL, Trajectory, _check_index, _is_finite_real, _shown, as_table,
     integrate_feedback,
 )
 
@@ -104,12 +104,7 @@ class StepDataset:
             _check_index(s_next, self.num_states, "next state")
             nxt = (d.next_counts, (s, a, s_next), 1.0)
         else:
-            vector = _float_table(s_next, "next state")
-            if vector.shape != (self.state_dim,) or not np.isfinite(vector).all():
-                raise ValidationError(
-                    f"next state must be a finite vector of shape ({self.state_dim},), got {_shown(s_next)}"
-                )
-            nxt = (d.next_sums, (s, a, e), vector)
+            nxt = (d.next_sums, (s, a, e), as_table(s_next, (self.state_dim,), "next state"))
         return (d.counts, (s, a, e), 1.0), (d.reward_sums, (s, a, e), r), nxt
 
     def append(self, h: int, s: int, a: int, e: int, r: float, s_next) -> None:
@@ -245,6 +240,7 @@ def confidence_levels(
     ):
         rule.check(value, name, ConfigError)
     POSITIVE.check(episodes * horizon, "episodes times horizon", ConfigError)  # it becomes a float below
+    bound, beta_scale = float(bound), float(beta_scale)  # a numpy float32 would overflow in its own width
     base = 28.0 * bound * bound * beta_scale
     kh = float(episodes) * float(horizon)
     b1 = base * math.log(kh * sizes.discriminators * sizes.rewards / delta)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 from .model import (
-    COUNT, POSITIVE, LearnerKnowledge, StrategicModel, TransitionMode, _float_table, _is_int, _shown, check_dims,
+    COUNT, POSITIVE, LearnerKnowledge, StrategicModel, TransitionMode, _is_int, _shown, as_table, check_dims,
     feedback_mix, integrate_feedback,
 )
 from .planning import CandidateAggregates, joint_backup
@@ -94,11 +94,10 @@ class KernelIndex:
         return tuple(tuple(sorted(set(c))) for c in zip(*(self.models[k] for k in kernels)))
 
 
-def _check_shape(tables: np.ndarray, want: tuple[int, ...], kind: str, where: str) -> None:
-    """tables stacks n tables of shape want."""
-    if tables.shape[1:] != want:
-        expected = ", ".join(map(str, ("n", *want)))
-        raise ValidationError(f"{kind} at {where} have shape {tables.shape}, expected ({expected})")
+def _stacks(tables, shape: tuple[int, ...], name: str) -> list[np.ndarray]:
+    """Each of tables as a stack of tables of the given shape through the table
+    rule, entries unchecked; name formats a stack's index into its name."""
+    return [as_table(t, (None, *shape), name.format(i), finite=False) for i, t in enumerate(tables)]
 
 
 def _check_truth_index(idx, count: int, kind: str, where: str) -> None:
@@ -150,7 +149,8 @@ class HypothesisClasses:
     (nF_h, S, A) and always contains the zero function. value_targets has
     H + 1 entries of shape (nG_h, S); the terminal entry is the zero function
     alone. truth_*_idx record where the true tables sit when known; None means
-    not designated.
+    not designated. Construction stores every table read-only, through the
+    table rule (model.as_table).
     """
 
     mode: TransitionMode
@@ -169,58 +169,50 @@ class HypothesisClasses:
         H = len(self.reward_tables)
         if H == 0:
             raise ValidationError("need at least one step of reward candidates")
-        self.reward_tables = [_float_table(r, "reward candidates") for r in self.reward_tables]
-        if self.reward_tables[0].ndim != 4:
-            shape = self.reward_tables[0].shape
-            raise ValidationError(f"reward candidates at step 0 have shape {shape}, expected (n, S, A, E)")
-        S, A, E = self.reward_tables[0].shape[1:]
+        # Stacks of tables, shapes only: the family loop of _validate checks the entries.
+        first = as_table(self.reward_tables[0], (None, "S", "A", "E"), "reward class at step 0", finite=False)
+        S, A, E = first.shape[1:]
+        self.reward_tables = _stacks([first, *self.reward_tables[1:]], (S, A, E), "reward class at step {}")
         POSITIVE.check(self.bound, "bound")
         self.truth_reward_idx = self.truth_reward_idx or [None] * H
         self.truth_transition_idx = self.truth_transition_idx or [None] * H
         if self.transition_tables is not None:
-            self.transition_tables = [_float_table(p, "transition candidates") for p in self.transition_tables]
+            self.transition_tables = _stacks(self.transition_tables, (S, A, E, S), "transition class at step {}")
         if self.mean_map_tables is not None:
-            self.mean_map_tables = [[_float_table(g, "mean-map candidates") for g in m] for m in self.mean_map_tables]
-        self.discriminators = [_float_table(f, "discriminators") for f in self.discriminators]
+            self.mean_map_tables = [
+                _stacks(m, (S, A, E), f"mean-map class at step {h}, coordinate {{}}")
+                for h, m in enumerate(self.mean_map_tables)
+            ]
         if len(self.discriminators) != H:
             raise ValidationError("discriminators must have one family per step")
-        zero_sa = np.zeros((S, A))
-        for h in range(H):
-            f = self.discriminators[h]
-            _check_shape(f, (S, A), "discriminators", f"step {h}")
+        self.discriminators = _stacks(self.discriminators, (S, A), "discriminator family at step {}")
+        for h, f in enumerate(self.discriminators):
             if not (f == 0.0).all(axis=(1, 2)).any():
-                self.discriminators[h] = np.concatenate([f, zero_sa[None]], axis=0)
-        self.value_targets = [_float_table(g, "value targets") for g in self.value_targets]
+                with_zero = np.concatenate([f, np.zeros((1, S, A))])
+                self.discriminators[h] = as_table(with_zero, None, f"discriminator family at step {h}", finite=False)
         if len(self.value_targets) == H:
-            self.value_targets.append(np.zeros((1, S)))
+            self.value_targets = [*self.value_targets, np.zeros((1, S))]
         if len(self.value_targets) != H + 1:
             raise ValidationError("value_targets must cover steps 1..H+1")
-        for h, g in enumerate(self.value_targets):
-            _check_shape(g, (S,), "value targets", f"step {h}")
+        self.value_targets = _stacks(self.value_targets, (S,), "value-target family at step {}")
         if not np.array_equal(self.value_targets[H], np.zeros((1, S))):
             raise ValidationError("terminal value-target family must be the zero function alone")
-        self._validate(S, A, E)
+        self._validate()
 
-    def _validate(self, S: int, A: int, E: int) -> None:
+    def _validate(self) -> None:
         H = self.horizon
         for name in ("truth_reward_idx", "truth_transition_idx"):
             if len(getattr(self, name)) != H:
                 raise ValidationError(f"{name} must have one entry per step ({H})")
         for h in range(H):
             for fam in self.families(h):
-                tables, want = fam.tables, (S, A, E, S) if fam.kernels else (S, A, E)
-                _check_shape(tables, want, f"{fam.kind} candidates", fam.where)
-                n = len(tables)
+                n = len(fam.tables)
                 if n == 0:
                     raise ValidationError(f"no {fam.kind} candidates at {fam.where}")
                 self.caps.check_per_step(n, fam.kind, fam.where)
-                lo, hi = tables.min(), tables.max()
-                if not (math.isfinite(lo) and math.isfinite(hi)):  # min and max keep a NaN
-                    raise ValidationError(f"{fam.kind} candidates at {fam.where} have non-finite entries")
-                if fam.part == "reward" and (lo < -1e-9 or hi > self.bound + 1e-9):
+                tables = as_table(fam.tables, None, f"{fam.kind} class at {fam.where}", rows=fam.kernels)
+                if fam.part == "reward" and (tables.min() < -1e-9 or tables.max() > self.bound + 1e-9):
                     raise ValidationError(f"reward candidates at {fam.where} leave [0, bound]")
-                if fam.kernels and (np.abs(tables.sum(axis=-1) - 1.0).max() > 1e-9 or lo < -1e-9):
-                    raise ValidationError(f"{fam.kind} candidates at {fam.where} are not kernels")
                 _check_truth_index(fam.truth, n, fam.part, fam.where)
         self._flag_bounds()
 
@@ -366,7 +358,8 @@ def _row_keys(rows: np.ndarray) -> list[bytes]:
 
 
 def _dedup_append(base: np.ndarray, extra: np.ndarray) -> np.ndarray:
-    """Append the rows of extra not already present, preserving order; bit-exact keys."""
+    """Append the rows of extra not already present, preserving order; bit-exact keys.
+    An array it builds is read-only."""
     # A dict keeps its keys in first-insertion order, so the keys past base's
     # distinct rows are extra's new rows, in order; a key is the row's bytes.
     keys = dict.fromkeys(_row_keys(base)) if len(base) else {}
@@ -376,7 +369,9 @@ def _dedup_append(base: np.ndarray, extra: np.ndarray) -> np.ndarray:
         return base
     new = b"".join(itertools.islice(keys, known, None))
     rows = np.frombuffer(new, dtype=extra.dtype).reshape(len(keys) - known, *extra.shape[1:])
-    return np.concatenate([base, rows], axis=0)
+    out = np.concatenate([base, rows], axis=0)
+    out.setflags(write=False)
+    return out
 
 
 def enumerate_suffix_values(
@@ -414,8 +409,9 @@ def close_classes(
     under the source population, so this runs where the scenario is built.
     Classes are validated at construction only: the closures append rows to
     the two families of a copy that shares no list with classes, which is
-    left as it was, and re-derive the two bound flags. Nothing is clamped: a
-    value target or discriminator beyond the class bound raises a flag.
+    left as it was, and re-derive the two bound flags. The rows appended are
+    read-only, as the tables the table rule returns are. Nothing is clamped:
+    a value target or discriminator beyond the class bound raises a flag.
     """
     suffix = enumerate_suffix_values(classes, knowledge)
     closed = copy.copy(classes)

@@ -163,7 +163,8 @@ class Grid:
     @cached_property
     def _bin_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """lows, widths and last bin per dimension, built once: locate runs every step."""
-        return np.asarray(self.lows), self.widths(), np.asarray(self.cells_per_dim) - 1
+        arrays = (self.lows, self.widths(), np.subtract(self.cells_per_dim, 1))
+        return tuple(as_table(x, None, "grid") for x in arrays)
 
     def _bins(self, coords: np.ndarray, dims: int | slice = slice(None)) -> np.ndarray:
         """Bin of each coordinate along its dimension(s) dims, clipped to the box.
@@ -176,9 +177,7 @@ class Grid:
 
     def locate(self, point: np.ndarray) -> int:
         """Cell index containing the point, clipped to the box."""
-        point = np.asarray(point, dtype=float)
-        if point.shape != (self.dim,):
-            raise ValidationError(f"point shape {point.shape} does not match grid dim {self.dim}")
+        point = as_table(point, (self.dim,), "point")
         return int(np.ravel_multi_index(tuple(self._bins(point)), self.cells_per_dim))
 
     def center(self, cell: int) -> np.ndarray:
@@ -194,15 +193,13 @@ class Grid:
         mean is a scalar or an array of any shape. Tail mass below/above the
         box is folded into the first/last bin. A zero scale degenerates to a
         point mass in the bin containing the mean; a negative or non-finite
-        scale, or a NaN mean, is a ValidationError. The CDF is evaluated once
-        per distinct mean and its rows gathered back: candidate means repeat
-        across steps and feedbacks, and equal means (0.0 and -0.0 included)
-        give bit-identical rows.
+        scale, or a non-finite mean, is a ValidationError. The CDF is
+        evaluated once per distinct mean and its rows gathered back: candidate
+        means repeat across steps and feedbacks, and equal means (0.0 and -0.0
+        included) give bit-identical rows.
         """
         SCALE.check(scale, "cell mass scale")
-        means = np.asarray(mean, dtype=float)
-        if np.isnan(means).any():
-            raise ValidationError("cell masses need means that are not NaN")
+        means = as_table(mean, None, "cell mass mean table")
         n = self.cells_per_dim[dim]
         if scale == 0.0:
             mass = np.zeros(means.shape + (n,))
@@ -240,8 +237,9 @@ class StrategicModel:
       mean_map            (H, S, A, E, d)   dynamical mode only (S = grid cells)
       trans_confound      (H, T, d)   dynamical, demeaned under source per step
 
-    Construction demeans both confound tables under the per-step source
-    distribution and then validates every distribution row to 1e-9. In both
+    Construction checks every table through the table rule (as_table), which
+    stores it read-only, and every distribution row to 1e-9, then demeans both
+    confound tables under the per-step source distribution. In both
     modes tables are indexed by the state's cell; in dynamical mode the
     observed next state is a d-vector, and its grid cell is the next state
     the tables see.
@@ -270,21 +268,8 @@ class StrategicModel:
     trans_noise_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "source_type_dist",
-            "target_type_dist",
-            "agent_reward",
-            "feedback_kernel",
-            "principal_reward",
-            "reward_confound",
-        ):
-            setattr(self, name, _float_table(getattr(self, name), name))
-        for name in ("transition_kernel", "mean_map", "trans_confound"):
-            if getattr(self, name) is not None:
-                setattr(self, name, _float_table(getattr(self, name), name))
-        _check_finite(self, ("reward_confound", "trans_confound"))  # before inf - inf can warn
-        self._demean_confounds()
         self.validate()
+        self._demean_confounds()
 
     @property
     def dims(self) -> tuple[int, int, int, int]:
@@ -295,37 +280,38 @@ class StrategicModel:
         """d, the grid's dimension; 0 without a grid."""
         return 0 if self.grid is None else self.grid.dim
 
-    def _demean_confounds(self) -> None:
-        src = self.source_type_dist
-        if self.reward_confound.shape == (self.horizon, self.num_types) and src.shape == (
-            self.horizon,
-            self.num_types,
-        ):
-            mean = np.sum(src * self.reward_confound, axis=1, keepdims=True)
-            self.reward_confound = self.reward_confound - mean
-            if self.trans_confound is not None:
-                tmean = np.einsum("ht,htd->hd", src, self.trans_confound)
-                self.trans_confound = self.trans_confound - tmean[:, None, :]
-
     def validate(self) -> None:
-        H, S, A, E = self.horizon, self.num_states, self.num_actions, self.num_feedbacks
+        """Check the sizes, the constants and every table; each table is
+        stored as the table rule returns it."""
+        for name in ("horizon", "num_states", "num_actions", "num_feedbacks", "num_types", "num_agent_actions"):
+            COUNT.check(getattr(self, name), name)
+        H, S, A, E = self.dims
         T, B = self.num_types, self.num_agent_actions
-        COUNT.check(H, "horizon")
-        shapes = {
-            "source_type_dist": (self.source_type_dist, (H, T)),
-            "target_type_dist": (self.target_type_dist, (H, T)),
-            "agent_reward": (self.agent_reward, (H, S, A, T, B)),
-            "feedback_kernel": (self.feedback_kernel, (H, S, A, T, B, E)),
-            "principal_reward": (self.principal_reward, (H, S, A, E)),
-            "reward_confound": (self.reward_confound, (H, T)),
-        }
-        for name, (arr, want) in shapes.items():
-            if arr.shape != want:
-                raise ValidationError(f"{name} has shape {arr.shape}, expected {want}")
-        _check_simplex(self.source_type_dist, "source_type_dist")
-        _check_simplex(self.target_type_dist, "target_type_dist")
-        _check_simplex(self.feedback_kernel, "feedback_kernel")
-        _check_finite(self, ("principal_reward", "agent_reward", "reward_confound", "mean_map", "trans_confound"))
+        if self.transition_mode is TransitionMode.GENERAL:
+            if self.transition_kernel is None:
+                raise ValidationError("general mode requires transition_kernel")
+            transitions = {"transition_kernel": ((H, S, A, E, S), True)}
+        else:
+            if self.grid is None or self.mean_map is None or self.trans_confound is None:
+                raise ValidationError("dynamical mode requires grid, mean_map, trans_confound")
+            if self.num_states != self.grid.num_cells:
+                raise ValidationError("num_states must equal the grid cell count")
+            SCALE.check(self.trans_noise_scale, "trans_noise_scale")
+            d = self.state_dim
+            transitions = {"mean_map": ((H, S, A, E, d), False), "trans_confound": ((H, T, d), False)}
+        for name in ("transition_kernel", "mean_map", "trans_confound"):
+            if name not in transitions and getattr(self, name) is not None:
+                raise ValidationError(f"{name} belongs to the other transition mode")
+        for name, (shape, rows) in {
+            "source_type_dist": ((H, T), True),
+            "target_type_dist": ((H, T), True),
+            "agent_reward": ((H, S, A, T, B), False),
+            "feedback_kernel": ((H, S, A, T, B, E), True),
+            "principal_reward": ((H, S, A, E), False),
+            "reward_confound": ((H, T), False),
+            **transitions,
+        }.items():
+            setattr(self, name, as_table(getattr(self, name), shape, name, rows=rows))
         SCALE.check(self.reward_noise_std, "reward_noise_std")
         POSITIVE.check(self.reward_bound, "reward_bound")
         lo, hi = self.principal_reward.min(), self.principal_reward.max()
@@ -334,72 +320,19 @@ class StrategicModel:
                 f"principal_reward range [{lo}, {hi}] exceeds [0, {self.reward_bound}]"
             )
         _check_index(self.initial_state, S, "initial state")
-        resid = np.abs(np.sum(self.source_type_dist * self.reward_confound, axis=1))
-        if resid.max() > SIMPLEX_TOL:
+
+    def _demean_confounds(self) -> None:
+        """Demean both confound tables under the per-step source distribution, to SIMPLEX_TOL."""
+        src = self.source_type_dist
+        shift = self.reward_confound - np.sum(src * self.reward_confound, axis=1, keepdims=True)
+        self.reward_confound = as_table(shift, None, "reward_confound")
+        if np.abs(np.sum(src * self.reward_confound, axis=1)).max() > SIMPLEX_TOL:
             raise ValidationError("reward_confound is not demeaned under the source")
-        if self.transition_mode is TransitionMode.GENERAL:
-            if self.transition_kernel is None:
-                raise ValidationError("general mode requires transition_kernel")
-            if self.transition_kernel.shape != (H, S, A, E, S):
-                raise ValidationError(
-                    f"transition_kernel has shape {self.transition_kernel.shape}, "
-                    f"expected {(H, S, A, E, S)}"
-                )
-            _check_simplex(self.transition_kernel, "transition_kernel")
-        else:
-            if self.grid is None or self.mean_map is None or self.trans_confound is None:
-                raise ValidationError("dynamical mode requires grid, mean_map, trans_confound")
-            if self.num_states != self.grid.num_cells:
-                raise ValidationError("num_states must equal the grid cell count")
-            if self.mean_map.shape != (H, S, A, E, self.state_dim):
-                raise ValidationError(
-                    f"mean_map has shape {self.mean_map.shape}, "
-                    f"expected {(H, S, A, E, self.state_dim)}"
-                )
-            if self.trans_confound.shape != (H, T, self.state_dim):
-                raise ValidationError("trans_confound shape mismatch")
-            SCALE.check(self.trans_noise_scale, "trans_noise_scale")
-            tres = np.abs(np.einsum("ht,htd->hd", self.source_type_dist, self.trans_confound))
-            if tres.max() > SIMPLEX_TOL:
+        if self.trans_confound is not None:
+            shift = self.trans_confound - np.einsum("ht,htd->hd", src, self.trans_confound)[:, None, :]
+            self.trans_confound = as_table(shift, None, "trans_confound")
+            if np.abs(np.einsum("ht,htd->hd", src, self.trans_confound)).max() > SIMPLEX_TOL:
                 raise ValidationError("trans_confound is not demeaned under the source")
-
-
-def _check_finite(model: StrategicModel, names: tuple[str, ...]) -> None:
-    """Every named table that is set holds only finite entries."""
-    for name in names:
-        table = getattr(model, name)
-        if table is not None and not np.isfinite(table).all():
-            raise ValidationError(f"{name} has non-finite entries")
-
-
-def _check_simplex(arr: np.ndarray, name: str) -> None:
-    if arr.min() < -SIMPLEX_TOL:
-        raise ValidationError(f"{name} has negative entries")
-    off = float(np.abs(arr.sum(axis=-1) - 1.0).max())
-    if not math.isfinite(off):  # a NaN or infinite entry leaves its row sum non-finite
-        raise ValidationError(f"{name} has non-finite entries")
-    if off > SIMPLEX_TOL:
-        raise ValidationError(f"{name} rows deviate from sum 1 by {off}")
-
-
-def _float_table(value, name: str) -> np.ndarray:
-    """value as a float array; else (ragged, not numbers, an int past the float range) a ValidationError."""
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{name} is not a table of floats: {exc}") from None
-
-
-def _distribution_table(value, shape: tuple[int | str, ...], name: str) -> np.ndarray:
-    """value as a float table of distributions over its last axis, of the given
-    shape, where a named axis takes any size of at least 1; else a ValidationError."""
-    table = _float_table(value, name)
-    if table.ndim != len(shape) or not all(
-        n >= 1 if isinstance(want, str) else n == want for n, want in zip(table.shape, shape)
-    ):
-        raise ValidationError(f"{name} has shape {table.shape}, expected ({', '.join(map(str, shape))})")
-    _check_simplex(table, name)
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +360,9 @@ class LearnerKnowledge:
     trans_noise_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        target = _distribution_table(self.target_type_dist, ("H", "T"), "target_type_dist")
+        target = as_table(self.target_type_dist, ("H", "T"), "target_type_dist", rows=True)
         H, T = target.shape
-        fb = _distribution_table(self.feedback_by_type, (H, "S", "A", T, "E"), "feedback_by_type")
+        fb = as_table(self.feedback_by_type, (H, "S", "A", T, "E"), "feedback_by_type", rows=True)
         if self.grid is not None and not (isinstance(self.grid, Grid) and self.grid.num_cells == fb.shape[1]):
             raise ValidationError(f"grid must be None or a Grid of the {fb.shape[1]} states, got {_shown(self.grid)}")
         SCALE.check(self.trans_noise_scale, "trans_noise_scale")
@@ -439,7 +372,7 @@ class LearnerKnowledge:
     @classmethod
     def from_model(cls, model: StrategicModel) -> "LearnerKnowledge":
         return cls(
-            target_type_dist=model.target_type_dist.copy(),
+            target_type_dist=model.target_type_dist,
             feedback_by_type=feedback_by_type(model),
             grid=model.grid,
             trans_noise_scale=model.trans_noise_scale,
@@ -549,6 +482,51 @@ POSITIVE = Rule(lambda v: _is_finite_real(v) and v > 0, "must be finite and posi
 SCALE = Rule(lambda v: _is_finite_real(v) and v >= 0, "must be finite and nonnegative")
 
 
+def as_table(
+    value: object, shape: tuple[int | str | None, ...] | None, name: str, *, finite: bool = True, rows: bool = False
+) -> np.ndarray:
+    """The table rule: value as a read-only float array that only the rule
+    holds, else a ValidationError naming the table.
+
+    shape gives each axis an int, an axis name or None, or is None for any
+    shape. An int is a size, which passes COUNT before a message prints it; a
+    named axis takes any size of at least 1, the same wherever the name
+    appears; None takes any size. Entries must be finite unless finite is
+    False, and with rows set every row along the last axis must be a
+    distribution to SIMPLEX_TOL. An array the rule returned is taken as it
+    is, not copied again.
+    """
+    frozen = isinstance(value, np.ndarray) and value.dtype == float and value.base is None and not value.flags.writeable
+    if not frozen:
+        try:
+            value = np.array(value, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:  # ragged, not numbers, past the float range
+            raise ValidationError(f"{name} is not a table of floats: {exc}") from None
+        value.setflags(write=False)
+    if shape is not None and value.shape != shape and not _fits(value.shape, shape):
+        for want in shape:
+            if want is not None and not isinstance(want, str):
+                COUNT.check(want, f"a size of {name}")
+        expected = ", ".join("n" if w is None else w if isinstance(w, str) else _shown(int(w)) for w in shape)
+        raise ValidationError(f"{name} has shape {value.shape}, expected ({expected})")
+    if (finite or rows) and not np.isfinite(value).all():
+        raise ValidationError(f"{name} has non-finite entries")
+    if rows and value.size and (value.min() < -SIMPLEX_TOL or np.abs(value.sum(axis=-1) - 1.0).max() > SIMPLEX_TOL):
+        raise ValidationError(f"{name} has a row that is not a distribution")
+    return value
+
+
+def _fits(actual: tuple[int, ...], shape: tuple[int | str | None, ...]) -> bool:
+    """Whether an array of shape actual has the shape as_table's spec gives."""
+    fits, named = len(actual) == len(shape), {}  # named: the size each axis name takes
+    for n, want in zip(actual, shape):
+        if isinstance(want, str):
+            fits = fits and n >= 1 and named.setdefault(want, n) == n
+        elif want is not None:
+            fits = fits and n == want
+    return fits
+
+
 def _check_index(i: int, n: int, what: str) -> None:
     if not _is_int(i) or not 0 <= i < n:
         raise InvalidIndexError(f"{what} index {_shown(i)} is not an integer in [0, {n})")
@@ -596,10 +574,7 @@ class Policy:
     action_probs: np.ndarray  # (H, S, A)
 
     def __post_init__(self) -> None:
-        self.action_probs = np.asarray(self.action_probs, dtype=float)
-        if self.action_probs.ndim != 3:
-            raise ValidationError("policy table must have shape (H, S, A)")
-        _check_simplex(self.action_probs, "policy")
+        self.action_probs = as_table(self.action_probs, ("H", "S", "A"), "policy", rows=True)
 
     @classmethod
     def uniform(cls, horizon: int, num_states: int, num_actions: int) -> "Policy":
@@ -609,10 +584,9 @@ class Policy:
     @classmethod
     def deterministic(cls, actions: np.ndarray, num_actions: int) -> "Policy":
         """Build from an (H, S) table of action indices in [0, num_actions)."""
+        as_table(actions, ("H", "S"), "action table")
         actions = np.asarray(actions)
-        if actions.size and not (
-            np.issubdtype(actions.dtype, np.integer) and 0 <= actions.min() and actions.max() < num_actions
-        ):
+        if not (np.issubdtype(actions.dtype, np.integer) and 0 <= actions.min() and actions.max() < num_actions):
             raise InvalidIndexError(f"action table must hold integers in [0, {num_actions})")
         return cls(np.eye(num_actions)[actions])
 
@@ -665,8 +639,7 @@ def env_step(
 
 def rollout(model: StrategicModel, policy: Policy, rng: np.random.Generator) -> Trajectory:
     """Play one episode from the initial cell, each step starting from the last one's next cell."""
-    if policy.action_probs.shape != (model.horizon, model.num_states, model.num_actions):
-        raise ValidationError("policy shape does not match the model")
+    as_table(policy.action_probs, (model.horizon, model.num_states, model.num_actions), "policy", finite=False)
     traj = Trajectory()
     cell = model.initial_state
     for h in range(model.horizon):

@@ -34,9 +34,9 @@ from .model import (
     Policy,
     TransitionMode,
     _check_index,
-    _check_simplex,
     _is_int,
     _shown,
+    as_table,
     check_dims,
     feedback_mix,
     integrate_feedback,
@@ -63,18 +63,9 @@ class AggregatedMDP:
     initial_state: int
 
     def __post_init__(self) -> None:
-        self.rewards = np.asarray(self.rewards, dtype=float)
-        self.transitions = np.asarray(self.transitions, dtype=float)
-        if self.rewards.ndim != 3:
-            raise ValidationError(f"rewards shape {self.rewards.shape} is not (H, S, A)")
+        self.rewards = as_table(self.rewards, ("H", "S", "A"), "aggregated reward table")
         H, S, A = self.rewards.shape
-        if self.transitions.shape != (H, S, A, S):
-            raise ValidationError(
-                f"transitions shape {self.transitions.shape} does not match rewards {self.rewards.shape}"
-            )
-        if not np.isfinite(self.rewards).all():
-            raise ValidationError("aggregated rewards have non-finite entries")
-        _check_simplex(self.transitions, "aggregated transitions")
+        self.transitions = as_table(self.transitions, (H, S, A, S), "aggregated transition table", rows=True)
         _check_index(self.initial_state, S, "initial state")
 
 
@@ -103,8 +94,7 @@ def value_iteration(mdp: AggregatedMDP) -> PlanResult:
 def evaluate_policy(mdp: AggregatedMDP, policy: Policy) -> np.ndarray:
     """Exact per-state values (H + 1, S) of a stochastic Markov policy."""
     H, S, A = mdp.rewards.shape
-    if policy.action_probs.shape != (H, S, A):
-        raise ValidationError("policy shape does not match the MDP")
+    as_table(policy.action_probs, (H, S, A), "policy", finite=False)
     values = np.zeros((H + 1, S))
     for h in range(H - 1, -1, -1):
         q = mdp.rewards[h] + mdp.transitions[h] @ values[h + 1]

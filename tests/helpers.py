@@ -1268,7 +1268,7 @@ def ref_validate(classes) -> None:
             )
         lo, hi = classes.reward_tables[h].min(), classes.reward_tables[h].max()
         if not (math.isfinite(lo) and math.isfinite(hi)):  # min and max keep a NaN
-            raise ValidationError(f"reward candidates at step {h} have non-finite entries")
+            raise ValidationError(f"reward class at step {h} has non-finite entries")
         if lo < -1e-9 or hi > classes.bound + 1e-9:
             raise ValidationError(f"reward candidates at step {h} leave [0, bound]")
         _check_truth_index(classes.truth_reward_idx[h], nR, "reward", f"step {h}")
@@ -1281,11 +1281,11 @@ def ref_validate(classes) -> None:
                     f"{n} {fam.kind} candidates at {fam.where} exceed the per-step cap {classes.caps.per_step}"
                 )
             if not np.isfinite(tables).all():
-                raise ValidationError(f"{fam.kind} candidates at {fam.where} have non-finite entries")
+                raise ValidationError(f"{fam.kind} class at {fam.where} has non-finite entries")
             if fam.kernels and (
                 np.abs(tables.sum(axis=-1) - 1.0).max() > 1e-9 or tables.min() < -1e-9
             ):
-                raise ValidationError(f"{fam.kind} candidates at {fam.where} are not kernels")
+                raise ValidationError(f"{fam.kind} class at {fam.where} has a row that is not a distribution")
             _check_truth_index(fam.truth, n, "transition", fam.where)
     classes._flag_bounds()
 

@@ -112,9 +112,9 @@ def _nan_in_first_candidate(tables, h):
 @pytest.mark.parametrize(
     "family, message",
     [
-        ("reward_tables", "reward candidates at step 1 have non-finite entries"),
-        ("transition_tables", "transition candidates at step 1 have non-finite entries"),
-        ("mean_map_tables", "mean-map candidates at step 1, coordinate 0 have non-finite entries"),
+        ("reward_tables", "reward class at step 1 has non-finite entries"),
+        ("transition_tables", "transition class at step 1 has non-finite entries"),
+        ("mean_map_tables", "mean-map class at step 1, coordinate 0 has non-finite entries"),
     ],
     ids=["reward", "transition", "mean-map"],
 )
@@ -136,31 +136,31 @@ def test_non_finite_candidates_rejected(family, message):
     [
         (
             "recsys-small", "reward_tables", 0, (2, 3),
-            "reward candidates at step 0 have shape (2, 3), expected (n, S, A, E)",
+            "reward class at step 0 has shape (2, 3), expected (n, S, A, E)",
         ),
         (
             "recsys-small", "reward_tables", 1, (2, 3, 2, 2),
-            "reward candidates at step 1 have shape (2, 3, 2, 2), expected (n, 3, 2, 3)",
+            "reward class at step 1 has shape (2, 3, 2, 2), expected (n, 3, 2, 3)",
         ),
         (
             "recsys-small", "transition_tables", 0, (2, 3, 2, 3, 2),
-            "transition candidates at step 0 have shape (2, 3, 2, 3, 2), expected (n, 3, 2, 3, 3)",
+            "transition class at step 0 has shape (2, 3, 2, 3, 2), expected (n, 3, 2, 3, 3)",
         ),
         (
             "recsys-small", "transition_tables", 2, (2, 3, 2, 3),
-            "transition candidates at step 2 have shape (2, 3, 2, 3), expected (n, 3, 2, 3, 3)",
+            "transition class at step 2 has shape (2, 3, 2, 3), expected (n, 3, 2, 3, 3)",
         ),
         (
             "recsys-small", "discriminators", 0, (2, 3, 3),
-            "discriminators at step 0 have shape (2, 3, 3), expected (n, 3, 2)",
+            "discriminator family at step 0 has shape (2, 3, 3), expected (n, 3, 2)",
         ),
         (
             "recsys-small", "value_targets", 1, (2, 2),
-            "value targets at step 1 have shape (2, 2), expected (n, 3)",
+            "value-target family at step 1 has shape (2, 2), expected (n, 3)",
         ),
         (
             "dyn-1d", "mean_map_tables", 1, (2, 9, 2, 3),
-            "mean-map candidates at step 1, coordinate 0 have shape (2, 9, 2, 3), expected (n, 9, 2, 2)",
+            "mean-map class at step 1, coordinate 0 has shape (2, 9, 2, 3), expected (n, 9, 2, 2)",
         ),
     ],
     ids=[

@@ -526,3 +526,28 @@ def test_rule_stem_check_finds_a_planted_copy():
         "driver.py": 'def check(n):\n    raise ConfigError(f"episodes must be an integer of at least 1, got {n}")\n',
     }
     assert lines_spelling_rule_stems(sources, ["must be an integer of at least 1"]) == ["driver.py:2"]
+
+
+# The table rule's message stems: one per refusal of model.as_table.
+TABLE_STEMS = ["is not a table of floats", "has shape", "non-finite entries", "not a distribution"]
+
+
+def test_table_refusals_are_spelled_only_in_the_table_rule():
+    """Tables are converted, shape-checked and checked finite or as
+    distributions by model.as_table alone, so no other module words such a
+    refusal, and model.py words each one once."""
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert lines_spelling_rule_stems(sources, TABLE_STEMS) == []
+    assert [sources["model.py"].count(stem) for stem in TABLE_STEMS] == [1] * len(TABLE_STEMS)
+
+
+def test_table_stem_check_finds_a_planted_copy():
+    sources = {
+        "model.py": 'def as_table(value, shape, name):\n    raise ValidationError(f"{name} has non-finite entries")\n',
+        "hypotheses.py": (
+            "def check(tables, kind):\n"
+            "    if not np.isfinite(tables).all():\n"
+            '        raise ValidationError(f"{kind} candidates have non-finite entries")\n'
+        ),
+    }
+    assert lines_spelling_rule_stems(sources, TABLE_STEMS) == ["hypotheses.py:3"]

@@ -337,15 +337,15 @@ def test_feedback_mix_rows_sum_to_one():
     "field, change, match",
     [
         ("target_type_dist", lambda kn: "abc", "target_type_dist is not a table of floats"),
-        ("target_type_dist", lambda kn: [[2.0, -1.0]] * 2, "target_type_dist has negative entries"),
-        ("target_type_dist", lambda kn: [[0.5, 0.4]] * 2, "target_type_dist rows deviate"),
+        ("target_type_dist", lambda kn: [[2.0, -1.0]] * 2, "target_type_dist has a row that is not a distribution"),
+        ("target_type_dist", lambda kn: [[0.5, 0.4]] * 2, "target_type_dist has a row that is not a distribution"),
         ("target_type_dist", lambda kn: [0.5, 0.5], r"target_type_dist has shape \(2,\), expected \(H, T\)"),
         ("target_type_dist", lambda kn: np.ones((2, 0)), "target_type_dist has shape"),
         ("feedback_by_type", lambda kn: [["a"]], "feedback_by_type is not a table of floats"),
         ("feedback_by_type", lambda kn: kn.feedback_by_type[:1], r"expected \(2, S, A, 2, E\)"),
         ("feedback_by_type", lambda kn: kn.feedback_by_type[..., :1, :], r"expected \(2, S, A, 2, E\)"),
         ("feedback_by_type", lambda kn: kn.feedback_by_type[0], r"expected \(2, S, A, 2, E\)"),
-        ("feedback_by_type", lambda kn: kn.feedback_by_type / 2, "feedback_by_type rows deviate"),
+        ("feedback_by_type", lambda kn: kn.feedback_by_type / 2, "feedback_by_type has a row that is not a distribution"),
         ("feedback_by_type", lambda kn: kn.feedback_by_type * np.nan, "feedback_by_type has non-finite"),
         ("grid", lambda kn: "grid", "grid must be None or a Grid"),
         ("grid", lambda kn: ((-1.0,), (1.0,), (2,)), "grid must be None or a Grid"),

@@ -1,8 +1,10 @@
-"""The rule book for input values (model.py) and the entry points that use it.
+"""The rule book for input values and the table rule (model.py), and the entry points that use them.
 
 Every public entry point that takes a count, a confidence level or a scale
 refuses a bad one with a StrategicMDPError subclass, never a bare Python
-error, and accepts the same values as the config parser.
+error, and accepts the same values as the config parser. Every table an
+entry point takes is refused as a package error when ragged, not numbers,
+past the float range or misshapen, and a table it keeps is read-only.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategicmdp import (
+    AggregatedMDP,
     ClassCaps,
+    Policy,
     RunConfig,
     StepData,
     StepDataset,
@@ -27,14 +31,16 @@ from strategicmdp import (
     build_scenario,
     confidence_levels,
     ill_posedness,
+    occupancy,
     run_learner,
     transfer_term,
+    true_aggregated_model,
 )
 from strategicmdp import estimation
 from strategicmdp.config import config_from_dict
 from strategicmdp.errors import ConfigError, StrategicMDPError, ValidationError
 from strategicmdp.harness import run_experiment
-from strategicmdp.model import COUNT, NONNEGATIVE, POSITIVE, SCALE, UNIT_INTERVAL, Grid
+from strategicmdp.model import COUNT, NONNEGATIVE, POSITIVE, SCALE, UNIT_INTERVAL, Grid, as_table
 
 BAD = [0, -1, True, False, math.nan, math.inf, -math.inf, 2.5, np.float32(0.1), np.float32(2.0), 10**400, 10**5000]
 HUGE_BITS = (10**5000).bit_length()
@@ -115,6 +121,11 @@ ENTRIES = {
         f"StrategicModel {key}": (lambda v, k=key: dataclasses.replace(DYNAMICAL.model, **{k: v}))
         for key in ("reward_noise_std", "reward_bound", "trans_noise_scale")
     },
+    **{
+        f"StrategicModel {key}": (lambda v, k=key: dataclasses.replace(GENERAL.model, **{k: v}))
+        for key in ("horizon", "num_states", "num_actions", "num_feedbacks", "num_types", "num_agent_actions",
+                    "initial_state")
+    },
     "LearnerKnowledge trans_noise_scale": lambda v: dataclasses.replace(DYNAMICAL.knowledge(), trans_noise_scale=v),
     "Grid cell count": lambda v: Grid((0.0,), (1.0,), (v,)),
     "Grid.gaussian_mass_1d scale": lambda v: DYNAMICAL.model.grid.gaussian_mass_1d(0.0, v, 0),
@@ -142,6 +153,25 @@ TABLE_ENTRIES = {
         for key in ("reward_tables", "transition_tables", "discriminators")
     },
     "StepDataset.append next state": lambda v: StepDataset(3, 3, 2, 3, state_dim=1).append(0, 0, 0, 0, 0.5, v),
+    "AggregatedMDP rewards": lambda v: AggregatedMDP(v, np.full((1, 2, 2, 2), 0.5), 0),
+    "AggregatedMDP transitions": lambda v: AggregatedMDP(np.zeros((1, 2, 2)), v, 0),
+    "Policy": lambda v: Policy(v),
+    "Policy.deterministic": lambda v: Policy.deterministic(v, 2),
+    "Grid.locate": lambda v: DYNAMICAL.model.grid.locate(v),
+    **{
+        f"StrategicModel {key} (dynamical)": (lambda v, k=key: dataclasses.replace(DYNAMICAL.model, **{k: v}))
+        for key in ("mean_map", "trans_confound")
+    },
+    "HypothesisClasses value_targets": lambda v: dataclasses.replace(GENERAL.classes, value_targets=[v] * 3),
+    "HypothesisClasses mean_map_tables": lambda v: dataclasses.replace(DYNAMICAL.classes, mean_map_tables=[[v]] * 3),
+}
+
+# Entry points for which some of BAD_TABLES are valid: cell-mass means take
+# any shape, and a population of None is the default one.
+LOOSE_TABLE_ENTRIES = {
+    "Grid.gaussian_mass_1d means": (lambda v: DYNAMICAL.model.grid.gaussian_mass_1d(v, 0.5, 0), BAD_TABLES[:3]),
+    "occupancy type_dist": (lambda v: occupancy(GENERAL.model, Policy.uniform(3, 3, 2), v), [None]),
+    "true_aggregated_model type_dist": (lambda v: true_aggregated_model(GENERAL.model, v), [None]),
 }
 
 
@@ -160,6 +190,17 @@ def test_every_table_taking_entry_point_refuses_misshapen_tables(entry):
     for table in BAD_TABLES:
         with pytest.raises(StrategicMDPError):
             TABLE_ENTRIES[entry](table)
+
+
+@pytest.mark.parametrize("entry", sorted(LOOSE_TABLE_ENTRIES))
+def test_entry_points_taking_any_shape_or_a_default_refuse_the_other_bad_tables(entry):
+    call, valid = LOOSE_TABLE_ENTRIES[entry]
+    for table in BAD_TABLES:
+        if any(table is v for v in valid):
+            call(table)
+        else:
+            with pytest.raises(StrategicMDPError):
+                call(table)
 
 
 @settings(max_examples=300, deadline=None)
@@ -265,6 +306,43 @@ def test_config_refuses_a_beta_scale_past_the_digit_limit_with_its_own_error():
         _config("run", "beta_scale", 10**5000)
 
 
+def test_config_names_an_int_key_past_the_digit_limit():
+    """The unknown-section and unknown-key messages str()'d the key, a bare ValueError past 4300 digits."""
+    with pytest.raises(ValidationError, match=f"an integer of {HUGE_BITS} bits: unknown section"):
+        config_from_dict({10**5000: 1})
+    with pytest.raises(ValidationError, match=f"environment.an integer of {HUGE_BITS} bits: unknown key"):
+        _config("environment", 10**5000, 1)
+
+
+def test_model_refuses_a_size_past_the_digit_limit_with_its_own_error():
+    """The shape message printed the expected shape, a bare ValueError past 4300 digits."""
+    with pytest.raises(ValidationError, match=f"expected \\(an integer of {HUGE_BITS} bits, 2\\)"):
+        dataclasses.replace(GENERAL.model, horizon=10**5000)
+
+
+@pytest.mark.parametrize("value", [2.5, True, -1, np.float32(2.0)])
+def test_model_refuses_a_size_that_is_not_a_count_by_the_count_rule(value):
+    """num_states 2.5, True or -1 was refused as a shape mismatch, and a
+    num_types of np.float32(2.0) built a model."""
+    for key in ("num_states", "num_types"):
+        with pytest.raises(ValidationError, match=f"^{key} {COUNT.stem}, got "):
+            dataclasses.replace(GENERAL.model, **{key: value})
+
+
+def test_confidence_levels_takes_a_large_numpy_float32_bound():
+    """28 * bound * bound overflowed in float32's width, a bare RuntimeWarning under the test filters."""
+    levels = confidence_levels(**{**LEVELS, "bound": np.float32(3.4861072e18)})
+    assert math.isfinite(levels.reward)
+
+
+def test_model_refuses_a_table_of_the_other_transition_mode():
+    """A general model kept a mean map unchecked and writable."""
+    with pytest.raises(ValidationError, match="^mean_map belongs to the other transition mode$"):
+        dataclasses.replace(GENERAL.model, mean_map=DYNAMICAL.model.mean_map)
+    with pytest.raises(ValidationError, match="^transition_kernel belongs to the other transition mode$"):
+        dataclasses.replace(DYNAMICAL.model, transition_kernel=GENERAL.model.transition_kernel)
+
+
 def test_config_and_run_config_agree_on_a_numpy_float_delta():
     """config_from_dict refused np.float32(0.1) as not strictly between 0 and 1."""
     delta = np.float32(0.1)
@@ -325,3 +403,87 @@ def test_a_config_holding_numpy_values_runs_and_writes_their_python_values(tmp_p
     config = json.loads((exp / "seed-0002" / "manifest.json").read_text())["config"]
     assert config["environment"]["seed"] == 1
     assert config["run"] == {"episodes": 3, "delta": 0.5, "seeds": [2]}
+
+
+# ---------------------------------------------------------------------------
+# The table rule, and the read-only tables it leaves behind
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "value, shape, kwargs, message",
+    [
+        ([[1.0], [1.0, 2.0]], None, {}, "^t is not a table of floats: "),
+        ("abc", None, {}, "^t is not a table of floats: "),
+        ([[10**400]], None, {}, "^t is not a table of floats: "),
+        (np.zeros((2, 3)), ("H", "H"), {}, r"^t has shape \(2, 3\), expected \(H, H\)$"),
+        (np.zeros((2, 0)), ("H", "T"), {}, r"^t has shape \(2, 0\), expected \(H, T\)$"),
+        (np.zeros((2, 3)), (None, 2), {}, r"^t has shape \(2, 3\), expected \(n, 2\)$"),
+        (np.zeros(2), (10**5000,), {}, f"^t has shape \\(2,\\), expected \\(an integer of {HUGE_BITS} bits\\)$"),
+        (np.zeros(2), (2.5,), {}, f"^a size of t {COUNT.stem}, got 2.5$"),
+        ([1.0, math.inf], None, {}, "^t has non-finite entries$"),
+        ([0.5, math.nan], (2,), {"rows": True}, "^t has non-finite entries$"),
+        ([[0.5, 0.4]], (1, 2), {"rows": True}, "^t has a row that is not a distribution$"),
+        ([[1.5, -0.5]], (1, 2), {"rows": True}, "^t has a row that is not a distribution$"),
+    ],
+    ids=[
+        "ragged", "text", "huge", "named axis", "named axis of size 0", "stack", "huge size", "size 2.5", "inf",
+        "nan row", "short row", "negative entry",
+    ],
+)
+def test_table_rule_refuses(value, shape, kwargs, message):
+    with pytest.raises(ValidationError, match=message):
+        as_table(value, shape, "t", **kwargs)
+
+
+def test_table_rule_returns_a_read_only_copy_once():
+    """The caller's array is copied, so a later write to it cannot reach the
+    table; an array the rule returned is taken as it is."""
+    mine = np.full((2, 2), 0.5)
+    table = as_table(mine, ("S", "S"), "t", rows=True)
+    mine[0, 0] = math.nan
+    assert table[0, 0] == 0.5 and not table.flags.writeable
+    assert as_table(table, (2, 2), "t") is table
+    assert as_table(np.zeros((3, 0)), (3, None), "t", finite=False).shape == (3, 0)
+    np.testing.assert_array_equal(as_table([[math.nan]], (1, 1), "t", finite=False), [[math.nan]])
+
+
+def _arrays(value, seen: set[int]):
+    """Every numpy array reachable from value through attributes (cached ones
+    too), lists, tuples and dict values."""
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays(item, seen)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item, seen)
+    elif hasattr(value, "__dict__") and not isinstance(value, type):
+        yield from _arrays(vars(value), seen)
+
+
+@pytest.mark.parametrize("scenario", [GENERAL, DYNAMICAL], ids=["recsys-small", "dyn-1d"])
+def test_every_table_of_a_scenario_its_knowledge_and_a_run_is_read_only(scenario):
+    """The model, the closed classes, the knowledge and the policies a run
+    commits hold only read-only arrays, the grid's cached bins included."""
+    knowledge = scenario.knowledge()
+    mode = scenario.model.transition_mode
+    run = run_learner(scenario.model, knowledge, scenario.classes, RunConfig(**{**RUN, "episodes": 20, "mode": mode}))
+    assert len(run.committed) >= 1
+    arrays = list(_arrays((scenario, knowledge, run.initial_policy, run.committed), set()))
+    assert len(arrays) >= 20
+    assert [a.shape for a in arrays if a.flags.writeable] == []
+
+
+def test_a_nan_written_into_the_closed_reward_table_is_refused():
+    """A NaN written into the closed recsys-small reward table at (step 0,
+    candidate 0) dropped the truth reward from every step-0 set, with no error."""
+    scenario = build_scenario("recsys-small")
+    with pytest.raises(ValueError, match="read-only"):
+        scenario.classes.reward_tables[0][0, 0, 0, 0] = np.nan
+    run = run_learner(scenario.model, scenario.knowledge(), scenario.classes, RunConfig(**{**RUN, "episodes": 20}))
+    assert run.flags == () and all(entry.truth_covered for entry in run.entries)
