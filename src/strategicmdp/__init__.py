@@ -67,7 +67,6 @@ from .model import (
     TrajectoryStep,
     TransitionMode,
     env_step,
-    feedback_by_type,
     feedback_mix,
     integrate_feedback,
     make_rng,

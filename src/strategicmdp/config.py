@@ -15,7 +15,7 @@ import yaml
 from .errors import ParseError, ValidationError
 from .diagnostics import DEFAULT_POLICY_BUDGET
 from .hypotheses import DEFAULT_JOINT_CAP, DEFAULT_PER_STEP_CAP
-from .model import COUNT, NONNEGATIVE, POSITIVE, UNIT_INTERVAL, _shown
+from .model import COUNT, NONNEGATIVE, POSITIVE, SEED, UNIT_INTERVAL, _shown
 from .planning import DEFAULT_SELECTOR_CAP, SelectionMode
 from .scenarios import GENERATORS
 
@@ -80,6 +80,8 @@ def _selection_mode(val) -> str | None:
 def _seed_list(val) -> str | None:
     if not isinstance(val, list) or not val or any(NONNEGATIVE(s) for s in val):
         return f"must be a nonempty list of nonnegative integers, got {_shown(val)}"
+    if too_large := next(filter(None, map(SEED, val)), None):
+        return f"each seed {too_large}"
     if len(set(val)) != len(val):
         return f"duplicate seeds {_shown(sorted({s for s in val if val.count(s) > 1}))}"
     return None
@@ -99,7 +101,7 @@ def _string_or_null(val) -> str | None:
 _SCHEMA = {
     "environment": {
         "generator": (None, _scenario_name),
-        "seed": (0, NONNEGATIVE),
+        "seed": (0, SEED),
         "params": (None, _mapping_or_null),
     },
     "classes": {

@@ -1,10 +1,11 @@
 """Ground-truth-aware oracles: the true law, occupancies, regret, identifiability measures.
 
 Everything here may read environment internals; none of it feeds back into
-learning decisions. The true law is one set of per-step next-state kernels,
-read by the aggregated MDP of regret, occupancy and the ratio oracles. The
-two identifiability measures are worst-case ratios over candidate residuals
-and enumerated policies:
+learning decisions. The true law, cached on the model, is its per-type
+feedback table and one set of per-step next-state kernels (_step_kernels),
+read by the aggregated MDP of regret and by occupancy(), the one forward DP.
+The two identifiability measures are worst-case ratios over candidate
+residuals and blocks of enumerated policies:
 
   ill_posedness    max MSE / projected-MSE under the source occupancy, i.e.
                    how much resolution the (state, action) instrument loses
@@ -36,7 +37,6 @@ from .model import (
     _check_index,
     as_table,
     check_dims,
-    feedback_by_type,
     feedback_mix,
     integrate_feedback,
     make_rng,
@@ -56,21 +56,19 @@ POLICY_BLOCK = 128
 # ---------------------------------------------------------------------------
 
 
-def _step_kernels(env: StrategicModel, steps: int) -> list[np.ndarray]:
-    """Next-state laws of steps 0..steps-1; they depend on neither policy nor population.
+def _step_kernels(env: StrategicModel) -> tuple[np.ndarray, ...]:
+    """Read-only next-state laws of the H steps; they depend on neither policy
+    nor population. StrategicModel.step_kernels builds them once per model.
 
     General mode: the (S, A, E, S) transition tables. Dynamical mode: the
     (T, S, A, E, C) cell masses of every type's shifted mean.
     """
     if env.transition_mode is TransitionMode.GENERAL:
         assert env.transition_kernel is not None
-        return [env.transition_kernel[h] for h in range(steps)]
+        return tuple(env.transition_kernel)
     assert env.mean_map is not None and env.trans_confound is not None and env.grid is not None
-    kernels = []
-    for h in range(steps):
-        means = env.mean_map[h][None] + env.trans_confound[h][:, None, None, None, :]  # (T, S, A, E, d)
-        kernels.append(discretize_gaussian(means, env.grid, env.trans_noise_scale))
-    return kernels
+    means = [env.mean_map[h][None] + env.trans_confound[h][:, None, None, None, :] for h in range(env.horizon)]
+    return tuple(as_table(discretize_gaussian(m, env.grid, env.trans_noise_scale), None, "step kernel") for m in means)
 
 
 def _push(weights: np.ndarray, kernel: np.ndarray, out: str) -> np.ndarray:
@@ -100,10 +98,10 @@ def true_aggregated_model(model: StrategicModel, type_dist: np.ndarray | None = 
     given type_dist must be an (H, T) table of distributions.
     """
     dist = _type_dist(model, type_dist, model.target_type_dist)
-    fb = feedback_by_type(model)  # (H, S, A, T, E)
+    fb = model.feedback_by_type  # (H, S, A, T, E)
     rewards = np.einsum("hsae,hsae->hsa", feedback_mix(dist, fb), model.principal_reward)
     weights = dist[:, None, None, :, None] * fb
-    transitions = [_push(weights[h], k, "sax") for h, k in enumerate(_step_kernels(model, model.horizon))]
+    transitions = [_push(weights[h], k, "sax") for h, k in enumerate(model.step_kernels)]
     return AggregatedMDP(rewards, transitions, model.initial_state)
 
 
@@ -111,9 +109,10 @@ def true_aggregated_model(model: StrategicModel, type_dist: np.ndarray | None = 
 class OccupancyTable:
     """Exact per-step distributions induced by a policy and a type population.
 
-    joints[h] is the (S, A, E) distribution of (state, action, feedback);
-    marginals follow by summation. A state is its grid cell in dynamical
-    mode, so the table is exact in both modes and flags stays empty.
+    joints[h] is the (..., S, A, E) distribution of (state, action, feedback),
+    with the leading axes of the action tables; marginals follow by
+    summation. A state is its grid cell in dynamical mode, so the table is
+    exact in both modes and flags stays empty.
     """
 
     joints: list[np.ndarray]
@@ -121,35 +120,29 @@ class OccupancyTable:
 
 
 def occupancy(
-    env: StrategicModel, policy: Policy, type_dist: np.ndarray | None = None
+    env: StrategicModel, policy: Policy | np.ndarray, type_dist: np.ndarray | None = None
 ) -> OccupancyTable:
     """Forward dynamic program for the joint (state, action, feedback) law.
 
-    type_dist defaults to the source population; a given one must be an
-    (H, T) table of distributions. The next-state step averages the true
+    policy is a Policy or a (..., steps, S, A) stack of action tables whose
+    leading axes index policies run side by side; the DP runs steps <= H
+    steps. type_dist defaults to the source population; a given one must be
+    an (H, T) table of distributions. The next-state step averages the true
     transitions consistently with the same population.
     """
-    H = env.horizon
     dist = _type_dist(env, type_dist, env.source_type_dist)
-    as_table(policy.action_probs, (H, env.num_states, env.num_actions), "policy", finite=False)
-    kernels = _step_kernels(env, H - 1)
-    return OccupancyTable(_forward_joints(env, policy.action_probs, dist, feedback_by_type(env), kernels))
-
-
-def _forward_joints(
-    env: StrategicModel,
-    action_probs: np.ndarray,
-    dist: np.ndarray,
-    fb: np.ndarray,
-    kernels: list[np.ndarray],
-) -> list[np.ndarray]:
-    """(..., S, A, E) joints of steps 0..len(kernels), moved forward by the kernels, for
-    (..., steps, S, A) action_probs whose leading axes index policies run side by side."""
-    d = np.zeros(action_probs.shape[:-3] + (env.num_states,))
+    probs = as_table(policy.action_probs if isinstance(policy, Policy) else policy, None, "policy", finite=False)
+    stack = (None,) * (probs.ndim - 3) + ("steps", env.num_states, env.num_actions)
+    probs = as_table(probs, stack, "policy", rows=True)
+    steps = probs.shape[-3]
+    if steps > env.horizon:
+        raise ValidationError(f"policy runs {steps} steps, past the horizon {env.horizon}")
+    fb = env.feedback_by_type
+    d = np.zeros(probs.shape[:-3] + (env.num_states,))
     d[..., env.initial_state] = 1.0
     joints: list[np.ndarray] = []
-    for h in range(len(kernels) + 1):
-        sa = d[..., None] * action_probs[..., h, :, :]  # (..., S, A)
+    for h in range(steps):
+        sa = d[..., None] * probs[..., h, :, :]  # (..., S, A)
         per_type = sa[..., None, None] * dist[h][:, None] * fb[h]  # (..., S, A, T, E)
         joint = per_type.sum(axis=-2)
         joints.append(joint)
@@ -157,9 +150,9 @@ def _forward_joints(
         worst = totals.flat[np.argmax(np.abs(totals - 1.0))]
         if abs(worst - 1.0) > 1e-9:
             raise ValidationError(f"occupancy at step {h} sums to {worst}")
-        if h < len(kernels):
-            d = _push(per_type, kernels[h], "x")
-    return joints
+        if h + 1 < steps:
+            d = _push(per_type, env.step_kernels[h], "x")
+    return OccupancyTable(joints)
 
 
 # ---------------------------------------------------------------------------
@@ -245,17 +238,16 @@ def _ratio_oracle(
     classes: HypothesisClasses,
     h: int,
     policy_budget: int,
-    moments: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    moments: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     num_dist: np.ndarray,
     jensen: bool,
 ) -> RatioResult:
     """Largest ratio num / den at step h over nonzero residuals and policy tables, with its witness.
 
-    moments maps the (n, S, A, E) nonzero residuals and the (H, S, A, T, E)
-    per-type feedback table to (n, S, A) weights num and den, integrated
-    against the step-h (state, action) occupancy of each table under num_dist
-    and the source population respectively; the occupancies come from one
-    forward DP per POLICY_BLOCK tables. A zero denominator under a positive
+    moments maps the (n, S, A, E) nonzero residuals to (n, S, A) weights num
+    and den, integrated against the step-h (state, action) occupancy of each
+    table under num_dist and the source population respectively; the
+    occupancies come from one occupancy() call per POLICY_BLOCK tables. A zero denominator under a positive
     numerator is an infinite result at the first such table and residual;
     ties go to the first table, then the first residual. With jensen set,
     every pair is checked for the denominator never exceeding the numerator.
@@ -268,17 +260,16 @@ def _ratio_oracle(
     N, n = len(tables), rows.size
     if n == 0:
         return RatioResult(1.0, False, True, sampled, None, N, 0)
-    fb = feedback_by_type(env)
-    num, den = (m.reshape(n, -1) for m in moments(stack[rows], fb))
+    num, den = (m.reshape(n, -1) for m in moments(stack[rows]))
     den_dist = env.source_type_dist
-    kernels = _step_kernels(env, h)
     eye = np.eye(env.num_actions)
     top, bottom = np.empty((N, n)), np.empty((N, n))
     for start in range(0, N, POLICY_BLOCK):
         block = eye[tables[start : start + POLICY_BLOCK]]  # (B, h + 1, S, A)
+        block.setflags(write=False)  # taken by the table rule without a copy
         part = slice(start, start + len(block))
         occ = [  # (B, S * A) occupancies at step h; one DP when both populations agree
-            _forward_joints(env, block, dist, fb, kernels)[-1].sum(axis=-1).reshape(len(block), -1)
+            occupancy(env, block, dist).joints[-1].sum(axis=-1).reshape(len(block), -1)
             for dist in ([den_dist] if num_dist is den_dist else [den_dist, num_dist])
         ]
         # a stacked mat-vec per table: a gemm over the block would change the bits
@@ -316,8 +307,8 @@ def ill_posedness(
     never exceeding the MSE.
     """
 
-    def moments(nus: np.ndarray, fb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        kappa = feedback_mix(env.source_type_dist, fb)[h]
+    def moments(nus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        kappa = feedback_mix(env.source_type_dist, env.feedback_by_type)[h]
         proj = integrate_feedback(kappa, nus)
         return integrate_feedback(kappa, nus * nus), proj * proj  # second moment, squared mean
 
@@ -332,7 +323,8 @@ def transfer_term(
 ) -> RatioResult:
     """Worst-case target-MSE over source-MSE at step h, same enumeration scheme."""
 
-    def moments(nus: np.ndarray, fb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def moments(nus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        fb = env.feedback_by_type
         tgt, src = (feedback_mix(dist, fb)[h] for dist in (env.target_type_dist, env.source_type_dist))
         return integrate_feedback(tgt, nus * nus), integrate_feedback(src, nus * nus)
 
@@ -374,18 +366,16 @@ class NaiveBaselineReport:
 
 def naive_baseline(dataset: StepDataset, env: StrategicModel) -> NaiveBaselineReport:
     """Average reward per (h, s, a, e) cell versus the true reward table."""
-    H, S, A, E = env.horizon, env.num_states, env.num_actions, env.num_feedbacks
     shape = (dataset.horizon, dataset.num_states, dataset.num_actions, dataset.num_feedbacks)
-    if shape != (H, S, A, E):
-        raise ValidationError(f"dataset has (H, S, A, E) = {shape}, the model {(H, S, A, E)}")
-    counts = np.stack([dataset.steps[h].counts for h in range(H)])
-    sums = np.stack([dataset.steps[h].reward_sums for h in range(H)])
+    if shape != env.dims:
+        raise ValidationError(f"dataset has (H, S, A, E) = {shape}, the model {env.dims}")
+    counts = np.stack([step.counts for step in dataset.steps])
+    sums = np.stack([step.reward_sums for step in dataset.steps])
     with np.errstate(invalid="ignore", divide="ignore"):
         mean = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     empirical_bias = mean - env.principal_reward
-    fb = feedback_by_type(env)
-    weighted = feedback_mix(env.source_type_dist * env.reward_confound, fb)
-    kappa = feedback_mix(env.source_type_dist, fb)
+    weighted = feedback_mix(env.source_type_dist * env.reward_confound, env.feedback_by_type)
+    kappa = feedback_mix(env.source_type_dist, env.feedback_by_type)
     with np.errstate(invalid="ignore", divide="ignore"):
         population_bias = np.where(kappa > 0, weighted / np.maximum(kappa, 1e-300), np.nan)
     empty = int(np.sum(counts == 0))

@@ -25,8 +25,8 @@ from .estimation import LossEvaluator, StepDataset, confidence_levels
 from .hypotheses import HypothesisClasses, RealizabilityReport, check_realizability
 from .model import (
     COUNT,
-    NONNEGATIVE,
     POSITIVE,
+    SEED,
     UNIT_INTERVAL,
     LearnerKnowledge,
     Policy,
@@ -56,7 +56,7 @@ class RunConfig:
         for name, kind in (("mode", TransitionMode), ("optimism", SelectionMode), ("strict_realizability", bool)):
             if not isinstance(getattr(self, name), kind):
                 raise ConfigError(f"{name} must be a {kind.__name__}, got {_shown(getattr(self, name))}")
-        for name, rule in (("episodes", COUNT), ("seed", NONNEGATIVE), ("delta", UNIT_INTERVAL),
+        for name, rule in (("episodes", COUNT), ("seed", SEED), ("delta", UNIT_INTERVAL),
                            ("beta_scale", POSITIVE), ("selector_cap", COUNT)):
             rule.check(getattr(self, name), name, ConfigError)
 

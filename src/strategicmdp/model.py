@@ -220,7 +220,7 @@ class Grid:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class StrategicModel:
     """Full simulator description, including components hidden from the learner.
 
@@ -242,7 +242,8 @@ class StrategicModel:
     confound tables under the per-step source distribution. In both
     modes tables are indexed by the state's cell; in dynamical mode the
     observed next state is a d-vector, and its grid cell is the next state
-    the tables see.
+    the tables see. The model is frozen, so its true law (feedback_by_type,
+    step_kernels) is computed on first read, never at construction, and kept.
     """
 
     horizon: int
@@ -311,7 +312,7 @@ class StrategicModel:
             "reward_confound": ((H, T), False),
             **transitions,
         }.items():
-            setattr(self, name, as_table(getattr(self, name), shape, name, rows=rows))
+            object.__setattr__(self, name, as_table(getattr(self, name), shape, name, rows=rows))  # frozen
         SCALE.check(self.reward_noise_std, "reward_noise_std")
         POSITIVE.check(self.reward_bound, "reward_bound")
         lo, hi = self.principal_reward.min(), self.principal_reward.max()
@@ -325,14 +326,26 @@ class StrategicModel:
         """Demean both confound tables under the per-step source distribution, to SIMPLEX_TOL."""
         src = self.source_type_dist
         shift = self.reward_confound - np.sum(src * self.reward_confound, axis=1, keepdims=True)
-        self.reward_confound = as_table(shift, None, "reward_confound")
+        object.__setattr__(self, "reward_confound", as_table(shift, None, "reward_confound"))
         if np.abs(np.sum(src * self.reward_confound, axis=1)).max() > SIMPLEX_TOL:
             raise ValidationError("reward_confound is not demeaned under the source")
         if self.trans_confound is not None:
             shift = self.trans_confound - np.einsum("ht,htd->hd", src, self.trans_confound)[:, None, :]
-            self.trans_confound = as_table(shift, None, "trans_confound")
+            object.__setattr__(self, "trans_confound", as_table(shift, None, "trans_confound"))
             if np.abs(np.einsum("ht,htd->hd", src, self.trans_confound)).max() > SIMPLEX_TOL:
                 raise ValidationError("trans_confound is not demeaned under the source")
+
+    @cached_property
+    def feedback_by_type(self) -> np.ndarray:
+        """Feedback kernel (H, S, A, T, E) with best responses substituted."""
+        idx = best_response_table(self)[..., None, None]
+        return as_table(np.take_along_axis(self.feedback_kernel, idx, axis=4)[..., 0, :], None, "feedback_by_type")
+
+    @cached_property
+    def step_kernels(self) -> tuple[np.ndarray, ...]:
+        """The next-state law of each of the H steps, read-only; see diagnostics._step_kernels."""
+        from .diagnostics import _step_kernels  # here, not at the top: diagnostics imports this module
+        return _step_kernels(self)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +386,7 @@ class LearnerKnowledge:
     def from_model(cls, model: StrategicModel) -> "LearnerKnowledge":
         return cls(
             target_type_dist=model.target_type_dist,
-            feedback_by_type=feedback_by_type(model),
+            feedback_by_type=model.feedback_by_type,
             grid=model.grid,
             trans_noise_scale=model.trans_noise_scale,
         )
@@ -403,13 +416,6 @@ class LearnerKnowledge:
 def best_response_table(model: StrategicModel) -> np.ndarray:
     """Best responses for every (h, s, a, t), lowest index on ties."""
     return np.argmax(model.agent_reward, axis=-1)
-
-
-def feedback_by_type(model: StrategicModel) -> np.ndarray:
-    """Feedback kernel (H, S, A, T, E) with best responses substituted."""
-    br = best_response_table(model)  # (H, S, A, T)
-    idx = br[..., None, None]
-    return np.take_along_axis(model.feedback_kernel, idx, axis=4)[..., 0, :]
 
 
 def feedback_mix(type_dist: np.ndarray, fb: np.ndarray) -> np.ndarray:
@@ -474,12 +480,13 @@ class Rule:
             raise error(f"{name} {self(value)}")
 
 
-# The rule book: every module checks counts, confidence levels and scales through these rules.
+# The rule book: every module checks counts, confidence levels, scales and seeds through these rules.
 COUNT = Rule(lambda v: _is_int(v) and v >= 1, "must be an integer of at least 1")
 NONNEGATIVE = Rule(lambda v: _is_int(v) and v >= 0, "must be an integer of at least 0")
 UNIT_INTERVAL = Rule(lambda v: _is_finite_real(v) and 0 < v < 1, "must lie strictly between 0 and 1")
 POSITIVE = Rule(lambda v: _is_finite_real(v) and v > 0, "must be finite and positive")
 SCALE = Rule(lambda v: _is_finite_real(v) and v >= 0, "must be finite and nonnegative")
+SEED = Rule(lambda v: _is_int(v) and 0 <= v < 2**64, "must be an integer of at least 0 and below 2**64")
 
 
 def as_table(
@@ -585,10 +592,14 @@ class Policy:
     def deterministic(cls, actions: np.ndarray, num_actions: int) -> "Policy":
         """Build from an (H, S) table of action indices in [0, num_actions)."""
         as_table(actions, ("H", "S"), "action table")
+        COUNT.check(num_actions, "num_actions")
         actions = np.asarray(actions)
         if not (np.issubdtype(actions.dtype, np.integer) and 0 <= actions.min() and actions.max() < num_actions):
-            raise InvalidIndexError(f"action table must hold integers in [0, {num_actions})")
-        return cls(np.eye(num_actions)[actions])
+            raise InvalidIndexError(f"action table must hold integers in [0, {_shown(num_actions)})")
+        try:  # numpy refuses an action count past what an array can hold
+            return cls(actions[..., None] == np.arange(num_actions))
+        except (ValueError, OverflowError) as exc:
+            raise ValidationError(f"no policy table has {_shown(num_actions)} actions: {exc}") from None
 
     def sample_action(self, rng: np.random.Generator, h: int, s: int) -> int:
         H, S, _ = self.action_probs.shape

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError
 from .hypotheses import ClassCaps, HypothesisClasses, close_classes
 from .model import (
-    COUNT, NONNEGATIVE, Grid, LearnerKnowledge, StrategicModel, TransitionMode, _is_finite_real, _is_int, _shown,
+    COUNT, SEED, Grid, LearnerKnowledge, StrategicModel, TransitionMode, _is_finite_real, _is_int, _shown,
     make_rng,
 )
 
@@ -453,7 +453,7 @@ def build_scenario(
     if name not in GENERATORS:
         known = ", ".join(sorted(GENERATORS))
         raise ConfigError(f"unknown scenario {name!r}; known scenarios: {known}")
-    NONNEGATIVE.check(seed, "scenario seed", ConfigError)
+    SEED.check(seed, "scenario seed", ConfigError)
     generator = GENERATORS[name]
     params = params or {}
     defaults = generator.__kwdefaults__ or {}

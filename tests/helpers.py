@@ -23,7 +23,8 @@ functions in ``model`` replaced them. The last section keeps the package
 functions that only tests called: the aggregation of full-horizon tables
 (target distribution only), a mixture's value (over a list of policies), the
 occupancy MSE and the batched step sampler. After it comes the config parser
-as it was before one table declared every key.
+as it was before one table declared every key, with seeds bounded to 64 bits
+as the SEED rule bounds them.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from strategicmdp import (
     ValidationError,
     confidence_levels,
     deterministic_policy_tables,
-    feedback_by_type,
     make_rng,
     policy_value,
     residual_labels,
@@ -402,9 +402,16 @@ def ref_model_kernels(classes, knowledge) -> list[np.ndarray]:
     return out
 
 
+def ref_feedback_by_type(model: StrategicModel) -> np.ndarray:
+    """The module function feedback_by_type as it was, before the model cached the table."""
+    br = best_response_table(model)  # (H, S, A, T)
+    idx = br[..., None, None]
+    return np.take_along_axis(model.feedback_kernel, idx, axis=4)[..., 0, :]
+
+
 def ref_occupancy_joints(env: StrategicModel, policy: Policy, dist: np.ndarray):
     """Forward DP over the full horizon, rebuilding the kernel at every step."""
-    fb = feedback_by_type(env)
+    fb = ref_feedback_by_type(env)
     d = np.zeros(env.num_states)
     d[env.initial_state] = 1.0
     joints = []
@@ -427,7 +434,7 @@ def ref_true_aggregated_general(model: StrategicModel, type_dist: np.ndarray | N
     """true_aggregated_model in general mode as it was: feedback weights contracted with
     the transition tables in one einsum, before the step kernels were shared."""
     dist = model.target_type_dist if type_dist is None else np.asarray(type_dist, dtype=float)
-    fb = feedback_by_type(model)  # (H, S, A, T, E)
+    fb = ref_feedback_by_type(model)  # (H, S, A, T, E)
     w = np.einsum("ht,hsate->hsae", dist, fb)
     rewards = np.einsum("hsae,hsae->hsa", w, model.principal_reward)
     transitions = np.einsum("hsae,hsaex->hsax", w, model.transition_kernel)
@@ -448,7 +455,7 @@ def ref_worst_ratio(env, classes, h: int, policy_budget: int, transfer: bool) ->
     n = nus.shape[0]
     src, tgt = env.source_type_dist, env.target_type_dist
     if transfer:
-        fb = feedback_by_type(env)
+        fb = ref_feedback_by_type(env)
         kappa_src = np.einsum("t,sate->sae", src[h], fb[h])
         kappa_tgt = np.einsum("t,sate->sae", tgt[h], fb[h])
         den_w = np.einsum("sae,nsae->nsa", kappa_src, nus * nus).reshape(n, -1)
@@ -1422,7 +1429,7 @@ def ref_append_trajectory(dataset, grid, traj: Trajectory) -> None:
 
 def ref_source_feedback_mix(model: StrategicModel) -> np.ndarray:
     """hypotheses.source_feedback_mix as it was, on the model's own per-type table."""
-    return np.einsum("ht,hsate->hsae", model.source_type_dist, feedback_by_type(model))
+    return np.einsum("ht,hsate->hsae", model.source_type_dist, ref_feedback_by_type(model))
 
 
 def ref_target_feedback_mix(knowledge: LearnerKnowledge) -> np.ndarray:
@@ -1547,9 +1554,10 @@ def sample_step_batch(
 
 # Before one table declared every config key, each key was spelled out in a
 # key set, a hand-written parse line carrying its default and rule, and a
-# keyword of the final constructor call. Kept verbatim: the package's parser
-# must give an equal ScenarioConfig or the same ValidationError text, except
-# that a falsy non-mapping environment.params is no longer read as {}.
+# keyword of the final constructor call. Kept verbatim but for the two seed
+# checks, which now refuse a seed of 2**64 or more: the package's parser must
+# give an equal ScenarioConfig or the same ValidationError text, except that a
+# falsy non-mapping environment.params is no longer read as {}.
 
 _OPTIMISM = tuple(m.value for m in SelectionMode)
 
@@ -1620,7 +1628,10 @@ def ref_config_from_dict(data: dict) -> ScenarioConfig:
     elif generator not in GENERATORS:
         known = ", ".join(sorted(GENERATORS))
         violations.append(f"environment.generator: unknown scenario {generator!r} (known: {known})")
-    generator_seed = _as_int(env, "seed", 0, 0, "environment", violations)
+    generator_seed = env.get("seed", 0)  # a seed is 64 bits, what make_rng takes
+    if not isinstance(generator_seed, int) or isinstance(generator_seed, bool) or not 0 <= generator_seed < 2**64:
+        violations.append(f"environment.seed: must be an integer of at least 0 and below 2**64, got {generator_seed!r}")
+        generator_seed = 0
     params = env.get("params", {}) or {}
     if not isinstance(params, dict):
         violations.append("environment.params: must be a mapping")
@@ -1661,6 +1672,9 @@ def ref_config_from_dict(data: dict) -> ScenarioConfig:
             f"run.seeds: must be a nonempty list of nonnegative integers, got {seeds!r}"
         )
         seeds = [0]
+    elif any(s >= 2**64 for s in seeds):
+        first = next(s for s in seeds if s >= 2**64)
+        violations.append(f"run.seeds: each seed must be an integer of at least 0 and below 2**64, got {first!r}")
     elif len(set(seeds)) != len(seeds):
         dups = sorted({s for s in seeds if seeds.count(s) > 1})
         violations.append(f"run.seeds: duplicate seeds {dups}")

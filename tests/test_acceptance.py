@@ -23,7 +23,6 @@ from strategicmdp import (
     StepDataset,
     TransitionMode,
     build_scenario,
-    feedback_by_type,
     feedback_mix,
     ill_posedness,
     make_rng,
@@ -403,7 +402,7 @@ def test_criterion_9_dynamical_mode_sanity(verdict):
                 wrong_losses[h].append(float(family_losses(per[[wrong_idx[h]]][:, None], observed, step.counts, disc)[0]))
 
     occ = occupancy(model, pol)
-    mix = feedback_mix(model.source_type_dist, feedback_by_type(model))
+    mix = feedback_mix(model.source_type_dist, model.feedback_by_type)
     truth_zero = all(v == 0.0 for h in range(H) for v in true_losses[h])
     ratios = []
     for h in range(H):

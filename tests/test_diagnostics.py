@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import tracemalloc
@@ -40,8 +41,11 @@ from strategicmdp import (
     true_aggregated_model,
     value_iteration,
 )
-from strategicmdp import diagnostics
+from strategicmdp import diagnostics, model as model_module
+from strategicmdp.config import config_from_dict
+from strategicmdp.harness import diagnose, run_experiment
 from strategicmdp.hypotheses import residual_stack
+from strategicmdp.model import StrategicModel
 
 from helpers import (
     all_action_tables,
@@ -610,6 +614,103 @@ def test_occupancy_equals_per_step_kernel_reference(model):
         want = ref_occupancy_joints(model, policy, dist)
         for g, w in zip(got, want, strict=True):
             np.testing.assert_array_equal(g, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["general", "dynamical", "dynamical-2d"]),
+    seed=st.integers(0, 2**16),
+    horizon=st.integers(1, 3),
+    policies=st.integers(1, 5),
+    one_hot=st.booleans(),
+    target=st.booleans(),
+    data=st.data(),
+)
+def test_a_stack_of_action_tables_gives_each_table_its_own_occupancy(
+    kind, seed, horizon, policies, one_hot, target, data
+):
+    """An (N, steps, S, A) stack, steps <= H, gives bit for bit the joints of each table run alone."""
+    if kind == "general":
+        model, _ = random_general(seed, horizon, 3, 2, 2, 2)
+    else:
+        grid = Grid((-1.5,), (1.5,), (3,)) if kind == "dynamical" else Grid((-2.0, -1.0), (2.0, 3.0), (3, 2))
+        model, _ = random_dynamical(seed, grid, horizon, rewards=2, candidates=(2,) * grid.dim)
+    steps = data.draw(st.integers(1, model.horizon), label="steps")
+    rng = np.random.default_rng(seed)
+    shape = (policies, steps, model.num_states)
+    if one_hot:
+        stack = np.eye(model.num_actions)[rng.integers(model.num_actions, size=shape)]
+    else:
+        stack = rng.dirichlet(np.ones(model.num_actions), size=shape)
+    dist = model.target_type_dist if target else None
+    got = occupancy(model, stack, dist).joints
+    assert len(got) == steps
+    for i in range(policies):
+        alone = occupancy(model, Policy(stack[i]), dist).joints
+        for g, w in zip(got, alone, strict=True):
+            assert g[i].tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize(
+    "table",
+    [np.full((3, 2, 2), 0.5), np.full((2, 3, 2), 0.5), np.full((2, 2), 0.5), np.full((1, 2, 2, 2), 0.6), 0.5],
+    ids=["past the horizon", "a state too many", "no step axis", "not distributions", "a number"],
+)
+def test_occupancy_refuses_action_tables_past_the_horizon_or_of_another_shape(table):
+    with pytest.raises(ValidationError, match="^policy "):
+        occupancy(tiny_general(), table)
+
+
+@pytest.mark.parametrize("oracle, populations", [(ill_posedness, 1), (transfer_term, 2)])
+def test_ratio_oracles_run_every_block_through_occupancy(monkeypatch, oracle, populations):
+    """The forward DP of the oracles is the public occupancy(), one call per
+    block and population, covering every table once per population."""
+    scenario = build_scenario("dyn-1d")
+    shapes = []
+    real = diagnostics.occupancy
+
+    def counting(env, policy, type_dist=None):
+        shapes.append(np.shape(policy))
+        return real(env, policy, type_dist)
+
+    monkeypatch.setattr(diagnostics, "occupancy", counting)
+    budget = 2 * diagnostics.POLICY_BLOCK + 1
+    assert oracle(scenario.model, scenario.classes, 1, policy_budget=budget).num_policies == budget
+    assert len(shapes) == 3 * populations
+    assert sum(shape[0] for shape in shapes) == budget * populations
+    assert {shape[1:] for shape in shapes} == {(2, scenario.model.num_states, scenario.model.num_actions)}
+
+
+def test_a_diagnose_and_run_derive_the_true_law_once_per_built_model(monkeypatch, tmp_path):
+    """A 4-seed dyn-1d diagnose plus run with both oracles on: one
+    best-response table and H cell-mass kernels per model built."""
+    horizon = build_scenario("dyn-1d").model.horizon
+    calls = collections.Counter()
+
+    def spy(owner, name, key):
+        real = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    spy(StrategicModel, "__post_init__", "models")
+    spy(model_module, "best_response_table", "best responses")
+    spy(diagnostics, "discretize_gaussian", "kernels")
+    cfg = config_from_dict(
+        {
+            "environment": {"generator": "dyn-1d"},
+            "run": {"episodes": 5, "seeds": [0, 1, 2, 3]},
+            "diagnostics": {"ill_posedness": True, "transfer": True, "policy_budget": 64},
+            "output": {"root": str(tmp_path)},
+        }
+    )
+    diagnose(cfg)
+    run_experiment(cfg)
+    assert calls["models"] == 2
+    assert (calls["best responses"], calls["kernels"]) == (2, 2 * horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -300,9 +300,9 @@ def test_closures_idempotent(name):
 def test_closure_adds_projection_of_every_residual():
     model = tiny_general()
     classes = singleton_classes(model)
-    from strategicmdp import feedback_by_type, feedback_mix, integrate_feedback
+    from strategicmdp import feedback_mix, integrate_feedback
 
-    kappa = feedback_mix(model.source_type_dist, feedback_by_type(model))
+    kappa = feedback_mix(model.source_type_dist, model.feedback_by_type)
     for h in range(classes.horizon):
         for nu in residual_stack(model, classes, h):
             proj = integrate_feedback(kappa[h], nu)

@@ -512,10 +512,10 @@ def lines_spelling_rule_stems(sources: dict[str, str], stems: list[str]) -> list
 
 
 def test_value_rules_are_spelled_only_in_the_rule_book():
-    """Counts, confidence levels and scales are refused through model.py's
-    rules, so no other module words a refusal of its own."""
+    """Counts, confidence levels, scales and seeds are refused through
+    model.py's rules, so no other module words a refusal of its own."""
     stems = [rule.stem for rule in vars(model).values() if isinstance(rule, model.Rule)]
-    assert len(stems) == 5
+    assert len(stems) == 6
     sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
     assert lines_spelling_rule_stems(sources, stems) == []
 

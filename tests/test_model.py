@@ -314,6 +314,25 @@ def test_best_response_table_matches_scalar():
                     assert table[h, s, a, t] == utilities.index(max(utilities))
 
 
+@pytest.mark.parametrize("field, value", [("horizon", 3), ("principal_reward", None), ("grid", None)])
+def test_a_built_model_refuses_a_rebound_field(field, value):
+    """The derived law is cached on the model, so no field may change under it."""
+    model = tiny_dynamical()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(model, field, value)
+
+
+@pytest.mark.parametrize("build", [tiny_general, tiny_dynamical], ids=["general", "dynamical"])
+def test_the_model_derives_its_law_on_first_read_and_keeps_it(build):
+    model = build()
+    assert "feedback_by_type" not in vars(model) and "step_kernels" not in vars(model)
+    fb, kernels = model.feedback_by_type, model.step_kernels
+    assert model.feedback_by_type is fb and model.step_kernels is kernels
+    assert len(kernels) == model.horizon
+    assert not fb.flags.writeable and not any(k.flags.writeable for k in kernels)
+    assert "feedback_by_type" not in vars(dataclasses.replace(model))
+
+
 def test_knowledge_hides_confounds_and_source():
     model = tiny_general()
     kn = LearnerKnowledge.from_model(model)
@@ -541,9 +560,7 @@ def test_sample_step_batch_matches_population_feedback():
     n = 40000
     batch = sample_step_batch(model, 0, 0, 1, make_rng(8), n)
     # population feedback mix under the source at (h=0, s=0, a=1)
-    from strategicmdp import feedback_by_type
-
-    fb = feedback_by_type(model)[0, 0, 1]
+    fb = model.feedback_by_type[0, 0, 1]
     want = model.source_type_dist[0] @ fb
     freqs = np.bincount(batch["feedbacks"], minlength=2) / n
     tol = 4 * np.sqrt(want * (1 - want) / n)

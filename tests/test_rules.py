@@ -13,6 +13,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -40,7 +41,7 @@ from strategicmdp import estimation
 from strategicmdp.config import config_from_dict
 from strategicmdp.errors import ConfigError, StrategicMDPError, ValidationError
 from strategicmdp.harness import run_experiment
-from strategicmdp.model import COUNT, NONNEGATIVE, POSITIVE, SCALE, UNIT_INTERVAL, Grid, as_table
+from strategicmdp.model import COUNT, NONNEGATIVE, POSITIVE, SCALE, SEED, UNIT_INTERVAL, Grid, as_table
 
 BAD = [0, -1, True, False, math.nan, math.inf, -math.inf, 2.5, np.float32(0.1), np.float32(2.0), 10**400, 10**5000]
 HUGE_BITS = (10**5000).bit_length()
@@ -128,6 +129,7 @@ ENTRIES = {
     },
     "LearnerKnowledge trans_noise_scale": lambda v: dataclasses.replace(DYNAMICAL.knowledge(), trans_noise_scale=v),
     "Grid cell count": lambda v: Grid((0.0,), (1.0,), (v,)),
+    "Policy.deterministic num_actions": lambda v: Policy.deterministic([[0, 0]], v),
     "Grid.gaussian_mass_1d scale": lambda v: DYNAMICAL.model.grid.gaussian_mass_1d(0.0, v, 0),
     "ill_posedness policy_budget": lambda v: ill_posedness(GENERAL.model, GENERAL.classes, 0, policy_budget=v),
     "transfer_term policy_budget": lambda v: transfer_term(GENERAL.model, GENERAL.classes, 0, policy_budget=v),
@@ -364,8 +366,9 @@ def test_config_and_run_config_agree_on_a_numpy_float_delta():
         (UNIT_INTERVAL, [0.5, np.float32(0.1), 1e-300], [0, 1, 1.0, math.nan, True, 10**400, "0.5"]),
         (POSITIVE, [1, 2.5, np.float32(0.1), 1e308], [0, -0.0, math.inf, math.nan, True, 10**400, None]),
         (SCALE, [0, 0.0, 1e308, np.float64(3)], [-1e-300, math.inf, math.nan, False, 10**400]),
+        (SEED, [0, np.uint64(2**64 - 1), 2**64 - 1], [-1, 2**64, 10**5000, True, 1.0, np.float64(3), None]),
     ],
-    ids=["count", "nonnegative", "unit interval", "positive", "scale"],
+    ids=["count", "nonnegative", "unit interval", "positive", "scale", "seed"],
 )
 def test_rules_accept_and_refuse(rule, good, bad):
     assert [rule(v) for v in good] == [None] * len(good)
@@ -381,8 +384,41 @@ def test_rule_messages_survive_ints_past_the_digit_limit():
 def test_config_names_a_seed_list_holding_an_int_past_the_digit_limit():
     with pytest.raises(ValidationError, match="run.seeds: must be a nonempty list of nonnegative integers, got a list"):
         _config("run", "seeds", [-(10**5000)])
-    with pytest.raises(ValidationError, match="run.seeds: duplicate seeds a list"):
+    with pytest.raises(ValidationError, match=re.escape(f"run.seeds: each seed {SEED.stem}, got an integer of")):
         _config("run", "seeds", [10**5000, 10**5000])
+
+
+@pytest.mark.parametrize("section, key, value", [("run", "seeds", [10**5000]), ("environment", "seed", 2**64)])
+def test_a_seed_past_64_bits_is_refused_before_an_experiment_writes_anything(tmp_path, section, key, value):
+    """Passed config_from_dict, and run_experiment then died with a bare
+    ValueError naming the seed directory or writing the manifest."""
+    data = {"environment": {"generator": "recsys-small"}, "run": {"episodes": 2}, "output": {"root": str(tmp_path)}}
+    data[section][key] = value
+    with pytest.raises(ValidationError, match=f"{section}.{key}: .*below 2"):
+        run_experiment(config_from_dict(data))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_largest_64_bit_seed_runs(tmp_path):
+    seed = 2**64 - 1
+    data = {
+        "environment": {"generator": "recsys-small", "seed": seed},
+        "run": {"episodes": 2, "seeds": [seed]},
+        "output": {"root": str(tmp_path)},
+    }
+    exp = run_experiment(config_from_dict(data))
+    manifest = json.loads((exp / f"seed-{seed}" / "manifest.json").read_text())
+    assert manifest["config"]["environment"]["seed"] == seed and manifest["seed"] == seed
+
+
+def test_policy_deterministic_refuses_an_action_count_that_is_not_a_count():
+    """2.5, True and np.float64(2.0) escaped as a bare TypeError from np.eye, 10**400 as a ValueError."""
+    for value in (2.5, True, np.float64(2.0)):
+        with pytest.raises(ValidationError, match=f"^num_actions {COUNT.stem}, got "):
+            Policy.deterministic([[0, 0]], value)
+    with pytest.raises(ValidationError, match="^no policy table has 1000"):
+        Policy.deterministic([[0, 0]], 10**400)
+    np.testing.assert_array_equal(Policy.deterministic([[0, 1]], 3).action_probs, [[[1, 0, 0], [0, 1, 0]]])
 
 
 def test_selection_mode_refusal_names_a_huge_int():
@@ -469,8 +505,10 @@ def _arrays(value, seen: set[int]):
 @pytest.mark.parametrize("scenario", [GENERAL, DYNAMICAL], ids=["recsys-small", "dyn-1d"])
 def test_every_table_of_a_scenario_its_knowledge_and_a_run_is_read_only(scenario):
     """The model, the closed classes, the knowledge and the policies a run
-    commits hold only read-only arrays, the grid's cached bins included."""
+    commits hold only read-only arrays, the grid's cached bins and the
+    model's cached feedback table and step kernels included."""
     knowledge = scenario.knowledge()
+    scenario.model.feedback_by_type, scenario.model.step_kernels  # the model's cached law, so the walk sees it
     mode = scenario.model.transition_mode
     run = run_learner(scenario.model, knowledge, scenario.classes, RunConfig(**{**RUN, "episodes": 20, "mode": mode}))
     assert len(run.committed) >= 1

@@ -28,7 +28,9 @@ from strategicmdp import (
     true_aggregated_model,
     value_iteration,
 )
-from strategicmdp.model import feedback_by_type, normal_cdf
+from strategicmdp.model import best_response_table, normal_cdf
+
+from helpers import ref_feedback_by_type
 from strategicmdp.scenarios import _assemble, _best_responses, _tile, linear_d
 
 ALL_NAMES = sorted(GENERATORS)
@@ -347,16 +349,24 @@ def _spy(monkeypatch, real, key, calls):
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_a_build_does_each_piece_of_set_up_once(monkeypatch, name, override):
     """One build validates its classes once, at construction (the closure
-    re-validates nothing), computes the per-type feedback table once, and
-    evaluates the normal CDF once per grid coordinate (none at zero noise)."""
+    re-validates nothing), computes the per-type feedback table once (its
+    best responses, which the model caches), and evaluates the normal CDF
+    once per grid coordinate (none at zero noise)."""
     calls = collections.Counter()
-    _spy(monkeypatch, feedback_by_type, "feedback", calls)
+    _spy(monkeypatch, best_response_table, "feedback", calls)
     _spy(monkeypatch, normal_cdf, "cdf", calls)
     validate = _counting(HypothesisClasses.__post_init__, "classes", calls)
     monkeypatch.setattr(HypothesisClasses, "__post_init__", validate)
     model = build_scenario(name, params=OVERRIDES[name] if override else None).model
     coordinates = model.grid.dim if model.grid is not None and model.trans_noise_scale else 0
     assert (calls["classes"], calls["feedback"], calls["cdf"]) == (1, 1, coordinates)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_the_cached_feedback_table_equals_the_literal_reference(name):
+    model = build_scenario(name).model
+    got, want = model.feedback_by_type, ref_feedback_by_type(model)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # Prints a SHA-256 of each shipped scenario's closed tables and flags.
