@@ -2,8 +2,8 @@
 
 Everything here may read environment internals; none of it feeds back into
 learning decisions. The true law, cached on the model, is its per-type
-feedback table and one set of per-step next-state kernels (_step_kernels),
-read by the aggregated MDP of regret and by occupancy(), the one forward DP.
+feedback table, its two population feedback laws and its per-step kernels
+(_step_kernels), read by the regret oracle and occupancy(), the one forward DP.
 The two identifiability measures are worst-case ratios over candidate
 residuals and blocks of enumerated policies:
 
@@ -35,6 +35,7 @@ from .model import (
     StrategicModel,
     TransitionMode,
     _check_index,
+    _shown,
     as_table,
     check_dims,
     feedback_mix,
@@ -176,12 +177,15 @@ def deterministic_policy_tables(
     COUNT.check(budget, "policy budget", ConfigError)
     cells = num_states * steps
     total = num_actions**cells
-    dtype = np.min_scalar_type(num_actions - 1)
-    if total <= budget:
-        digits = np.arange(total)[:, None] // num_actions ** np.arange(cells - 1, -1, -1) % num_actions
-        return digits.astype(dtype).reshape(total, steps, num_states), False
+    dtype, shape = np.min_scalar_type(num_actions - 1), (steps, num_states)
+    try:  # numpy refuses more tables than an array can hold, or than memory can
+        if total <= budget:
+            digits = np.arange(total)[:, None] // num_actions ** np.arange(cells - 1, -1, -1) % num_actions
+            return digits.astype(dtype).reshape(total, *shape), False
+        rng, tables = make_rng(0), np.empty((budget, *shape), dtype)
+    except (ValueError, OverflowError, MemoryError) as exc:
+        raise ConfigError(f"no array holds {_shown(min(total, budget))} policies of shape {shape}: {exc}") from None
     # drawn POLICY_BLOCK tables at a time, which reads the generator's stream as one draw per table does
-    rng, tables = make_rng(0), np.empty((budget, steps, num_states), dtype)
     for start in range(0, budget, POLICY_BLOCK):
         block = tables[start : start + POLICY_BLOCK]
         block[...] = rng.integers(num_actions, size=block.shape)
@@ -308,7 +312,7 @@ def ill_posedness(
     """
 
     def moments(nus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        kappa = feedback_mix(env.source_type_dist, env.feedback_by_type)[h]
+        kappa = env.source_feedback[h]
         proj = integrate_feedback(kappa, nus)
         return integrate_feedback(kappa, nus * nus), proj * proj  # second moment, squared mean
 
@@ -324,9 +328,7 @@ def transfer_term(
     """Worst-case target-MSE over source-MSE at step h, same enumeration scheme."""
 
     def moments(nus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        fb = env.feedback_by_type
-        tgt, src = (feedback_mix(dist, fb)[h] for dist in (env.target_type_dist, env.source_type_dist))
-        return integrate_feedback(tgt, nus * nus), integrate_feedback(src, nus * nus)
+        return tuple(integrate_feedback(law[h], nus * nus) for law in (env.target_feedback, env.source_feedback))
 
     return _ratio_oracle(env, classes, h, policy_budget, moments, env.target_type_dist, jensen=False)
 
@@ -375,7 +377,7 @@ def naive_baseline(dataset: StepDataset, env: StrategicModel) -> NaiveBaselineRe
         mean = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     empirical_bias = mean - env.principal_reward
     weighted = feedback_mix(env.source_type_dist * env.reward_confound, env.feedback_by_type)
-    kappa = feedback_mix(env.source_type_dist, env.feedback_by_type)
+    kappa = env.source_feedback
     with np.errstate(invalid="ignore", divide="ignore"):
         population_bias = np.where(kappa > 0, weighted / np.maximum(kappa, 1e-300), np.nan)
     empty = int(np.sum(counts == 0))

@@ -85,7 +85,7 @@ class StepDataset:
         try:  # each table is one array over the steps, so numpy refuses sizes it cannot hold at once
             counts, reward_sums = np.zeros((2, *sizes))
             nxt = np.zeros((*sizes, d) if d else (*sizes[:3], num_states))
-        except (ValueError, OverflowError) as exc:
+        except (ValueError, OverflowError, MemoryError) as exc:
             raise ValidationError(f"no dataset has sizes {_shown((*sizes, d))}: {exc}") from None
         nexts = [(None, n) if d else (n, None) for n in nxt]  # (next_counts, next_sums)
         self.steps = [StepData(c, r, *n) for c, r, n in zip(counts, reward_sums, nexts)]

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import CapacityError, ValidationError
 from .model import (
     COUNT, POSITIVE, LearnerKnowledge, StrategicModel, TransitionMode, _is_int, _shown, as_table, check_dims,
-    feedback_mix, integrate_feedback,
+    integrate_feedback,
 )
 from .planning import CandidateAggregates, joint_backup
 
@@ -405,8 +405,8 @@ def close_classes(
     """Value-target closure followed by the discriminator closure.
 
     Order matters: transition residual projections range over the closed
-    value-target family. Projections use the true per-type feedback mixture
-    under the source population, so this runs where the scenario is built.
+    value-target family. Projections use the model's source feedback law,
+    the true law of the data, so this runs where the scenario is built.
     Classes are validated at construction only: the closures append rows to
     the two families of a copy that shares no list with classes, which is
     left as it was, and re-derive the two bound flags. The rows appended are
@@ -421,9 +421,8 @@ def close_classes(
         base = classes.value_targets[h]
         # Suffix rows are distinct already, so an empty family takes them unkeyed.
         closed.value_targets[h] = _dedup_append(base, suffix[h]) if len(base) else suffix[h]
-    kappa = feedback_mix(model.source_type_dist, knowledge.feedback_by_type)
     for h, f in enumerate(classes.discriminators):
-        proj = integrate_feedback(kappa[h], residual_stack(model, closed, h))
+        proj = integrate_feedback(model.source_feedback[h], residual_stack(model, closed, h))
         closed.discriminators[h] = _dedup_append(f, proj)
     closed._flag_bounds()
     return closed
@@ -512,10 +511,9 @@ def check_realizability(
                 truth_failures.setdefault(
                     fam.part, f"designated {fam.part} index {fam.truth} wrong at step {h}"
                 )
-    kappa = feedback_mix(model.source_type_dist, knowledge.feedback_by_type)
     p_clause = ClauseResult(True)
     for h in range(H):
-        proj = integrate_feedback(kappa[h], residual_stack(model, classes, h))
+        proj = integrate_feedback(model.source_feedback[h], residual_stack(model, classes, h))
         j = _first_missing(classes.discriminators[h], proj)
         if j is not None:
             label = residual_labels(classes, h)[j]

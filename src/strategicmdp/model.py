@@ -180,10 +180,6 @@ class Grid:
         point = as_table(point, (self.dim,), "point")
         return int(np.ravel_multi_index(tuple(self._bins(point)), self.cells_per_dim))
 
-    def center(self, cell: int) -> np.ndarray:
-        sub = np.asarray(np.unravel_index(cell, self.cells_per_dim))
-        return np.asarray(self.lows) + (sub + 0.5) * self.widths()
-
     def edges(self, dim: int) -> np.ndarray:
         return np.linspace(self.lows[dim], self.highs[dim], self.cells_per_dim[dim] + 1)
 
@@ -243,7 +239,8 @@ class StrategicModel:
     modes tables are indexed by the state's cell; in dynamical mode the
     observed next state is a d-vector, and its grid cell is the next state
     the tables see. The model is frozen, so its true law (feedback_by_type,
-    step_kernels) is computed on first read, never at construction, and kept.
+    its population laws source_feedback and target_feedback, step_kernels)
+    is computed on first read, never at construction, and kept.
     """
 
     horizon: int
@@ -342,6 +339,16 @@ class StrategicModel:
         return as_table(np.take_along_axis(self.feedback_kernel, idx, axis=4)[..., 0, :], None, "feedback_by_type")
 
     @cached_property
+    def source_feedback(self) -> np.ndarray:
+        """Feedback law (H, S, A, E) of the source population, read-only."""
+        return as_table(feedback_mix(self.source_type_dist, self.feedback_by_type), None, "source feedback law")
+
+    @cached_property
+    def target_feedback(self) -> np.ndarray:
+        """Feedback law (H, S, A, E) of the target population, read-only."""
+        return as_table(feedback_mix(self.target_type_dist, self.feedback_by_type), None, "target feedback law")
+
+    @cached_property
     def step_kernels(self) -> tuple[np.ndarray, ...]:
         """The next-state law of each of the H steps, read-only; see diagnostics._step_kernels."""
         from .diagnostics import _step_kernels  # here, not at the top: diagnostics imports this module
@@ -357,60 +364,51 @@ class StrategicModel:
 class LearnerKnowledge:
     """What the learner is allowed to see about the environment.
 
-    Holds the target type distribution and the per-type feedback distributions
-    after best-response substitution, plus, in dynamical mode, the grid and
-    the structural transition noise scale (a public model constant, unit by
-    default). Contains no source distribution, no confound tables, and no
-    reward noise level. The learner integrates feedback out under these
-    tables as given, so construction refuses tables that are not
-    distributions of matching shapes, a grid whose cells are not the states,
-    and a negative or non-finite noise scale.
+    Holds the target population's feedback law, each (step, state, action)'s
+    feedback distribution over the target types' best responses, plus, in
+    dynamical mode, the grid and the structural transition noise scale (a
+    public model constant, unit by default). Contains no type distribution,
+    no per-type table, no confound tables, and no reward noise level. The
+    learner integrates feedback out under the law as given, so construction
+    refuses a law whose rows are not distributions, a grid whose cells are
+    not the states, and a negative or non-finite noise scale.
     """
 
-    target_type_dist: np.ndarray  # (H, T)
-    feedback_by_type: np.ndarray  # (H, S, A, T, E)
+    feedback_law: np.ndarray  # (H, S, A, E)
     grid: Grid | None = None
     trans_noise_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        target = as_table(self.target_type_dist, ("H", "T"), "target_type_dist", rows=True)
-        H, T = target.shape
-        fb = as_table(self.feedback_by_type, (H, "S", "A", T, "E"), "feedback_by_type", rows=True)
-        if self.grid is not None and not (isinstance(self.grid, Grid) and self.grid.num_cells == fb.shape[1]):
-            raise ValidationError(f"grid must be None or a Grid of the {fb.shape[1]} states, got {_shown(self.grid)}")
+        law = as_table(self.feedback_law, ("H", "S", "A", "E"), "feedback law", rows=True)
+        if self.grid is not None and not (isinstance(self.grid, Grid) and self.grid.num_cells == law.shape[1]):
+            raise ValidationError(f"grid must be None or a Grid of the {law.shape[1]} states, got {_shown(self.grid)}")
         SCALE.check(self.trans_noise_scale, "trans_noise_scale")
-        object.__setattr__(self, "target_type_dist", target)  # frozen: store the checked tables
-        object.__setattr__(self, "feedback_by_type", fb)
+        object.__setattr__(self, "feedback_law", law)  # frozen: store the checked table
 
     @classmethod
     def from_model(cls, model: StrategicModel) -> "LearnerKnowledge":
-        return cls(
-            target_type_dist=model.target_type_dist,
-            feedback_by_type=model.feedback_by_type,
-            grid=model.grid,
-            trans_noise_scale=model.trans_noise_scale,
-        )
+        return cls(model.target_feedback, grid=model.grid, trans_noise_scale=model.trans_noise_scale)
 
     @property
     def dims(self) -> tuple[int, int, int, int]:
         """(H, S, A, E), the sizes the learner's tables share."""
-        return self.feedback_by_type.shape[:3] + self.feedback_by_type.shape[4:]
+        return self.feedback_law.shape
 
     @property
     def horizon(self) -> int:
-        return self.feedback_by_type.shape[0]
+        return self.feedback_law.shape[0]
 
     @property
     def num_states(self) -> int:
-        return self.feedback_by_type.shape[1]
+        return self.feedback_law.shape[1]
 
     @property
     def num_actions(self) -> int:
-        return self.feedback_by_type.shape[2]
+        return self.feedback_law.shape[2]
 
     @property
     def num_feedbacks(self) -> int:
-        return self.feedback_by_type.shape[4]
+        return self.feedback_law.shape[3]
 
 
 def best_response_table(model: StrategicModel) -> np.ndarray:
@@ -596,9 +594,9 @@ class Policy:
         actions = np.asarray(actions)
         if not (np.issubdtype(actions.dtype, np.integer) and 0 <= actions.min() and actions.max() < num_actions):
             raise InvalidIndexError(f"action table must hold integers in [0, {_shown(num_actions)})")
-        try:  # numpy refuses an action count past what an array can hold
+        try:  # numpy refuses an action count past what an array can hold, or memory can
             return cls(actions[..., None] == np.arange(num_actions))
-        except (ValueError, OverflowError) as exc:
+        except (ValueError, OverflowError, MemoryError) as exc:
             raise ValidationError(f"no policy table has {_shown(num_actions)} actions: {exc}") from None
 
     def sample_action(self, rng: np.random.Generator, h: int, s: int) -> int:

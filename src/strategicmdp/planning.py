@@ -1,7 +1,7 @@
 """Learner planning: aggregated MDPs, exact planning, optimistic selection.
 
 Candidate rewards and transitions are indexed by feedback. Averaging the
-feedback out under the learner's target feedback mix yields an ordinary
+feedback out under the learner's target feedback law yields an ordinary
 tabular MDP, which backward induction solves exactly. Optimistic selection
 searches a product of per-step candidate sets for the model with the largest
 optimal value, either by exact joint enumeration or by a per-(state, action)
@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import CapacityError, ConfigError, InvalidIndexError, ValidationError
 from .model import (
+    COUNT,
     Grid,
     LearnerKnowledge,
     Policy,
@@ -38,7 +39,6 @@ from .model import (
     _shown,
     as_table,
     check_dims,
-    feedback_mix,
     integrate_feedback,
 )
 
@@ -160,7 +160,7 @@ class CandidateAggregates:
         cls, classes: "HypothesisClasses", knowledge: LearnerKnowledge
     ) -> "CandidateAggregates":
         check_dims(classes=classes.dims, knowledge=knowledge.dims)
-        w = feedback_mix(knowledge.target_type_dist, knowledge.feedback_by_type)  # (H, S, A, E)
+        w = knowledge.feedback_law  # (H, S, A, E)
         H = knowledge.horizon
         rewards = [integrate_feedback(w[h], classes.reward_tables[h]) for h in range(H)]
         if classes.mode is TransitionMode.GENERAL:
@@ -232,7 +232,7 @@ def optimistic_select(
     transition_sets[h] surviving kernel indices (see
     HypothesisClasses.kernel_index). Empty sets and sets that are not flat
     sequences of integers are caller errors, and an index outside its class
-    raises InvalidIndexError.
+    raises InvalidIndexError. cap must be a count, in either mode.
     Exact enumeration orders joint models lexicographically by the flattened
     per-step index tuple and keeps the first maximizer; if the joint count
     exceeds cap a CapacityError is raised so the caller can fall back to the
@@ -240,6 +240,7 @@ def optimistic_select(
     """
     if not isinstance(mode, SelectionMode):
         raise ValidationError(f"mode must be a SelectionMode, got {_shown(mode)}")
+    COUNT.check(cap, "selector cap")
     H = len(aggregates.rewards)
     if len(reward_sets) != H or len(transition_sets) != H:
         raise ValidationError(

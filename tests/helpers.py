@@ -174,7 +174,7 @@ def tiny_dynamical(
     reward = np.broadcast_to(
         0.3 + 0.2 * (e_idx == 0) + 0.1 * (a_idx == 1), (H, S, A, E)
     ).copy()
-    centers = np.array([grid.center(c)[0] for c in range(grid.num_cells)])
+    centers = np.array([cell_center(grid, c)[0] for c in range(grid.num_cells)])
     mean = (
         0.5 * centers[None, :, None, None]
         + 0.3 * (a_idx == 1)
@@ -383,7 +383,7 @@ def ref_feedback_kernels(classes, knowledge) -> list[np.ndarray]:
 def ref_mixed_kernels(classes, knowledge) -> list[np.ndarray]:
     """ref_feedback_kernels with feedback integrated out under the target law
     by the package's einsum spelling, so that the cell masses compare bit for bit."""
-    w = ref_target_feedback_mix(knowledge)
+    w = knowledge.feedback_law
     per_feedback = ref_feedback_kernels(classes, knowledge)
     return [np.einsum("sae,psaex->psax", w[h], k) for h, k in enumerate(per_feedback)]
 
@@ -391,7 +391,7 @@ def ref_mixed_kernels(classes, knowledge) -> list[np.ndarray]:
 def ref_model_kernels(classes, knowledge) -> list[np.ndarray]:
     """The learner's (n, S, A, C) kernels per step as a literal loop over models,
     s, a and e: each feedback's cell masses, weighted by the target feedback law."""
-    w = ref_target_feedback_mix(knowledge)
+    w = knowledge.feedback_law
     out = []
     for h, per_feedback in enumerate(ref_feedback_kernels(classes, knowledge)):
         n, S, A, E, C = per_feedback.shape
@@ -1386,7 +1386,7 @@ def ref_rollout(model, policy, rng) -> Trajectory:
         raise ValidationError("policy shape does not match the model")
     traj = Trajectory()
     if model.transition_mode is TransitionMode.DYNAMICAL:
-        state = model.grid.center(model.initial_state)
+        state = cell_center(model.grid, model.initial_state)
     else:
         state = model.initial_state
     for h in range(model.horizon):
@@ -1432,11 +1432,6 @@ def ref_source_feedback_mix(model: StrategicModel) -> np.ndarray:
     return np.einsum("ht,hsate->hsae", model.source_type_dist, ref_feedback_by_type(model))
 
 
-def ref_target_feedback_mix(knowledge: LearnerKnowledge) -> np.ndarray:
-    """LearnerKnowledge.feedback_mix as it was."""
-    return np.einsum("ht,hsate->hsae", knowledge.target_type_dist, knowledge.feedback_by_type)
-
-
 def ref_source_projection(kappa_h: np.ndarray, nu: np.ndarray) -> np.ndarray:
     """hypotheses.source_projection as it was."""
     return np.einsum("sae,...sae->...sa", kappa_h, nu)
@@ -1473,6 +1468,12 @@ REF_FEEDBACK_INTEGRATIONS = {
 # ---------------------------------------------------------------------------
 
 
+def cell_center(grid: Grid, cell: int) -> np.ndarray:
+    """The center point of a grid cell (Grid.center as it was)."""
+    sub = np.asarray(np.unravel_index(cell, grid.cells_per_dim))
+    return np.asarray(grid.lows) + (sub + 0.5) * grid.widths()
+
+
 def aggregate(
     reward_table: np.ndarray,
     transition_table: np.ndarray,
@@ -1483,7 +1484,7 @@ def aggregate(
 
     reward_table is (H, S, A, E) and transition_table is (H, S, A, E, S).
     """
-    w = ref_target_feedback_mix(knowledge)
+    w = knowledge.feedback_law
     rewards = np.einsum("hsae,hsae->hsa", w, reward_table)
     transitions = np.einsum("hsae,hsaex->hsax", w, transition_table)
     return AggregatedMDP(rewards, transitions, initial_state)

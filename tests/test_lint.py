@@ -356,13 +356,56 @@ def test_the_true_law_reads_the_mode_only_in_the_step_kernels():
 def test_planning_serves_only_the_learner():
     """Learner planning reads no environment tables: the mode is read only
     where the candidate kernels are built, the model is never read, and the
-    per-type feedback law is read only off the learner's knowledge, where
-    the candidate kernels are built, never computed from the model."""
+    target feedback law is read only off the learner's knowledge, where the
+    candidate kernels are built, never computed from the model."""
     source = (PACKAGE / "planning.py").read_text()
     assert scopes_reading(source, "TransitionMode") == {"CandidateAggregates.from_classes"}
     assert scopes_reading(source, "StrategicModel") == set()
-    assert scopes_reading(source, "feedback_by_type") == {"CandidateAggregates.from_classes"}
-    assert "feedback_by_type" not in _used_names(ast.parse(source))  # an attribute, not the function
+    assert scopes_reading(source, "feedback_law") == {"CandidateAggregates.from_classes"}
+    assert "feedback_law" not in _used_names(ast.parse(source))  # an attribute, not a name
+
+
+POPULATIONS = ("source_type_dist", "target_type_dist")
+
+
+def population_mixes(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """(module, scope) of every feedback_mix call whose first argument is a
+    population itself, a source_type_dist or target_type_dist, bare or as an
+    attribute; a product of one with other weights is not a population."""
+    return {
+        (name, scope)
+        for name, source in sources.items()
+        for scope, node in _scoped_nodes(ast.parse(source))
+        if isinstance(node, ast.Call) and _names(node.func, "feedback_mix") and node.args
+        and any(_names(node.args[0], dist) for dist in POPULATIONS)
+    }
+
+
+def test_population_laws_are_mixed_only_on_the_model():
+    """The source and target feedback laws are the model's cached
+    source_feedback and target_feedback, so no other module mixes either
+    population into a feedback law of its own."""
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert population_mixes(sources) == {
+        ("model.py", "StrategicModel.source_feedback"),
+        ("model.py", "StrategicModel.target_feedback"),
+    }
+
+
+def test_population_mix_check_finds_a_planted_copy():
+    sources = {
+        "model.py": "def source_feedback(self):\n    return feedback_mix(self.source_type_dist, self.feedback_by_type)\n",
+        "planning.py": "def from_classes(env):\n    return model.feedback_mix(env.target_type_dist, env.feedback_by_type)\n",
+        "hypotheses.py": "def close(source_type_dist, fb):\n    return feedback_mix(source_type_dist, fb)\n",
+        "diagnostics.py": (
+            "def baseline(env, dist):\n"
+            "    weighted = feedback_mix(env.source_type_dist * env.reward_confound, env.feedback_by_type)\n"
+            "    return weighted, feedback_mix(dist, env.feedback_by_type)\n"
+        ),
+    }
+    assert population_mixes(sources) == {
+        ("model.py", "source_feedback"), ("planning.py", "from_classes"), ("hypotheses.py", "close")
+    }
 
 
 def test_scenarios_build_a_model_only_in_the_model_helper():

@@ -28,6 +28,7 @@ from strategicmdp.model import best_response_table, draw_categorical
 from helpers import (
     REF_FEEDBACK_INTEGRATIONS,
     REF_FEEDBACK_MIXES,
+    cell_center,
     random_dynamical,
     random_general,
     ref_append_trajectory,
@@ -89,7 +90,7 @@ def test_same_seed_same_stream():
 def test_grid_center_locate_roundtrip():
     grid = Grid((-1.0, 0.0), (1.0, 2.0), (4, 3))
     for cell in range(grid.num_cells):
-        assert grid.locate(grid.center(cell)) == cell
+        assert grid.locate(cell_center(grid, cell)) == cell
 
 
 def test_grid_locate_clips_outside_points():
@@ -333,21 +334,29 @@ def test_the_model_derives_its_law_on_first_read_and_keeps_it(build):
     assert "feedback_by_type" not in vars(dataclasses.replace(model))
 
 
-def test_knowledge_hides_confounds_and_source():
+def test_knowledge_holds_the_target_law_and_nothing_of_the_source():
     model = tiny_general()
     kn = LearnerKnowledge.from_model(model)
-    fields = {f.name for f in dataclasses.fields(kn)}
-    assert "source_type_dist" not in fields
-    assert "reward_confound" not in fields
-    np.testing.assert_array_equal(kn.target_type_dist, model.target_type_dist)
+    assert [f.name for f in dataclasses.fields(kn)] == ["feedback_law", "grid", "trans_noise_scale"]
+    assert kn.feedback_law is model.target_feedback
+    assert kn.dims == model.dims
 
 
-def test_feedback_mix_rows_sum_to_one():
-    kn = LearnerKnowledge.from_model(tiny_general())
-    mix = feedback_mix(kn.target_type_dist, kn.feedback_by_type)
-    np.testing.assert_allclose(mix.sum(axis=-1), 1.0, atol=1e-12)
+@pytest.mark.parametrize("build", [tiny_general, tiny_dynamical], ids=["general", "dynamical"])
+def test_the_model_caches_its_two_population_laws(build):
+    model = build()
+    assert "source_feedback" not in vars(model) and "target_feedback" not in vars(model)
+    for name, dist in (("source_feedback", model.source_type_dist), ("target_feedback", model.target_type_dist)):
+        law = getattr(model, name)
+        assert getattr(model, name) is law and not law.flags.writeable
+        want = np.einsum("ht,hsate->hsae", dist, model.feedback_by_type)
+        assert law.tobytes() == want.tobytes()
+        np.testing.assert_allclose(law.sum(axis=-1), 1.0, atol=1e-12)
+
+
+def test_per_type_feedback_substitutes_best_responses():
     # compliant type 0 emits the b=a row, contrary type 1 the b=1-a row
-    compliant = kn.feedback_by_type[:, :, :, 0]
+    compliant = tiny_general().feedback_by_type[:, :, :, 0]
     np.testing.assert_allclose(compliant[0, 0, 0], [0.9, 0.1], atol=1e-12)
     np.testing.assert_allclose(compliant[0, 0, 1], [0.2, 0.8], atol=1e-12)
 
@@ -355,17 +364,15 @@ def test_feedback_mix_rows_sum_to_one():
 @pytest.mark.parametrize(
     "field, change, match",
     [
-        ("target_type_dist", lambda kn: "abc", "target_type_dist is not a table of floats"),
-        ("target_type_dist", lambda kn: [[2.0, -1.0]] * 2, "target_type_dist has a row that is not a distribution"),
-        ("target_type_dist", lambda kn: [[0.5, 0.4]] * 2, "target_type_dist has a row that is not a distribution"),
-        ("target_type_dist", lambda kn: [0.5, 0.5], r"target_type_dist has shape \(2,\), expected \(H, T\)"),
-        ("target_type_dist", lambda kn: np.ones((2, 0)), "target_type_dist has shape"),
-        ("feedback_by_type", lambda kn: [["a"]], "feedback_by_type is not a table of floats"),
-        ("feedback_by_type", lambda kn: kn.feedback_by_type[:1], r"expected \(2, S, A, 2, E\)"),
-        ("feedback_by_type", lambda kn: kn.feedback_by_type[..., :1, :], r"expected \(2, S, A, 2, E\)"),
-        ("feedback_by_type", lambda kn: kn.feedback_by_type[0], r"expected \(2, S, A, 2, E\)"),
-        ("feedback_by_type", lambda kn: kn.feedback_by_type / 2, "feedback_by_type has a row that is not a distribution"),
-        ("feedback_by_type", lambda kn: kn.feedback_by_type * np.nan, "feedback_by_type has non-finite"),
+        ("feedback_law", lambda kn: "abc", "feedback law is not a table of floats"),
+        ("feedback_law", lambda kn: [["a"]], "feedback law is not a table of floats"),
+        ("feedback_law", lambda kn: 2.0 * kn.feedback_law - 0.5, "feedback law has a row that is not a distribution"),
+        ("feedback_law", lambda kn: kn.feedback_law / 2, "feedback law has a row that is not a distribution"),
+        ("feedback_law", lambda kn: kn.feedback_law * np.nan, "feedback law has non-finite"),
+        ("feedback_law", lambda kn: kn.feedback_law[0], r"feedback law has shape \(2, 2, 2\), expected \(H, S, A, E\)"),
+        ("feedback_law", lambda kn: kn.feedback_law[..., None], r"expected \(H, S, A, E\)"),
+        ("feedback_law", lambda kn: kn.feedback_law[..., :0], r"expected \(H, S, A, E\)"),
+        ("feedback_law", lambda kn: kn.feedback_law[:0], r"expected \(H, S, A, E\)"),
         ("grid", lambda kn: "grid", "grid must be None or a Grid"),
         ("grid", lambda kn: ((-1.0,), (1.0,), (2,)), "grid must be None or a Grid"),
         ("grid", lambda kn: Grid((-1.0,), (1.0,), (3,)), "grid must be None or a Grid of the 2 states"),
@@ -377,8 +384,9 @@ def test_feedback_mix_rows_sum_to_one():
     ],
 )
 def test_knowledge_refuses_what_is_not_a_target_law(field, change, match):
-    """The learner integrates feedback out under these tables as they are, so
-    target rows (2, -1) gave kernel entries down to -0.18 before this check."""
+    """The learner integrates feedback out under this law as it is, so target
+    type rows (2, -1) gave kernel entries down to -0.18 before the check; a
+    law row with a negative entry is the same fault, refused the same way."""
     kn = LearnerKnowledge.from_model(tiny_general())
     with pytest.raises(ValidationError, match=match):
         dataclasses.replace(kn, **{field: change(kn)})
@@ -507,7 +515,7 @@ def test_env_step_takes_a_cell_in_dynamical_mode():
     """A dynamical state is its grid cell: a vector is refused like any
     other index that is not an integer in range."""
     model = tiny_dynamical()
-    for state in (model.grid.center(1), np.array([0.1]), 1.0, 4, -1):
+    for state in (cell_center(model.grid, 1), np.array([0.1]), 1.0, 4, -1):
         with pytest.raises(InvalidIndexError):
             env_step(model, 0, state, 1, make_rng(0))
     assert env_step(model, 0, np.int64(1), 1, make_rng(0)).state == 1

@@ -137,12 +137,9 @@ def test_mean_masses_match_reference_on_2d_grid(scale):
     # Per-step candidate counts differ (2 or 3 per coordinate), so the masses
     # of all steps are evaluated together and split back by step.
     grid = Grid((-2.0, -1.0), (2.0, 3.0), (5, 3))
-    H, S, A, E, T = 2, grid.num_cells, 2, 2, 2
+    H, S, A, E = 2, grid.num_cells, 2, 2
     rng = np.random.default_rng(8)
-    fb = rng.dirichlet(np.ones(E), size=(H, S, A, T))
-    knowledge = LearnerKnowledge(
-        rng.dirichlet(np.ones(T), size=H), fb, grid=grid, trans_noise_scale=scale
-    )
+    knowledge = LearnerKnowledge(rng.dirichlet(np.ones(E), size=(H, S, A)), grid=grid, trans_noise_scale=scale)
     classes = HypothesisClasses(
         mode=TransitionMode.DYNAMICAL,
         bound=1.0,

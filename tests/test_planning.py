@@ -52,10 +52,7 @@ from test_hypotheses import KEY_VALUES
 
 def one_step_knowledge():
     # two types with type-separating deterministic feedback, mixed half and half
-    return LearnerKnowledge(
-        target_type_dist=np.array([[0.5, 0.5]]),
-        feedback_by_type=np.array([[[[[1.0, 0.0], [0.0, 1.0]]]]]),
-    )
+    return LearnerKnowledge(feedback_law=np.array([[[[0.5, 0.5]]]]))
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +451,7 @@ def test_optimistic_select_exact_matches_brute_force_dynamical():
 def test_from_classes_rejects_three_dims():
     grid = Grid((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2, 2, 2))
     S, A, E = grid.num_cells, 1, 1
-    knowledge = LearnerKnowledge(
-        np.ones((1, 1)), np.ones((1, S, A, 1, E)), grid=grid, trans_noise_scale=0.5
-    )
+    knowledge = LearnerKnowledge(np.ones((1, S, A, E)), grid=grid, trans_noise_scale=0.5)
     classes = HypothesisClasses(
         mode=TransitionMode.DYNAMICAL,
         bound=1.0,
@@ -488,15 +483,10 @@ def dynamical_instances(draw):
     H = draw(st.integers(1, 3 if grid.dim == 1 else 2))
     scale = draw(st.sampled_from([0.0, 0.4, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    S, A, E, T = grid.num_cells, 2, 2, 2
+    S, A, E = grid.num_cells, 2, 2
     n_rewards = rng.integers(1, 3, size=H)
     n_coords = rng.integers(1, 4, size=(H, grid.dim))
-    knowledge = LearnerKnowledge(
-        rng.dirichlet(np.ones(T), size=H),
-        rng.dirichlet(np.ones(E), size=(H, S, A, T)),
-        grid=grid,
-        trans_noise_scale=scale,
-    )
+    knowledge = LearnerKnowledge(rng.dirichlet(np.ones(E), size=(H, S, A)), grid=grid, trans_noise_scale=scale)
     classes = HypothesisClasses(
         mode=TransitionMode.DYNAMICAL,
         bound=1.0,
@@ -525,7 +515,7 @@ def dynamical_instances(draw):
 def _literal_step_tables(classes, knowledge):
     """Per-step aggregated rewards and the kernel of every per-coordinate
     candidate tuple, one step at a time."""
-    w = np.einsum("ht,hsate->hsae", knowledge.target_type_dist, knowledge.feedback_by_type)
+    w = knowledge.feedback_law
     rewards = [np.einsum("sae,rsae->rsa", w[h], classes.reward_tables[h]) for h in range(classes.horizon)]
     kernels = [
         dict(zip(ref_models(maps), mixed))
@@ -635,21 +625,16 @@ def test_value_closure_matches_literal_joint_models_dynamical(instance):
 
 @st.composite
 def mean_map_knowledge(draw):
-    """Random dynamical classes and knowledge on a 1-D or 2-D grid, with T, E and
+    """Random dynamical classes and knowledge on a 1-D or 2-D grid, with E and
     the candidate counts per coordinate each drawn from 1 up."""
     grid = draw(st.sampled_from(DIFF_GRIDS))
     H = draw(st.integers(1, 2))
-    T, E = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    E = draw(st.integers(1, 3))
     counts = draw(st.lists(st.tuples(*[st.integers(1, 3)] * grid.dim), min_size=H, max_size=H))
     scale = draw(st.sampled_from([0.0, 0.3, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     S, A = grid.num_cells, 2
-    knowledge = LearnerKnowledge(
-        rng.dirichlet(np.ones(T), size=H),
-        rng.dirichlet(np.ones(E), size=(H, S, A, T)),
-        grid=grid,
-        trans_noise_scale=scale,
-    )
+    knowledge = LearnerKnowledge(rng.dirichlet(np.ones(E), size=(H, S, A)), grid=grid, trans_noise_scale=scale)
     classes = HypothesisClasses(
         mode=TransitionMode.DYNAMICAL,
         bound=1.0,

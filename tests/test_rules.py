@@ -23,16 +23,20 @@ from hypothesis import strategies as st
 
 from strategicmdp import (
     AggregatedMDP,
+    CandidateAggregates,
     ClassCaps,
     Policy,
     RunConfig,
+    SelectionMode,
     StepData,
     StepDataset,
     TransitionMode,
     build_scenario,
     confidence_levels,
+    deterministic_policy_tables,
     ill_posedness,
     occupancy,
+    optimistic_select,
     run_learner,
     transfer_term,
     true_aggregated_model,
@@ -78,6 +82,13 @@ def _dataset(*sizes, state_dim=0) -> None:
 
     with mock.patch.object(estimation, "StepData", step):
         StepDataset(*sizes, state_dim=state_dim)
+
+
+def _select(mode: SelectionMode, cap) -> None:
+    """optimistic_select over every recsys-small candidate at every step."""
+    agg = CandidateAggregates.from_classes(GENERAL.classes, GENERAL.knowledge())
+    sets = [[list(range(len(t))) for t in tables] for tables in (agg.rewards, agg.transitions)]
+    optimistic_select(agg, *sets, GENERAL.model.initial_state, mode=mode, cap=cap)
 
 
 def _append(position: int, value) -> None:
@@ -130,6 +141,7 @@ ENTRIES = {
     "LearnerKnowledge trans_noise_scale": lambda v: dataclasses.replace(DYNAMICAL.knowledge(), trans_noise_scale=v),
     "Grid cell count": lambda v: Grid((0.0,), (1.0,), (v,)),
     "Policy.deterministic num_actions": lambda v: Policy.deterministic([[0, 0]], v),
+    **{f"optimistic_select {mode.value} cap": (lambda v, m=mode: _select(m, v)) for mode in SelectionMode},
     "Grid.gaussian_mass_1d scale": lambda v: DYNAMICAL.model.grid.gaussian_mass_1d(0.0, v, 0),
     "ill_posedness policy_budget": lambda v: ill_posedness(GENERAL.model, GENERAL.classes, 0, policy_budget=v),
     "transfer_term policy_budget": lambda v: transfer_term(GENERAL.model, GENERAL.classes, 0, policy_budget=v),
@@ -146,10 +158,7 @@ TABLE_ENTRIES = {
         for key in ("source_type_dist", "target_type_dist", "agent_reward", "feedback_kernel",
                     "principal_reward", "reward_confound", "transition_kernel")
     },
-    **{
-        f"LearnerKnowledge {key}": (lambda v, k=key: dataclasses.replace(GENERAL.knowledge(), **{k: v}))
-        for key in ("target_type_dist", "feedback_by_type")
-    },
+    "LearnerKnowledge feedback_law": lambda v: dataclasses.replace(GENERAL.knowledge(), feedback_law=v),
     **{
         f"HypothesisClasses {key}": (lambda v, k=key: dataclasses.replace(GENERAL.classes, **{k: [v] * 3}))
         for key in ("reward_tables", "transition_tables", "discriminators")
@@ -421,6 +430,47 @@ def test_policy_deterministic_refuses_an_action_count_that_is_not_a_count():
     np.testing.assert_array_equal(Policy.deterministic([[0, 1]], 3).action_probs, [[[1, 0, 0], [0, 1, 0]]])
 
 
+@pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("cap", [0, -1, "x", None, 2.5, True, math.nan])
+def test_optimistic_select_refuses_a_cap_that_is_not_a_count(mode, cap):
+    """"x" and None escaped as a bare TypeError from the exact selector's
+    comparison, and 0 and -1 as the CapacityError that sends a run to the
+    pointwise relaxation; the pointwise selector took any cap unread."""
+    with pytest.raises(ValidationError, match=f"^selector cap {COUNT.stem}, got "):
+        _select(mode, cap)
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+
+@pytest.mark.parametrize(
+    "allocator, call, error, message",
+    [
+        ("arange", lambda: Policy.deterministic([[0, 0]], 3), ValidationError, "^no policy table has 3 actions"),
+        ("zeros", lambda: StepDataset(2, 2, 2, 2), ValidationError, r"^no dataset has sizes \(2, 2, 2, 2, 0\)"),
+        ("arange", lambda: deterministic_policy_tables(2, 2, 3, 4096), ConfigError, "^no array holds 64 policies"),
+        ("empty", lambda: deterministic_policy_tables(4, 3, 3, 50), ConfigError, "^no array holds 50 policies"),
+    ],
+    ids=["action table", "dataset", "enumerated policies", "sampled policies"],
+)
+def test_an_allocation_that_memory_refuses_is_a_typed_refusal(allocator, call, error, message):
+    """An 8 TiB action table (2**40 actions), a 16 TiB dataset (sizes 2**10)
+    and the 27 GiB digit array of 2**27 enumerated policies let a bare
+    MemoryError escape. The allocation fails here by a patch: a request for
+    terabytes can succeed lazily where memory is overcommitted, and the
+    action table is then written."""
+    with mock.patch.object(np, allocator, _out_of_memory), pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("budget", [2**62, 10**30])
+def test_a_policy_budget_past_what_an_array_can_hold_is_refused_by_the_budget(budget):
+    """numpy refuses these sampled tables at once, and its ValueError escaped bare."""
+    with pytest.raises(ConfigError, match=rf"^no array holds {budget} policies of shape \(1, 100\)"):
+        deterministic_policy_tables(100, 2, 1, budget)
+
+
 def test_selection_mode_refusal_names_a_huge_int():
     with pytest.raises(ValidationError, match="run.optimism: must be one of"):
         _config("run", "optimism", 10**5000)
@@ -506,11 +556,11 @@ def _arrays(value, seen: set[int]):
 def test_every_table_of_a_scenario_its_knowledge_and_a_run_is_read_only(scenario):
     """The model, the closed classes, the knowledge and the policies a run
     commits hold only read-only arrays, the grid's cached bins and the
-    model's cached feedback table and step kernels included."""
-    knowledge = scenario.knowledge()
-    scenario.model.feedback_by_type, scenario.model.step_kernels  # the model's cached law, so the walk sees it
-    mode = scenario.model.transition_mode
-    run = run_learner(scenario.model, knowledge, scenario.classes, RunConfig(**{**RUN, "episodes": 20, "mode": mode}))
+    model's cached feedback tables and step kernels included."""
+    knowledge, model = scenario.knowledge(), scenario.model
+    model.source_feedback, model.target_feedback, model.step_kernels  # the model's cached law, so the walk sees it
+    mode = model.transition_mode
+    run = run_learner(model, knowledge, scenario.classes, RunConfig(**{**RUN, "episodes": 20, "mode": mode}))
     assert len(run.committed) >= 1
     arrays = list(_arrays((scenario, knowledge, run.initial_policy, run.committed), set()))
     assert len(arrays) >= 20
