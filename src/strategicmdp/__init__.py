@@ -19,7 +19,6 @@ from .diagnostics import (
     occupancy,
     regret_curve,
     transfer_term,
-    true_aggregated_model,
 )
 from .driver import (
     EpisodeRecord,

@@ -1,9 +1,9 @@
 """Ground-truth-aware oracles: the true law, occupancies, regret, identifiability measures.
 
 Everything here may read environment internals; none of it feeds back into
-learning decisions. The true law, cached on the model, is its per-type
-feedback table, its two population feedback laws and its per-step kernels
-(_step_kernels), read by the regret oracle and occupancy(), the one forward DP.
+learning decisions. The model caches the true law: the per-step kernels
+(_step_kernels), which occupancy(), the one forward DP, and the target MDP
+(_target_mdp) of the regret oracle push per-type feedback weights through.
 The two identifiability measures are worst-case ratios over candidate
 residuals and blocks of enumerated policies:
 
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ValidationError
+from .driver import RunResult
 from .estimation import StepDataset
 from .hypotheses import HypothesisClasses, residual_labels, residual_stack
 from .model import (
@@ -38,7 +39,7 @@ from .model import (
     _shown,
     as_table,
     check_dims,
-    feedback_mix,
+    check_parts,
     integrate_feedback,
     make_rng,
 )
@@ -81,29 +82,19 @@ def _push(weights: np.ndarray, kernel: np.ndarray, out: str) -> np.ndarray:
     return np.einsum(f"...sate,tsaex->...{out}", weights, kernel)
 
 
-def _type_dist(env: StrategicModel, type_dist: np.ndarray | None, default: np.ndarray) -> np.ndarray:
-    """A given type_dist checked to be an (H, T) table of distributions, else default."""
-    if type_dist is None:
-        return default
-    return as_table(type_dist, (env.horizon, env.num_types), "type_dist", rows=True)
-
-
-def true_aggregated_model(model: StrategicModel, type_dist: np.ndarray | None = None) -> AggregatedMDP:
-    """Aggregated MDP of the true environment under a type distribution, by default the target.
+def _target_mdp(env: StrategicModel) -> AggregatedMDP:
+    """Aggregated MDP of the true environment under the target population, kept as StrategicModel.target_mdp.
 
     Each (state, action) moves by the (type, feedback) mixture of the step
     kernels, the simulator's own next-cell law. The rewards leave out the
     population mean of the reward confound, one constant per step (-0.08 on
-    dyn-1d, -0.09 on recsys-small under the target): it shifts the optimal
-    value but never regret. An evaluation oracle the learner cannot call. A
-    given type_dist must be an (H, T) table of distributions.
+    dyn-1d, -0.09 on recsys-small): it shifts the optimal value but never
+    regret. An evaluation oracle the learner cannot call.
     """
-    dist = _type_dist(model, type_dist, model.target_type_dist)
-    fb = model.feedback_by_type  # (H, S, A, T, E)
-    rewards = np.einsum("hsae,hsae->hsa", feedback_mix(dist, fb), model.principal_reward)
-    weights = dist[:, None, None, :, None] * fb
-    transitions = [_push(weights[h], k, "sax") for h, k in enumerate(model.step_kernels)]
-    return AggregatedMDP(rewards, transitions, model.initial_state)
+    rewards = np.einsum("hsae,hsae->hsa", env.target_feedback, env.principal_reward)
+    weights = env.target_type_dist[:, None, None, :, None] * env.feedback_by_type
+    transitions = [_push(weights[h], k, "sax") for h, k in enumerate(env.step_kernels)]
+    return AggregatedMDP(rewards, transitions, env.initial_state)
 
 
 @dataclass
@@ -131,7 +122,9 @@ def occupancy(
     an (H, T) table of distributions. The next-state step averages the true
     transitions consistently with the same population.
     """
-    dist = _type_dist(env, type_dist, env.source_type_dist)
+    check_parts(env=(env, StrategicModel))
+    shape = (env.horizon, env.num_types)
+    dist = env.source_type_dist if type_dist is None else as_table(type_dist, shape, "type_dist", rows=True)
     probs = as_table(policy.action_probs if isinstance(policy, Policy) else policy, None, "policy", finite=False)
     stack = (None,) * (probs.ndim - 3) + ("steps", env.num_states, env.num_actions)
     probs = as_table(probs, stack, "policy", rows=True)
@@ -243,19 +236,20 @@ def _ratio_oracle(
     h: int,
     policy_budget: int,
     moments: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    num_dist: np.ndarray,
-    jensen: bool,
+    transfer: bool,
 ) -> RatioResult:
     """Largest ratio num / den at step h over nonzero residuals and policy tables, with its witness.
 
     moments maps the (n, S, A, E) nonzero residuals to (n, S, A) weights num
     and den, integrated against the step-h (state, action) occupancy of each
-    table under num_dist and the source population respectively; the
-    occupancies come from one occupancy() call per POLICY_BLOCK tables. A zero denominator under a positive
+    table under the target population (with transfer set, else the source)
+    and the source population respectively; the occupancies come from one
+    occupancy() call per POLICY_BLOCK tables. A zero denominator under a positive
     numerator is an infinite result at the first such table and residual;
-    ties go to the first table, then the first residual. With jensen set,
+    ties go to the first table, then the first residual. Without transfer,
     every pair is checked for the denominator never exceeding the numerator.
     """
+    check_parts(env=(env, StrategicModel), classes=(classes, HypothesisClasses))
     check_dims(model=env.dims, classes=classes.dims)
     _check_index(h, env.horizon, "step")
     stack = residual_stack(env, classes, h)
@@ -266,6 +260,7 @@ def _ratio_oracle(
         return RatioResult(1.0, False, True, sampled, None, N, 0)
     num, den = (m.reshape(n, -1) for m in moments(stack[rows]))
     den_dist = env.source_type_dist
+    num_dist = env.target_type_dist if transfer else den_dist
     eye = np.eye(env.num_actions)
     top, bottom = np.empty((N, n)), np.empty((N, n))
     for start in range(0, N, POLICY_BLOCK):
@@ -279,7 +274,7 @@ def _ratio_oracle(
         # a stacked mat-vec per table: a gemm over the block would change the bits
         top[part] = np.matmul(num, occ[-1][..., None])[..., 0]
         bottom[part] = np.matmul(den, occ[0][..., None])[..., 0]
-    if jensen and np.any(bottom > top + JENSEN_TOL):
+    if not transfer and np.any(bottom > top + JENSEN_TOL):
         raise ValidationError("projected MSE exceeded MSE; occupancy inconsistency")
     valid = bottom != 0.0
     infinite = ~valid & (top > 0.0)
@@ -316,7 +311,7 @@ def ill_posedness(
         proj = integrate_feedback(kappa, nus)
         return integrate_feedback(kappa, nus * nus), proj * proj  # second moment, squared mean
 
-    return _ratio_oracle(env, classes, h, policy_budget, moments, env.source_type_dist, jensen=True)
+    return _ratio_oracle(env, classes, h, policy_budget, moments, transfer=False)
 
 
 def transfer_term(
@@ -330,7 +325,7 @@ def transfer_term(
     def moments(nus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return tuple(integrate_feedback(law[h], nus * nus) for law in (env.target_feedback, env.source_feedback))
 
-    return _ratio_oracle(env, classes, h, policy_budget, moments, env.target_type_dist, jensen=False)
+    return _ratio_oracle(env, classes, h, policy_budget, moments, transfer=True)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +363,7 @@ class NaiveBaselineReport:
 
 def naive_baseline(dataset: StepDataset, env: StrategicModel) -> NaiveBaselineReport:
     """Average reward per (h, s, a, e) cell versus the true reward table."""
+    check_parts(dataset=(dataset, StepDataset), env=(env, StrategicModel))
     shape = (dataset.horizon, dataset.num_states, dataset.num_actions, dataset.num_feedbacks)
     if shape != env.dims:
         raise ValidationError(f"dataset has (H, S, A, E) = {shape}, the model {env.dims}")
@@ -376,16 +372,12 @@ def naive_baseline(dataset: StepDataset, env: StrategicModel) -> NaiveBaselineRe
     with np.errstate(invalid="ignore", divide="ignore"):
         mean = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     empirical_bias = mean - env.principal_reward
-    weighted = feedback_mix(env.source_type_dist * env.reward_confound, env.feedback_by_type)
-    kappa = env.source_feedback
-    with np.errstate(invalid="ignore", divide="ignore"):
-        population_bias = np.where(kappa > 0, weighted / np.maximum(kappa, 1e-300), np.nan)
     empty = int(np.sum(counts == 0))
     flags = (f"empty-cells:{empty}",) if empty else ()
     return NaiveBaselineReport(
         counts=counts,
         empirical_bias=empirical_bias,
-        population_bias=population_bias,
+        population_bias=env.source_reward_bias,
         flags=flags,
     )
 
@@ -411,15 +403,15 @@ class RegretCurve:
         }
 
 
-def regret_curve(run, env: StrategicModel, knowledge: LearnerKnowledge) -> RegretCurve:
+def regret_curve(run: RunResult, env: StrategicModel, knowledge: LearnerKnowledge) -> RegretCurve:
     """Exact per-episode regret against the optimal aggregated target value.
 
     Sets the run's two regret columns and returns the series. Raises if any
     instantaneous regret is below -1e-9.
     """
-    oracle = true_aggregated_model(env)
-    plan = value_iteration(oracle)
-    vstar = plan.value_at_initial
+    check_parts(run=(run, RunResult), env=(env, StrategicModel), knowledge=(knowledge, LearnerKnowledge))
+    oracle = env.target_mdp
+    vstar = value_iteration(oracle).value_at_initial
     # One value per policy: the initial one, then each entry's, which the episode after it plays.
     values = np.array([policy_value(oracle, p) for p in (run.initial_policy, *run.committed)])
     inst = vstar - values[[0, *(i + 1 for i in run.entry_index[:-1])]]

@@ -33,6 +33,7 @@ from .model import (
     StrategicModel,
     TransitionMode,
     _shown,
+    check_parts,
     make_rng,
     rollout,
 )
@@ -214,6 +215,10 @@ def run_learner(
     and select the optimistic surviving model; its optimal policy is committed
     for the next episode. All committed policies are returned.
     """
+    check_parts(
+        env=(env, StrategicModel), knowledge=(knowledge, LearnerKnowledge), classes=(classes, HypothesisClasses),
+        cfg=(cfg, RunConfig),
+    )
     cfg.validate()
     if cfg.mode is not env.transition_mode:
         raise ConfigError(

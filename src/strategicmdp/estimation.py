@@ -33,7 +33,7 @@ from .errors import ConfigError, ValidationError
 from .hypotheses import ClassSizes, HypothesisClasses
 from .model import (
     COUNT, NONNEGATIVE, POSITIVE, UNIT_INTERVAL, Trajectory, _check_index, _is_finite_real, _shown, as_table,
-    integrate_feedback,
+    check_parts, integrate_feedback,
 )
 
 
@@ -115,6 +115,7 @@ class StepDataset:
     def append_trajectory(self, traj: Trajectory) -> None:
         """Record one episode using observable fields only; every step is
         checked before any is written, so a refused episode writes nothing."""
+        check_parts(traj=(traj, Trajectory))
         if len(traj) != self.horizon:
             raise ValidationError("trajectory length does not match the horizon")
         writes = [
@@ -184,6 +185,7 @@ class LossEvaluator:
     """
 
     def __init__(self, classes: HypothesisClasses) -> None:
+        check_parts(classes=(classes, HypothesisClasses))
         self.classes = classes
         self.kernel_index = [classes.kernel_index(h) for h in range(classes.horizon)]
         self._halves = [_half_squares(f) for f in classes.discriminators]
@@ -284,6 +286,7 @@ def build_confidence_sets(
     thresholded on its own, and the step's transition set holds the kernel
     indices of every combination of survivors.
     """
+    check_parts(evaluator=(evaluator, LossEvaluator), dataset=(dataset, StepDataset))
     flags: list[str] = []
     reward_sets = []
     transition_sets = []

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .config import ScenarioConfig, config_from_dict
-from .diagnostics import ill_posedness, naive_baseline, regret_curve, transfer_term, true_aggregated_model
+from .diagnostics import ill_posedness, naive_baseline, regret_curve, transfer_term
 from .driver import RunConfig, RunResult, run_learner
 from .errors import ValidationError
 from .hypotheses import ClassCaps
@@ -246,11 +246,10 @@ def run_experiment(cfg: ScenarioConfig, output_root: str | None = None) -> Path:
     try:
         scenario = build_from_config(cfg)
         shared = shared_diagnostics(cfg, scenario)
-        plan = value_iteration(true_aggregated_model(scenario.model))
         manifest["scenario"] = scenario.name
         manifest["mode"] = scenario.model.transition_mode.value
         manifest["class_flags"] = sorted(scenario.classes.flags)
-        manifest["optimal_target_value"] = plan.value_at_initial
+        manifest["optimal_target_value"] = value_iteration(scenario.model.target_mdp).value_at_initial
 
         outcomes: list[SeedOutcome] = []
         dirs = {seed: exp_dir / f"seed-{seed:04d}" for seed in cfg.seeds}
@@ -297,12 +296,11 @@ def diagnose(cfg: ScenarioConfig, output_root: str | None = None) -> Path:
     scenario = build_from_config(cfg)
     knowledge = scenario.knowledge()
     report = check_realizability(scenario.model, scenario.classes, knowledge)
-    plan = value_iteration(true_aggregated_model(scenario.model))
     diag = {
         "scenario": scenario.name,
         "mode": scenario.model.transition_mode.value,
         "version": __version__,
-        "optimal_target_value": plan.value_at_initial,
+        "optimal_target_value": value_iteration(scenario.model.target_mdp).value_at_initial,
         "realizability": report.as_dict(),
         "ill_posedness": _per_step(ill_posedness, cfg, scenario),
         "transfer": _per_step(transfer_term, cfg, scenario),

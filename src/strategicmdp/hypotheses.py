@@ -33,7 +33,7 @@ import numpy as np
 from .errors import CapacityError, ValidationError
 from .model import (
     COUNT, POSITIVE, LearnerKnowledge, StrategicModel, TransitionMode, _is_int, _shown, as_table, check_dims,
-    integrate_feedback,
+    check_parts, integrate_feedback,
 )
 from .planning import CandidateAggregates, joint_backup
 
@@ -163,7 +163,7 @@ class HypothesisClasses:
     truth_reward_idx: list[int | None] = field(default_factory=list)
     truth_transition_idx: list = field(default_factory=list)
     caps: ClassCaps = field(default_factory=ClassCaps)
-    flags: tuple[str, ...] = ()
+    flags: tuple[str, ...] = field(default=(), init=False)  # the bound flags, derived by _flag_bounds
 
     def __post_init__(self) -> None:
         H = len(self.reward_tables)
@@ -327,6 +327,7 @@ def residual_stack(
     rows bit-exactly, and applying first rounds differently.
     residual_labels names the rows in the same order.
     """
+    check_parts(model=(model, StrategicModel), classes=(classes, HypothesisClasses))
     rows = []
     for fam in classes.families(h):
         applied = fam.apply(fam.tables - fam.true_table(model))
@@ -336,6 +337,7 @@ def residual_stack(
 
 def residual_labels(classes: HypothesisClasses, h: int) -> list[str]:
     """Labels of the rows of residual_stack at step h, for witnesses in reports."""
+    check_parts(classes=(classes, HypothesisClasses))
     labels = []
     for fam in classes.families(h):
         quantities = range(fam.apply(fam.tables[:0]).shape[1])  # G, from no candidates
@@ -413,6 +415,9 @@ def close_classes(
     read-only, as the tables the table rule returns are. Nothing is clamped:
     a value target or discriminator beyond the class bound raises a flag.
     """
+    check_parts(
+        model=(model, StrategicModel), classes=(classes, HypothesisClasses), knowledge=(knowledge, LearnerKnowledge)
+    )
     suffix = enumerate_suffix_values(classes, knowledge)
     closed = copy.copy(classes)
     for f in fields(classes):
@@ -495,6 +500,9 @@ def check_realizability(
     projection and value computations reuse the closure code paths, so a
     closed class always passes bit-exactly.
     """
+    check_parts(
+        model=(model, StrategicModel), classes=(classes, HypothesisClasses), knowledge=(knowledge, LearnerKnowledge)
+    )
     check_dims(model=model.dims, knowledge=knowledge.dims, classes=classes.dims)
     H = classes.horizon
     # Per part ("reward" or "transition"), the first step with a failure; at

@@ -20,11 +20,14 @@ import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .errors import InvalidIndexError, StrategicMDPError, ValidationError
+
+if TYPE_CHECKING:
+    from .planning import AggregatedMDP
 
 SIMPLEX_TOL = 1e-9
 
@@ -238,8 +241,8 @@ class StrategicModel:
     confound tables under the per-step source distribution. In both
     modes tables are indexed by the state's cell; in dynamical mode the
     observed next state is a d-vector, and its grid cell is the next state
-    the tables see. The model is frozen, so its true law (feedback_by_type,
-    its population laws source_feedback and target_feedback, step_kernels)
+    the tables see. The model is frozen, so its true law (feedback_by_type, step_kernels
+    and the population laws source_feedback, target_feedback, source_reward_bias, target_mdp)
     is computed on first read, never at construction, and kept.
     """
 
@@ -349,10 +352,25 @@ class StrategicModel:
         return as_table(feedback_mix(self.target_type_dist, self.feedback_by_type), None, "target feedback law")
 
     @cached_property
+    def source_reward_bias(self) -> np.ndarray:
+        """Mean reward shift (H, S, A, E) given the cell under the source, read-only; NaN where it has no mass."""
+        weighted = feedback_mix(self.source_type_dist * self.reward_confound, self.feedback_by_type)
+        kappa = self.source_feedback
+        with np.errstate(invalid="ignore", divide="ignore"):
+            bias = np.where(kappa > 0, weighted / np.maximum(kappa, 1e-300), np.nan)
+        return as_table(bias, None, "source reward bias", finite=False)
+
+    @cached_property
     def step_kernels(self) -> tuple[np.ndarray, ...]:
         """The next-state law of each of the H steps, read-only; see diagnostics._step_kernels."""
         from .diagnostics import _step_kernels  # here, not at the top: diagnostics imports this module
         return _step_kernels(self)
+
+    @cached_property
+    def target_mdp(self) -> AggregatedMDP:
+        """The target population's aggregated MDP, read-only; see diagnostics._target_mdp."""
+        from .diagnostics import _target_mdp  # as in step_kernels
+        return _target_mdp(self)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +405,7 @@ class LearnerKnowledge:
 
     @classmethod
     def from_model(cls, model: StrategicModel) -> "LearnerKnowledge":
+        check_parts(model=(model, StrategicModel))
         return cls(model.target_feedback, grid=model.grid, trans_noise_scale=model.trans_noise_scale)
 
     @property
@@ -436,6 +455,14 @@ def check_dims(**dims: tuple[int, ...]) -> None:
     """Refuse parts, named by keyword, whose (H, S, A, E) tuples differ."""
     if len(set(dims.values())) > 1:
         raise ValidationError("sizes (H, S, A, E) differ: " + ", ".join(f"{k} {d}" for k, d in dims.items()))
+
+
+def check_parts(**parts: tuple[object, type]) -> None:
+    """The part rule: refuse an argument, named by keyword with its kind (a model, knowledge,
+    classes, policy, dataset, run config or result, generator, ...), that is not of its kind."""
+    for name, (value, kind) in parts.items():
+        if not isinstance(value, kind):
+            raise ValidationError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 def _is_int(value: object) -> bool:
@@ -600,6 +627,7 @@ class Policy:
             raise ValidationError(f"no policy table has {_shown(num_actions)} actions: {exc}") from None
 
     def sample_action(self, rng: np.random.Generator, h: int, s: int) -> int:
+        check_parts(rng=(rng, np.random.Generator))
         H, S, _ = self.action_probs.shape
         _check_index(h, H, "step")
         _check_index(s, S, "state")
@@ -621,6 +649,7 @@ def env_step(
     scaled afterwards, so the stream layout does not depend on parameters.
     A dynamical next state is located on the grid here, once.
     """
+    check_parts(model=(model, StrategicModel), rng=(rng, np.random.Generator))
     _check_index(h, model.horizon, "step")
     _check_index(state, model.num_states, "state")
     _check_index(a, model.num_actions, "action")
@@ -648,6 +677,7 @@ def env_step(
 
 def rollout(model: StrategicModel, policy: Policy, rng: np.random.Generator) -> Trajectory:
     """Play one episode from the initial cell, each step starting from the last one's next cell."""
+    check_parts(model=(model, StrategicModel), policy=(policy, Policy), rng=(rng, np.random.Generator))
     as_table(policy.action_probs, (model.horizon, model.num_states, model.num_actions), "policy", finite=False)
     traj = Trajectory()
     cell = model.initial_state

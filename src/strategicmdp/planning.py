@@ -21,9 +21,10 @@ law is an oracle in diagnostics.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .model import (
     _shown,
     as_table,
     check_dims,
+    check_parts,
     integrate_feedback,
 )
 
@@ -54,18 +56,19 @@ DEFAULT_SELECTOR_CAP = 1_000_000
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class AggregatedMDP:
-    """Tabular MDP obtained by averaging feedback out of a candidate model."""
+    """Tabular MDP obtained by averaging feedback out of a candidate model or the truth (target_mdp)."""
 
     rewards: np.ndarray  # (H, S, A)
     transitions: np.ndarray  # (H, S, A, S)
     initial_state: int
 
     def __post_init__(self) -> None:
-        self.rewards = as_table(self.rewards, ("H", "S", "A"), "aggregated reward table")
+        object.__setattr__(self, "rewards", as_table(self.rewards, ("H", "S", "A"), "aggregated reward table"))
         H, S, A = self.rewards.shape
-        self.transitions = as_table(self.transitions, (H, S, A, S), "aggregated transition table", rows=True)
+        transitions = as_table(self.transitions, (H, S, A, S), "aggregated transition table", rows=True)
+        object.__setattr__(self, "transitions", transitions)  # frozen: store the checked tables
         _check_index(self.initial_state, S, "initial state")
 
 
@@ -80,6 +83,7 @@ class PlanResult:
 
 def value_iteration(mdp: AggregatedMDP) -> PlanResult:
     """Exact finite-horizon backward induction; greedy ties pick the lowest action."""
+    check_parts(mdp=(mdp, AggregatedMDP))
     H, S, A = mdp.rewards.shape
     values = np.zeros((H + 1, S))
     actions = np.zeros((H, S), dtype=int)
@@ -93,6 +97,7 @@ def value_iteration(mdp: AggregatedMDP) -> PlanResult:
 
 def evaluate_policy(mdp: AggregatedMDP, policy: Policy) -> np.ndarray:
     """Exact per-state values (H + 1, S) of a stochastic Markov policy."""
+    check_parts(mdp=(mdp, AggregatedMDP), policy=(policy, Policy))
     H, S, A = mdp.rewards.shape
     as_table(policy.action_probs, (H, S, A), "policy", finite=False)
     values = np.zeros((H + 1, S))
@@ -159,6 +164,8 @@ class CandidateAggregates:
     def from_classes(
         cls, classes: "HypothesisClasses", knowledge: LearnerKnowledge
     ) -> "CandidateAggregates":
+        from .hypotheses import HypothesisClasses  # here, not at the top: hypotheses imports this module
+        check_parts(classes=(classes, HypothesisClasses), knowledge=(knowledge, LearnerKnowledge))
         check_dims(classes=classes.dims, knowledge=knowledge.dims)
         w = knowledge.feedback_law  # (H, S, A, E)
         H = knowledge.horizon
@@ -230,22 +237,24 @@ def optimistic_select(
 
     reward_sets[h] lists surviving reward candidate indices at step h and
     transition_sets[h] surviving kernel indices (see
-    HypothesisClasses.kernel_index). Empty sets and sets that are not flat
-    sequences of integers are caller errors, and an index outside its class
-    raises InvalidIndexError. cap must be a count, in either mode.
+    HypothesisClasses.kernel_index). Both must be sequences of one set per
+    step; empty sets and sets that are not flat sequences of integers are
+    caller errors, and an index outside its class raises InvalidIndexError. cap must be a count, in either mode.
     Exact enumeration orders joint models lexicographically by the flattened
     per-step index tuple and keeps the first maximizer; if the joint count
     exceeds cap a CapacityError is raised so the caller can fall back to the
     pointwise relaxation.
     """
+    check_parts(aggregates=(aggregates, CandidateAggregates))
     if not isinstance(mode, SelectionMode):
         raise ValidationError(f"mode must be a SelectionMode, got {_shown(mode)}")
     COUNT.check(cap, "selector cap")
     H = len(aggregates.rewards)
-    if len(reward_sets) != H or len(transition_sets) != H:
+    counts = [len(sets) if _is_sequence(sets) else _shown(sets) for sets in (reward_sets, transition_sets)]
+    if counts != [H, H]:
         raise ValidationError(
-            f"need one reward and one transition set per step for {H} steps, "
-            f"got {len(reward_sets)} and {len(transition_sets)}"
+            f"need a sequence of one reward and one transition set per step for {H} steps, "
+            f"got {counts[0]} and {counts[1]}"
         )
     _check_index(initial_state, aggregates.rewards[0].shape[1], "initial state")
     for h in range(H):
@@ -256,13 +265,18 @@ def optimistic_select(
     return _select_pointwise(aggregates, reward_sets, transition_sets, initial_state)
 
 
+def _is_sequence(value: object) -> bool:
+    """A list, tuple or other sequence, or a numpy array with at least one axis."""
+    return isinstance(value, Sequence) or (isinstance(value, np.ndarray) and value.ndim > 0)
+
+
 def _check_set(indices, size: int, what: str, h: int) -> None:
-    if len(indices) == 0:
-        raise ValidationError(f"empty {what} set at step {h}")
-    if not all(_is_int(i) for i in indices):
+    if not _is_sequence(indices) or not all(_is_int(i) for i in indices):
         raise ValidationError(
             f"{what} set at step {h} must be a flat sequence of integer indices, got {_shown(indices)}"
         )
+    if len(indices) == 0:
+        raise ValidationError(f"empty {what} set at step {h}")
     if min(indices) < 0 or max(indices) >= size:
         bad = [int(i) for i in indices if not 0 <= i < size]
         raise InvalidIndexError(f"{what} indices {_shown(bad)} outside [0, {size}) at step {h}")

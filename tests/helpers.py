@@ -293,10 +293,6 @@ def brute_force_optimum(rewards, transitions, initial_state):
     return best, best_actions
 
 
-def uniform_policy_for(model: StrategicModel) -> Policy:
-    return Policy.uniform(model.horizon, model.num_states, model.num_actions)
-
-
 def ref_models(maps) -> list[tuple[int, ...]]:
     """Every choice of one candidate per coordinate of one step's mean maps,
     in lexicographic order (coordinate 0's candidate varies slowest)."""

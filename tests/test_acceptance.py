@@ -33,7 +33,6 @@ from strategicmdp import (
     rollout,
     run_learner,
     transfer_term,
-    true_aggregated_model,
     value_iteration,
 )
 from strategicmdp.config import config_from_dict
@@ -217,13 +216,13 @@ def test_criterion_4_moment_conservation(verdict):
 def test_criterion_5_planner_oracles(verdict):
     vi_gap = 0.0
     vi_checked = []
-    instances = [("tiny", true_aggregated_model(tiny_general()), 0)]
+    instances = [("tiny", tiny_general().target_mdp, 0)]
     for name in sorted(GENERATORS):
         scenario = build_scenario(name)
         m = scenario.model
         count = m.num_actions ** (m.num_states * m.horizon)
         if count <= 4096:
-            instances.append((name, true_aggregated_model(m), m.initial_state))
+            instances.append((name, m.target_mdp, m.initial_state))
     for label, agg, s1 in instances:
         plan = value_iteration(agg)
         best, _ = brute_force_optimum(agg.rewards, agg.transitions, s1)
@@ -271,7 +270,7 @@ def test_criterion_5_planner_oracles(verdict):
 
 def test_criterion_6_optimism(coverage_runs, verdict):
     scenario, runs, _ = coverage_runs
-    vstar = value_iteration(true_aggregated_model(scenario.model)).value_at_initial
+    vstar = value_iteration(scenario.model.target_mdp).value_at_initial
     checked = 0
     worst_short = -np.inf
     for run in runs:

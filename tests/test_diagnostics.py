@@ -6,7 +6,6 @@ import collections
 import dataclasses
 import itertools
 import tracemalloc
-import types
 from unittest import mock
 
 import numpy as np
@@ -38,7 +37,6 @@ from strategicmdp import (
     rollout,
     run_learner,
     transfer_term,
-    true_aggregated_model,
     value_iteration,
 )
 from strategicmdp import diagnostics, model as model_module
@@ -294,9 +292,10 @@ def test_occupancy_dynamical_noisy_matches_monte_carlo_and_is_unflagged():
     "entry",
     [
         lambda model, dist: occupancy(model, Policy.uniform(2, 2, 2), dist),
-        true_aggregated_model,  # a bad shape raised numpy's broadcast error, a bad row a late one
+        # a bad shape raised numpy's broadcast error in the true MDP, a bad row a late one
+        lambda model, dist: dataclasses.replace(model, target_type_dist=dist).target_mdp,
     ],
-    ids=["occupancy", "true_aggregated_model"],
+    ids=["occupancy", "target_mdp"],
 )
 def test_occupancy_refuses_a_type_dist_that_is_not_a_table_of_distributions(type_dist, entry):
     with pytest.raises(ValidationError, match="type_dist"):
@@ -306,9 +305,9 @@ def test_occupancy_refuses_a_type_dist_that_is_not_a_table_of_distributions(type
 @pytest.mark.parametrize(
     "build",
     [
-        lambda model: true_aggregated_model(model, "abc"),
+        lambda model: dataclasses.replace(model, target_type_dist="abc").target_mdp,
         lambda model: occupancy(model, Policy.uniform(2, 2, 2), "abc"),
-        lambda model: true_aggregated_model(model, [[10**400, 0]] * 3),
+        lambda model: dataclasses.replace(model, target_type_dist=[[10**400, 0]] * 3).target_mdp,
         lambda model: Grid((10**400,), (10**401,), (2,)),
         lambda model: Grid(("a",), (1.0,), (2,)),
     ],
@@ -683,7 +682,11 @@ def test_ratio_oracles_run_every_block_through_occupancy(monkeypatch, oracle, po
 
 def test_a_diagnose_and_run_derive_the_true_law_once_per_built_model(monkeypatch, tmp_path):
     """A 4-seed dyn-1d diagnose plus run with both oracles on: one
-    best-response table and H cell-mass kernels per model built."""
+    best-response table, H cell-mass kernels, the source and target laws
+    and one target MDP per model built, and one source reward bias for the
+    run's naive baselines. The manifest, diagnose and every seed's regret
+    each built the true MDP, and each baseline mixed its own bias (6
+    builds, 14 mixes)."""
     horizon = build_scenario("dyn-1d").model.horizon
     calls = collections.Counter()
 
@@ -699,6 +702,8 @@ def test_a_diagnose_and_run_derive_the_true_law_once_per_built_model(monkeypatch
     spy(StrategicModel, "__post_init__", "models")
     spy(model_module, "best_response_table", "best responses")
     spy(diagnostics, "discretize_gaussian", "kernels")
+    spy(model_module, "feedback_mix", "mixes")
+    spy(diagnostics, "_target_mdp", "true MDPs")
     cfg = config_from_dict(
         {
             "environment": {"generator": "dyn-1d"},
@@ -711,6 +716,7 @@ def test_a_diagnose_and_run_derive_the_true_law_once_per_built_model(monkeypatch
     run_experiment(cfg)
     assert calls["models"] == 2
     assert (calls["best responses"], calls["kernels"]) == (2, 2 * horizon)
+    assert (calls["mixes"], calls["true MDPs"]) == (5, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +725,7 @@ def test_a_diagnose_and_run_derive_the_true_law_once_per_built_model(monkeypatch
 
 
 @pytest.mark.parametrize("which", ["dyn-1d", "tiny"])
-def test_true_aggregated_model_equals_noiseless_path_enumeration(which):
+def test_target_mdp_equals_noiseless_path_enumeration(which):
     if which == "dyn-1d":
         model = build_scenario("dyn-1d", params={"noiseless": True}).model
     else:
@@ -727,7 +733,7 @@ def test_true_aggregated_model_equals_noiseless_path_enumeration(which):
     rng = np.random.default_rng(3)
     tables = [rng.integers(model.num_actions, size=(model.horizon, model.num_states)) for _ in range(4)]
     for dist in (model.source_type_dist, model.target_type_dist):
-        oracle = true_aggregated_model(model, dist)
+        oracle = dataclasses.replace(model, target_type_dist=dist).target_mdp
         # The aggregated rewards leave out the population mean of the reward confound.
         confound_mean = float(np.sum(dist * model.reward_confound))
         for actions in tables:
@@ -736,10 +742,10 @@ def test_true_aggregated_model_equals_noiseless_path_enumeration(which):
             assert abs(got + confound_mean - want) <= 1e-12
 
 
-def test_true_aggregated_model_matches_monte_carlo_on_noisy_dyn_1d():
+def test_target_mdp_matches_monte_carlo_on_noisy_dyn_1d():
     model = build_scenario("dyn-1d").model
     assert model.trans_noise_scale > 0
-    oracle = true_aggregated_model(model, model.source_type_dist)
+    oracle = dataclasses.replace(model, target_type_dist=model.source_type_dist).target_mdp
     policy = value_iteration(oracle).policy
     want = policy_value(oracle, policy) + float(np.sum(model.source_type_dist * model.reward_confound))
     n = 20_000
@@ -758,27 +764,27 @@ def test_true_aggregated_model_matches_monte_carlo_on_noisy_dyn_1d():
     horizon=st.integers(1, 3),
     target=st.booleans(),
 )
-def test_true_aggregated_model_equals_literal_path_loop(dims, seed, horizon, target):
+def test_target_mdp_equals_literal_path_loop(dims, seed, horizon, target):
     if dims == 1:
         model, _ = random_dynamical(seed, Grid((-1.5,), (1.5,), (4,)), horizon, rewards=2, candidates=(2,))
     else:
         grid = Grid((-2.0, -1.0), (2.0, 3.0), (3, 2))
         model, _ = random_dynamical(seed, grid, horizon, rewards=2, candidates=(2, 2))
     dist = model.target_type_dist if target else model.source_type_dist
-    got = true_aggregated_model(model, dist)
+    got = dataclasses.replace(model, target_type_dist=dist).target_mdp
     rewards, transitions = true_aggregated_literal(model, dist)
     np.testing.assert_allclose(got.rewards, rewards, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got.transitions, transitions, rtol=0, atol=1e-12)
 
 
-def test_true_aggregated_model_keeps_the_general_formula_bitwise():
+def test_target_mdp_keeps_the_general_formula_bitwise():
     models = [tiny_general()]
     models += [build_scenario(name).model for name in sorted(GENERATORS) if name != "dyn-1d"]
     models += [random_general(seed, 3, 3, 2, 2, 2)[0] for seed in range(5)]
     for model in models:
         assert model.transition_mode is TransitionMode.GENERAL
         for dist in (None, model.source_type_dist):
-            got = true_aggregated_model(model, dist)
+            got = (model if dist is None else dataclasses.replace(model, target_type_dist=dist)).target_mdp
             want = ref_true_aggregated_general(model, dist)
             np.testing.assert_array_equal(got.rewards, want.rewards)
             np.testing.assert_array_equal(got.transitions, want.transitions)
@@ -817,6 +823,7 @@ def test_naive_baseline_population_bias_hand_value():
     model = type_separating_model()
     data = collect_dataset(model, 400)
     report = naive_baseline(data, model)
+    assert report.population_bias is model.source_reward_bias  # the model's, not mixed per call
     # feedback 0 is emitted only by the +0.3 type, feedback 1 only by -0.3
     np.testing.assert_allclose(report.population_bias[..., 0], 0.3, atol=1e-12)
     np.testing.assert_allclose(report.population_bias[..., 1], -0.3, atol=1e-12)
@@ -883,7 +890,7 @@ def test_regret_curve_singleton_truth():
     cfg = RunConfig(episodes=5, delta=0.1, mode=TransitionMode.GENERAL, seed=0, beta_scale=0.1)
     result = run_learner(model, kn, classes, cfg)
     curve = regret_curve(result, model, kn)
-    oracle = true_aggregated_model(model)
+    oracle = model.target_mdp
     plan = value_iteration(oracle)
     gap = plan.value_at_initial - mixture_value([result.policies[0]], oracle)
     np.testing.assert_allclose(curve.instant[0], gap, atol=1e-12)
@@ -902,7 +909,7 @@ def test_regret_nonnegative_and_mixture_identity():
     curve = regret_curve(result, scenario.model, kn)
     assert np.all(curve.instant >= -1e-9)
     # online-to-batch: mixture value equals optimal value minus average regret
-    oracle = true_aggregated_model(scenario.model)
+    oracle = scenario.model.target_mdp
     mv = mixture_value(result.policies, oracle)
     np.testing.assert_allclose(
         mv, curve.optimal_value - curve.cumulative[-1] / cfg.episodes, atol=1e-9
@@ -911,7 +918,7 @@ def test_regret_nonnegative_and_mixture_identity():
 
 def regret_literal(run, env) -> np.ndarray:
     """Instantaneous regret with one policy_value call per episode."""
-    oracle = true_aggregated_model(env)
+    oracle = env.target_mdp
     vstar = value_iteration(oracle).value_at_initial
     return np.array([vstar - policy_value(oracle, pol) for pol in run.policies])
 
@@ -954,14 +961,14 @@ def test_regret_curve_evaluates_distinct_objects_with_equal_tables(monkeypatch):
     twin = Policy(first.action_probs.copy())  # equal table, another object
     other = Policy.uniform(H, S, A)
     # episode 1 plays first, then each episode the policy of the entry before: twin or other
-    run = types.SimpleNamespace(
+    cfg = RunConfig(episodes=6, delta=0.1, mode=TransitionMode.GENERAL, seed=0, beta_scale=0.1)
+    run = dataclasses.replace(
+        run_learner(model, kn, singleton_classes(model), cfg),
         initial_policy=first,
         committed=(twin, other),
         entry_index=[0, 1, 0, 1, 0, 1],
-        policies=[first, twin, other, twin, other, twin],
-        instant_regret=None,
-        cum_regret=None,
     )
+    assert [id(p) for p in run.policies] == list(map(id, [first, twin, other, twin, other, twin]))
     want = regret_literal(run, model)
     calls = count_policy_values(monkeypatch)
     curve = regret_curve(run, model, kn)

@@ -33,7 +33,6 @@ from strategicmdp import (
     policy_value,
     regret_curve,
     run_learner,
-    true_aggregated_model,
     value_iteration,
 )
 
@@ -171,7 +170,7 @@ def test_singleton_truth_commits_optimal_policy():
     kn = LearnerKnowledge.from_model(model)
     cfg = RunConfig(episodes=6, delta=0.1, mode=TransitionMode.GENERAL, seed=2)
     result = run_learner(model, kn, classes, cfg)
-    plan = value_iteration(true_aggregated_model(model))
+    plan = value_iteration(model.target_mdp)
     for rec in result.episodes:
         assert abs(rec.optimistic_value - plan.value_at_initial) <= 1e-9
         assert rec.reward_sets == ((0,), (0,))
@@ -279,7 +278,7 @@ def test_truth_survives_with_generous_beta():
 
 def test_optimism_holds_when_truth_survives():
     scenario = build_scenario("recsys-small")
-    vstar = value_iteration(true_aggregated_model(scenario.model)).value_at_initial
+    vstar = value_iteration(scenario.model.target_mdp).value_at_initial
     for seed in range(3):
         result = run_learner(
             scenario.model, scenario.knowledge(), scenario.classes, run_cfg(episodes=40, seed=seed)
@@ -722,7 +721,7 @@ def _reference_run(model, knowledge, classes, cfg, realizable):
     """ref_run_learner's records and policies as a run that the reference
     serializers read, with regret from one policy_value call per episode."""
     records, policies = ref_run_learner(model, knowledge, classes, cfg)
-    oracle = true_aggregated_model(model)
+    oracle = model.target_mdp
     vstar = value_iteration(oracle).value_at_initial
     instant = np.array([vstar - policy_value(oracle, p) for p in policies])
     flags = {"empty-set-fallback" for ref in records for f in ref["flags"] if f.endswith("empty-set-fallback")}

@@ -30,7 +30,6 @@ from strategicmdp import (
     residual_stack,
     run_learner,
     scenarios,
-    true_aggregated_model,
     value_iteration,
 )
 from strategicmdp.hypotheses import _dedup_append, _first_missing, enumerate_suffix_values
@@ -242,6 +241,15 @@ def test_bound_flags_are_raised_not_clamped():
     assert "value-target-bound-exceeded" in flagged.flags
 
 
+def test_bound_flags_are_derived_never_passed():
+    """flags is not a constructor argument, so a copy whose bound covers
+    every table drops the flag; it kept the original's stale flag before."""
+    classes = build_scenario("recsys-small").classes
+    assert "flags" not in {f.name for f in dataclasses.fields(classes) if f.init}
+    assert classes.flags == ("value-target-bound-exceeded",)
+    assert dataclasses.replace(classes, bound=100.0).flags == ()
+
+
 def test_sizes_sum_over_steps():
     scenario = build_scenario("recsys-small")
     classes = scenario.classes
@@ -314,7 +322,7 @@ def test_suffix_values_of_singleton_truth_match_backward_induction():
     classes = singleton_classes(model)
     kn = LearnerKnowledge.from_model(model)
     suffix = enumerate_suffix_values(classes, kn)
-    plan = value_iteration(true_aggregated_model(model))
+    plan = value_iteration(model.target_mdp)
     for h in range(model.horizon):
         assert suffix[h].shape[0] == 1
         np.testing.assert_allclose(suffix[h][0], plan.values[h], atol=1e-12)

@@ -346,9 +346,9 @@ def test_rewards_are_read_only_as_a_loss_family():
 
 
 def test_the_true_law_reads_the_mode_only_in_the_step_kernels():
-    """true_aggregated_model, occupancy and the ratio oracles push per-type
-    weights through one set of step kernels, so only the kernel builder asks
-    which transition mode runs."""
+    """The target MDP (_target_mdp), occupancy and the ratio oracles push
+    per-type weights through one set of step kernels, so only the kernel
+    builder asks which transition mode runs."""
     scopes = scopes_reading((PACKAGE / "diagnostics.py").read_text(), "TransitionMode")
     assert scopes == {"_step_kernels"}
 
@@ -365,31 +365,24 @@ def test_planning_serves_only_the_learner():
     assert "feedback_law" not in _used_names(ast.parse(source))  # an attribute, not a name
 
 
-POPULATIONS = ("source_type_dist", "target_type_dist")
-
-
-def population_mixes(sources: dict[str, str]) -> set[tuple[str, str]]:
-    """(module, scope) of every feedback_mix call whose first argument is a
-    population itself, a source_type_dist or target_type_dist, bare or as an
-    attribute; a product of one with other weights is not a population."""
-    return {
-        (name, scope)
-        for name, source in sources.items()
-        for scope, node in _scoped_nodes(ast.parse(source))
-        if isinstance(node, ast.Call) and _names(node.func, "feedback_mix") and node.args
-        and any(_names(node.args[0], dist) for dist in POPULATIONS)
-    }
+def feedback_mixes(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """(module, scope) of every feedback_mix call, whatever its weights."""
+    return {(name, scope) for name, source in sources.items() for scope in scopes_calling(source, "feedback_mix")}
 
 
 def test_population_laws_are_mixed_only_on_the_model():
-    """The source and target feedback laws are the model's cached
-    source_feedback and target_feedback, so no other module mixes either
-    population into a feedback law of its own."""
+    """Every population law of the truth (the source and target feedback
+    laws and the naive baseline's reward bias) is cached on the model, so
+    no other module calls feedback_mix, or names it except in the package's
+    export list."""
     sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
-    assert population_mixes(sources) == {
+    assert feedback_mixes(sources) == {
         ("model.py", "StrategicModel.source_feedback"),
         ("model.py", "StrategicModel.target_feedback"),
+        ("model.py", "StrategicModel.source_reward_bias"),
     }
+    naming = {name for name, source in sources.items() if "feedback_mix" in _referenced_names(ast.parse(source))}
+    assert naming == {"model.py", "__init__.py"}
 
 
 def test_population_mix_check_finds_a_planted_copy():
@@ -403,8 +396,9 @@ def test_population_mix_check_finds_a_planted_copy():
             "    return weighted, feedback_mix(dist, env.feedback_by_type)\n"
         ),
     }
-    assert population_mixes(sources) == {
-        ("model.py", "source_feedback"), ("planning.py", "from_classes"), ("hypotheses.py", "close")
+    assert feedback_mixes(sources) == {
+        ("model.py", "source_feedback"), ("planning.py", "from_classes"), ("hypotheses.py", "close"),
+        ("diagnostics.py", "baseline"),
     }
 
 

@@ -354,6 +354,34 @@ def test_the_model_caches_its_two_population_laws(build):
         np.testing.assert_allclose(law.sum(axis=-1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("build", [tiny_general, tiny_dynamical], ids=["general", "dynamical"])
+def test_the_model_caches_its_target_mdp_and_source_reward_bias(build):
+    """Both are derived on first read, kept, and read-only; the bias keeps
+    the bits of the baseline's old formula, NaN where the source law is 0."""
+    model = build()
+    assert "target_mdp" not in vars(model) and "source_reward_bias" not in vars(model)
+    mdp, bias = model.target_mdp, model.source_reward_bias
+    assert model.target_mdp is mdp and model.source_reward_bias is bias
+    assert not any(t.flags.writeable for t in (mdp.rewards, mdp.transitions, bias))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mdp.rewards = mdp.rewards.copy()
+    fb, src = model.feedback_by_type, model.source_type_dist
+    weighted = np.einsum("ht,hsate->hsae", src * model.reward_confound, fb)
+    kappa = np.einsum("ht,hsate->hsae", src, fb)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        want = np.where(kappa > 0, weighted / np.maximum(kappa, 1e-300), np.nan)
+    assert bias.tobytes() == want.tobytes()
+
+
+def test_the_source_reward_bias_is_nan_where_the_source_law_has_no_mass():
+    model = tiny_general(source=(1.0, 0.0), confound=(0.3, -0.3))
+    feed = np.zeros_like(model.feedback_kernel)
+    feed[:, :, :, 0, :, 0] = 1.0  # only type 1, which the source never draws, emits feedback 1
+    feed[:, :, :, 1, :, 1] = 1.0
+    bias = dataclasses.replace(model, feedback_kernel=feed).source_reward_bias
+    assert np.isnan(bias[..., 1]).all() and not np.isnan(bias[..., 0]).any()
+
+
 def test_per_type_feedback_substitutes_best_responses():
     # compliant type 0 emits the b=a row, contrary type 1 the b=1-a row
     compliant = tiny_general().feedback_by_type[:, :, :, 0]

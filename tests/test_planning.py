@@ -30,7 +30,6 @@ from strategicmdp import (
     optimistic_select,
     planning,
     policy_value,
-    true_aggregated_model,
     value_iteration,
 )
 from strategicmdp.hypotheses import enumerate_suffix_values
@@ -75,15 +74,15 @@ def test_aggregate_truth_matches_oracle():
     via_tables = aggregate(
         model.principal_reward, model.transition_kernel, kn, model.initial_state
     )
-    oracle = true_aggregated_model(model)
+    oracle = model.target_mdp
     np.testing.assert_allclose(via_tables.rewards, oracle.rewards, atol=1e-12)
     np.testing.assert_allclose(via_tables.transitions, oracle.transitions, atol=1e-12)
 
 
-def test_true_aggregated_model_depends_on_type_dist():
+def test_target_mdp_depends_on_the_target_population():
     model = tiny_general(source=(0.6, 0.4), target=(0.2, 0.8))
-    tgt = true_aggregated_model(model)
-    src = true_aggregated_model(model, model.source_type_dist)
+    tgt = model.target_mdp
+    src = dataclasses.replace(model, target_type_dist=model.source_type_dist).target_mdp
     assert np.abs(tgt.rewards - src.rewards).max() > 1e-3
 
 
@@ -148,9 +147,9 @@ def test_value_iteration_tie_picks_lowest_action():
 @pytest.mark.parametrize("maker", ["tiny", "contract"])
 def test_value_iteration_matches_enumeration(maker):
     if maker == "tiny":
-        mdp = true_aggregated_model(tiny_general())
+        mdp = tiny_general().target_mdp
     else:
-        mdp = true_aggregated_model(build_scenario("contract-small").model)
+        mdp = build_scenario("contract-small").model.target_mdp
     best, _ = brute_force_optimum(mdp.rewards, mdp.transitions, mdp.initial_state)
     plan = value_iteration(mdp)
     assert abs(plan.value_at_initial - best) <= 1e-9
@@ -159,7 +158,7 @@ def test_value_iteration_matches_enumeration(maker):
 
 
 def test_evaluate_policy_matches_recursion():
-    mdp = true_aggregated_model(tiny_general())
+    mdp = tiny_general().target_mdp
     for actions in itertools.islice(all_action_tables(2, 2, 2), 6):
         pol = Policy.deterministic(actions, 2)
         want = eval_table_recursive(mdp.rewards, mdp.transitions, actions, 0, 0)
@@ -315,7 +314,7 @@ def test_optimistic_select_restricted_sets():
     reward_sets = [[0]] * classes.horizon
     transition_sets = [[0]] * classes.horizon
     got = optimistic_select(agg, reward_sets, transition_sets, scenario.model.initial_state)
-    truth = value_iteration(true_aggregated_model(scenario.model))
+    truth = value_iteration(scenario.model.target_mdp)
     assert abs(got.value - truth.value_at_initial) <= 1e-9
     assert got.reward_idx == (0, 0, 0)
 
@@ -670,5 +669,5 @@ def test_truth_kernel_is_the_true_law_on_noiseless_dyn_1d():
         agg.transitions[h][classes.kernel_index(h).encode([[i] for i in classes.truth_transition_idx[h]])[0]]
         for h in range(classes.horizon)
     ]
-    want = true_aggregated_model(scenario.model).transitions
+    want = scenario.model.target_mdp.transitions
     np.testing.assert_array_equal(np.stack(truth).view(np.uint64), want.view(np.uint64))

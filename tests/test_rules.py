@@ -25,21 +25,35 @@ from strategicmdp import (
     AggregatedMDP,
     CandidateAggregates,
     ClassCaps,
+    LearnerKnowledge,
+    LossEvaluator,
     Policy,
     RunConfig,
     SelectionMode,
     StepData,
     StepDataset,
     TransitionMode,
+    build_confidence_sets,
     build_scenario,
+    check_realizability,
+    close_classes,
     confidence_levels,
     deterministic_policy_tables,
+    env_step,
+    evaluate_policy,
     ill_posedness,
+    make_rng,
+    naive_baseline,
     occupancy,
     optimistic_select,
+    policy_value,
+    regret_curve,
+    residual_labels,
+    residual_stack,
+    rollout,
     run_learner,
     transfer_term,
-    true_aggregated_model,
+    value_iteration,
 )
 from strategicmdp import estimation
 from strategicmdp.config import config_from_dict
@@ -84,11 +98,12 @@ def _dataset(*sizes, state_dim=0) -> None:
         StepDataset(*sizes, state_dim=state_dim)
 
 
-def _select(mode: SelectionMode, cap) -> None:
-    """optimistic_select over every recsys-small candidate at every step."""
+def _select(**given) -> None:
+    """optimistic_select over every recsys-small candidate at every step, but for the arguments given."""
     agg = CandidateAggregates.from_classes(GENERAL.classes, GENERAL.knowledge())
-    sets = [[list(range(len(t))) for t in tables] for tables in (agg.rewards, agg.transitions)]
-    optimistic_select(agg, *sets, GENERAL.model.initial_state, mode=mode, cap=cap)
+    full = {"reward_sets": agg.rewards, "transition_sets": agg.transitions}
+    full = {key: [list(range(len(t))) for t in tables] for key, tables in full.items()}
+    optimistic_select(agg, initial_state=GENERAL.model.initial_state, **{**full, **given})
 
 
 def _append(position: int, value) -> None:
@@ -141,7 +156,11 @@ ENTRIES = {
     "LearnerKnowledge trans_noise_scale": lambda v: dataclasses.replace(DYNAMICAL.knowledge(), trans_noise_scale=v),
     "Grid cell count": lambda v: Grid((0.0,), (1.0,), (v,)),
     "Policy.deterministic num_actions": lambda v: Policy.deterministic([[0, 0]], v),
-    **{f"optimistic_select {mode.value} cap": (lambda v, m=mode: _select(m, v)) for mode in SelectionMode},
+    **{f"optimistic_select {mode.value} cap": (lambda v, m=mode: _select(mode=m, cap=v)) for mode in SelectionMode},
+    "optimistic_select reward_sets": lambda v: _select(reward_sets=v),
+    "optimistic_select transition_sets": lambda v: _select(transition_sets=v),
+    "optimistic_select reward set": lambda v: _select(reward_sets=[v] * 3),
+    "optimistic_select transition set": lambda v: _select(transition_sets=[[0], v, [0]]),
     "Grid.gaussian_mass_1d scale": lambda v: DYNAMICAL.model.grid.gaussian_mass_1d(0.0, v, 0),
     "ill_posedness policy_budget": lambda v: ill_posedness(GENERAL.model, GENERAL.classes, 0, policy_budget=v),
     "transfer_term policy_budget": lambda v: transfer_term(GENERAL.model, GENERAL.classes, 0, policy_budget=v),
@@ -175,6 +194,9 @@ TABLE_ENTRIES = {
     },
     "HypothesisClasses value_targets": lambda v: dataclasses.replace(GENERAL.classes, value_targets=[v] * 3),
     "HypothesisClasses mean_map_tables": lambda v: dataclasses.replace(DYNAMICAL.classes, mean_map_tables=[[v]] * 3),
+    "StrategicModel.target_mdp target_type_dist": (
+        lambda v: dataclasses.replace(GENERAL.model, target_type_dist=v).target_mdp
+    ),
 }
 
 # Entry points for which some of BAD_TABLES are valid: cell-mass means take
@@ -182,8 +204,96 @@ TABLE_ENTRIES = {
 LOOSE_TABLE_ENTRIES = {
     "Grid.gaussian_mass_1d means": (lambda v: DYNAMICAL.model.grid.gaussian_mass_1d(v, 0.5, 0), BAD_TABLES[:3]),
     "occupancy type_dist": (lambda v: occupancy(GENERAL.model, Policy.uniform(3, 3, 2), v), [None]),
-    "true_aggregated_model type_dist": (lambda v: true_aggregated_model(GENERAL.model, v), [None]),
 }
+
+
+# The parts an entry point takes, one object of each kind.
+PARTS = {
+    "model": GENERAL.model,
+    "knowledge": GENERAL.knowledge(),
+    "classes": GENERAL.classes,
+    "policy": Policy.uniform(3, 3, 2),
+    "dataset": StepDataset(3, 3, 2, 3),
+    "config": RunConfig(**RUN),
+    "run": run_learner(GENERAL.model, GENERAL.knowledge(), GENERAL.classes, RunConfig(**RUN)),
+    "rng": make_rng(0),
+    "mdp": GENERAL.model.target_mdp,
+    "aggregates": CandidateAggregates.from_classes(GENERAL.classes, GENERAL.knowledge()),
+    "evaluator": LossEvaluator(GENERAL.classes),
+    "trajectory": rollout(GENERAL.model, Policy.uniform(3, 3, 2), make_rng(0)),
+}
+
+# Each entry point, called with its part arguments by keyword, and the kind of part each argument takes.
+PART_ENTRIES = {
+    "env_step": (lambda model, rng: env_step(model, 0, 0, 0, rng), {"model": "model", "rng": "rng"}),
+    "rollout": (rollout, {"model": "model", "policy": "policy", "rng": "rng"}),
+    "Policy.sample_action": (lambda rng: PARTS["policy"].sample_action(rng, 0, 0), {"rng": "rng"}),
+    "LearnerKnowledge.from_model": (LearnerKnowledge.from_model, {"model": "model"}),
+    "run_learner": (run_learner, {"env": "model", "knowledge": "knowledge", "classes": "classes", "cfg": "config"}),
+    "regret_curve": (regret_curve, {"run": "run", "env": "model", "knowledge": "knowledge"}),
+    **{
+        f.__name__: (f, {"model": "model", "classes": "classes", "knowledge": "knowledge"})
+        for f in (check_realizability, close_classes)
+    },
+    "residual_stack": (
+        lambda model, classes: residual_stack(model, classes, 0), {"model": "model", "classes": "classes"}
+    ),
+    "residual_labels": (lambda classes: residual_labels(classes, 0), {"classes": "classes"}),
+    **{
+        oracle.__name__: (lambda env, classes, o=oracle: o(env, classes, 0, 2), {"env": "model", "classes": "classes"})
+        for oracle in (ill_posedness, transfer_term)
+    },
+    "occupancy": (lambda env: occupancy(env, PARTS["policy"]), {"env": "model"}),
+    "naive_baseline": (naive_baseline, {"dataset": "dataset", "env": "model"}),
+    "CandidateAggregates.from_classes": (
+        CandidateAggregates.from_classes, {"classes": "classes", "knowledge": "knowledge"}
+    ),
+    "value_iteration": (value_iteration, {"mdp": "mdp"}),
+    "evaluate_policy": (evaluate_policy, {"mdp": "mdp", "policy": "policy"}),
+    "policy_value": (policy_value, {"mdp": "mdp", "policy": "policy"}),
+    "optimistic_select": (
+        lambda aggregates: optimistic_select(aggregates, [[0]] * 3, [[0]] * 3, 0), {"aggregates": "aggregates"}
+    ),
+    "LossEvaluator": (LossEvaluator, {"classes": "classes"}),
+    "build_confidence_sets": (
+        lambda evaluator, dataset: build_confidence_sets(evaluator, dataset, confidence_levels(**LEVELS)),
+        {"evaluator": "evaluator", "dataset": "dataset"},
+    ),
+    "StepDataset.append_trajectory": (
+        lambda traj: StepDataset(3, 3, 2, 3).append_trajectory(traj), {"traj": "trajectory"}
+    ),
+}
+
+
+@pytest.mark.parametrize("entry, argument", [(e, a) for e in sorted(PART_ENTRIES) for a in PART_ENTRIES[e][1]])
+def test_every_part_argument_refuses_none_and_every_other_part(entry, argument):
+    """The part rule (model.check_parts): an object of the wrong type is a
+    ValidationError naming the argument and the type it got, never a bare
+    AttributeError from deep inside; the right parts are accepted."""
+    call, kinds = PART_ENTRIES[entry]
+    good = {name: PARTS[kind] for name, kind in kinds.items()}
+    call(**good)
+    for bad in [None, *(part for kind, part in PARTS.items() if kind != kinds[argument])]:
+        with pytest.raises(ValidationError, match=f"^{argument} must be a [A-Za-z]+, got {type(bad).__name__}$"):
+            call(**{**good, argument: bad})
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [
+        {"reward_sets": [5, 5, 5]},
+        {"reward_sets": None},
+        {"transition_sets": 7},
+        {"transition_sets": [0, 0, 0]},
+        {"reward_sets": [[0], np.int64(0), [0]]},
+        {"transition_sets": [[0], np.array(0), [0]]},
+    ],
+    ids=["int sets", "no reward sets", "int transition sets", "flat transition sets", "numpy int", "0-d array"],
+)
+def test_optimistic_select_refuses_sets_that_are_not_sequences_of_sequences(sets):
+    """Each raised a bare TypeError from len()."""
+    with pytest.raises(ValidationError, match="sequence"):
+        _select(**sets)
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
@@ -437,7 +547,7 @@ def test_optimistic_select_refuses_a_cap_that_is_not_a_count(mode, cap):
     comparison, and 0 and -1 as the CapacityError that sends a run to the
     pointwise relaxation; the pointwise selector took any cap unread."""
     with pytest.raises(ValidationError, match=f"^selector cap {COUNT.stem}, got "):
-        _select(mode, cap)
+        _select(mode=mode, cap=cap)
 
 
 def _out_of_memory(*args, **kwargs):

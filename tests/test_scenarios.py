@@ -25,7 +25,6 @@ from strategicmdp import (
     TransitionMode,
     build_scenario,
     check_realizability,
-    true_aggregated_model,
     value_iteration,
 )
 from strategicmdp.model import best_response_table, normal_cdf
@@ -323,7 +322,7 @@ def test_truth_indices_point_at_model_tables(name):
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_aggregates_plan_without_error(name):
     scenario = build_scenario(name)
-    plan = value_iteration(true_aggregated_model(scenario.model))
+    plan = value_iteration(scenario.model.target_mdp)
     bound = scenario.model.reward_bound * scenario.model.horizon
     assert -bound - 1e-9 <= plan.value_at_initial <= bound + 1e-9
 
